@@ -229,61 +229,6 @@ fn main() -> ExitCode {
         );
     }
 
-    // Compressed-domain execution vs hydrate-then-filter: the same filtering
-    // cases, A/B'd over the `compressed_filter` open knob on two fresh
-    // readers (so neither run rides the other's warm cache). Both run under
-    // the same deliberately small cache budget — the bounded-memory
-    // deployment the compressed path exists for — and with the access log
-    // enabled: exact match counting is what forces the engine off the
-    // early-terminating rank scan and onto the full-filter paths the knob
-    // selects between.
-    let ab_cap: u64 = if quick { 512 << 10 } else { 4 << 20 };
-    println!();
-    println!("compressed-domain A/B under a {ab_cap} B cache budget:");
-    println!(
-        "{:<24} {:>16} {:>16}",
-        "query (exact counts)", "compressed ns/q", "hydrated ns/q"
-    );
-    let _ = writeln!(json, "  \"compressed_domain_budget_bytes\": {ab_cap},");
-    let _ = writeln!(json, "  \"compressed_domain\": [");
-    let ab_iters = iters.min(200);
-    let filtering: Vec<&Case> = all.iter().filter(|c| c.name != "select_all_topk").collect();
-    let mut ab_rows: Vec<(&str, f64, f64)> = Vec::new();
-    for on in [true, false] {
-        let ab_db = match HiddenDb::open_segment_with(
-            &path,
-            Box::new(SumRanker),
-            SegmentOpenOptions::new()
-                .with_cache_budget(ab_cap)
-                .with_compressed_filter(on),
-        ) {
-            Ok(db) => db,
-            Err(e) => {
-                eprintln!("cannot reopen segment {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        ab_db.enable_access_log();
-        for (i, case) in filtering.iter().enumerate() {
-            let ns = time_ns(&ab_db, &case.query, 10, ab_iters);
-            if on {
-                ab_rows.push((case.name, ns, 0.0));
-            } else {
-                ab_rows[i].2 = ns;
-            }
-        }
-    }
-    for (i, (name, compressed_ns, hydrated_ns)) in ab_rows.iter().enumerate() {
-        println!("{name:<24} {compressed_ns:>16.0} {hydrated_ns:>16.0}");
-        let _ = writeln!(
-            json,
-            "    {{\"query\": \"{name}\", \"compressed_ns\": {compressed_ns:.0}, \
-             \"hydrated_ns\": {hydrated_ns:.0}}}{}",
-            if i + 1 == ab_rows.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-
     // Per-codec census of the file on disk: how many chunk sections each
     // codec won and what it saved against raw 4-byte words.
     match SegmentReader::open(Box::new(match FileSource::open(&path) {
@@ -348,7 +293,7 @@ fn main() -> ExitCode {
         }
     };
     for case in &all {
-        std::hint::black_box(time_ns(&capped, &case.query, 2, ab_iters.min(50)));
+        std::hint::black_box(time_ns(&capped, &case.query, 2, iters.min(50)));
     }
     let capped_stats = capped
         .storage_stats()

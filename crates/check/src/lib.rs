@@ -48,6 +48,7 @@ const LIB_CRATE_DIRS: &[&str] = &[
 /// Wire-format sources where the L2 bare-cast policy applies.
 const WIRE_PATHS: &[&str] = &[
     "crates/core/src/codec.rs",
+    "crates/hidden-db/src/envelope.rs",
     "crates/hidden-db/src/segment.rs",
     "crates/net/src/wire.rs",
 ];
@@ -144,8 +145,13 @@ mod tests {
 
     #[test]
     fn classify_applies_path_policies() {
-        let f = classify("crates/hidden-db/src/segment.rs", String::new());
-        assert!(f.lib_crate && f.wire_path && !f.bench);
+        for wire in [
+            "crates/hidden-db/src/segment.rs",
+            "crates/hidden-db/src/envelope.rs",
+        ] {
+            let f = classify(wire, String::new());
+            assert!(f.lib_crate && f.wire_path && !f.bench, "{wire}");
+        }
         let f = classify("crates/bench/src/main.rs", String::new());
         assert!(!f.lib_crate && !f.wire_path && f.bench);
         let f = classify("crates/check/src/lints.rs", String::new());

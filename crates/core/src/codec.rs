@@ -4,18 +4,11 @@
 //!
 //! # Envelope format
 //!
-//! Every sealed buffer is one *envelope*:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  b"SWCK"
-//! 4       2     format version, u16 LE (currently 1)
-//! 6       1     payload kind (1 = checkpoint, 2 = plan, 3 = responses,
-//!               4 = hello, 5 = welcome, 6 = error reply)
-//! 7       8     payload length, u64 LE
-//! 15      n     payload
-//! 15+n    8     FNV-1a 64 checksum of the payload, u64 LE
-//! ```
+//! Every sealed buffer is one envelope of the shared
+//! [`skyweb_hidden_db::envelope`] layout — the one segment sections use —
+//! under magic [`MAGIC`] (`b"SWCK"`) and version [`FORMAT_VERSION`], with
+//! payload kind 1 = checkpoint, 2 = plan, 3 = responses, 4 = hello,
+//! 5 = welcome, 6 = error reply.
 //!
 //! Decoding validates every layer in order — magic, version, kind, exact
 //! length, checksum — before a single payload byte is interpreted, so a
@@ -66,6 +59,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use skyweb_hidden_db::envelope::{le_i64, le_u32, le_u64, Envelope, EnvelopeError};
+pub use skyweb_hidden_db::envelope::{CHECKSUM_LEN, HEADER_LEN};
 use skyweb_hidden_db::{
     AttributeRole, AttributeSpec, CmpOp, InterfaceType, Predicate, PrefixGroup, Query, QueryError,
     QueryResponse, Schema, SegmentError, Tuple,
@@ -79,6 +74,12 @@ pub const MAGIC: [u8; 4] = *b"SWCK";
 
 /// The format version this build writes and the only one it reads.
 pub const FORMAT_VERSION: u16 = 1;
+
+/// The envelope every sealed buffer uses: [`MAGIC`] at [`FORMAT_VERSION`].
+const SWCK: Envelope = Envelope {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+};
 
 /// Envelope kind of a checkpoint payload.
 pub const KIND_CHECKPOINT: u8 = 1;
@@ -108,11 +109,6 @@ pub(crate) const TAG_MQ: u8 = 5;
 pub(crate) const TAG_SKYBAND: u8 = 6;
 pub(crate) const TAG_CRAWL: u8 = 7;
 pub(crate) const TAG_POINT_CRAWL: u8 = 8;
-
-/// Size of the fixed envelope header (magic + version + kind + length).
-pub const HEADER_LEN: usize = 15;
-/// Size of the trailing payload checksum.
-pub const CHECKSUM_LEN: usize = 8;
 
 /// Why a byte buffer was rejected by the codec. A corrupted or foreign
 /// buffer always surfaces as an error — it is never silently mis-restored.
@@ -177,43 +173,19 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a 64-bit hash of `bytes` — the envelope's corruption detector.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+impl From<EnvelopeError> for CodecError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::Truncated => CodecError::Truncated,
+            EnvelopeError::BadMagic => CodecError::BadMagic,
+            EnvelopeError::UnsupportedVersion { found } => CodecError::UnsupportedVersion { found },
+            EnvelopeError::WrongKind { expected, found } => {
+                CodecError::WrongKind { expected, found }
+            }
+            EnvelopeError::ChecksumMismatch => CodecError::ChecksumMismatch,
+            EnvelopeError::TrailingBytes => CodecError::TrailingBytes,
+        }
     }
-    h
-}
-
-/// Little-endian `u64` from the first 8 bytes of `b`, zero-padded when
-/// shorter. Callers always slice exactly 8 bytes; the zero pad replaces
-/// the `try_into().expect(...)` panic path that lint L1 bans.
-fn le_u64(b: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    u64::from_le_bytes(buf)
-}
-
-/// Little-endian `i64` from the first 8 bytes of `b` (see [`le_u64`]).
-fn le_i64(b: &[u8]) -> i64 {
-    let mut buf = [0u8; 8];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    i64::from_le_bytes(buf)
-}
-
-/// Little-endian `u32` from the first 4 bytes of `b` (see [`le_u64`]).
-fn le_u32(b: &[u8]) -> u32 {
-    let mut buf = [0u8; 4];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    u32::from_le_bytes(buf)
 }
 
 /// Widens a `usize` to the wire's `u64` without an `as` cast (lint L2
@@ -224,14 +196,8 @@ pub(crate) fn u64_of(v: usize) -> u64 {
 
 /// Wraps `payload` in the magic/version/kind/length/checksum envelope.
 pub(crate) fn seal(kind: u8, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&u64_of(payload.len()).to_le_bytes());
-    let checksum = fnv1a64(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    let mut out = Vec::new();
+    SWCK.seal(kind, &payload, &mut out);
     out
 }
 
@@ -246,52 +212,12 @@ pub(crate) fn seal(kind: u8, payload: Vec<u8>) -> Vec<u8> {
 /// the caller knows its cap; [`open`] later enforces exact-length and
 /// checksum equality on the full buffer.
 pub fn parse_header(header: &[u8]) -> Result<(u8, u64), CodecError> {
-    if header.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    if header[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    if header.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != FORMAT_VERSION {
-        return Err(CodecError::UnsupportedVersion { found: version });
-    }
-    Ok((header[6], le_u64(&header[7..15])))
+    Ok(SWCK.parse_header(header)?)
 }
 
 /// Validates the envelope of `bytes` and returns the payload slice.
 pub(crate) fn open(bytes: &[u8], expected_kind: u8) -> Result<&[u8], CodecError> {
-    let (kind, len) = parse_header(bytes)?;
-    if kind != expected_kind {
-        return Err(CodecError::WrongKind {
-            expected: expected_kind,
-            found: kind,
-        });
-    }
-    let Ok(len) = usize::try_from(len) else {
-        return Err(CodecError::Truncated);
-    };
-    let Some(total) = HEADER_LEN
-        .checked_add(len)
-        .and_then(|n| n.checked_add(CHECKSUM_LEN))
-    else {
-        return Err(CodecError::Truncated);
-    };
-    if bytes.len() < total {
-        return Err(CodecError::Truncated);
-    }
-    if bytes.len() > total {
-        return Err(CodecError::TrailingBytes);
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
-    let stored = le_u64(&bytes[total - CHECKSUM_LEN..]);
-    if fnv1a64(payload) != stored {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    Ok(payload)
+    Ok(SWCK.open(bytes, expected_kind)?)
 }
 
 /// A cursor over a payload slice; every read checks bounds and surfaces

@@ -1,7 +1,7 @@
 //! Builds persistent columnar segment files for the storage benchmarks.
 //!
 //! ```text
-//! segment_build [--out DIR] [--quick] [--n N] [--k K] [--format-version V]
+//! segment_build [--out DIR] [--quick] [--n N] [--k K]
 //! ```
 //!
 //! Writes deterministic segments (same seeds as the figure harnesses, so
@@ -22,10 +22,10 @@ use std::time::Instant;
 
 use skyweb_datagen::synthetic::{Correlation, SyntheticConfig};
 use skyweb_datagen::{flights_dot, synthetic};
-use skyweb_hidden_db::{HiddenDb, InterfaceType, SegmentWriter, SEGMENT_VERSION};
+use skyweb_hidden_db::{HiddenDb, InterfaceType, SegmentWriter};
 
 fn usage() {
-    eprintln!("usage: segment_build [--out DIR] [--quick] [--n N] [--k K] [--format-version V]");
+    eprintln!("usage: segment_build [--out DIR] [--quick] [--n N] [--k K]");
 }
 
 /// The deterministic synthetic database the storage benchmarks measure:
@@ -59,7 +59,6 @@ fn main() -> ExitCode {
     let mut quick = false;
     let mut n_override: Option<usize> = None;
     let mut k = 10usize;
-    let mut format_version = SEGMENT_VERSION;
 
     let mut i = 0;
     while i < args.len() {
@@ -90,16 +89,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 k = v;
-                i += 1;
-            }
-            "--format-version" => {
-                let parsed = args.get(i + 1).and_then(|v| v.parse::<u16>().ok());
-                let Some(v) = parsed.filter(|v| (1..=SEGMENT_VERSION).contains(v)) else {
-                    eprintln!("--format-version needs a version in 1..={SEGMENT_VERSION}");
-                    usage();
-                    return ExitCode::FAILURE;
-                };
-                format_version = v;
                 i += 1;
             }
             other => {
@@ -139,10 +128,7 @@ fn main() -> ExitCode {
         );
         let path = out.join(format!("{name}.seg"));
         let t = Instant::now();
-        let bytes = match SegmentWriter::new()
-            .with_format_version(format_version)
-            .write_to_path(&db, &path)
-        {
+        let bytes = match SegmentWriter::new().write_to_path(&db, &path) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("cannot write {}: {e}", path.display());

@@ -325,8 +325,8 @@ impl HiddenDb {
         HiddenDb::open_segment_source(Box::new(FileSource::open(path)?), ranker)
     }
 
-    /// [`HiddenDb::open_segment`] with explicit open options (cache budget,
-    /// compressed-domain filtering).
+    /// [`HiddenDb::open_segment`] with explicit open options (the chunk-cache
+    /// budget).
     pub fn open_segment_with(
         path: impl AsRef<Path>,
         ranker: Box<dyn Ranker>,
@@ -365,8 +365,7 @@ impl HiddenDb {
 
     /// [`HiddenDb::open_segment_source`] with explicit open options: a
     /// chunk-cache byte budget (bounded working set with clock eviction
-    /// instead of sticky hydration) and a switch for compressed-domain
-    /// predicate filtering.
+    /// instead of sticky hydration).
     pub fn open_segment_source_with(
         source: Box<dyn BlockSource>,
         ranker: Box<dyn Ranker>,

@@ -230,8 +230,6 @@ pub(crate) struct Scratch {
     cons: Vec<(AttrId, Value, Value)>,
     /// Rank positions (or store indices) of matching candidates.
     hits: Vec<u32>,
-    /// Per-chunk match bitset of the compressed-domain store scan.
-    words: Vec<u64>,
 }
 
 /// One zone block's rank-ordered column values: borrowed straight out of a
@@ -642,26 +640,10 @@ impl QueryIndex {
                 // values in preference order and stops after k matches + 1
                 // overflow probe (see [`BLOCK_SCAN_CROSSOVER_DEN`] for the
                 // crossover rationale). The access log needs exact counts,
-                // so `need_matched` pins an exact plan: on a segment backend
-                // whose chunk cache is bounded, a broad exact count is
-                // cheapest in the compressed domain (store chunks filtered
-                // without unpacking, zero cache traffic — hydrating them
-                // would decode on every miss and churn the budget);
-                // with the unbounded sticky cache decoded chunks stay
-                // resident forever, so the posting walk is cheaper and the
-                // plan stays on it.
+                // so `need_matched` pins the posting walk even for broad
+                // queries.
                 if !need_matched && count * BLOCK_SCAN_CROSSOVER_DEN >= self.n {
                     self.rank_scan(k, store, &scratch.cons)
-                } else if count * BLOCK_SCAN_CROSSOVER_DEN >= self.n
-                    && self.compressed_scan_available()
-                {
-                    self.compressed_topk(
-                        k,
-                        store,
-                        &scratch.cons,
-                        &mut scratch.hits,
-                        &mut scratch.words,
-                    )
                 } else {
                     self.posting_topk(k, store, &scratch.cons, best_pos, &mut scratch.hits)
                 }
@@ -795,58 +777,6 @@ impl QueryIndex {
         if overflowed {
             // Partial selection: k smallest rank positions to the front,
             // then order just those k.
-            hits.select_nth_unstable(k - 1);
-            hits.truncate(k);
-        }
-        hits.sort_unstable();
-        let mut returned = Vec::with_capacity(hits.len());
-        for &rank in hits.iter() {
-            returned.push(store.try_share(self.perm_at(rank as usize)? as usize)?);
-        }
-        Ok(ExecOutcome {
-            returned,
-            overflowed,
-            matched: Some(matched),
-        })
-    }
-
-    /// Whether the planner should filter store chunks in the compressed
-    /// domain: a segment backend with the compressed filter enabled *and* a
-    /// bounded chunk cache. With the sticky unbounded cache, hydrated
-    /// chunks are decoded once and resident forever, so the posting walk
-    /// beats re-scanning compressed bytes on every query.
-    fn compressed_scan_available(&self) -> bool {
-        match &self.backend {
-            IndexBackend::Ram(_) => false,
-            IndexBackend::Segment(s) => s.compressed_filter_enabled() && s.cache_is_bounded(),
-        }
-    }
-
-    /// Broad-but-exact plan on the segment backend: the match count is too
-    /// large for the posting walk to be cheap, so filter every store chunk
-    /// directly against its packed representation (no chunk decode, no
-    /// cache traffic) and select the top k by rank position. The matching
-    /// set — and therefore the answer and the reported count — is identical
-    /// to [`QueryIndex::posting_topk`]'s.
-    fn compressed_topk(
-        &self,
-        k: usize,
-        store: &TupleStore,
-        cons: &[(AttrId, Value, Value)],
-        hits: &mut Vec<u32>,
-        words: &mut Vec<u64>,
-    ) -> Result<ExecOutcome, SegmentError> {
-        let IndexBackend::Segment(s) = &self.backend else {
-            unreachable!("compressed scans require the segment backend");
-        };
-        hits.clear();
-        s.filter_store_compressed(cons, words, &mut |idx| {
-            hits.push(self.rank_of_at(idx as usize)?);
-            Ok(())
-        })?;
-        let matched = hits.len();
-        let overflowed = matched > k;
-        if overflowed {
             hits.select_nth_unstable(k - 1);
             hits.truncate(k);
         }

@@ -87,6 +87,8 @@
 pub mod conc;
 mod db;
 mod dominance;
+#[deny(missing_docs)]
+pub mod envelope;
 mod fault;
 mod index;
 mod predicate;

@@ -15,20 +15,22 @@
 //!   query responses materialize only when a query first touches their
 //!   chunk (4096 values by default), and stay cached for the segment's
 //!   lifetime. `Ranker::precompute` never runs on the load path.
-//! * **Every byte is covered by a checksum.** Each section carries the PR 6
-//!   envelope (magic + version + kind + length + FNV-1a 64 checksum); the
-//!   directory is covered by the footer's envelope, and the trailer
-//!   checksums itself. [`SegmentReader::verify`] performs the full O(file)
-//!   scrub — every truncation and every single-bit flip of a segment is
-//!   rejected with a typed [`SegmentError`], never a panic or a silent
-//!   mis-read (pinned by the corruption battery in
+//! * **Every byte is covered by a checksum.** Each section is one
+//!   [`crate::envelope`] envelope (magic + version + kind + length + FNV-1a
+//!   64 checksum); the directory is covered by the footer's envelope, and
+//!   the trailer checksums itself. [`SegmentReader::verify`] performs the
+//!   full O(file) scrub — every truncation and every single-bit flip of a
+//!   segment is rejected with a typed [`SegmentError`], never a panic or a
+//!   silent mis-read (pinned by the corruption battery in
 //!   `tests/proptest_segment.rs`).
 //!
 //! Values are compressed with frame-of-reference + bit-packing: each block
 //! of values stores its minimum and the per-value deltas at the smallest
 //! sufficient bit width, which compresses both low-cardinality attribute
-//! columns and the near-sequential tuple-id column well. The full layout is
-//! specified in `docs/segment-format.md`.
+//! columns and the near-sequential tuple-id column well. Each `u32` chunk
+//! additionally picks the smallest of three codecs (FOR, dictionary,
+//! run-length) and is read back only through `decode_u32_payload`. The
+//! full layout is specified in `docs/segment-format.md`.
 //!
 //! File access goes through one [`BlockSource`] trait with two shipped
 //! implementations — positioned reads against a [`std::fs::File`]
@@ -45,6 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::conc::ClockCacheCore;
+use crate::envelope::{fnv1a64, le_u32, le_u64, Envelope, EnvelopeError};
 use crate::index::BLOCK;
 use crate::sync::StdSync;
 use crate::{AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, TupleId, Value};
@@ -129,38 +132,21 @@ mod cast {
     }
 }
 
-/// Little-endian `u64` from the first 8 bytes of `b`, zero-padded when
-/// shorter. Callers always slice exactly 8 bytes; the zero pad replaces
-/// the `try_into().expect(...)` panic path that lint L1 bans.
-fn le_u64(b: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    u64::from_le_bytes(buf)
-}
-
-/// Little-endian `u32` from the first 4 bytes of `b`, zero-padded when
-/// shorter (see [`le_u64`]).
-fn le_u32(b: &[u8]) -> u32 {
-    let mut buf = [0u8; 4];
-    for (d, s) in buf.iter_mut().zip(b) {
-        *d = *s;
-    }
-    u32::from_le_bytes(buf)
-}
-
 /// Magic bytes every segment section starts with (`b"SWSG"`).
 pub const SEGMENT_MAGIC: [u8; 4] = *b"SWSG";
 
 /// Magic bytes of the fixed-size trailer at the end of the file.
 pub const TRAILER_MAGIC: [u8; 8] = *b"SWSGTAIL";
 
-/// The newest segment format version this build writes. Readers accept
-/// every version in `1..=SEGMENT_VERSION`: v1 files (untagged FOR/bit-packed
-/// chunks) keep opening byte-identically next to v2 files (per-chunk codec
-/// tags with min/max headers).
+/// The segment format version this build writes and the only one it
+/// reads: every `u32` chunk carries a codec tag and a min/max header.
 pub const SEGMENT_VERSION: u16 = 2;
+
+/// The section envelope: [`SEGMENT_MAGIC`] at [`SEGMENT_VERSION`].
+const SWSG: Envelope = Envelope {
+    magic: SEGMENT_MAGIC,
+    version: SEGMENT_VERSION,
+};
 
 /// Number of values per lazily-hydrated chunk (a multiple of the zone-map
 /// block size, so one zone block never spans two chunks).
@@ -169,9 +155,6 @@ pub const DEFAULT_CHUNK: usize = 4096;
 /// Size of the fixed trailer: magic (8) + footer offset (8) + footer length
 /// (8) + FNV-1a 64 checksum of the preceding 24 bytes (8).
 pub const TRAILER_LEN: usize = 32;
-
-const HEADER_LEN: usize = 15;
-const CHECKSUM_LEN: usize = 8;
 
 /// Section kind: the footer (meta + directory).
 const KIND_FOOTER: u8 = 1;
@@ -196,15 +179,13 @@ const KIND_IDS: u8 = 9;
 /// Never appears on disk.
 const KIND_TUPLE_CACHE: u8 = 200;
 
-/// v2 chunk codec tag: frame-of-reference + bit-packing (the v1 layout).
+/// Chunk codec tag: frame-of-reference + bit-packing.
 const CODEC_FOR: u8 = 0;
-/// v2 chunk codec tag: sorted dictionary + bit-packed codes.
+/// Chunk codec tag: sorted dictionary + bit-packed codes.
 const CODEC_DICT: u8 = 1;
-/// v2 chunk codec tag: run-length encoding (run values + run lengths).
+/// Chunk codec tag: run-length encoding (run values + run lengths).
 const CODEC_RLE: u8 = 2;
 
-/// Chunks fetched per coalesced batch by the compressed-domain store scan.
-const READAHEAD: usize = 8;
 /// Shard count of the bounded chunk cache.
 const CACHE_SHARDS: usize = 8;
 /// Approximate per-chunk bookkeeping overhead charged against the cache
@@ -285,7 +266,7 @@ impl fmt::Display for SegmentError {
             SegmentError::BadMagic => write!(f, "bad magic: not a skyweb segment"),
             SegmentError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported segment version {found} (supported: 1..={SEGMENT_VERSION})"
+                "unsupported segment version {found} (supported: {SEGMENT_VERSION})"
             ),
             SegmentError::WrongKind { expected, found } => write!(
                 f,
@@ -309,6 +290,23 @@ impl fmt::Display for SegmentError {
 
 impl std::error::Error for SegmentError {}
 
+impl From<EnvelopeError> for SegmentError {
+    fn from(e: EnvelopeError) -> Self {
+        match e {
+            EnvelopeError::Truncated => SegmentError::Truncated,
+            EnvelopeError::BadMagic => SegmentError::BadMagic,
+            EnvelopeError::UnsupportedVersion { found } => {
+                SegmentError::UnsupportedVersion { found }
+            }
+            EnvelopeError::WrongKind { expected, found } => {
+                SegmentError::WrongKind { expected, found }
+            }
+            EnvelopeError::ChecksumMismatch => SegmentError::ChecksumMismatch,
+            EnvelopeError::TrailingBytes => SegmentError::TrailingBytes,
+        }
+    }
+}
+
 impl From<std::io::Error> for SegmentError {
     fn from(e: std::io::Error) -> Self {
         SegmentError::Io {
@@ -322,17 +320,6 @@ fn malformed(detail: impl Into<String>) -> SegmentError {
     SegmentError::Malformed {
         detail: detail.into(),
     }
-}
-
-/// FNV-1a 64-bit hash — the same corruption detector the checkpoint codec
-/// uses.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Random-access byte source a segment is read through.
@@ -476,66 +463,6 @@ impl BlockSource for MemSource {
 // Envelope + payload primitives
 // ---------------------------------------------------------------------------
 
-/// Wraps `payload` in the magic/version/kind/length/checksum envelope (the
-/// PR 6 checkpoint-codec idiom, under the segment's own magic).
-fn seal(version: u16, kind: u8, payload: &[u8], out: &mut Vec<u8>) {
-    out.reserve(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&SEGMENT_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&(cast::to_u64(payload.len())).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-}
-
-/// Validates the envelope of one section and returns its format version and
-/// payload slice. Every layer is checked in order — magic, version, kind,
-/// exact length, checksum — before a single payload byte is interpreted.
-fn open_envelope(bytes: &[u8], expected_kind: u8) -> Result<(u16, &[u8]), SegmentError> {
-    if bytes.len() < 4 {
-        return Err(SegmentError::Truncated);
-    }
-    if bytes[..4] != SEGMENT_MAGIC {
-        return Err(SegmentError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(SegmentError::Truncated);
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version == 0 || version > SEGMENT_VERSION {
-        return Err(SegmentError::UnsupportedVersion { found: version });
-    }
-    let kind = bytes[6];
-    if kind != expected_kind {
-        return Err(SegmentError::WrongKind {
-            expected: expected_kind,
-            found: kind,
-        });
-    }
-    let len = le_u64(&bytes[7..15]);
-    let Ok(len) = usize::try_from(len) else {
-        return Err(SegmentError::Truncated);
-    };
-    let Some(total) = HEADER_LEN
-        .checked_add(len)
-        .and_then(|n| n.checked_add(CHECKSUM_LEN))
-    else {
-        return Err(SegmentError::Truncated);
-    };
-    if bytes.len() < total {
-        return Err(SegmentError::Truncated);
-    }
-    if bytes.len() > total {
-        return Err(SegmentError::TrailingBytes);
-    }
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
-    let stored = le_u64(&bytes[total - CHECKSUM_LEN..]);
-    if fnv1a64(payload) != stored {
-        return Err(SegmentError::ChecksumMismatch);
-    }
-    Ok((version, payload))
-}
-
 /// A bounds-checked cursor over a section payload; every read surfaces
 /// [`SegmentError::Truncated`] instead of panicking.
 struct Cursor<'a> {
@@ -596,18 +523,55 @@ fn write_string(s: &str, out: &mut Vec<u8>) {
 
 // Frame-of-reference + bit-packing: `count (u32) · min · width (u8) · packed
 // little-endian u64 words`. Deltas from the block minimum are packed at the
-// smallest sufficient width, low bits first.
+// smallest sufficient width, low bits first. One implementation serves both
+// value widths (`u32` columns, `u64` tuple ids), monomorphized per width so
+// a `u32` block decodes straight into a `Vec<u32>`.
 
-fn pack_u64s(values: &[u64], out: &mut Vec<u8>) {
-    let min = values.iter().copied().min().unwrap_or(0);
-    let spread = values.iter().copied().max().unwrap_or(0) - min;
-    let width = if spread == 0 {
-        0u32
-    } else {
-        64 - spread.leading_zeros()
+/// A value width the FOR packer handles.
+trait Packed: Copy + Ord + Default {
+    /// Bits per value, the widest legal delta.
+    const BITS: u32;
+    /// Reads one little-endian value (a block minimum).
+    fn read(cur: &mut Cursor<'_>) -> Result<Self, SegmentError>;
+    /// Appends one little-endian value (a block minimum).
+    fn put(self, out: &mut Vec<u8>);
+    /// Zero-extends to `u64`.
+    fn widen(self) -> u64;
+    /// Narrows back from `u64`; `None` if the value does not fit.
+    fn narrow(v: u64) -> Option<Self>;
+}
+
+macro_rules! impl_packed {
+    ($t:ty, $read:ident) => {
+        impl Packed for $t {
+            const BITS: u32 = <$t>::BITS;
+            fn read(cur: &mut Cursor<'_>) -> Result<Self, SegmentError> {
+                cur.$read()
+            }
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn widen(self) -> u64 {
+                u64::from(self)
+            }
+            #[inline]
+            fn narrow(v: u64) -> Option<Self> {
+                <$t>::try_from(v).ok()
+            }
+        }
     };
+}
+impl_packed!(u32, u32);
+impl_packed!(u64, u64);
+
+fn pack<T: Packed>(values: &[T], out: &mut Vec<u8>) {
+    let min = values.iter().copied().min().unwrap_or_default();
+    let spread = values.iter().copied().max().unwrap_or_default().widen() - min.widen();
+    // The spread's bit length: 0 for a constant (or empty) block.
+    let width = u64::BITS - spread.leading_zeros();
     out.extend_from_slice(&(cast::to_u32(values.len())).to_le_bytes());
-    out.extend_from_slice(&min.to_le_bytes());
+    min.put(out);
     out.push(cast::to_u8(width));
     if width == 0 {
         return;
@@ -615,55 +579,33 @@ fn pack_u64s(values: &[u64], out: &mut Vec<u8>) {
     let mut acc: u128 = 0;
     let mut used: u32 = 0;
     for &v in values {
-        acc |= u128::from(v - min) << used;
+        acc |= u128::from(v.widen() - min.widen()) << used;
         used += width;
         while used >= 64 {
-            out.extend_from_slice(&(cast::to_u64(acc & u128::from(u64::MAX))).to_le_bytes());
+            out.extend_from_slice(&cast::to_u64(acc).to_le_bytes());
             acc >>= 64;
             used -= 64;
         }
     }
     if used > 0 {
-        out.extend_from_slice(&(cast::to_u64(acc & u128::from(u64::MAX))).to_le_bytes());
+        out.extend_from_slice(&cast::to_u64(acc).to_le_bytes());
     }
 }
 
-fn pack_u32s(values: &[u32], out: &mut Vec<u8>) {
-    let min = values.iter().copied().min().unwrap_or(0);
-    let spread = values.iter().copied().max().unwrap_or(0) - min;
-    let width = if spread == 0 {
-        0u32
-    } else {
-        32 - spread.leading_zeros()
-    };
-    out.extend_from_slice(&(cast::to_u32(values.len())).to_le_bytes());
-    out.extend_from_slice(&min.to_le_bytes());
-    out.push(cast::to_u8(width));
-    if width == 0 {
-        return;
-    }
-    let mut acc: u128 = 0;
-    let mut used: u32 = 0;
-    for &v in values {
-        acc |= u128::from(v - min) << used;
-        used += width;
-        while used >= 64 {
-            out.extend_from_slice(&(cast::to_u64(acc & u128::from(u64::MAX))).to_le_bytes());
-            acc >>= 64;
-            used -= 64;
-        }
-    }
-    if used > 0 {
-        out.extend_from_slice(&(cast::to_u64(acc & u128::from(u64::MAX))).to_le_bytes());
-    }
-}
-
-fn unpack_u64s(cur: &mut Cursor<'_>) -> Result<Vec<u64>, SegmentError> {
+/// Decodes one FOR block of at most `max_count` values. The count claim is
+/// checked before anything is allocated: a width-0 block carries no body
+/// bytes, so nothing else bounds it.
+fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Vec<T>, SegmentError> {
     let count = cast::to_usize(cur.u32()?);
-    let min = cur.u64()?;
+    if count > max_count {
+        return Err(malformed(format!(
+            "packed block claims {count} values, expected at most {max_count}"
+        )));
+    }
+    let min = T::read(cur)?;
     let width = u32::from(cur.u8()?);
-    if width > 64 {
-        return Err(malformed(format!("bit width {width} > 64")));
+    if width > T::BITS {
+        return Err(malformed(format!("bit width {width} > {}", T::BITS)));
     }
     if width == 0 {
         return Ok(vec![min; count]);
@@ -677,8 +619,7 @@ fn unpack_u64s(cur: &mut Cursor<'_>) -> Result<Vec<u64>, SegmentError> {
     let mut word = 0usize;
     for _ in 0..count {
         while used < width {
-            let w = le_u64(&bytes[word * 8..word * 8 + 8]);
-            acc |= u128::from(w) << used;
+            acc |= u128::from(le_u64(&bytes[word * 8..word * 8 + 8])) << used;
             word += 1;
             used += 64;
         }
@@ -686,74 +627,40 @@ fn unpack_u64s(cur: &mut Cursor<'_>) -> Result<Vec<u64>, SegmentError> {
         acc >>= width;
         used -= width;
         let v = min
+            .widen()
             .checked_add(delta)
-            .ok_or_else(|| malformed("packed value overflows u64"))?;
+            .and_then(T::narrow)
+            .ok_or_else(|| malformed(format!("packed value overflows u{}", T::BITS)))?;
         out.push(v);
     }
     Ok(out)
 }
 
-fn unpack_u32s(cur: &mut Cursor<'_>) -> Result<Vec<u32>, SegmentError> {
-    let count = cast::to_usize(cur.u32()?);
-    let min = cur.u32()?;
-    let width = u32::from(cur.u8()?);
-    if width > 32 {
-        return Err(malformed(format!("bit width {width} > 32")));
-    }
-    if width == 0 {
-        return Ok(vec![min; count]);
-    }
-    let words = cast::to_usize((cast::to_u64(count) * u64::from(width)).div_ceil(64));
-    let bytes = cur.take(words * 8)?;
-    let mask: u128 = (1u128 << width) - 1;
-    let mut out = Vec::with_capacity(count);
-    let mut acc: u128 = 0;
-    let mut used: u32 = 0;
-    let mut word = 0usize;
-    for _ in 0..count {
-        while used < width {
-            let w = le_u64(&bytes[word * 8..word * 8 + 8]);
-            acc |= u128::from(w) << used;
-            word += 1;
-            used += 64;
-        }
-        let delta = cast::to_u64(acc & mask);
-        acc >>= width;
-        used -= width;
-        let v = u64::from(min)
-            .checked_add(delta)
-            .filter(|&v| v <= u64::from(u32::MAX))
-            .ok_or_else(|| malformed("packed value overflows u32"))?;
-        out.push(cast::to_u32(v));
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
-// v2 chunk codecs
+// Chunk codecs
 // ---------------------------------------------------------------------------
 //
-// A v2 u32 chunk payload is `tag (u8) · min (u32) · max (u32) · body`. The
-// min/max header gives the compressed-domain evaluator exact whole-chunk
-// pruning; the tag selects the body layout:
+// A u32 chunk payload is `tag (u8) · min (u32) · max (u32) · body`. The
+// tag selects the body layout:
 //
-//   CODEC_FOR  — the v1 FOR/bit-packed block, unchanged.
-//   CODEC_DICT — pack_u32s(sorted strictly-ascending dictionary) followed by
-//                pack_u32s(codes); value i is dict[codes[i]].
-//   CODEC_RLE  — pack_u32s(run values) followed by pack_u32s(run lengths);
+//   CODEC_FOR  — one FOR/bit-packed block.
+//   CODEC_DICT — pack(sorted strictly-ascending dictionary) followed by
+//                pack(codes); value i is dict[codes[i]].
+//   CODEC_RLE  — pack(run values) followed by pack(run lengths);
 //                canonical: adjacent run values differ, every length > 0.
 //
 // The writer encodes all three and keeps the smallest (ties break
-// FOR < DICT < RLE), so output stays deterministic.
+// FOR < DICT < RLE), so output stays deterministic. The min/max header is
+// checked against the decoded values on every read.
 
-/// Encodes one u32 chunk under the v2 tagged layout, picking the smallest
-/// body among FOR/bitpack, dictionary + packed codes, and RLE runs.
-fn encode_u32_chunk_v2(values: &[u32], out: &mut Vec<u8>) {
+/// Encodes one u32 chunk, picking the smallest body among FOR/bitpack,
+/// dictionary + packed codes, and RLE runs.
+fn encode_u32_chunk(values: &[u32], out: &mut Vec<u8>) {
     let min = values.iter().copied().min().unwrap_or(0);
     let max = values.iter().copied().max().unwrap_or(0);
 
     let mut body_for = Vec::new();
-    pack_u32s(values, &mut body_for);
+    pack(values, &mut body_for);
 
     let mut dict: Vec<u32> = values.to_vec();
     dict.sort_unstable();
@@ -763,8 +670,8 @@ fn encode_u32_chunk_v2(values: &[u32], out: &mut Vec<u8>) {
         .map(|v| cast::to_u32(dict.partition_point(|d| d < v)))
         .collect();
     let mut body_dict = Vec::new();
-    pack_u32s(&dict, &mut body_dict);
-    pack_u32s(&codes, &mut body_dict);
+    pack(&dict, &mut body_dict);
+    pack(&codes, &mut body_dict);
 
     let mut run_values: Vec<u32> = Vec::new();
     let mut run_lens: Vec<u32> = Vec::new();
@@ -779,8 +686,8 @@ fn encode_u32_chunk_v2(values: &[u32], out: &mut Vec<u8>) {
         }
     }
     let mut body_rle = Vec::new();
-    pack_u32s(&run_values, &mut body_rle);
-    pack_u32s(&run_lens, &mut body_rle);
+    pack(&run_values, &mut body_rle);
+    pack(&run_lens, &mut body_rle);
 
     let (tag, body) = [
         (CODEC_FOR, body_for),
@@ -796,33 +703,26 @@ fn encode_u32_chunk_v2(values: &[u32], out: &mut Vec<u8>) {
     out.extend_from_slice(&body);
 }
 
-/// Decodes a u32 chunk payload under `version`, returning the values and
-/// the codec tag that produced them (v1 payloads are untagged FOR blocks).
-/// Validates codec invariants — strictly ascending dictionary, in-range
-/// codes, canonical runs, header min/max matching the decoded content —
-/// but leaves kind-specific range checks to the caller.
-fn decode_u32_payload(
-    version: u16,
-    payload: &[u8],
-    expected_len: usize,
-) -> Result<(Vec<u32>, u8), SegmentError> {
+/// Decodes one u32 chunk payload of `expected_len` values — the only way a
+/// chunk is read — returning the values and the codec tag that produced
+/// them. Rejects any count claim beyond `expected_len` before allocating
+/// (it bounds the dictionary and the run arrays too) and validates the
+/// codec invariants — strictly ascending dictionary, in-range codes,
+/// canonical runs, header min/max matching the decoded content — but
+/// leaves the exact length and kind-specific range checks to the caller.
+fn decode_u32_payload(payload: &[u8], expected_len: usize) -> Result<(Vec<u32>, u8), SegmentError> {
     let mut cur = Cursor::new(payload);
-    if version == 1 {
-        let vals = unpack_u32s(&mut cur)?;
-        cur.finish()?;
-        return Ok((vals, CODEC_FOR));
-    }
     let tag = cur.u8()?;
     let cmin = cur.u32()?;
     let cmax = cur.u32()?;
     let vals = match tag {
-        CODEC_FOR => unpack_u32s(&mut cur)?,
+        CODEC_FOR => unpack(&mut cur, expected_len)?,
         CODEC_DICT => {
-            let dict = unpack_u32s(&mut cur)?;
+            let dict: Vec<u32> = unpack(&mut cur, expected_len)?;
             if dict.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(malformed("dictionary is not strictly ascending"));
             }
-            let codes = unpack_u32s(&mut cur)?;
+            let codes: Vec<u32> = unpack(&mut cur, expected_len)?;
             let mut vals = Vec::with_capacity(codes.len());
             for &code in &codes {
                 let Some(&v) = dict.get(cast::to_usize(code)) else {
@@ -833,8 +733,8 @@ fn decode_u32_payload(
             vals
         }
         CODEC_RLE => {
-            let run_values = unpack_u32s(&mut cur)?;
-            let run_lens = unpack_u32s(&mut cur)?;
+            let run_values: Vec<u32> = unpack(&mut cur, expected_len)?;
+            let run_lens: Vec<u32> = unpack(&mut cur, expected_len)?;
             if run_values.len() != run_lens.len() {
                 return Err(malformed("RLE run arrays differ in length"));
             }
@@ -859,188 +759,6 @@ fn decode_u32_payload(
         return Err(malformed("chunk header min/max do not match the values"));
     }
     Ok((vals, tag))
-}
-
-// ---------------------------------------------------------------------------
-// Compressed-domain evaluation (filter-without-unpack)
-// ---------------------------------------------------------------------------
-
-/// Clears bits `[from, to)` of a packed bitset.
-fn clear_bits(words: &mut [u64], from: usize, to: usize) {
-    let mut pos = from;
-    while pos < to {
-        let w = pos / 64;
-        let lo_bit = pos % 64;
-        let span = (to - pos).min(64 - lo_bit);
-        let mask = if span == 64 {
-            u64::MAX
-        } else {
-            ((1u64 << span) - 1) << lo_bit
-        };
-        words[w] &= !mask;
-        pos += span;
-    }
-}
-
-/// AND-accumulates `value ∈ [lo, hi]` per packed FOR value into `words`
-/// without materializing the decoded vector: the bounds are translated into
-/// the block's frame of reference once and each delta is tested branch-free
-/// as it streams out of the packed words.
-fn eval_for_body(
-    cur: &mut Cursor<'_>,
-    lo: Value,
-    hi: Value,
-    expected_len: usize,
-    words: &mut [u64],
-) -> Result<(), SegmentError> {
-    let count = cast::to_usize(cur.u32()?);
-    let min = cur.u32()?;
-    let width = u32::from(cur.u8()?);
-    if width > 32 {
-        return Err(malformed(format!("bit width {width} > 32")));
-    }
-    if count != expected_len {
-        return Err(malformed("packed chunk has the wrong length"));
-    }
-    if width == 0 {
-        if !(lo <= min && min <= hi) {
-            words.fill(0);
-        }
-        return Ok(());
-    }
-    let nwords = cast::to_usize((cast::to_u64(count) * u64::from(width)).div_ceil(64));
-    let bytes = cur.take(nwords * 8)?;
-    // Conservative whole-block prune from the frame of reference alone
-    // (exact for v1 blocks, which carry no min/max header).
-    let ceiling = u64::from(min) + ((1u64 << width) - 1);
-    if hi < min || u64::from(lo) > ceiling {
-        words.fill(0);
-        return Ok(());
-    }
-    let dlo = u64::from(lo.saturating_sub(min));
-    let dhi = u64::from(hi) - u64::from(min);
-    let mask: u128 = (1u128 << width) - 1;
-    let mut acc: u128 = 0;
-    let mut used: u32 = 0;
-    let mut word = 0usize;
-    let mut m: u64 = 0;
-    for i in 0..count {
-        while used < width {
-            let w = le_u64(&bytes[word * 8..word * 8 + 8]);
-            acc |= u128::from(w) << used;
-            word += 1;
-            used += 64;
-        }
-        let d = cast::to_u64(acc & mask);
-        acc >>= width;
-        used -= width;
-        m |= u64::from(d >= dlo && d <= dhi) << (i % 64);
-        if i % 64 == 63 {
-            words[i / 64] &= m;
-            m = 0;
-        }
-    }
-    if !count.is_multiple_of(64) {
-        words[(count - 1) / 64] &= m;
-    }
-    Ok(())
-}
-
-/// Compressed-domain evaluation of a dictionary-coded body: the value range
-/// becomes a code range via two binary searches over the sorted dictionary,
-/// then the packed codes are streamed through [`eval_for_body`].
-fn eval_dict_body(
-    cur: &mut Cursor<'_>,
-    lo: Value,
-    hi: Value,
-    expected_len: usize,
-    words: &mut [u64],
-) -> Result<(), SegmentError> {
-    let dict = unpack_u32s(cur)?;
-    if dict.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(malformed("dictionary is not strictly ascending"));
-    }
-    let clo = dict.partition_point(|&d| d < lo);
-    let chi = dict.partition_point(|&d| d <= hi);
-    // An empty code range still streams the codes (validating their shape)
-    // under bounds no code can satisfy.
-    let (lo_code, hi_code) = if clo < chi {
-        (cast::to_u32(clo), cast::to_u32(chi - 1))
-    } else {
-        (1, 0)
-    };
-    eval_for_body(cur, lo_code, hi_code, expected_len, words)
-}
-
-/// Compressed-domain evaluation of an RLE body: range ∩ run intersection —
-/// whole runs outside `[lo, hi]` clear their bit span without per-value
-/// work.
-fn eval_rle_body(
-    cur: &mut Cursor<'_>,
-    lo: Value,
-    hi: Value,
-    expected_len: usize,
-    words: &mut [u64],
-) -> Result<(), SegmentError> {
-    let run_values = unpack_u32s(cur)?;
-    let run_lens = unpack_u32s(cur)?;
-    if run_values.len() != run_lens.len() {
-        return Err(malformed("RLE run arrays differ in length"));
-    }
-    let mut pos = 0usize;
-    for (&v, &l) in run_values.iter().zip(&run_lens) {
-        let end = pos
-            .checked_add(cast::to_usize(l))
-            .filter(|&e| e <= expected_len)
-            .ok_or_else(|| malformed("RLE runs overflow the chunk length"))?;
-        if v < lo || v > hi {
-            clear_bits(words, pos, end);
-        }
-        pos = end;
-    }
-    if pos != expected_len {
-        return Err(malformed("RLE runs do not cover the chunk"));
-    }
-    Ok(())
-}
-
-/// Evaluates `value ∈ [lo, hi]` for every value of one u32 chunk section
-/// payload, AND-ing the result into `words` — never materializing a decoded
-/// vector. v2 payloads prune whole chunks from the min/max header before
-/// the body is even parsed.
-fn eval_u32_payload(
-    version: u16,
-    payload: &[u8],
-    lo: Value,
-    hi: Value,
-    expected_len: usize,
-    words: &mut [u64],
-) -> Result<(), SegmentError> {
-    let mut cur = Cursor::new(payload);
-    if version == 1 {
-        eval_for_body(&mut cur, lo, hi, expected_len, words)?;
-        return cur.finish();
-    }
-    let tag = cur.u8()?;
-    let cmin = cur.u32()?;
-    let cmax = cur.u32()?;
-    if cmax < lo || cmin > hi {
-        // Nothing in the chunk can match; the body's checksum was already
-        // verified by the envelope, so skipping its parse is safe.
-        words.fill(0);
-        return Ok(());
-    }
-    if lo <= cmin && cmax <= hi {
-        // Everything matches: leave the accumulated bits untouched.
-        return Ok(());
-    }
-    match tag {
-        CODEC_FOR => eval_for_body(&mut cur, lo, hi, expected_len, words)?,
-        CODEC_DICT => eval_dict_body(&mut cur, lo, hi, expected_len, words)?,
-        CODEC_RLE => eval_rle_body(&mut cur, lo, hi, expected_len, words)?,
-        t => return Err(malformed(format!("undefined chunk codec tag {t}"))),
-    }
-    cur.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1099,7 +817,6 @@ fn role_from_tag(tag: u8) -> Result<AttributeRole, SegmentError> {
 #[derive(Debug, Clone)]
 pub struct SegmentWriter {
     chunk: usize,
-    version: u16,
 }
 
 impl Default for SegmentWriter {
@@ -1109,12 +826,10 @@ impl Default for SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// A writer with the default chunk size ([`DEFAULT_CHUNK`]) and the
-    /// newest format version ([`SEGMENT_VERSION`]).
+    /// A writer with the default chunk size ([`DEFAULT_CHUNK`]).
     pub fn new() -> Self {
         SegmentWriter {
             chunk: DEFAULT_CHUNK,
-            version: SEGMENT_VERSION,
         }
     }
 
@@ -1130,31 +845,6 @@ impl SegmentWriter {
         );
         self.chunk = chunk;
         self
-    }
-
-    /// Overrides the format version to write. Version 1 reproduces the
-    /// legacy untagged FOR/bit-packed layout byte-identically; version 2
-    /// adds the per-chunk codec headers.
-    ///
-    /// # Panics
-    /// Panics unless `version` is in `1..=SEGMENT_VERSION`.
-    pub fn with_format_version(mut self, version: u16) -> Self {
-        assert!(
-            (1..=SEGMENT_VERSION).contains(&version),
-            "format version must be in 1..={SEGMENT_VERSION}"
-        );
-        self.version = version;
-        self
-    }
-
-    /// Encodes one u32 chunk under the writer's format version: raw
-    /// FOR/bitpack for v1, the tagged smallest-of-three codec for v2.
-    fn encode_u32_chunk(&self, values: &[u32], out: &mut Vec<u8>) {
-        if self.version == 1 {
-            pack_u32s(values, out);
-        } else {
-            encode_u32_chunk_v2(values, out);
-        }
     }
 
     /// Serializes `db` into segment bytes. Fails if `db` is itself
@@ -1178,7 +868,6 @@ impl SegmentWriter {
         let mut file: Vec<u8> = Vec::new();
         let mut dir: Vec<DirEntry> = Vec::new();
         let mut payload: Vec<u8> = Vec::new();
-        let version = self.version;
         let push = |file: &mut Vec<u8>,
                     dir: &mut Vec<DirEntry>,
                     kind: u8,
@@ -1186,7 +875,7 @@ impl SegmentWriter {
                     chunk: u32,
                     payload: &[u8]| {
             let offset = cast::to_u64(file.len());
-            seal(version, kind, payload, file);
+            SWSG.seal(kind, payload, file);
             dir.push(DirEntry {
                 kind,
                 attr,
@@ -1203,7 +892,7 @@ impl SegmentWriter {
                 col.clear();
                 col.extend(slice[chunk_range(c)].iter().map(|t| t.values[attr]));
                 payload.clear();
-                self.encode_u32_chunk(&col, &mut payload);
+                encode_u32_chunk(&col, &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -1220,13 +909,13 @@ impl SegmentWriter {
             ids.clear();
             ids.extend(slice[chunk_range(c)].iter().map(|t| t.id));
             payload.clear();
-            pack_u64s(&ids, &mut payload);
+            pack(&ids, &mut payload);
             push(&mut file, &mut dir, KIND_IDS, 0, cast::to_u32(c), &payload);
         }
         // Posting prefix counts (eager) and posting orders (lazy chunks).
         for attr in 0..m {
             payload.clear();
-            pack_u32s(ram.posting_starts(attr), &mut payload);
+            pack(ram.posting_starts(attr), &mut payload);
             push(
                 &mut file,
                 &mut dir,
@@ -1240,7 +929,7 @@ impl SegmentWriter {
             let order = ram.posting_order(attr);
             for c in 0..chunks {
                 payload.clear();
-                self.encode_u32_chunk(&order[chunk_range(c)], &mut payload);
+                encode_u32_chunk(&order[chunk_range(c)], &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -1256,12 +945,12 @@ impl SegmentWriter {
         if let Some(perm) = ram.perm() {
             for c in 0..chunks {
                 payload.clear();
-                self.encode_u32_chunk(&perm[chunk_range(c)], &mut payload);
+                encode_u32_chunk(&perm[chunk_range(c)], &mut payload);
                 push(&mut file, &mut dir, KIND_PERM, 0, cast::to_u32(c), &payload);
             }
             for c in 0..chunks {
                 payload.clear();
-                self.encode_u32_chunk(&ram.rank_of()[chunk_range(c)], &mut payload);
+                encode_u32_chunk(&ram.rank_of()[chunk_range(c)], &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -1275,7 +964,7 @@ impl SegmentWriter {
                 let col = ram.rank_col(attr);
                 for c in 0..chunks {
                     payload.clear();
-                    self.encode_u32_chunk(&col[chunk_range(c)], &mut payload);
+                    encode_u32_chunk(&col[chunk_range(c)], &mut payload);
                     push(
                         &mut file,
                         &mut dir,
@@ -1288,8 +977,8 @@ impl SegmentWriter {
             }
             payload.clear();
             for attr in 0..m {
-                pack_u32s(ram.zone_mins(attr), &mut payload);
-                pack_u32s(ram.zone_maxs(attr), &mut payload);
+                pack(ram.zone_mins(attr), &mut payload);
+                pack(ram.zone_maxs(attr), &mut payload);
             }
             push(&mut file, &mut dir, KIND_ZONES, 0, 0, &payload);
         }
@@ -1318,7 +1007,7 @@ impl SegmentWriter {
             payload.extend_from_slice(&e.len.to_le_bytes());
         }
         let footer_off = cast::to_u64(file.len());
-        seal(version, KIND_FOOTER, &payload, &mut file);
+        SWSG.seal(KIND_FOOTER, &payload, &mut file);
         let footer_len = cast::to_u64(file.len()) - footer_off;
 
         // Fixed trailer: how a reader finds the footer from the end.
@@ -1349,24 +1038,14 @@ impl SegmentWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Options controlling how a [`SegmentReader`] hydrates and executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options controlling how a [`SegmentReader`] caches decoded chunks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentOpenOptions {
     cache_budget: Option<u64>,
-    compressed_filter: bool,
-}
-
-impl Default for SegmentOpenOptions {
-    fn default() -> Self {
-        SegmentOpenOptions {
-            cache_budget: None,
-            compressed_filter: true,
-        }
-    }
 }
 
 impl SegmentOpenOptions {
-    /// The defaults: unbounded sticky cache, compressed-domain filtering on.
+    /// The defaults: the unbounded sticky cache.
     pub fn new() -> Self {
         Self::default()
     }
@@ -1376,18 +1055,6 @@ impl SegmentOpenOptions {
     /// decoded chunk stays resident for the reader's lifetime.
     pub fn with_cache_budget(mut self, bytes: u64) -> Self {
         self.cache_budget = Some(bytes);
-        self
-    }
-
-    /// Enables or disables the compressed-domain filter path (on by
-    /// default). Off forces hydrate-then-filter — the A/B knob behind the
-    /// `storage_report` benchmark rows. The planner only takes the
-    /// compressed path when the cache is bounded (see
-    /// [`Self::with_cache_budget`]): under the sticky unbounded cache,
-    /// hydrated chunks are decoded once and resident forever, so the
-    /// posting walk is always cheaper.
-    pub fn with_compressed_filter(mut self, enabled: bool) -> Self {
-        self.compressed_filter = enabled;
         self
     }
 }
@@ -1407,7 +1074,7 @@ pub struct StorageStats {
     pub bytes_resident: u64,
     /// The configured cache byte budget (`None` = unbounded sticky cache).
     pub cache_budget: Option<u64>,
-    /// Chunks decoded from the FOR/bit-packed codec (v1 chunks count here).
+    /// Chunks decoded from the FOR/bit-packed codec.
     pub decoded_for: u64,
     /// Chunks decoded from the dictionary codec.
     pub decoded_dict: u64,
@@ -1667,6 +1334,9 @@ impl ChunkCache {
     }
 }
 
+/// Per-attribute zone-map minima and maxima, indexed `[attr][block]`.
+type ZoneMaps = (Vec<Vec<Value>>, Vec<Vec<Value>>);
+
 /// A lazily-hydrating view over one persisted segment.
 ///
 /// [`SegmentReader::open`] validates the trailer, footer, directory and the
@@ -1677,7 +1347,6 @@ impl ChunkCache {
 /// want end-to-end assurance before serving.
 pub struct SegmentReader {
     source: Box<dyn BlockSource>,
-    version: u16,
     options: SegmentOpenOptions,
     n: usize,
     k: usize,
@@ -1702,7 +1371,6 @@ pub struct SegmentReader {
 impl fmt::Debug for SegmentReader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SegmentReader")
-            .field("version", &self.version)
             .field("n", &self.n)
             .field("k", &self.k)
             .field("chunk", &self.chunk)
@@ -1728,8 +1396,7 @@ impl SegmentReader {
     /// Opens a segment from any [`BlockSource`]: validates the trailer, the
     /// footer (meta + section directory) and the eager metadata sections,
     /// leaving every bulky section untouched until a query needs it.
-    /// `options` configures the decoded-chunk cache budget and the
-    /// compressed-domain filter path.
+    /// `options` configures the decoded-chunk cache budget.
     pub fn open_with(
         source: Box<dyn BlockSource>,
         options: SegmentOpenOptions,
@@ -1758,7 +1425,7 @@ impl SegmentReader {
         let mut footer =
             vec![0u8; usize::try_from(footer_len).map_err(|_| SegmentError::Truncated)?];
         source.read_exact_at(footer_off, &mut footer)?;
-        let (version, payload) = open_envelope(&footer, KIND_FOOTER)?;
+        let payload = SWSG.open(&footer, KIND_FOOTER)?;
         let mut cur = Cursor::new(payload);
 
         let n = usize::try_from(cur.u64()?).map_err(|_| SegmentError::Truncated)?;
@@ -1901,7 +1568,6 @@ impl SegmentReader {
 
         let mut reader = SegmentReader {
             source,
-            version,
             options,
             n,
             k,
@@ -1926,32 +1592,15 @@ impl SegmentReader {
         // Eager metadata: posting prefix counts + zone maps. These are what
         // planning and block skipping consult on every query, and they are
         // small (O(domain + n/64) values per attribute).
-        let blocks = n.div_ceil(BLOCK);
         for attr in 0..m {
-            let e = reader.entry(KIND_STARTS, cast::to_u32(attr), 0)?;
-            let bytes = reader.read_entry(e)?;
-            let payload = reader.open_section(&bytes, KIND_STARTS)?;
-            let starts = reader.decode_starts_section(attr, payload)?;
+            let bytes = reader.read_entry(reader.entry(KIND_STARTS, cast::to_u32(attr), 0)?)?;
+            let starts = reader.decode_starts_section(attr, SWSG.open(&bytes, KIND_STARTS)?)?;
             reader.starts.push(starts);
         }
         if has_perm {
-            let e = reader.entry(KIND_ZONES, 0, 0)?;
-            let bytes = reader.read_entry(e)?;
-            let payload = reader.open_section(&bytes, KIND_ZONES)?;
-            let mut cur = Cursor::new(payload);
-            for attr in 0..m {
-                let mins = unpack_u32s(&mut cur)?;
-                let maxs = unpack_u32s(&mut cur)?;
-                if mins.len() != blocks || maxs.len() != blocks {
-                    return Err(malformed(format!(
-                        "zones[{attr}] cover {} blocks, expected {blocks}",
-                        mins.len().max(maxs.len())
-                    )));
-                }
-                reader.zone_mins.push(mins);
-                reader.zone_maxs.push(maxs);
-            }
-            cur.finish()?;
+            let bytes = reader.read_entry(reader.entry(KIND_ZONES, 0, 0)?)?;
+            (reader.zone_mins, reader.zone_maxs) =
+                reader.decode_zones_section(SWSG.open(&bytes, KIND_ZONES)?)?;
         }
         Ok(reader)
     }
@@ -2023,21 +1672,10 @@ impl SegmentReader {
         Ok(buf)
     }
 
-    /// Opens one section envelope, additionally requiring it to carry the
-    /// same format version as the footer (sections of mixed versions never
-    /// come from our writer).
-    fn open_section<'a>(&self, bytes: &'a [u8], kind: u8) -> Result<&'a [u8], SegmentError> {
-        let (version, payload) = open_envelope(bytes, kind)?;
-        if version != self.version {
-            return Err(malformed("mixed segment versions"));
-        }
-        Ok(payload)
-    }
-
     /// Decodes and fully validates one u32 chunk section payload — the one
-    /// code path shared by query-time hydration, the compressed-scan decode
-    /// fallback and [`SegmentReader::verify`], so a corrupt chunk surfaces
-    /// with the same [`SegmentError`] payload wherever it is hit.
+    /// code path shared by query-time hydration, prefetch and
+    /// [`SegmentReader::verify`], so a corrupt chunk surfaces with the same
+    /// [`SegmentError`] payload wherever it is hit.
     fn decode_u32_section(
         &self,
         kind: u8,
@@ -2046,7 +1684,7 @@ impl SegmentReader {
         expected_len: usize,
         payload: &[u8],
     ) -> Result<Vec<u32>, SegmentError> {
-        let (vals, tag) = decode_u32_payload(self.version, payload, expected_len)?;
+        let (vals, tag) = decode_u32_payload(payload, expected_len)?;
         if vals.len() != expected_len {
             return Err(malformed(format!(
                 "section {}[{attr}, {c}] holds {} values, expected {expected_len}",
@@ -2083,7 +1721,7 @@ impl SegmentReader {
     /// Decodes and validates one ids chunk payload (shared with `verify`).
     fn decode_ids_section(&self, c: usize, payload: &[u8]) -> Result<Vec<u64>, SegmentError> {
         let mut cur = Cursor::new(payload);
-        let vals = unpack_u64s(&mut cur)?;
+        let vals: Vec<u64> = unpack(&mut cur, self.chunk_len(c))?;
         cur.finish()?;
         if vals.len() != self.chunk_len(c) {
             return Err(malformed(format!(
@@ -2098,10 +1736,10 @@ impl SegmentReader {
     /// Decodes and validates one posting prefix-count payload (shared with
     /// `verify`).
     fn decode_starts_section(&self, attr: usize, payload: &[u8]) -> Result<Vec<u32>, SegmentError> {
-        let mut cur = Cursor::new(payload);
-        let starts = unpack_u32s(&mut cur)?;
-        cur.finish()?;
         let d = cast::to_usize(self.schema.attr(attr).domain_size);
+        let mut cur = Cursor::new(payload);
+        let starts: Vec<u32> = unpack(&mut cur, d + 1)?;
+        cur.finish()?;
         if starts.len() != d + 1 {
             return Err(malformed(format!(
                 "starts[{attr}] has {} entries, expected {}",
@@ -2120,6 +1758,28 @@ impl SegmentReader {
         Ok(starts)
     }
 
+    /// Decodes and validates the zone-map payload — per attribute, the
+    /// per-block minima then maxima (shared with `verify`).
+    fn decode_zones_section(&self, payload: &[u8]) -> Result<ZoneMaps, SegmentError> {
+        let blocks = self.n.div_ceil(BLOCK);
+        let mut cur = Cursor::new(payload);
+        let (mut mins, mut maxs) = (Vec::new(), Vec::new());
+        for attr in 0..self.schema.len() {
+            for table in [&mut mins, &mut maxs] {
+                let vals: Vec<Value> = unpack(&mut cur, blocks)?;
+                if vals.len() != blocks {
+                    return Err(malformed(format!(
+                        "zones[{attr}] cover {} blocks, expected {blocks}",
+                        vals.len()
+                    )));
+                }
+                table.push(vals);
+            }
+        }
+        cur.finish()?;
+        Ok((mins, maxs))
+    }
+
     fn decode_u32_chunk(
         &self,
         kind: u8,
@@ -2129,8 +1789,7 @@ impl SegmentReader {
     ) -> Result<Vec<u32>, SegmentError> {
         let e = self.entry(kind, attr, cast::to_u32(c))?;
         let bytes = self.read_entry(e)?;
-        let payload = self.open_section(&bytes, kind)?;
-        self.decode_u32_section(kind, attr, c, expected_len, payload)
+        self.decode_u32_section(kind, attr, c, expected_len, SWSG.open(&bytes, kind)?)
     }
 
     /// A resident sticky `u32` chunk, borrowed in place — no `Arc` traffic,
@@ -2190,8 +1849,7 @@ impl SegmentReader {
         }
         let e = self.entry(KIND_IDS, 0, cast::to_u32(c))?;
         let bytes = self.read_entry(e)?;
-        let payload = self.open_section(&bytes, KIND_IDS)?;
-        let vals = self.decode_ids_section(c, payload)?;
+        let vals = self.decode_ids_section(c, SWSG.open(&bytes, KIND_IDS)?)?;
         let cost = 8 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
         let data = CachedChunk::U64(vals.into());
         Ok(self.cache.insert(key, data, cost).as_u64().clone())
@@ -2238,7 +1896,7 @@ impl SegmentReader {
             self.source.read_many(&mut reqs)?;
         }
         for ((c, _), bytes) in wanted.iter().zip(&bufs) {
-            let payload = self.open_section(bytes, kind)?;
+            let payload = SWSG.open(bytes, kind)?;
             let vals = self.decode_u32_section(kind, attr, *c, self.chunk_len(*c), payload)?;
             let cost = 4 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
             self.cache.note_miss();
@@ -2333,95 +1991,6 @@ impl SegmentReader {
         )
     }
 
-    /// `true` if this reader should answer exact-count scans in the
-    /// compressed domain (the [`SegmentOpenOptions::with_compressed_filter`]
-    /// knob).
-    pub(crate) fn compressed_filter_enabled(&self) -> bool {
-        self.options.compressed_filter
-    }
-
-    /// `true` if the decoded-chunk cache runs under a byte budget (bounded
-    /// backing with eviction) rather than sticky unbounded hydration.
-    pub(crate) fn cache_is_bounded(&self) -> bool {
-        self.options.cache_budget.is_some()
-    }
-
-    /// Evaluates a conjunction of range constraints over every store-ordered
-    /// chunk **in the compressed domain**: chunk sections are fetched in
-    /// coalesced [`READAHEAD`]-sized batches through
-    /// [`BlockSource::read_many`], pruned by their min/max headers, and the
-    /// surviving packed words are tested branch-free — no decoded column is
-    /// ever materialized and nothing enters the cache (a full counting scan
-    /// must not evict the hot working set). Matching store indices are
-    /// emitted in ascending order.
-    pub(crate) fn filter_store_compressed(
-        &self,
-        cons: &[(usize, Value, Value)],
-        words: &mut Vec<u64>,
-        emit: &mut dyn FnMut(u32) -> Result<(), SegmentError>,
-    ) -> Result<(), SegmentError> {
-        let chunks = self.chunks();
-        let mut batch = 0usize;
-        while batch < chunks {
-            let batch_end = (batch + READAHEAD).min(chunks);
-            let per_attr = batch_end - batch;
-            let mut entries: Vec<DirEntry> = Vec::with_capacity(cons.len() * per_attr);
-            for &(attr, _, _) in cons {
-                for c in batch..batch_end {
-                    entries.push(self.entry(
-                        KIND_STORE_COL,
-                        cast::to_u32(attr),
-                        cast::to_u32(c),
-                    )?);
-                }
-            }
-            let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(entries.len());
-            for e in &entries {
-                bufs.push(vec![
-                    0u8;
-                    usize::try_from(e.len)
-                        .map_err(|_| SegmentError::Truncated)?
-                ]);
-            }
-            {
-                let mut reqs: Vec<(u64, &mut [u8])> = entries
-                    .iter()
-                    .zip(bufs.iter_mut())
-                    .map(|(e, b)| (e.offset, b.as_mut_slice()))
-                    .collect();
-                self.source.read_many(&mut reqs)?;
-            }
-            for c in batch..batch_end {
-                let len = self.chunk_len(c);
-                let nwords = len.div_ceil(64);
-                words.clear();
-                words.resize(nwords, u64::MAX);
-                if !len.is_multiple_of(64) {
-                    words[nwords - 1] = (1u64 << (len % 64)) - 1;
-                }
-                for (ai, &(_, lo, hi)) in cons.iter().enumerate() {
-                    let bytes = &bufs[ai * per_attr + (c - batch)];
-                    let payload = self.open_section(bytes, KIND_STORE_COL)?;
-                    eval_u32_payload(self.version, payload, lo, hi, len, words)?;
-                    if words.iter().all(|&w| w == 0) {
-                        break;
-                    }
-                }
-                let base = cast::to_u32(c * self.chunk);
-                for (w, &word) in words.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros();
-                        emit(base + (cast::to_u32(w)) * 64 + lane)?;
-                        bits &= bits - 1;
-                    }
-                }
-            }
-            batch = batch_end;
-        }
-        Ok(())
-    }
-
     /// Snapshot of the cache and codec counters.
     pub fn storage_stats(&self) -> StorageStats {
         StorageStats {
@@ -2458,17 +2027,11 @@ impl SegmentReader {
                 continue;
             }
             let bytes = self.read_entry(*e)?;
-            let payload = self.open_section(&bytes, e.kind)?;
-            let tag = if self.version == 1 {
-                CODEC_FOR
-            } else {
-                let mut cur = Cursor::new(payload);
-                let tag = cur.u8()?;
-                if tag > CODEC_RLE {
-                    return Err(malformed(format!("undefined chunk codec tag {tag}")));
-                }
-                tag
-            };
+            let payload = SWSG.open(&bytes, e.kind)?;
+            let tag = Cursor::new(payload).u8()?;
+            if tag > CODEC_RLE {
+                return Err(malformed(format!("undefined chunk codec tag {tag}")));
+            }
             let raw = 4 * cast::to_u64(self.chunk_len(cast::to_usize(e.chunk)));
             census.chunks[cast::to_usize(tag)] += 1;
             census.encoded_bytes[cast::to_usize(tag)] += cast::to_u64(payload.len());
@@ -2638,19 +2201,10 @@ impl SegmentReader {
         let mut rank_of_all: Vec<u32> = Vec::new();
         for e in &self.dir {
             let bytes = self.read_entry(*e)?;
-            let payload = self.open_section(&bytes, e.kind)?;
+            let payload = SWSG.open(&bytes, e.kind)?;
             match e.kind {
                 KIND_ZONES => {
-                    let mut cur = Cursor::new(payload);
-                    let blocks = n.div_ceil(BLOCK);
-                    for _ in 0..self.schema.len() {
-                        for vals in [unpack_u32s(&mut cur)?, unpack_u32s(&mut cur)?] {
-                            if vals.len() != blocks {
-                                return Err(malformed("zone table has the wrong block count"));
-                            }
-                        }
-                    }
-                    cur.finish()?;
+                    self.decode_zones_section(payload)?;
                 }
                 KIND_STARTS => {
                     self.decode_starts_section(cast::to_usize(e.attr), payload)?;
@@ -2695,6 +2249,7 @@ impl SegmentReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::{CHECKSUM_LEN, HEADER_LEN};
     use crate::{Query, SchemaBuilder, SumRanker};
 
     #[test]
@@ -2705,17 +2260,17 @@ mod tests {
                 .map(|i| ((i.wrapping_mul(0x9E37_79B9)) % (max + 1)) as u32 + 7)
                 .collect();
             let mut bytes = Vec::new();
-            pack_u32s(&values, &mut bytes);
+            pack(&values, &mut bytes);
             let mut cur = Cursor::new(&bytes);
-            let back = unpack_u32s(&mut cur).unwrap();
+            let back: Vec<u32> = unpack(&mut cur, values.len()).unwrap();
             cur.finish().unwrap();
             assert_eq!(back, values, "width {width}");
         }
         let values: Vec<u64> = (0..99).map(|i| u64::MAX - i * 12345).collect();
         let mut bytes = Vec::new();
-        pack_u64s(&values, &mut bytes);
+        pack(&values, &mut bytes);
         let mut cur = Cursor::new(&bytes);
-        assert_eq!(unpack_u64s(&mut cur).unwrap(), values);
+        assert_eq!(unpack::<u64>(&mut cur, values.len()).unwrap(), values);
         cur.finish().unwrap();
     }
 
@@ -2723,62 +2278,13 @@ mod tests {
     fn bitpack_handles_empty_and_constant_runs() {
         for values in [vec![], vec![42u32; 1000]] {
             let mut bytes = Vec::new();
-            pack_u32s(&values, &mut bytes);
+            pack(&values, &mut bytes);
             // Constant (or empty) runs cost exactly the 9-byte header.
             assert_eq!(bytes.len(), 9);
             let mut cur = Cursor::new(&bytes);
-            assert_eq!(unpack_u32s(&mut cur).unwrap(), values);
+            assert_eq!(unpack::<u32>(&mut cur, values.len()).unwrap(), values);
             cur.finish().unwrap();
         }
-    }
-
-    #[test]
-    fn envelope_rejections_are_typed() {
-        let mut sealed = Vec::new();
-        seal(SEGMENT_VERSION, KIND_PERM, b"payload", &mut sealed);
-        assert_eq!(
-            open_envelope(&sealed, KIND_PERM),
-            Ok((SEGMENT_VERSION, &b"payload"[..]))
-        );
-        let mut v1 = Vec::new();
-        seal(1, KIND_PERM, b"payload", &mut v1);
-        assert_eq!(open_envelope(&v1, KIND_PERM), Ok((1, &b"payload"[..])));
-        assert_eq!(
-            open_envelope(&sealed, KIND_ORDER),
-            Err(SegmentError::WrongKind {
-                expected: KIND_ORDER,
-                found: KIND_PERM
-            })
-        );
-        assert_eq!(
-            open_envelope(&sealed[..3], KIND_PERM),
-            Err(SegmentError::Truncated)
-        );
-        let mut foreign = sealed.clone();
-        foreign[0] = b'X';
-        assert_eq!(
-            open_envelope(&foreign, KIND_PERM),
-            Err(SegmentError::BadMagic)
-        );
-        let mut future = sealed.clone();
-        future[4] = 9;
-        assert_eq!(
-            open_envelope(&future, KIND_PERM),
-            Err(SegmentError::UnsupportedVersion { found: 9 })
-        );
-        let mut flipped = sealed.clone();
-        let last = flipped.len() - 9;
-        flipped[last] ^= 1;
-        assert_eq!(
-            open_envelope(&flipped, KIND_PERM),
-            Err(SegmentError::ChecksumMismatch)
-        );
-        let mut trailing = sealed.clone();
-        trailing.push(0);
-        assert_eq!(
-            open_envelope(&trailing, KIND_PERM),
-            Err(SegmentError::TrailingBytes)
-        );
     }
 
     fn tiny_db() -> HiddenDb {
@@ -2861,7 +2367,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_codecs_round_trip_and_pick_smallest() {
+    fn chunk_codecs_round_trip_and_pick_smallest() {
         let dict_shaped: Vec<u32> = (0..512).map(|i| [5u32, 9_000, 1_000_000][i % 3]).collect();
         let rle_shaped: Vec<u32> = (0..512).map(|i| (i as u32 / 128) * 100).collect();
         let for_shaped: Vec<u32> = (0..512).map(|i| 1000 + i as u32).collect();
@@ -2871,95 +2377,16 @@ mod tests {
             (for_shaped, CODEC_FOR),
         ] {
             let mut payload = Vec::new();
-            encode_u32_chunk_v2(&vals, &mut payload);
+            encode_u32_chunk(&vals, &mut payload);
             assert_eq!(payload[0], want_tag, "codec choice");
-            let (back, tag) = decode_u32_payload(2, &payload, vals.len()).unwrap();
+            let (back, tag) = decode_u32_payload(&payload, vals.len()).unwrap();
             assert_eq!(tag, want_tag);
             assert_eq!(back, vals);
         }
         // Empty chunks round-trip under the tie-break winner (FOR).
         let mut payload = Vec::new();
-        encode_u32_chunk_v2(&[], &mut payload);
-        assert_eq!(decode_u32_payload(2, &payload, 0).unwrap().0, vec![]);
-    }
-
-    #[test]
-    fn compressed_eval_matches_decoded_filter() {
-        let shapes: [Vec<u32>; 4] = [
-            (0..300).map(|i| [7u32, 450, 120_000][i % 3]).collect(),
-            (0..300).map(|i| (i as u32 / 64) * 11 + 3).collect(),
-            (0..300)
-                .map(|i| (i as u64 * 0x9E37_79B9 % 1000) as u32)
-                .collect(),
-            vec![42; 300],
-        ];
-        let bounds = [
-            (0u32, u32::MAX),
-            (0, 6),
-            (7, 7),
-            (400, 500),
-            (120_000, 120_000),
-            (3, 990),
-            (u32::MAX - 1, u32::MAX),
-        ];
-        for vals in &shapes {
-            let nwords = vals.len().div_ceil(64);
-            let tail = vals.len() % 64;
-            // v2 tagged payload and a v1 raw FOR payload must agree with the
-            // hydrate-then-filter reference on every bound.
-            let mut v2 = Vec::new();
-            encode_u32_chunk_v2(vals, &mut v2);
-            let mut v1 = Vec::new();
-            pack_u32s(vals, &mut v1);
-            for &(lo, hi) in &bounds {
-                for (version, payload) in [(2u16, &v2), (1u16, &v1)] {
-                    let mut words = vec![u64::MAX; nwords];
-                    if tail != 0 {
-                        words[nwords - 1] = (1u64 << tail) - 1;
-                    }
-                    eval_u32_payload(version, payload, lo, hi, vals.len(), &mut words).unwrap();
-                    for (i, &v) in vals.iter().enumerate() {
-                        let bit = (words[i / 64] >> (i % 64)) & 1 == 1;
-                        assert_eq!(
-                            bit,
-                            v >= lo && v <= hi,
-                            "v{version} value {v} at {i} under [{lo}, {hi}]"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn v1_format_version_still_writes_and_answers_identically() {
-        let db = tiny_db();
-        let bytes = SegmentWriter::new()
-            .with_format_version(1)
-            .with_chunk_size(64)
-            .write(&db)
-            .unwrap();
-        let reader = SegmentReader::open(Box::new(MemSource::new(bytes.clone()))).unwrap();
-        assert_eq!(reader.version, 1);
-        reader.verify().unwrap();
-        let seg =
-            HiddenDb::open_segment_source(Box::new(MemSource::new(bytes)), Box::new(SumRanker))
-                .unwrap();
-        let q = Query::new(vec![crate::Predicate::lt(0, 7)]);
-        assert_eq!(
-            db.query(&q)
-                .unwrap()
-                .tuples
-                .iter()
-                .map(|t| t.id)
-                .collect::<Vec<_>>(),
-            seg.query(&q)
-                .unwrap()
-                .tuples
-                .iter()
-                .map(|t| t.id)
-                .collect::<Vec<_>>()
-        );
+        encode_u32_chunk(&[], &mut payload);
+        assert_eq!(decode_u32_payload(&payload, 0).unwrap().0, vec![]);
     }
 
     #[test]
@@ -3101,78 +2528,154 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compressed_filter_matches_hydrated_execution_with_exact_counts() {
-        let db = tiny_db();
-        db.enable_access_log();
-        let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
-        // A bounded (but generous) cache makes the planner eligible for the
-        // compressed path; the knob is what the A/B toggles.
-        let on = HiddenDb::open_segment_source_with(
-            Box::new(MemSource::new(bytes.clone())),
-            Box::new(SumRanker),
-            SegmentOpenOptions::new().with_cache_budget(1 << 20),
-        )
-        .unwrap();
-        let off = HiddenDb::open_segment_source_with(
-            Box::new(MemSource::new(bytes)),
-            Box::new(SumRanker),
-            SegmentOpenOptions::new()
-                .with_cache_budget(1 << 20)
-                .with_compressed_filter(false),
-        )
-        .unwrap();
-        // The access log forces exact-count plans, which is where the broad
-        // compressed scan replaces the posting walk.
-        on.enable_access_log();
-        off.enable_access_log();
-        let queries = [
-            Query::new(vec![crate::Predicate::lt(0, 9)]),
-            Query::new(vec![crate::Predicate::eq(1, 1)]),
-            Query::new(vec![crate::Predicate::lt(0, 3)]),
-            Query::new(vec![crate::Predicate::eq(2, 2)]),
-            Query::new(vec![crate::Predicate::eq(2, 1), crate::Predicate::ge(0, 2)]),
-        ];
-        for q in &queries {
-            let a = db.query(q).unwrap();
-            let b = on.query(q).unwrap();
-            let c = off.query(q).unwrap();
-            let ids = |r: &crate::QueryResponse| r.tuples.iter().map(|t| t.id).collect::<Vec<_>>();
-            assert_eq!(ids(&a), ids(&b), "{q}");
-            assert_eq!(ids(&a), ids(&c), "{q}");
+    /// Rewrites the payload of section `(kind, attr, chunk)` with `forge`
+    /// and re-seals its checksum, so the forgery passes the envelope and
+    /// reaches the payload decoders — as any writer of a file could.
+    fn reseal(bytes: &[u8], kind: u8, attr: u32, chunk: u32, forge: impl Fn(&mut [u8])) -> Vec<u8> {
+        let reader = SegmentReader::open(Box::new(MemSource::new(bytes.to_vec()))).unwrap();
+        let e = reader.entry(kind, attr, chunk).unwrap();
+        let start = e.offset as usize + HEADER_LEN;
+        let end = (e.offset + e.len) as usize - CHECKSUM_LEN;
+        let mut forged = bytes.to_vec();
+        forge(&mut forged[start..end]);
+        let check = fnv1a64(&forged[start..end]);
+        forged[end..end + CHECKSUM_LEN].copy_from_slice(&check.to_le_bytes());
+        forged
+    }
+
+    /// Turns the FOR block at payload offset `at`, whose minimum is
+    /// `min_len` bytes wide, into a width-0 block claiming `u32::MAX`
+    /// values: 16 GiB of `u32`s (32 GiB of ids) from no body bytes at all.
+    fn width0_claim(at: usize, min_len: usize) -> impl Fn(&mut [u8]) {
+        move |p: &mut [u8]| {
+            p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            p[at + 4 + min_len] = 0;
         }
-        // Every backend logged the same exact match counts.
-        let counts =
-            |log: &crate::AccessLog| log.entries().iter().map(|e| e.matched).collect::<Vec<_>>();
-        let ram_counts = counts(&db.access_log());
-        assert_eq!(ram_counts, counts(&on.access_log()));
-        assert_eq!(ram_counts, counts(&off.access_log()));
     }
 
     #[test]
     fn verify_and_query_report_the_same_corruption_error() {
-        let db = tiny_db();
-        let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
-        let reader = SegmentReader::open(Box::new(MemSource::new(bytes.clone()))).unwrap();
-        let e = reader.entry(KIND_STORE_COL, 0, 0).unwrap();
-        // Poison the chunk's codec tag and re-seal the checksum so the
-        // corruption reaches the codec layer on both paths.
-        let mut poisoned = bytes;
-        let payload_start = e.offset as usize + HEADER_LEN;
-        let payload_end = (e.offset + e.len) as usize - CHECKSUM_LEN;
-        poisoned[payload_start] = 7;
-        let check = fnv1a64(&poisoned[payload_start..payload_end]);
-        poisoned[payload_end..payload_end + CHECKSUM_LEN].copy_from_slice(&check.to_le_bytes());
-        let poisoned_reader =
+        // Poison the chunk's codec tag so the corruption reaches the codec
+        // layer on both paths.
+        let bytes = SegmentWriter::new()
+            .with_chunk_size(64)
+            .write(&tiny_db())
+            .unwrap();
+        let poisoned = reseal(&bytes, KIND_STORE_COL, 0, 0, |p| p[0] = 7);
+        let reader =
             SegmentReader::open(Box::new(MemSource::new(poisoned))).expect("footer intact");
-        let verify_err = poisoned_reader.verify().unwrap_err();
-        let query_err = poisoned_reader.store_value_at(0, 0).unwrap_err();
-        assert_eq!(verify_err, query_err);
-        assert_eq!(
-            verify_err,
-            SegmentError::Malformed {
-                detail: "undefined chunk codec tag 7".into()
+        let verify_err = reader.verify().unwrap_err();
+        assert_eq!(verify_err, reader.store_value_at(0, 0).unwrap_err());
+        assert_eq!(verify_err, malformed("undefined chunk codec tag 7"));
+    }
+
+    #[test]
+    fn forged_count_claims_are_rejected_before_allocating() {
+        // tiny_db in 64-value chunks: n = 150 gives 3 zone blocks, and
+        // attribute 0 (domain 10) has 11 prefix counts.
+        let bytes = SegmentWriter::new()
+            .with_chunk_size(64)
+            .write(&tiny_db())
+            .unwrap();
+        let claim = |bound: usize| {
+            malformed(format!(
+                "packed block claims 4294967295 values, expected at most {bound}"
+            ))
+        };
+        // Eager sections fail the open itself.
+        for (kind, bound) in [(KIND_ZONES, 3), (KIND_STARTS, 11)] {
+            let forged = reseal(&bytes, kind, 0, 0, width0_claim(0, 4));
+            let err = SegmentReader::open(Box::new(MemSource::new(forged))).unwrap_err();
+            assert_eq!(err, claim(bound), "{}", kind_name(kind));
+        }
+        // Lazy chunks open, then fail `verify` and the first query that
+        // hydrates them with the same error. The store-col body's first FOR
+        // block sits after the 9-byte codec header, whatever the codec.
+        for (kind, at, min_len) in [(KIND_STORE_COL, 9, 4), (KIND_IDS, 0, 8)] {
+            let forged = reseal(&bytes, kind, 0, 0, width0_claim(at, min_len));
+            let reader = SegmentReader::open(Box::new(MemSource::new(forged.clone())))
+                .expect("lazy chunks are not read at open");
+            assert_eq!(
+                reader.verify().unwrap_err(),
+                claim(64),
+                "{}",
+                kind_name(kind)
+            );
+            let db = HiddenDb::open_segment_source(
+                Box::new(MemSource::new(forged)),
+                Box::new(SumRanker),
+            )
+            .unwrap();
+            assert_eq!(
+                db.query(&Query::select_all()).unwrap_err(),
+                crate::QueryError::Storage { error: claim(64) },
+                "{}",
+                kind_name(kind)
+            );
+        }
+    }
+
+    #[test]
+    fn a_lying_chunk_header_never_changes_an_answer() {
+        // Chunk 0 of `a` holds 0..63, but its re-sealed header claims
+        // [100, 200]. Under a bounded cache with the access log on, every
+        // query answers exactly like the RAM build or fails typed.
+        let schema = SchemaBuilder::new()
+            .ranking("a", 64, InterfaceType::Rq)
+            .ranking("b", 8, InterfaceType::Rq)
+            .build();
+        let tuples: Vec<Tuple> = (0..128u64)
+            .map(|i| Tuple::new(i, vec![(i % 64) as u32, (i / 16) as u32]))
+            .collect();
+        let ram = HiddenDb::with_sum_ranking(schema, tuples, 4);
+        let bytes = SegmentWriter::new()
+            .with_chunk_size(64)
+            .write(&ram)
+            .unwrap();
+        let forged = reseal(&bytes, KIND_STORE_COL, 0, 0, |p| {
+            p[1..5].copy_from_slice(&100u32.to_le_bytes());
+            p[5..9].copy_from_slice(&200u32.to_le_bytes());
+        });
+        let lie = malformed("chunk header min/max do not match the values");
+        let reader = SegmentReader::open(Box::new(MemSource::new(forged.clone()))).unwrap();
+        assert_eq!(reader.verify().unwrap_err(), lie);
+        let seg = HiddenDb::open_segment_source_with(
+            Box::new(MemSource::new(forged)),
+            Box::new(SumRanker),
+            SegmentOpenOptions::new().with_cache_budget(1 << 20),
+        )
+        .unwrap();
+        ram.enable_access_log();
+        seg.enable_access_log();
+        let queries = [
+            // 51 of chunk 0's values are in range; the header says none.
+            Query::new(vec![crate::Predicate::le(0, 50)]),
+            Query::new(vec![crate::Predicate::ge(0, 60)]),
+            // Matches only in chunk 1, past the lying chunk.
+            Query::new(vec![
+                crate::Predicate::le(0, 50),
+                crate::Predicate::ge(1, 4),
+            ]),
+            Query::select_all(),
+        ];
+        let mut answered = 0;
+        for q in &queries {
+            let want = ram.query(q).unwrap();
+            match seg.query(q) {
+                Ok(got) => {
+                    let ids = |r: &crate::QueryResponse| {
+                        r.tuples.iter().map(|t| t.id).collect::<Vec<_>>()
+                    };
+                    assert_eq!(ids(&got), ids(&want), "{q}");
+                    assert_eq!(got.overflowed, want.overflowed, "{q}");
+                    answered += 1;
+                }
+                Err(e) => assert_eq!(e, crate::QueryError::Storage { error: lie.clone() }, "{q}"),
             }
+        }
+        assert!(
+            answered > 0,
+            "queries clear of the lying chunk still answer"
         );
     }
 

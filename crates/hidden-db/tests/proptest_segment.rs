@@ -194,50 +194,23 @@ proptest! {
         assert_same_behavior(&ram, &seg);
     }
 
-    /// Cache budgets (including the degenerate zero budget that decodes
-    /// every chunk on every touch) and the compressed-filter A/B knob are
-    /// performance policies, never semantics: every combination answers the
-    /// workload byte-identically to the in-RAM build.
+    /// Cache budgets, including the degenerate zero budget that decodes
+    /// every chunk on every touch, are performance policies, never
+    /// semantics: every budget answers the workload byte-identically to the
+    /// in-RAM build.
     #[test]
     fn segment_open_options_are_byte_identical(spec in db_spec(), budget in 0u64..=8192) {
         let bytes = SegmentWriter::new()
             .with_chunk_size(64)
             .write(&build_db(&spec))
             .expect("RAM-backed databases always serialize");
-        let variants = [
-            SegmentOpenOptions::new().with_cache_budget(budget),
-            SegmentOpenOptions::new().with_compressed_filter(false),
-            SegmentOpenOptions::new()
-                .with_cache_budget(budget)
-                .with_compressed_filter(false),
-        ];
-        for options in variants {
-            let ram = build_db(&spec);
-            let seg = HiddenDb::open_segment_source_with(
-                Box::new(MemSource::new(bytes.clone())),
-                Box::new(SumRanker),
-                options,
-            )
-            .expect("a fresh segment opens under any cache policy");
-            assert_same_behavior(&ram, &seg);
-        }
-    }
-
-    /// The legacy v1 on-disk format still writes, scrubs clean, and answers
-    /// identically to the in-RAM build.
-    #[test]
-    fn v1_segment_round_trip_is_byte_identical(spec in db_spec(), chunk_exp in 0u32..=2) {
         let ram = build_db(&spec);
-        let bytes = SegmentWriter::new()
-            .with_format_version(1)
-            .with_chunk_size(64usize << chunk_exp)
-            .write(&ram)
-            .expect("RAM-backed databases always serialize");
-        SegmentReader::open(Box::new(MemSource::new(bytes.clone())))
-            .expect("fresh v1 segment opens")
-            .verify()
-            .expect("fresh v1 segment scrubs clean");
-        let seg = open_mem(bytes).expect("fresh v1 segment opens as a database");
+        let seg = HiddenDb::open_segment_source_with(
+            Box::new(MemSource::new(bytes)),
+            Box::new(SumRanker),
+            SegmentOpenOptions::new().with_cache_budget(budget),
+        )
+        .expect("a fresh segment opens under any cache policy");
         assert_same_behavior(&ram, &seg);
     }
 }
@@ -302,6 +275,27 @@ fn every_single_bit_flip_is_rejected() {
             );
         }
     }
+}
+
+#[test]
+fn a_version_1_segment_is_rejected() {
+    // Re-tag every section header and the footer as version 1. Headers sit
+    // outside the payload checksums, so only the version check stands
+    // between the reader and the bytes.
+    let mut bytes = sample_segment_bytes();
+    let trailer = bytes.len() - 32;
+    let footer_off = u64::from_le_bytes(bytes[trailer + 8..trailer + 16].try_into().unwrap());
+    let mut off = 0usize;
+    while off <= footer_off as usize {
+        bytes[off + 4..off + 6].copy_from_slice(&1u16.to_le_bytes());
+        let len = u64::from_le_bytes(bytes[off + 7..off + 15].try_into().unwrap());
+        off += 15 + len as usize + 8;
+    }
+    assert_eq!(off, trailer, "the walk covers every section and the footer");
+    assert_eq!(
+        SegmentReader::open(Box::new(MemSource::new(bytes))).unwrap_err(),
+        SegmentError::UnsupportedVersion { found: 1 }
+    );
 }
 
 #[test]

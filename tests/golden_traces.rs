@@ -12,13 +12,14 @@
 //! two runs identical, so a golden can never drift *because of* batching.
 
 use skyweb::core::{
-    BaselineCrawl, Discoverer, DiscoveryDriver, DiscoveryMachine, DiscoveryResult, DriverConfig,
-    MqDbSky, PointSpaceCrawl, Pq2dSky, PqDbSky, RqDbSky, RqSkyband, SqDbSky,
+    encode_plan, encode_responses, BaselineCrawl, Discoverer, DiscoveryDriver, DiscoveryMachine,
+    DiscoveryResult, DriverConfig, MqDbSky, PointSpaceCrawl, Pq2dSky, PqDbSky, RqDbSky, RqSkyband,
+    SqDbSky, DEFAULT_MAX_BATCH,
 };
 use skyweb::datagen::flights_dot;
 use skyweb::hidden_db::{
-    HiddenDb, InterfaceType, MemSource, SchemaBuilder, SegmentOpenOptions, SegmentWriter,
-    SumRanker, Tuple,
+    HiddenDb, InterfaceType, MemSource, QueryResponse, SchemaBuilder, SegmentOpenOptions,
+    SegmentReader, SegmentWriter, SumRanker, Tuple,
 };
 
 /// FNV-1a over a byte stream: the fingerprint primitive for traces and
@@ -38,6 +39,13 @@ impl Fnv {
     fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
+}
+
+/// `(length, FNV-1a fingerprint)` of a serialized artifact.
+fn bytes_fingerprint(bytes: &[u8]) -> (usize, u64) {
+    let mut h = Fnv::new();
+    h.write(bytes);
+    (bytes.len(), h.0)
 }
 
 /// Fingerprint of a discovery result: cost, completion, sorted skyline ids,
@@ -139,15 +147,13 @@ fn fig15_style_db(n: usize) -> HiddenDb {
 /// segment store (write → reopen from bytes) so a golden workload can run
 /// against the lazily-hydrating segment backend instead of the RAM build.
 fn seg_clone(db: &HiddenDb) -> HiddenDb {
-    seg_clone_with(db, 2, SegmentOpenOptions::new())
+    seg_clone_with(db, SegmentOpenOptions::new())
 }
 
-/// [`seg_clone`] with an explicit on-disk format version and open options —
-/// the goldens run under v1 files, v2 files and an eviction-forcing cache
-/// budget.
-fn seg_clone_with(db: &HiddenDb, version: u16, options: SegmentOpenOptions) -> HiddenDb {
+/// [`seg_clone`] with explicit open options — the goldens run under the
+/// sticky cache and an eviction-forcing cache budget.
+fn seg_clone_with(db: &HiddenDb, options: SegmentOpenOptions) -> HiddenDb {
     let bytes = SegmentWriter::new()
-        .with_format_version(version)
         .write(db)
         .expect("RAM-backed databases always serialize");
     HiddenDb::open_segment_source_with(
@@ -280,6 +286,76 @@ fn golden_fig15_style_runs_segment_backed() {
     assert_eq!(rq_log_fp, 0xce854707af497c01, "RQ log fingerprint drifted");
 }
 
+// --- Pinned serialized bytes -------------------------------------------------
+//
+// The encodings themselves, fingerprinted as `(length, FNV-1a)`: a change
+// to the envelope, the chunk codecs or a payload walk must reproduce every
+// byte of the SWSG segment files and the SWCK plan, responses and
+// checkpoint envelopes.
+
+#[test]
+fn golden_segment_bytes() {
+    let fig15 = SegmentWriter::new()
+        .write(&fig15_style_db(2_000))
+        .expect("RAM-backed databases always serialize");
+    assert_eq!(
+        bytes_fingerprint(&fig15),
+        (41_096, 0x1fdaa0431f2d1f38),
+        "fig15-style segment bytes drifted"
+    );
+
+    // The nine primary flight attributes at n = 25,000: a table on which
+    // every chunk codec wins some chunks.
+    let flights = SegmentWriter::new()
+        .write(&fig14_style_db(25_000))
+        .expect("RAM-backed databases always serialize");
+    let census = SegmentReader::open(Box::new(MemSource::new(flights.clone())))
+        .and_then(|reader| reader.codec_census())
+        .expect("a fresh segment opens");
+    assert_eq!(census.chunks, [157, 27, 19], "FOR/DICT/RLE census drifted");
+    assert_eq!(
+        bytes_fingerprint(&flights),
+        (986_079, 0xeaf02e9933334fad),
+        "flights segment bytes drifted"
+    );
+}
+
+#[test]
+fn golden_swck_envelope_bytes() {
+    let db = fig14_style_db(2_000);
+    let machine = SqDbSky::new().machine(&db).expect("supported interface");
+    let mut driver = DiscoveryDriver::new(&db, machine, DriverConfig::new());
+    for _ in 0..3 {
+        driver.step().expect("fault-free step");
+    }
+    let checkpoint = driver.pause();
+    let plan = checkpoint.machine().next_plan(DEFAULT_MAX_BATCH);
+    assert!(
+        plan.groups().is_some(),
+        "SQ frontier plans carry sibling groups"
+    );
+    let responses: Vec<QueryResponse> = plan
+        .queries()
+        .iter()
+        .map(|q| db.query(q).expect("machine queries are valid"))
+        .collect();
+    assert_eq!(
+        bytes_fingerprint(&encode_plan(&plan)),
+        (1_796, 0x3db8facca42ee05d),
+        "plan envelope drifted"
+    );
+    assert_eq!(
+        bytes_fingerprint(&encode_responses(&responses)),
+        (5_711, 0xa85d422226adad09),
+        "responses envelope drifted"
+    );
+    assert_eq!(
+        bytes_fingerprint(&checkpoint.to_bytes().expect("SQ checkpoints encode")),
+        (6_802, 0x87f97ed0578b5e1b),
+        "checkpoint envelope drifted"
+    );
+}
+
 /// A small deterministic database with every attribute on the given
 /// interface type — the substrate for the all-machines cross-check.
 fn small_db(m: usize, itf: Option<InterfaceType>) -> HiddenDb {
@@ -299,7 +375,7 @@ fn small_db(m: usize, itf: Option<InterfaceType>) -> HiddenDb {
 }
 
 /// Runs one machine to completion on the RAM build and on segment
-/// round-trips of the *same* database — a v1 file, a v2 file, and a v2 file
+/// round-trips of the *same* database — served from the sticky cache, and
 /// behind a cache budget tiny enough to force mid-run eviction — asserting
 /// results, exact costs and access-log fingerprints identical on every
 /// backend.
@@ -314,17 +390,15 @@ fn assert_segment_matches_ram(
         .run()
         .expect("RAM run");
 
-    let variants: [(&str, u16, SegmentOpenOptions); 3] = [
-        ("v1", 1, SegmentOpenOptions::new()),
-        ("v2", 2, SegmentOpenOptions::new()),
+    let variants: [(&str, SegmentOpenOptions); 2] = [
+        ("v2", SegmentOpenOptions::new()),
         (
             "v2+tiny-cache",
-            2,
             SegmentOpenOptions::new().with_cache_budget(4_096),
         ),
     ];
-    for (variant, version, options) in variants {
-        let seg_db = seg_clone_with(&mk_db(), version, options);
+    for (variant, options) in variants {
+        let seg_db = seg_clone_with(&mk_db(), options);
         seg_db.enable_access_log();
         let seg = DiscoveryDriver::new(&seg_db, mk_machine(&seg_db), DriverConfig::new())
             .run()

@@ -14,7 +14,9 @@
 //!   permutation, posting orders, tuple ids and the `Arc<Tuple>`s behind
 //!   query responses materialize only when a query first touches their
 //!   chunk (4096 values by default), and stay cached for the segment's
-//!   lifetime. `Ranker::precompute` never runs on the load path.
+//!   lifetime. Under a cache budget, chunks are evicted by clock, and
+//!   each returned tuple is built alone from its column values.
+//!   `Ranker::precompute` never runs on the load path.
 //! * **Every byte is covered by a checksum.** Each section is one
 //!   [`crate::envelope`] envelope (magic + version + kind + length + FNV-1a
 //!   64 checksum); the directory is covered by the footer's envelope, and
@@ -175,8 +177,8 @@ const KIND_ORDER: u8 = 8;
 /// Section kind: one chunk of the tuple ids (u64).
 const KIND_IDS: u8 = 9;
 
-/// Pseudo section kind keying hydrated tuple chunks in the chunk cache.
-/// Never appears on disk.
+/// Pseudo section kind keying hydrated tuple chunks in the sticky tables.
+/// Never appears on disk, and never keys the bounded cache.
 const KIND_TUPLE_CACHE: u8 = 200;
 
 /// Chunk codec tag: frame-of-reference + bit-packing.
@@ -539,10 +541,12 @@ trait Packed: Copy + Ord + Default {
     fn widen(self) -> u64;
     /// Narrows back from `u64`; `None` if the value does not fit.
     fn narrow(v: u64) -> Option<Self>;
+    /// `self + delta`, wrapping at the value width.
+    fn add_delta(self, delta: u64) -> Self;
 }
 
 macro_rules! impl_packed {
-    ($t:ty, $read:ident) => {
+    ($t:ty, $read:ident, $truncate:ident) => {
         impl Packed for $t {
             const BITS: u32 = <$t>::BITS;
             fn read(cur: &mut Cursor<'_>) -> Result<Self, SegmentError> {
@@ -559,11 +563,15 @@ macro_rules! impl_packed {
             fn narrow(v: u64) -> Option<Self> {
                 <$t>::try_from(v).ok()
             }
+            #[inline]
+            fn add_delta(self, delta: u64) -> Self {
+                self.wrapping_add(cast::$truncate(delta))
+            }
         }
     };
 }
-impl_packed!(u32, u32);
-impl_packed!(u64, u64);
+impl_packed!(u32, u32, to_u32);
+impl_packed!(u64, u64, to_u64);
 
 fn pack<T: Packed>(values: &[T], out: &mut Vec<u8>) {
     let min = values.iter().copied().min().unwrap_or_default();
@@ -594,7 +602,9 @@ fn pack<T: Packed>(values: &[T], out: &mut Vec<u8>) {
 
 /// Decodes one FOR block of at most `max_count` values. The count claim is
 /// checked before anything is allocated: a width-0 block carries no body
-/// bytes, so nothing else bounds it.
+/// bytes, so nothing else bounds it. Each value is read at its own bit
+/// offset, so no state carries from one value to the next, and overflow is
+/// checked once, on the largest delta, after the loop.
 fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Vec<T>, SegmentError> {
     let count = cast::to_usize(cur.u32()?);
     if count > max_count {
@@ -611,27 +621,28 @@ fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Vec<T>, S
         return Ok(vec![min; count]);
     }
     let words = cast::to_usize((cast::to_u64(count) * u64::from(width)).div_ceil(64));
-    let bytes = cur.take(words * 8)?;
-    let mask: u128 = (1u128 << width) - 1;
+    // One zero word of padding lets every value read the word after its own.
+    let mut body: Vec<u64> = cur.take(words * 8)?.chunks_exact(8).map(le_u64).collect();
+    body.push(0);
+    let step = cast::to_usize(width);
+    let mask = u64::MAX >> (64 - width);
+    let mut max_delta = 0u64;
     let mut out = Vec::with_capacity(count);
-    let mut acc: u128 = 0;
-    let mut used: u32 = 0;
-    let mut word = 0usize;
-    for _ in 0..count {
-        while used < width {
-            acc |= u128::from(le_u64(&bytes[word * 8..word * 8 + 8])) << used;
-            word += 1;
-            used += 64;
-        }
-        let delta = cast::to_u64(acc & mask);
-        acc >>= width;
-        used -= width;
-        let v = min
-            .widen()
-            .checked_add(delta)
-            .and_then(T::narrow)
-            .ok_or_else(|| malformed(format!("packed value overflows u{}", T::BITS)))?;
-        out.push(v);
+    out.extend((0..count).map(|i| {
+        let pos = i * step;
+        let (word, bit) = (pos / 64, cast::to_u32(pos % 64));
+        // `<< 1 <<` keeps a word-aligned value from shifting by 64.
+        let delta = (body[word] >> bit | body[word + 1] << 1 << (63 - bit)) & mask;
+        max_delta = max_delta.max(delta);
+        min.add_delta(delta)
+    }));
+    if min
+        .widen()
+        .checked_add(max_delta)
+        .and_then(T::narrow)
+        .is_none()
+    {
+        return Err(malformed(format!("packed value overflows u{}", T::BITS)));
     }
     Ok(out)
 }
@@ -704,13 +715,17 @@ fn encode_u32_chunk(values: &[u32], out: &mut Vec<u8>) {
 }
 
 /// Decodes one u32 chunk payload of `expected_len` values — the only way a
-/// chunk is read — returning the values and the codec tag that produced
-/// them. Rejects any count claim beyond `expected_len` before allocating
-/// (it bounds the dictionary and the run arrays too) and validates the
-/// codec invariants — strictly ascending dictionary, in-range codes,
-/// canonical runs, header min/max matching the decoded content — but
-/// leaves the exact length and kind-specific range checks to the caller.
-fn decode_u32_payload(payload: &[u8], expected_len: usize) -> Result<(Vec<u32>, u8), SegmentError> {
+/// chunk is read — returning the values, the codec tag that produced them
+/// and their verified maximum. Rejects any count claim beyond
+/// `expected_len` before allocating (it bounds the dictionary and the run
+/// arrays too) and validates the codec invariants — strictly ascending
+/// dictionary, in-range codes, canonical runs, header min/max matching the
+/// decoded content — but leaves the exact length and kind-specific range
+/// checks to the caller, which compare the returned maximum alone.
+fn decode_u32_payload(
+    payload: &[u8],
+    expected_len: usize,
+) -> Result<(Vec<u32>, u8, u32), SegmentError> {
     let mut cur = Cursor::new(payload);
     let tag = cur.u8()?;
     let cmin = cur.u32()?;
@@ -753,12 +768,17 @@ fn decode_u32_payload(payload: &[u8], expected_len: usize) -> Result<(Vec<u32>, 
         t => return Err(malformed(format!("undefined chunk codec tag {t}"))),
     };
     cur.finish()?;
-    if vals.iter().copied().min().unwrap_or(0) != cmin
-        || vals.iter().copied().max().unwrap_or(0) != cmax
-    {
+    // One pass finds both bounds; an empty chunk's header holds [0, 0].
+    let bounds = match vals.first() {
+        None => (0, 0),
+        Some(&first) => vals
+            .iter()
+            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
+    };
+    if bounds != (cmin, cmax) {
         return Err(malformed("chunk header min/max do not match the values"));
     }
-    Ok((vals, tag))
+    Ok((vals, tag, cmax))
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,7 +1086,9 @@ impl SegmentOpenOptions {
 pub struct StorageStats {
     /// Chunk lookups served from the decoded-chunk cache.
     pub cache_hits: u64,
-    /// Chunk lookups that decoded from the backing source.
+    /// Chunk lookups that decoded from the backing source. Under a budget
+    /// these are column, posting and id chunks only: tuples are built from
+    /// column values and never looked up as chunks.
     pub cache_misses: u64,
     /// Chunks evicted by the bounded cache (always 0 without a budget).
     pub cache_evictions: u64,
@@ -1110,7 +1132,8 @@ pub struct CodecCensus {
 }
 
 /// Key of one cached decoded chunk. `kind` is the on-disk section kind,
-/// except [`KIND_TUPLE_CACHE`] which keys hydrated tuple chunks.
+/// except [`KIND_TUPLE_CACHE`] which keys hydrated tuple chunks (sticky
+/// tables only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ChunkKey {
     kind: u8,
@@ -1684,7 +1707,7 @@ impl SegmentReader {
         expected_len: usize,
         payload: &[u8],
     ) -> Result<Vec<u32>, SegmentError> {
-        let (vals, tag) = decode_u32_payload(payload, expected_len)?;
+        let (vals, tag, max) = decode_u32_payload(payload, expected_len)?;
         if vals.len() != expected_len {
             return Err(malformed(format!(
                 "section {}[{attr}, {c}] holds {} values, expected {expected_len}",
@@ -1692,20 +1715,19 @@ impl SegmentReader {
                 vals.len()
             )));
         }
+        // Every chunk holds at least one value, so `max` is one of them and
+        // bounds the rest.
         match kind {
-            KIND_PERM | KIND_RANK_OF | KIND_ORDER
-                if vals.iter().any(|&v| cast::to_usize(v) >= self.n) =>
-            {
+            KIND_PERM | KIND_RANK_OF | KIND_ORDER if cast::to_usize(max) >= self.n => {
                 return Err(malformed(format!("{} value out of range", kind_name(kind))));
             }
-            KIND_RANK_COL | KIND_STORE_COL => {
-                let d = self.schema.attr(cast::to_usize(attr)).domain_size;
-                if vals.iter().any(|&v| v >= d) {
-                    return Err(malformed(format!(
-                        "{}[{attr}] value outside the attribute domain",
-                        kind_name(kind)
-                    )));
-                }
+            KIND_RANK_COL | KIND_STORE_COL
+                if max >= self.schema.attr(cast::to_usize(attr)).domain_size =>
+            {
+                return Err(malformed(format!(
+                    "{}[{attr}] value outside the attribute domain",
+                    kind_name(kind)
+                )));
             }
             _ => {}
         }
@@ -2083,18 +2105,31 @@ impl SegmentReader {
         Ok(())
     }
 
-    /// The hydrated tuple at store index `idx`, materializing its chunk on
-    /// first touch (or serving straight from the full-hydration snapshot if
-    /// one exists).
+    /// The tuple at store index `idx`, served from the full-hydration
+    /// snapshot if one exists. Without a budget it is shared out of its
+    /// chunk's sticky tuple table, which hydrates on first touch. Under a
+    /// budget only this tuple is built, from its `ids` and `store-col`
+    /// values fetched through the bounded cache (ids first, then store-col
+    /// 0..m). Tuple chunks stay out of that cache: one costs
+    /// `chunk · (48 + 4m) + 32` bytes (344,096 B at 4,096 tuples and m = 9),
+    /// more than a shard holds below a ~2.7 MiB budget, and a chunk served
+    /// uncached would be rebuilt for every tuple shared.
     pub(crate) fn tuple_at(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
         if let Some(full) = self.full.get() {
             return Ok(Arc::clone(&full[idx]));
         }
-        let c = idx / self.chunk;
-        if let Some(t) = self.sticky_tuples(c) {
-            return Ok(Arc::clone(&t[idx % self.chunk]));
+        let (c, i) = (idx / self.chunk, idx % self.chunk);
+        if let CacheBacking::Bounded(_) = self.cache.backing {
+            let id = self.ids_chunk(c)?[i];
+            let values = (0..self.schema.len())
+                .map(|attr| self.store_value_at(attr, idx))
+                .collect::<Result<Vec<Value>, SegmentError>>()?;
+            return Ok(Arc::new(Tuple::new(id, values)));
         }
-        Ok(Arc::clone(&self.tuple_chunk(c)?[idx % self.chunk]))
+        if let Some(t) = self.sticky_tuples(c) {
+            return Ok(Arc::clone(&t[i]));
+        }
+        Ok(Arc::clone(&self.tuple_chunk(c)?[i]))
     }
 
     /// A resident sticky tuple chunk, borrowed in place — the zero-atomic
@@ -2114,14 +2149,20 @@ impl SegmentReader {
         None
     }
 
+    /// Chunk `c`'s hydrated tuples. Without a budget they are published in
+    /// the sticky tuple table; under one they are built for the caller
+    /// alone and never cached.
     fn tuple_chunk(&self, c: usize) -> Result<Arc<[Arc<Tuple>]>, SegmentError> {
+        let sticky = matches!(self.cache.backing, CacheBacking::Sticky(_));
         let key = ChunkKey {
             kind: KIND_TUPLE_CACHE,
             attr: 0,
             chunk: cast::to_u32(c),
         };
-        if let Some(hit) = self.cache.get(key) {
-            return Ok(hit.as_tuples().clone());
+        if sticky {
+            if let Some(hit) = self.cache.get(key) {
+                return Ok(hit.as_tuples().clone());
+            }
         }
         let ids = self.ids_chunk(c)?;
         let m = self.schema.len();
@@ -2135,6 +2176,9 @@ impl SegmentReader {
                 Arc::new(Tuple::new(ids[i] as TupleId, values))
             })
             .collect();
+        if !sticky {
+            return Ok(built);
+        }
         // Rough per-tuple footprint: the Arc + Tuple headers plus the values.
         let cost = cast::to_u64(self.chunk_len(c)) * (48 + 4 * cast::to_u64(m)) + CHUNK_OVERHEAD;
         Ok(self
@@ -2147,8 +2191,10 @@ impl SegmentReader {
     /// Hydrates every tuple and returns the contiguous snapshot — the
     /// O(n) escape hatch behind [`TupleStore::as_slice`] for segment-backed
     /// stores (scan-strategy execution, oracle ground truth, dominance
-    /// precomputation). Chunks hydrated earlier are reused, not re-decoded.
-    /// The snapshot is sticky and deliberately exempt from the cache budget:
+    /// precomputation). Without a budget, tuple chunks hydrated earlier are
+    /// reused, not rebuilt; under one, each chunk is built once for the
+    /// snapshot and nothing is inserted for it but its column chunks. The
+    /// snapshot is sticky and deliberately exempt from the cache budget:
     /// callers receive a plain slice whose lifetime is the reader's.
     pub(crate) fn hydrate_all(&self) -> Result<&[Arc<Tuple>], SegmentError> {
         if let Some(full) = self.full.get() {
@@ -2252,26 +2298,74 @@ mod tests {
     use crate::envelope::{CHECKSUM_LEN, HEADER_LEN};
     use crate::{Query, SchemaBuilder, SumRanker};
 
+    /// `count` values whose spread needs exactly `width` bits once there
+    /// are two of them: the first two are the minimum and the maximum. With
+    /// `top` the maximum is the largest `T`, else the minimum is small.
+    fn spread_values<T: Packed>(count: u64, width: u32, top: bool) -> Vec<T> {
+        let max = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        let highest = (u64::MAX >> (64 - T::BITS)) - max;
+        let base = if top { highest } else { highest.min(7) };
+        (0..count)
+            .map(|i| {
+                let delta = match i {
+                    0 => 0,
+                    1 => max,
+                    _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & max,
+                };
+                T::narrow(base + delta).unwrap()
+            })
+            .collect()
+    }
+
+    fn round_trip<T: Packed + fmt::Debug>(values: &[T], width: u32) {
+        let mut bytes = Vec::new();
+        pack(values, &mut bytes);
+        if values.len() >= 2 {
+            let at = 4 + std::mem::size_of::<T>();
+            assert_eq!(u32::from(bytes[at]), width, "packed width");
+        }
+        let mut cur = Cursor::new(&bytes);
+        let back: Vec<T> = unpack(&mut cur, values.len()).unwrap();
+        cur.finish().unwrap();
+        assert_eq!(
+            back,
+            values,
+            "u{} width {width} count {}",
+            T::BITS,
+            values.len()
+        );
+    }
+
     #[test]
     fn bitpack_round_trips_every_width() {
-        for width in 0..=32u32 {
-            let max = if width == 0 { 0 } else { (1u64 << width) - 1 };
-            let values: Vec<u32> = (0..137u64)
-                .map(|i| ((i.wrapping_mul(0x9E37_79B9)) % (max + 1)) as u32 + 7)
-                .collect();
-            let mut bytes = Vec::new();
-            pack(&values, &mut bytes);
-            let mut cur = Cursor::new(&bytes);
-            let back: Vec<u32> = unpack(&mut cur, values.len()).unwrap();
-            cur.finish().unwrap();
-            assert_eq!(back, values, "width {width}");
+        // Counts whose bodies end mid-word, on a word boundary, or (at one
+        // value) carry no body at all.
+        for count in [1, 63, 64, 65, 137] {
+            for top in [false, true] {
+                for width in 0..=32 {
+                    round_trip(&spread_values::<u32>(count, width, top), width);
+                }
+                // Width 64 needs the values {0, u64::MAX}.
+                for width in 0..=64 {
+                    round_trip(&spread_values::<u64>(count, width, top), width);
+                }
+            }
         }
-        let values: Vec<u64> = (0..99).map(|i| u64::MAX - i * 12345).collect();
+    }
+
+    #[test]
+    fn a_packed_value_past_u32_max_is_rejected() {
+        // min = u32::MAX - 1 at width 2 admits deltas up to 3: the second
+        // value, min + 3, is one past u32::MAX.
         let mut bytes = Vec::new();
-        pack(&values, &mut bytes);
-        let mut cur = Cursor::new(&bytes);
-        assert_eq!(unpack::<u64>(&mut cur, values.len()).unwrap(), values);
-        cur.finish().unwrap();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&(u32::MAX - 1).to_le_bytes());
+        bytes.push(2);
+        bytes.extend_from_slice(&(1u64 | 3 << 2).to_le_bytes());
+        assert_eq!(
+            unpack::<u32>(&mut Cursor::new(&bytes), 2).unwrap_err(),
+            malformed("packed value overflows u32")
+        );
     }
 
     #[test]
@@ -2379,9 +2473,10 @@ mod tests {
             let mut payload = Vec::new();
             encode_u32_chunk(&vals, &mut payload);
             assert_eq!(payload[0], want_tag, "codec choice");
-            let (back, tag) = decode_u32_payload(&payload, vals.len()).unwrap();
+            let (back, tag, max) = decode_u32_payload(&payload, vals.len()).unwrap();
             assert_eq!(tag, want_tag);
             assert_eq!(back, vals);
+            assert_eq!(Some(max), vals.iter().copied().max());
         }
         // Empty chunks round-trip under the tie-break winner (FOR).
         let mut payload = Vec::new();
@@ -2445,6 +2540,45 @@ mod tests {
         assert_eq!(sticky.cache_evictions, 0, "sticky cache never evicts");
         assert_eq!(sticky.cache_budget, None);
         assert!(sticky.cache_hits > 0 && sticky.cache_misses > 0);
+    }
+
+    #[test]
+    fn a_bounded_cache_answers_a_repeat_query_without_a_miss() {
+        // Two default-size chunks under a 1 MiB budget: each of the 8 shards
+        // holds 131,072 B. Every column chunk fits one (an ids chunk costs
+        // 32,800 B); a hydrated tuple chunk, 4,096 * (48 + 4 * 2) + 32 =
+        // 229,408 B, would not, so tuples are built one at a time.
+        let schema = SchemaBuilder::new()
+            .ranking("a", 100, InterfaceType::Rq)
+            .ranking("b", 100, InterfaceType::Rq)
+            .build();
+        let tuples: Vec<Tuple> = (0..8_192u64)
+            .map(|i| Tuple::new(i, vec![(i * 37 % 100) as u32, (i * 91 % 100) as u32]))
+            .collect();
+        let ram = HiddenDb::with_sum_ranking(schema, tuples, 10);
+        let seg = HiddenDb::open_segment_source_with(
+            Box::new(MemSource::new(SegmentWriter::new().write(&ram).unwrap())),
+            Box::new(SumRanker),
+            SegmentOpenOptions::new().with_cache_budget(1 << 20),
+        )
+        .unwrap();
+        let q = Query::select_all();
+        let answer = |db: &HiddenDb| {
+            let r = db.query(&q).unwrap();
+            let tuples: Vec<(u64, Vec<u32>)> =
+                r.tuples.iter().map(|t| (t.id, t.values.clone())).collect();
+            (tuples, r.overflowed)
+        };
+        let want = answer(&ram);
+        assert_eq!(answer(&seg), want, "first answer");
+        let before = seg.storage_stats().unwrap();
+        assert_eq!(answer(&seg), want, "second answer");
+        let after = seg.storage_stats().unwrap();
+        assert_eq!(
+            after.cache_misses - before.cache_misses,
+            0,
+            "a repeat answer finds every chunk resident"
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * the **scan path** and the **index builder** iterate the store by
 //!   reference ([`TupleStore::iter`]),
 //! * **responses** bump a reference count ([`TupleStore::share`]) instead of
-//!   deep-cloning a tuple,
+//!   deep-cloning a tuple (on a RAM store, or a segment-backed one with the
+//!   unbounded sticky cache),
 //! * **oracle consumers** (ground-truth skylines, workload analysis) borrow
 //!   the same allocation through [`crate::HiddenDb::oracle_tuples`],
 //!
@@ -16,17 +17,20 @@
 //! a handle: cloning it is one atomic increment, so it can be shared across
 //! threads and sessions freely.
 //!
-//! Since PR 7 a store can also be **lazily backed by a persisted columnar
-//! segment** ([`crate::SegmentReader`]): tuples materialize per chunk the
-//! first time a query response touches them, so opening a 10M-tuple segment
-//! costs O(footer) and resident memory tracks the *touched* working set,
-//! not the dataset. The public API is unchanged — `share`/`get`/indexing
-//! hydrate on demand (panicking on storage faults, which the engine
-//! precludes by using the fallible [`TupleStore::try_share`] first), and
+//! A store can also be **lazily backed by a persisted columnar segment**
+//! ([`crate::SegmentReader`]): tuples materialize per chunk the first time
+//! a query response touches them, so opening a 10M-tuple segment costs
+//! O(footer) and resident memory tracks the *touched* working set, not the
+//! dataset. The public API is unchanged — `share`/`get`/indexing hydrate on
+//! demand (panicking on storage faults, which the engine precludes by using
+//! the fallible [`TupleStore::try_share`] first), and
 //! [`TupleStore::as_slice`]/[`TupleStore::iter`] hydrate everything once
 //! (the full-scan escape hatch for oracle consumers and the `Scan`
-//! reference strategy). Hydrated chunks are cached in the shared reader, so
-//! clones of a lazy store share every materialized tuple.
+//! reference strategy). With the unbounded sticky cache, hydrated chunks
+//! are cached in the shared reader, so clones of a lazy store share every
+//! materialized tuple. Under a cache budget, each share builds a fresh
+//! tuple from the column chunks instead, and only the full-hydration
+//! snapshot is shared.
 
 use std::fmt;
 use std::ops::Index;
@@ -94,7 +98,7 @@ impl TupleStore {
     /// bounded chunk cache may evict individual chunks, so a plain borrow
     /// can only come from the sticky full-hydration snapshot) — engine hot
     /// paths use [`TupleStore::try_share`] instead, which serves owned
-    /// handles straight from the chunk cache.
+    /// handles one tuple at a time.
     ///
     /// # Panics
     /// Panics if a segment-backed chunk fails to load (I/O error or
@@ -109,9 +113,11 @@ impl TupleStore {
         }
     }
 
-    /// Shares the tuple at `idx`: one reference-count bump, no deep clone
-    /// (plus a one-time chunk hydration on a segment-backed store). This is
-    /// how query responses are built.
+    /// Shares the tuple at `idx`. This is how query responses are built. On
+    /// a RAM store, and on a segment-backed one with the sticky cache, it
+    /// is one reference-count bump and no deep clone (plus a one-time chunk
+    /// hydration on the segment). Under a cache budget it builds the one
+    /// tuple from its column values.
     ///
     /// # Panics
     /// Panics if `idx` is out of range, or if a segment-backed chunk fails
@@ -123,8 +129,10 @@ impl TupleStore {
         }
     }
 
-    /// Fallible [`TupleStore::share`]: surfaces segment storage faults as a
-    /// typed error instead of panicking. Infallible on a RAM store.
+    /// Fallible [`TupleStore::share`], at the same cost: one reference-count
+    /// bump only on RAM and under the sticky cache. Surfaces segment storage
+    /// faults as a typed error instead of panicking. Infallible on a RAM
+    /// store.
     pub(crate) fn try_share(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
         match &self.repr {
             Repr::Ram(tuples) => Ok(Arc::clone(&tuples[idx])),

@@ -173,16 +173,11 @@ where
         found
     }
 
-    /// `true` if `key` is resident in `shard`. No counters move — the
-    /// prefetch peek.
+    /// `true` if `key` is resident in `shard`. No counters move and the
+    /// referenced bit is left alone, so tests can probe eviction order.
+    #[cfg(test)]
     pub fn contains(&self, shard: usize, key: K) -> bool {
         self.shards[shard % self.shards.len()].with(|s| s.index.contains_key(&key))
-    }
-
-    /// Counts a miss without a lookup — for values decoded via a batched
-    /// prefetch rather than [`ClockCacheCore::get`].
-    pub fn note_miss(&self) {
-        counter_add(&self.misses, 1, self.racy);
     }
 
     /// Inserts `value` under `key` into `shard`, evicting by clock as

@@ -26,16 +26,16 @@
 //!   tuples, and all per-query working memory lives in a reusable
 //!   [`Scratch`] buffer owned by the calling session.
 //!
-//! Since PR 7 the same structures also exist in persisted form: a
+//! The same structures also exist in persisted form: a
 //! [`crate::SegmentReader`] serves the permutation, columns, zone maps and
 //! posting lists straight from an on-disk columnar segment, hydrating
-//! lazily per chunk. [`QueryIndex`] abstracts over the two through
-//! [`IndexBackend`], so every plan below runs unchanged — and produces
-//! byte-identical answers — against either backing (pinned by the
-//! differential suites in `tests/proptest_segment.rs` and
-//! `tests/golden_traces.rs`). Storage faults surface as typed
-//! [`SegmentError`]s threaded through every execution path; the RAM backend
-//! never produces one.
+//! lazily per chunk. Both backings implement [`IndexStorage`], and the
+//! engine is written once, generic over it: [`QueryIndex`] picks the backing
+//! once per entry call, so every plan below runs unchanged — and produces
+//! byte-identical answers — against either (pinned by the differential
+//! suites in `tests/proptest_segment.rs` and `tests/golden_traces.rs`).
+//! Storage faults surface as typed [`SegmentError`]s threaded through every
+//! execution path; the RAM backing never produces one.
 //!
 //! Every conjunctive predicate the interface supports (`<`, `<=`, `=`,
 //! `>=`, `>`) is a one-attribute range constraint, so a whole query reduces
@@ -62,7 +62,8 @@ use crate::{
 pub enum ExecStrategy {
     /// The reference implementation: filter every tuple, rank the matches,
     /// share the top k. O(n log n) per query; kept for differential testing
-    /// and as the ground truth the indexed engine must reproduce.
+    /// and as the ground truth the indexed engine must reproduce. Plans run
+    /// through it one member query at a time.
     Scan,
     /// The indexed engine of the `index` module: rank-ordered early
     /// termination with block skipping, posting-list candidate pruning,
@@ -94,6 +95,83 @@ pub(crate) const BLOCK: usize = 64;
 /// (`crossover_constant_separates_scan_and_posting_plans`).
 pub(crate) const BLOCK_SCAN_CROSSOVER_DEN: usize = 32;
 
+/// Where the engine reads its precomputed structures from: the in-RAM build
+/// ([`RamIndex`]) or a persisted segment ([`SegmentReader`]). Both answer
+/// every accessor identically, and only a segment can fail (I/O error or
+/// corrupted chunk). The zone, lane and rank accessors require a rank
+/// order ([`IndexStorage::has_perm`]).
+pub(crate) trait IndexStorage {
+    /// Whether a rank permutation exists (the ranker exposed a total order).
+    fn has_perm(&self) -> bool;
+
+    /// Number of tuples whose value on `attr` lies in `[lo, hi]` — O(1)
+    /// from the prefix counts, so planning never touches lazy chunks.
+    fn range_count(&self, attr: AttrId, lo: Value, hi: Value) -> usize;
+
+    /// Zone-map `(min, max)` of rank block `b` on `attr`.
+    fn zone(&self, attr: AttrId, b: usize) -> (Value, Value);
+
+    /// The lane bitset of rank block `b` on `attr`: bit `i` is set iff the
+    /// block's `i`-th rank (of its `len`) has a value in `[lo, hi]`.
+    fn lane_mask(
+        &self,
+        attr: AttrId,
+        b: usize,
+        len: usize,
+        lo: Value,
+        hi: Value,
+    ) -> Result<u64, SegmentError>;
+
+    /// Store index of the tuple at rank `rank`.
+    fn perm_at(&self, rank: usize) -> Result<u32, SegmentError>;
+
+    /// Rank position of the tuple at store index `idx`.
+    fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError>;
+
+    /// Value of the rank-`rank` tuple on `attr` (rank-ordered column).
+    fn rank_value_at(&self, attr: AttrId, rank: usize) -> Result<Value, SegmentError>;
+
+    /// Value of the tuple at store index `idx` on `attr` — never hydrates a
+    /// tuple on a segment.
+    fn value_at(&self, attr: AttrId, idx: usize) -> Result<Value, SegmentError>;
+
+    /// Box-membership of the tuple at store index `idx` against `cons`.
+    fn within_bounds_at(
+        &self,
+        idx: usize,
+        cons: &[(AttrId, Value, Value)],
+    ) -> Result<bool, SegmentError> {
+        for &(attr, lo, hi) in cons {
+            let v = self.value_at(attr, idx)?;
+            if v < lo || v > hi {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Walks `attr`'s posting order over `[lo, hi]`: store indices,
+    /// ascending within each value bucket.
+    fn for_posting(
+        &self,
+        attr: AttrId,
+        lo: Value,
+        hi: Value,
+        f: impl FnMut(u32) -> Result<(), SegmentError>,
+    ) -> Result<(), SegmentError>;
+}
+
+/// The lane bitset of one zone block's rank-ordered values, built
+/// branch-free: bit `i` is set iff `col[i]` lies in `[lo, hi]`.
+#[inline]
+pub(crate) fn lanes_within(col: &[Value], lo: Value, hi: Value) -> u64 {
+    let mut mask = 0u64;
+    for (lane, &v) in col.iter().enumerate() {
+        mask |= u64::from(v >= lo && v <= hi) << lane;
+    }
+    mask
+}
+
 /// Per-attribute posting list: tuple indices grouped by attribute value.
 ///
 /// `order[starts[v] .. starts[v + 1]]` are the indices (ascending, thanks to
@@ -124,6 +202,8 @@ struct RankColumns {
 /// The fully-materialized in-RAM index — what [`QueryIndex::build`]
 /// produces and what [`crate::SegmentWriter`] persists.
 pub(crate) struct RamIndex {
+    /// The indexed store: store-ordered values are read off its tuples.
+    store: TupleStore,
     /// `perm[r]` = store index of the tuple at rank `r` (best first), when
     /// the ranker exposes a deterministic total order.
     perm: Option<Vec<u32>>,
@@ -137,135 +217,9 @@ pub(crate) struct RamIndex {
 }
 
 impl RamIndex {
-    /// The rank permutation, if the ranker exposes a total order.
-    pub(crate) fn perm(&self) -> Option<&[u32]> {
-        self.perm.as_deref()
-    }
-
-    /// The inverse permutation (empty when [`RamIndex::perm`] is `None`).
-    pub(crate) fn rank_of(&self) -> &[u32] {
-        &self.rank_of
-    }
-
-    /// The rank-ordered column of `attr`. Requires a rank order.
-    pub(crate) fn rank_col(&self, attr: AttrId) -> &[Value] {
-        &self
-            .zones
-            .as_ref()
-            .expect("rank columns require a rank order")
-            .cols[attr]
-    }
-
-    /// Per-block zone-map minima of `attr`. Requires a rank order.
-    pub(crate) fn zone_mins(&self, attr: AttrId) -> &[Value] {
-        &self
-            .zones
-            .as_ref()
-            .expect("zone maps require a rank order")
-            .mins[attr]
-    }
-
-    /// Per-block zone-map maxima of `attr`. Requires a rank order.
-    pub(crate) fn zone_maxs(&self, attr: AttrId) -> &[Value] {
-        &self
-            .zones
-            .as_ref()
-            .expect("zone maps require a rank order")
-            .maxs[attr]
-    }
-
-    /// Prefix-count table of `attr`'s posting list (`domain_size + 1`
-    /// entries).
-    pub(crate) fn posting_starts(&self, attr: AttrId) -> &[u32] {
-        &self.postings[attr].starts
-    }
-
-    /// Value-bucketed store indices of `attr`'s posting list.
-    pub(crate) fn posting_order(&self, attr: AttrId) -> &[u32] {
-        &self.postings[attr].order
-    }
-}
-
-/// Where a [`QueryIndex`] reads its precomputed structures from.
-pub(crate) enum IndexBackend {
-    /// Built in RAM at construction ([`QueryIndex::build`]).
-    Ram(RamIndex),
-    /// Served lazily from a persisted columnar segment
-    /// ([`QueryIndex::from_segment`]).
-    Segment(Arc<SegmentReader>),
-}
-
-/// Dominance facts for rankers without a total order: built eagerly with a
-/// RAM index, on first need (after full hydration) with a segment backend —
-/// so dominance precomputation stays off the segment cold-open path.
-enum DomSource {
-    Built(Option<DominanceIndex>),
-    Lazy(OnceLock<Option<DominanceIndex>>),
-}
-
-/// Outcome of one indexed execution.
-pub(crate) struct ExecOutcome {
-    /// The answer tuples, best-ranked first, sharing the store's allocations.
-    pub returned: Vec<Arc<Tuple>>,
-    /// Whether more than `k` tuples matched.
-    pub overflowed: bool,
-    /// Exact size of the matching set when the chosen plan computed it
-    /// (`None` only for early-terminated rank scans, where finishing the
-    /// count would defeat the early termination).
-    pub matched: Option<usize>,
-}
-
-/// Reusable per-session working memory so steady-state queries allocate
-/// nothing beyond their (small) answer vector.
-///
-/// Earlier revisions kept one of these in a thread-local; it now lives in
-/// [`crate::Session`] (and in a small pool inside [`crate::HiddenDb`] for
-/// session-less one-off queries), so the database itself stays free of
-/// thread-affine state.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    /// Closed per-attribute bounds `[lo, hi]` of the current query.
-    bounds: Vec<(i64, i64)>,
-    /// Constrained attributes as `(attr, lo, hi)`.
-    cons: Vec<(AttrId, Value, Value)>,
-    /// Rank positions (or store indices) of matching candidates.
-    hits: Vec<u32>,
-}
-
-/// One zone block's rank-ordered column values: borrowed straight out of a
-/// RAM index, or a refcounted chunk plus offsets from a segment reader
-/// (whose bounded cache may evict the chunk, so a plain borrow cannot cross
-/// the accessor boundary).
-enum ColBlock<'a> {
-    Borrowed(&'a [Value]),
-    Shared {
-        chunk: Arc<[u32]>,
-        start: usize,
-        len: usize,
-    },
-}
-
-impl ColBlock<'_> {
-    fn as_slice(&self) -> &[Value] {
-        match self {
-            ColBlock::Borrowed(s) => s,
-            ColBlock::Shared { chunk, start, len } => &chunk[*start..*start + *len],
-        }
-    }
-}
-
-/// The per-database index: rank permutation + zone maps + posting lists,
-/// backed either by RAM or by a persisted segment.
-pub(crate) struct QueryIndex {
-    n: usize,
-    backend: IndexBackend,
-    dom: DomSource,
-}
-
-impl QueryIndex {
     /// Builds the index for a tuple store. O(m·n) plus one O(n log n) sort
     /// per deterministic ranker.
-    pub(crate) fn build(store: &TupleStore, schema: &Schema, ranker: &dyn Ranker) -> Self {
+    fn build(store: &TupleStore, schema: &Schema, ranker: &dyn Ranker) -> Self {
         let n = store.len();
         let perm = ranker.precompute(store, schema);
         if let Some(p) = &perm {
@@ -317,20 +271,220 @@ impl QueryIndex {
                 Posting { starts, order }
             })
             .collect();
-        let dom = if perm.is_none() {
-            ranker.precompute_dominance(store, schema)
-        } else {
-            None
-        };
+        RamIndex {
+            store: store.clone(),
+            perm,
+            rank_of,
+            zones,
+            postings,
+        }
+    }
+
+    /// The rank permutation, if the ranker exposes a total order.
+    pub(crate) fn perm(&self) -> Option<&[u32]> {
+        self.perm.as_deref()
+    }
+
+    /// The inverse permutation (empty when [`RamIndex::perm`] is `None`).
+    pub(crate) fn rank_of(&self) -> &[u32] {
+        &self.rank_of
+    }
+
+    /// Rank-ordered columns and zone maps. Requires a rank order.
+    fn zones(&self) -> &RankColumns {
+        self.zones
+            .as_ref()
+            .expect("rank columns and zone maps require a rank order")
+    }
+
+    /// The rank-ordered column of `attr`. Requires a rank order.
+    pub(crate) fn rank_col(&self, attr: AttrId) -> &[Value] {
+        &self.zones().cols[attr]
+    }
+
+    /// Per-block zone-map minima of `attr`. Requires a rank order.
+    pub(crate) fn zone_mins(&self, attr: AttrId) -> &[Value] {
+        &self.zones().mins[attr]
+    }
+
+    /// Per-block zone-map maxima of `attr`. Requires a rank order.
+    pub(crate) fn zone_maxs(&self, attr: AttrId) -> &[Value] {
+        &self.zones().maxs[attr]
+    }
+
+    /// Prefix-count table of `attr`'s posting list (`domain_size + 1`
+    /// entries).
+    pub(crate) fn posting_starts(&self, attr: AttrId) -> &[u32] {
+        &self.postings[attr].starts
+    }
+
+    /// Value-bucketed store indices of `attr`'s posting list.
+    pub(crate) fn posting_order(&self, attr: AttrId) -> &[u32] {
+        &self.postings[attr].order
+    }
+}
+
+impl IndexStorage for RamIndex {
+    fn has_perm(&self) -> bool {
+        self.perm.is_some()
+    }
+
+    #[inline]
+    fn range_count(&self, attr: AttrId, lo: Value, hi: Value) -> usize {
+        if lo > hi {
+            return 0;
+        }
+        let s = &self.postings[attr].starts;
+        (s[hi as usize + 1] - s[lo as usize]) as usize
+    }
+
+    #[inline]
+    fn zone(&self, attr: AttrId, b: usize) -> (Value, Value) {
+        let z = self.zones();
+        (z.mins[attr][b], z.maxs[attr][b])
+    }
+
+    #[inline]
+    fn lane_mask(
+        &self,
+        attr: AttrId,
+        b: usize,
+        len: usize,
+        lo: Value,
+        hi: Value,
+    ) -> Result<u64, SegmentError> {
+        let base = b * BLOCK;
+        Ok(lanes_within(&self.rank_col(attr)[base..base + len], lo, hi))
+    }
+
+    #[inline]
+    fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
+        Ok(self.perm.as_ref().expect("perm_at requires a rank order")[rank])
+    }
+
+    #[inline]
+    fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError> {
+        Ok(self.rank_of[idx])
+    }
+
+    #[inline]
+    fn rank_value_at(&self, attr: AttrId, rank: usize) -> Result<Value, SegmentError> {
+        Ok(self.rank_col(attr)[rank])
+    }
+
+    #[inline]
+    fn value_at(&self, attr: AttrId, idx: usize) -> Result<Value, SegmentError> {
+        Ok(self.store[idx].values[attr])
+    }
+
+    #[inline]
+    fn within_bounds_at(
+        &self,
+        idx: usize,
+        cons: &[(AttrId, Value, Value)],
+    ) -> Result<bool, SegmentError> {
+        Ok(self.store[idx].within_bounds(cons))
+    }
+
+    fn for_posting(
+        &self,
+        attr: AttrId,
+        lo: Value,
+        hi: Value,
+        mut f: impl FnMut(u32) -> Result<(), SegmentError>,
+    ) -> Result<(), SegmentError> {
+        if lo > hi {
+            return Ok(());
+        }
+        let p = &self.postings[attr];
+        let range = p.starts[lo as usize] as usize..p.starts[hi as usize + 1] as usize;
+        for &idx in &p.order[range] {
+            f(idx)?;
+        }
+        Ok(())
+    }
+}
+
+/// Outcome of one indexed execution.
+pub(crate) struct ExecOutcome {
+    /// The answer tuples, best-ranked first, sharing the store's allocations.
+    pub returned: Vec<Arc<Tuple>>,
+    /// Whether more than `k` tuples matched.
+    pub overflowed: bool,
+    /// Exact size of the matching set when the chosen plan computed it
+    /// (`None` only for early-terminated rank scans, where finishing the
+    /// count would defeat the early termination).
+    pub matched: Option<usize>,
+}
+
+/// Reusable per-session working memory so steady-state queries allocate
+/// nothing beyond their (small) answer vector.
+///
+/// Earlier revisions kept one of these in a thread-local; it now lives in
+/// [`crate::Session`] (and in a small pool inside [`crate::HiddenDb`] for
+/// session-less one-off queries), so the database itself stays free of
+/// thread-affine state.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Closed per-attribute bounds `[lo, hi]` of the current query.
+    bounds: Vec<(i64, i64)>,
+    /// Constrained attributes as `(attr, lo, hi)`.
+    cons: Vec<(AttrId, Value, Value)>,
+    /// Rank positions (or store indices) of matching candidates.
+    hits: Vec<u32>,
+}
+
+/// The storage a [`QueryIndex`] owns. Only `with_engine!` looks inside.
+enum Storage {
+    Ram(RamIndex),
+    Segment(Arc<SegmentReader>),
+}
+
+/// The per-database index: rank permutation + zone maps + posting lists,
+/// backed either by RAM or by a persisted segment.
+pub(crate) struct QueryIndex {
+    n: usize,
+    storage: Storage,
+    /// Dominance facts for rankers without a total order, computed on first
+    /// need: after full hydration on a segment (fallback selection walks
+    /// tuples anyway), so neither the RAM build nor the segment cold open
+    /// pays for them up front.
+    dom: OnceLock<Option<DominanceIndex>>,
+}
+
+/// Evaluates `$body` with `$e` bound to the [`Engine`] over `$index`'s
+/// storage: the one place the engine's backing is chosen, once per entry
+/// call. Everything the body runs is compiled separately per backing.
+macro_rules! with_engine {
+    ($index:expr, $e:ident => $body:expr) => {
+        match &$index.storage {
+            Storage::Ram(s) => {
+                let $e = Engine {
+                    s,
+                    n: $index.n,
+                    dom: &$index.dom,
+                };
+                $body
+            }
+            Storage::Segment(s) => {
+                let $e = Engine {
+                    s: &**s,
+                    n: $index.n,
+                    dom: &$index.dom,
+                };
+                $body
+            }
+        }
+    };
+}
+
+impl QueryIndex {
+    /// Builds the index in RAM for a tuple store.
+    pub(crate) fn build(store: &TupleStore, schema: &Schema, ranker: &dyn Ranker) -> Self {
         QueryIndex {
-            n,
-            backend: IndexBackend::Ram(RamIndex {
-                perm,
-                rank_of,
-                zones,
-                postings,
-            }),
-            dom: DomSource::Built(dom),
+            n: store.len(),
+            storage: Storage::Ram(RamIndex::build(store, schema, ranker)),
+            dom: OnceLock::new(),
         }
     }
 
@@ -340,249 +494,24 @@ impl QueryIndex {
     pub(crate) fn from_segment(reader: Arc<SegmentReader>) -> Self {
         QueryIndex {
             n: reader.n(),
-            backend: IndexBackend::Segment(reader),
-            dom: DomSource::Lazy(OnceLock::new()),
+            storage: Storage::Segment(reader),
+            dom: OnceLock::new(),
         }
     }
 
     /// The RAM view of the index, if it was built in RAM (what the segment
     /// writer serializes). `None` for segment-backed indexes.
     pub(crate) fn ram(&self) -> Option<&RamIndex> {
-        match &self.backend {
-            IndexBackend::Ram(r) => Some(r),
-            IndexBackend::Segment(_) => None,
-        }
-    }
-
-    /// Whether a rank permutation exists (the ranker exposed a total order).
-    fn has_perm(&self) -> bool {
-        match &self.backend {
-            IndexBackend::Ram(r) => r.perm.is_some(),
-            IndexBackend::Segment(s) => s.has_perm(),
+        match &self.storage {
+            Storage::Ram(r) => Some(r),
+            Storage::Segment(_) => None,
         }
     }
 
     /// Number of tuples whose value on `attr` lies in `[lo, hi]` — the O(1)
-    /// selectivity oracle used for predicate ordering (and exposed through
-    /// [`crate::HiddenDb::selectivity`]). Served from the eager prefix
-    /// counts on both backends, so planning never touches lazy chunks.
+    /// selectivity oracle behind [`crate::HiddenDb::selectivity`].
     pub(crate) fn range_count(&self, attr: AttrId, lo: Value, hi: Value) -> usize {
-        if lo > hi {
-            return 0;
-        }
-        match &self.backend {
-            IndexBackend::Ram(r) => {
-                let s = &r.postings[attr].starts;
-                (s[hi as usize + 1] - s[lo as usize]) as usize
-            }
-            IndexBackend::Segment(s) => s.range_count(attr, lo, hi),
-        }
-    }
-
-    /// Zone-map `(min, max)` of rank block `b` on `attr`. Eager on both
-    /// backends; requires a rank order.
-    fn zone(&self, attr: AttrId, b: usize) -> (Value, Value) {
-        match &self.backend {
-            IndexBackend::Ram(r) => {
-                let z = r.zones.as_ref().expect("zone maps require a rank order");
-                (z.mins[attr][b], z.maxs[attr][b])
-            }
-            IndexBackend::Segment(s) => s.zone(attr, b),
-        }
-    }
-
-    /// Store index of the tuple at rank `rank`.
-    fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
-        match &self.backend {
-            IndexBackend::Ram(r) => {
-                Ok(r.perm.as_ref().expect("perm_at requires a rank order")[rank])
-            }
-            IndexBackend::Segment(s) => s.perm_at(rank),
-        }
-    }
-
-    /// Rank position of the tuple at store index `idx`.
-    fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError> {
-        match &self.backend {
-            IndexBackend::Ram(r) => Ok(r.rank_of[idx]),
-            IndexBackend::Segment(s) => s.rank_of_at(idx),
-        }
-    }
-
-    /// Value of the rank-`rank` tuple on `attr` (rank-ordered column).
-    fn rank_value_at(&self, attr: AttrId, rank: usize) -> Result<Value, SegmentError> {
-        match &self.backend {
-            IndexBackend::Ram(r) => Ok(r
-                .zones
-                .as_ref()
-                .expect("rank columns require a rank order")
-                .cols[attr][rank]),
-            IndexBackend::Segment(s) => s.rank_value_at(attr, rank),
-        }
-    }
-
-    /// The contiguous rank-ordered column values of zone block `b` on
-    /// `attr` (`len` values).
-    fn rank_col_block(
-        &self,
-        attr: AttrId,
-        b: usize,
-        len: usize,
-    ) -> Result<ColBlock<'_>, SegmentError> {
-        match &self.backend {
-            IndexBackend::Ram(r) => {
-                let z = r.zones.as_ref().expect("rank columns require a rank order");
-                let base = b * BLOCK;
-                Ok(ColBlock::Borrowed(&z.cols[attr][base..base + len]))
-            }
-            IndexBackend::Segment(s) => {
-                if let Some(block) = s.rank_col_block_sticky(attr, b, len) {
-                    return Ok(ColBlock::Borrowed(block));
-                }
-                let (chunk, start) = s.rank_col_chunk(attr, b)?;
-                Ok(ColBlock::Shared { chunk, start, len })
-            }
-        }
-    }
-
-    /// Value of the tuple at store index `idx` on `attr`, via the columnar
-    /// data — never hydrates a tuple on the segment backend.
-    fn value_at(
-        &self,
-        store: &TupleStore,
-        idx: usize,
-        attr: AttrId,
-    ) -> Result<Value, SegmentError> {
-        match &self.backend {
-            IndexBackend::Ram(_) => Ok(store[idx].values[attr]),
-            IndexBackend::Segment(s) => s.store_value_at(attr, idx),
-        }
-    }
-
-    /// Box-membership of the tuple at store index `idx` against `cons`, via
-    /// the columnar data (tuple-free on the segment backend).
-    fn within_bounds_at(
-        &self,
-        store: &TupleStore,
-        idx: usize,
-        cons: &[(AttrId, Value, Value)],
-    ) -> Result<bool, SegmentError> {
-        match &self.backend {
-            IndexBackend::Ram(_) => Ok(store[idx].within_bounds(cons)),
-            IndexBackend::Segment(s) => {
-                for &(attr, lo, hi) in cons {
-                    let v = s.store_value_at(attr, idx)?;
-                    if v < lo || v > hi {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-        }
-    }
-
-    /// Walks `attr`'s posting order over `[lo, hi]`: store indices,
-    /// ascending within each value bucket — identical iteration order on
-    /// both backends.
-    fn for_posting(
-        &self,
-        attr: AttrId,
-        lo: Value,
-        hi: Value,
-        f: &mut dyn FnMut(u32) -> Result<(), SegmentError>,
-    ) -> Result<(), SegmentError> {
-        if lo > hi {
-            return Ok(());
-        }
-        match &self.backend {
-            IndexBackend::Ram(r) => {
-                let p = &r.postings[attr];
-                let range = p.starts[lo as usize] as usize..p.starts[hi as usize + 1] as usize;
-                for &idx in &p.order[range] {
-                    f(idx)?;
-                }
-                Ok(())
-            }
-            IndexBackend::Segment(s) => s.for_posting(attr, lo, hi, f),
-        }
-    }
-
-    /// The dominance index for fallback rankers. Eagerly built alongside a
-    /// RAM index; with a segment backend it is computed on first need, after
-    /// fully hydrating the store (fallback selection walks tuples anyway).
-    fn dom(
-        &self,
-        store: &TupleStore,
-        schema: &Schema,
-        ranker: &dyn Ranker,
-    ) -> Result<Option<&DominanceIndex>, SegmentError> {
-        match &self.dom {
-            DomSource::Built(d) => Ok(d.as_ref()),
-            DomSource::Lazy(cell) => {
-                if let Some(d) = cell.get() {
-                    return Ok(d.as_ref());
-                }
-                store.try_hydrate_all()?;
-                Ok(cell
-                    .get_or_init(|| ranker.precompute_dominance(store, schema))
-                    .as_ref())
-            }
-        }
-    }
-
-    /// The zone-map block walk shared by the early-terminating rank scan
-    /// and the batch executor's shared-conjunction materializer: visits the
-    /// rank order block by block, skips blocks whose zone maps prove no
-    /// member can satisfy some bound, and hands the caller every surviving
-    /// block's base rank plus its non-empty lane bitset (bit i set iff the
-    /// block's i-th member lies inside every bound; a bound the whole block
-    /// provably satisfies needs no lane pass). Lanes are rank-ordered, so
-    /// consuming set bits low-to-high walks candidates best-ranked first.
-    /// Stops early when `emit` returns `Ok(false)`.
-    fn for_each_matching_block(
-        &self,
-        cons: &[(AttrId, Value, Value)],
-        emit: &mut dyn FnMut(usize, u64) -> Result<bool, SegmentError>,
-    ) -> Result<(), SegmentError> {
-        let blocks = self.n.div_ceil(BLOCK);
-        for b in 0..blocks {
-            // Zone check: can any member of this block satisfy every bound?
-            let survives = cons.iter().all(|&(attr, lo, hi)| {
-                let (bmin, bmax) = self.zone(attr, b);
-                bmin <= hi && bmax >= lo
-            });
-            if !survives {
-                continue;
-            }
-            // Lane bitset: built branch-free, one attribute at a time, from
-            // the columnar rank-ordered values.
-            let base = b * BLOCK;
-            let len = BLOCK.min(self.n - base);
-            let mut mask: u64 = if len == BLOCK {
-                u64::MAX
-            } else {
-                (1u64 << len) - 1
-            };
-            for &(attr, lo, hi) in cons {
-                let (bmin, bmax) = self.zone(attr, b);
-                if bmin >= lo && bmax <= hi {
-                    continue;
-                }
-                let col = self.rank_col_block(attr, b, len)?;
-                let mut m = 0u64;
-                for (lane, &v) in col.as_slice().iter().enumerate() {
-                    m |= u64::from(v >= lo && v <= hi) << lane;
-                }
-                mask &= m;
-                if mask == 0 {
-                    break;
-                }
-            }
-            if mask != 0 && !emit(base, mask)? {
-                return Ok(());
-            }
-        }
-        Ok(())
+        with_engine!(self, e => e.s.range_count(attr, lo, hi))
     }
 
     /// Executes a validated query against the store, using the caller's
@@ -603,240 +532,50 @@ impl QueryIndex {
         need_matched: bool,
         scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
-        let Some(best) = self.plan(query, schema, &mut scratch.bounds, &mut scratch.cons) else {
-            return Ok(ExecOutcome {
-                returned: Vec::new(),
-                overflowed: false,
-                matched: Some(0),
-            });
-        };
-
-        match (self.has_perm(), best) {
-            // SELECT * (no constraints): the answer is the head of the rank
-            // order.
-            (true, None) => {
-                let take = k.min(self.n);
-                let mut returned = Vec::with_capacity(take);
-                for r in 0..take {
-                    returned.push(store.try_share(self.perm_at(r)? as usize)?);
-                }
-                Ok(ExecOutcome {
-                    returned,
-                    overflowed: self.n > k,
-                    matched: Some(self.n),
-                })
-            }
-            (true, Some((count, best_pos))) => {
-                if count == 0 {
-                    return Ok(ExecOutcome {
-                        returned: Vec::new(),
-                        overflowed: false,
-                        matched: Some(0),
-                    });
-                }
-                // Plan choice: walking the most selective posting list costs
-                // `count` rank lookups plus a k-selection and yields an
-                // exact match count; the block rank scan touches columnar
-                // values in preference order and stops after k matches + 1
-                // overflow probe (see [`BLOCK_SCAN_CROSSOVER_DEN`] for the
-                // crossover rationale). The access log needs exact counts,
-                // so `need_matched` pins the posting walk even for broad
-                // queries.
-                if !need_matched && count * BLOCK_SCAN_CROSSOVER_DEN >= self.n {
-                    self.rank_scan(k, store, &scratch.cons)
-                } else {
-                    self.posting_topk(k, store, &scratch.cons, best_pos, &mut scratch.hits)
-                }
-            }
-            // No precomputed order (randomized / adversarial rankers): defer
-            // ranking to the ranker itself on the exact matching set, using
-            // the posting list only to prune the candidates.
-            (false, _) => self.ranker_fallback(query, k, store, schema, ranker, best, scratch),
-        }
+        with_engine!(self, e => e.execute(query, k, store, schema, ranker, need_matched, scratch))
     }
 
-    /// Query planning shared by [`QueryIndex::execute`] and the scan paths:
-    /// folds the conjunction into one closed box per attribute (`bounds`),
-    /// collects the constrained attributes into `cons`, and picks the most
-    /// selective one via the prefix counts.
+    /// Evaluates a group's shared conjunction once: folds the prefix into a
+    /// per-attribute box, gates on whether sharing beats the per-query
+    /// plans, and materializes the matching candidates.
     ///
-    /// Returns `None` when the query is unsatisfiable, otherwise
-    /// `Some(best)` where `best` is `(count, position in cons)` of the most
-    /// selective constrained attribute (or `None` for `SELECT *`).
-    fn plan(
+    /// The caller must have validated the group's head query (the prefix is
+    /// a prefix of it, so that validates the prefix too).
+    pub(crate) fn prepare_shared(
         &self,
-        query: &Query,
+        prefix: &[Predicate],
+        group_len: usize,
         schema: &Schema,
-        bounds: &mut Vec<(i64, i64)>,
-        cons: &mut Vec<(AttrId, Value, Value)>,
-    ) -> Option<Option<(usize, usize)>> {
-        if !fold_bounds(query.predicates(), schema, bounds) {
-            return None;
-        }
-        cons.clear();
-        let mut best: Option<(usize, usize)> = None; // (count, cons position)
-        for (attr, &(lo, hi)) in bounds.iter().enumerate() {
-            let max = i64::from(schema.attr(attr).max_value());
-            if lo > 0 || hi < max {
-                let (lo, hi) = (lo as Value, hi as Value);
-                let count = self.range_count(attr, lo, hi);
-                let pos = cons.len();
-                cons.push((attr, lo, hi));
-                if best.is_none_or(|(c, _)| count < c) {
-                    best = Some((count, pos));
-                }
-            }
-        }
-        Some(best)
+    ) -> Result<SharedGroup, SegmentError> {
+        with_engine!(self, e => e.prepare_shared(prefix, group_len, schema))
     }
 
-    /// Broad-query plan: walk the rank order block by block, best ranks
-    /// first, early-terminating after k matches and one overflow probe.
+    /// Answers one member query of a prepared group — byte-identical to what
+    /// [`QueryIndex::execute`] returns for the same query.
     ///
-    /// A block of 64 ranks is skipped wholesale when its zone map proves no
-    /// member can satisfy some bound (and needs no per-lane work when it
-    /// proves every member does); surviving blocks are evaluated with a
-    /// branch-free 64-bit match bitset built from the rank-ordered columnar
-    /// values — a sequential pass over contiguous `u32`s — instead of the
-    /// old tuple-at-a-time candidate walk, whose per-tuple pointer chasing
-    /// and branching dominated broad-range queries.
-    fn rank_scan(
-        &self,
-        k: usize,
-        store: &TupleStore,
-        cons: &[(AttrId, Value, Value)],
-    ) -> Result<ExecOutcome, SegmentError> {
-        let mut returned = Vec::with_capacity(k.min(16));
-        let mut seen = 0usize;
-        let mut overflowed = false;
-        self.for_each_matching_block(cons, &mut |base, mut mask| {
-            // Consuming set bits low-to-high preserves the answer order of
-            // the old tuple-at-a-time walk exactly.
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                seen += 1;
-                if seen > k {
-                    // Overflow probe: one extra match proves truncation.
-                    overflowed = true;
-                    return Ok(false);
-                }
-                returned.push(store.try_share(self.perm_at(base + lane)? as usize)?);
-            }
-            Ok(true)
-        })?;
-        Ok(if overflowed {
-            ExecOutcome {
-                returned,
-                overflowed: true,
-                matched: None,
-            }
-        } else {
-            ExecOutcome {
-                returned,
-                overflowed: false,
-                matched: Some(seen),
-            }
-        })
-    }
-
-    /// Selective-query plan: iterate the most selective predicate's posting
-    /// range, bound-check the remaining attributes columnar-only, then pick
-    /// the k best by precomputed rank position with one partial selection.
-    fn posting_topk(
-        &self,
-        k: usize,
-        store: &TupleStore,
-        cons: &[(AttrId, Value, Value)],
-        best_pos: usize,
-        hits: &mut Vec<u32>,
-    ) -> Result<ExecOutcome, SegmentError> {
-        let (attr, lo, hi) = cons[best_pos];
-        hits.clear();
-        self.for_posting(attr, lo, hi, &mut |idx| {
-            // The posting range already guarantees the best attribute's
-            // bounds; check the others.
-            let mut ok = true;
-            for (i, &(a, lo, hi)) in cons.iter().enumerate() {
-                if i == best_pos {
-                    continue;
-                }
-                let v = self.value_at(store, idx as usize, a)?;
-                if v < lo || v > hi {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                hits.push(self.rank_of_at(idx as usize)?);
-            }
-            Ok(())
-        })?;
-        let matched = hits.len();
-        let overflowed = matched > k;
-        if overflowed {
-            // Partial selection: k smallest rank positions to the front,
-            // then order just those k.
-            hits.select_nth_unstable(k - 1);
-            hits.truncate(k);
-        }
-        hits.sort_unstable();
-        let mut returned = Vec::with_capacity(hits.len());
-        for &rank in hits.iter() {
-            returned.push(store.try_share(self.perm_at(rank as usize)? as usize)?);
-        }
-        Ok(ExecOutcome {
-            returned,
-            overflowed,
-            matched: Some(matched),
-        })
-    }
-
-    /// Fallback for rankers without a precomputed order: materialize the
-    /// matching positions (pruned through the best posting list, in store
-    /// order — byte-identical to what the naive scan would hand the ranker)
-    /// and let [`Ranker::select_top_k_indices`] decide, offering the
-    /// precomputed dominance index.
+    /// Must not be called with [`SharedGroup::PerQuery`].
     #[allow(clippy::too_many_arguments)]
-    fn ranker_fallback(
+    pub(crate) fn execute_shared(
         &self,
+        shared: &SharedGroup,
         query: &Query,
         k: usize,
         store: &TupleStore,
         schema: &Schema,
         ranker: &dyn Ranker,
-        best: Option<(usize, usize)>,
+        need_matched: bool,
         scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
-        let Scratch { cons, hits, .. } = scratch;
-        hits.clear();
-        match best {
-            Some((_, best_pos)) => {
-                let (attr, lo, hi) = cons[best_pos];
-                self.for_posting(attr, lo, hi, &mut |idx| {
-                    if self.within_bounds_at(store, idx as usize, cons)? {
-                        hits.push(idx);
-                    }
-                    Ok(())
-                })?;
-                // Store order, exactly like the naive scan's filter pass
-                // (this matters for rankers that consume randomness).
-                hits.sort_unstable();
-            }
-            None => hits.extend(0..self.n as u32),
-        }
-        // Resolve dominance facts first: on the segment backend this fully
-        // hydrates the store, so every tuple access below is infallible.
-        let dom = self.dom(store, schema, ranker)?;
-        debug_assert!(hits.iter().all(|&i| query.matches(&store[i as usize])));
-        let matched = hits.len();
-        let selected = ranker.select_top_k_indices(store, hits, k, schema, dom);
-        let returned = selected.iter().map(|&i| store.share(i as usize)).collect();
-        Ok(ExecOutcome {
-            returned,
-            overflowed: matched > k,
-            matched: Some(matched),
-        })
+        with_engine!(self, e => e.execute_shared(
+            shared,
+            query,
+            k,
+            store,
+            schema,
+            ranker,
+            need_matched,
+            scratch
+        ))
     }
 }
 
@@ -874,32 +613,177 @@ pub(crate) enum SharedGroup {
     },
 }
 
-impl QueryIndex {
-    /// Evaluates a group's shared conjunction once: folds the prefix into a
-    /// per-attribute box, gates on whether sharing beats the per-query
-    /// plans, and materializes the matching candidates through the most
-    /// selective shared posting list.
-    ///
-    /// The caller must have validated the group's head query (the prefix is
-    /// a prefix of it, so that validates the prefix too).
-    pub(crate) fn prepare_shared(
+/// The query engine over one storage backing, for one entry call of
+/// [`QueryIndex`].
+struct Engine<'a, S> {
+    s: &'a S,
+    n: usize,
+    dom: &'a OnceLock<Option<DominanceIndex>>,
+}
+
+impl<S: IndexStorage> Engine<'_, S> {
+    /// The dominance index for fallback rankers, computed on first need
+    /// after fully hydrating the store (a no-op in RAM).
+    fn dom(
         &self,
-        prefix: &[Predicate],
-        group_len: usize,
         store: &TupleStore,
         schema: &Schema,
-    ) -> Result<SharedGroup, SegmentError> {
-        let mut bounds = Vec::new();
-        if !fold_bounds(prefix, schema, &mut bounds) {
-            return Ok(SharedGroup::Empty);
+        ranker: &dyn Ranker,
+    ) -> Result<Option<&DominanceIndex>, SegmentError> {
+        if let Some(d) = self.dom.get() {
+            return Ok(d.as_ref());
         }
-        let mut cons: Vec<(AttrId, Value, Value)> = Vec::new();
-        let mut best: Option<(usize, usize)> = None;
+        store.try_hydrate_all()?;
+        Ok(self
+            .dom
+            .get_or_init(|| ranker.precompute_dominance(store, schema))
+            .as_ref())
+    }
+
+    /// The zone-map block walk shared by the early-terminating rank scan
+    /// and the batch executor's shared-conjunction materializer: visits the
+    /// rank order block by block, skips blocks whose zone maps prove no
+    /// member can satisfy some bound, and hands the caller every surviving
+    /// block's base rank plus its non-empty lane bitset (bit i set iff the
+    /// block's i-th member lies inside every bound; a bound the whole block
+    /// provably satisfies needs no lane pass). Lanes are rank-ordered, so
+    /// consuming set bits low-to-high walks candidates best-ranked first.
+    /// Stops early when `emit` returns `Ok(false)`.
+    fn for_each_matching_block(
+        &self,
+        cons: &[(AttrId, Value, Value)],
+        mut emit: impl FnMut(usize, u64) -> Result<bool, SegmentError>,
+    ) -> Result<(), SegmentError> {
+        let blocks = self.n.div_ceil(BLOCK);
+        for b in 0..blocks {
+            // Zone check: can any member of this block satisfy every bound?
+            let survives = cons.iter().all(|&(attr, lo, hi)| {
+                let (bmin, bmax) = self.s.zone(attr, b);
+                bmin <= hi && bmax >= lo
+            });
+            if !survives {
+                continue;
+            }
+            // Lane bitset: one attribute at a time, from the columnar
+            // rank-ordered values.
+            let base = b * BLOCK;
+            let len = BLOCK.min(self.n - base);
+            let mut mask: u64 = if len == BLOCK {
+                u64::MAX
+            } else {
+                (1u64 << len) - 1
+            };
+            for &(attr, lo, hi) in cons {
+                let (bmin, bmax) = self.s.zone(attr, b);
+                if bmin >= lo && bmax <= hi {
+                    continue;
+                }
+                mask &= self.s.lane_mask(attr, b, len, lo, hi)?;
+                if mask == 0 {
+                    break;
+                }
+            }
+            if mask != 0 && !emit(base, mask)? {
+                return Ok(());
+            }
+        }
+        Ok(())
+    }
+
+    /// See [`QueryIndex::execute`].
+    #[allow(clippy::too_many_arguments)]
+    fn execute(
+        &self,
+        query: &Query,
+        k: usize,
+        store: &TupleStore,
+        schema: &Schema,
+        ranker: &dyn Ranker,
+        need_matched: bool,
+        scratch: &mut Scratch,
+    ) -> Result<ExecOutcome, SegmentError> {
+        let Some(best) = self.plan(
+            query.predicates(),
+            schema,
+            &mut scratch.bounds,
+            &mut scratch.cons,
+        ) else {
+            return Ok(ExecOutcome {
+                returned: Vec::new(),
+                overflowed: false,
+                matched: Some(0),
+            });
+        };
+
+        match (self.s.has_perm(), best) {
+            // SELECT * (no constraints): the answer is the head of the rank
+            // order.
+            (true, None) => {
+                let take = k.min(self.n);
+                let mut returned = Vec::with_capacity(take);
+                for r in 0..take {
+                    returned.push(store.try_share(self.s.perm_at(r)? as usize)?);
+                }
+                Ok(ExecOutcome {
+                    returned,
+                    overflowed: self.n > k,
+                    matched: Some(self.n),
+                })
+            }
+            (true, Some((count, best_pos))) => {
+                if count == 0 {
+                    return Ok(ExecOutcome {
+                        returned: Vec::new(),
+                        overflowed: false,
+                        matched: Some(0),
+                    });
+                }
+                // Plan choice: walking the most selective posting list costs
+                // `count` rank lookups plus a k-selection and yields an
+                // exact match count; the block rank scan touches columnar
+                // values in preference order and stops after k matches + 1
+                // overflow probe (see [`BLOCK_SCAN_CROSSOVER_DEN`] for the
+                // crossover rationale). The access log needs exact counts,
+                // so `need_matched` pins the posting walk even for broad
+                // queries.
+                if !need_matched && count * BLOCK_SCAN_CROSSOVER_DEN >= self.n {
+                    self.rank_scan(k, store, &scratch.cons)
+                } else {
+                    self.posting_topk(k, store, &scratch.cons, best_pos, &mut scratch.hits)
+                }
+            }
+            // No precomputed order (randomized / adversarial rankers): defer
+            // ranking to the ranker itself on the exact matching set, using
+            // the posting list only to prune the candidates.
+            (false, _) => self.ranker_fallback(query, k, store, schema, ranker, best, scratch),
+        }
+    }
+
+    /// Query planning shared by [`Engine::execute`] and
+    /// [`Engine::prepare_shared`]: folds the conjunction into one closed box
+    /// per attribute (`bounds`), collects the constrained attributes into
+    /// `cons`, and picks the most selective one via the prefix counts.
+    ///
+    /// Returns `None` when the conjunction is unsatisfiable, otherwise
+    /// `Some(best)` where `best` is `(count, position in cons)` of the most
+    /// selective constrained attribute (or `None` for `SELECT *`).
+    fn plan(
+        &self,
+        preds: &[Predicate],
+        schema: &Schema,
+        bounds: &mut Vec<(i64, i64)>,
+        cons: &mut Vec<(AttrId, Value, Value)>,
+    ) -> Option<Option<(usize, usize)>> {
+        if !fold_bounds(preds, schema, bounds) {
+            return None;
+        }
+        cons.clear();
+        let mut best: Option<(usize, usize)> = None; // (count, cons position)
         for (attr, &(lo, hi)) in bounds.iter().enumerate() {
             let max = i64::from(schema.attr(attr).max_value());
             if lo > 0 || hi < max {
                 let (lo, hi) = (lo as Value, hi as Value);
-                let count = self.range_count(attr, lo, hi);
+                let count = self.s.range_count(attr, lo, hi);
                 let pos = cons.len();
                 cons.push((attr, lo, hi));
                 if best.is_none_or(|(c, _)| count < c) {
@@ -907,6 +791,184 @@ impl QueryIndex {
                 }
             }
         }
+        Some(best)
+    }
+
+    /// Broad-query plan: walk the rank order block by block, best ranks
+    /// first, early-terminating after k matches and one overflow probe.
+    ///
+    /// A block of 64 ranks is skipped wholesale when its zone map proves no
+    /// member can satisfy some bound (and needs no per-lane work when it
+    /// proves every member does); surviving blocks are evaluated with a
+    /// branch-free 64-bit match bitset built from the rank-ordered columnar
+    /// values — a sequential pass over contiguous `u32`s — instead of the
+    /// old tuple-at-a-time candidate walk, whose per-tuple pointer chasing
+    /// and branching dominated broad-range queries.
+    fn rank_scan(
+        &self,
+        k: usize,
+        store: &TupleStore,
+        cons: &[(AttrId, Value, Value)],
+    ) -> Result<ExecOutcome, SegmentError> {
+        let mut returned = Vec::with_capacity(k.min(16));
+        let mut seen = 0usize;
+        let mut overflowed = false;
+        self.for_each_matching_block(cons, |base, mut mask| {
+            // Consuming set bits low-to-high preserves the answer order of
+            // the old tuple-at-a-time walk exactly.
+            while mask != 0 {
+                let lane = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                seen += 1;
+                if seen > k {
+                    // Overflow probe: one extra match proves truncation.
+                    overflowed = true;
+                    return Ok(false);
+                }
+                returned.push(store.try_share(self.s.perm_at(base + lane)? as usize)?);
+            }
+            Ok(true)
+        })?;
+        Ok(if overflowed {
+            ExecOutcome {
+                returned,
+                overflowed: true,
+                matched: None,
+            }
+        } else {
+            ExecOutcome {
+                returned,
+                overflowed: false,
+                matched: Some(seen),
+            }
+        })
+    }
+
+    /// Selective-query plan: iterate the most selective predicate's posting
+    /// range, bound-check the remaining attributes columnar-only, then pick
+    /// the k best by precomputed rank position with one partial selection.
+    fn posting_topk(
+        &self,
+        k: usize,
+        store: &TupleStore,
+        cons: &[(AttrId, Value, Value)],
+        best_pos: usize,
+        hits: &mut Vec<u32>,
+    ) -> Result<ExecOutcome, SegmentError> {
+        let (attr, lo, hi) = cons[best_pos];
+        hits.clear();
+        self.s.for_posting(attr, lo, hi, |idx| {
+            // The posting range already guarantees the best attribute's
+            // bounds; check the others.
+            let mut ok = true;
+            for (i, &(a, lo, hi)) in cons.iter().enumerate() {
+                if i == best_pos {
+                    continue;
+                }
+                let v = self.s.value_at(a, idx as usize)?;
+                if v < lo || v > hi {
+                    ok = false;
+                    break;
+                }
+            }
+            if ok {
+                hits.push(self.s.rank_of_at(idx as usize)?);
+            }
+            Ok(())
+        })?;
+        let matched = hits.len();
+        let overflowed = matched > k;
+        if overflowed {
+            // Partial selection: k smallest rank positions to the front,
+            // then order just those k.
+            hits.select_nth_unstable(k - 1);
+            hits.truncate(k);
+        }
+        hits.sort_unstable();
+        let mut returned = Vec::with_capacity(hits.len());
+        for &rank in hits.iter() {
+            returned.push(store.try_share(self.s.perm_at(rank as usize)? as usize)?);
+        }
+        Ok(ExecOutcome {
+            returned,
+            overflowed,
+            matched: Some(matched),
+        })
+    }
+
+    /// Fallback for rankers without a precomputed order: materialize the
+    /// matching positions (pruned through the best posting list, in store
+    /// order — byte-identical to what the naive scan would hand the ranker)
+    /// and let [`Ranker::select_top_k_indices`] decide, offering the
+    /// precomputed dominance index.
+    #[allow(clippy::too_many_arguments)]
+    fn ranker_fallback(
+        &self,
+        query: &Query,
+        k: usize,
+        store: &TupleStore,
+        schema: &Schema,
+        ranker: &dyn Ranker,
+        best: Option<(usize, usize)>,
+        scratch: &mut Scratch,
+    ) -> Result<ExecOutcome, SegmentError> {
+        let Scratch { cons, hits, .. } = scratch;
+        hits.clear();
+        match best {
+            Some((_, best_pos)) => {
+                let (attr, lo, hi) = cons[best_pos];
+                self.s.for_posting(attr, lo, hi, |idx| {
+                    if self.s.within_bounds_at(idx as usize, cons)? {
+                        hits.push(idx);
+                    }
+                    Ok(())
+                })?;
+                // Store order, exactly like the naive scan's filter pass
+                // (this matters for rankers that consume randomness).
+                hits.sort_unstable();
+            }
+            None => hits.extend(0..self.n as u32),
+        }
+        self.select_delegated(query, k, store, schema, ranker, hits)
+    }
+
+    /// Hands the exact matching set `hits` (ascending store order) to the
+    /// ranker, offering the dominance index — the last step of every plan
+    /// for rankers without a precomputed order.
+    fn select_delegated(
+        &self,
+        query: &Query,
+        k: usize,
+        store: &TupleStore,
+        schema: &Schema,
+        ranker: &dyn Ranker,
+        hits: &[u32],
+    ) -> Result<ExecOutcome, SegmentError> {
+        // Resolve dominance facts first: on a segment this fully hydrates
+        // the store, so every tuple access below is infallible.
+        let dom = self.dom(store, schema, ranker)?;
+        debug_assert!(hits.iter().all(|&i| query.matches(&store[i as usize])));
+        let matched = hits.len();
+        let selected = ranker.select_top_k_indices(store, hits, k, schema, dom);
+        let returned = selected.iter().map(|&i| store.share(i as usize)).collect();
+        Ok(ExecOutcome {
+            returned,
+            overflowed: matched > k,
+            matched: Some(matched),
+        })
+    }
+
+    /// See [`QueryIndex::prepare_shared`].
+    fn prepare_shared(
+        &self,
+        prefix: &[Predicate],
+        group_len: usize,
+        schema: &Schema,
+    ) -> Result<SharedGroup, SegmentError> {
+        let (mut bounds, mut cons) = (Vec::new(), Vec::new());
+        let Some(best) = self.plan(prefix, schema, &mut bounds, &mut cons) else {
+            return Ok(SharedGroup::Empty);
+        };
         let Some((count, best_pos)) = best else {
             // Unconstrained prefix (`SELECT *`-shaped): nothing to share.
             return Ok(SharedGroup::PerQuery);
@@ -918,7 +980,7 @@ impl QueryIndex {
             // A singleton amortizes nothing over the per-query plans.
             return Ok(SharedGroup::PerQuery);
         }
-        let ranked = self.has_perm();
+        let ranked = self.s.has_perm();
         if count * BLOCK_SCAN_CROSSOVER_DEN < self.n {
             // Posting-list intersection: one attribute is selective enough
             // that walking its posting range (what every member's own
@@ -926,10 +988,10 @@ impl QueryIndex {
             // candidates once for the whole group.
             let (attr, lo, hi) = cons[best_pos];
             let mut hits = Vec::with_capacity(count);
-            self.for_posting(attr, lo, hi, &mut |idx| {
-                if self.within_bounds_at(store, idx as usize, &cons)? {
+            self.s.for_posting(attr, lo, hi, |idx| {
+                if self.s.within_bounds_at(idx as usize, &cons)? {
                     hits.push(if ranked {
-                        self.rank_of_at(idx as usize)?
+                        self.s.rank_of_at(idx as usize)?
                     } else {
                         idx
                     });
@@ -952,18 +1014,18 @@ impl QueryIndex {
         // whose early termination is unbeatable for answers near k.
         let est: f64 = cons
             .iter()
-            .map(|&(attr, lo, hi)| self.range_count(attr, lo, hi) as f64 / self.n as f64)
+            .map(|&(attr, lo, hi)| self.s.range_count(attr, lo, hi) as f64 / self.n as f64)
             .product::<f64>()
             * self.n as f64;
         if est * BLOCK_SCAN_CROSSOVER_DEN as f64 >= self.n as f64 {
             return Ok(SharedGroup::PerQuery);
         }
+        let mut hits = Vec::new();
         if ranked {
             // Zone-map scan over the rank-ordered columns (the same block
             // walk the rank scan uses, without early termination): the
             // collected rank positions arrive already sorted.
-            let mut hits = Vec::new();
-            self.for_each_matching_block(&cons, &mut |base, mut mask| {
+            self.for_each_matching_block(&cons, |base, mut mask| {
                 while mask != 0 {
                     let lane = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
@@ -975,9 +1037,8 @@ impl QueryIndex {
         } else {
             // No rank order (randomized / adversarial rankers): one full
             // box-membership pass, amortized over the group.
-            let mut hits = Vec::new();
             for idx in 0..self.n as u32 {
-                if self.within_bounds_at(store, idx as usize, &cons)? {
+                if self.s.within_bounds_at(idx as usize, &cons)? {
                     hits.push(idx);
                 }
             }
@@ -988,12 +1049,9 @@ impl QueryIndex {
     /// Answers one member query of a prepared group: folds the member's full
     /// conjunction, derives the residual constraints (attributes whose box
     /// is strictly tighter than the shared one) and selects the top k among
-    /// the shared candidates — byte-identical to what the single-query
-    /// engine returns for the same query.
-    ///
-    /// Must not be called with [`SharedGroup::PerQuery`].
+    /// the shared candidates.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_shared(
+    fn execute_shared(
         &self,
         shared: &SharedGroup,
         query: &Query,
@@ -1028,7 +1086,7 @@ impl QueryIndex {
         for (attr, &(lo, hi)) in scratch.bounds.iter().enumerate() {
             let max = i64::from(schema.attr(attr).max_value());
             if lo > 0 || hi < max {
-                member_best = member_best.min(self.range_count(attr, lo as Value, hi as Value));
+                member_best = member_best.min(self.s.range_count(attr, lo as Value, hi as Value));
             }
         }
         if member_best != usize::MAX && hits.len() > member_best.saturating_mul(2) {
@@ -1043,71 +1101,55 @@ impl QueryIndex {
                 scratch.cons.push((attr, full.0 as Value, full.1 as Value));
             }
         }
-        if ranked {
-            // Candidates arrive best-ranked first: the answer is the first k
-            // residual matches, early-terminating after one overflow probe
-            // unless the caller needs the exact match count for the log.
-            let mut returned = Vec::with_capacity(k.min(16));
-            let mut seen = 0usize;
-            for &r in hits {
-                let r = r as usize;
-                let mut ok = true;
-                for &(attr, lo, hi) in scratch.cons.iter() {
-                    let v = self.rank_value_at(attr, r)?;
-                    if v < lo || v > hi {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                seen += 1;
-                if seen <= k {
-                    returned.push(store.try_share(self.perm_at(r)? as usize)?);
-                } else if !need_matched {
-                    return Ok(ExecOutcome {
-                        returned,
-                        overflowed: true,
-                        matched: None,
-                    });
-                }
-            }
-            Ok(ExecOutcome {
-                returned,
-                overflowed: seen > k,
-                matched: Some(seen),
-            })
-        } else {
+        if !ranked {
             // No precomputed order: hand the exact matching set (ascending
             // store order, as the sequential fallback materializes it) to
-            // the ranker, offering the same precomputed dominance index.
-            {
-                let hits_out = &mut scratch.hits;
-                hits_out.clear();
-                for &idx in hits {
-                    if self.within_bounds_at(store, idx as usize, &scratch.cons)? {
-                        hits_out.push(idx);
-                    }
+            // the ranker.
+            let Scratch {
+                cons, hits: out, ..
+            } = scratch;
+            out.clear();
+            for &idx in hits {
+                if self.s.within_bounds_at(idx as usize, cons)? {
+                    out.push(idx);
                 }
             }
-            // Dominance facts before any tuple access: on the segment
-            // backend this hydrates the store (fallback selection needs the
-            // tuples regardless).
-            let dom = self.dom(store, schema, ranker)?;
-            debug_assert!(scratch
-                .hits
-                .iter()
-                .all(|&i| query.matches(&store[i as usize])));
-            let matched = scratch.hits.len();
-            let selected = ranker.select_top_k_indices(store, &scratch.hits, k, schema, dom);
-            let returned = selected.iter().map(|&i| store.share(i as usize)).collect();
-            Ok(ExecOutcome {
-                returned,
-                overflowed: matched > k,
-                matched: Some(matched),
-            })
+            return self.select_delegated(query, k, store, schema, ranker, out);
         }
+        // Candidates arrive best-ranked first: the answer is the first k
+        // residual matches, early-terminating after one overflow probe
+        // unless the caller needs the exact match count for the log.
+        let mut returned = Vec::with_capacity(k.min(16));
+        let mut seen = 0usize;
+        for &r in hits {
+            let r = r as usize;
+            let mut ok = true;
+            for &(attr, lo, hi) in scratch.cons.iter() {
+                let v = self.s.rank_value_at(attr, r)?;
+                if v < lo || v > hi {
+                    ok = false;
+                    break;
+                }
+            }
+            if !ok {
+                continue;
+            }
+            seen += 1;
+            if seen <= k {
+                returned.push(store.try_share(self.s.perm_at(r)? as usize)?);
+            } else if !need_matched {
+                return Ok(ExecOutcome {
+                    returned,
+                    overflowed: true,
+                    matched: None,
+                });
+            }
+        }
+        Ok(ExecOutcome {
+            returned,
+            overflowed: seen > k,
+            matched: Some(seen),
+        })
     }
 }
 
@@ -1115,7 +1157,8 @@ impl QueryIndex {
 /// prefix groups, evaluates each group's shared conjunction once (lazily,
 /// after the group's first member passes admission) and answers every member
 /// from the shared candidates plus its private residual — stopping at the
-/// first rejected query, whose error is returned.
+/// first rejected query, whose error is returned. A database on the
+/// [`ExecStrategy::Scan`] reference answers every member on its own.
 ///
 /// Per-query admission (validation, rate-limit reservation, sequence
 /// numbering), statistics and access-log accounting run through exactly the
@@ -1135,102 +1178,51 @@ pub(crate) fn execute_plan(
     for g in groups {
         let group = &queries[pos..pos + g.len];
         pos += g.len;
+        let shares = g.prefix_len > 0 && g.len >= 2 && db.strategy() == ExecStrategy::Indexed;
         // Shared context for the group, prepared lazily once the first
         // member passes admission: validating the head validates the prefix
         // (it is a prefix of the head), and a plan cut short by the rate
         // limit before reaching this group never pays for materialization.
         let mut shared: Option<SharedGroup> = None;
-        let mut scan_hits: Option<Vec<u32>> = None;
         for q in group {
             let seq = match db.admit(q) {
                 Ok(seq) => seq,
                 Err(e) => return Some(e),
             };
             let log_enabled = db.log_on();
-            let (tuples, overflowed, matched) = if g.prefix_len == 0 || g.len < 2 {
-                match db.exec_validated(q, log_enabled, scratch) {
-                    Ok(out) => out,
-                    Err(e) => return Some(e),
+            let out = if shares {
+                let index = db.index();
+                if shared.is_none() {
+                    let prefix = &group[0].predicates()[..g.prefix_len];
+                    match index.prepare_shared(prefix, g.len, db.schema()) {
+                        Ok(sg) => shared = Some(sg),
+                        Err(e) => return Some(QueryError::Storage { error: e }),
+                    }
+                }
+                // Just prepared above; the unshared fallback is correct (it
+                // executes each query individually).
+                match shared.get_or_insert(SharedGroup::PerQuery) {
+                    SharedGroup::PerQuery => db.exec_validated(q, log_enabled, scratch),
+                    ctx => index
+                        .execute_shared(
+                            ctx,
+                            q,
+                            db.k(),
+                            db.store(),
+                            db.schema(),
+                            db.ranker(),
+                            log_enabled,
+                            scratch,
+                        )
+                        .map(|out| (out.returned, out.overflowed, out.matched))
+                        .map_err(|e| QueryError::Storage { error: e }),
                 }
             } else {
-                let prefix = &group[0].predicates()[..g.prefix_len];
-                match db.strategy() {
-                    ExecStrategy::Indexed => {
-                        let index = db.index();
-                        if shared.is_none() {
-                            match index.prepare_shared(prefix, g.len, db.store(), db.schema()) {
-                                Ok(sg) => shared = Some(sg),
-                                Err(e) => return Some(QueryError::Storage { error: e }),
-                            }
-                        }
-                        // Just prepared above; the unshared fallback is
-                        // correct (it executes each query individually).
-                        let ctx = &*shared.get_or_insert(SharedGroup::PerQuery);
-                        match ctx {
-                            SharedGroup::PerQuery => {
-                                match db.exec_validated(q, log_enabled, scratch) {
-                                    Ok(out) => out,
-                                    Err(e) => return Some(e),
-                                }
-                            }
-                            ctx => {
-                                let out = index.execute_shared(
-                                    ctx,
-                                    q,
-                                    db.k(),
-                                    db.store(),
-                                    db.schema(),
-                                    db.ranker(),
-                                    log_enabled,
-                                    scratch,
-                                );
-                                match out {
-                                    Ok(out) => (out.returned, out.overflowed, out.matched),
-                                    Err(e) => return Some(QueryError::Storage { error: e }),
-                                }
-                            }
-                        }
-                    }
-                    ExecStrategy::Scan => {
-                        // The reference strategy shares too: one filter pass
-                        // over the store per group instead of one per query,
-                        // then the member's residual predicates over the
-                        // shared candidates. Candidates stay in ascending
-                        // store order and the ranker is called with the same
-                        // arguments as the sequential scan, so responses and
-                        // RNG consumption are identical.
-                        let store = db.store();
-                        if let Err(e) = store.try_hydrate_all() {
-                            return Some(QueryError::Storage { error: e });
-                        }
-                        let hits = scan_hits.get_or_insert_with(|| {
-                            store
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, t)| prefix.iter().all(|p| p.matches(t)))
-                                .map(|(i, _)| i as u32)
-                                .collect()
-                        });
-                        let residual = &q.predicates()[g.prefix_len..];
-                        let member_hits = &mut scratch.hits;
-                        member_hits.clear();
-                        for &idx in hits.iter() {
-                            if residual.iter().all(|p| p.matches(&store[idx as usize])) {
-                                member_hits.push(idx);
-                            }
-                        }
-                        let matched = member_hits.len();
-                        let selected = db.ranker().select_top_k_indices(
-                            store,
-                            member_hits,
-                            db.k(),
-                            db.schema(),
-                            None,
-                        );
-                        let tuples = selected.iter().map(|&i| store.share(i as usize)).collect();
-                        (tuples, matched > db.k(), Some(matched))
-                    }
-                }
+                db.exec_validated(q, log_enabled, scratch)
+            };
+            let (tuples, overflowed, matched) = match out {
+                Ok(out) => out,
+                Err(e) => return Some(e),
             };
             responses.push(db.finish_query(q, seq, tuples, overflowed, matched, log_enabled));
         }
@@ -1266,6 +1258,7 @@ fn fold_bounds(preds: &[Predicate], schema: &Schema, bounds: &mut Vec<(i64, i64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{MemSource, SegmentOpenOptions, SegmentWriter};
     use crate::{InterfaceType, Predicate, SchemaBuilder, SumRanker};
 
     fn schema() -> Schema {
@@ -1315,26 +1308,113 @@ mod tests {
         assert_eq!(store.len(), 6);
     }
 
-    #[test]
-    fn zone_maps_and_columns_cover_every_block() {
-        let (s, store, index) = build();
-        assert!(index.has_perm(), "SumRanker precomputes");
+    /// Runs every [`IndexStorage`] accessor on `st` and checks it against
+    /// the store it indexes, under the rank order `perm`.
+    fn check_accessors(st: &impl IndexStorage, store: &TupleStore, s: &Schema, perm: &[u32]) {
         let n = store.len();
+        let val = |idx: usize, attr: AttrId| store[idx].values[attr];
+        assert!(st.has_perm(), "SumRanker precomputes");
+        for (rank, &idx) in perm.iter().enumerate() {
+            assert_eq!(st.perm_at(rank).unwrap(), idx);
+            assert_eq!(st.rank_of_at(idx as usize).unwrap(), rank as u32);
+        }
         for attr in 0..s.len() {
-            for b in 0..n.div_ceil(BLOCK) {
-                let len = BLOCK.min(n - b * BLOCK);
-                let values: Vec<Value> = (b * BLOCK..b * BLOCK + len)
-                    .map(|r| store[index.perm_at(r).unwrap() as usize].values[attr])
-                    .collect();
-                let (zmin, zmax) = index.zone(attr, b);
-                assert_eq!(zmin, *values.iter().min().unwrap());
-                assert_eq!(zmax, *values.iter().max().unwrap());
+            for (rank, &idx) in perm.iter().enumerate() {
                 assert_eq!(
-                    index.rank_col_block(attr, b, len).unwrap().as_slice(),
-                    &values[..]
+                    st.rank_value_at(attr, rank).unwrap(),
+                    val(idx as usize, attr)
                 );
             }
+            for idx in 0..n {
+                assert_eq!(st.value_at(attr, idx).unwrap(), val(idx, attr));
+            }
+            let block_values = |b: usize| -> Vec<Value> {
+                let len = BLOCK.min(n - b * BLOCK);
+                (b * BLOCK..b * BLOCK + len)
+                    .map(|r| val(perm[r] as usize, attr))
+                    .collect()
+            };
+            for b in 0..n.div_ceil(BLOCK) {
+                let values = block_values(b);
+                let bounds = (*values.iter().min().unwrap(), *values.iter().max().unwrap());
+                assert_eq!(st.zone(attr, b), bounds, "zone of attr {attr} block {b}");
+            }
+            let max = s.attr(attr).max_value();
+            let ranges = (0..=max).flat_map(|lo| (lo..=max).map(move |hi| (lo, hi)));
+            for (lo, hi) in ranges.chain([(max, 0)]) {
+                // Posting walk: value buckets ascending, store order within.
+                let want: Vec<u32> = (lo..=hi)
+                    .flat_map(|v| (0..n).filter(move |&i| val(i, attr) == v))
+                    .map(|i| i as u32)
+                    .collect();
+                assert_eq!(st.range_count(attr, lo, hi), want.len());
+                let mut walked = Vec::new();
+                st.for_posting(attr, lo, hi, |idx| {
+                    walked.push(idx);
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(
+                    walked, want,
+                    "posting walk of attr {attr} over [{lo}, {hi}]"
+                );
+                for b in 0..n.div_ceil(BLOCK) {
+                    let values = block_values(b);
+                    let want = values
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |m, (i, &v)| m | u64::from(lo <= v && v <= hi) << i);
+                    let got = st.lane_mask(attr, b, values.len(), lo, hi).unwrap();
+                    assert_eq!(got, want, "lanes of attr {attr} block {b} in [{lo}, {hi}]");
+                }
+                let cons = [(attr, lo, hi), ((attr + 1) % s.len(), 1, 2)];
+                for idx in 0..n {
+                    let want = store[idx].within_bounds(&cons);
+                    assert_eq!(st.within_bounds_at(idx, &cons).unwrap(), want);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn zone_maps_and_columns_cover_every_block() {
+        // One store of five zone blocks behind three storages: the RAM
+        // index, and a segment of two-block chunks (so blocks also start
+        // mid-chunk) opened without a budget and under one whose shards
+        // hold two chunks each, so it evicts.
+        let s = schema();
+        let tuples: Vec<Tuple> = (0..300u64)
+            .map(|i| {
+                Tuple::new(
+                    i,
+                    vec![(i * 7 % 10) as u32, (i / 30) as u32, (i % 3) as u32],
+                )
+            })
+            .collect();
+        let store = TupleStore::new(tuples.clone());
+        let perm = SumRanker
+            .precompute(&store, &s)
+            .expect("SumRanker precomputes");
+        let db = HiddenDb::new(s.clone(), tuples, Box::new(SumRanker), 5);
+        let bytes = SegmentWriter::new()
+            .with_chunk_size(2 * BLOCK)
+            .write(&db)
+            .unwrap();
+        let open = |options| {
+            SegmentReader::open_with(Box::new(MemSource::new(bytes.clone())), options).unwrap()
+        };
+        let unbudgeted = open(SegmentOpenOptions::new());
+        // A 128-value u32 chunk is charged 4 · 128 + 32 = 544 bytes.
+        let capped = open(SegmentOpenOptions::new().with_cache_budget(8 * 1200));
+
+        check_accessors(&RamIndex::build(&store, &s, &SumRanker), &store, &s, &perm);
+        check_accessors(&unbudgeted, &store, &s, &perm);
+        check_accessors(&capped, &store, &s, &perm);
+        assert_eq!(unbudgeted.storage_stats().cache_evictions, 0);
+        assert!(
+            capped.storage_stats().cache_evictions > 0,
+            "the budget evicts"
+        );
     }
 
     #[test]
@@ -1507,7 +1587,7 @@ mod tests {
                 (vec![Predicate::gt(0, 31)], "empty"),
             ];
             for (prefix, expect) in cases {
-                let shared = index.prepare_shared(&prefix, 4, &store, &s).unwrap();
+                let shared = index.prepare_shared(&prefix, 4, &s).unwrap();
                 match (expect, &shared) {
                     ("shared", SharedGroup::Ranked { .. } | SharedGroup::StoreOrder { .. })
                     | ("per-query", SharedGroup::PerQuery)

@@ -50,9 +50,11 @@ use std::sync::{Arc, OnceLock};
 
 use crate::conc::ClockCacheCore;
 use crate::envelope::{fnv1a64, le_u32, le_u64, Envelope, EnvelopeError};
-use crate::index::BLOCK;
+use crate::index::{lanes_within, IndexStorage, BLOCK};
 use crate::sync::StdSync;
-use crate::{AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, TupleId, Value};
+use crate::{
+    AttrId, AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, TupleId, Value,
+};
 
 /// Audited numeric conversions for the wire paths.
 ///
@@ -342,43 +344,6 @@ pub trait BlockSource: Send + Sync {
     /// Fills `buf` from the bytes at `offset`, failing (never short-reading)
     /// if the range is out of bounds.
     fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), SegmentError>;
-
-    /// Serves many positioned reads in one call — batched readahead.
-    ///
-    /// The default implementation coalesces runs of byte-adjacent requests
-    /// (the writer lays a section's chunks out contiguously, so multi-chunk
-    /// scans collapse into a handful of large reads) and issues one
-    /// [`BlockSource::read_exact_at`] per run. Requests must be sorted by
-    /// offset for coalescing to trigger; unsorted batches still complete,
-    /// just one read at a time.
-    fn read_many(&self, requests: &mut [(u64, &mut [u8])]) -> Result<(), SegmentError> {
-        let mut i = 0;
-        while i < requests.len() {
-            let run_start = requests[i].0;
-            let mut end = run_start.saturating_add(cast::to_u64(requests[i].1.len()));
-            let mut j = i + 1;
-            while j < requests.len() && requests[j].0 == end {
-                end = end.saturating_add(cast::to_u64(requests[j].1.len()));
-                j += 1;
-            }
-            if j == i + 1 {
-                let (off, buf) = &mut requests[i];
-                self.read_exact_at(*off, buf)?;
-            } else {
-                let total =
-                    usize::try_from(end - run_start).map_err(|_| SegmentError::Truncated)?;
-                let mut run = vec![0u8; total];
-                self.read_exact_at(run_start, &mut run)?;
-                let mut pos = 0usize;
-                for (_, buf) in &mut requests[i..j] {
-                    buf.copy_from_slice(&run[pos..pos + buf.len()]);
-                    pos += buf.len();
-                }
-            }
-            i = j;
-        }
-        Ok(())
-    }
 }
 
 /// A [`BlockSource`] over an opened file, using positioned reads (no shared
@@ -1283,25 +1248,6 @@ impl ChunkCache {
         }
     }
 
-    /// `true` if `key` is resident. No counters move — the prefetch peek.
-    fn contains(&self, key: ChunkKey) -> bool {
-        match &self.backing {
-            CacheBacking::Sticky(t) => t.slot(key).is_some_and(|cell| cell.get().is_some()),
-            CacheBacking::Bounded(core) => core.contains(shard_of(key), key),
-        }
-    }
-
-    /// Counts a miss without a lookup — for chunks decoded via a batched
-    /// prefetch rather than [`ChunkCache::get`].
-    fn note_miss(&self) {
-        match &self.backing {
-            CacheBacking::Sticky(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheBacking::Bounded(core) => core.note_miss(),
-        }
-    }
-
     /// Inserts `data` under `key`, evicting as needed, and returns the
     /// canonical resident copy (the race winner under the sticky backing).
     fn insert(&self, key: ChunkKey, data: CachedChunk, cost: u64) -> CachedChunk {
@@ -1696,7 +1642,7 @@ impl SegmentReader {
     }
 
     /// Decodes and fully validates one u32 chunk section payload — the one
-    /// code path shared by query-time hydration, prefetch and
+    /// code path shared by query-time hydration and
     /// [`SegmentReader::verify`], so a corrupt chunk surfaces with the same
     /// [`SegmentError`] payload wherever it is hit.
     fn decode_u32_section(
@@ -1877,142 +1823,6 @@ impl SegmentReader {
         Ok(self.cache.insert(key, data, cost).as_u64().clone())
     }
 
-    /// Warms the cache with chunks `[first, last]` of `(kind, attr)` through
-    /// one coalesced [`BlockSource::read_many`] — readahead for posting and
-    /// rank-order walks that will touch the whole range anyway.
-    fn prefetch_u32_chunks(
-        &self,
-        kind: u8,
-        attr: u32,
-        first: usize,
-        last: usize,
-    ) -> Result<(), SegmentError> {
-        let mut wanted: Vec<(usize, DirEntry)> = Vec::new();
-        for c in first..=last {
-            let key = ChunkKey {
-                kind,
-                attr,
-                chunk: cast::to_u32(c),
-            };
-            if !self.cache.contains(key) {
-                wanted.push((c, self.entry(kind, attr, cast::to_u32(c))?));
-            }
-        }
-        if wanted.len() < 2 {
-            return Ok(());
-        }
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(wanted.len());
-        for (_, e) in &wanted {
-            bufs.push(vec![
-                0u8;
-                usize::try_from(e.len)
-                    .map_err(|_| SegmentError::Truncated)?
-            ]);
-        }
-        {
-            let mut reqs: Vec<(u64, &mut [u8])> = wanted
-                .iter()
-                .zip(bufs.iter_mut())
-                .map(|((_, e), b)| (e.offset, b.as_mut_slice()))
-                .collect();
-            self.source.read_many(&mut reqs)?;
-        }
-        for ((c, _), bytes) in wanted.iter().zip(&bufs) {
-            let payload = SWSG.open(bytes, kind)?;
-            let vals = self.decode_u32_section(kind, attr, *c, self.chunk_len(*c), payload)?;
-            let cost = 4 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
-            self.cache.note_miss();
-            self.cache.insert(
-                ChunkKey {
-                    kind,
-                    attr,
-                    chunk: cast::to_u32(*c),
-                },
-                CachedChunk::U32(vals.into()),
-                cost,
-            );
-        }
-        Ok(())
-    }
-
-    // -- engine accessors --------------------------------------------------
-
-    /// O(1) selectivity from the eager prefix counts — same contract as the
-    /// RAM posting lists.
-    pub(crate) fn range_count(&self, attr: usize, lo: Value, hi: Value) -> usize {
-        if lo > hi {
-            return 0;
-        }
-        let s = &self.starts[attr];
-        cast::to_usize(s[cast::to_usize(hi) + 1] - s[cast::to_usize(lo)])
-    }
-
-    /// Zone-map bounds of rank block `b` on `attr` (eager).
-    pub(crate) fn zone(&self, attr: usize, b: usize) -> (Value, Value) {
-        (self.zone_mins[attr][b], self.zone_maxs[attr][b])
-    }
-
-    /// Store index of the tuple at rank `rank`.
-    pub(crate) fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
-        self.u32_at(KIND_PERM, 0, rank / self.chunk, rank % self.chunk)
-    }
-
-    /// Rank position of the tuple at store index `idx`.
-    pub(crate) fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError> {
-        self.u32_at(KIND_RANK_OF, 0, idx / self.chunk, idx % self.chunk)
-    }
-
-    /// The rank-ordered column chunk holding zone block `b` of `attr`, plus
-    /// the block's offset within it. Blocks never span chunks (the chunk
-    /// size is a multiple of the block size).
-    pub(crate) fn rank_col_chunk(
-        &self,
-        attr: usize,
-        b: usize,
-    ) -> Result<(Arc<[u32]>, usize), SegmentError> {
-        let base = b * BLOCK;
-        let c = base / self.chunk;
-        let off = base % self.chunk;
-        Ok((self.u32_chunk(KIND_RANK_COL, cast::to_u32(attr), c)?, off))
-    }
-
-    /// Zone block `b` of `attr` borrowed straight out of a resident sticky
-    /// chunk (`None` under the bounded backing or when cold) — the
-    /// zero-atomic path for warm zone scans.
-    pub(crate) fn rank_col_block_sticky(
-        &self,
-        attr: usize,
-        b: usize,
-        len: usize,
-    ) -> Option<&[u32]> {
-        let base = b * BLOCK;
-        let c = base / self.chunk;
-        let off = base % self.chunk;
-        self.sticky_u32(KIND_RANK_COL, cast::to_u32(attr), c)
-            .map(|v| &v[off..off + len])
-    }
-
-    /// Value of the rank-`rank` tuple on `attr` (rank-ordered column).
-    pub(crate) fn rank_value_at(&self, attr: usize, rank: usize) -> Result<Value, SegmentError> {
-        self.u32_at(
-            KIND_RANK_COL,
-            cast::to_u32(attr),
-            rank / self.chunk,
-            rank % self.chunk,
-        )
-    }
-
-    /// Value of the tuple at store index `idx` on `attr` (store-ordered
-    /// column — never hydrates tuples).
-    pub(crate) fn store_value_at(&self, attr: usize, idx: usize) -> Result<Value, SegmentError> {
-        self.u32_at(
-            KIND_STORE_COL,
-            cast::to_u32(attr),
-            idx / self.chunk,
-            idx % self.chunk,
-        )
-    }
-
     /// Snapshot of the cache and codec counters.
     pub fn storage_stats(&self) -> StorageStats {
         StorageStats {
@@ -2068,43 +1878,6 @@ impl SegmentReader {
         Ok(census)
     }
 
-    /// Walks the posting order of `attr` over the value range `[lo, hi]` —
-    /// store indices in ascending store order per value bucket, exactly like
-    /// the RAM posting lists.
-    pub(crate) fn for_posting(
-        &self,
-        attr: usize,
-        lo: Value,
-        hi: Value,
-        f: &mut dyn FnMut(u32) -> Result<(), SegmentError>,
-    ) -> Result<(), SegmentError> {
-        if lo > hi {
-            return Ok(());
-        }
-        let s = &self.starts[attr];
-        let p0 = cast::to_usize(s[cast::to_usize(lo)]);
-        let p1 = cast::to_usize(s[cast::to_usize(hi) + 1]);
-        if p0 >= p1 {
-            return Ok(());
-        }
-        let first = p0 / self.chunk;
-        let last = (p1 - 1) / self.chunk;
-        if last > first {
-            // Multi-chunk walk: warm the cache with one coalesced read.
-            self.prefetch_u32_chunks(KIND_ORDER, cast::to_u32(attr), first, last)?;
-        }
-        for c in first..=last {
-            let base = c * self.chunk;
-            let chunk = self.u32_chunk(KIND_ORDER, cast::to_u32(attr), c)?;
-            let start = p0.max(base) - base;
-            let end = p1.min(base + chunk.len()) - base;
-            for &idx in &chunk[start..end] {
-                f(idx)?;
-            }
-        }
-        Ok(())
-    }
-
     /// The tuple at store index `idx`, served from the full-hydration
     /// snapshot if one exists. Without a budget it is shared out of its
     /// chunk's sticky tuple table, which hydrates on first touch. Under a
@@ -2122,7 +1895,7 @@ impl SegmentReader {
         if let CacheBacking::Bounded(_) = self.cache.backing {
             let id = self.ids_chunk(c)?[i];
             let values = (0..self.schema.len())
-                .map(|attr| self.store_value_at(attr, idx))
+                .map(|attr| self.value_at(attr, idx))
                 .collect::<Result<Vec<Value>, SegmentError>>()?;
             return Ok(Arc::new(Tuple::new(id, values)));
         }
@@ -2286,6 +2059,101 @@ impl SegmentReader {
                 if cast::to_usize(perm_all[cast::to_usize(rank)]) != idx {
                     return Err(malformed("rank_of is not the inverse of perm"));
                 }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The engine's view of a segment. Zone maps and prefix counts are eager;
+/// every other accessor reads through the chunk cache, borrowing a resident
+/// sticky chunk in place where the value is read on the engine's innermost
+/// loops.
+impl IndexStorage for SegmentReader {
+    fn has_perm(&self) -> bool {
+        self.has_perm
+    }
+
+    fn range_count(&self, attr: AttrId, lo: Value, hi: Value) -> usize {
+        if lo > hi {
+            return 0;
+        }
+        let s = &self.starts[attr];
+        cast::to_usize(s[cast::to_usize(hi) + 1] - s[cast::to_usize(lo)])
+    }
+
+    fn zone(&self, attr: AttrId, b: usize) -> (Value, Value) {
+        (self.zone_mins[attr][b], self.zone_maxs[attr][b])
+    }
+
+    fn lane_mask(
+        &self,
+        attr: AttrId,
+        b: usize,
+        len: usize,
+        lo: Value,
+        hi: Value,
+    ) -> Result<u64, SegmentError> {
+        // A block never spans chunks: the chunk size is a multiple of BLOCK.
+        let base = b * BLOCK;
+        let (c, off) = (base / self.chunk, base % self.chunk);
+        let attr = cast::to_u32(attr);
+        if let Some(v) = self.sticky_u32(KIND_RANK_COL, attr, c) {
+            return Ok(lanes_within(&v[off..off + len], lo, hi));
+        }
+        let chunk = self.u32_chunk(KIND_RANK_COL, attr, c)?;
+        Ok(lanes_within(&chunk[off..off + len], lo, hi))
+    }
+
+    fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
+        self.u32_at(KIND_PERM, 0, rank / self.chunk, rank % self.chunk)
+    }
+
+    fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError> {
+        self.u32_at(KIND_RANK_OF, 0, idx / self.chunk, idx % self.chunk)
+    }
+
+    fn rank_value_at(&self, attr: AttrId, rank: usize) -> Result<Value, SegmentError> {
+        self.u32_at(
+            KIND_RANK_COL,
+            cast::to_u32(attr),
+            rank / self.chunk,
+            rank % self.chunk,
+        )
+    }
+
+    fn value_at(&self, attr: AttrId, idx: usize) -> Result<Value, SegmentError> {
+        self.u32_at(
+            KIND_STORE_COL,
+            cast::to_u32(attr),
+            idx / self.chunk,
+            idx % self.chunk,
+        )
+    }
+
+    fn for_posting(
+        &self,
+        attr: AttrId,
+        lo: Value,
+        hi: Value,
+        mut f: impl FnMut(u32) -> Result<(), SegmentError>,
+    ) -> Result<(), SegmentError> {
+        if lo > hi {
+            return Ok(());
+        }
+        let s = &self.starts[attr];
+        let p0 = cast::to_usize(s[cast::to_usize(lo)]);
+        let p1 = cast::to_usize(s[cast::to_usize(hi) + 1]);
+        if p0 >= p1 {
+            return Ok(());
+        }
+        for c in p0 / self.chunk..=(p1 - 1) / self.chunk {
+            let base = c * self.chunk;
+            let chunk = self.u32_chunk(KIND_ORDER, cast::to_u32(attr), c)?;
+            let start = p0.max(base) - base;
+            let end = p1.min(base + chunk.len()) - base;
+            for &idx in &chunk[start..end] {
+                f(idx)?;
             }
         }
         Ok(())
@@ -2699,7 +2567,7 @@ mod tests {
         let reader =
             SegmentReader::open(Box::new(MemSource::new(poisoned))).expect("footer intact");
         let verify_err = reader.verify().unwrap_err();
-        assert_eq!(verify_err, reader.store_value_at(0, 0).unwrap_err());
+        assert_eq!(verify_err, reader.value_at(0, 0).unwrap_err());
         assert_eq!(verify_err, malformed("undefined chunk codec tag 7"));
     }
 

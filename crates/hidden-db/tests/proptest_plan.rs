@@ -251,9 +251,8 @@ proptest! {
         assert_batch_matches_sequential(&w, ExecStrategy::Indexed, false);
     }
 
-    /// Same identity under the Scan reference strategy — the batch executor
-    /// shares the per-group filter pass there, which must not change
-    /// anything observable (including ranker RNG consumption).
+    /// Same identity under the Scan reference strategy, which answers every
+    /// plan member on its own (ranker RNG consumption included).
     #[test]
     fn scan_run_plan_matches_sequential_queries(w in workload()) {
         assert_batch_matches_sequential(&w, ExecStrategy::Scan, false);

@@ -1,0 +1,212 @@
+//! `interface`: the hidden-database query engine, on DOT-like flights
+//! (`n` tuples, top-`k`, `SumRanker`).
+//!
+//! - Four query shapes, the workloads of `benches/interface.rs`:
+//!   `scan_ns` times the naive [`ExecStrategy::Scan`] path and
+//!   `indexed_ns` the default indexed engine, each as the mean of `iters`
+//!   calls (at most 60 for the scan) after a warm-up.
+//! - `threads_<N>`: aggregate queries/s of `N` concurrent sessions on one
+//!   shared database issuing the case mix `rounds` times, and its `scaling`
+//!   against one thread.
+//! - `sq_db_sky`, `rq_db_sky`: one complete discovery run on five RQ
+//!   attributes (n = 8,000, or 2,000 at quick scale; k = 10) under each
+//!   strategy. An untimed warm-up run pays the lazy index build first. The
+//!   query costs must be equal under both strategies.
+//! - `segment`: the indexed database written to a segment file, its bytes
+//!   on disk, its cold open (trailer, footer and eager metadata only) and
+//!   its first, lazily hydrating query. `warm_segment_ns` and `warm_ram_ns`
+//!   then time each query shape on the segment and on the RAM engine back
+//!   to back (the full storage numbers are the `storage` suite's).
+//!
+//! `peak_rss_kb` includes the scan-strategy twin database.
+
+use std::time::Instant;
+
+use skyweb_core::{Discoverer, RqDbSky, SqDbSky};
+use skyweb_datagen::flights_dot::{self, FlightsDotConfig};
+use skyweb_hidden_db::{ExecStrategy, HiddenDb, InterfaceType, Predicate, Query, SumRanker};
+
+use super::{compared, time_ns, Args, Record};
+
+fn cases() -> [(&'static str, Query); 4] {
+    [
+        ("select_all_top50", Query::select_all()),
+        (
+            "selective_conjunction",
+            Query::new(vec![
+                Predicate::lt(0, 30),
+                Predicate::lt(1, 40),
+                Predicate::eq(6, 0),
+            ]),
+        ),
+        ("broad_range_top50", Query::new(vec![Predicate::ge(0, 5)])),
+        (
+            "empty_answer",
+            Query::new(vec![
+                Predicate::lt(0, 1),
+                Predicate::lt(1, 1),
+                Predicate::lt(2, 1),
+            ]),
+        ),
+    ]
+}
+
+/// Aggregate queries/s of `threads` concurrent sessions, each issuing
+/// `queries` `rounds` times against one shared database.
+fn session_throughput(db: &HiddenDb, queries: &[Query], threads: usize, rounds: u64) -> f64 {
+    // The clock starts only once every worker is spawned and parked at the
+    // barrier: thread spawn cost must not be charged to queries/s, or the
+    // scaling would be biased against higher thread counts. The start stamp
+    // is taken *before* the main thread enters the barrier: after the
+    // release no worker can out-run the clock, so a descheduled main thread
+    // can only undercount throughput, never inflate it.
+    let barrier = std::sync::Barrier::new(threads + 1);
+    let elapsed = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut session = db.session();
+                    barrier.wait();
+                    for _ in 0..rounds {
+                        for q in queries {
+                            std::hint::black_box(session.query(q).expect("session query").len());
+                        }
+                    }
+                })
+            })
+            .collect();
+        let start = Instant::now();
+        barrier.wait();
+        for h in handles {
+            h.join().expect("throughput worker panicked");
+        }
+        start.elapsed()
+    });
+    (threads as u64 * rounds * queries.len() as u64) as f64 / elapsed.as_secs_f64()
+}
+
+pub fn run(args: &Args) -> Result<Vec<Record>, String> {
+    let (n, k, iters) = args.scale.pick((10_000, 50, 50), (100_000, 50, 400));
+    eprintln!("# building DOT-flights hidden database: n={n}, k={k}");
+    let dataset = flights_dot::generate(&FlightsDotConfig { n, seed: 2015 });
+    let indexed = dataset.clone().into_db_sum(k);
+    let scan = dataset.into_db_sum(k).with_strategy(ExecStrategy::Scan);
+    let mut out = vec![
+        Record::new("workload", "n", "count", n as f64),
+        Record::new("workload", "k", "count", k as f64),
+        Record::new("workload", "iters", "count", iters as f64),
+    ];
+    let cases = cases();
+    for (name, query) in &cases {
+        let scan_ns = time_ns(3, iters.min(60), || scan.query(query).expect("scan").len());
+        let indexed_ns = time_ns(10, iters, || indexed.query(query).expect("indexed").len());
+        out.extend(compared(
+            name,
+            "ns",
+            ("scan_ns", scan_ns),
+            ("indexed_ns", indexed_ns),
+        ));
+    }
+
+    // Enough rounds that the measured window (tens to hundreds of ms)
+    // dwarfs scheduling jitter.
+    let rounds = args.scale.pick(2_000, 20_000);
+    out.push(Record::new("workload", "rounds", "count", rounds as f64));
+    let queries: Vec<Query> = cases.iter().map(|(_, q)| q.clone()).collect();
+    let mut base_qps = 0.0;
+    for threads in [1, 2, 4, 8] {
+        let qps = session_throughput(&indexed, &queries, threads, rounds);
+        if threads == 1 {
+            base_qps = qps;
+        }
+        let case = format!("threads_{threads}");
+        out.push(Record::new(&case, "threads", "count", threads as f64));
+        out.push(Record::new(&case, "queries_per_s", "1/s", qps));
+        out.push(Record::new(case, "scaling", "ratio", qps / base_qps));
+    }
+
+    let names = [
+        "dep_delay",
+        "taxi_out",
+        "taxi_in",
+        "air_time",
+        "arrival_delay",
+    ];
+    let disc_n = args.scale.pick(2_000, 8_000);
+    let mut range = flights_dot::generate(&FlightsDotConfig {
+        n: disc_n,
+        seed: 2015,
+    })
+    .project(&names);
+    for name in &names {
+        range = range.with_interface(name, InterfaceType::Rq);
+    }
+    let algos: [(&str, Box<dyn Discoverer>); 2] = [
+        ("sq_db_sky", Box::new(SqDbSky::new())),
+        ("rq_db_sky", Box::new(RqDbSky::new())),
+    ];
+    for (name, algo) in &algos {
+        let mut wall_ms = [0.0; 2];
+        let mut cost = [0; 2];
+        for (slot, strategy) in [ExecStrategy::Scan, ExecStrategy::Indexed]
+            .into_iter()
+            .enumerate()
+        {
+            let db = range.clone().into_db_sum(10).with_strategy(strategy);
+            algo.discover(&db).expect("discovery warm-up");
+            db.reset_stats();
+            let start = Instant::now();
+            let result = algo.discover(&db).expect("discovery run");
+            wall_ms[slot] = start.elapsed().as_secs_f64() * 1e3;
+            cost[slot] = result.query_cost;
+        }
+        assert_eq!(
+            cost[0], cost[1],
+            "{name}: query cost must not depend on the execution strategy"
+        );
+        out.push(Record::new(*name, "queries", "count", cost[0] as f64));
+        out.extend(compared(
+            name,
+            "ms",
+            ("scan_ms", wall_ms[0]),
+            ("indexed_ms", wall_ms[1]),
+        ));
+    }
+
+    let seg_path = std::env::temp_dir().join(format!(
+        "skyweb-report-interface-{}.seg",
+        std::process::id()
+    ));
+    let seg_bytes = indexed
+        .write_segment(&seg_path)
+        .expect("segment write failed");
+    let t = Instant::now();
+    let seg_db = HiddenDb::open_segment(&seg_path, Box::new(SumRanker)).expect("segment open");
+    let cold_open_ms = t.elapsed().as_secs_f64() * 1e3;
+    let first_query_ms = time_ns(0, 1, || {
+        seg_db.query(&Query::select_all()).expect("first").len()
+    }) / 1e6;
+    out.push(Record::new(
+        "segment",
+        "segment_bytes",
+        "bytes",
+        seg_bytes as f64,
+    ));
+    out.push(Record::new("segment", "cold_open_ms", "ms", cold_open_ms));
+    out.push(Record::new(
+        "segment",
+        "cold_first_query_ms",
+        "ms",
+        first_query_ms,
+    ));
+    for (name, query) in &cases {
+        let segment_ns = time_ns(10, iters, || seg_db.query(query).expect("segment").len());
+        let ram_ns = time_ns(10, iters, || indexed.query(query).expect("indexed").len());
+        out.push(Record::new(*name, "warm_segment_ns", "ns", segment_ns));
+        out.push(Record::new(*name, "warm_ram_ns", "ns", ram_ns));
+    }
+    drop(seg_db);
+    std::fs::remove_file(&seg_path).ok();
+    Ok(out)
+}

@@ -1,0 +1,411 @@
+//! `knowledge`: the shared incremental dominance-index subsystem in both of
+//! its deployments, the driver and executor layers above it, and fig22, the
+//! critical path of `experiments --full`. Every row but the last compares a
+//! baseline against the current code and checks that both give the same
+//! answers.
+//!
+//! Client layer, `n_client` diamonds ingested in chunks of 50 like top-50
+//! responses. The baseline is `NaiveCollector`, the pre-refactor
+//! deep-cloning BNL `Collector` kept verbatim.
+//! - `kb_ingest_per_tuple`: [`KnowledgeBase`] ingest also builds posting
+//!   lists and keeps its entries key-sorted in a two-level blocked layout
+//!   (batched, batch-presorted ingest, so the structural work per insert is
+//!   bounded by one block instead of an O(s) flat-`Vec` memmove). That is
+//!   what buys the orders of magnitude on the membership probes and the
+//!   deterministic dominator answers, at ingest parity with the unordered
+//!   BNL append.
+//! - `any_seen_matches_eq_pivot` (the MQ point-phase equality pivots) and
+//!   `any_seen_matches_ge_box` (≥-rooted sky-band boxes): the two probe
+//!   shapes the old collector answered with a full scan of the retrieved
+//!   set. Every probe must answer the same on both sides.
+//!
+//! Server layer, top-50 over `n_server` matching tuples:
+//! - `worst_case_select_top_50`: [`WorstCaseRanker`] against the old
+//!   O(rounds·n²) minimal-set recomputation; both must select the same
+//!   tuples.
+//! - `random_skyline_dom_index_gain`: [`RandomSkylineRanker`] without and
+//!   with the precomputed [`DominanceIndex`]. Its old algorithm costs what
+//!   the worst-case one does, so this row isolates what the index buys.
+//!
+//! Driver and executor layers, on the fig14 workload (DOT-like flights,
+//! all nine primary attributes as SQ, k = 10):
+//! - `sq_fig14_driver`: SQ-DB-SKY through the sans-io driver with
+//!   `max_batch` 1, the old one-round-trip-per-query pattern, against
+//!   default frontier batching through the engine's shared-prefix batch
+//!   executor. Each run gets a fresh database whose index is built before
+//!   its clock starts. Cost, trace and skyline must be identical; byte
+//!   identity is proptested in hidden-db `tests/proptest_plan.rs`.
+//!   RQ-DB-SKY has no batched row: each sq-vs-rq choice and subtree
+//!   abandonment consumes the previous answer, so its plans are
+//!   single-query by construction and its round-trip count is minimal.
+//! - `shared_prefix_plan_exec`: that executor in isolation, on a real deep
+//!   (level-3+) SQ frontier plan, where most of a fig14 run's queries live
+//!   and sibling groups share multi-predicate parent conjunctions: a
+//!   per-query `Session::query` loop against one grouped `run_plan` call,
+//!   whose responses must be identical. It takes the best of five
+//!   interleaved passes, since scheduling noise exceeds the effect size.
+//!   The gain depends on where the selectivity sits: ~2× at quick scale,
+//!   where the inherited prefix is the selective part of most members, ~1×
+//!   at full scale, where many members' own residual predicate is tighter
+//!   and the executor's per-member cost check (O(1) prefix counts)
+//!   delegates them back to their single-query plans.
+//!
+//! End to end, `fig22_ms` is the wall time of fig22 at the suite's scale.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
+
+use skyweb_bench::figures;
+use skyweb_core::{DiscoveryDriver, DiscoveryMachine, DriverConfig, KnowledgeBase, SqDbSky};
+use skyweb_datagen::{diamonds, flights_dot};
+use skyweb_hidden_db::{
+    dominates_on, DominanceIndex, InterfaceType, Predicate, Query, RandomSkylineRanker, Ranker,
+    Schema, SchemaBuilder, Tuple, TupleStore, WorstCaseRanker,
+};
+
+use super::{compared, time_ns, Args, Record};
+
+/// The pre-refactor client collector, kept verbatim as the baseline: deep
+/// clones into a `HashMap`, BNL skyline insertion, full-set fallback scans.
+struct NaiveCollector {
+    attrs: Vec<usize>,
+    seen: HashMap<u64, Tuple>,
+    skyline: Vec<Tuple>,
+}
+
+impl NaiveCollector {
+    fn new(attrs: Vec<usize>) -> Self {
+        NaiveCollector {
+            attrs,
+            seen: HashMap::new(),
+            skyline: Vec::new(),
+        }
+    }
+
+    fn ingest(&mut self, tuples: &[Arc<Tuple>]) {
+        for t in tuples {
+            let t: &Tuple = t;
+            if self.seen.contains_key(&t.id) {
+                continue;
+            }
+            self.seen.insert(t.id, t.clone());
+            let mut dominated = false;
+            let mut i = 0;
+            while i < self.skyline.len() {
+                if dominates_on(&self.skyline[i], t, &self.attrs) {
+                    dominated = true;
+                    break;
+                }
+                if dominates_on(t, &self.skyline[i], &self.attrs) {
+                    self.skyline.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            if !dominated {
+                self.skyline.push(t.clone());
+            }
+        }
+    }
+
+    fn any_seen_matches(&self, query: &Query) -> bool {
+        let downward_closed = query.predicates().iter().all(|p| {
+            matches!(
+                p.op,
+                skyweb_hidden_db::CmpOp::Lt | skyweb_hidden_db::CmpOp::Le
+            ) && self.attrs.contains(&p.attr)
+        });
+        if downward_closed {
+            self.skyline.iter().any(|t| query.matches(t))
+        } else {
+            self.seen.values().any(|t| query.matches(t))
+        }
+    }
+}
+
+/// The pre-refactor dominance-driven selection loop (worst-case flavor),
+/// kept verbatim as the server-side baseline.
+fn old_worst_case_select<'a>(matching: &[&'a Tuple], k: usize, schema: &Schema) -> Vec<&'a Tuple> {
+    let attrs = schema.ranking_attrs();
+    let minimal_indices = |candidates: &[&Tuple]| -> Vec<usize> {
+        let mut minimal = Vec::new();
+        'outer: for (i, &t) in candidates.iter().enumerate() {
+            for (j, &u) in candidates.iter().enumerate() {
+                if i != j && dominates_on(u, t, attrs) {
+                    continue 'outer;
+                }
+            }
+            minimal.push(i);
+        }
+        minimal
+    };
+    let mut remaining: Vec<&'a Tuple> = matching.to_vec();
+    let mut out = Vec::with_capacity(k.min(remaining.len()));
+    while out.len() < k && !remaining.is_empty() {
+        let minimal = minimal_indices(&remaining);
+        let pick = minimal
+            .into_iter()
+            .max_by_key(|&i| {
+                let sum: u64 = attrs
+                    .iter()
+                    .map(|&a| u64::from(remaining[i].values[a]))
+                    .sum();
+                (sum, remaining[i].id)
+            })
+            .expect("non-empty");
+        out.push(remaining.swap_remove(pick));
+    }
+    out
+}
+
+pub fn run(args: &Args) -> Result<Vec<Record>, String> {
+    let scale = args.scale;
+    let (n_client, n_server, probe_iters) =
+        scale.pick((10_000, 1_500, 200), (50_000, 3_000, 1_000));
+    let mut out = vec![
+        Record::new("workload", "n_client", "count", n_client as f64),
+        Record::new("workload", "n_server", "count", n_server as f64),
+        Record::new("workload", "probe_iters", "count", probe_iters as f64),
+    ];
+
+    eprintln!("# client layer: ingest + membership over {n_client} diamonds");
+    let ds = diamonds::generate(&diamonds::DiamondsConfig {
+        n: n_client,
+        seed: 4,
+    });
+    let attrs: Vec<usize> = ds.schema.ranking_attrs().to_vec();
+    let stream: Vec<Arc<Tuple>> = ds.tuples.iter().cloned().map(Arc::new).collect();
+    let naive_ns = time_ns(0, 1, || {
+        let mut c = NaiveCollector::new(attrs.clone());
+        for chunk in stream.chunks(50) {
+            c.ingest(chunk);
+        }
+        c.skyline.len()
+    });
+    let indexed_ns = time_ns(0, 1, || {
+        let mut kb = KnowledgeBase::new(attrs.clone());
+        for chunk in stream.chunks(50) {
+            kb.ingest(chunk);
+        }
+        kb.skyline_len()
+    });
+    let per_tuple = stream.len() as f64;
+    out.extend(compared(
+        "kb_ingest_per_tuple",
+        "ns",
+        ("naive_ns", naive_ns / per_tuple),
+        ("indexed_ns", indexed_ns / per_tuple),
+    ));
+
+    let mut naive = NaiveCollector::new(attrs.clone());
+    naive.ingest(&stream);
+    let mut kb = KnowledgeBase::new(attrs);
+    kb.ingest(&stream);
+    let eq_pivots: Vec<Query> = (0..8)
+        .map(|v| Query::new(vec![Predicate::eq(2, v % 6), Predicate::ge(0, 40)]))
+        .collect();
+    let ge_boxes: Vec<Query> = (0..8)
+        .map(|v| Query::new(vec![Predicate::ge(0, 90 + v), Predicate::ge(1, 200)]))
+        .collect();
+    for (case, probes) in [
+        ("any_seen_matches_eq_pivot", &eq_pivots),
+        ("any_seen_matches_ge_box", &ge_boxes),
+    ] {
+        let per_probe = probes.len() as f64;
+        let naive_ns = time_ns(0, probe_iters, || {
+            probes.iter().filter(|q| naive.any_seen_matches(q)).count()
+        });
+        let indexed_ns = time_ns(0, probe_iters, || {
+            probes.iter().filter(|q| kb.any_seen_matches(q)).count()
+        });
+        out.extend(compared(
+            case,
+            "ns",
+            ("naive_ns", naive_ns / per_probe),
+            ("indexed_ns", indexed_ns / per_probe),
+        ));
+        for q in probes {
+            assert_eq!(naive.any_seen_matches(q), kb.any_seen_matches(q), "{case}");
+        }
+    }
+
+    eprintln!("# server layer: skyline-aware top-50 over {n_server} matching tuples");
+    let mut b = SchemaBuilder::new();
+    for i in 0..4 {
+        b = b.ranking(format!("a{i}"), 64, InterfaceType::Rq);
+    }
+    let schema = b.build();
+    let tuples: Vec<Tuple> = (0..n_server as u64)
+        .map(|i| {
+            let values = (0..4)
+                .map(|j| ((i * 2654435761 + j * 40503 + 11) % 64) as u32)
+                .collect();
+            Tuple::new(i, values)
+        })
+        .collect();
+    let store = TupleStore::new(tuples);
+    let indices: Vec<u32> = (0..store.len() as u32).collect();
+    let matching: Vec<&Tuple> = store.iter().collect();
+    let dom = DominanceIndex::build(&store, schema.ranking_attrs());
+    let k = 50;
+    let new_select =
+        || WorstCaseRanker.select_top_k_indices(&store, &indices, k, &schema, Some(&dom));
+    out.extend(compared(
+        "worst_case_select_top_50",
+        "ns",
+        (
+            "naive_ns",
+            time_ns(0, 3, || old_worst_case_select(&matching, k, &schema).len()),
+        ),
+        ("indexed_ns", time_ns(0, 20, || new_select().len())),
+    ));
+    let old_ids: Vec<u64> = old_worst_case_select(&matching, k, &schema)
+        .iter()
+        .map(|t| t.id)
+        .collect();
+    let new_ids: Vec<u64> = new_select().iter().map(|&i| store[i as usize].id).collect();
+    assert_eq!(old_ids, new_ids, "worst-case selection diverged");
+
+    let rnd = RandomSkylineRanker::new(7);
+    let no_index_ns = time_ns(0, 20, || {
+        rnd.select_top_k_indices(&store, &indices, k, &schema, None)
+            .len()
+    });
+    let rnd = RandomSkylineRanker::new(7);
+    let indexed_ns = time_ns(0, 20, || {
+        rnd.select_top_k_indices(&store, &indices, k, &schema, Some(&dom))
+            .len()
+    });
+    out.extend(compared(
+        "random_skyline_dom_index_gain",
+        "ns",
+        ("no_index_ns", no_index_ns),
+        ("indexed_ns", indexed_ns),
+    ));
+
+    let n_sq = scale.pick(5_000, 20_000);
+    eprintln!("# driver layer: SQ-DB-SKY over {n_sq} DOT-like flights, sequential vs batched");
+    out.push(Record::new("workload", "n_sq", "count", n_sq as f64));
+    let names: Vec<&str> = flights_dot::PRIMARY_RANKING.to_vec();
+    let mut sq_ds = flights_dot::generate(&flights_dot::FlightsDotConfig {
+        n: n_sq,
+        seed: 2015,
+    })
+    .project(&names);
+    for name in &names {
+        sq_ds = sq_ds.with_interface(name, InterfaceType::Sq);
+    }
+    let discover = |config: DriverConfig| {
+        let db = sq_ds.clone().into_db_sum(10);
+        let machine = SqDbSky::new().build_machine(&db).expect("SQ schema");
+        // Builds the lazy query index without counting a query, so the
+        // clock times discovery only.
+        db.selectivity(0, 0, 0);
+        let start = Instant::now();
+        let result = DiscoveryDriver::new(&db, machine, config)
+            .run()
+            .expect("SQ discovery");
+        let ns_per_query = start.elapsed().as_nanos() as f64 / result.query_cost as f64;
+        (ns_per_query, result)
+    };
+    let (seq_ns, seq) = discover(DriverConfig::new().with_max_batch(1));
+    let (bat_ns, bat) = discover(DriverConfig::new());
+    assert_eq!(seq.query_cost, bat.query_cost);
+    assert_eq!(seq.trace, bat.trace);
+    assert_eq!(
+        seq.skyline.iter().map(|t| t.id).collect::<Vec<_>>(),
+        bat.skyline.iter().map(|t| t.id).collect::<Vec<_>>()
+    );
+    out.push(Record::new(
+        "sq_fig14_driver",
+        "queries",
+        "count",
+        seq.query_cost as f64,
+    ));
+    out.extend(compared(
+        "sq_fig14_driver",
+        "ns",
+        ("sequential_ns_per_query", seq_ns),
+        ("batched_ns_per_query", bat_ns),
+    ));
+
+    let frontier_db = sq_ds.into_db_sum(10);
+    let mut frontier_machine = SqDbSky::new()
+        .build_machine(&frontier_db)
+        .expect("SQ schema");
+    let mut probe = frontier_db.session();
+    // Drive to a deep frontier plan: most of a fig14 run's cost sits at
+    // tree level 3+, where sibling groups share multi-predicate parent
+    // conjunctions (the shape shared evaluation pays off for; a 1-predicate
+    // prefix is no tighter than what each member's own posting plan walks).
+    loop {
+        let plan = frontier_machine.next_plan(256);
+        let deep = plan.len() >= 64
+            && plan
+                .groups()
+                .is_some_and(|gs| gs.iter().all(|g| g.prefix_len >= 2));
+        if deep || plan.is_empty() {
+            break;
+        }
+        let (responses, err) = probe.run_plan_grouped(plan.queries(), plan.groups());
+        assert!(err.is_none(), "probe run rejected");
+        frontier_machine.resume(&responses);
+    }
+    let plan = frontier_machine.next_plan(256);
+    assert!(!plan.is_empty(), "SQ frontier exhausted before the probe");
+    eprintln!(
+        "# executor layer: one SQ frontier plan of {} queries in {} sibling groups",
+        plan.len(),
+        plan.groups().map_or(0, <[_]>::len)
+    );
+    let mut session = frontier_db.session();
+    let per_query: Vec<Vec<u64>> = plan
+        .queries()
+        .iter()
+        .map(|q| {
+            session
+                .query(q)
+                .expect("probe query")
+                .iter()
+                .map(|t| t.id)
+                .collect()
+        })
+        .collect();
+    let (grouped, err) = session.run_plan_grouped(plan.queries(), plan.groups());
+    assert!(err.is_none());
+    let grouped: Vec<Vec<u64>> = grouped
+        .iter()
+        .map(|r| r.iter().map(|t| t.id).collect())
+        .collect();
+    assert_eq!(per_query, grouped, "executor diverged from per-query");
+    let per_plan = plan.len() as f64;
+    let (mut per_query_ns, mut grouped_ns) = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        let ns = time_ns(0, probe_iters / 8, || {
+            plan.queries()
+                .iter()
+                .map(|q| session.query(q).expect("bench query").len())
+                .sum::<usize>()
+        });
+        per_query_ns = per_query_ns.min(ns / per_plan);
+        let ns = time_ns(0, probe_iters / 8, || {
+            session
+                .run_plan_grouped(plan.queries(), plan.groups())
+                .0
+                .len()
+        });
+        grouped_ns = grouped_ns.min(ns / per_plan);
+    }
+    out.extend(compared(
+        "shared_prefix_plan_exec",
+        "ns",
+        ("per_query_ns", per_query_ns),
+        ("grouped_ns", grouped_ns),
+    ));
+
+    eprintln!("# end-to-end: fig22, the critical path of experiments --full");
+    let fig22_ms = time_ns(0, 1, || figures::fig22(scale)) / 1e6;
+    out.push(Record::new("end_to_end", "fig22_ms", "ms", fig22_ms));
+    Ok(out)
+}

@@ -1046,7 +1046,7 @@ impl SegmentOpenOptions {
 
 /// Point-in-time snapshot of a [`SegmentReader`]'s cache and codec counters
 /// — the reusable stats surface behind [`crate::HiddenDb::storage_stats`]
-/// and the `storage_report` benchmark.
+/// and the bench crate's `report storage` suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageStats {
     /// Chunk lookups served from the decoded-chunk cache.

@@ -1,8 +1,8 @@
-//! `knowledge`: the shared incremental dominance-index subsystem in both of
-//! its deployments, the driver and executor layers above it, and fig22, the
-//! critical path of `experiments --full`. Every row but the last compares a
-//! baseline against the current code and checks that both give the same
-//! answers.
+//! `knowledge`: the client's `KnowledgeBase`, the server's skyline-aware
+//! top-k selection, the driver and executor layers above them, and fig22,
+//! the critical path of `experiments --full`. Every row but the last
+//! compares a baseline against the current code and checks that both give
+//! the same answers.
 //!
 //! Client layer, `n_client` diamonds ingested in chunks of 50 like top-50
 //! responses. The baseline is `NaiveCollector`, the pre-refactor
@@ -14,18 +14,19 @@
 //!   what buys the orders of magnitude on the membership probes and the
 //!   deterministic dominator answers, at ingest parity with the unordered
 //!   BNL append.
-//! - `any_seen_matches_eq_pivot` (the MQ point-phase equality pivots) and
-//!   `any_seen_matches_ge_box` (≥-rooted sky-band boxes): the two probe
-//!   shapes the old collector answered with a full scan of the retrieved
-//!   set. Every probe must answer the same on both sides.
+//! - `any_seen_matches_eq_pivot` (equality pivots) and
+//!   `any_seen_matches_ge_box` (≥-rooted boxes): two probe shapes that are
+//!   not downward closed, which the old collector answered with a full scan
+//!   of the retrieved set. Every probe must answer the same on both sides.
+//!   Only the RQ tree walk probes, and of its probes only the sky band's
+//!   ≥-rooted boxes are not downward closed; no machine issues the
+//!   equality-pivot shape (MQ's point phase walks SQ trees, which never
+//!   probe).
 //!
 //! Server layer, top-50 over `n_server` matching tuples:
-//! - `worst_case_select_top_50`: [`WorstCaseRanker`] against the old
-//!   O(rounds·n²) minimal-set recomputation; both must select the same
-//!   tuples.
-//! - `random_skyline_dom_index_gain`: [`RandomSkylineRanker`] without and
-//!   with the precomputed [`DominanceIndex`]. Its old algorithm costs what
-//!   the worst-case one does, so this row isolates what the index buys.
+//! - `worst_case_select_top_50`: [`WorstCaseRanker::select_top_k`] (the
+//!   incremental peel) against the old O(rounds·n²) minimal-set
+//!   recomputation; both must select the same tuples.
 //!
 //! Driver and executor layers, on the fig14 workload (DOT-like flights,
 //! all nine primary attributes as SQ, k = 10):
@@ -60,8 +61,8 @@ use skyweb_bench::figures;
 use skyweb_core::{DiscoveryDriver, DiscoveryMachine, DriverConfig, KnowledgeBase, SqDbSky};
 use skyweb_datagen::{diamonds, flights_dot};
 use skyweb_hidden_db::{
-    dominates_on, DominanceIndex, InterfaceType, Predicate, Query, RandomSkylineRanker, Ranker,
-    Schema, SchemaBuilder, Tuple, TupleStore, WorstCaseRanker,
+    dominates_on, InterfaceType, Predicate, Query, Ranker, Schema, SchemaBuilder, Tuple,
+    WorstCaseRanker,
 };
 
 use super::{compared, time_ns, Args, Record};
@@ -244,13 +245,8 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
             Tuple::new(i, values)
         })
         .collect();
-    let store = TupleStore::new(tuples);
-    let indices: Vec<u32> = (0..store.len() as u32).collect();
-    let matching: Vec<&Tuple> = store.iter().collect();
-    let dom = DominanceIndex::build(&store, schema.ranking_attrs());
+    let matching: Vec<&Tuple> = tuples.iter().collect();
     let k = 50;
-    let new_select =
-        || WorstCaseRanker.select_top_k_indices(&store, &indices, k, &schema, Some(&dom));
     out.extend(compared(
         "worst_case_select_top_50",
         "ns",
@@ -258,31 +254,19 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
             "naive_ns",
             time_ns(0, 3, || old_worst_case_select(&matching, k, &schema).len()),
         ),
-        ("indexed_ns", time_ns(0, 20, || new_select().len())),
+        (
+            "peel_ns",
+            time_ns(0, 20, || {
+                WorstCaseRanker.select_top_k(&matching, k, &schema).len()
+            }),
+        ),
     ));
-    let old_ids: Vec<u64> = old_worst_case_select(&matching, k, &schema)
-        .iter()
-        .map(|t| t.id)
-        .collect();
-    let new_ids: Vec<u64> = new_select().iter().map(|&i| store[i as usize].id).collect();
-    assert_eq!(old_ids, new_ids, "worst-case selection diverged");
-
-    let rnd = RandomSkylineRanker::new(7);
-    let no_index_ns = time_ns(0, 20, || {
-        rnd.select_top_k_indices(&store, &indices, k, &schema, None)
-            .len()
-    });
-    let rnd = RandomSkylineRanker::new(7);
-    let indexed_ns = time_ns(0, 20, || {
-        rnd.select_top_k_indices(&store, &indices, k, &schema, Some(&dom))
-            .len()
-    });
-    out.extend(compared(
-        "random_skyline_dom_index_gain",
-        "ns",
-        ("no_index_ns", no_index_ns),
-        ("indexed_ns", indexed_ns),
-    ));
+    let ids = |sel: Vec<&Tuple>| sel.iter().map(|t| t.id).collect::<Vec<u64>>();
+    assert_eq!(
+        ids(old_worst_case_select(&matching, k, &schema)),
+        ids(WorstCaseRanker.select_top_k(&matching, k, &schema)),
+        "worst-case selection diverged"
+    );
 
     let n_sq = scale.pick(5_000, 20_000);
     eprintln!("# driver layer: SQ-DB-SKY over {n_sq} DOT-like flights, sequential vs batched");

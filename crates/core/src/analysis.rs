@@ -17,6 +17,12 @@
 
 /// Worst-case query cost bound of SQ-DB-SKY: `m · |S|^{m+1}` (Section 3.2).
 ///
+/// Like Equation 5, the bound leaves out the root (`SELECT *`) query, so a
+/// run may cost one query more than this value: any one-tuple skyline costs
+/// `m + 1` queries, which at `m = 2` is 3 against a bound of 2. The value is
+/// the paper's bound as stated; callers comparing a measured cost add the
+/// root query themselves.
+///
 /// Returned as `f64` because the bound overflows 64-bit integers already for
 /// moderate `m` and `|S|`.
 pub fn sq_worst_case_bound(m: usize, s: usize) -> f64 {

@@ -6,9 +6,8 @@
 //! retrieved-set skyline with BNL insertion over deep-cloned tuples,
 //! re-cloned and re-sorted the whole retrieved set on every `retrieved()`
 //! call, and answered non-downward-closed `any_seen_matches` probes with a
-//! full scan of everything retrieved. It is built on the shared incremental
-//! dominance-index subsystem ([`skyweb_skyline::incremental`]) — the same
-//! structure the database's skyline-aware rankers use server-side — plus
+//! full scan of everything retrieved. It is built on an
+//! [`IncrementalSkyline`] ([`skyweb_skyline::incremental`]) plus
 //! per-attribute posting lists over the retrieved set:
 //!
 //! * **storage** — every retrieved tuple is held as the `Arc<Tuple>` handle
@@ -21,9 +20,11 @@
 //!   [`KnowledgeBase::dominated_by_skyline`] with a deterministic
 //!   smallest-key dominator instead of a BNL-order-dependent one;
 //! * **membership** — [`KnowledgeBase::any_seen_matches`] is exact for
-//!   *every* query shape: downward-closed queries scan only the skyline (as
-//!   before), and everything else — equality pivots of the MQ point phase,
-//!   the `≥`-rooted boxes of sky-band subspace traversals — walks the
+//!   *every* query shape. Only the RQ tree walk calls it: RQ-DB-SKY,
+//!   MQ-DB-SKY's range phase and sky-band discovery (MQ's point phase walks
+//!   SQ trees, which never probe). Downward-closed queries scan only the
+//!   skyline (as before). The only probes that are not downward closed are
+//!   the `≥`-rooted boxes of sky-band subspace traversals; they walk the
 //!   posting lists of the most selective constrained attribute instead of
 //!   the whole retrieved set.
 
@@ -46,7 +47,7 @@ type Bounds = Vec<(i64, i64)>;
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     attrs: Vec<AttrId>,
-    /// The shared incremental dominance index over the retrieved set.
+    /// The incremental skyline (or sky band) of the retrieved set.
     index: IncrementalSkyline,
     /// Ids of every retrieved tuple (response tuples repeat across
     /// queries; each id is indexed once).

@@ -9,6 +9,7 @@ use std::path::Path;
 
 use crate::conc::SeqReserver;
 use crate::index::{QueryIndex, Scratch};
+use crate::ranking::select_shared;
 use crate::segment::{
     BlockSource, FileSource, SegmentError, SegmentOpenOptions, SegmentReader, SegmentWriter,
     StorageStats,
@@ -667,22 +668,15 @@ impl HiddenDb {
                     }
                 }
                 let matched = indices.len();
-                // The reference path offers no precomputed dominance index
-                // (`dom = None`); rankers are required to select identically
-                // with and without it, which the differential suite checks.
-                let selected = self.ranker.select_top_k_indices(
+                // Even the reference path shares the store: no code path
+                // deep-clones tuples into a response anymore.
+                let tuples = select_shared(
+                    self.ranker.as_ref(),
                     &self.store,
                     &indices,
                     self.k,
                     &self.schema,
-                    None,
                 );
-                // Even the reference path shares the store: no code path
-                // deep-clones tuples into a response anymore.
-                let tuples = selected
-                    .iter()
-                    .map(|&i| self.store.share(i as usize))
-                    .collect();
                 Ok((tuples, matched > self.k, Some(matched)))
             }
             ExecStrategy::Indexed => {

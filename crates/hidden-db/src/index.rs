@@ -46,10 +46,10 @@
 //! [`ExecStrategy::Scan`] for differential testing): same tuples, same
 //! order, same overflow flag, same statistics.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::dominance::DominanceIndex;
 use crate::predicate::PrefixGroup;
+use crate::ranking::select_shared;
 use crate::segment::{SegmentError, SegmentReader};
 use crate::store::TupleStore;
 use crate::{
@@ -445,11 +445,6 @@ enum Storage {
 pub(crate) struct QueryIndex {
     n: usize,
     storage: Storage,
-    /// Dominance facts for rankers without a total order, computed on first
-    /// need: after full hydration on a segment (fallback selection walks
-    /// tuples anyway), so neither the RAM build nor the segment cold open
-    /// pays for them up front.
-    dom: OnceLock<Option<DominanceIndex>>,
 }
 
 /// Evaluates `$body` with `$e` bound to the [`Engine`] over `$index`'s
@@ -459,18 +454,13 @@ macro_rules! with_engine {
     ($index:expr, $e:ident => $body:expr) => {
         match &$index.storage {
             Storage::Ram(s) => {
-                let $e = Engine {
-                    s,
-                    n: $index.n,
-                    dom: &$index.dom,
-                };
+                let $e = Engine { s, n: $index.n };
                 $body
             }
             Storage::Segment(s) => {
                 let $e = Engine {
                     s: &**s,
                     n: $index.n,
-                    dom: &$index.dom,
                 };
                 $body
             }
@@ -484,7 +474,6 @@ impl QueryIndex {
         QueryIndex {
             n: store.len(),
             storage: Storage::Ram(RamIndex::build(store, schema, ranker)),
-            dom: OnceLock::new(),
         }
     }
 
@@ -495,7 +484,6 @@ impl QueryIndex {
         QueryIndex {
             n: reader.n(),
             storage: Storage::Segment(reader),
-            dom: OnceLock::new(),
         }
     }
 
@@ -584,31 +572,23 @@ impl QueryIndex {
 /// conjunction exactly once, against which every member query only has to
 /// apply its private residual predicates and top-k selection.
 pub(crate) enum SharedGroup {
-    /// Sharing would not pay off (singleton group, unconstrained prefix, or
-    /// a prefix so broad that the per-query early-terminating plans win):
-    /// run every member through the regular single-query engine.
+    /// Sharing would not pay off (singleton group, unconstrained prefix, a
+    /// prefix so broad that the per-query early-terminating plans win, or a
+    /// ranker without a rank order, which selects from each member's own
+    /// matching set): run every member through the regular single-query
+    /// engine.
     PerQuery,
     /// The shared conjunction provably matches nothing — every member
     /// query answers empty with an exact zero match count.
     Empty,
     /// Candidate tuples matching the shared conjunction, as ascending rank
-    /// positions (rankers with a precomputed total order): a member's
-    /// top-k answer is the first k candidates passing its residual bounds.
+    /// positions: a member's top-k answer is the first k candidates passing
+    /// its residual bounds.
     Ranked {
         /// Matching rank positions, ascending (best-ranked first).
         hits: Vec<u32>,
         /// The shared conjunction folded into a per-attribute box; member
         /// queries only re-check attributes their own box tightens.
-        bounds: Vec<(i64, i64)>,
-    },
-    /// Candidate store indices matching the shared conjunction, ascending
-    /// (rankers without a precomputed order — selection is delegated to
-    /// [`Ranker::select_top_k_indices`] exactly like the sequential path,
-    /// so even per-query RNG consumption is preserved).
-    StoreOrder {
-        /// Matching store indices, ascending.
-        hits: Vec<u32>,
-        /// The shared conjunction folded into a per-attribute box.
         bounds: Vec<(i64, i64)>,
     },
 }
@@ -618,28 +598,9 @@ pub(crate) enum SharedGroup {
 struct Engine<'a, S> {
     s: &'a S,
     n: usize,
-    dom: &'a OnceLock<Option<DominanceIndex>>,
 }
 
 impl<S: IndexStorage> Engine<'_, S> {
-    /// The dominance index for fallback rankers, computed on first need
-    /// after fully hydrating the store (a no-op in RAM).
-    fn dom(
-        &self,
-        store: &TupleStore,
-        schema: &Schema,
-        ranker: &dyn Ranker,
-    ) -> Result<Option<&DominanceIndex>, SegmentError> {
-        if let Some(d) = self.dom.get() {
-            return Ok(d.as_ref());
-        }
-        store.try_hydrate_all()?;
-        Ok(self
-            .dom
-            .get_or_init(|| ranker.precompute_dominance(store, schema))
-            .as_ref())
-    }
-
     /// The zone-map block walk shared by the early-terminating rank scan
     /// and the batch executor's shared-conjunction materializer: visits the
     /// rank order block by block, skips blocks whose zone maps prove no
@@ -899,8 +860,7 @@ impl<S: IndexStorage> Engine<'_, S> {
     /// Fallback for rankers without a precomputed order: materialize the
     /// matching positions (pruned through the best posting list, in store
     /// order — byte-identical to what the naive scan would hand the ranker)
-    /// and let [`Ranker::select_top_k_indices`] decide, offering the
-    /// precomputed dominance index.
+    /// and let [`Ranker::select_top_k`] decide.
     #[allow(clippy::too_many_arguments)]
     fn ranker_fallback(
         &self,
@@ -929,30 +889,13 @@ impl<S: IndexStorage> Engine<'_, S> {
             }
             None => hits.extend(0..self.n as u32),
         }
-        self.select_delegated(query, k, store, schema, ranker, hits)
-    }
-
-    /// Hands the exact matching set `hits` (ascending store order) to the
-    /// ranker, offering the dominance index — the last step of every plan
-    /// for rankers without a precomputed order.
-    fn select_delegated(
-        &self,
-        query: &Query,
-        k: usize,
-        store: &TupleStore,
-        schema: &Schema,
-        ranker: &dyn Ranker,
-        hits: &[u32],
-    ) -> Result<ExecOutcome, SegmentError> {
-        // Resolve dominance facts first: on a segment this fully hydrates
-        // the store, so every tuple access below is infallible.
-        let dom = self.dom(store, schema, ranker)?;
+        // The ranker reads tuples by reference: on a segment, hydrate the
+        // whole store first, so every tuple access below is infallible.
+        store.try_hydrate_all()?;
         debug_assert!(hits.iter().all(|&i| query.matches(&store[i as usize])));
         let matched = hits.len();
-        let selected = ranker.select_top_k_indices(store, hits, k, schema, dom);
-        let returned = selected.iter().map(|&i| store.share(i as usize)).collect();
         Ok(ExecOutcome {
-            returned,
+            returned: select_shared(ranker, store, hits, k, schema),
             overflowed: matched > k,
             matched: Some(matched),
         })
@@ -976,11 +919,12 @@ impl<S: IndexStorage> Engine<'_, S> {
         if count == 0 {
             return Ok(SharedGroup::Empty);
         }
-        if group_len < 2 {
-            // A singleton amortizes nothing over the per-query plans.
+        if group_len < 2 || !self.s.has_perm() {
+            // A singleton amortizes nothing over the per-query plans, and a
+            // ranker without a rank order selects from each member's own
+            // matching set anyway.
             return Ok(SharedGroup::PerQuery);
         }
-        let ranked = self.s.has_perm();
         if count * BLOCK_SCAN_CROSSOVER_DEN < self.n {
             // Posting-list intersection: one attribute is selective enough
             // that walking its posting range (what every member's own
@@ -990,20 +934,12 @@ impl<S: IndexStorage> Engine<'_, S> {
             let mut hits = Vec::with_capacity(count);
             self.s.for_posting(attr, lo, hi, |idx| {
                 if self.s.within_bounds_at(idx as usize, &cons)? {
-                    hits.push(if ranked {
-                        self.s.rank_of_at(idx as usize)?
-                    } else {
-                        idx
-                    });
+                    hits.push(self.s.rank_of_at(idx as usize)?);
                 }
                 Ok(())
             })?;
             hits.sort_unstable();
-            return Ok(if ranked {
-                SharedGroup::Ranked { hits, bounds }
-            } else {
-                SharedGroup::StoreOrder { hits, bounds }
-            });
+            return Ok(SharedGroup::Ranked { hits, bounds });
         }
         // Every individual attribute is broad. Tree frontiers still produce
         // *jointly* selective conjunctions (each sibling inherits its whole
@@ -1020,30 +956,19 @@ impl<S: IndexStorage> Engine<'_, S> {
         if est * BLOCK_SCAN_CROSSOVER_DEN as f64 >= self.n as f64 {
             return Ok(SharedGroup::PerQuery);
         }
+        // Zone-map scan over the rank-ordered columns (the same block walk
+        // the rank scan uses, without early termination): the collected
+        // rank positions arrive already sorted.
         let mut hits = Vec::new();
-        if ranked {
-            // Zone-map scan over the rank-ordered columns (the same block
-            // walk the rank scan uses, without early termination): the
-            // collected rank positions arrive already sorted.
-            self.for_each_matching_block(&cons, |base, mut mask| {
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    hits.push((base + lane) as u32);
-                }
-                Ok(true)
-            })?;
-            Ok(SharedGroup::Ranked { hits, bounds })
-        } else {
-            // No rank order (randomized / adversarial rankers): one full
-            // box-membership pass, amortized over the group.
-            for idx in 0..self.n as u32 {
-                if self.s.within_bounds_at(idx as usize, &cons)? {
-                    hits.push(idx);
-                }
+        self.for_each_matching_block(&cons, |base, mut mask| {
+            while mask != 0 {
+                let lane = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                hits.push((base + lane) as u32);
             }
-            Ok(SharedGroup::StoreOrder { hits, bounds })
-        }
+            Ok(true)
+        })?;
+        Ok(SharedGroup::Ranked { hits, bounds })
     }
 
     /// Answers one member query of a prepared group: folds the member's full
@@ -1067,10 +992,9 @@ impl<S: IndexStorage> Engine<'_, S> {
             overflowed: false,
             matched: Some(0),
         };
-        let (hits, shared_bounds, ranked) = match shared {
+        let (hits, shared_bounds) = match shared {
             SharedGroup::Empty => return Ok(empty()),
-            SharedGroup::Ranked { hits, bounds } => (hits, bounds, true),
-            SharedGroup::StoreOrder { hits, bounds } => (hits, bounds, false),
+            SharedGroup::Ranked { hits, bounds } => (hits, bounds),
             SharedGroup::PerQuery => unreachable!("PerQuery groups bypass shared execution"),
         };
         if !fold_bounds(query.predicates(), schema, &mut scratch.bounds) {
@@ -1100,21 +1024,6 @@ impl<S: IndexStorage> Engine<'_, S> {
             if full != sh {
                 scratch.cons.push((attr, full.0 as Value, full.1 as Value));
             }
-        }
-        if !ranked {
-            // No precomputed order: hand the exact matching set (ascending
-            // store order, as the sequential fallback materializes it) to
-            // the ranker.
-            let Scratch {
-                cons, hits: out, ..
-            } = scratch;
-            out.clear();
-            for &idx in hits {
-                if self.s.within_bounds_at(idx as usize, cons)? {
-                    out.push(idx);
-                }
-            }
-            return self.select_delegated(query, k, store, schema, ranker, out);
         }
         // Candidates arrive best-ranked first: the answer is the first k
         // residual matches, early-terminating after one overflow probe
@@ -1571,12 +1480,12 @@ mod tests {
         ];
         for (rname, ranker) in rankers {
             let index = QueryIndex::build(&store, &s, ranker.as_ref());
+            let ranked = ranker.precompute(&store, &s).is_some();
             let mut scratch = Scratch::default();
             let cases: Vec<(Vec<Predicate>, &str)> = vec![
                 // One attribute selective: posting-list materialization.
                 (vec![Predicate::lt(0, 1)], "shared"),
-                // All attributes broad, conjunction selective: zone scan
-                // (or the full box pass without a rank order).
+                // All attributes broad, conjunction selective: zone scan.
                 (vec![Predicate::lt(1, 4), Predicate::lt(2, 4)], "shared"),
                 // Jointly broad: the per-query plans stay.
                 (
@@ -1588,8 +1497,15 @@ mod tests {
             ];
             for (prefix, expect) in cases {
                 let shared = index.prepare_shared(&prefix, 4, &s).unwrap();
+                // Without a rank order each member selects from its own
+                // matching set, so only a provably empty prefix is shared.
+                let expect = if ranked || expect == "empty" {
+                    expect
+                } else {
+                    "per-query"
+                };
                 match (expect, &shared) {
-                    ("shared", SharedGroup::Ranked { .. } | SharedGroup::StoreOrder { .. })
+                    ("shared", SharedGroup::Ranked { .. })
                     | ("per-query", SharedGroup::PerQuery)
                     | ("empty", SharedGroup::Empty) => {}
                     _ => panic!("{rname}: prefix {prefix:?} took an unexpected path"),

@@ -86,7 +86,6 @@
 
 pub mod conc;
 mod db;
-mod dominance;
 #[deny(missing_docs)]
 pub mod envelope;
 mod fault;
@@ -103,7 +102,6 @@ pub mod sync;
 mod tuple;
 
 pub use db::{HiddenDb, QueryError, QueryResponse, RateLimit};
-pub use dominance::{DominanceIndex, IncrementalSkyline};
 pub use fault::{FaultPlan, FaultStats, FaultyOracle};
 pub use index::ExecStrategy;
 pub use predicate::{groups_cover, prefix_groups, CmpOp, Predicate, PrefixGroup, Query};

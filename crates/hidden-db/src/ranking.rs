@@ -7,12 +7,12 @@
 //! this module satisfies that requirement; [`is_domination_consistent`] can
 //! be used to check arbitrary answers in tests.
 
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dominance::DominanceIndex;
 use crate::store::TupleStore;
 use crate::tuple::dominates_on;
 use crate::{AttrId, Schema, Tuple};
@@ -51,70 +51,46 @@ pub trait Ranker: Send + Sync {
         let _ = (store, schema);
         None
     }
+}
 
-    /// Builds, once at database-construction time, an optional
-    /// [`DominanceIndex`] over the store for rankers whose selection is
-    /// *dominance-driven* rather than score-driven (and which therefore
-    /// return `None` from [`Ranker::precompute`]). The engine hands the
-    /// index back on every [`Ranker::select_top_k_indices`] call so the
-    /// ranker never re-derives global dominance facts per query.
-    ///
-    /// The default (for total-order rankers, which never consult it) is
-    /// `None`.
-    fn precompute_dominance(&self, store: &TupleStore, schema: &Schema) -> Option<DominanceIndex> {
-        let _ = (store, schema);
-        None
-    }
-
-    /// Selects the top `k` of the tuples at store positions `indices`
-    /// (which the caller supplies in ascending store order), returning the
-    /// selected store positions best-first.
-    ///
-    /// This is the entry point both execution strategies use: it lets
-    /// responses alias the store by index instead of resolving ranker-chosen
-    /// references back to positions, and it is where a precomputed
-    /// [`DominanceIndex`] (when the engine has one — `dom` is `None` on the
-    /// scan reference path) is offered to dominance-driven rankers.
-    /// Implementations must return the same selection whether or not `dom`
-    /// is provided; the index is an accelerator, never an input.
-    ///
-    /// The default delegates to [`Ranker::select_top_k`] and maps the chosen
-    /// references back to their positions, preserving exact behavior for
-    /// rankers that don't override it.
-    fn select_top_k_indices(
-        &self,
-        store: &TupleStore,
-        indices: &[u32],
-        k: usize,
-        schema: &Schema,
-        dom: Option<&DominanceIndex>,
-    ) -> Vec<u32> {
-        let _ = dom;
-        let matching: Vec<&Tuple> = indices.iter().map(|&i| &store[i as usize]).collect();
-        let selected = self.select_top_k(&matching, k, schema);
-        // Rankers return arbitrary references out of `matching`; recover
-        // each one's store position by pointer identity — hash only the k
-        // selected pointers (k is small), then resolve them with one pass
-        // over the matching set.
-        let pos_of: std::collections::HashMap<*const Tuple, usize> = selected
-            .iter()
-            .enumerate()
-            .map(|(pos, &t)| (t as *const Tuple, pos))
-            .collect();
-        let mut out = vec![u32::MAX; selected.len()];
-        let mut remaining = selected.len();
-        for (&t, &idx) in matching.iter().zip(indices) {
-            if remaining == 0 {
-                break;
-            }
-            if let Some(&pos) = pos_of.get(&(t as *const Tuple)) {
-                out[pos] = idx;
-                remaining -= 1;
-            }
+/// Hands the matching set at store positions `indices` (ascending store
+/// order) to [`Ranker::select_top_k`] and shares the chosen tuples, best
+/// first: the selection step of the engine's fallback plan and of the
+/// [`crate::ExecStrategy::Scan`] reference.
+///
+/// The store must be fully hydrated (always true in RAM), since the ranker
+/// reads the matching tuples by reference.
+pub(crate) fn select_shared(
+    ranker: &dyn Ranker,
+    store: &TupleStore,
+    indices: &[u32],
+    k: usize,
+    schema: &Schema,
+) -> Vec<Arc<Tuple>> {
+    let matching: Vec<&Tuple> = indices.iter().map(|&i| &store[i as usize]).collect();
+    let selected = ranker.select_top_k(&matching, k, schema);
+    // Rankers return arbitrary references out of `matching`; recover
+    // each one's store position by pointer identity — hash only the k
+    // selected pointers (k is small), then resolve them with one pass
+    // over the matching set.
+    let pos_of: HashMap<*const Tuple, usize> = selected
+        .iter()
+        .enumerate()
+        .map(|(pos, &t)| (t as *const Tuple, pos))
+        .collect();
+    let mut out = vec![u32::MAX; selected.len()];
+    let mut remaining = selected.len();
+    for (&t, &idx) in matching.iter().zip(indices) {
+        if remaining == 0 {
+            break;
         }
-        debug_assert!(out.iter().all(|&i| i != u32::MAX));
-        out
+        if let Some(&pos) = pos_of.get(&(t as *const Tuple)) {
+            out[pos] = idx;
+            remaining -= 1;
+        }
     }
+    debug_assert!(out.iter().all(|&i| i != u32::MAX));
+    out.iter().map(|&i| store.share(i as usize)).collect()
 }
 
 /// Rankers defined by a numeric score (lower score = ranked higher).
@@ -345,15 +321,11 @@ enum PeelState {
     Taken,
 }
 
-/// One candidate of a peel: a tuple handle plus its monotone order key
-/// (sum of attribute values or precomputed dominance rank — any total order
-/// in which dominators come strictly first) and whether it is known to be a
-/// global skyline member (then it is minimal in *every* subset and needs no
-/// dominance test).
+/// One candidate of a peel: a tuple handle plus its monotone order key (the
+/// sum of its attribute values, so dominators come strictly first).
 struct PeelCand<'a> {
     t: &'a Tuple,
     key: u64,
-    free: bool,
     state: PeelState,
 }
 
@@ -391,10 +363,9 @@ fn peel_top_k(
     // against them alone is exact.
     let mut minimal: Vec<usize> = Vec::new();
     for i in 0..cands.len() {
-        let dominated = !cands[i].free
-            && minimal
-                .iter()
-                .any(|&m| dominates_on(cands[m].t, cands[i].t, attrs));
+        let dominated = minimal
+            .iter()
+            .any(|&m| dominates_on(cands[m].t, cands[i].t, attrs));
         if dominated {
             cands[i].state = PeelState::Pending;
         } else {
@@ -436,73 +407,19 @@ fn peel_top_k(
     out
 }
 
-/// Builds peel candidates for a plain `select_top_k` call (no precomputed
-/// dominance): keys are attribute-value sums, sorted by `(key, id)`.
-fn peel_cands_from_refs<'a>(matching: &[&'a Tuple], attrs: &[AttrId]) -> Vec<PeelCand<'a>> {
+/// Builds peel candidates: keys are attribute-value sums, sorted by
+/// `(key, id)`.
+fn peel_cands<'a>(matching: &[&'a Tuple], attrs: &[AttrId]) -> Vec<PeelCand<'a>> {
     let mut cands: Vec<PeelCand<'a>> = matching
         .iter()
         .map(|&t| PeelCand {
             t,
             key: attrs.iter().map(|&a| u64::from(t.values[a])).sum(),
-            free: false,
             state: PeelState::Pending,
         })
         .collect();
     cands.sort_unstable_by_key(|c| (c.key, c.t.id));
     cands
-}
-
-/// Runs a dominance-driven top-k selection through the store-index entry
-/// point, consulting the precomputed [`DominanceIndex`] when available:
-/// sorting by precomputed rank reproduces the `(sum, id)` order without
-/// touching tuple values, and global skyline members skip their dominance
-/// tests entirely. Falls back to the sum-key path (identical selection)
-/// without an index.
-fn peel_select_indices(
-    store: &TupleStore,
-    indices: &[u32],
-    k: usize,
-    attrs: &[AttrId],
-    dom: Option<&DominanceIndex>,
-    choose: impl FnMut(usize) -> usize,
-) -> Vec<u32> {
-    let mut order: Vec<u32> = indices.to_vec();
-    let mut cands: Vec<PeelCand<'_>> = match dom {
-        Some(dom) => {
-            // The precomputed rank *is* the (sum, id) order restricted to
-            // any subset, so the selection is identical to the sum-key path.
-            order.sort_unstable_by_key(|&i| dom.rank_of(i as usize));
-            order
-                .iter()
-                .map(|&i| PeelCand {
-                    t: &store[i as usize],
-                    key: u64::from(dom.rank_of(i as usize)),
-                    free: dom.on_skyline(i as usize),
-                    state: PeelState::Pending,
-                })
-                .collect()
-        }
-        None => {
-            let key_of = |i: u32| -> u64 {
-                let t = &store[i as usize];
-                attrs.iter().map(|&a| u64::from(t.values[a])).sum()
-            };
-            order.sort_unstable_by_key(|&i| (key_of(i), store[i as usize].id));
-            order
-                .iter()
-                .map(|&i| PeelCand {
-                    t: &store[i as usize],
-                    key: key_of(i),
-                    free: false,
-                    state: PeelState::Pending,
-                })
-                .collect()
-        }
-    };
-    peel_top_k(&mut cands, k, attrs, choose)
-        .into_iter()
-        .map(|pos| order[pos])
-        .collect()
 }
 
 /// The "average-case" ranking model of Section 3.2 of the paper: for every
@@ -539,34 +456,13 @@ impl Ranker for RandomSkylineRanker {
         schema: &Schema,
     ) -> Vec<&'a Tuple> {
         let attrs = schema.ranking_attrs();
-        let mut cands = peel_cands_from_refs(matching, attrs);
+        let mut cands = peel_cands(matching, attrs);
         let mut rng = self
             .rng
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let picks = peel_top_k(&mut cands, k, attrs, |len| rng.gen_range(0..len));
         picks.into_iter().map(|pos| cands[pos].t).collect()
-    }
-
-    fn precompute_dominance(&self, store: &TupleStore, schema: &Schema) -> Option<DominanceIndex> {
-        Some(DominanceIndex::build(store, schema.ranking_attrs()))
-    }
-
-    fn select_top_k_indices(
-        &self,
-        store: &TupleStore,
-        indices: &[u32],
-        k: usize,
-        schema: &Schema,
-        dom: Option<&DominanceIndex>,
-    ) -> Vec<u32> {
-        let mut rng = self
-            .rng
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        peel_select_indices(store, indices, k, schema.ranking_attrs(), dom, |len| {
-            rng.gen_range(0..len)
-        })
     }
 }
 
@@ -591,29 +487,12 @@ impl Ranker for WorstCaseRanker {
         schema: &Schema,
     ) -> Vec<&'a Tuple> {
         let attrs = schema.ranking_attrs();
-        let mut cands = peel_cands_from_refs(matching, attrs);
+        let mut cands = peel_cands(matching, attrs);
         // The minimal set is kept in ascending (sum, id) order, so the
         // adversarial largest-(sum, id) minimal element is simply its last
         // member — the same pick the old full recomputation made.
         let picks = peel_top_k(&mut cands, k, attrs, |len| len - 1);
         picks.into_iter().map(|pos| cands[pos].t).collect()
-    }
-
-    fn precompute_dominance(&self, store: &TupleStore, schema: &Schema) -> Option<DominanceIndex> {
-        Some(DominanceIndex::build(store, schema.ranking_attrs()))
-    }
-
-    fn select_top_k_indices(
-        &self,
-        store: &TupleStore,
-        indices: &[u32],
-        k: usize,
-        schema: &Schema,
-        dom: Option<&DominanceIndex>,
-    ) -> Vec<u32> {
-        peel_select_indices(store, indices, k, schema.ranking_attrs(), dom, |len| {
-            len - 1
-        })
     }
 }
 

@@ -66,6 +66,7 @@ pub enum Dominance {
 
 /// Compares `a` and `b` on the given attributes under the
 /// "smaller rank-space value is better" preference order.
+#[inline]
 pub fn compare_on(a: &Tuple, b: &Tuple, attrs: &[AttrId]) -> Dominance {
     let mut a_better = false;
     let mut b_better = false;
@@ -90,6 +91,7 @@ pub fn compare_on(a: &Tuple, b: &Tuple, attrs: &[AttrId]) -> Dominance {
 
 /// `true` if `a` dominates `b` on the given attributes: `a` is at least as
 /// good as `b` on every attribute and strictly better on at least one.
+#[inline]
 pub fn dominates_on(a: &Tuple, b: &Tuple, attrs: &[AttrId]) -> bool {
     compare_on(a, b, attrs) == Dominance::Dominates
 }

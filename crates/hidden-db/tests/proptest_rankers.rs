@@ -5,11 +5,6 @@
 //!   O(rounds · n²) recompute-the-minimal-set-per-round reference — the
 //!   adversarial pick (largest `(sum, id)` among the minimal set) is
 //!   deterministic, so old and new must agree tuple for tuple.
-//! * Both rankers must select identically through
-//!   [`Ranker::select_top_k_indices`] with and without the precomputed
-//!   [`DominanceIndex`] — the index is an accelerator, never an input.
-//!   For [`RandomSkylineRanker`] this includes consuming the seeded RNG
-//!   identically on both paths.
 //! * Every selection must remain domination-consistent and be a prefix of a
 //!   linear extension of the dominance order (each emitted tuple is minimal
 //!   among the not-yet-emitted matching tuples).
@@ -17,8 +12,8 @@
 use proptest::prelude::*;
 
 use skyweb_hidden_db::{
-    dominates_on, is_domination_consistent, DominanceIndex, InterfaceType, RandomSkylineRanker,
-    Ranker, Schema, SchemaBuilder, Tuple, TupleStore, WorstCaseRanker,
+    dominates_on, is_domination_consistent, InterfaceType, RandomSkylineRanker, Ranker, Schema,
+    SchemaBuilder, Tuple, WorstCaseRanker,
 };
 
 fn schema(m: usize) -> Schema {
@@ -80,39 +75,32 @@ fn rank_workload() -> impl Strategy<Value = RankWorkload> {
     })
 }
 
-fn store_of(w: &RankWorkload) -> TupleStore {
-    TupleStore::new(
-        w.rows
-            .iter()
-            .enumerate()
-            .map(|(i, v)| Tuple::new(i as u64, v.clone()))
-            .collect(),
-    )
-}
-
-fn subset_indices(w: &RankWorkload) -> Vec<u32> {
-    w.subset
+fn tuples_of(w: &RankWorkload) -> Vec<Tuple> {
+    w.rows
         .iter()
         .enumerate()
+        .map(|(i, v)| Tuple::new(i as u64, v.clone()))
+        .collect()
+}
+
+/// The workload's matching set: the tuples its subset mask keeps, in
+/// ascending id order.
+fn matching_of<'a>(w: &RankWorkload, tuples: &'a [Tuple]) -> Vec<&'a Tuple> {
+    tuples
+        .iter()
+        .zip(&w.subset)
         .filter(|&(_, &keep)| keep == 1)
-        .map(|(i, _)| i as u32)
+        .map(|(t, _)| t)
         .collect()
 }
 
 /// Every emitted tuple must be minimal among the matching tuples not yet
 /// emitted — the linear-extension property both rankers promise.
-fn assert_linear_extension(
-    selected: &[u32],
-    matching: &[u32],
-    store: &TupleStore,
-    schema: &Schema,
-) {
+fn assert_linear_extension(selected: &[&Tuple], matching: &[&Tuple], schema: &Schema) {
     let attrs = schema.ranking_attrs();
-    let mut remaining: Vec<u32> = matching.to_vec();
-    for &s in selected {
-        let t = &store[s as usize];
-        for &r in &remaining {
-            let u = &store[r as usize];
+    let mut remaining: Vec<&Tuple> = matching.to_vec();
+    for &t in selected {
+        for &u in &remaining {
             assert!(
                 !dominates_on(u, t, attrs),
                 "emitted tuple {} while {} still dominated it",
@@ -120,7 +108,7 @@ fn assert_linear_extension(
                 u.id
             );
         }
-        remaining.retain(|&r| r != s);
+        remaining.retain(|u| u.id != t.id);
     }
 }
 
@@ -136,9 +124,8 @@ proptest! {
     #[test]
     fn worst_case_ranker_matches_the_old_reference(w in rank_workload()) {
         let s = schema(w.m);
-        let store = store_of(&w);
-        let indices = subset_indices(&w);
-        let matching: Vec<&Tuple> = indices.iter().map(|&i| &store[i as usize]).collect();
+        let tuples = tuples_of(&w);
+        let matching = matching_of(&w, &tuples);
         let old: Vec<u64> = old_worst_case_select(&matching, w.k, &s)
             .iter()
             .map(|t| t.id)
@@ -149,46 +136,18 @@ proptest! {
             .map(|t| t.id)
             .collect();
         prop_assert_eq!(&new, &old);
-        // And through the index entry point, with and without dominance.
-        let dom = DominanceIndex::build(&store, s.ranking_attrs());
-        for dom in [None, Some(&dom)] {
-            let by_idx: Vec<u64> = WorstCaseRanker
-                .select_top_k_indices(&store, &indices, w.k, &s, dom)
-                .iter()
-                .map(|&i| store[i as usize].id)
-                .collect();
-            prop_assert_eq!(&by_idx, &old);
-        }
     }
 
-    /// RandomSkylineRanker selects identically with and without the
-    /// precomputed dominance index (same seed ⇒ same RNG consumption ⇒
-    /// same picks), and its output is a valid linear-extension prefix.
+    /// The random-skyline selection is a linear-extension prefix and
+    /// domination-consistent.
     #[test]
-    fn random_skyline_ranker_is_index_invariant(w in rank_workload()) {
+    fn random_skyline_ranker_is_a_linear_extension(w in rank_workload()) {
         let s = schema(w.m);
-        let store = store_of(&w);
-        let indices = subset_indices(&w);
-        let dom = DominanceIndex::build(&store, s.ranking_attrs());
-
-        let without: Vec<u32> = RandomSkylineRanker::new(99)
-            .select_top_k_indices(&store, &indices, w.k, &s, None);
-        let with: Vec<u32> = RandomSkylineRanker::new(99)
-            .select_top_k_indices(&store, &indices, w.k, &s, Some(&dom));
-        prop_assert_eq!(&without, &with);
-
-        // The plain reference-based entry point agrees too.
-        let matching: Vec<&Tuple> = indices.iter().map(|&i| &store[i as usize]).collect();
-        let by_ref: Vec<u32> = RandomSkylineRanker::new(99)
-            .select_top_k(&matching, w.k, &s)
-            .iter()
-            .map(|t| t.id as u32)
-            .collect();
-        prop_assert_eq!(&by_ref, &without);
-
-        assert_linear_extension(&without, &indices, &store, &s);
-        let refs: Vec<&Tuple> = without.iter().map(|&i| &store[i as usize]).collect();
-        prop_assert!(is_domination_consistent(&refs, &matching, &s));
+        let tuples = tuples_of(&w);
+        let matching = matching_of(&w, &tuples);
+        let selected = RandomSkylineRanker::new(99).select_top_k(&matching, w.k, &s);
+        assert_linear_extension(&selected, &matching, &s);
+        prop_assert!(is_domination_consistent(&selected, &matching, &s));
     }
 
     /// The worst-case selection is also a linear-extension prefix and
@@ -196,12 +155,10 @@ proptest! {
     #[test]
     fn worst_case_ranker_is_a_linear_extension(w in rank_workload()) {
         let s = schema(w.m);
-        let store = store_of(&w);
-        let indices = subset_indices(&w);
-        let selected = WorstCaseRanker.select_top_k_indices(&store, &indices, w.k, &s, None);
-        assert_linear_extension(&selected, &indices, &store, &s);
-        let matching: Vec<&Tuple> = indices.iter().map(|&i| &store[i as usize]).collect();
-        let refs: Vec<&Tuple> = selected.iter().map(|&i| &store[i as usize]).collect();
-        prop_assert!(is_domination_consistent(&refs, &matching, &s));
+        let tuples = tuples_of(&w);
+        let matching = matching_of(&w, &tuples);
+        let selected = WorstCaseRanker.select_top_k(&matching, w.k, &s);
+        assert_linear_extension(&selected, &matching, &s);
+        prop_assert!(is_domination_consistent(&selected, &matching, &s));
     }
 }

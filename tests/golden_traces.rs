@@ -18,8 +18,8 @@ use skyweb::core::{
 };
 use skyweb::datagen::flights_dot;
 use skyweb::hidden_db::{
-    HiddenDb, InterfaceType, MemSource, QueryResponse, SchemaBuilder, SegmentOpenOptions,
-    SegmentReader, SegmentWriter, SumRanker, Tuple,
+    HiddenDb, InterfaceType, MemSource, QueryResponse, RandomSkylineRanker, Ranker, SchemaBuilder,
+    SegmentOpenOptions, SegmentReader, SegmentWriter, SumRanker, Tuple, WorstCaseRanker,
 };
 
 /// FNV-1a over a byte stream: the fingerprint primitive for traces and
@@ -147,21 +147,18 @@ fn fig15_style_db(n: usize) -> HiddenDb {
 /// segment store (write → reopen from bytes) so a golden workload can run
 /// against the lazily-hydrating segment backend instead of the RAM build.
 fn seg_clone(db: &HiddenDb) -> HiddenDb {
-    seg_clone_with(db, SegmentOpenOptions::new())
+    seg_clone_with(db, Box::new(SumRanker), SegmentOpenOptions::new())
 }
 
-/// [`seg_clone`] with explicit open options — the goldens run under the
-/// sticky cache and an eviction-forcing cache budget.
-fn seg_clone_with(db: &HiddenDb, options: SegmentOpenOptions) -> HiddenDb {
+/// [`seg_clone`] with the reopened database's ranker (it must carry the
+/// name `db`'s ranker wrote) and explicit open options — the goldens run
+/// under the sticky cache and an eviction-forcing cache budget.
+fn seg_clone_with(db: &HiddenDb, ranker: Box<dyn Ranker>, options: SegmentOpenOptions) -> HiddenDb {
     let bytes = SegmentWriter::new()
         .write(db)
         .expect("RAM-backed databases always serialize");
-    HiddenDb::open_segment_source_with(
-        Box::new(MemSource::new(bytes)),
-        Box::new(SumRanker),
-        options,
-    )
-    .expect("a fresh segment reopens")
+    HiddenDb::open_segment_source_with(Box::new(MemSource::new(bytes)), ranker, options)
+        .expect("a fresh segment reopens")
 }
 
 #[test]
@@ -358,7 +355,7 @@ fn golden_swck_envelope_bytes() {
 
 /// A small deterministic database with every attribute on the given
 /// interface type — the substrate for the all-machines cross-check.
-fn small_db(m: usize, itf: Option<InterfaceType>) -> HiddenDb {
+fn small_db(m: usize, itf: Option<InterfaceType>, ranker: Box<dyn Ranker>) -> HiddenDb {
     let domains = [5u32, 4, 3];
     let mixed = [InterfaceType::Sq, InterfaceType::Rq, InterfaceType::Pq];
     let mut builder = SchemaBuilder::new();
@@ -371,8 +368,12 @@ fn small_db(m: usize, itf: Option<InterfaceType>) -> HiddenDb {
             Tuple::new(i, v[..m].to_vec())
         })
         .collect();
-    HiddenDb::new(builder.build(), tuples, Box::new(SumRanker), 2)
+    HiddenDb::new(builder.build(), tuples, ranker, 2)
 }
+
+/// Builds a fresh ranker; every backend gets its own, so a randomized
+/// ranker starts each run from the same seed.
+type RankerFactory = fn() -> Box<dyn Ranker>;
 
 /// Runs one machine to completion on the RAM build and on segment
 /// round-trips of the *same* database — served from the sticky cache, and
@@ -380,11 +381,12 @@ fn small_db(m: usize, itf: Option<InterfaceType>) -> HiddenDb {
 /// results, exact costs and access-log fingerprints identical on every
 /// backend.
 fn assert_segment_matches_ram(
-    mk_db: &dyn Fn() -> HiddenDb,
+    mk_db: &dyn Fn(Box<dyn Ranker>) -> HiddenDb,
+    mk_ranker: RankerFactory,
     mk_machine: &dyn Fn(&HiddenDb) -> Box<dyn DiscoveryMachine>,
     label: &str,
 ) {
-    let ram_db = mk_db();
+    let ram_db = mk_db(mk_ranker());
     ram_db.enable_access_log();
     let ram = DiscoveryDriver::new(&ram_db, mk_machine(&ram_db), DriverConfig::new())
         .run()
@@ -398,7 +400,7 @@ fn assert_segment_matches_ram(
         ),
     ];
     for (variant, options) in variants {
-        let seg_db = seg_clone_with(&mk_db(), options);
+        let seg_db = seg_clone_with(&mk_db(mk_ranker()), mk_ranker(), options);
         seg_db.enable_access_log();
         let seg = DiscoveryDriver::new(&seg_db, mk_machine(&seg_db), DriverConfig::new())
             .run()
@@ -421,7 +423,7 @@ fn assert_segment_matches_ram(
     }
 }
 
-type DbFactory = Box<dyn Fn() -> HiddenDb>;
+type DbFactory = Box<dyn Fn(Box<dyn Ranker>) -> HiddenDb>;
 type MachineFactory = Box<dyn Fn(&HiddenDb) -> Box<dyn DiscoveryMachine>>;
 
 #[test]
@@ -429,46 +431,80 @@ fn all_eight_machines_are_backend_agnostic() {
     let cases: Vec<(&str, DbFactory, MachineFactory)> = vec![
         (
             "sq-db-sky",
-            Box::new(|| small_db(3, Some(InterfaceType::Sq))),
+            Box::new(|r| small_db(3, Some(InterfaceType::Sq), r)),
             Box::new(|db| SqDbSky::new().machine(db).unwrap()),
         ),
         (
             "rq-db-sky",
-            Box::new(|| small_db(3, Some(InterfaceType::Rq))),
+            Box::new(|r| small_db(3, Some(InterfaceType::Rq), r)),
             Box::new(|db| RqDbSky::new().machine(db).unwrap()),
         ),
         (
             "pq-db-sky",
-            Box::new(|| small_db(3, Some(InterfaceType::Pq))),
+            Box::new(|r| small_db(3, Some(InterfaceType::Pq), r)),
             Box::new(|db| PqDbSky::new().machine(db).unwrap()),
         ),
         (
             "pq-2d-sky",
-            Box::new(|| small_db(2, Some(InterfaceType::Pq))),
+            Box::new(|r| small_db(2, Some(InterfaceType::Pq), r)),
             Box::new(|db| Pq2dSky::new().machine(db).unwrap()),
         ),
         (
             "mq-db-sky",
-            Box::new(|| small_db(3, None)),
+            Box::new(|r| small_db(3, None, r)),
             Box::new(|db| MqDbSky::new().machine(db).unwrap()),
         ),
         (
             "rq-skyband",
-            Box::new(|| small_db(3, Some(InterfaceType::Rq))),
+            Box::new(|r| small_db(3, Some(InterfaceType::Rq), r)),
             Box::new(|db| Box::new(RqSkyband::new(2).build_machine(db).unwrap())),
         ),
         (
             "baseline-crawl",
-            Box::new(|| small_db(3, Some(InterfaceType::Rq))),
+            Box::new(|r| small_db(3, Some(InterfaceType::Rq), r)),
             Box::new(|db| BaselineCrawl::new().machine(db).unwrap()),
         ),
         (
             "point-space-crawl",
-            Box::new(|| small_db(3, Some(InterfaceType::Pq))),
+            Box::new(|r| small_db(3, Some(InterfaceType::Pq), r)),
             Box::new(|db| PointSpaceCrawl::new().machine(db).unwrap()),
         ),
     ];
     for (label, mk_db, mk_machine) in &cases {
-        assert_segment_matches_ram(mk_db.as_ref(), mk_machine.as_ref(), label);
+        assert_segment_matches_ram(
+            mk_db.as_ref(),
+            || Box::new(SumRanker),
+            mk_machine.as_ref(),
+            label,
+        );
+    }
+}
+
+/// The rankers without a total order, the average and worst case of the
+/// paper's Section 3.2, select through the engine's fallback plan, which
+/// hydrates a segment-backed store before the ranker reads any tuple.
+/// SQ- and RQ-DB-SKY under each must match the RAM run on the sticky cache
+/// and under the eviction-forcing budget. Each backend gets a fresh,
+/// identically seeded random ranker, so equal fingerprints also pin equal
+/// random draws.
+#[test]
+fn rankers_without_a_total_order_are_backend_agnostic() {
+    let rankers: [(&str, RankerFactory); 2] = [
+        ("worst-case", || Box::new(WorstCaseRanker)),
+        ("random-skyline", || Box::new(RandomSkylineRanker::new(17))),
+    ];
+    for (rname, mk_ranker) in rankers {
+        assert_segment_matches_ram(
+            &|r| small_db(3, Some(InterfaceType::Sq), r),
+            mk_ranker,
+            &|db| SqDbSky::new().machine(db).unwrap(),
+            &format!("sq-db-sky / {rname}"),
+        );
+        assert_segment_matches_ram(
+            &|r| small_db(3, Some(InterfaceType::Rq), r),
+            mk_ranker,
+            &|db| RqDbSky::new().machine(db).unwrap(),
+            &format!("rq-db-sky / {rname}"),
+        );
     }
 }

@@ -1,0 +1,102 @@
+//! The cost analysis of SQ-DB-SKY (Section 3.2 of the paper) as assertions,
+//! on the two ranking models the analysis is stated for. The average case
+//! returns a uniformly random skyline tuple of each query's matching set
+//! ([`RandomSkylineRanker`]); the worst case returns an adversarial one
+//! ([`WorstCaseRanker`]). Neither ranker has a total order, so every query
+//! here goes through the engine's fallback selection.
+
+use proptest::prelude::*;
+
+use skyweb::core::analysis::{sq_average_case_cost, sq_worst_case_bound};
+use skyweb::core::{Discoverer, SqDbSky};
+use skyweb::hidden_db::{
+    HiddenDb, InterfaceType, RandomSkylineRanker, SchemaBuilder, Tuple, WorstCaseRanker,
+};
+use skyweb::skyline::bnl_skyline;
+
+/// Eq 4, exact at m = 2. Every tuple of the database is a skyline tuple
+/// (attribute 0 = i, attribute 1 = s − 1 − i), and the interface returns
+/// one tuple per query. Whichever skyline tuple the random ranker draws,
+/// SQ-DB-SKY then costs `E(C_s)` = 2s + 1 queries: the paper's 2s plus the
+/// root `SELECT *`.
+#[test]
+fn sq_cost_is_exactly_eq4_at_m2_under_the_random_skyline_ranker() {
+    for s in [2usize, 4, 8, 12] {
+        let expected = sq_average_case_cost(2, s);
+        for seed in 0..50 {
+            let schema = SchemaBuilder::new()
+                .ranking("a0", 16, InterfaceType::Sq)
+                .ranking("a1", 16, InterfaceType::Sq)
+                .build();
+            let tuples = (0..s)
+                .map(|i| Tuple::new(i as u64, vec![i as u32, (s - 1 - i) as u32]))
+                .collect();
+            let db = HiddenDb::new(schema, tuples, Box::new(RandomSkylineRanker::new(seed)), 1);
+            let result = SqDbSky::new().discover(&db).unwrap();
+            assert!(result.complete, "s={s}, seed={seed}");
+            assert_eq!(result.skyline.len(), s, "s={s}, seed={seed}");
+            assert!(
+                (result.query_cost as f64 - expected).abs() < 1e-6,
+                "s={s}, seed={seed}: cost {} against E(C_s) = {expected}",
+                result.query_cost
+            );
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Instance {
+    m: usize,
+    k: usize,
+    rows: Vec<Vec<u32>>,
+}
+
+fn instance() -> impl Strategy<Value = Instance> {
+    (2usize..=4, 0usize..2, 1usize..=30).prop_flat_map(|(m, k_pick, n)| {
+        prop::collection::vec(prop::collection::vec(0u32..16, m), n).prop_map(move |rows| {
+            Instance {
+                m,
+                k: [1, 3][k_pick],
+                rows,
+            }
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 400,
+        .. ProptestConfig::default()
+    })]
+
+    /// The worst case of Section 3.2: under any domination-consistent
+    /// ranker, SQ-DB-SKY issues at most `m·|S|^{m+1}` queries
+    /// (`sq_worst_case_bound`) beyond the root `SELECT *`, which the bound
+    /// leaves out just as Eq 5 does. The adversarial ranker returns the
+    /// largest-sum non-dominated tuple to every query.
+    #[test]
+    fn sq_cost_stays_within_the_worst_case_bound(inst in instance()) {
+        let mut builder = SchemaBuilder::new();
+        for i in 0..inst.m {
+            builder = builder.ranking(format!("a{i}"), 16, InterfaceType::Sq);
+        }
+        let tuples = inst
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, v)| Tuple::new(i as u64, v.clone()))
+            .collect();
+        let db = HiddenDb::new(builder.build(), tuples, Box::new(WorstCaseRanker), inst.k);
+        let sky = bnl_skyline(db.oracle_tuples().as_slice(), db.schema()).len();
+        let result = SqDbSky::new().discover(&db).unwrap();
+        prop_assert!(result.complete);
+        let bound = sq_worst_case_bound(inst.m, sky) + 1.0;
+        prop_assert!(
+            result.query_cost as f64 <= bound,
+            "m={}, k={}, |S|={sky}: cost {} above the bound {bound}",
+            inst.m,
+            inst.k,
+            result.query_cost
+        );
+    }
+}

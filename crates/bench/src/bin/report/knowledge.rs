@@ -12,8 +12,10 @@
 //!   (batched, batch-presorted ingest, so the structural work per insert is
 //!   bounded by one block instead of an O(s) flat-`Vec` memmove). That is
 //!   what buys the orders of magnitude on the membership probes and the
-//!   deterministic dominator answers, at ingest parity with the unordered
-//!   BNL append.
+//!   deterministic dominator answers. Its scans compare flat rows of
+//!   dominance values and look for dominators nearest-first, so it still
+//!   ingests faster than the unordered BNL append (the `speedup` row of
+//!   `BENCH_knowledge.json`).
 //! - `any_seen_matches_eq_pivot` (equality pivots) and
 //!   `any_seen_matches_ge_box` (≥-rooted boxes): two probe shapes that are
 //!   not downward closed, which the old collector answered with a full scan

@@ -142,6 +142,10 @@ pub enum CodecError {
     /// The machine does not support the binary checkpoint codec (a custom
     /// [`MachineControl`](crate::MachineControl) without a codec tag).
     Unsupported,
+    /// The payload is well formed but holds a state no encoder writes — a
+    /// knowledge-base band outside `1..=u32::MAX`, or stored tuples of
+    /// mixed arity or lacking a dominance attribute.
+    Invalid,
 }
 
 impl fmt::Display for CodecError {
@@ -167,6 +171,7 @@ impl fmt::Display for CodecError {
                     "this machine does not support the binary checkpoint codec"
                 )
             }
+            CodecError::Invalid => write!(f, "payload holds a state no encoder writes"),
         }
     }
 }

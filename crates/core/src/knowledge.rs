@@ -23,10 +23,10 @@
 //!   *every* query shape. Only the RQ tree walk calls it: RQ-DB-SKY,
 //!   MQ-DB-SKY's range phase and sky-band discovery (MQ's point phase walks
 //!   SQ trees, which never probe). Downward-closed queries scan only the
-//!   skyline (as before). The only probes that are not downward closed are
-//!   the `≥`-rooted boxes of sky-band subspace traversals; they walk the
-//!   posting lists of the most selective constrained attribute instead of
-//!   the whole retrieved set.
+//!   skyline's rows of dominance values. The only probes that are not
+//!   downward closed are the `≥`-rooted boxes of sky-band subspace
+//!   traversals; they walk the posting lists of the most selective
+//!   constrained attribute instead of the whole retrieved set.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -172,11 +172,13 @@ impl KnowledgeBase {
     /// Queries whose predicates are all *upper bounds* on the dominance
     /// attributes are downward closed under coordinate-wise ≤, so a
     /// retrieved tuple matches iff some tuple of the current (minimal)
-    /// skyline matches — scanning the small skyline is exact. Every other
-    /// shape (equality pivots on point attributes, the `≥`-rooted boxes of
-    /// domination subspaces) walks the posting lists of the most selective
-    /// constrained attribute; the old collector fell back to scanning the
-    /// entire retrieved set for those.
+    /// skyline matches — scanning the skyline's rows of dominance values
+    /// ([`IncrementalSkyline::any_skyline_within`]) is exact. Every other
+    /// shape walks the posting lists of the most selective constrained
+    /// attribute; the old collector fell back to scanning the entire
+    /// retrieved set for those. The only such shape a machine issues is the
+    /// `≥`-rooted box of sky-band domination subspaces; equality and mixed
+    /// predicates are answered exactly all the same.
     pub fn any_seen_matches(&self, query: &Query) -> bool {
         if self.retrieved.is_empty() {
             return false;
@@ -201,7 +203,7 @@ impl KnowledgeBase {
             .iter()
             .all(|&(attr, lo, _)| lo == 0 && self.attrs.contains(&attr));
         if downward_closed {
-            return self.index.skyline().any(|t| t.within_bounds(&cons));
+            return self.index.any_skyline_within(&cons);
         }
 
         // Broad queries usually hit within the first few retrieved tuples;
@@ -324,13 +326,29 @@ impl KnowledgeBase {
     /// posting lists and incremental index in retrieval order, the restored
     /// state is identical to the encoded one (re-encoding reproduces the
     /// same bytes).
+    ///
+    /// A sealed payload is untrusted: a band outside `1..=u32::MAX`, or a
+    /// tuple whose arity differs from the first tuple's or lacks a
+    /// dominance attribute, is rejected with [`CodecError::Invalid`]
+    /// (no encoder writes one, and replaying it would panic).
+    ///
+    /// [`CodecError::Invalid`]: codec::CodecError::Invalid
     pub(crate) fn decode(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
         let attrs = codec::read_usize_vec(r)?;
         let band = r.usize()?;
+        if band == 0 || u32::try_from(band).is_err() {
+            return Err(codec::CodecError::Invalid);
+        }
         let mut kb = KnowledgeBase::with_band(attrs, band);
         let n = r.usize()?;
+        let mut arity = None;
         for _ in 0..n {
             let t = codec::read_tuple(r)?;
+            if *arity.get_or_insert(t.arity()) != t.arity()
+                || kb.attrs.iter().any(|&a| a >= t.arity())
+            {
+                return Err(codec::CodecError::Invalid);
+            }
             kb.ingest(std::slice::from_ref(&t));
         }
         let n = r.usize()?;
@@ -420,10 +438,11 @@ mod tests {
             Tuple::new(1, vec![4, 2, 0]),
             Tuple::new(2, vec![7, 7, 2]),
         ]);
-        // Equality pivot (MQ point phase).
+        // Equality predicates: no machine issues them as probes (MQ's point
+        // phase walks SQ trees, which never probe), but they are exact.
         assert!(kb.any_seen_matches(&Query::new(vec![Predicate::eq(2, 0)])));
         assert!(!kb.any_seen_matches(&Query::new(vec![Predicate::eq(2, 3)])));
-        // Equality pivot conjoined with a range.
+        // Equality conjoined with a range.
         assert!(kb.any_seen_matches(&Query::new(vec![Predicate::eq(2, 2), Predicate::ge(0, 6),])));
         assert!(!kb.any_seen_matches(&Query::new(vec![Predicate::eq(2, 2), Predicate::lt(0, 6),])));
         // ≥-rooted box (sky-band domination subspaces).

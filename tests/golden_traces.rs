@@ -1,6 +1,6 @@
 //! Golden-trace regression tests: exact query costs, anytime traces and
-//! access-log fingerprints for fig14/fig15-style SQ runs and the
-//! point-crawl odometer, pinned against hardcoded values.
+//! access-log fingerprints for fig14/fig15-style SQ runs, a fig22-style
+//! MQ run and the point-crawl odometer, pinned against hardcoded values.
 //!
 //! The discovery machines and the engine's shared-prefix batch executor are
 //! required to be *byte-identical* to sequential per-query execution; these
@@ -16,10 +16,11 @@ use skyweb::core::{
     DiscoveryResult, DriverConfig, MqDbSky, PointSpaceCrawl, Pq2dSky, PqDbSky, RqDbSky, RqSkyband,
     SqDbSky, DEFAULT_MAX_BATCH,
 };
-use skyweb::datagen::flights_dot;
+use skyweb::datagen::{diamonds, flights_dot};
 use skyweb::hidden_db::{
     HiddenDb, InterfaceType, MemSource, QueryResponse, RandomSkylineRanker, Ranker, SchemaBuilder,
-    SegmentOpenOptions, SegmentReader, SegmentWriter, SumRanker, Tuple, WorstCaseRanker,
+    SegmentOpenOptions, SegmentReader, SegmentWriter, SingleAttributeRanker, SumRanker, Tuple,
+    WorstCaseRanker,
 };
 
 /// FNV-1a over a byte stream: the fingerprint primitive for traces and
@@ -195,6 +196,27 @@ fn golden_fig15_style_sq_and_rq_runs() {
         rq.skyline.len(),
         "SQ and RQ must certify the same skyline"
     );
+}
+
+/// A fig22-style workload at quick scale: MQ-DB-SKY (all five diamond
+/// attributes are RQ, so it runs RQ-DB-SKY through MQ's all-range
+/// reduction) on the Blue Nile stand-in, price ranking, k = 50. Its
+/// knowledge base certifies over a thousand skyline tuples, so its
+/// incremental skyline splits into more than one block — every other golden
+/// stays inside one.
+#[test]
+fn golden_fig22_style_rq_run() {
+    let mk_db = || {
+        let ds = diamonds::generate(&diamonds::DiamondsConfig { n: 20_000, seed: 4 });
+        let price = ds.schema.attr_by_name("price").expect("diamonds price");
+        ds.into_db(Box::new(SingleAttributeRanker::new(price)), 50)
+    };
+    let (result, result_fp, log_fp) = run_and_crosscheck(&MqDbSky::new(), mk_db);
+    assert!(result.complete);
+    assert_eq!(result.query_cost, 2_036, "query cost drifted");
+    assert_eq!(result.skyline.len(), 1_415, "skyline size drifted");
+    assert_eq!(result_fp, 0x6a5a202f77959043, "result fingerprint drifted");
+    assert_eq!(log_fp, 0x964c7eb3abcf81dc, "access-log fingerprint drifted");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! a result byte-identical to the uninterrupted run — for all eight
 //! algorithm machines, any batch limit and any budget.
 //!
-//! Two further invariants ride along:
+//! Three further invariants ride along:
 //!
 //! * **Re-encode stability** — serializing a just-restored checkpoint
 //!   reproduces the original byte string exactly (hash sets are written in
@@ -15,14 +15,18 @@
 //! * **Corruption rejection** — every truncation and every single-bit flip
 //!   of a serialized checkpoint is rejected with a `CodecError`; a corrupt
 //!   checkpoint is never mis-resumed.
+//! * **Sealed forgeries** — a re-sealed checkpoint (valid checksum) whose
+//!   knowledge base no encoder writes is rejected with
+//!   `CodecError::Invalid`, not a panic.
 
 use proptest::prelude::*;
 
 use skyweb::core::{
-    BaselineCrawl, Checkpoint, Discoverer, DiscoveryDriver, DiscoveryMachine, DiscoveryResult,
-    DriverConfig, MqDbSky, PointSpaceCrawl, Pq2dSky, PqDbSky, RqDbSky, RqSkyband, SqDbSky,
-    StepOutcome,
+    BaselineCrawl, Checkpoint, CodecError, Discoverer, DiscoveryDriver, DiscoveryMachine,
+    DiscoveryResult, DriverConfig, MqDbSky, PointSpaceCrawl, Pq2dSky, PqDbSky, RqDbSky, RqSkyband,
+    SqDbSky, StepOutcome, CHECKSUM_LEN, HEADER_LEN,
 };
+use skyweb::hidden_db::envelope::Envelope;
 use skyweb::hidden_db::{HiddenDb, InterfaceType, SchemaBuilder, Tuple};
 
 #[derive(Debug, Clone)]
@@ -313,4 +317,89 @@ fn trailing_garbage_is_rejected() {
     let mut bytes = sample_checkpoint_bytes();
     bytes.push(0);
     assert!(Checkpoint::from_bytes(&bytes).is_err());
+}
+
+/// A knowledge base in the checkpoint payload layout: the dominance
+/// attributes, the band, the retrieval-ordered tuples and an empty trace.
+fn kb_payload(attrs: &[u64], band: u64, tuples: &[(u64, Vec<u32>)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(attrs.len() as u64).to_le_bytes());
+    for a in attrs {
+        out.extend_from_slice(&a.to_le_bytes());
+    }
+    out.extend_from_slice(&band.to_le_bytes());
+    out.extend_from_slice(&(tuples.len() as u64).to_le_bytes());
+    for (id, values) in tuples {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(values.len() as u64).to_le_bytes());
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    out.extend_from_slice(&0u64.to_le_bytes()); // empty trace
+    out
+}
+
+/// The checkpoint of a fresh RQ-DB-SKY run on two attributes with its
+/// knowledge base replaced by `kb`, re-sealed under a valid checksum — what
+/// any peer can forge, since the checksum authenticates nothing.
+fn forged_rq_checkpoint(kb: &[u8]) -> Vec<u8> {
+    let schema = SchemaBuilder::new()
+        .ranking("a", 5, InterfaceType::Rq)
+        .ranking("b", 5, InterfaceType::Rq)
+        .build();
+    let db = HiddenDb::with_sum_ranking(schema, vec![Tuple::new(0, vec![1, 2])], 1);
+    let machine = RqDbSky::new().machine(&db).unwrap();
+    let bytes = DiscoveryDriver::new(&db, machine, DriverConfig::new())
+        .pause()
+        .to_bytes()
+        .unwrap();
+    let payload = &bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN];
+    // Machine tag, issued counter, halted flag and an absent
+    // first-skyline-at take 11 bytes; the empty knowledge base follows.
+    let (chassis, rest) = payload.split_at(11);
+    let empty = kb_payload(&[0, 1], 1, &[]);
+    assert_eq!(
+        &rest[..empty.len()],
+        &empty[..],
+        "fresh runs hold no tuples"
+    );
+    let mut forged = chassis.to_vec();
+    forged.extend_from_slice(kb);
+    forged.extend_from_slice(&rest[empty.len()..]);
+    let envelope = Envelope {
+        magic: bytes[..4].try_into().unwrap(),
+        version: u16::from_le_bytes([bytes[4], bytes[5]]),
+    };
+    let mut sealed = Vec::new();
+    envelope.seal(bytes[6], &forged, &mut sealed);
+    sealed
+}
+
+#[test]
+fn sealed_invalid_knowledge_bases_are_rejected() {
+    let valid = kb_payload(&[0, 1], 1, &[(0, vec![1, 2])]);
+    assert!(Checkpoint::from_bytes(&forged_rq_checkpoint(&valid)).is_ok());
+    let forgeries = [
+        ("band 0", kb_payload(&[0, 1], 0, &[(0, vec![1, 2])])),
+        (
+            "attribute past the tuples' arity",
+            kb_payload(&[0, 2], 1, &[(0, vec![1, 2])]),
+        ),
+        (
+            "tuples of arity 1, then 2",
+            kb_payload(&[0], 1, &[(0, vec![1]), (1, vec![1, 2])]),
+        ),
+        (
+            "band 2^32",
+            kb_payload(&[0, 1], 1 << 32, &[(0, vec![1, 2])]),
+        ),
+    ];
+    for (what, kb) in forgeries {
+        assert_eq!(
+            Checkpoint::from_bytes(&forged_rq_checkpoint(&kb)).err(),
+            Some(CodecError::Invalid),
+            "{what}"
+        );
+    }
 }

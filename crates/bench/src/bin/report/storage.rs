@@ -22,19 +22,15 @@
 //! - `cache` and `capped_cache`: each reader's `StorageStats` counters
 //!   after its query mix. The capped reader's `bytes_resident` is the
 //!   bounded-memory row; `peak_rss_kb` is process-wide and includes the
-//!   unbounded reader.
-//! - `codec_<name>`: the per-codec census of the file, chunk sections won
-//!   and encoded against raw bytes.
+//!   unbounded reader. Every chunk is one frame-of-reference block, so
+//!   `decoded_dict` and `decoded_rle` read 0.
 
 use std::path::Path;
 use std::time::Instant;
 
 use skyweb_bench::Scale;
 use skyweb_datagen::synthetic::{self, Correlation, SyntheticConfig};
-use skyweb_hidden_db::{
-    FileSource, HiddenDb, Predicate, Query, SegmentError, SegmentOpenOptions, SegmentReader,
-    SumRanker,
-};
+use skyweb_hidden_db::{HiddenDb, Predicate, Query, SegmentError, SegmentOpenOptions, SumRanker};
 
 use super::{time_ns, Args, Record};
 
@@ -118,28 +114,6 @@ fn measure(path: &Path, scale: Scale) -> Result<Vec<Record>, String> {
         out.push(Record::new(*name, "warm_ns", "ns", warm_ns));
     }
     out.extend(cache_records("cache", &db));
-
-    let census = SegmentReader::open(Box::new(FileSource::open(path).map_err(failed)?))
-        .and_then(|reader| reader.codec_census())
-        .map_err(failed)?;
-    for (i, codec) in ["for", "dict", "rle"].into_iter().enumerate() {
-        let case = format!("codec_{codec}");
-        let (encoded, raw) = (census.encoded_bytes[i], census.raw_bytes[i]);
-        let ratio = if encoded == 0 {
-            0.0
-        } else {
-            raw as f64 / encoded as f64
-        };
-        out.push(Record::new(
-            &case,
-            "chunks",
-            "count",
-            census.chunks[i] as f64,
-        ));
-        out.push(Record::new(&case, "encoded_bytes", "bytes", encoded as f64));
-        out.push(Record::new(&case, "raw_bytes", "bytes", raw as f64));
-        out.push(Record::new(case, "ratio", "ratio", ratio));
-    }
 
     let cap = scale.pick(2 << 20, 16 << 20);
     let capped = HiddenDb::open_segment_with(

@@ -3,16 +3,18 @@
 //! When a segment directory is installed, every hidden database a figure
 //! harness builds is round-tripped through the persistent columnar segment
 //! store: written once to `DIR` (keyed by a content fingerprint, so repeated
-//! runs and identical sweep points reuse the file) and reopened as a
-//! lazily-hydrating [`HiddenDb`]. Figure output is byte-identical to the
-//! in-RAM run by the storage layer's differential contract — CI diffs
-//! exactly that — while every query is served from the persisted columns.
+//! runs and identical sweep points reuse the file, and by the segment
+//! format version, so a file written in another version is never read
+//! back) and reopened as a lazily-hydrating [`HiddenDb`]. Figure output is
+//! byte-identical to the in-RAM run by the storage layer's differential
+//! contract — CI diffs exactly that — while every query is served from the
+//! persisted columns.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use skyweb_hidden_db::{HiddenDb, Ranker, SegmentOpenOptions};
+use skyweb_hidden_db::{HiddenDb, Ranker, SegmentOpenOptions, SEGMENT_VERSION};
 
 static SEGMENT_DIR: OnceLock<PathBuf> = OnceLock::new();
 static CACHE_BUDGET: OnceLock<u64> = OnceLock::new();
@@ -85,9 +87,25 @@ pub fn db_content_fingerprint(db: &HiddenDb) -> u64 {
 /// tasks race benignly through unique temp files + atomic rename) and
 /// reopens it segment-backed under a fresh `ranker` instance.
 pub fn segment_backed(ram: &HiddenDb, ranker: Box<dyn Ranker>) -> HiddenDb {
-    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = segment_dir().expect("segment-backed mode is on");
-    let path = dir.join(format!("{:016x}.seg", db_content_fingerprint(ram)));
+    open_cached(dir, ram, ranker, cache_budget())
+}
+
+/// [`segment_backed`] over the cache in `dir`, under an optional cache
+/// budget. The file name carries the content fingerprint and
+/// [`SEGMENT_VERSION`], so a file another format version wrote for the same
+/// database is left alone and a fresh one is written beside it.
+fn open_cached(
+    dir: &Path,
+    ram: &HiddenDb,
+    ranker: Box<dyn Ranker>,
+    budget: Option<u64>,
+) -> HiddenDb {
+    static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+    let path = dir.join(format!(
+        "{:016x}-v{SEGMENT_VERSION}.seg",
+        db_content_fingerprint(ram)
+    ));
     if !path.exists() {
         let tmp = dir.join(format!(
             ".tmp-{}-{}.seg",
@@ -100,7 +118,7 @@ pub fn segment_backed(ram: &HiddenDb, ranker: Box<dyn Ranker>) -> HiddenDb {
             .unwrap_or_else(|e| panic!("cannot publish segment {}: {e}", path.display()));
     }
     let mut options = SegmentOpenOptions::new();
-    if let Some(budget) = cache_budget() {
+    if let Some(budget) = budget {
         options = options.with_cache_budget(budget);
     }
     HiddenDb::open_segment_with(&path, ranker, options)
@@ -111,17 +129,19 @@ pub fn segment_backed(ram: &HiddenDb, ranker: Box<dyn Ranker>) -> HiddenDb {
 mod tests {
     use super::*;
     use skyweb_datagen::synthetic::{self, SyntheticConfig};
+    use skyweb_hidden_db::{Query, SumRanker};
+
+    fn mk(seed: u64) -> HiddenDb {
+        synthetic::generate(&SyntheticConfig {
+            n: 50,
+            seed,
+            ..SyntheticConfig::default()
+        })
+        .into_db_sum(3)
+    }
 
     #[test]
     fn fingerprint_is_content_keyed() {
-        let mk = |seed| {
-            synthetic::generate(&SyntheticConfig {
-                n: 50,
-                seed,
-                ..SyntheticConfig::default()
-            })
-            .into_db_sum(3)
-        };
         assert_eq!(
             db_content_fingerprint(&mk(1)),
             db_content_fingerprint(&mk(1))
@@ -130,5 +150,31 @@ mod tests {
             db_content_fingerprint(&mk(1)),
             db_content_fingerprint(&mk(2))
         );
+    }
+
+    #[test]
+    fn a_segment_of_another_format_version_is_never_reused() {
+        let ram = mk(7);
+        let dir = std::env::temp_dir().join(format!("skyweb-segment-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Garbage under the names an older build would have read back for
+        // this database: the unversioned name and the previous version's.
+        let fp = db_content_fingerprint(&ram);
+        for name in [
+            format!("{fp:016x}.seg"),
+            format!("{fp:016x}-v{}.seg", SEGMENT_VERSION - 1),
+        ] {
+            std::fs::write(dir.join(name), b"not a segment").unwrap();
+        }
+        let seg = open_cached(&dir, &ram, Box::new(SumRanker), None);
+        let ids = |db: &HiddenDb| {
+            let answer = db.query(&Query::select_all()).unwrap();
+            answer.tuples.iter().map(|t| t.id).collect::<Vec<_>>()
+        };
+        assert_eq!(ids(&seg), ids(&ram));
+        assert!(dir
+            .join(format!("{fp:016x}-v{SEGMENT_VERSION}.seg"))
+            .exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

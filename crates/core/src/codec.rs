@@ -144,7 +144,11 @@ pub enum CodecError {
     Unsupported,
     /// The payload is well formed but holds a state no encoder writes — a
     /// knowledge-base band outside `1..=u32::MAX`, or stored tuples of
-    /// mixed arity or lacking a dominance attribute.
+    /// mixed arity or lacking a dominance attribute. Over the wire, also a
+    /// reply that does not fit its plan or the server's `Welcome`: a
+    /// response count other than one per query (fewer in an error reply),
+    /// more than `k` tuples in one response, or a tuple whose arity or
+    /// values do not fit the schema.
     Invalid,
 }
 

@@ -13,6 +13,9 @@
 //! * `flights_<n>.seg` — the DOT-like flight table over the nine primary
 //!   ranking attributes (full DOT cardinality 457,013; `--quick` 25,000).
 //!
+//! Each file is re-opened and scrubbed with `SegmentReader::verify` right
+//! after it is written; a segment that fails the scrub exits 1.
+//!
 //! One `name path bytes n` line per segment goes to stdout (machine
 //! readable, consumed by the CI storage job); progress goes to stderr.
 
@@ -22,7 +25,7 @@ use std::time::Instant;
 
 use skyweb_datagen::synthetic::{Correlation, SyntheticConfig};
 use skyweb_datagen::{flights_dot, synthetic};
-use skyweb_hidden_db::{HiddenDb, InterfaceType, SegmentWriter};
+use skyweb_hidden_db::{HiddenDb, InterfaceType, SegmentReader, SegmentWriter};
 
 fn usage() {
     eprintln!("usage: segment_build [--out DIR] [--quick] [--n N] [--k K]");
@@ -139,6 +142,12 @@ fn main() -> ExitCode {
             "# {name}: wrote {bytes} bytes in {:.1}s",
             t.elapsed().as_secs_f64()
         );
+        let t = Instant::now();
+        if let Err(e) = SegmentReader::open_path(&path).and_then(|reader| reader.verify()) {
+            eprintln!("{} fails verification: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("# {name}: verified in {:.1}s", t.elapsed().as_secs_f64());
         println!("{name} {} {bytes} {}", path.display(), db.n());
     }
     ExitCode::SUCCESS

@@ -111,8 +111,8 @@ pub use ranking::{
 };
 pub use schema::{AttributeRole, AttributeSpec, InterfaceType, Schema, SchemaBuilder};
 pub use segment::{
-    BlockSource, CodecCensus, CodecColumn, FileSource, MemSource, SegmentError, SegmentOpenOptions,
-    SegmentReader, SegmentWriter, StorageStats, DEFAULT_CHUNK, SEGMENT_VERSION,
+    BlockSource, FileSource, MemSource, SegmentError, SegmentOpenOptions, SegmentReader,
+    SegmentWriter, StorageStats, DEFAULT_CHUNK, SEGMENT_VERSION,
 };
 pub use session::Session;
 pub use stats::{AccessLog, AccessLogEntry, QueryStats};

@@ -29,10 +29,10 @@
 //! Values are compressed with frame-of-reference + bit-packing: each block
 //! of values stores its minimum and the per-value deltas at the smallest
 //! sufficient bit width, which compresses both low-cardinality attribute
-//! columns and the near-sequential tuple-id column well. Each `u32` chunk
-//! additionally picks the smallest of three codecs (FOR, dictionary,
-//! run-length) and is read back only through `decode_u32_payload`. The
-//! full layout is specified in `docs/segment-format.md`.
+//! columns and the near-sequential tuple-id column well. Every section
+//! payload is made of such blocks, and every lazy chunk is exactly one,
+//! read back only through `SegmentReader::decode_chunk`. The full layout
+//! is specified in `docs/segment-format.md`.
 //!
 //! File access goes through one [`BlockSource`] trait with two shipped
 //! implementations — positioned reads against a [`std::fs::File`]
@@ -143,8 +143,8 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"SWSG";
 pub const TRAILER_MAGIC: [u8; 8] = *b"SWSGTAIL";
 
 /// The segment format version this build writes and the only one it
-/// reads: every `u32` chunk carries a codec tag and a min/max header.
-pub const SEGMENT_VERSION: u16 = 2;
+/// reads: every lazy chunk is a single frame-of-reference block.
+pub const SEGMENT_VERSION: u16 = 3;
 
 /// The section envelope: [`SEGMENT_MAGIC`] at [`SEGMENT_VERSION`].
 const SWSG: Envelope = Envelope {
@@ -182,13 +182,6 @@ const KIND_IDS: u8 = 9;
 /// Pseudo section kind keying hydrated tuple chunks in the sticky tables.
 /// Never appears on disk, and never keys the bounded cache.
 const KIND_TUPLE_CACHE: u8 = 200;
-
-/// Chunk codec tag: frame-of-reference + bit-packing.
-const CODEC_FOR: u8 = 0;
-/// Chunk codec tag: sorted dictionary + bit-packed codes.
-const CODEC_DICT: u8 = 1;
-/// Chunk codec tag: run-length encoding (run values + run lengths).
-const CODEC_RLE: u8 = 2;
 
 /// Shard count of the bounded chunk cache.
 const CACHE_SHARDS: usize = 8;
@@ -565,12 +558,13 @@ fn pack<T: Packed>(values: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one FOR block of at most `max_count` values. The count claim is
+/// Decodes one FOR block of at most `max_count` values, returning them with
+/// their maximum (the minimum for an empty block). The count claim is
 /// checked before anything is allocated: a width-0 block carries no body
 /// bytes, so nothing else bounds it. Each value is read at its own bit
 /// offset, so no state carries from one value to the next, and overflow is
 /// checked once, on the largest delta, after the loop.
-fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Vec<T>, SegmentError> {
+fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<(Vec<T>, T), SegmentError> {
     let count = cast::to_usize(cur.u32()?);
     if count > max_count {
         return Err(malformed(format!(
@@ -583,7 +577,7 @@ fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Vec<T>, S
         return Err(malformed(format!("bit width {width} > {}", T::BITS)));
     }
     if width == 0 {
-        return Ok(vec![min; count]);
+        return Ok((vec![min; count], min));
     }
     let words = cast::to_usize((cast::to_u64(count) * u64::from(width)).div_ceil(64));
     // One zero word of padding lets every value read the word after its own.
@@ -601,149 +595,10 @@ fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Vec<T>, S
         max_delta = max_delta.max(delta);
         min.add_delta(delta)
     }));
-    if min
-        .widen()
-        .checked_add(max_delta)
-        .and_then(T::narrow)
-        .is_none()
-    {
+    let Some(max) = min.widen().checked_add(max_delta).and_then(T::narrow) else {
         return Err(malformed(format!("packed value overflows u{}", T::BITS)));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Chunk codecs
-// ---------------------------------------------------------------------------
-//
-// A u32 chunk payload is `tag (u8) · min (u32) · max (u32) · body`. The
-// tag selects the body layout:
-//
-//   CODEC_FOR  — one FOR/bit-packed block.
-//   CODEC_DICT — pack(sorted strictly-ascending dictionary) followed by
-//                pack(codes); value i is dict[codes[i]].
-//   CODEC_RLE  — pack(run values) followed by pack(run lengths);
-//                canonical: adjacent run values differ, every length > 0.
-//
-// The writer encodes all three and keeps the smallest (ties break
-// FOR < DICT < RLE), so output stays deterministic. The min/max header is
-// checked against the decoded values on every read.
-
-/// Encodes one u32 chunk, picking the smallest body among FOR/bitpack,
-/// dictionary + packed codes, and RLE runs.
-fn encode_u32_chunk(values: &[u32], out: &mut Vec<u8>) {
-    let min = values.iter().copied().min().unwrap_or(0);
-    let max = values.iter().copied().max().unwrap_or(0);
-
-    let mut body_for = Vec::new();
-    pack(values, &mut body_for);
-
-    let mut dict: Vec<u32> = values.to_vec();
-    dict.sort_unstable();
-    dict.dedup();
-    let codes: Vec<u32> = values
-        .iter()
-        .map(|v| cast::to_u32(dict.partition_point(|d| d < v)))
-        .collect();
-    let mut body_dict = Vec::new();
-    pack(&dict, &mut body_dict);
-    pack(&codes, &mut body_dict);
-
-    let mut run_values: Vec<u32> = Vec::new();
-    let mut run_lens: Vec<u32> = Vec::new();
-    for &v in values {
-        if run_values.last() == Some(&v) {
-            if let Some(last) = run_lens.last_mut() {
-                *last += 1;
-            }
-        } else {
-            run_values.push(v);
-            run_lens.push(1);
-        }
-    }
-    let mut body_rle = Vec::new();
-    pack(&run_values, &mut body_rle);
-    pack(&run_lens, &mut body_rle);
-
-    let (tag, body) = [
-        (CODEC_FOR, body_for),
-        (CODEC_DICT, body_dict),
-        (CODEC_RLE, body_rle),
-    ]
-    .into_iter()
-    .min_by_key(|(tag, body)| (body.len(), *tag))
-    .unwrap_or((CODEC_FOR, Vec::new()));
-    out.push(tag);
-    out.extend_from_slice(&min.to_le_bytes());
-    out.extend_from_slice(&max.to_le_bytes());
-    out.extend_from_slice(&body);
-}
-
-/// Decodes one u32 chunk payload of `expected_len` values — the only way a
-/// chunk is read — returning the values, the codec tag that produced them
-/// and their verified maximum. Rejects any count claim beyond
-/// `expected_len` before allocating (it bounds the dictionary and the run
-/// arrays too) and validates the codec invariants — strictly ascending
-/// dictionary, in-range codes, canonical runs, header min/max matching the
-/// decoded content — but leaves the exact length and kind-specific range
-/// checks to the caller, which compare the returned maximum alone.
-fn decode_u32_payload(
-    payload: &[u8],
-    expected_len: usize,
-) -> Result<(Vec<u32>, u8, u32), SegmentError> {
-    let mut cur = Cursor::new(payload);
-    let tag = cur.u8()?;
-    let cmin = cur.u32()?;
-    let cmax = cur.u32()?;
-    let vals = match tag {
-        CODEC_FOR => unpack(&mut cur, expected_len)?,
-        CODEC_DICT => {
-            let dict: Vec<u32> = unpack(&mut cur, expected_len)?;
-            if dict.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(malformed("dictionary is not strictly ascending"));
-            }
-            let codes: Vec<u32> = unpack(&mut cur, expected_len)?;
-            let mut vals = Vec::with_capacity(codes.len());
-            for &code in &codes {
-                let Some(&v) = dict.get(cast::to_usize(code)) else {
-                    return Err(malformed("dictionary code out of range"));
-                };
-                vals.push(v);
-            }
-            vals
-        }
-        CODEC_RLE => {
-            let run_values: Vec<u32> = unpack(&mut cur, expected_len)?;
-            let run_lens: Vec<u32> = unpack(&mut cur, expected_len)?;
-            if run_values.len() != run_lens.len() {
-                return Err(malformed("RLE run arrays differ in length"));
-            }
-            if run_values.windows(2).any(|w| w[0] == w[1]) || run_lens.contains(&0) {
-                return Err(malformed("RLE runs are not canonical"));
-            }
-            let mut vals = Vec::with_capacity(expected_len);
-            for (&v, &l) in run_values.iter().zip(&run_lens) {
-                if vals.len() + cast::to_usize(l) > expected_len {
-                    return Err(malformed("RLE runs overflow the chunk length"));
-                }
-                vals.extend(std::iter::repeat_n(v, cast::to_usize(l)));
-            }
-            vals
-        }
-        t => return Err(malformed(format!("undefined chunk codec tag {t}"))),
     };
-    cur.finish()?;
-    // One pass finds both bounds; an empty chunk's header holds [0, 0].
-    let bounds = match vals.first() {
-        None => (0, 0),
-        Some(&first) => vals
-            .iter()
-            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v))),
-    };
-    if bounds != (cmin, cmax) {
-        return Err(malformed("chunk header min/max do not match the values"));
-    }
-    Ok((vals, tag, cmax))
+    Ok((out, max))
 }
 
 // ---------------------------------------------------------------------------
@@ -877,7 +732,7 @@ impl SegmentWriter {
                 col.clear();
                 col.extend(slice[chunk_range(c)].iter().map(|t| t.values[attr]));
                 payload.clear();
-                encode_u32_chunk(&col, &mut payload);
+                pack(&col, &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -914,7 +769,7 @@ impl SegmentWriter {
             let order = ram.posting_order(attr);
             for c in 0..chunks {
                 payload.clear();
-                encode_u32_chunk(&order[chunk_range(c)], &mut payload);
+                pack(&order[chunk_range(c)], &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -930,12 +785,12 @@ impl SegmentWriter {
         if let Some(perm) = ram.perm() {
             for c in 0..chunks {
                 payload.clear();
-                encode_u32_chunk(&perm[chunk_range(c)], &mut payload);
+                pack(&perm[chunk_range(c)], &mut payload);
                 push(&mut file, &mut dir, KIND_PERM, 0, cast::to_u32(c), &payload);
             }
             for c in 0..chunks {
                 payload.clear();
-                encode_u32_chunk(&ram.rank_of()[chunk_range(c)], &mut payload);
+                pack(&ram.rank_of()[chunk_range(c)], &mut payload);
                 push(
                     &mut file,
                     &mut dir,
@@ -949,7 +804,7 @@ impl SegmentWriter {
                 let col = ram.rank_col(attr);
                 for c in 0..chunks {
                     payload.clear();
-                    encode_u32_chunk(&col[chunk_range(c)], &mut payload);
+                    pack(&col[chunk_range(c)], &mut payload);
                     push(
                         &mut file,
                         &mut dir,
@@ -1044,9 +899,10 @@ impl SegmentOpenOptions {
     }
 }
 
-/// Point-in-time snapshot of a [`SegmentReader`]'s cache and codec counters
-/// — the reusable stats surface behind [`crate::HiddenDb::storage_stats`]
-/// and the bench crate's `report storage` suite.
+/// Point-in-time snapshot of a [`SegmentReader`]'s cache and decode
+/// counters — the reusable stats surface behind
+/// [`crate::HiddenDb::storage_stats`] and the bench crate's `report
+/// storage` suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageStats {
     /// Chunk lookups served from the decoded-chunk cache.
@@ -1061,39 +917,16 @@ pub struct StorageStats {
     pub bytes_resident: u64,
     /// The configured cache byte budget (`None` = unbounded sticky cache).
     pub cache_budget: Option<u64>,
-    /// Chunks decoded from the FOR/bit-packed codec.
+    /// Column, permutation and posting-order chunks decoded, each one
+    /// frame-of-reference block, by queries and by
+    /// [`SegmentReader::verify`]. Tuple-id chunks are not counted.
     pub decoded_for: u64,
-    /// Chunks decoded from the dictionary codec.
+    /// Always 0: format version 3 has no dictionary-coded chunks. The
+    /// field stays so that readers of the snapshot keep compiling.
     pub decoded_dict: u64,
-    /// Chunks decoded from the run-length codec.
+    /// Always 0: format version 3 has no run-length-coded chunks. The
+    /// field stays so that readers of the snapshot keep compiling.
     pub decoded_rle: u64,
-}
-
-/// Encoded-vs-raw sizes of one store column, from
-/// [`SegmentReader::codec_census`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CodecColumn {
-    /// The attribute index.
-    pub attr: usize,
-    /// Chunk count per codec tag, indexed FOR / DICT / RLE.
-    pub chunks: [u64; 3],
-    /// Encoded payload bytes across the column's chunks.
-    pub encoded_bytes: u64,
-    /// Raw size of the column (4 bytes per value).
-    pub raw_bytes: u64,
-}
-
-/// Per-codec size census over every u32 chunk section of a segment.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CodecCensus {
-    /// Chunk-section count per codec tag, indexed FOR / DICT / RLE.
-    pub chunks: [u64; 3],
-    /// Encoded payload bytes per codec tag.
-    pub encoded_bytes: [u64; 3],
-    /// Raw (4 bytes per value) size per codec tag.
-    pub raw_bytes: [u64; 3],
-    /// Per-store-column breakdown, one row per attribute.
-    pub store_cols: Vec<CodecColumn>,
 }
 
 /// Key of one cached decoded chunk. `kind` is the on-disk section kind,
@@ -1331,9 +1164,7 @@ pub struct SegmentReader {
     zone_maxs: Vec<Vec<Value>>,
     starts: Vec<Vec<u32>>,
     cache: ChunkCache,
-    decoded_for: AtomicU64,
-    decoded_dict: AtomicU64,
-    decoded_rle: AtomicU64,
+    decoded: AtomicU64,
     full: OnceLock<Box<[Arc<Tuple>]>>,
 }
 
@@ -1457,13 +1288,17 @@ impl SegmentReader {
         cur.finish()?;
 
         let chunks = n.div_ceil(chunk);
+        // The rank-order sections exist only with a rank permutation.
+        let ranked = if has_perm { chunks } else { 0 };
         let mut by_key = HashMap::with_capacity(dir.len());
         for (i, e) in dir.iter().enumerate() {
             let (max_attr, max_chunk) = match e.kind {
-                KIND_ZONES => (1, 1),
+                KIND_ZONES => (1, usize::from(has_perm)),
                 KIND_STARTS => (m, 1),
-                KIND_PERM | KIND_RANK_OF | KIND_IDS => (1, chunks),
-                KIND_RANK_COL | KIND_STORE_COL | KIND_ORDER => (m, chunks),
+                KIND_IDS => (1, chunks),
+                KIND_PERM | KIND_RANK_OF => (1, ranked),
+                KIND_RANK_COL => (m, ranked),
+                KIND_STORE_COL | KIND_ORDER => (m, chunks),
                 k => {
                     return Err(malformed(format!(
                         "undefined section kind {k} in directory"
@@ -1499,7 +1334,8 @@ impl SegmentReader {
             }
         }
         // Completeness: every section a query could touch must exist, so
-        // lazy loads only ever fail on I/O errors or corrupted bytes.
+        // lazy loads only ever fail on I/O errors or corrupted bytes. With
+        // the range checks above, the directory holds exactly these.
         let expect = |by_key: &HashMap<(u8, u32, u32), usize>,
                       kind: u8,
                       attr: u32,
@@ -1552,9 +1388,7 @@ impl SegmentReader {
             zone_maxs: Vec::new(),
             starts: Vec::new(),
             cache: ChunkCache::new(m, chunks, has_perm, options.cache_budget),
-            decoded_for: AtomicU64::new(0),
-            decoded_dict: AtomicU64::new(0),
-            decoded_rle: AtomicU64::new(0),
+            decoded: AtomicU64::new(0),
             full: OnceLock::new(),
         };
 
@@ -1641,34 +1475,41 @@ impl SegmentReader {
         Ok(buf)
     }
 
-    /// Decodes and fully validates one u32 chunk section payload — the one
-    /// code path shared by query-time hydration and
-    /// [`SegmentReader::verify`], so a corrupt chunk surfaces with the same
-    /// [`SegmentError`] payload wherever it is hit.
-    fn decode_u32_section(
+    /// Decodes and fully validates one lazy chunk payload — the one code
+    /// path shared by query-time hydration and [`SegmentReader::verify`],
+    /// so a corrupt chunk surfaces with the same [`SegmentError`] wherever
+    /// it is hit. The payload is one FOR block of exactly `chunk_len(c)`
+    /// values, each within its kind's range: store indices and ranks below
+    /// n, column values below the attribute's domain size. Tuple ids are
+    /// unconstrained, and only `u32` chunk decodes are counted.
+    fn decode_chunk<T: Packed>(
         &self,
         kind: u8,
         attr: u32,
         c: usize,
-        expected_len: usize,
         payload: &[u8],
-    ) -> Result<Vec<u32>, SegmentError> {
-        let (vals, tag, max) = decode_u32_payload(payload, expected_len)?;
-        if vals.len() != expected_len {
+    ) -> Result<Vec<T>, SegmentError> {
+        let expected = self.chunk_len(c);
+        let mut cur = Cursor::new(payload);
+        let (vals, max) = unpack::<T>(&mut cur, expected)?;
+        cur.finish()?;
+        if vals.len() != expected {
             return Err(malformed(format!(
-                "section {}[{attr}, {c}] holds {} values, expected {expected_len}",
+                "section {}[{attr}, {c}] holds {} values, expected {expected}",
                 kind_name(kind),
                 vals.len()
             )));
         }
         // Every chunk holds at least one value, so `max` is one of them and
         // bounds the rest.
+        let max = max.widen();
         match kind {
-            KIND_PERM | KIND_RANK_OF | KIND_ORDER if cast::to_usize(max) >= self.n => {
+            KIND_IDS => return Ok(vals),
+            KIND_PERM | KIND_RANK_OF | KIND_ORDER if max >= cast::to_u64(self.n) => {
                 return Err(malformed(format!("{} value out of range", kind_name(kind))));
             }
             KIND_RANK_COL | KIND_STORE_COL
-                if max >= self.schema.attr(cast::to_usize(attr)).domain_size =>
+                if max >= u64::from(self.schema.attr(cast::to_usize(attr)).domain_size) =>
             {
                 return Err(malformed(format!(
                     "{}[{attr}] value outside the attribute domain",
@@ -1677,28 +1518,14 @@ impl SegmentReader {
             }
             _ => {}
         }
-        let counter = match tag {
-            CODEC_FOR => &self.decoded_for,
-            CODEC_DICT => &self.decoded_dict,
-            _ => &self.decoded_rle,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.decoded.fetch_add(1, Ordering::Relaxed);
         Ok(vals)
     }
 
-    /// Decodes and validates one ids chunk payload (shared with `verify`).
-    fn decode_ids_section(&self, c: usize, payload: &[u8]) -> Result<Vec<u64>, SegmentError> {
-        let mut cur = Cursor::new(payload);
-        let vals: Vec<u64> = unpack(&mut cur, self.chunk_len(c))?;
-        cur.finish()?;
-        if vals.len() != self.chunk_len(c) {
-            return Err(malformed(format!(
-                "ids chunk {c} holds {} values, expected {}",
-                vals.len(),
-                self.chunk_len(c)
-            )));
-        }
-        Ok(vals)
+    /// Reads, opens and decodes lazy chunk `(kind, attr, c)`.
+    fn load_chunk<T: Packed>(&self, kind: u8, attr: u32, c: usize) -> Result<Vec<T>, SegmentError> {
+        let bytes = self.read_entry(self.entry(kind, attr, cast::to_u32(c))?)?;
+        self.decode_chunk(kind, attr, c, SWSG.open(&bytes, kind)?)
     }
 
     /// Decodes and validates one posting prefix-count payload (shared with
@@ -1706,7 +1533,7 @@ impl SegmentReader {
     fn decode_starts_section(&self, attr: usize, payload: &[u8]) -> Result<Vec<u32>, SegmentError> {
         let d = cast::to_usize(self.schema.attr(attr).domain_size);
         let mut cur = Cursor::new(payload);
-        let starts: Vec<u32> = unpack(&mut cur, d + 1)?;
+        let (starts, _) = unpack::<u32>(&mut cur, d + 1)?;
         cur.finish()?;
         if starts.len() != d + 1 {
             return Err(malformed(format!(
@@ -1734,7 +1561,7 @@ impl SegmentReader {
         let (mut mins, mut maxs) = (Vec::new(), Vec::new());
         for attr in 0..self.schema.len() {
             for table in [&mut mins, &mut maxs] {
-                let vals: Vec<Value> = unpack(&mut cur, blocks)?;
+                let (vals, _) = unpack::<Value>(&mut cur, blocks)?;
                 if vals.len() != blocks {
                     return Err(malformed(format!(
                         "zones[{attr}] cover {} blocks, expected {blocks}",
@@ -1746,18 +1573,6 @@ impl SegmentReader {
         }
         cur.finish()?;
         Ok((mins, maxs))
-    }
-
-    fn decode_u32_chunk(
-        &self,
-        kind: u8,
-        attr: u32,
-        c: usize,
-        expected_len: usize,
-    ) -> Result<Vec<u32>, SegmentError> {
-        let e = self.entry(kind, attr, cast::to_u32(c))?;
-        let bytes = self.read_entry(e)?;
-        self.decode_u32_section(kind, attr, c, expected_len, SWSG.open(&bytes, kind)?)
     }
 
     /// A resident sticky `u32` chunk, borrowed in place — no `Arc` traffic,
@@ -1800,7 +1615,7 @@ impl SegmentReader {
         if let Some(hit) = self.cache.get(key) {
             return Ok(hit.as_u32().clone());
         }
-        let vals = self.decode_u32_chunk(kind, attr, c, self.chunk_len(c))?;
+        let vals: Vec<u32> = self.load_chunk(kind, attr, c)?;
         let cost = 4 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
         let data = CachedChunk::U32(vals.into());
         Ok(self.cache.insert(key, data, cost).as_u32().clone())
@@ -1815,15 +1630,13 @@ impl SegmentReader {
         if let Some(hit) = self.cache.get(key) {
             return Ok(hit.as_u64().clone());
         }
-        let e = self.entry(KIND_IDS, 0, cast::to_u32(c))?;
-        let bytes = self.read_entry(e)?;
-        let vals = self.decode_ids_section(c, SWSG.open(&bytes, KIND_IDS)?)?;
+        let vals: Vec<u64> = self.load_chunk(KIND_IDS, 0, c)?;
         let cost = 8 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
         let data = CachedChunk::U64(vals.into());
         Ok(self.cache.insert(key, data, cost).as_u64().clone())
     }
 
-    /// Snapshot of the cache and codec counters.
+    /// Snapshot of the cache and decode counters.
     pub fn storage_stats(&self) -> StorageStats {
         StorageStats {
             cache_hits: self.cache.hit_count(),
@@ -1831,51 +1644,10 @@ impl SegmentReader {
             cache_evictions: self.cache.eviction_count(),
             bytes_resident: self.cache.resident_bytes(),
             cache_budget: self.options.cache_budget,
-            decoded_for: self.decoded_for.load(Ordering::Relaxed),
-            decoded_dict: self.decoded_dict.load(Ordering::Relaxed),
-            decoded_rle: self.decoded_rle.load(Ordering::Relaxed),
+            decoded_for: self.decoded.load(Ordering::Relaxed),
+            decoded_dict: 0,
+            decoded_rle: 0,
         }
-    }
-
-    /// Full-directory census of the u32 chunk codecs: which codec won each
-    /// chunk and how the encoded bytes compare to raw, overall and per
-    /// store column. Reads every chunk section header (O(file) I/O, no
-    /// decoding).
-    pub fn codec_census(&self) -> Result<CodecCensus, SegmentError> {
-        let mut census = CodecCensus {
-            store_cols: (0..self.schema.len())
-                .map(|attr| CodecColumn {
-                    attr,
-                    ..CodecColumn::default()
-                })
-                .collect(),
-            ..CodecCensus::default()
-        };
-        for e in &self.dir {
-            if !matches!(
-                e.kind,
-                KIND_PERM | KIND_RANK_OF | KIND_RANK_COL | KIND_STORE_COL | KIND_ORDER
-            ) {
-                continue;
-            }
-            let bytes = self.read_entry(*e)?;
-            let payload = SWSG.open(&bytes, e.kind)?;
-            let tag = Cursor::new(payload).u8()?;
-            if tag > CODEC_RLE {
-                return Err(malformed(format!("undefined chunk codec tag {tag}")));
-            }
-            let raw = 4 * cast::to_u64(self.chunk_len(cast::to_usize(e.chunk)));
-            census.chunks[cast::to_usize(tag)] += 1;
-            census.encoded_bytes[cast::to_usize(tag)] += cast::to_u64(payload.len());
-            census.raw_bytes[cast::to_usize(tag)] += raw;
-            if e.kind == KIND_STORE_COL {
-                let col = &mut census.store_cols[cast::to_usize(e.attr)];
-                col.chunks[cast::to_usize(tag)] += 1;
-                col.encoded_bytes += cast::to_u64(payload.len());
-                col.raw_bytes += raw;
-            }
-        }
-        Ok(census)
     }
 
     /// The tuple at store index `idx`, served from the full-hydration
@@ -1982,11 +1754,22 @@ impl SegmentReader {
 
     // -- verification ------------------------------------------------------
 
-    /// The full O(file) scrub: every section's envelope and checksum, every
-    /// payload decoded and range-checked, the directory proven to tile the
-    /// file contiguously (no unexamined gaps), and the permutation proven to
-    /// be a permutation with its stored inverse. After `verify` succeeds,
-    /// every byte of the file has been covered by a checksum.
+    /// The full O(file) scrub. It proves that the directory tiles the file
+    /// contiguously (no unexamined gaps), so once it succeeds every byte of
+    /// the file has been covered by a checksum, and it decodes every
+    /// section through the decoders query-time hydration uses, so a corrupt
+    /// chunk found here carries the exact error a query would surface. It
+    /// then checks what the bytes mean:
+    ///
+    /// * `perm` is a permutation of `0..n` and `rank-of` is its inverse;
+    /// * each attribute's posting `order` is a permutation of `0..n`, and
+    ///   its bucket `v` (bounded by `starts`) holds exactly the tuples whose
+    ///   `store-col` value is `v`;
+    /// * `rank-col[a][r] == store-col[a][perm[r]]` at every rank `r`;
+    /// * every zone map contains each `rank-col` value of its block.
+    ///
+    /// Attributes are checked one at a time, so the scrub holds O(n)
+    /// decoded values, whatever the attribute count.
     pub fn verify(&self) -> Result<(), SegmentError> {
         // Geometry: sections tile [0, footer_off), then footer, then trailer.
         let mut extents: Vec<(u64, u64)> = self.dir.iter().map(|e| (e.offset, e.len)).collect();
@@ -2012,52 +1795,88 @@ impl SegmentReader {
             return Err(malformed("footer/trailer do not tile to the file size"));
         }
 
-        // Content: decode and range-check every section through the same
-        // decode helpers query-time hydration uses, so a corrupt chunk
-        // found here carries the exact error a query would surface.
-        let n = self.n;
-        let mut perm_all: Vec<u32> = Vec::new();
-        let mut rank_of_all: Vec<u32> = Vec::new();
-        for e in &self.dir {
-            let bytes = self.read_entry(*e)?;
-            let payload = SWSG.open(&bytes, e.kind)?;
-            match e.kind {
-                KIND_ZONES => {
-                    self.decode_zones_section(payload)?;
-                }
-                KIND_STARTS => {
-                    self.decode_starts_section(cast::to_usize(e.attr), payload)?;
-                }
-                KIND_IDS => {
-                    self.decode_ids_section(cast::to_usize(e.chunk), payload)?;
-                }
-                kind => {
-                    let c = cast::to_usize(e.chunk);
-                    let vals =
-                        self.decode_u32_section(kind, e.attr, c, self.chunk_len(c), payload)?;
-                    if kind == KIND_PERM {
-                        perm_all.resize(perm_all.len().max(n), 0);
-                        let base = c * self.chunk;
-                        perm_all[base..base + vals.len()].copy_from_slice(&vals);
-                    }
-                    if kind == KIND_RANK_OF {
-                        rank_of_all.resize(rank_of_all.len().max(n), 0);
-                        let base = c * self.chunk;
-                        rank_of_all[base..base + vals.len()].copy_from_slice(&vals);
-                    }
+        // Content. `open` proved the directory holds exactly the sections
+        // below, so reading them reads every section.
+        let (n, chunks) = (self.n, self.chunks());
+        let mut starts = Vec::with_capacity(self.schema.len());
+        for attr in 0..self.schema.len() {
+            let bytes = self.read_entry(self.entry(KIND_STARTS, cast::to_u32(attr), 0)?)?;
+            starts.push(self.decode_starts_section(attr, SWSG.open(&bytes, KIND_STARTS)?)?);
+        }
+        let (zone_mins, zone_maxs) = if self.has_perm {
+            let bytes = self.read_entry(self.entry(KIND_ZONES, 0, 0)?)?;
+            self.decode_zones_section(SWSG.open(&bytes, KIND_ZONES)?)?
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        for c in 0..chunks {
+            self.load_chunk::<u64>(KIND_IDS, 0, c)?;
+        }
+        let column = |kind: u8, attr: usize| -> Result<Vec<u32>, SegmentError> {
+            let mut all = Vec::with_capacity(n);
+            for c in 0..chunks {
+                all.extend(self.load_chunk::<u32>(kind, cast::to_u32(attr), c)?);
+            }
+            Ok(all)
+        };
+        // A column of n decoded values, each below n, is a permutation iff
+        // no value repeats.
+        let mut seen = vec![false; n];
+        let mut is_permutation = |vals: &[u32]| {
+            seen.fill(false);
+            vals.iter()
+                .all(|&v| !std::mem::replace(&mut seen[cast::to_usize(v)], true))
+        };
+        let mut perm = Vec::new();
+        if self.has_perm {
+            perm = column(KIND_PERM, 0)?;
+            if !is_permutation(&perm) {
+                return Err(malformed("perm is not a permutation"));
+            }
+            let rank_of = column(KIND_RANK_OF, 0)?;
+            for (idx, &rank) in rank_of.iter().enumerate() {
+                if cast::to_usize(perm[cast::to_usize(rank)]) != idx {
+                    return Err(malformed("rank_of is not the inverse of perm"));
                 }
             }
         }
-        if self.has_perm {
-            let mut seen = vec![false; n];
-            for &idx in &perm_all {
-                if std::mem::replace(&mut seen[cast::to_usize(idx)], true) {
-                    return Err(malformed("perm is not a permutation"));
+        for (attr, starts) in starts.iter().enumerate() {
+            let store = column(KIND_STORE_COL, attr)?;
+            let order = column(KIND_ORDER, attr)?;
+            if !is_permutation(&order) {
+                return Err(malformed(format!("order[{attr}] is not a permutation")));
+            }
+            // The prefix counts split 0..n into one bucket per value.
+            for (v, w) in starts.windows(2).enumerate() {
+                let bucket = &order[cast::to_usize(w[0])..cast::to_usize(w[1])];
+                if bucket
+                    .iter()
+                    .any(|&idx| cast::to_usize(store[cast::to_usize(idx)]) != v)
+                {
+                    return Err(malformed(format!(
+                        "order[{attr}] bucket {v} holds a tuple of another value"
+                    )));
                 }
             }
-            for (idx, &rank) in rank_of_all.iter().enumerate() {
-                if cast::to_usize(perm_all[cast::to_usize(rank)]) != idx {
-                    return Err(malformed("rank_of is not the inverse of perm"));
+            if !self.has_perm {
+                continue;
+            }
+            let rank = column(KIND_RANK_COL, attr)?;
+            if rank
+                .iter()
+                .zip(&perm)
+                .any(|(&v, &idx)| store[cast::to_usize(idx)] != v)
+            {
+                return Err(malformed(format!(
+                    "rank-col[{attr}] disagrees with store-col through perm"
+                )));
+            }
+            for (b, block) in rank.chunks(BLOCK).enumerate() {
+                let (lo, hi) = (zone_mins[attr][b], zone_maxs[attr][b]);
+                if block.iter().any(|&v| v < lo || v > hi) {
+                    return Err(malformed(format!(
+                        "zones[{attr}] block {b} does not contain its rank-col values"
+                    )));
                 }
             }
         }
@@ -2193,7 +2012,7 @@ mod tests {
             assert_eq!(u32::from(bytes[at]), width, "packed width");
         }
         let mut cur = Cursor::new(&bytes);
-        let back: Vec<T> = unpack(&mut cur, values.len()).unwrap();
+        let (back, max) = unpack::<T>(&mut cur, values.len()).unwrap();
         cur.finish().unwrap();
         assert_eq!(
             back,
@@ -2202,6 +2021,7 @@ mod tests {
             T::BITS,
             values.len()
         );
+        assert_eq!(Some(max), values.iter().copied().max(), "block maximum");
     }
 
     #[test]
@@ -2244,7 +2064,7 @@ mod tests {
             // Constant (or empty) runs cost exactly the 9-byte header.
             assert_eq!(bytes.len(), 9);
             let mut cur = Cursor::new(&bytes);
-            assert_eq!(unpack::<u32>(&mut cur, values.len()).unwrap(), values);
+            assert_eq!(unpack::<u32>(&mut cur, values.len()).unwrap().0, values);
             cur.finish().unwrap();
         }
     }
@@ -2326,30 +2146,6 @@ mod tests {
         let ans = seg.query(&Query::select_all()).unwrap();
         assert!(ans.is_empty());
         assert!(!ans.overflowed);
-    }
-
-    #[test]
-    fn chunk_codecs_round_trip_and_pick_smallest() {
-        let dict_shaped: Vec<u32> = (0..512).map(|i| [5u32, 9_000, 1_000_000][i % 3]).collect();
-        let rle_shaped: Vec<u32> = (0..512).map(|i| (i as u32 / 128) * 100).collect();
-        let for_shaped: Vec<u32> = (0..512).map(|i| 1000 + i as u32).collect();
-        for (vals, want_tag) in [
-            (dict_shaped, CODEC_DICT),
-            (rle_shaped, CODEC_RLE),
-            (for_shaped, CODEC_FOR),
-        ] {
-            let mut payload = Vec::new();
-            encode_u32_chunk(&vals, &mut payload);
-            assert_eq!(payload[0], want_tag, "codec choice");
-            let (back, tag, max) = decode_u32_payload(&payload, vals.len()).unwrap();
-            assert_eq!(tag, want_tag);
-            assert_eq!(back, vals);
-            assert_eq!(Some(max), vals.iter().copied().max());
-        }
-        // Empty chunks round-trip under the tie-break winner (FOR).
-        let mut payload = Vec::new();
-        encode_u32_chunk(&[], &mut payload);
-        assert_eq!(decode_u32_payload(&payload, 0).unwrap().0, vec![]);
     }
 
     #[test]
@@ -2491,12 +2287,8 @@ mod tests {
                     s.cache_evictions >= prev.cache_evictions,
                     "evictions regressed"
                 );
-                assert!(s.decoded_for >= prev.decoded_for, "FOR decodes regressed");
-                assert!(
-                    s.decoded_dict >= prev.decoded_dict,
-                    "DICT decodes regressed"
-                );
-                assert!(s.decoded_rle >= prev.decoded_rle, "RLE decodes regressed");
+                assert!(s.decoded_for >= prev.decoded_for, "decodes regressed");
+                assert_eq!((s.decoded_dict, s.decoded_rle), (0, 0));
                 // Every eviction removes an entry a miss previously decoded
                 // and inserted, so evictions can never outrun misses.
                 assert!(
@@ -2524,10 +2316,7 @@ mod tests {
             prev.cache_hits > 0,
             "repeat queries must still find entries"
         );
-        assert!(
-            prev.decoded_for + prev.decoded_dict + prev.decoded_rle > 0,
-            "thrash re-decodes through the codecs"
-        );
+        assert!(prev.decoded_for > 0, "thrash re-decodes chunks");
     }
 
     /// Rewrites the payload of section `(kind, attr, chunk)` with `forge`
@@ -2557,18 +2346,19 @@ mod tests {
 
     #[test]
     fn verify_and_query_report_the_same_corruption_error() {
-        // Poison the chunk's codec tag so the corruption reaches the codec
-        // layer on both paths.
+        // Poison the chunk's FOR width byte (after the 4-byte count and the
+        // 4-byte minimum) so the corruption reaches the block decoder on
+        // both paths.
         let bytes = SegmentWriter::new()
             .with_chunk_size(64)
             .write(&tiny_db())
             .unwrap();
-        let poisoned = reseal(&bytes, KIND_STORE_COL, 0, 0, |p| p[0] = 7);
+        let poisoned = reseal(&bytes, KIND_STORE_COL, 0, 0, |p| p[8] = 33);
         let reader =
             SegmentReader::open(Box::new(MemSource::new(poisoned))).expect("footer intact");
         let verify_err = reader.verify().unwrap_err();
         assert_eq!(verify_err, reader.value_at(0, 0).unwrap_err());
-        assert_eq!(verify_err, malformed("undefined chunk codec tag 7"));
+        assert_eq!(verify_err, malformed("bit width 33 > 32"));
     }
 
     #[test]
@@ -2591,10 +2381,9 @@ mod tests {
             assert_eq!(err, claim(bound), "{}", kind_name(kind));
         }
         // Lazy chunks open, then fail `verify` and the first query that
-        // hydrates them with the same error. The store-col body's first FOR
-        // block sits after the 9-byte codec header, whatever the codec.
-        for (kind, at, min_len) in [(KIND_STORE_COL, 9, 4), (KIND_IDS, 0, 8)] {
-            let forged = reseal(&bytes, kind, 0, 0, width0_claim(at, min_len));
+        // hydrates them with the same error.
+        for (kind, min_len) in [(KIND_STORE_COL, 4), (KIND_IDS, 8)] {
+            let forged = reseal(&bytes, kind, 0, 0, width0_claim(0, min_len));
             let reader = SegmentReader::open(Box::new(MemSource::new(forged.clone())))
                 .expect("lazy chunks are not read at open");
             assert_eq!(
@@ -2617,68 +2406,82 @@ mod tests {
         }
     }
 
+    /// Re-seals section `(kind, attr, chunk)`, whose payload is a run of
+    /// `u32` FOR blocks, after `edit` changes their values. The edit must
+    /// keep the payload's length, so the directory stays valid.
+    fn reseal_values(
+        bytes: &[u8],
+        kind: u8,
+        attr: u32,
+        chunk: u32,
+        edit: impl Fn(&mut [Vec<u32>]),
+    ) -> Vec<u8> {
+        reseal(bytes, kind, attr, chunk, |p| {
+            let mut cur = Cursor::new(p);
+            let mut blocks = Vec::new();
+            while cur.pos < p.len() {
+                blocks.push(unpack::<u32>(&mut cur, usize::MAX).unwrap().0);
+            }
+            edit(&mut blocks);
+            let mut repacked = Vec::new();
+            for block in &blocks {
+                pack(block, &mut repacked);
+            }
+            assert_eq!(repacked.len(), p.len(), "the edit resized the payload");
+            p.copy_from_slice(&repacked);
+        })
+    }
+
     #[test]
-    fn a_lying_chunk_header_never_changes_an_answer() {
-        // Chunk 0 of `a` holds 0..63, but its re-sealed header claims
-        // [100, 200]. Under a bounded cache with the access log on, every
-        // query answers exactly like the RAM build or fails typed.
-        let schema = SchemaBuilder::new()
-            .ranking("a", 64, InterfaceType::Rq)
-            .ranking("b", 8, InterfaceType::Rq)
-            .build();
-        let tuples: Vec<Tuple> = (0..128u64)
-            .map(|i| Tuple::new(i, vec![(i % 64) as u32, (i / 16) as u32]))
-            .collect();
-        let ram = HiddenDb::with_sum_ranking(schema, tuples, 4);
+    fn verify_rejects_resealed_forgeries_of_what_the_bytes_mean() {
+        // tiny_db in 64-value chunks. Attribute `a` is i % 10, and `b` is a
+        // function of `a`, so ranks 0..15 hold the tuples with a = 0 and
+        // ranks 15..30 those with a = 3. Every forgery below decodes
+        // cleanly and keeps every value in range: only the checks on what
+        // the bytes mean can reject it.
         let bytes = SegmentWriter::new()
             .with_chunk_size(64)
-            .write(&ram)
+            .write(&tiny_db())
             .unwrap();
-        let forged = reseal(&bytes, KIND_STORE_COL, 0, 0, |p| {
-            p[1..5].copy_from_slice(&100u32.to_le_bytes());
-            p[5..9].copy_from_slice(&200u32.to_le_bytes());
-        });
-        let lie = malformed("chunk header min/max do not match the values");
-        let reader = SegmentReader::open(Box::new(MemSource::new(forged.clone()))).unwrap();
-        assert_eq!(reader.verify().unwrap_err(), lie);
-        let seg = HiddenDb::open_segment_source_with(
-            Box::new(MemSource::new(forged)),
-            Box::new(SumRanker),
-            SegmentOpenOptions::new().with_cache_budget(1 << 20),
-        )
-        .unwrap();
-        ram.enable_access_log();
-        seg.enable_access_log();
-        let queries = [
-            // 51 of chunk 0's values are in range; the header says none.
-            Query::new(vec![crate::Predicate::le(0, 50)]),
-            Query::new(vec![crate::Predicate::ge(0, 60)]),
-            // Matches only in chunk 1, past the lying chunk.
-            Query::new(vec![
-                crate::Predicate::le(0, 50),
-                crate::Predicate::ge(1, 4),
-            ]),
-            Query::select_all(),
+        let bucket = malformed("order[0] bucket 0 holds a tuple of another value");
+        let forgeries = [
+            // Tuples 0 and 1 swap their `a` values, 0 and 1: served
+            // unchecked, `a = 0` answers with tuple 0 carrying a = 1.
+            (
+                "swapped store values",
+                reseal_values(&bytes, KIND_STORE_COL, 0, 0, |b| b[0].swap(0, 1)),
+                bucket.clone(),
+            ),
+            // Tuple 0 (a = 0) trades places with tuple 1 (a = 1) across
+            // the first two posting buckets of `a`.
+            (
+                "order entries swapped across buckets",
+                reseal_values(&bytes, KIND_ORDER, 0, 0, |b| b[0].swap(0, 15)),
+                bucket,
+            ),
+            // Ranks 0 and 20 swap their `a` values, 0 and 3, inside one
+            // zone block whose bounds still contain both.
+            (
+                "swapped rank-col values",
+                reseal_values(&bytes, KIND_RANK_COL, 0, 0, |b| {
+                    assert_ne!(b[0][0], b[0][20]);
+                    b[0].swap(0, 20);
+                }),
+                malformed("rank-col[0] disagrees with store-col through perm"),
+            ),
+            // The zones payload is attribute 0's block minima, then its
+            // maxima: lower block 0's maximum below one of its values.
+            (
+                "lowered zone max",
+                reseal_values(&bytes, KIND_ZONES, 0, 0, |b| b[1][0] -= 1),
+                malformed("zones[0] block 0 does not contain its rank-col values"),
+            ),
         ];
-        let mut answered = 0;
-        for q in &queries {
-            let want = ram.query(q).unwrap();
-            match seg.query(q) {
-                Ok(got) => {
-                    let ids = |r: &crate::QueryResponse| {
-                        r.tuples.iter().map(|t| t.id).collect::<Vec<_>>()
-                    };
-                    assert_eq!(ids(&got), ids(&want), "{q}");
-                    assert_eq!(got.overflowed, want.overflowed, "{q}");
-                    answered += 1;
-                }
-                Err(e) => assert_eq!(e, crate::QueryError::Storage { error: lie.clone() }, "{q}"),
-            }
+        for (what, forged, want) in forgeries {
+            let reader = SegmentReader::open(Box::new(MemSource::new(forged)))
+                .unwrap_or_else(|e| panic!("{what}: the forgery opens: {e}"));
+            assert_eq!(reader.verify().unwrap_err(), want, "{what}");
         }
-        assert!(
-            answered > 0,
-            "queries clear of the lying chunk still answer"
-        );
     }
 
     #[test]

@@ -279,23 +279,25 @@ fn every_single_bit_flip_is_rejected() {
 
 #[test]
 fn a_version_1_segment_is_rejected() {
-    // Re-tag every section header and the footer as version 1. Headers sit
-    // outside the payload checksums, so only the version check stands
-    // between the reader and the bytes.
-    let mut bytes = sample_segment_bytes();
-    let trailer = bytes.len() - 32;
-    let footer_off = u64::from_le_bytes(bytes[trailer + 8..trailer + 16].try_into().unwrap());
-    let mut off = 0usize;
-    while off <= footer_off as usize {
-        bytes[off + 4..off + 6].copy_from_slice(&1u16.to_le_bytes());
-        let len = u64::from_le_bytes(bytes[off + 7..off + 15].try_into().unwrap());
-        off += 15 + len as usize + 8;
+    // Re-tag every section header and the footer as an older version.
+    // Headers sit outside the payload checksums, so only the version check
+    // stands between the reader and the bytes.
+    for version in [1u16, 2] {
+        let mut bytes = sample_segment_bytes();
+        let trailer = bytes.len() - 32;
+        let footer_off = u64::from_le_bytes(bytes[trailer + 8..trailer + 16].try_into().unwrap());
+        let mut off = 0usize;
+        while off <= footer_off as usize {
+            bytes[off + 4..off + 6].copy_from_slice(&version.to_le_bytes());
+            let len = u64::from_le_bytes(bytes[off + 7..off + 15].try_into().unwrap());
+            off += 15 + len as usize + 8;
+        }
+        assert_eq!(off, trailer, "the walk covers every section and the footer");
+        assert_eq!(
+            SegmentReader::open(Box::new(MemSource::new(bytes))).unwrap_err(),
+            SegmentError::UnsupportedVersion { found: version }
+        );
     }
-    assert_eq!(off, trailer, "the walk covers every section and the footer");
-    assert_eq!(
-        SegmentReader::open(Box::new(MemSource::new(bytes))).unwrap_err(),
-        SegmentError::UnsupportedVersion { found: 1 }
-    );
 }
 
 #[test]
@@ -338,12 +340,11 @@ fn corrupt_chunk_surfaces_as_query_storage_error() {
     );
 }
 
-/// A database whose columns are shaped so the v2 writer provably picks all
-/// three chunk codecs: `price` has 3 distinct values scattered over a wide
-/// domain (dictionary wins), `grade` changes every 128 tuples under a
-/// 256-value chunk (run-length wins on the multi-run chunks), and `ramp` is
-/// a dense cycle (frame-of-reference wins).
-fn all_codecs_db() -> HiddenDb {
+/// A database whose columns have three shapes: `price` has 3 distinct
+/// values scattered over a wide domain, so its chunks pack at a wide bit
+/// width; `grade` changes every 128 tuples under a 256-value chunk, so
+/// its store chunks hold long runs; and `ramp` is a dense cycle.
+fn mixed_shape_db() -> HiddenDb {
     let schema = SchemaBuilder::new()
         .ranking("price", 1000, InterfaceType::Rq)
         .ranking("grade", 8, InterfaceType::Sq)
@@ -366,35 +367,26 @@ fn all_codecs_db() -> HiddenDb {
     HiddenDb::with_sum_ranking(schema, tuples, 5)
 }
 
-fn sample_v2_segment_with_all_codecs() -> Vec<u8> {
+fn sample_mixed_shape_segment() -> Vec<u8> {
     SegmentWriter::new()
         .with_chunk_size(256)
-        .write(&all_codecs_db())
+        .write(&mixed_shape_db())
         .unwrap()
 }
 
 #[test]
-fn v2_sample_exercises_every_codec_and_round_trips() {
-    let bytes = sample_v2_segment_with_all_codecs();
+fn mixed_shape_sample_scrubs_clean_and_round_trips() {
+    let bytes = sample_mixed_shape_segment();
     let reader = SegmentReader::open(Box::new(MemSource::new(bytes.clone()))).unwrap();
-    reader.verify().expect("all-codec sample scrubs clean");
-    let census = reader.codec_census().expect("census over a clean segment");
-    for (codec, name) in [(0usize, "FOR"), (1, "DICT"), (2, "RLE")] {
-        assert!(
-            census.chunks[codec] > 0,
-            "the all-codec sample must contain at least one {name} chunk \
-             (census: {:?})",
-            census.chunks
-        );
-    }
-    let ram = all_codecs_db();
-    let seg = open_mem(bytes).expect("all-codec sample opens as a database");
+    reader.verify().expect("mixed-shape sample scrubs clean");
+    let ram = mixed_shape_db();
+    let seg = open_mem(bytes).expect("mixed-shape sample opens as a database");
     assert_same_behavior(&ram, &seg);
 }
 
 #[test]
-fn every_truncation_of_a_v2_all_codec_segment_is_rejected() {
-    let bytes = sample_v2_segment_with_all_codecs();
+fn every_truncation_of_a_mixed_shape_segment_is_rejected() {
+    let bytes = sample_mixed_shape_segment();
     assert!(open_and_scrub(&bytes).is_ok());
     for len in 0..bytes.len() {
         assert!(
@@ -406,10 +398,8 @@ fn every_truncation_of_a_v2_all_codec_segment_is_rejected() {
 }
 
 #[test]
-fn every_single_bit_flip_in_a_v2_all_codec_segment_is_rejected() {
-    // Dictionary and run-length chunk bodies get the same exhaustive
-    // bit-flip battery the v1 frame-of-reference format passes.
-    let bytes = sample_v2_segment_with_all_codecs();
+fn every_single_bit_flip_in_a_mixed_shape_segment_is_rejected() {
+    let bytes = sample_mixed_shape_segment();
     for i in 0..bytes.len() {
         for bit in 0..8 {
             let mut corrupt = bytes.clone();
@@ -428,7 +418,7 @@ fn concurrent_readers_under_a_tiny_cache_stay_byte_identical() {
     // budget holds roughly one decoded chunk per shard, so chunks are
     // continuously evicted and re-decoded underneath the running queries.
     type QueryOutcome = Result<(Vec<(u64, Vec<u32>)>, bool), String>;
-    let ram = all_codecs_db();
+    let ram = mixed_shape_db();
     let expected: Vec<QueryOutcome> = workload(&ram)
         .iter()
         .map(|q| match ram.query(q) {
@@ -442,11 +432,11 @@ fn concurrent_readers_under_a_tiny_cache_stay_byte_identical() {
 
     let budget = 16 * 1024;
     let seg = HiddenDb::open_segment_source_with(
-        Box::new(MemSource::new(sample_v2_segment_with_all_codecs())),
+        Box::new(MemSource::new(sample_mixed_shape_segment())),
         Box::new(SumRanker),
         SegmentOpenOptions::new().with_cache_budget(budget),
     )
-    .expect("all-codec sample opens under a tiny cache budget");
+    .expect("mixed-shape sample opens under a tiny cache budget");
 
     std::thread::scope(|scope| {
         for _ in 0..4 {

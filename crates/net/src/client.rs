@@ -2,7 +2,8 @@
 //! and plugs into [`DiscoveryDriver::with_oracle`](skyweb_core::DiscoveryDriver::with_oracle),
 //! so every discovery machine runs unmodified against a remote database.
 //!
-//! Transport failures (disconnect, timeout, corrupt frame) surface as
+//! Transport failures (disconnect, timeout, corrupt frame, or a reply that
+//! does not fit its plan or the server's `Welcome`) surface as
 //! [`QueryError::ConnectionDropped`] — transient in the
 //! [`QueryError::is_transient`] taxonomy, so a driver with a
 //! [`RetryPolicy`](skyweb_core::RetryPolicy) degrades gracefully instead of
@@ -12,10 +13,10 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use skyweb_core::{
-    decode_error_reply, decode_responses, decode_welcome, encode_hello, encode_plan, Hello,
-    PlanOracle, QueryPlan, KIND_ERROR, KIND_RESPONSES, KIND_WELCOME, WIRE_PROTOCOL,
+    decode_error_reply, decode_responses, decode_welcome, encode_hello, encode_plan, CodecError,
+    Hello, PlanOracle, QueryPlan, KIND_ERROR, KIND_RESPONSES, KIND_WELCOME, WIRE_PROTOCOL,
 };
-use skyweb_hidden_db::{HiddenDb, PrefixGroup, Query, QueryError, QueryResponse, Schema};
+use skyweb_hidden_db::{HiddenDb, PrefixGroup, Query, QueryError, QueryResponse, Schema, Value};
 
 use crate::wire::{self, NetError, MAX_FRAME_LEN, MAX_HANDSHAKE_FRAME_LEN};
 
@@ -117,7 +118,17 @@ impl RemoteOracle {
         HiddenDb::with_sum_ranking(self.info.schema.clone(), Vec::new(), k)
     }
 
-    /// One plan round-trip over the socket.
+    /// One plan round-trip over the socket. The reply must fit the plan
+    /// and the `Welcome`, or it fails with [`CodecError::Invalid`]:
+    ///
+    /// * a `RESPONSES` frame answers every query, an `ERROR` frame fewer
+    ///   queries than the plan holds;
+    /// * no response carries more than `k` tuples;
+    /// * every tuple has one value per schema attribute, each inside its
+    ///   attribute's domain.
+    ///
+    /// The driver and the knowledge base index by these shapes, so a reply
+    /// that breaks one would otherwise panic the client.
     fn exchange(
         &mut self,
         queries: &[Query],
@@ -134,14 +145,34 @@ impl RemoteOracle {
         let Some((kind, frame)) = wire::read_frame(&mut self.stream, self.max_frame_len)? else {
             return Err(NetError::Disconnected);
         };
-        match kind {
-            KIND_RESPONSES => Ok((decode_responses(&frame)?, None)),
+        let (responses, err) = match kind {
+            KIND_RESPONSES => (decode_responses(&frame)?, None),
             KIND_ERROR => {
                 let (answered, err) = decode_error_reply(&frame)?;
-                Ok((answered, Some(err)))
+                (answered, Some(err))
             }
-            found => Err(NetError::UnexpectedKind { found }),
+            found => return Err(NetError::UnexpectedKind { found }),
+        };
+        let counted = match err {
+            None => responses.len() == queries.len(),
+            Some(_) => responses.len() < queries.len(),
+        };
+        let schema = &self.info.schema;
+        let fits = |values: &[Value]| {
+            values.len() == schema.len()
+                && values
+                    .iter()
+                    .zip(schema.attrs())
+                    .all(|(&v, spec)| v < spec.domain_size)
+        };
+        let shaped = responses.iter().all(|r| {
+            u64::try_from(r.tuples.len()).is_ok_and(|len| len <= self.info.k)
+                && r.tuples.iter().all(|t| fits(&t.values))
+        });
+        if !(counted && shaped) {
+            return Err(NetError::Codec(CodecError::Invalid));
         }
+        Ok((responses, err))
     }
 }
 

@@ -5,21 +5,23 @@
 //! serving well-behaved clients afterwards.
 //!
 //! Client-side resilience rides along: a [`RemoteOracle`] facing a corrupt
-//! or version-mismatched server reports transient
+//! or version-mismatched server, or one whose replies do not fit the plan
+//! or its own `Welcome`, reports transient
 //! [`QueryError::ConnectionDropped`] instead of panicking.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 use skyweb_core::codec::{FORMAT_VERSION, MAGIC};
 use skyweb_core::{
-    decode_welcome, encode_hello, encode_plan, encode_responses, encode_welcome, Discoverer,
-    DiscoveryDriver, DriverConfig, Hello, PlanOracle, QueryPlan, SqDbSky, Welcome, KIND_PLAN,
-    KIND_WELCOME, WIRE_PROTOCOL,
+    decode_plan, decode_welcome, encode_error_reply, encode_hello, encode_plan, encode_responses,
+    encode_welcome, Discoverer, DiscoveryDriver, DriverConfig, Hello, PlanOracle, QueryPlan,
+    SqDbSky, Welcome, KIND_PLAN, KIND_WELCOME, WIRE_PROTOCOL,
 };
 use skyweb_hidden_db::{
-    HiddenDb, InterfaceType, Predicate, Query, QueryError, SchemaBuilder, Tuple,
+    HiddenDb, InterfaceType, Predicate, Query, QueryError, QueryResponse, SchemaBuilder, Tuple,
 };
 use skyweb_net::wire::{read_frame, write_frame};
 use skyweb_net::{NetError, RemoteOracle, ServeReport, Server, ServerConfig, MAX_FRAME_LEN};
@@ -402,4 +404,102 @@ fn oracle_latches_broken_after_a_corrupt_reply() {
     assert!(responses.is_empty());
     assert_eq!(err, Some(QueryError::ConnectionDropped));
     fake.join().expect("fake server");
+}
+
+/// A reply frame for a plan of the given number of queries.
+type Reply = fn(usize) -> Vec<u8>;
+
+/// A fake server that completes the handshake with a two-attribute, k = 2
+/// `Welcome`, then answers every plan with `reply(query count)` until the
+/// client hangs up. It accepts `connections` clients, one after another.
+fn misreplying_server(
+    connections: usize,
+    reply: Reply,
+) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let fake = std::thread::spawn(move || {
+        for _ in 0..connections {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let _ = read_frame(&mut stream, MAX_FRAME_LEN)
+                .expect("hello")
+                .expect("hello frame");
+            let welcome = Welcome {
+                protocol: WIRE_PROTOCOL,
+                ranker: "sum".to_string(),
+                k: 2,
+                tuple_count: 12,
+                schema: small_db().schema().clone(),
+            };
+            write_frame(&mut stream, &encode_welcome(&welcome)).expect("send welcome");
+            // The client hangs up after the rejected reply.
+            while let Ok(Some((_, frame))) = read_frame(&mut stream, MAX_FRAME_LEN) {
+                let plan = decode_plan(&frame).expect("the client sends valid plans");
+                if write_frame(&mut stream, &reply(plan.len())).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    (addr, fake)
+}
+
+/// `queries` responses: the first holds `first`, the rest are empty.
+fn responses_with(queries: usize, first: Vec<Tuple>) -> Vec<QueryResponse> {
+    let mut responses = vec![
+        QueryResponse {
+            tuples: Vec::new(),
+            overflowed: false,
+        };
+        queries
+    ];
+    responses[0].tuples = first.into_iter().map(Arc::new).collect();
+    responses
+}
+
+/// Replies that decode cleanly but do not fit the plan or the `Welcome`:
+/// the oracle must reject each with `CodecError::Invalid`, report
+/// `ConnectionDropped`, and leave a driver over it an error to return,
+/// never a panic.
+#[test]
+fn oracle_rejects_replies_that_do_not_fit_the_plan_or_the_welcome() {
+    let cases: [(&str, Reply); 5] = [
+        ("one response more than the plan", |queries| {
+            encode_responses(&responses_with(queries + 1, Vec::new()))
+        }),
+        ("an error reply answering every query", |queries| {
+            encode_error_reply(
+                &responses_with(queries, Vec::new()),
+                &QueryError::ConnectionDropped,
+            )
+        }),
+        ("an arity-1 tuple under a 2-attribute schema", |queries| {
+            encode_responses(&responses_with(queries, vec![Tuple::new(0, vec![1])]))
+        }),
+        ("a value outside its attribute's domain", |queries| {
+            encode_responses(&responses_with(queries, vec![Tuple::new(0, vec![4, 0])]))
+        }),
+        ("k + 1 tuples in one response", |queries| {
+            let tuples = (0..3).map(|i| Tuple::new(i, vec![0, 0])).collect();
+            encode_responses(&responses_with(queries, tuples))
+        }),
+    ];
+    for (what, reply) in cases {
+        let (addr, fake) = misreplying_server(2, reply);
+
+        let mut oracle = RemoteOracle::connect(addr).expect("handshake");
+        let plan = [Query::select_all(), Query::new(vec![Predicate::lt(0, 2)])];
+        let (responses, err) = oracle.run_plan_grouped(&plan, None);
+        assert!(responses.is_empty(), "{what}");
+        assert_eq!(err, Some(QueryError::ConnectionDropped), "{what}");
+        drop(oracle);
+
+        let oracle = RemoteOracle::connect(addr).expect("handshake");
+        let machine = SqDbSky::new()
+            .machine(&oracle.replica())
+            .expect("SQ schema");
+        let run = DiscoveryDriver::with_oracle(oracle, machine, DriverConfig::new()).run();
+        assert!(run.is_err(), "{what}: the driver must fail, got {run:?}");
+        fake.join().expect("fake server");
+    }
 }

@@ -19,8 +19,7 @@ use skyweb::core::{
 use skyweb::datagen::{diamonds, flights_dot};
 use skyweb::hidden_db::{
     HiddenDb, InterfaceType, MemSource, QueryResponse, RandomSkylineRanker, Ranker, SchemaBuilder,
-    SegmentOpenOptions, SegmentReader, SegmentWriter, SingleAttributeRanker, SumRanker, Tuple,
-    WorstCaseRanker,
+    SegmentOpenOptions, SegmentWriter, SingleAttributeRanker, SumRanker, Tuple, WorstCaseRanker,
 };
 
 /// FNV-1a over a byte stream: the fingerprint primitive for traces and
@@ -308,7 +307,7 @@ fn golden_fig15_style_runs_segment_backed() {
 // --- Pinned serialized bytes -------------------------------------------------
 //
 // The encodings themselves, fingerprinted as `(length, FNV-1a)`: a change
-// to the envelope, the chunk codecs or a payload walk must reproduce every
+// to the envelope, the chunk encoding or a payload walk must reproduce every
 // byte of the SWSG segment files and the SWCK plan, responses and
 // checkpoint envelopes.
 
@@ -319,22 +318,17 @@ fn golden_segment_bytes() {
         .expect("RAM-backed databases always serialize");
     assert_eq!(
         bytes_fingerprint(&fig15),
-        (41_096, 0x1fdaa0431f2d1f38),
+        (41_464, 0x3aab451b0c447b8a),
         "fig15-style segment bytes drifted"
     );
 
-    // The nine primary flight attributes at n = 25,000: a table on which
-    // every chunk codec wins some chunks.
+    // The nine primary flight attributes at n = 25,000.
     let flights = SegmentWriter::new()
         .write(&fig14_style_db(25_000))
         .expect("RAM-backed databases always serialize");
-    let census = SegmentReader::open(Box::new(MemSource::new(flights.clone())))
-        .and_then(|reader| reader.codec_census())
-        .expect("a fresh segment opens");
-    assert_eq!(census.chunks, [157, 27, 19], "FOR/DICT/RLE census drifted");
     assert_eq!(
         bytes_fingerprint(&flights),
-        (986_079, 0xeaf02e9933334fad),
+        (1_008_886, 0xaac830f44c2598a4),
         "flights segment bytes drifted"
     );
 }

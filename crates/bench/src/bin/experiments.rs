@@ -5,6 +5,7 @@
 //! experiments [fig04|fig06|...|fig24|all]... [--quick|--full] [--parallel] [--jobs N]
 //!             [--budget N] [--max-wall-ms N] [--max-batch N]
 //!             [--fault-rate F] [--fault-seed N]
+//!             [--segment DIR] [--cache-budget BYTES] [--net]
 //! experiments --list
 //! ```
 //!
@@ -32,6 +33,12 @@
 //! to the fault-free schedule, so stdout stays byte-identical to the
 //! fault-free run — and between serial and parallel runs at any fault rate
 //! (CI diffs exactly that).
+//!
+//! `--segment DIR` writes every figure database once to a segment cache in
+//! `DIR`, keyed by its content, and serves it from that file with lazy
+//! hydration; `--cache-budget BYTES` (which needs `--segment`) caps each
+//! segment's decoded-chunk cache. The storage backend and its eviction do
+//! not change a single output byte (CI diffs exactly that).
 //!
 //! `--net` routes every discovery run over a loopback TCP connection: the
 //! figure's database is served by a `skyweb-net` server on an ephemeral

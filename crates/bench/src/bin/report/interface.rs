@@ -1,17 +1,27 @@
 //! `interface`: the hidden-database query engine, on DOT-like flights
 //! (`n` tuples, top-`k`, `SumRanker`).
 //!
-//! - Four query shapes, the workloads of `benches/interface.rs`:
-//!   `scan_ns` times the naive [`ExecStrategy::Scan`] path and
-//!   `indexed_ns` the default indexed engine, each as the mean of `iters`
-//!   calls (at most 60 for the scan) after a warm-up.
+//! - `process`: `peak_rss_after_index_kb` is the peak RSS once the indexed
+//!   database has answered its first query, read before the scan-strategy
+//!   copy is built and while no dataset copy is alive.
+//! - Four query shapes: `scan_ns` times the naive [`ExecStrategy::Scan`]
+//!   path and `indexed_ns` the default indexed engine, each as the mean of
+//!   `iters` calls (at most 60 for the scan) after a warm-up.
 //! - `threads_<N>`: aggregate queries/s of `N` concurrent sessions on one
 //!   shared database issuing the case mix `rounds` times, and its `scaling`
 //!   against one thread.
-//! - `sq_db_sky`, `rq_db_sky`: one complete discovery run on five RQ
-//!   attributes (n = 8,000, or 2,000 at quick scale; k = 10) under each
-//!   strategy. An untimed warm-up run pays the lazy index build first. The
-//!   query costs must be equal under both strategies.
+//! - Five complete discovery runs (n = 8,000, or 2,000 at quick scale;
+//!   k = 10 unless noted), each under both strategies: `scan_ms` and
+//!   `indexed_ms` are the mean of `discovery_runs` runs after an untimed
+//!   first run, which builds the lazy index. Query costs must be equal
+//!   under both strategies, and every skyline must hold at least two
+//!   distinct value combinations, so a degenerate workload cannot pass
+//!   for a measurement.
+//!   - `sq_db_sky`, `rq_db_sky` and `baseline_crawl` (the crawl, k = 50)
+//!     on five RQ attributes;
+//!   - `pq_db_sky` on fig16's three point attributes, which trade off
+//!     against each other;
+//!   - `mq_db_sky` on fig18's 3 RQ + 2 PQ attributes.
 //! - `segment`: the indexed database written to a segment file, its bytes
 //!   on disk, its cold open (trailer, footer and eager metadata only) and
 //!   its first, lazily hydrating query. `warm_segment_ns` and `warm_ram_ns`
@@ -20,13 +30,14 @@
 //!
 //! `peak_rss_kb` includes the scan-strategy twin database.
 
+use std::collections::BTreeSet;
 use std::time::Instant;
 
-use skyweb_core::{Discoverer, RqDbSky, SqDbSky};
+use skyweb_core::{BaselineCrawl, Discoverer, MqDbSky, PqDbSky, RqDbSky, SqDbSky};
 use skyweb_datagen::flights_dot::{self, FlightsDotConfig};
-use skyweb_hidden_db::{ExecStrategy, HiddenDb, InterfaceType, Predicate, Query, SumRanker};
+use skyweb_hidden_db::{ExecStrategy, HiddenDb, Predicate, Query, SumRanker};
 
-use super::{compared, time_ns, Args, Record};
+use super::{compared, peak_rss_record, time_ns, Args, Record};
 
 fn cases() -> [(&'static str, Query); 4] {
     [
@@ -89,14 +100,16 @@ fn session_throughput(db: &HiddenDb, queries: &[Query], threads: usize, rounds: 
 pub fn run(args: &Args) -> Result<Vec<Record>, String> {
     let (n, k, iters) = args.scale.pick((10_000, 50, 50), (100_000, 50, 400));
     eprintln!("# building DOT-flights hidden database: n={n}, k={k}");
-    let dataset = flights_dot::generate(&FlightsDotConfig { n, seed: 2015 });
-    let indexed = dataset.clone().into_db_sum(k);
-    let scan = dataset.into_db_sum(k).with_strategy(ExecStrategy::Scan);
+    let flights = || flights_dot::generate(&FlightsDotConfig { n, seed: 2015 });
+    let indexed = flights().into_db_sum(k);
+    indexed.query(&Query::select_all()).expect("first query");
     let mut out = vec![
         Record::new("workload", "n", "count", n as f64),
         Record::new("workload", "k", "count", k as f64),
         Record::new("workload", "iters", "count", iters as f64),
     ];
+    out.extend(peak_rss_record("peak_rss_after_index_kb"));
+    let scan = flights().into_db_sum(k).with_strategy(ExecStrategy::Scan);
     let cases = cases();
     for (name, query) in &cases {
         let scan_ns = time_ns(3, iters.min(60), || scan.query(query).expect("scan").len());
@@ -126,46 +139,67 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
         out.push(Record::new(case, "scaling", "ratio", qps / base_qps));
     }
 
-    let names = [
+    // The generator declares the continuous attributes RQ and the group
+    // attributes PQ, so each projection carries the interfaces it needs.
+    let discovery_n = args.scale.pick(2_000, 8_000);
+    let runs = args.scale.pick(3, 5);
+    out.push(Record::new(
+        "workload",
+        "discovery_runs",
+        "count",
+        runs as f64,
+    ));
+    let base = flights_dot::generate(&FlightsDotConfig {
+        n: discovery_n,
+        seed: 2015,
+    });
+    let range = base.project(&[
         "dep_delay",
         "taxi_out",
         "taxi_in",
         "air_time",
         "arrival_delay",
+    ]);
+    let point = base.project(&["distance_group_long", "air_time_group", "delay_group"]);
+    let mixed = base.project(&[
+        "dep_delay",
+        "taxi_out",
+        "distance",
+        "distance_group_long",
+        "delay_group",
+    ]);
+    let algos: [(&str, Box<dyn Discoverer>, _, usize); 5] = [
+        ("sq_db_sky", Box::new(SqDbSky::new()), &range, 10),
+        ("rq_db_sky", Box::new(RqDbSky::new()), &range, 10),
+        ("baseline_crawl", Box::new(BaselineCrawl::new()), &range, 50),
+        ("pq_db_sky", Box::new(PqDbSky::new()), &point, 10),
+        ("mq_db_sky", Box::new(MqDbSky::new()), &mixed, 10),
     ];
-    let disc_n = args.scale.pick(2_000, 8_000);
-    let mut range = flights_dot::generate(&FlightsDotConfig {
-        n: disc_n,
-        seed: 2015,
-    })
-    .project(&names);
-    for name in &names {
-        range = range.with_interface(name, InterfaceType::Rq);
-    }
-    let algos: [(&str, Box<dyn Discoverer>); 2] = [
-        ("sq_db_sky", Box::new(SqDbSky::new())),
-        ("rq_db_sky", Box::new(RqDbSky::new())),
-    ];
-    for (name, algo) in &algos {
+    for (name, algo, dataset, k) in algos {
         let mut wall_ms = [0.0; 2];
         let mut cost = [0; 2];
         for (slot, strategy) in [ExecStrategy::Scan, ExecStrategy::Indexed]
             .into_iter()
             .enumerate()
         {
-            let db = range.clone().into_db_sum(10).with_strategy(strategy);
-            algo.discover(&db).expect("discovery warm-up");
-            db.reset_stats();
-            let start = Instant::now();
+            let db = dataset.clone().into_db_sum(k).with_strategy(strategy);
             let result = algo.discover(&db).expect("discovery run");
-            wall_ms[slot] = start.elapsed().as_secs_f64() * 1e3;
+            let distinct: BTreeSet<_> = result.skyline.iter().map(|t| &t.values).collect();
+            assert!(
+                distinct.len() >= 2,
+                "{name}: a skyline of {} distinct value combination(s) is a degenerate workload",
+                distinct.len()
+            );
             cost[slot] = result.query_cost;
+            wall_ms[slot] = time_ns(0, runs, || {
+                algo.discover(&db).expect("discovery run").query_cost
+            }) / 1e6;
         }
         assert_eq!(
             cost[0], cost[1],
             "{name}: query cost must not depend on the execution strategy"
         );
-        out.push(Record::new(*name, "queries", "count", cost[0] as f64));
+        out.push(Record::new(name, "queries", "count", cost[0] as f64));
         out.extend(compared(
             name,
             "ms",

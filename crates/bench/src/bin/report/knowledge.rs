@@ -1,8 +1,7 @@
 //! `knowledge`: the client's `KnowledgeBase`, the server's skyline-aware
 //! top-k selection, the driver and executor layers above them, and fig22,
-//! the critical path of `experiments --full`. Every row but the last
-//! compares a baseline against the current code and checks that both give
-//! the same answers.
+//! the critical path of `experiments --full`. Most rows compare a baseline
+//! against the current code and check that both give the same answers.
 //!
 //! Client layer, `n_client` diamonds ingested in chunks of 50 like top-50
 //! responses. The baseline is `NaiveCollector`, the pre-refactor
@@ -53,6 +52,18 @@
 //!   and the executor's per-member cost check (O(1) prefix counts)
 //!   delegates them back to their single-query plans.
 //!
+//! Local kernels, the full-access algorithms of `skyweb-skyline` behind
+//! figure ground truth and the crawl's post-processing, each timed as the
+//! mean of `kernel_iters` runs:
+//! - `local_skyline_<correlation>`: BNL, SFS and the incremental skyline
+//!   on synthetic tables with m = 4 and domain 1,000 (seed 99): correlated
+//!   (0.7) and independent with 10,000 tuples, anti-correlated (0.8) with
+//!   2,000. Each kernel must return BNL's ids.
+//! - `skyband_h<h>`, h ∈ {1, 5, 20}: the batch sky band, which counts every
+//!   tuple's dominators, against the incremental one, on an independent
+//!   table with 3,000 tuples, m = 3 and domain 500 (seed 5). Both must
+//!   return the same ids.
+//!
 //! End to end, `fig22_ms` is the wall time of fig22 at the suite's scale.
 
 use std::collections::HashMap;
@@ -61,11 +72,14 @@ use std::time::Instant;
 
 use skyweb_bench::figures;
 use skyweb_core::{DiscoveryDriver, DiscoveryMachine, DriverConfig, KnowledgeBase, SqDbSky};
+use skyweb_datagen::synthetic::{self, Correlation, SyntheticConfig};
 use skyweb_datagen::{diamonds, flights_dot};
 use skyweb_hidden_db::{
-    dominates_on, InterfaceType, Predicate, Query, Ranker, Schema, SchemaBuilder, Tuple,
+    dominates_on, AttrId, InterfaceType, Predicate, Query, Ranker, Schema, SchemaBuilder, Tuple,
     WorstCaseRanker,
 };
+use skyweb_skyline::incremental::{incremental_skyband_on, incremental_skyline_on};
+use skyweb_skyline::{bnl_skyline_on, same_ids, sfs_skyline_on, skyband_on};
 
 use super::{compared, time_ns, Args, Record};
 
@@ -389,6 +403,82 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
         ("per_query_ns", per_query_ns),
         ("grouped_ns", grouped_ns),
     ));
+
+    let kernel_iters = scale.pick(2, 5);
+    eprintln!("# local kernels: skyline and sky band over synthetic tables");
+    out.push(Record::new(
+        "workload",
+        "kernel_iters",
+        "count",
+        kernel_iters as f64,
+    ));
+    type Kernel = fn(&[Tuple], &[AttrId]) -> Vec<Tuple>;
+    let kernels: [(&str, Kernel); 3] = [
+        ("bnl_ms", bnl_skyline_on),
+        ("sfs_ms", sfs_skyline_on),
+        ("incremental_ms", incremental_skyline_on),
+    ];
+    for (label, n, correlation) in [
+        ("correlated", 10_000, Correlation::Correlated(0.7)),
+        ("independent", 10_000, Correlation::Independent),
+        ("anticorrelated", 2_000, Correlation::AntiCorrelated(0.8)),
+    ] {
+        let ds = synthetic::generate(&SyntheticConfig {
+            n,
+            m: 4,
+            domain_size: 1_000,
+            correlation,
+            seed: 99,
+        });
+        let attrs = ds.schema.ranking_attrs();
+        let case = format!("local_skyline_{label}");
+        let reference = bnl_skyline_on(&ds.tuples, attrs);
+        out.push(Record::new(
+            &case,
+            "skyline",
+            "count",
+            reference.len() as f64,
+        ));
+        for (metric, kernel) in kernels {
+            assert!(
+                same_ids(&reference, &kernel(&ds.tuples, attrs)),
+                "{case}: the kernel behind {metric} diverged from BNL"
+            );
+            let ms = time_ns(0, kernel_iters, || kernel(&ds.tuples, attrs).len()) / 1e6;
+            out.push(Record::new(&case, metric, "ms", ms));
+        }
+    }
+    let ds = synthetic::generate(&SyntheticConfig {
+        n: 3_000,
+        m: 3,
+        domain_size: 500,
+        correlation: Correlation::Independent,
+        seed: 5,
+    });
+    let attrs = ds.schema.ranking_attrs();
+    for h in [1, 5, 20] {
+        let case = format!("skyband_h{h}");
+        let band = skyband_on(&ds.tuples, attrs, h);
+        assert!(
+            same_ids(&band, &incremental_skyband_on(&ds.tuples, attrs, h)),
+            "{case}: the incremental sky band diverged from the batch one"
+        );
+        out.push(Record::new(&case, "band", "count", band.len() as f64));
+        out.extend(compared(
+            &case,
+            "ms",
+            (
+                "batch_ms",
+                time_ns(0, kernel_iters, || skyband_on(&ds.tuples, attrs, h).len()) / 1e6,
+            ),
+            (
+                "incremental_ms",
+                time_ns(0, kernel_iters, || {
+                    incremental_skyband_on(&ds.tuples, attrs, h).len()
+                }) / 1e6,
+            ),
+        ));
+    }
 
     eprintln!("# end-to-end: fig22, the critical path of experiments --full");
     let fig22_ms = time_ns(0, 1, || figures::fig22(scale)) / 1e6;

@@ -23,7 +23,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use skyweb_bench::report::peak_rss_kb;
 use skyweb_bench::Scale;
 
 mod interface;
@@ -65,6 +64,16 @@ impl Record {
             value,
         }
     }
+}
+
+/// A `process` record, named `metric`, of the process peak RSS so far
+/// (`VmHWM` from `/proc/self/status`, in kB), if the platform exposes it
+/// (Linux).
+fn peak_rss_record(metric: &'static str) -> Option<Record> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(Record::new("process", metric, "kB", kb as f64))
 }
 
 /// The three records of a baseline-versus-new row: both measurements in
@@ -224,9 +233,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(kb) = peak_rss_kb() {
-        records.push(Record::new("process", "peak_rss_kb", "kB", kb as f64));
-    }
+    records.extend(peak_rss_record("peak_rss_kb"));
     print!("{}", table(&records));
     let out = args.out.display();
     match std::fs::write(&args.out, json(args.suite, args.scale, &records)) {

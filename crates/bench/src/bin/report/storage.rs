@@ -2,11 +2,15 @@
 //! 4-attribute table (domain 1,000, seed 42, k = 10).
 //!
 //! With `--segment PATH` the suite measures a prebuilt segment (see the
-//! `segment_build` bin). That is the honest configuration for
-//! `peak_rss_kb`: without it the suite first builds the table (n = 1M, or
-//! 100k at quick scale) into a temp file in-process, and the peak then
-//! includes the writer's transient copy.
+//! `segment_build` bin). That is the honest configuration for the peak RSS
+//! rows: without it the suite first builds the table (n = 1M, or 100k at
+//! quick scale) into a temp file in-process, and every peak then includes
+//! the writer's transient copy.
 //!
+//! - `process`: `peak_rss_after_open_kb` right after the cold open, and
+//!   `peak_rss_after_warm_kb` after the unbounded reader's query mix,
+//!   before the capped reader opens: the lazy-hydration working set, which
+//!   grows with the chunks the answers touch, not with n.
 //! - `segment`: bytes on disk against `raw_bytes`, the uncompressed
 //!   columnar footprint of everything the file encodes (per tuple the
 //!   8-byte id and the rank permutation and its inverse, 4 + 4 bytes; per
@@ -32,7 +36,7 @@ use skyweb_bench::Scale;
 use skyweb_datagen::synthetic::{self, Correlation, SyntheticConfig};
 use skyweb_hidden_db::{HiddenDb, Predicate, Query, SegmentError, SegmentOpenOptions, SumRanker};
 
-use super::{time_ns, Args, Record};
+use super::{peak_rss_record, time_ns, Args, Record};
 
 fn cases() -> [(&'static str, Query); 4] {
     [
@@ -83,6 +87,7 @@ fn measure(path: &Path, scale: Scale) -> Result<Vec<Record>, String> {
     let t = Instant::now();
     let db = HiddenDb::open_segment(path, Box::new(SumRanker)).map_err(failed)?;
     let cold_open_ms = t.elapsed().as_secs_f64() * 1e3;
+    let after_open = peak_rss_record("peak_rss_after_open_kb");
     let t = Instant::now();
     let first = db.query(&Query::select_all()).expect("first query");
     let cold_first_query_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -107,6 +112,7 @@ fn measure(path: &Path, scale: Scale) -> Result<Vec<Record>, String> {
         Record::new("segment", "cold_open_ms", "ms", cold_open_ms),
         Record::new("segment", "cold_first_query_ms", "ms", cold_first_query_ms),
     ];
+    out.extend(after_open);
 
     let cases = cases();
     for (name, query) in &cases {
@@ -114,6 +120,7 @@ fn measure(path: &Path, scale: Scale) -> Result<Vec<Record>, String> {
         out.push(Record::new(*name, "warm_ns", "ns", warm_ns));
     }
     out.extend(cache_records("cache", &db));
+    out.extend(peak_rss_record("peak_rss_after_warm_kb"));
 
     let cap = scale.pick(2 << 20, 16 << 20);
     let capped = HiddenDb::open_segment_with(

@@ -112,3 +112,23 @@ pub fn fig21(scale: Scale) -> FigureResult {
     }
     fig
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Figure 16: PQ-DB-SKY's cost does not grow with n. Its queries walk
+    /// the point attributes' domains and the skyline, not the tuples. At
+    /// quick scale each series moves by at most 2.7% across n (largest
+    /// max/min 1.027, `pq_5d` 11,904 to 11,590); the bound allows 10%.
+    #[test]
+    fn fig16_pq_cost_is_flat_in_n() {
+        let fig = fig16(Scale::Quick);
+        for series in ["pq_3d", "pq_4d", "pq_5d"] {
+            let costs = fig.column(series);
+            let max = costs.iter().copied().fold(f64::MIN, f64::max);
+            let min = costs.iter().copied().fold(f64::MAX, f64::min);
+            assert!(max <= 1.10 * min, "{series} moves with n: {costs:?}");
+        }
+    }
+}

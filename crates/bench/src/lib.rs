@@ -2,7 +2,8 @@
 //!
 //! The experiment harness that regenerates every figure of the paper's
 //! evaluation (Section 8 and the analytical/simulation figures of Sections
-//! 3–4), plus criterion micro-benchmarks for the underlying building blocks.
+//! 3–4), plus the `report` binary, whose suites time the building blocks
+//! underneath and write the `BENCH_<suite>.json` layer reports.
 //!
 //! Each figure has one function in [`figures`] that builds the workload,
 //! runs the relevant algorithms, and returns a [`report::FigureResult`] —

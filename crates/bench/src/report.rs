@@ -2,15 +2,6 @@
 
 use std::fmt;
 
-/// Process peak RSS (`VmHWM` from `/proc/self/status`) in kB, if the
-/// platform exposes it (Linux). Shared by the perf report and the memory
-/// probe example so the two can never parse the field differently.
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
 /// The regenerated data behind one figure of the paper: a titled table whose
 /// rows are the series the paper plots.
 #[derive(Debug, Clone)]

@@ -52,11 +52,13 @@ pub fn cache_budget() -> Option<u64> {
     CACHE_BUDGET.get().copied()
 }
 
-/// FNV-1a64 content fingerprint of a database: schema (names, domains,
-/// interfaces, roles), top-k constraint, ranker name and every tuple. Two
-/// databases with equal fingerprints produce byte-identical segments, so
-/// the fingerprint doubles as the cache key.
-pub fn db_content_fingerprint(db: &HiddenDb) -> u64 {
+/// FNV-1a64 content fingerprint of a database served under `ranker`: schema
+/// (names, domains, interfaces, roles), top-k constraint, ranker name, the
+/// rank order [`Ranker::precompute`] gives the tuples (none for a ranker
+/// without a total order, whose segments store no order) and every tuple.
+/// It is the segment cache key, so two databases that differ in any of
+/// these never share a file, even under two rankers of one name.
+pub fn db_content_fingerprint(db: &HiddenDb, ranker: &dyn Ranker) -> u64 {
     const SEED: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = SEED;
@@ -74,6 +76,15 @@ pub fn db_content_fingerprint(db: &HiddenDb) -> u64 {
     }
     write(&(db.k() as u64).to_le_bytes());
     write(db.ranker_name().as_bytes());
+    match ranker.precompute(db.oracle_tuples(), db.schema()) {
+        None => write(&[0]),
+        Some(order) => {
+            write(&[1]);
+            for pos in order {
+                write(&pos.to_le_bytes());
+            }
+        }
+    }
     for t in db.oracle_tuples().iter() {
         write(&t.id.to_le_bytes());
         for &v in &t.values {
@@ -104,7 +115,7 @@ fn open_cached(
     static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let path = dir.join(format!(
         "{:016x}-v{SEGMENT_VERSION}.seg",
-        db_content_fingerprint(ram)
+        db_content_fingerprint(ram, ranker.as_ref())
     ));
     if !path.exists() {
         let tmp = dir.join(format!(
@@ -129,7 +140,7 @@ fn open_cached(
 mod tests {
     use super::*;
     use skyweb_datagen::synthetic::{self, SyntheticConfig};
-    use skyweb_hidden_db::{Query, SumRanker};
+    use skyweb_hidden_db::{Query, SingleAttributeRanker, SumRanker};
 
     fn mk(seed: u64) -> HiddenDb {
         synthetic::generate(&SyntheticConfig {
@@ -143,13 +154,40 @@ mod tests {
     #[test]
     fn fingerprint_is_content_keyed() {
         assert_eq!(
-            db_content_fingerprint(&mk(1)),
-            db_content_fingerprint(&mk(1))
+            db_content_fingerprint(&mk(1), &SumRanker),
+            db_content_fingerprint(&mk(1), &SumRanker)
         );
         assert_ne!(
-            db_content_fingerprint(&mk(1)),
-            db_content_fingerprint(&mk(2))
+            db_content_fingerprint(&mk(1), &SumRanker),
+            db_content_fingerprint(&mk(2), &SumRanker)
         );
+    }
+
+    fn top_ids(db: &HiddenDb) -> Vec<u64> {
+        let answer = db.query(&Query::select_all()).unwrap();
+        answer.tuples.iter().map(|t| t.id).collect()
+    }
+
+    #[test]
+    fn rankers_of_one_name_get_their_own_segment() {
+        let ds = synthetic::generate(&SyntheticConfig {
+            n: 200,
+            ..SyntheticConfig::default()
+        });
+        let dir = std::env::temp_dir().join(format!(
+            "skyweb-segment-cache-rankers-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Both parameterizations are named "single-attribute", but each
+        // orders the table by its own attribute.
+        for attr in [0, 1] {
+            let ranker = || Box::new(SingleAttributeRanker::new(attr));
+            let ram = ds.clone().into_db(ranker(), 5);
+            let seg = open_cached(&dir, &ram, ranker(), None);
+            assert_eq!(top_ids(&seg), top_ids(&ram), "ranking on attribute {attr}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -159,7 +197,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // Garbage under the names an older build would have read back for
         // this database: the unversioned name and the previous version's.
-        let fp = db_content_fingerprint(&ram);
+        let fp = db_content_fingerprint(&ram, &SumRanker);
         for name in [
             format!("{fp:016x}.seg"),
             format!("{fp:016x}-v{}.seg", SEGMENT_VERSION - 1),
@@ -167,11 +205,7 @@ mod tests {
             std::fs::write(dir.join(name), b"not a segment").unwrap();
         }
         let seg = open_cached(&dir, &ram, Box::new(SumRanker), None);
-        let ids = |db: &HiddenDb| {
-            let answer = db.query(&Query::select_all()).unwrap();
-            answer.tuples.iter().map(|t| t.id).collect::<Vec<_>>()
-        };
-        assert_eq!(ids(&seg), ids(&ram));
+        assert_eq!(top_ids(&seg), top_ids(&ram));
         assert!(dir
             .join(format!("{fp:016x}-v{SEGMENT_VERSION}.seg"))
             .exists());

@@ -1,8 +1,8 @@
 //! `check vendor`: audits the vendored dependency drop-ins.
 //!
 //! The build environment has no crates.io access, so `vendor/` carries
-//! minimal hand-maintained stand-ins for `rand`, `proptest` and
-//! `criterion`. This audit guards the two ways that arrangement can rot:
+//! minimal hand-maintained stand-ins for `rand` and `proptest`. This audit
+//! guards the two ways that arrangement can rot:
 //!
 //! * **duplicate module versions** — two vendor directories claiming the
 //!   same package name, a package claiming a name that differs from its

@@ -12,11 +12,13 @@
 //!    paper first downloads every tuple through the web interface and then
 //!    extracts the skyline locally with one of these algorithms.
 //!
-//! Three skyline algorithms are provided — block-nested-loop ([`bnl_skyline`]),
-//! sort-filter-skyline ([`sfs_skyline`]), and divide-and-conquer
-//! ([`dnc_skyline`]) — along with a K-sky-band operator ([`skyband`]). All of
-//! them operate on the ranking attributes of a [`skyweb_hidden_db::Schema`],
-//! or on an explicit attribute subset (`*_on` variants).
+//! Two batch skyline algorithms are provided — block-nested-loop
+//! ([`bnl_skyline`]) and sort-filter-skyline ([`sfs_skyline`]) — along with a
+//! K-sky-band operator ([`skyband`]). All of them operate on the ranking
+//! attributes of a [`skyweb_hidden_db::Schema`], or on an explicit attribute
+//! subset (`*_on` variants). The [`incremental`] module computes the same
+//! sets one tuple at a time ([`incremental::incremental_skyline_on`],
+//! [`incremental::incremental_skyband_on`]).
 //!
 //! ```
 //! use skyweb_hidden_db::{InterfaceType, SchemaBuilder, Tuple};
@@ -41,13 +43,11 @@
 #![warn(missing_docs)]
 
 mod bnl;
-mod dnc;
 pub mod incremental;
 mod sfs;
 mod skyband;
 
 pub use bnl::{bnl_skyline, bnl_skyline_on};
-pub use dnc::{dnc_skyline, dnc_skyline_on};
 pub use sfs::{sfs_skyline, sfs_skyline_on};
 pub use skyband::{dominance_counts, skyband, skyband_on};
 

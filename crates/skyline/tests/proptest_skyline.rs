@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 
 use skyweb_hidden_db::{dominates_on, Tuple};
+use skyweb_skyline::incremental::{incremental_skyband_on, incremental_skyline_on};
 use skyweb_skyline::{
-    bnl_skyline_on, dnc_skyline_on, dominance_counts, is_skyline_member, same_ids, sfs_skyline_on,
-    skyband_on,
+    bnl_skyline_on, dominance_counts, is_skyline_member, same_ids, sfs_skyline_on, skyband_on,
 };
 
 fn tuples_strategy() -> impl Strategy<Value = Vec<Tuple>> {
@@ -26,15 +26,15 @@ fn attrs(tuples: &[Tuple]) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
 
-    /// BNL, SFS and divide-and-conquer always agree.
+    /// BNL, SFS and the incremental skyline always agree.
     #[test]
     fn all_skyline_algorithms_agree(tuples in tuples_strategy()) {
         let a = attrs(&tuples);
         let bnl = bnl_skyline_on(&tuples, &a);
         let sfs = sfs_skyline_on(&tuples, &a);
-        let dnc = dnc_skyline_on(&tuples, &a);
+        let incremental = incremental_skyline_on(&tuples, &a);
         prop_assert!(same_ids(&bnl, &sfs));
-        prop_assert!(same_ids(&bnl, &dnc));
+        prop_assert!(same_ids(&bnl, &incremental));
     }
 
     /// The skyline contains exactly the non-dominated tuples.
@@ -83,7 +83,8 @@ proptest! {
         prop_assert_eq!(everything.len(), tuples.len());
     }
 
-    /// A tuple is in the K-band iff its dominance count is below K.
+    /// A tuple is in the K-band iff its dominance count is below K, and the
+    /// incremental sky band holds the same tuples as the batch one.
     #[test]
     fn skyband_matches_dominance_counts(tuples in tuples_strategy(), k in 1usize..4) {
         let a = attrs(&tuples);
@@ -93,5 +94,6 @@ proptest! {
         for (t, c) in tuples.iter().zip(counts) {
             prop_assert_eq!(c < k, band_ids.contains(&t.id));
         }
+        prop_assert!(same_ids(&band, &incremental_skyband_on(&tuples, &a, k)));
     }
 }

@@ -21,13 +21,16 @@
 //!   top-k select-all answer touches; that answer must be non-empty.
 //! - Four query shapes, the same plan shapes as the `interface` suite:
 //!   `warm_ns` on the unbounded reader, whose queries hydrate
-//!   per-4096-tuple chunks on first touch, and `capped_ns` on a second
-//!   reader whose chunk cache is capped at 16 MiB (2 MiB at quick scale).
-//! - `cache` and `capped_cache`: each reader's `StorageStats` counters
-//!   after its query mix. The capped reader's `bytes_resident` is the
-//!   bounded-memory row; `peak_rss_kb` is process-wide and includes the
-//!   unbounded reader. Every chunk is one frame-of-reference block, so
-//!   `decoded_dict` and `decoded_rle` read 0.
+//!   per-4096-tuple chunks on first touch; `capped_ns` on a second reader
+//!   whose chunk cache is capped at 16 MiB (2 MiB at quick scale), which
+//!   the mix fits; and `thrash_ns` on a third reader whose budget is half
+//!   the capped reader's `bytes_resident` after its mix, so that the
+//!   shapes whose chunks no longer fit time the miss path.
+//! - `cache`, `capped_cache` and `thrash_cache`: each reader's
+//!   `StorageStats` counters after its query mix. The capped reader's
+//!   `bytes_resident` is the bounded-memory row; `peak_rss_kb` is
+//!   process-wide and includes the unbounded reader. Every chunk is one
+//!   frame-of-reference block, so `decoded_dict` and `decoded_rle` read 0.
 
 use std::path::Path;
 use std::time::Instant;
@@ -142,6 +145,33 @@ fn measure(path: &Path, scale: Scale) -> Result<Vec<Record>, String> {
         cap as f64,
     ));
     out.extend(cache_records("capped_cache", &capped));
+
+    // Half the capped reader's working set: the mix no longer fits, so
+    // these are the rows that time chunk misses.
+    let thrash_budget = capped
+        .storage_stats()
+        .expect("segment backends expose stats")
+        .bytes_resident
+        / 2;
+    let thrash = HiddenDb::open_segment_with(
+        path,
+        Box::new(SumRanker),
+        SegmentOpenOptions::new().with_cache_budget(thrash_budget),
+    )
+    .map_err(failed)?;
+    for (name, query) in &cases {
+        let thrash_ns = time_ns(2, iters.min(50), || {
+            thrash.query(query).expect("thrash").len()
+        });
+        out.push(Record::new(*name, "thrash_ns", "ns", thrash_ns));
+    }
+    out.push(Record::new(
+        "thrash_cache",
+        "budget_bytes",
+        "bytes",
+        thrash_budget as f64,
+    ));
+    out.extend(cache_records("thrash_cache", &thrash));
     Ok(out)
 }
 

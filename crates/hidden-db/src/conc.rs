@@ -5,7 +5,7 @@
 //! Three cores live here, each generic over the [`SyncFacade`](crate::sync::SyncFacade):
 //!
 //! * [`ClockCacheCore`] — the sharded clock (second-chance) cache behind
-//!   the bounded decoded-chunk cache of `SegmentReader`;
+//!   the bounded chunk cache of `SegmentReader`;
 //! * [`ShardedLogCore`] — the sharded append buffer behind the access log;
 //! * [`SeqReserver`] — the atomic sequence/rate-limit reservation behind
 //!   query admission.

@@ -498,8 +498,8 @@ impl HiddenDb {
     }
 
     /// A snapshot of the backing segment's storage counters (chunk-cache
-    /// hits/misses/evictions, resident bytes, chunks decoded per codec), or
-    /// `None` for a RAM-backed database.
+    /// hits/misses/evictions, resident bytes, chunks validated), or `None`
+    /// for a RAM-backed database.
     pub fn storage_stats(&self) -> Option<StorageStats> {
         self.store
             .segment_reader()

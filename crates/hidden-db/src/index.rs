@@ -1290,7 +1290,7 @@ mod tests {
         // One store of five zone blocks behind three storages: the RAM
         // index, and a segment of two-block chunks (so blocks also start
         // mid-chunk) opened without a budget and under one whose shards
-        // hold two chunks each, so it evicts.
+        // hold two or three chunks each, so it evicts.
         let s = schema();
         let tuples: Vec<Tuple> = (0..300u64)
             .map(|i| {
@@ -1313,8 +1313,10 @@ mod tests {
             SegmentReader::open_with(Box::new(MemSource::new(bytes.clone())), options).unwrap()
         };
         let unbudgeted = open(SegmentOpenOptions::new());
-        // A 128-value u32 chunk is charged 4 · 128 + 32 = 544 bytes.
-        let capped = open(SegmentOpenOptions::new().with_cache_budget(8 * 1200));
+        // A budget caches each 128-value chunk packed, charged 8 · words
+        // + 32 bytes: 72 B for the 2-bit column up to 184 B for the 9-bit
+        // permutation, so a 300-byte shard holds two or three chunks.
+        let capped = open(SegmentOpenOptions::new().with_cache_budget(8 * 300));
 
         check_accessors(&RamIndex::build(&store, &s, &SumRanker), &store, &s, &perm);
         check_accessors(&unbudgeted, &store, &s, &perm);

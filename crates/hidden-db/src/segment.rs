@@ -14,8 +14,9 @@
 //!   permutation, posting orders, tuple ids and the `Arc<Tuple>`s behind
 //!   query responses materialize only when a query first touches their
 //!   chunk (4096 values by default), and stay cached for the segment's
-//!   lifetime. Under a cache budget, chunks are evicted by clock, and
-//!   each returned tuple is built alone from its column values.
+//!   lifetime. Under a cache budget, each chunk is cached as its validated
+//!   packed block and read in place, chunks are evicted by clock, and each
+//!   returned tuple is built alone from its column values.
 //!   `Ranker::precompute` never runs on the load path.
 //! * **Every byte is covered by a checksum.** Each section is one
 //!   [`crate::envelope`] envelope (magic + version + kind + length + FNV-1a
@@ -31,7 +32,7 @@
 //! sufficient bit width, which compresses both low-cardinality attribute
 //! columns and the near-sequential tuple-id column well. Every section
 //! payload is made of such blocks, and every lazy chunk is exactly one,
-//! read back only through `SegmentReader::decode_chunk`. The full layout
+//! read back only through `SegmentReader::validate_chunk`. The full layout
 //! is specified in `docs/segment-format.md`.
 //!
 //! File access goes through one [`BlockSource`] trait with two shipped
@@ -52,9 +53,7 @@ use crate::conc::ClockCacheCore;
 use crate::envelope::{fnv1a64, le_u32, le_u64, Envelope, EnvelopeError};
 use crate::index::{lanes_within, IndexStorage, BLOCK};
 use crate::sync::StdSync;
-use crate::{
-    AttrId, AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, TupleId, Value,
-};
+use crate::{AttrId, AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, Value};
 
 /// Audited numeric conversions for the wire paths.
 ///
@@ -484,8 +483,9 @@ fn write_string(s: &str, out: &mut Vec<u8>) {
 // Frame-of-reference + bit-packing: `count (u32) · min · width (u8) · packed
 // little-endian u64 words`. Deltas from the block minimum are packed at the
 // smallest sufficient width, low bits first. One implementation serves both
-// value widths (`u32` columns, `u64` tuple ids), monomorphized per width so
-// a `u32` block decodes straight into a `Vec<u32>`.
+// value widths (`u32` columns, `u64` tuple ids): `ForBlock::parse` validates
+// a block of either width and keeps it packed, and `ForBlock::expand`
+// decodes it into a `Vec` of that width.
 
 /// A value width the FOR packer handles.
 trait Packed: Copy + Ord + Default {
@@ -497,10 +497,8 @@ trait Packed: Copy + Ord + Default {
     fn put(self, out: &mut Vec<u8>);
     /// Zero-extends to `u64`.
     fn widen(self) -> u64;
-    /// Narrows back from `u64`; `None` if the value does not fit.
-    fn narrow(v: u64) -> Option<Self>;
-    /// `self + delta`, wrapping at the value width.
-    fn add_delta(self, delta: u64) -> Self;
+    /// Truncates from `u64` to the value width.
+    fn truncate(v: u64) -> Self;
 }
 
 macro_rules! impl_packed {
@@ -518,12 +516,8 @@ macro_rules! impl_packed {
                 u64::from(self)
             }
             #[inline]
-            fn narrow(v: u64) -> Option<Self> {
-                <$t>::try_from(v).ok()
-            }
-            #[inline]
-            fn add_delta(self, delta: u64) -> Self {
-                self.wrapping_add(cast::$truncate(delta))
+            fn truncate(v: u64) -> Self {
+                cast::$truncate(v)
             }
         }
     };
@@ -558,47 +552,106 @@ fn pack<T: Packed>(values: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one FOR block of at most `max_count` values, returning them with
-/// their maximum (the minimum for an empty block). The count claim is
-/// checked before anything is allocated: a width-0 block carries no body
-/// bytes, so nothing else bounds it. Each value is read at its own bit
-/// offset, so no state carries from one value to the next, and overflow is
-/// checked once, on the largest delta, after the loop.
-fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<(Vec<T>, T), SegmentError> {
-    let count = cast::to_usize(cur.u32()?);
-    if count > max_count {
-        return Err(malformed(format!(
-            "packed block claims {count} values, expected at most {max_count}"
-        )));
+/// One validated FOR block, kept packed: value `i` is `min` plus the
+/// `width`-bit delta at bit `i · width` of `words`, read in place. The
+/// words end in one zero pad word, so every value can read the word after
+/// its own. The bounded chunk cache holds chunks in this form; everything
+/// else expands them once.
+struct ForBlock {
+    min: u64,
+    width: u32,
+    /// `2^width − 1`: the largest delta the width admits.
+    mask: u64,
+    len: usize,
+    words: Box<[u64]>,
+}
+
+impl ForBlock {
+    /// Parses one block of at most `max_count` `T` values. Checks, in this
+    /// order: the count claim, before anything is allocated (a width-0
+    /// block carries no body bytes, so nothing else bounds it); the width;
+    /// the body length; and that no value overflows `T`.
+    fn parse<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Self, SegmentError> {
+        let len = cast::to_usize(cur.u32()?);
+        if len > max_count {
+            return Err(malformed(format!(
+                "packed block claims {len} values, expected at most {max_count}"
+            )));
+        }
+        let min = T::read(cur)?.widen();
+        let width = u32::from(cur.u8()?);
+        if width > T::BITS {
+            return Err(malformed(format!("bit width {width} > {}", T::BITS)));
+        }
+        let body = cast::to_usize((cast::to_u64(len) * u64::from(width)).div_ceil(64));
+        let bytes = cur.take(body * 8)?;
+        let mut words = Vec::with_capacity(body + 1);
+        words.extend(bytes.chunks_exact(8).map(le_u64));
+        words.push(0);
+        let block = ForBlock {
+            min,
+            width,
+            mask: u64::MAX.checked_shr(64 - width).unwrap_or(0),
+            len,
+            words: words.into(),
+        };
+        if !block.all_at_most(u64::MAX >> (64 - T::BITS)) {
+            return Err(malformed(format!("packed value overflows u{}", T::BITS)));
+        }
+        Ok(block)
     }
-    let min = T::read(cur)?;
-    let width = u32::from(cur.u8()?);
-    if width > T::BITS {
-        return Err(malformed(format!("bit width {width} > {}", T::BITS)));
-    }
-    if width == 0 {
-        return Ok((vec![min; count], min));
-    }
-    let words = cast::to_usize((cast::to_u64(count) * u64::from(width)).div_ceil(64));
-    // One zero word of padding lets every value read the word after its own.
-    let mut body: Vec<u64> = cur.take(words * 8)?.chunks_exact(8).map(le_u64).collect();
-    body.push(0);
-    let step = cast::to_usize(width);
-    let mask = u64::MAX >> (64 - width);
-    let mut max_delta = 0u64;
-    let mut out = Vec::with_capacity(count);
-    out.extend((0..count).map(|i| {
-        let pos = i * step;
+
+    /// The delta of value `i` from `min`, extracted in place.
+    #[inline]
+    fn delta(&self, i: usize) -> u64 {
+        if self.width == 0 {
+            return 0;
+        }
+        let pos = i * cast::to_usize(self.width);
         let (word, bit) = (pos / 64, cast::to_u32(pos % 64));
         // `<< 1 <<` keeps a word-aligned value from shifting by 64.
-        let delta = (body[word] >> bit | body[word + 1] << 1 << (63 - bit)) & mask;
-        max_delta = max_delta.max(delta);
-        min.add_delta(delta)
-    }));
-    let Some(max) = min.widen().checked_add(max_delta).and_then(T::narrow) else {
-        return Err(malformed(format!("packed value overflows u{}", T::BITS)));
-    };
-    Ok((out, max))
+        (self.words[word] >> bit | self.words[word + 1] << 1 << (63 - bit)) & self.mask
+    }
+
+    /// Value `i`. `parse` proved that `min + delta` fits the value width.
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        self.min + self.delta(i)
+    }
+
+    /// `true` iff every value is at most `limit`. The bound
+    /// `min + 2^width − 1` settles most blocks; the rest are scanned for
+    /// their largest delta, which may sum past `u64` on a forged block.
+    fn all_at_most(&self, limit: u64) -> bool {
+        if self
+            .min
+            .checked_add(self.mask)
+            .is_some_and(|top| top <= limit)
+        {
+            return true;
+        }
+        let max_delta = (0..self.len).map(|i| self.delta(i)).max().unwrap_or(0);
+        self.min
+            .checked_add(max_delta)
+            .is_some_and(|max| max <= limit)
+    }
+
+    /// Every value, decoded.
+    fn expand<T: Packed>(&self) -> Vec<T> {
+        (0..self.len).map(|i| T::truncate(self.get(i))).collect()
+    }
+
+    /// Bytes the bounded cache charges for this block: its words, the pad
+    /// included, plus the per-chunk bookkeeping overhead.
+    fn cost(&self) -> u64 {
+        8 * cast::to_u64(self.words.len()) + CHUNK_OVERHEAD
+    }
+}
+
+/// Decodes one FOR block of at most `max_count` values: validate, then
+/// expand.
+fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Vec<T>, SegmentError> {
+    Ok(ForBlock::parse::<T>(cur, max_count)?.expand())
 }
 
 // ---------------------------------------------------------------------------
@@ -878,7 +931,7 @@ impl SegmentWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Options controlling how a [`SegmentReader`] caches decoded chunks.
+/// Options controlling how a [`SegmentReader`] caches chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentOpenOptions {
     cache_budget: Option<u64>,
@@ -890,9 +943,14 @@ impl SegmentOpenOptions {
         Self::default()
     }
 
-    /// Bounds the decoded-chunk cache to roughly `bytes` (clock eviction,
-    /// [`CACHE_SHARDS`] shards). Without a budget the cache is sticky: every
-    /// decoded chunk stays resident for the reader's lifetime.
+    /// Bounds the chunk cache to roughly `bytes` (clock eviction,
+    /// [`CACHE_SHARDS`] shards). Under a budget each chunk is cached as its
+    /// validated frame-of-reference block, still packed, and charged
+    /// `8 · words + 32` bytes: its packed `u64` words and one zero pad word,
+    /// plus bookkeeping. Every read extracts its value in place, so a hit
+    /// decodes nothing. Without a budget the cache is sticky: every chunk
+    /// is decoded on first touch and stays resident for the reader's
+    /// lifetime.
     pub fn with_cache_budget(mut self, bytes: u64) -> Self {
         self.cache_budget = Some(bytes);
         self
@@ -905,21 +963,24 @@ impl SegmentOpenOptions {
 /// storage` suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageStats {
-    /// Chunk lookups served from the decoded-chunk cache.
+    /// Chunk lookups served from the chunk cache.
     pub cache_hits: u64,
-    /// Chunk lookups that decoded from the backing source. Under a budget
+    /// Chunk lookups that loaded from the backing source. Under a budget
     /// these are column, posting and id chunks only: tuples are built from
     /// column values and never looked up as chunks.
     pub cache_misses: u64,
     /// Chunks evicted by the bounded cache (always 0 without a budget).
     pub cache_evictions: u64,
-    /// Decoded bytes currently resident in the cache.
+    /// Bytes charged for the chunks currently resident: decoded values
+    /// (`4` or `8` bytes each, plus 32 per chunk) in the sticky tables, and
+    /// packed words (`8 · words + 32` per chunk) under a budget.
     pub bytes_resident: u64,
     /// The configured cache byte budget (`None` = unbounded sticky cache).
     pub cache_budget: Option<u64>,
-    /// Column, permutation and posting-order chunks decoded, each one
-    /// frame-of-reference block, by queries and by
-    /// [`SegmentReader::verify`]. Tuple-id chunks are not counted.
+    /// Column, permutation and posting-order chunks validated, each one
+    /// frame-of-reference block, on every path: budgeted loads, sticky
+    /// hydration and [`SegmentReader::verify`]. Tuple-id chunks are not
+    /// counted.
     pub decoded_for: u64,
     /// Always 0: format version 3 has no dictionary-coded chunks. The
     /// field stays so that readers of the snapshot keep compiling.
@@ -929,9 +990,9 @@ pub struct StorageStats {
     pub decoded_rle: u64,
 }
 
-/// Key of one cached decoded chunk. `kind` is the on-disk section kind,
-/// except [`KIND_TUPLE_CACHE`] which keys hydrated tuple chunks (sticky
-/// tables only).
+/// Key of one cached chunk. `kind` is the on-disk section kind, except
+/// [`KIND_TUPLE_CACHE`] which keys hydrated tuple chunks (sticky tables
+/// only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ChunkKey {
     kind: u8,
@@ -939,8 +1000,17 @@ struct ChunkKey {
     chunk: u32,
 }
 
-/// One decoded chunk, shared out of the cache by refcount so eviction can
-/// never invalidate a borrow a query still holds.
+impl ChunkKey {
+    fn new(kind: u8, attr: u32, c: usize) -> Self {
+        ChunkKey {
+            kind,
+            attr,
+            chunk: cast::to_u32(c),
+        }
+    }
+}
+
+/// One decoded chunk in the sticky tables, shared by refcount.
 #[derive(Clone)]
 enum CachedChunk {
     U32(Arc<[u32]>),
@@ -972,7 +1042,8 @@ impl CachedChunk {
 }
 
 /// Lock-free sticky tables: one `OnceLock` cell per (kind, attr, chunk), so
-/// the unbounded default pays no mutex on the hot warm-query path.
+/// the unbounded default pays no mutex on the hot warm-query path. Each
+/// chunk is decoded once, on first touch, and never evicted.
 struct StickyTables {
     chunks: usize,
     perm: Vec<OnceLock<CachedChunk>>,
@@ -982,6 +1053,9 @@ struct StickyTables {
     rank_cols: Vec<OnceLock<CachedChunk>>,
     store_cols: Vec<OnceLock<CachedChunk>>,
     order: Vec<OnceLock<CachedChunk>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    resident: AtomicU64,
 }
 
 fn once_cells(len: usize) -> Vec<OnceLock<CachedChunk>> {
@@ -1002,6 +1076,9 @@ impl StickyTables {
             rank_cols: once_cells(ranked * m),
             store_cols: once_cells(chunks * m),
             order: once_cells(chunks * m),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            resident: AtomicU64::new(0),
         }
     }
 
@@ -1019,27 +1096,54 @@ impl StickyTables {
             _ => None,
         }
     }
+
+    /// Looks `key` up, counting a hit or a miss.
+    fn get(&self, key: ChunkKey) -> Option<CachedChunk> {
+        let found = self.slot(key).and_then(|cell| cell.get().cloned());
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Publishes `data` under `key` and returns the canonical resident
+    /// copy: ours, or the winner's if another reader published first.
+    fn insert(&self, key: ChunkKey, data: CachedChunk, cost: u64) -> CachedChunk {
+        let Some(cell) = self.slot(key) else {
+            return data;
+        };
+        if cell.set(data.clone()).is_ok() {
+            self.resident.fetch_add(cost, Ordering::Relaxed);
+            data
+        } else {
+            // Lost the publication race: `set` only fails once the cell is
+            // initialized, so the winner's copy is there to serve (fall
+            // back to ours otherwise).
+            cell.get().cloned().unwrap_or(data)
+        }
+    }
 }
 
-enum CacheBacking {
-    Sticky(StickyTables),
-    Bounded(ClockCacheCore<StdSync, ChunkKey, CachedChunk>),
-}
+/// The sharded clock cache behind a budgeted reader. It holds each chunk
+/// as its validated packed block, so a hit extracts values in place and
+/// only a miss reads and checks the section again.
+type BoundedCache = ClockCacheCore<StdSync, ChunkKey, Arc<ForBlock>>;
 
-/// The decoded-chunk cache behind a [`SegmentReader`]: sticky `OnceLock`
-/// tables when unbounded (the historical behavior), a sharded clock cache
-/// under a byte budget. Hit/miss/eviction counters feed [`StorageStats`].
+/// The chunk cache behind a [`SegmentReader`]: sticky `OnceLock` tables
+/// of decoded chunks when unbounded, a byte-budgeted clock cache of packed
+/// blocks under a budget. Hit/miss/eviction counters feed
+/// [`StorageStats`].
 ///
-/// The bounded backing is a [`ClockCacheCore`] instantiated with the
+/// The bounded cache is a [`ClockCacheCore`] instantiated with the
 /// production [`StdSync`] facade — the same core the `skyweb-check`
-/// interleaving explorer model-checks exhaustively. It maintains its own
-/// counters; the atomics below serve the sticky backing only (which never
-/// evicts).
-struct ChunkCache {
-    backing: CacheBacking,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    resident: AtomicU64,
+/// interleaving explorer model-checks exhaustively — and maintains its own
+/// counters.
+enum ChunkCache {
+    Sticky(StickyTables),
+    Bounded(BoundedCache),
 }
 
 fn shard_of(key: ChunkKey) -> usize {
@@ -1052,86 +1156,41 @@ fn shard_of(key: ChunkKey) -> usize {
 
 impl ChunkCache {
     fn new(m: usize, chunks: usize, has_perm: bool, budget: Option<u64>) -> Self {
-        let backing = match budget {
-            None => CacheBacking::Sticky(StickyTables::new(m, chunks, has_perm)),
-            Some(b) => CacheBacking::Bounded(ClockCacheCore::new(CACHE_SHARDS, b, false)),
-        };
-        ChunkCache {
-            backing,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks `key` up, counting a hit or a miss.
-    fn get(&self, key: ChunkKey) -> Option<CachedChunk> {
-        match &self.backing {
-            CacheBacking::Sticky(t) => {
-                let found = t.slot(key).and_then(|cell| cell.get().cloned());
-                let counter = if found.is_some() {
-                    &self.hits
-                } else {
-                    &self.misses
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                found
-            }
-            CacheBacking::Bounded(core) => core.get(shard_of(key), key),
-        }
-    }
-
-    /// Inserts `data` under `key`, evicting as needed, and returns the
-    /// canonical resident copy (the race winner under the sticky backing).
-    fn insert(&self, key: ChunkKey, data: CachedChunk, cost: u64) -> CachedChunk {
-        match &self.backing {
-            CacheBacking::Sticky(t) => match t.slot(key) {
-                Some(cell) => {
-                    if cell.set(data.clone()).is_ok() {
-                        self.resident.fetch_add(cost, Ordering::Relaxed);
-                        data
-                    } else {
-                        // Lost the publication race: `set` only fails once
-                        // the cell is initialized, so the winner's copy is
-                        // there to serve (fall back to ours otherwise).
-                        cell.get().cloned().unwrap_or(data)
-                    }
-                }
-                None => data,
-            },
-            CacheBacking::Bounded(core) => core.insert(shard_of(key), key, data, cost),
+        match budget {
+            None => ChunkCache::Sticky(StickyTables::new(m, chunks, has_perm)),
+            Some(b) => ChunkCache::Bounded(ClockCacheCore::new(CACHE_SHARDS, b, false)),
         }
     }
 
     /// Lifetime hit count, whichever backing is active.
     fn hit_count(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => self.hits.load(Ordering::Relaxed),
-            CacheBacking::Bounded(core) => core.hit_count(),
+        match self {
+            ChunkCache::Sticky(t) => t.hits.load(Ordering::Relaxed),
+            ChunkCache::Bounded(core) => core.hit_count(),
         }
     }
 
     /// Lifetime miss count, whichever backing is active.
     fn miss_count(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => self.misses.load(Ordering::Relaxed),
-            CacheBacking::Bounded(core) => core.miss_count(),
+        match self {
+            ChunkCache::Sticky(t) => t.misses.load(Ordering::Relaxed),
+            ChunkCache::Bounded(core) => core.miss_count(),
         }
     }
 
     /// Lifetime eviction count (the sticky backing never evicts).
     fn eviction_count(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => 0,
-            CacheBacking::Bounded(core) => core.eviction_count(),
+        match self {
+            ChunkCache::Sticky(_) => 0,
+            ChunkCache::Bounded(core) => core.eviction_count(),
         }
     }
 
-    /// Bytes of decoded chunks currently resident.
+    /// Bytes charged for the chunks currently resident.
     fn resident_bytes(&self) -> u64 {
-        match &self.backing {
-            CacheBacking::Sticky(_) => self.resident.load(Ordering::Relaxed),
-            CacheBacking::Bounded(core) => core.resident_bytes(),
+        match self {
+            ChunkCache::Sticky(t) => t.resident.load(Ordering::Relaxed),
+            ChunkCache::Bounded(core) => core.resident_bytes(),
         }
     }
 }
@@ -1196,7 +1255,7 @@ impl SegmentReader {
     /// Opens a segment from any [`BlockSource`]: validates the trailer, the
     /// footer (meta + section directory) and the eager metadata sections,
     /// leaving every bulky section untouched until a query needs it.
-    /// `options` configures the decoded-chunk cache budget.
+    /// `options` configures the chunk cache budget.
     pub fn open_with(
         source: Box<dyn BlockSource>,
         options: SegmentOpenOptions,
@@ -1475,57 +1534,65 @@ impl SegmentReader {
         Ok(buf)
     }
 
-    /// Decodes and fully validates one lazy chunk payload — the one code
-    /// path shared by query-time hydration and [`SegmentReader::verify`],
-    /// so a corrupt chunk surfaces with the same [`SegmentError`] wherever
-    /// it is hit. The payload is one FOR block of exactly `chunk_len(c)`
-    /// values, each within its kind's range: store indices and ranks below
-    /// n, column values below the attribute's domain size. Tuple ids are
-    /// unconstrained, and only `u32` chunk decodes are counted.
-    fn decode_chunk<T: Packed>(
+    /// Validates one lazy chunk payload — the one validator shared by
+    /// budgeted reads, sticky hydration and [`SegmentReader::verify`], so a
+    /// corrupt chunk surfaces with the same [`SegmentError`] wherever it is
+    /// hit. The payload is one FOR block (`u64` for tuple ids, `u32`
+    /// otherwise) of exactly `chunk_len(c)` values, each within its kind's
+    /// range: store indices and ranks below n, column values below the
+    /// attribute's domain size. Tuple ids are unconstrained, and only
+    /// non-id chunks are counted in `decoded_for`.
+    fn validate_chunk(
         &self,
         kind: u8,
         attr: u32,
         c: usize,
         payload: &[u8],
-    ) -> Result<Vec<T>, SegmentError> {
+    ) -> Result<ForBlock, SegmentError> {
         let expected = self.chunk_len(c);
         let mut cur = Cursor::new(payload);
-        let (vals, max) = unpack::<T>(&mut cur, expected)?;
+        let block = if kind == KIND_IDS {
+            ForBlock::parse::<u64>(&mut cur, expected)?
+        } else {
+            ForBlock::parse::<u32>(&mut cur, expected)?
+        };
         cur.finish()?;
-        if vals.len() != expected {
+        if block.len != expected {
             return Err(malformed(format!(
                 "section {}[{attr}, {c}] holds {} values, expected {expected}",
                 kind_name(kind),
-                vals.len()
+                block.len
             )));
         }
-        // Every chunk holds at least one value, so `max` is one of them and
-        // bounds the rest.
-        let max = max.widen();
-        match kind {
-            KIND_IDS => return Ok(vals),
-            KIND_PERM | KIND_RANK_OF | KIND_ORDER if max >= cast::to_u64(self.n) => {
-                return Err(malformed(format!("{} value out of range", kind_name(kind))));
-            }
-            KIND_RANK_COL | KIND_STORE_COL
-                if max >= u64::from(self.schema.attr(cast::to_usize(attr)).domain_size) =>
-            {
-                return Err(malformed(format!(
+        let (bound, column) = match kind {
+            KIND_IDS => return Ok(block),
+            KIND_PERM | KIND_RANK_OF | KIND_ORDER => (cast::to_u64(self.n), false),
+            _ => (
+                u64::from(self.schema.attr(cast::to_usize(attr)).domain_size),
+                true,
+            ),
+        };
+        if !bound
+            .checked_sub(1)
+            .is_some_and(|top| block.all_at_most(top))
+        {
+            return Err(malformed(if column {
+                format!(
                     "{}[{attr}] value outside the attribute domain",
                     kind_name(kind)
-                )));
-            }
-            _ => {}
+                )
+            } else {
+                format!("{} value out of range", kind_name(kind))
+            }));
         }
         self.decoded.fetch_add(1, Ordering::Relaxed);
-        Ok(vals)
+        Ok(block)
     }
 
-    /// Reads, opens and decodes lazy chunk `(kind, attr, c)`.
-    fn load_chunk<T: Packed>(&self, kind: u8, attr: u32, c: usize) -> Result<Vec<T>, SegmentError> {
+    /// Reads, opens and validates lazy chunk `(kind, attr, c)`.
+    fn load_chunk(&self, kind: u8, attr: u32, c: usize) -> Result<ForBlock, SegmentError> {
         let bytes = self.read_entry(self.entry(kind, attr, cast::to_u32(c))?)?;
-        self.decode_chunk(kind, attr, c, SWSG.open(&bytes, kind)?)
+        self.validate_chunk(kind, attr, c, SWSG.open(&bytes, kind)?)
     }
 
     /// Decodes and validates one posting prefix-count payload (shared with
@@ -1533,7 +1600,7 @@ impl SegmentReader {
     fn decode_starts_section(&self, attr: usize, payload: &[u8]) -> Result<Vec<u32>, SegmentError> {
         let d = cast::to_usize(self.schema.attr(attr).domain_size);
         let mut cur = Cursor::new(payload);
-        let (starts, _) = unpack::<u32>(&mut cur, d + 1)?;
+        let starts = unpack::<u32>(&mut cur, d + 1)?;
         cur.finish()?;
         if starts.len() != d + 1 {
             return Err(malformed(format!(
@@ -1561,7 +1628,7 @@ impl SegmentReader {
         let (mut mins, mut maxs) = (Vec::new(), Vec::new());
         for attr in 0..self.schema.len() {
             for table in [&mut mins, &mut maxs] {
-                let (vals, _) = unpack::<Value>(&mut cur, blocks)?;
+                let vals = unpack::<Value>(&mut cur, blocks)?;
                 if vals.len() != blocks {
                     return Err(malformed(format!(
                         "zones[{attr}] cover {} blocks, expected {blocks}",
@@ -1576,64 +1643,120 @@ impl SegmentReader {
     }
 
     /// A resident sticky `u32` chunk, borrowed in place — no `Arc` traffic,
-    /// no counter — or `None` under the bounded backing / for a cold chunk.
-    /// The warm-query fast paths (`u32_at`, the zone-block reader, tuple
+    /// no counter — or `None` under a budget / for a cold chunk. The
+    /// warm-query fast paths (`u32_at`, the zone-block reader, tuple
     /// sharing) sit on the engine's innermost loops, where an atomic per
     /// value costs an order of magnitude; sticky cells are immutable once
     /// initialized and never evicted, so the borrow is sound for the
     /// reader's lifetime.
     fn sticky_u32(&self, kind: u8, attr: u32, c: usize) -> Option<&[u32]> {
-        if let CacheBacking::Sticky(t) = &self.cache.backing {
-            let key = ChunkKey {
-                kind,
-                attr,
-                chunk: cast::to_u32(c),
-            };
-            if let Some(CachedChunk::U32(v)) = t.slot(key).and_then(|cell| cell.get()) {
+        if let ChunkCache::Sticky(t) = &self.cache {
+            let cell = t.slot(ChunkKey::new(kind, attr, c));
+            if let Some(CachedChunk::U32(v)) = cell.and_then(|cell| cell.get()) {
                 return Some(v);
             }
         }
         None
     }
 
-    /// One `u32` value out of a chunk, through the sticky fast path; the
-    /// bounded backing (and any cold chunk) falls back to the counted
-    /// chunk fetch.
+    /// One `u32` value out of a chunk, through the sticky fast path.
     fn u32_at(&self, kind: u8, attr: u32, c: usize, i: usize) -> Result<u32, SegmentError> {
         if let Some(v) = self.sticky_u32(kind, attr, c) {
             return Ok(v[i]);
         }
-        Ok(self.u32_chunk(kind, attr, c)?[i])
+        self.u32_at_cold(kind, attr, c, i)
     }
 
-    fn u32_chunk(&self, kind: u8, attr: u32, c: usize) -> Result<Arc<[u32]>, SegmentError> {
-        let key = ChunkKey {
-            kind,
-            attr,
-            chunk: cast::to_u32(c),
-        };
-        if let Some(hit) = self.cache.get(key) {
+    /// [`SegmentReader::u32_at`] past the sticky fast path: extracted from
+    /// the packed block under a budget, else read from the chunk a first
+    /// touch hydrates. Out of line, so the fast path stays small where the
+    /// engine inlines it.
+    #[inline(never)]
+    fn u32_at_cold(&self, kind: u8, attr: u32, c: usize, i: usize) -> Result<u32, SegmentError> {
+        match &self.cache {
+            ChunkCache::Bounded(cache) => Ok(cast::to_u32(
+                self.packed_chunk(cache, kind, attr, c)?.get(i),
+            )),
+            ChunkCache::Sticky(tables) => Ok(self.u32_chunk(tables, kind, attr, c)?[i]),
+        }
+    }
+
+    /// The lane bitset of rank-column values `lanes` of chunk `c` against
+    /// `[lo, hi]`, past the sticky fast path of `lane_mask` (out of line for
+    /// the same reason as [`SegmentReader::u32_at_cold`]).
+    #[inline(never)]
+    fn lane_mask_cold(
+        &self,
+        attr: u32,
+        c: usize,
+        lanes: std::ops::Range<usize>,
+        lo: Value,
+        hi: Value,
+    ) -> Result<u64, SegmentError> {
+        match &self.cache {
+            ChunkCache::Bounded(cache) => {
+                let block = self.packed_chunk(cache, KIND_RANK_COL, attr, c)?;
+                let (lo, hi) = (u64::from(lo), u64::from(hi));
+                Ok(lanes.enumerate().fold(0, |mask, (lane, i)| {
+                    let v = block.get(i);
+                    mask | u64::from(v >= lo && v <= hi) << lane
+                }))
+            }
+            ChunkCache::Sticky(tables) => {
+                let chunk = self.u32_chunk(tables, KIND_RANK_COL, attr, c)?;
+                Ok(lanes_within(&chunk[lanes], lo, hi))
+            }
+        }
+    }
+
+    /// Chunk `(kind, attr, c)` as its validated packed block, through the
+    /// bounded cache. A miss loads and validates the section and caches
+    /// the block as it is, charged [`ForBlock::cost`].
+    fn packed_chunk(
+        &self,
+        cache: &BoundedCache,
+        kind: u8,
+        attr: u32,
+        c: usize,
+    ) -> Result<Arc<ForBlock>, SegmentError> {
+        let key = ChunkKey::new(kind, attr, c);
+        let shard = shard_of(key);
+        if let Some(hit) = cache.get(shard, key) {
+            return Ok(hit);
+        }
+        let block = self.load_chunk(kind, attr, c)?;
+        let cost = block.cost();
+        Ok(cache.insert(shard, key, Arc::new(block), cost))
+    }
+
+    /// Sticky `u32` chunk `(kind, attr, c)`, decoded on first touch.
+    fn u32_chunk(
+        &self,
+        tables: &StickyTables,
+        kind: u8,
+        attr: u32,
+        c: usize,
+    ) -> Result<Arc<[u32]>, SegmentError> {
+        let key = ChunkKey::new(kind, attr, c);
+        if let Some(hit) = tables.get(key) {
             return Ok(hit.as_u32().clone());
         }
-        let vals: Vec<u32> = self.load_chunk(kind, attr, c)?;
+        let vals: Vec<u32> = self.load_chunk(kind, attr, c)?.expand();
         let cost = 4 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
         let data = CachedChunk::U32(vals.into());
-        Ok(self.cache.insert(key, data, cost).as_u32().clone())
+        Ok(tables.insert(key, data, cost).as_u32().clone())
     }
 
-    fn ids_chunk(&self, c: usize) -> Result<Arc<[u64]>, SegmentError> {
-        let key = ChunkKey {
-            kind: KIND_IDS,
-            attr: 0,
-            chunk: cast::to_u32(c),
-        };
-        if let Some(hit) = self.cache.get(key) {
+    /// Sticky tuple-id chunk `c`, decoded on first touch.
+    fn ids_chunk(&self, tables: &StickyTables, c: usize) -> Result<Arc<[u64]>, SegmentError> {
+        let key = ChunkKey::new(KIND_IDS, 0, c);
+        if let Some(hit) = tables.get(key) {
             return Ok(hit.as_u64().clone());
         }
-        let vals: Vec<u64> = self.load_chunk(KIND_IDS, 0, c)?;
+        let vals: Vec<u64> = self.load_chunk(KIND_IDS, 0, c)?.expand();
         let cost = 8 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
         let data = CachedChunk::U64(vals.into());
-        Ok(self.cache.insert(key, data, cost).as_u64().clone())
+        Ok(tables.insert(key, data, cost).as_u64().clone())
     }
 
     /// Snapshot of the cache and decode counters.
@@ -1654,18 +1777,18 @@ impl SegmentReader {
     /// snapshot if one exists. Without a budget it is shared out of its
     /// chunk's sticky tuple table, which hydrates on first touch. Under a
     /// budget only this tuple is built, from its `ids` and `store-col`
-    /// values fetched through the bounded cache (ids first, then store-col
-    /// 0..m). Tuple chunks stay out of that cache: one costs
-    /// `chunk · (48 + 4m) + 32` bytes (344,096 B at 4,096 tuples and m = 9),
-    /// more than a shard holds below a ~2.7 MiB budget, and a chunk served
-    /// uncached would be rebuilt for every tuple shared.
+    /// values read in place from the packed blocks in the bounded cache
+    /// (ids first, then store-col 0..m). Tuple chunks stay out of that
+    /// cache: one costs `chunk · (48 + 4m) + 32` bytes (344,096 B at 4,096
+    /// tuples and m = 9), more than a shard holds below a ~2.7 MiB budget,
+    /// and a chunk served uncached would be rebuilt for every tuple shared.
     pub(crate) fn tuple_at(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
         if let Some(full) = self.full.get() {
             return Ok(Arc::clone(&full[idx]));
         }
         let (c, i) = (idx / self.chunk, idx % self.chunk);
-        if let CacheBacking::Bounded(_) = self.cache.backing {
-            let id = self.ids_chunk(c)?[i];
+        if let ChunkCache::Bounded(cache) = &self.cache {
+            let id = self.packed_chunk(cache, KIND_IDS, 0, c)?.get(i);
             let values = (0..self.schema.len())
                 .map(|attr| self.value_at(attr, idx))
                 .collect::<Result<Vec<Value>, SegmentError>>()?;
@@ -1681,13 +1804,9 @@ impl SegmentReader {
     /// counterpart of [`SegmentReader::sticky_u32`] for warm tuple shares
     /// (only the returned tuple's own `Arc` is cloned).
     fn sticky_tuples(&self, c: usize) -> Option<&[Arc<Tuple>]> {
-        if let CacheBacking::Sticky(t) = &self.cache.backing {
-            let key = ChunkKey {
-                kind: KIND_TUPLE_CACHE,
-                attr: 0,
-                chunk: cast::to_u32(c),
-            };
-            if let Some(CachedChunk::Tuples(v)) = t.slot(key).and_then(|cell| cell.get()) {
+        if let ChunkCache::Sticky(t) = &self.cache {
+            let cell = t.slot(ChunkKey::new(KIND_TUPLE_CACHE, 0, c));
+            if let Some(CachedChunk::Tuples(v)) = cell.and_then(|cell| cell.get()) {
                 return Some(v);
             }
         }
@@ -1696,38 +1815,41 @@ impl SegmentReader {
 
     /// Chunk `c`'s hydrated tuples. Without a budget they are published in
     /// the sticky tuple table; under one they are built for the caller
-    /// alone and never cached.
+    /// alone from the packed blocks and never cached.
     fn tuple_chunk(&self, c: usize) -> Result<Arc<[Arc<Tuple>]>, SegmentError> {
-        let sticky = matches!(self.cache.backing, CacheBacking::Sticky(_));
-        let key = ChunkKey {
-            kind: KIND_TUPLE_CACHE,
-            attr: 0,
-            chunk: cast::to_u32(c),
-        };
-        if sticky {
-            if let Some(hit) = self.cache.get(key) {
-                return Ok(hit.as_tuples().clone());
-            }
-        }
-        let ids = self.ids_chunk(c)?;
         let m = self.schema.len();
-        let mut cols: Vec<Arc<[u32]>> = Vec::with_capacity(m);
-        for attr in 0..m {
-            cols.push(self.u32_chunk(KIND_STORE_COL, cast::to_u32(attr), c)?);
+        let tables = match &self.cache {
+            ChunkCache::Sticky(tables) => tables,
+            ChunkCache::Bounded(cache) => {
+                let ids = self.packed_chunk(cache, KIND_IDS, 0, c)?;
+                let cols = (0..m)
+                    .map(|attr| self.packed_chunk(cache, KIND_STORE_COL, cast::to_u32(attr), c))
+                    .collect::<Result<Vec<_>, SegmentError>>()?;
+                return Ok((0..self.chunk_len(c))
+                    .map(|i| {
+                        let values = cols.iter().map(|col| cast::to_u32(col.get(i))).collect();
+                        Arc::new(Tuple::new(ids.get(i), values))
+                    })
+                    .collect());
+            }
+        };
+        let key = ChunkKey::new(KIND_TUPLE_CACHE, 0, c);
+        if let Some(hit) = tables.get(key) {
+            return Ok(hit.as_tuples().clone());
         }
+        let ids = self.ids_chunk(tables, c)?;
+        let cols = (0..m)
+            .map(|attr| self.u32_chunk(tables, KIND_STORE_COL, cast::to_u32(attr), c))
+            .collect::<Result<Vec<_>, SegmentError>>()?;
         let built: Arc<[Arc<Tuple>]> = (0..self.chunk_len(c))
             .map(|i| {
                 let values: Vec<Value> = cols.iter().map(|col| col[i]).collect();
-                Arc::new(Tuple::new(ids[i] as TupleId, values))
+                Arc::new(Tuple::new(ids[i], values))
             })
             .collect();
-        if !sticky {
-            return Ok(built);
-        }
         // Rough per-tuple footprint: the Arc + Tuple headers plus the values.
         let cost = cast::to_u64(self.chunk_len(c)) * (48 + 4 * cast::to_u64(m)) + CHUNK_OVERHEAD;
-        Ok(self
-            .cache
+        Ok(tables
             .insert(key, CachedChunk::Tuples(built), cost)
             .as_tuples()
             .clone())
@@ -1756,10 +1878,10 @@ impl SegmentReader {
 
     /// The full O(file) scrub. It proves that the directory tiles the file
     /// contiguously (no unexamined gaps), so once it succeeds every byte of
-    /// the file has been covered by a checksum, and it decodes every
-    /// section through the decoders query-time hydration uses, so a corrupt
-    /// chunk found here carries the exact error a query would surface. It
-    /// then checks what the bytes mean:
+    /// the file has been covered by a checksum, and it validates every
+    /// section through the validators queries use, budgeted or not, so a
+    /// corrupt chunk found here carries the exact error a query would
+    /// surface. It then checks what the bytes mean:
     ///
     /// * `perm` is a permutation of `0..n` and `rank-of` is its inverse;
     /// * each attribute's posting `order` is a permutation of `0..n`, and
@@ -1810,12 +1932,15 @@ impl SegmentReader {
             (Vec::new(), Vec::new())
         };
         for c in 0..chunks {
-            self.load_chunk::<u64>(KIND_IDS, 0, c)?;
+            self.load_chunk(KIND_IDS, 0, c)?;
         }
         let column = |kind: u8, attr: usize| -> Result<Vec<u32>, SegmentError> {
             let mut all = Vec::with_capacity(n);
             for c in 0..chunks {
-                all.extend(self.load_chunk::<u32>(kind, cast::to_u32(attr), c)?);
+                all.extend(
+                    self.load_chunk(kind, cast::to_u32(attr), c)?
+                        .expand::<u32>(),
+                );
             }
             Ok(all)
         };
@@ -1920,8 +2045,7 @@ impl IndexStorage for SegmentReader {
         if let Some(v) = self.sticky_u32(KIND_RANK_COL, attr, c) {
             return Ok(lanes_within(&v[off..off + len], lo, hi));
         }
-        let chunk = self.u32_chunk(KIND_RANK_COL, attr, c)?;
-        Ok(lanes_within(&chunk[off..off + len], lo, hi))
+        self.lane_mask_cold(attr, c, off..off + len, lo, hi)
     }
 
     fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
@@ -1966,13 +2090,22 @@ impl IndexStorage for SegmentReader {
         if p0 >= p1 {
             return Ok(());
         }
+        let attr = cast::to_u32(attr);
         for c in p0 / self.chunk..=(p1 - 1) / self.chunk {
             let base = c * self.chunk;
-            let chunk = self.u32_chunk(KIND_ORDER, cast::to_u32(attr), c)?;
-            let start = p0.max(base) - base;
-            let end = p1.min(base + chunk.len()) - base;
-            for &idx in &chunk[start..end] {
-                f(idx)?;
+            let lanes = p0.max(base) - base..p1.min(base + self.chunk_len(c)) - base;
+            match &self.cache {
+                ChunkCache::Bounded(cache) => {
+                    let block = self.packed_chunk(cache, KIND_ORDER, attr, c)?;
+                    for i in lanes {
+                        f(cast::to_u32(block.get(i)))?;
+                    }
+                }
+                ChunkCache::Sticky(tables) => {
+                    for &idx in &self.u32_chunk(tables, KIND_ORDER, attr, c)?[lanes] {
+                        f(idx)?;
+                    }
+                }
             }
         }
         Ok(())
@@ -1999,7 +2132,7 @@ mod tests {
                     1 => max,
                     _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & max,
                 };
-                T::narrow(base + delta).unwrap()
+                T::truncate(base + delta)
             })
             .collect()
     }
@@ -2011,17 +2144,22 @@ mod tests {
             let at = 4 + std::mem::size_of::<T>();
             assert_eq!(u32::from(bytes[at]), width, "packed width");
         }
+        let what = format!("u{} width {width} count {}", T::BITS, values.len());
         let mut cur = Cursor::new(&bytes);
-        let (back, max) = unpack::<T>(&mut cur, values.len()).unwrap();
+        let back = unpack::<T>(&mut cur, values.len()).unwrap();
         cur.finish().unwrap();
-        assert_eq!(
-            back,
-            values,
-            "u{} width {width} count {}",
-            T::BITS,
-            values.len()
-        );
-        assert_eq!(Some(max), values.iter().copied().max(), "block maximum");
+        assert_eq!(back, values, "{what}");
+        // The packed reader extracts every value in place, bit-exactly,
+        // including the values that straddle a word boundary.
+        let block = ForBlock::parse::<T>(&mut Cursor::new(&bytes), values.len()).unwrap();
+        assert_eq!(block.len, back.len(), "{what}");
+        for (i, v) in back.iter().enumerate() {
+            assert_eq!(block.get(i), v.widen(), "{what} index {i}");
+        }
+        // The range check settles on the true maximum, scan or no scan.
+        let max = back.iter().map(|v| v.widen()).max().unwrap_or(block.min);
+        assert!(block.all_at_most(max), "{what}");
+        assert!(max == 0 || !block.all_at_most(max - 1), "{what}");
     }
 
     #[test]
@@ -2064,7 +2202,7 @@ mod tests {
             // Constant (or empty) runs cost exactly the 9-byte header.
             assert_eq!(bytes.len(), 9);
             let mut cur = Cursor::new(&bytes);
-            assert_eq!(unpack::<u32>(&mut cur, values.len()).unwrap().0, values);
+            assert_eq!(unpack::<u32>(&mut cur, values.len()).unwrap(), values);
             cur.finish().unwrap();
         }
     }
@@ -2161,14 +2299,16 @@ mod tests {
             Query::new(vec![crate::Predicate::eq(1, 3)]),
         ];
         // Budgets: sticky reference, eviction-forcing, and the degenerate
-        // decode-every-time budget 0 — all must answer identically.
+        // decode-every-time budget 0 — all must answer identically. The
+        // mix touches 20 chunks, 1,696 packed bytes in all, so each
+        // 200-byte shard of a 1,600-byte budget evicts.
         let reference = HiddenDb::open_segment_source(
             Box::new(MemSource::new(bytes.clone())),
             Box::new(SumRanker),
         )
         .unwrap();
         reference.enable_access_log();
-        for budget in [4_800u64, 0] {
+        for budget in [1_600u64, 0] {
             let capped = HiddenDb::open_segment_source_with(
                 Box::new(MemSource::new(bytes.clone())),
                 Box::new(SumRanker),
@@ -2253,7 +2393,7 @@ mod tests {
         // A budget small enough that the query mix below keeps evicting:
         // the same thrash regime as `bounded_cache_stays_byte_identical_
         // and_evicts`, but here the subject is the counters themselves.
-        let budget = 4_800u64;
+        let budget = 1_600u64;
         let capped = HiddenDb::open_segment_source_with(
             Box::new(MemSource::new(bytes)),
             Box::new(SumRanker),
@@ -2354,11 +2494,116 @@ mod tests {
             .write(&tiny_db())
             .unwrap();
         let poisoned = reseal(&bytes, KIND_STORE_COL, 0, 0, |p| p[8] = 33);
-        let reader =
-            SegmentReader::open(Box::new(MemSource::new(poisoned))).expect("footer intact");
+        let [reader, budgeted] = both_options().map(|options| {
+            SegmentReader::open_with(Box::new(MemSource::new(poisoned.clone())), options)
+                .expect("footer intact")
+        });
         let verify_err = reader.verify().unwrap_err();
         assert_eq!(verify_err, reader.value_at(0, 0).unwrap_err());
+        assert_eq!(verify_err, budgeted.value_at(0, 0).unwrap_err());
         assert_eq!(verify_err, malformed("bit width 33 > 32"));
+    }
+
+    /// Unbudgeted, and under a budget that holds all of `tiny_db`'s
+    /// packed chunks.
+    fn both_options() -> [SegmentOpenOptions; 2] {
+        [
+            SegmentOpenOptions::new(),
+            SegmentOpenOptions::new().with_cache_budget(1 << 20),
+        ]
+    }
+
+    /// The ids `query` first answers with on an unbudgeted and on a
+    /// budgeted database over `bytes`. The access log is on, so each
+    /// predicate walks its posting list.
+    fn first_answers(bytes: &[u8], query: &Query) -> [Result<Vec<u64>, crate::QueryError>; 2] {
+        both_options().map(|options| {
+            let db = HiddenDb::open_segment_source_with(
+                Box::new(MemSource::new(bytes.to_vec())),
+                Box::new(SumRanker),
+                options,
+            )
+            .unwrap();
+            db.enable_access_log();
+            db.query(query)
+                .map(|r| r.tuples.iter().map(|t| t.id).collect())
+        })
+    }
+
+    #[test]
+    fn verify_and_both_query_paths_share_one_validator() {
+        // tiny_db in 64-value chunks: n = 150, and attribute a (domain 10)
+        // is i % 10. The four best sums (a = b = 0) belong to tuples 0, 10,
+        // 20 and 30, all in chunk 0, and the posting bucket a = 0 starts
+        // order[0] chunk 0. Every forgery below is one the packed load must
+        // catch on its own, before any cross-section check.
+        let bytes = SegmentWriter::new()
+            .with_chunk_size(64)
+            .write(&tiny_db())
+            .unwrap();
+        let select_all = Query::select_all();
+        let a_is_0 = Query::new(vec![crate::Predicate::eq(0, 0)]);
+        let forgeries = [
+            (
+                "a perm value equal to n",
+                reseal_values(&bytes, KIND_PERM, 0, 0, |b| b[0][0] = 150),
+                &select_all,
+                malformed("perm value out of range"),
+            ),
+            (
+                "an order value equal to n",
+                reseal_values(&bytes, KIND_ORDER, 0, 0, |b| b[0][0] = 150),
+                &a_is_0,
+                malformed("order value out of range"),
+            ),
+            (
+                "a store-col value equal to the domain size",
+                reseal_values(&bytes, KIND_STORE_COL, 0, 0, |b| b[0][0] = 10),
+                &select_all,
+                malformed("store-col[0] value outside the attribute domain"),
+            ),
+            // The 4-bit deltas 0..=9 on top of u32::MAX - 1.
+            (
+                "min + delta past u32::MAX",
+                reseal(&bytes, KIND_STORE_COL, 0, 0, |p| {
+                    p[4..8].copy_from_slice(&(u32::MAX - 1).to_le_bytes())
+                }),
+                &select_all,
+                malformed("packed value overflows u32"),
+            ),
+        ];
+        for (what, forged, query, want) in forgeries {
+            let reader = SegmentReader::open(Box::new(MemSource::new(forged.clone())))
+                .unwrap_or_else(|e| panic!("{what}: the forgery opens: {e}"));
+            assert_eq!(reader.verify().unwrap_err(), want, "{what}: verify");
+            for answer in first_answers(&forged, query) {
+                assert_eq!(
+                    answer.unwrap_err(),
+                    crate::QueryError::Storage {
+                        error: want.clone()
+                    },
+                    "{what}: query"
+                );
+            }
+        }
+        // Accepted: store-col[0] chunk 0 holds 0..=9 at width 4, so the bound
+        // min + 2^4 - 1 = 15 misses the domain and only the scan accepts it.
+        let reader = SegmentReader::open(Box::new(MemSource::new(bytes.clone()))).unwrap();
+        let e = reader.entry(KIND_STORE_COL, 0, 0).unwrap();
+        let section = reader.read_entry(e).unwrap();
+        let block = reader
+            .validate_chunk(
+                KIND_STORE_COL,
+                0,
+                0,
+                SWSG.open(&section, KIND_STORE_COL).unwrap(),
+            )
+            .expect("every value is in range");
+        assert_eq!((block.min, block.width), (0, 4));
+        reader.verify().expect("the scan accepts the block");
+        let [plain, budgeted] = first_answers(&bytes, &select_all);
+        assert_eq!(plain.unwrap(), [0, 10, 20, 30]);
+        assert_eq!(budgeted.unwrap(), [0, 10, 20, 30]);
     }
 
     #[test]
@@ -2381,7 +2626,7 @@ mod tests {
             assert_eq!(err, claim(bound), "{}", kind_name(kind));
         }
         // Lazy chunks open, then fail `verify` and the first query that
-        // hydrates them with the same error.
+        // reads them, budgeted or not, with the same error.
         for (kind, min_len) in [(KIND_STORE_COL, 4), (KIND_IDS, 8)] {
             let forged = reseal(&bytes, kind, 0, 0, width0_claim(0, min_len));
             let reader = SegmentReader::open(Box::new(MemSource::new(forged.clone())))
@@ -2392,17 +2637,14 @@ mod tests {
                 "{}",
                 kind_name(kind)
             );
-            let db = HiddenDb::open_segment_source(
-                Box::new(MemSource::new(forged)),
-                Box::new(SumRanker),
-            )
-            .unwrap();
-            assert_eq!(
-                db.query(&Query::select_all()).unwrap_err(),
-                crate::QueryError::Storage { error: claim(64) },
-                "{}",
-                kind_name(kind)
-            );
+            for answer in first_answers(&forged, &Query::select_all()) {
+                assert_eq!(
+                    answer.unwrap_err(),
+                    crate::QueryError::Storage { error: claim(64) },
+                    "{}",
+                    kind_name(kind)
+                );
+            }
         }
     }
 
@@ -2420,7 +2662,7 @@ mod tests {
             let mut cur = Cursor::new(p);
             let mut blocks = Vec::new();
             while cur.pos < p.len() {
-                blocks.push(unpack::<u32>(&mut cur, usize::MAX).unwrap().0);
+                blocks.push(unpack::<u32>(&mut cur, usize::MAX).unwrap());
             }
             edit(&mut blocks);
             let mut repacked = Vec::new();

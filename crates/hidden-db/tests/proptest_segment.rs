@@ -415,8 +415,10 @@ fn every_single_bit_flip_in_a_mixed_shape_segment_is_rejected() {
 #[test]
 fn concurrent_readers_under_a_tiny_cache_stay_byte_identical() {
     // Four readers hammer the same workload against one segment whose cache
-    // budget holds roughly one decoded chunk per shard, so chunks are
-    // continuously evicted and re-decoded underneath the running queries.
+    // budget holds roughly one packed chunk per shard (a 256-value chunk is
+    // charged 8 · words + 32 = 296–360 bytes, a shard gets 384), so chunks
+    // are continuously evicted and re-validated underneath the running
+    // queries.
     type QueryOutcome = Result<(Vec<(u64, Vec<u32>)>, bool), String>;
     let ram = mixed_shape_db();
     let expected: Vec<QueryOutcome> = workload(&ram)
@@ -430,7 +432,7 @@ fn concurrent_readers_under_a_tiny_cache_stay_byte_identical() {
         })
         .collect();
 
-    let budget = 16 * 1024;
+    let budget = 3 * 1024;
     let seg = HiddenDb::open_segment_source_with(
         Box::new(MemSource::new(sample_mixed_shape_segment())),
         Box::new(SumRanker),

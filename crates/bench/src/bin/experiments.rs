@@ -37,7 +37,7 @@
 //! `--segment DIR` writes every figure database once to a segment cache in
 //! `DIR`, keyed by its content, and serves it from that file with lazy
 //! hydration; `--cache-budget BYTES` (which needs `--segment`) caps each
-//! segment's decoded-chunk cache. The storage backend and its eviction do
+//! segment's chunk cache. The storage backend and its eviction do
 //! not change a single output byte (CI diffs exactly that).
 //!
 //! `--net` routes every discovery run over a loopback TCP connection: the
@@ -207,7 +207,7 @@ fn main() -> ExitCode {
         }
         eprintln!("# segment-backed mode: databases served from {dir}");
     }
-    // A cache budget bounds the decoded-chunk cache of every segment-backed
+    // A cache budget bounds the chunk cache of every segment-backed
     // database; figure stdout is still byte-identical (CI runs exactly this
     // with a deliberately tiny budget and diffs against the in-RAM run).
     if let Some(bytes) = cache_budget {
@@ -220,7 +220,7 @@ fn main() -> ExitCode {
             eprintln!("--cache-budget: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("# decoded-chunk cache capped at {bytes} bytes per database");
+        eprintln!("# chunk cache capped at {bytes} bytes per database");
     }
     // Wall-clock truncation is nondeterministic: keep stdout diffable by
     // moving the affected tables to stderr (headers stay on stdout).

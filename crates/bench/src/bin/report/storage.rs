@@ -20,14 +20,17 @@
 //!   independent of n. `cold_first_query_ms` hydrates exactly the chunks a
 //!   top-k select-all answer touches; that answer must be non-empty.
 //! - Four query shapes, the same plan shapes as the `interface` suite:
-//!   `warm_ns` on the unbounded reader, whose queries hydrate
-//!   per-4096-tuple chunks on first touch; `capped_ns` on a second reader
+//!   `warm_ns` on the unbounded reader, whose queries load each
+//!   4096-value chunk on first touch and keep it as its packed block, and
+//!   keep each chunk of tuples they build; `capped_ns` on a second reader
 //!   whose chunk cache is capped at 16 MiB (2 MiB at quick scale), which
 //!   the mix fits; and `thrash_ns` on a third reader whose budget is half
 //!   the capped reader's `bytes_resident` after its mix, so that the
 //!   shapes whose chunks no longer fit time the miss path.
 //! - `cache`, `capped_cache` and `thrash_cache`: each reader's
-//!   `StorageStats` counters after its query mix. The capped reader's
+//!   `StorageStats` counters after its query mix. Every reader caches the
+//!   same packed blocks, so the unbounded reader's `bytes_resident` is the
+//!   capped reader's plus its tuple tables. The capped reader's
 //!   `bytes_resident` is the bounded-memory row; `peak_rss_kb` is
 //!   process-wide and includes the unbounded reader. Every chunk is one
 //!   frame-of-reference block, so `decoded_dict` and `decoded_rle` read 0.

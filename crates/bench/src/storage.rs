@@ -35,7 +35,7 @@ pub fn segment_dir() -> Option<&'static Path> {
     SEGMENT_DIR.get().map(PathBuf::as_path)
 }
 
-/// Caps the decoded-chunk cache of every segment-backed database at `bytes`
+/// Caps the chunk cache of every segment-backed database at `bytes`
 /// (`experiments --cache-budget`). Call once, before any figure runs;
 /// returns `Err` if a budget was already set. Without a budget the cache is
 /// unbounded (sticky hydration). Figure output is byte-identical either way
@@ -47,7 +47,7 @@ pub fn set_cache_budget(bytes: u64) -> Result<(), String> {
         .map_err(|_| "cache budget already set".to_string())
 }
 
-/// The active decoded-chunk cache budget in bytes, if one was installed.
+/// The active chunk cache budget in bytes, if one was installed.
 pub fn cache_budget() -> Option<u64> {
     CACHE_BUDGET.get().copied()
 }

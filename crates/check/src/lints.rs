@@ -94,7 +94,6 @@ const WIRE_REGISTRY: &[(&str, u64, &str)] = &[
     ("KIND_STORE_COL", 7, "crates/hidden-db/src/segment.rs"),
     ("KIND_ORDER", 8, "crates/hidden-db/src/segment.rs"),
     ("KIND_IDS", 9, "crates/hidden-db/src/segment.rs"),
-    ("KIND_TUPLE_CACHE", 200, "crates/hidden-db/src/segment.rs"),
 ];
 
 /// Integer type names for the L2 bare-cast lint.

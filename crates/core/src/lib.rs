@@ -104,7 +104,7 @@ pub use pq::{PqControl, PqDbSky, PqMachine};
 pub use pq2d::{Pq2dControl, Pq2dMachine, Pq2dSky};
 pub use rq::{RqControl, RqDbSky, RqMachine};
 pub use service::{DiscoveryService, TenantId, TenantStats};
-pub use skyband::{skyband_of_retrieved, RqSkyband, SkybandControl, SkybandMachine, SkybandResult};
+pub use skyband::{RqSkyband, SkybandControl, SkybandMachine, SkybandResult};
 // The sibling-group annotation of a [`QueryPlan`], re-exported so
 // `MachineControl` implementors need not depend on the engine crate
 // directly.

@@ -14,17 +14,16 @@
 //! RQ-DB-SKY once per already-discovered band tuple, rooted at the
 //! conjunctive query `A_i ≥ t[A_i]`.
 //!
-//! The final band is extracted from everything retrieved with an exact local
-//! dominance count ([`skyband_of_retrieved`]) — which is correct because at
-//! least `h` dominators of any non-band tuple are themselves on the band and
+//! The final band is read from the knowledge base, whose incremental index
+//! keeps every band level of the retrieved tuples as they arrive
+//! ([`SkybandMachine::take_band_result`]) — which is exact because at least
+//! `h` dominators of any non-band tuple are themselves on the band and
 //! therefore retrieved.
 
-use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use skyweb_hidden_db::{HiddenDb, InterfaceType, Predicate, Query, QueryResponse, Schema, Tuple};
-use skyweb_skyline::skyband_on;
 
 use crate::codec::{self, CodecError, Reader};
 use crate::driver::{DiscoveryDriver, DriverConfig};
@@ -38,22 +37,6 @@ use crate::{DiscoveryError, KnowledgeBase};
 /// interface reports the plain skyline; use
 /// [`SkybandMachine::take_band_result`] for the full top-h band.
 pub type SkybandMachine = Machine<SkybandControl>;
-
-/// Extracts the top-h sky band of the *retrieved* tuple set by exact local
-/// dominance counting over the ranking attributes of `db`.
-///
-/// This post-processing is exact whenever the retrieved set is a superset of
-/// the true top-h band (which the discovery procedures guarantee). The
-/// discovery procedure itself no longer needs it — the knowledge base's
-/// incremental index maintains every band level as tuples arrive — but it
-/// remains the independent reference the tests pin that index against.
-pub fn skyband_of_retrieved<B: Borrow<Tuple>>(
-    retrieved: &[B],
-    db: &HiddenDb,
-    h: usize,
-) -> Vec<Tuple> {
-    skyband_on(retrieved, db.schema().ranking_attrs(), h)
-}
 
 /// Result of a sky-band discovery run. Tuples are `Arc`-shared with the
 /// database store, like [`crate::DiscoveryResult`]'s.
@@ -498,15 +481,6 @@ mod tests {
         let result = RqSkyband::with_budget(2, 5).discover_band(&db).unwrap();
         assert!(!result.complete);
         assert!(result.query_cost <= 5);
-    }
-
-    #[test]
-    fn post_processing_helper_matches_local_skyband() {
-        let db = pseudo_random_db(2, 15, 80, 2);
-        let all: Vec<Tuple> = db.oracle_tuples().to_vec();
-        let a = skyband_of_retrieved(&all, &db, 3);
-        let b = skyband(db.oracle_tuples().as_slice(), db.schema(), 3);
-        assert!(same_ids(&a, &b));
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //!   section directory), the zone maps and the posting prefix counts — a
 //!   few hundred KB even at n = 10M — and nothing else.
 //! * **Everything bulky hydrates lazily, per chunk.** Column values, the
-//!   permutation, posting orders, tuple ids and the `Arc<Tuple>`s behind
-//!   query responses materialize only when a query first touches their
-//!   chunk (4096 values by default), and stay cached for the segment's
-//!   lifetime. Under a cache budget, each chunk is cached as its validated
-//!   packed block and read in place, chunks are evicted by clock, and each
-//!   returned tuple is built alone from its column values.
-//!   `Ranker::precompute` never runs on the load path.
+//!   permutation, posting orders and tuple ids load only when a query
+//!   first touches their chunk (4096 values by default). Each chunk is
+//!   validated once and cached as its packed block, which every read
+//!   extracts its values from in place: for the segment's lifetime by
+//!   default, or evicted by clock under a cache budget. The `Arc<Tuple>`s
+//!   behind query responses are built column by column from those blocks,
+//!   a chunk at a time into a sticky tuple table by default, and alone for
+//!   each returned tuple under a budget. `Ranker::precompute` never runs
+//!   on the load path.
 //! * **Every byte is covered by a checksum.** Each section is one
 //!   [`crate::envelope`] envelope (magic + version + kind + length + FNV-1a
 //!   64 checksum); the directory is covered by the footer's envelope, and
@@ -51,7 +53,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::conc::ClockCacheCore;
 use crate::envelope::{fnv1a64, le_u32, le_u64, Envelope, EnvelopeError};
-use crate::index::{lanes_within, IndexStorage, BLOCK};
+use crate::index::{IndexStorage, BLOCK};
 use crate::sync::StdSync;
 use crate::{AttrId, AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, Value};
 
@@ -178,14 +180,10 @@ const KIND_ORDER: u8 = 8;
 /// Section kind: one chunk of the tuple ids (u64).
 const KIND_IDS: u8 = 9;
 
-/// Pseudo section kind keying hydrated tuple chunks in the sticky tables.
-/// Never appears on disk, and never keys the bounded cache.
-const KIND_TUPLE_CACHE: u8 = 200;
-
 /// Shard count of the bounded chunk cache.
 const CACHE_SHARDS: usize = 8;
-/// Approximate per-chunk bookkeeping overhead charged against the cache
-/// budget on top of the decoded payload bytes.
+/// Approximate per-chunk bookkeeping overhead charged on top of a cached
+/// chunk's bytes.
 const CHUNK_OVERHEAD: u64 = 32;
 
 fn kind_name(kind: u8) -> &'static str {
@@ -316,6 +314,13 @@ fn malformed(detail: impl Into<String>) -> SegmentError {
     SegmentError::Malformed {
         detail: detail.into(),
     }
+}
+
+fn missing_section(kind: u8, attr: u32, chunk: u32) -> SegmentError {
+    malformed(format!(
+        "missing section {}[attr {attr}, chunk {chunk}]",
+        kind_name(kind)
+    ))
 }
 
 /// Random-access byte source a segment is read through.
@@ -553,17 +558,18 @@ fn pack<T: Packed>(values: &[T], out: &mut Vec<u8>) {
 }
 
 /// One validated FOR block, kept packed: value `i` is `min` plus the
-/// `width`-bit delta at bit `i · width` of `words`, read in place. The
-/// words end in one zero pad word, so every value can read the word after
-/// its own. The bounded chunk cache holds chunks in this form; everything
-/// else expands them once.
+/// `width`-bit delta at bit `i · width` of the little-endian `words`, read
+/// in place. The words are kept as their file bytes and end in one zero
+/// pad word, so every value can load the 8 bytes from its first byte on.
+/// Both chunk caches hold every lazy chunk in this form; only `verify`,
+/// the prefix counts and the zone maps expand blocks.
 struct ForBlock {
     min: u64,
     width: u32,
     /// `2^width − 1`: the largest delta the width admits.
     mask: u64,
     len: usize,
-    words: Box<[u64]>,
+    words: Box<[u8]>,
 }
 
 impl ForBlock {
@@ -584,10 +590,9 @@ impl ForBlock {
             return Err(malformed(format!("bit width {width} > {}", T::BITS)));
         }
         let body = cast::to_usize((cast::to_u64(len) * u64::from(width)).div_ceil(64));
-        let bytes = cur.take(body * 8)?;
-        let mut words = Vec::with_capacity(body + 1);
-        words.extend(bytes.chunks_exact(8).map(le_u64));
-        words.push(0);
+        let mut words = Vec::with_capacity(body * 8 + 8);
+        words.extend_from_slice(cur.take(body * 8)?);
+        words.resize(body * 8 + 8, 0);
         let block = ForBlock {
             min,
             width,
@@ -604,13 +609,22 @@ impl ForBlock {
     /// The delta of value `i` from `min`, extracted in place.
     #[inline]
     fn delta(&self, i: usize) -> u64 {
-        if self.width == 0 {
-            return 0;
-        }
         let pos = i * cast::to_usize(self.width);
-        let (word, bit) = (pos / 64, cast::to_u32(pos % 64));
+        if self.width <= 56 {
+            // The value starts in byte pos / 8, at most 7 bits in, so the
+            // one load from that byte holds all of its bits.
+            return (self.load(pos / 8) >> (pos % 8)) & self.mask;
+        }
+        let (word, bit) = (pos / 64 * 8, cast::to_u32(pos % 64));
         // `<< 1 <<` keeps a word-aligned value from shifting by 64.
-        (self.words[word] >> bit | self.words[word + 1] << 1 << (63 - bit)) & self.mask
+        (self.load(word) >> bit | self.load(word + 8) << 1 << (63 - bit)) & self.mask
+    }
+
+    /// The little-endian `u64` at byte `at`. The pad word keeps the load in
+    /// bounds from any byte of the packed words.
+    #[inline]
+    fn load(&self, at: usize) -> u64 {
+        le_u64(&self.words[at..at + 8])
     }
 
     /// Value `i`. `parse` proved that `min + delta` fits the value width.
@@ -636,15 +650,64 @@ impl ForBlock {
             .is_some_and(|max| max <= limit)
     }
 
+    /// The lane bitset of values `start..start + len` against `[lo, hi]`:
+    /// bit `j` is set iff value `start + j` lies in the range. Each delta
+    /// is compared in place against the range less `min`.
+    #[inline]
+    fn lanes_within(&self, start: usize, len: usize, lo: u64, hi: u64) -> u64 {
+        let Some(top) = hi.checked_sub(self.min) else {
+            return 0;
+        };
+        let bottom = lo.saturating_sub(self.min);
+        let Some(span) = top.checked_sub(bottom) else {
+            return 0;
+        };
+        let within = |delta: u64| delta.wrapping_sub(bottom) <= span;
+        if len == BLOCK && start.is_multiple_of(BLOCK) {
+            macro_rules! by_width {
+                ($($w:literal)*) => {
+                    match self.width {
+                        $($w => return self.zone_block_lanes::<$w>(start, within),)*
+                        _ => {}
+                    }
+                };
+            }
+            by_width!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+        }
+        (0..len).fold(0, |mask, j| {
+            mask | u64::from(within(self.delta(start + j))) << j
+        })
+    }
+
+    /// [`ForBlock::lanes_within`] of a whole zone block, the 64 values from
+    /// `start`, a multiple of 64, at width `W`. Each run of 8 values spans
+    /// `W` whole bytes, so within a run every byte offset and shift is a
+    /// constant: this reads the lanes as fast as a decoded column.
+    #[inline(always)]
+    fn zone_block_lanes<const W: usize>(&self, start: usize, within: impl Fn(u64) -> bool) -> u64 {
+        let first = start / 8 * W;
+        let bytes = &self.words[first..first + 8 * W + 8];
+        let mut mask = 0;
+        for run in (0..8).rev() {
+            let run = &bytes[run * W..run * W + W + 8];
+            for k in (0..8).rev() {
+                let pos = k * W;
+                let delta = (le_u64(&run[pos / 8..pos / 8 + 8]) >> (pos % 8)) & self.mask;
+                mask = mask << 1 | u64::from(within(delta));
+            }
+        }
+        mask
+    }
+
     /// Every value, decoded.
     fn expand<T: Packed>(&self) -> Vec<T> {
         (0..self.len).map(|i| T::truncate(self.get(i))).collect()
     }
 
-    /// Bytes the bounded cache charges for this block: its words, the pad
+    /// Bytes either chunk cache charges for this block: its words, the pad
     /// included, plus the per-chunk bookkeeping overhead.
     fn cost(&self) -> u64 {
-        8 * cast::to_u64(self.words.len()) + CHUNK_OVERHEAD
+        cast::to_u64(self.words.len()) + CHUNK_OVERHEAD
     }
 }
 
@@ -944,13 +1007,15 @@ impl SegmentOpenOptions {
     }
 
     /// Bounds the chunk cache to roughly `bytes` (clock eviction,
-    /// [`CACHE_SHARDS`] shards). Under a budget each chunk is cached as its
+    /// [`CACHE_SHARDS`] shards). Either way each chunk is cached as its
     /// validated frame-of-reference block, still packed, and charged
     /// `8 · words + 32` bytes: its packed `u64` words and one zero pad word,
     /// plus bookkeeping. Every read extracts its value in place, so a hit
-    /// decodes nothing. Without a budget the cache is sticky: every chunk
-    /// is decoded on first touch and stays resident for the reader's
-    /// lifetime.
+    /// decodes nothing. Without a budget the cache is sticky: every block
+    /// stays resident for the reader's lifetime once first touched, and so
+    /// does each chunk of tuples built from the blocks. Under a budget
+    /// blocks are evicted, and tuples are built one at a time and never
+    /// cached.
     pub fn with_cache_budget(mut self, bytes: u64) -> Self {
         self.cache_budget = Some(bytes);
         self
@@ -963,23 +1028,27 @@ impl SegmentOpenOptions {
 /// storage` suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageStats {
-    /// Chunk lookups served from the chunk cache.
+    /// Chunk lookups served from the chunk cache. Without a budget, the
+    /// value and lane-mask reads that find their block resident take an
+    /// inlined path that counts nothing, so a sticky hit is a posting walk,
+    /// a tuple build or a racing first touch that found its block resident.
     pub cache_hits: u64,
-    /// Chunk lookups that loaded from the backing source. Under a budget
-    /// these are column, posting and id chunks only: tuples are built from
-    /// column values and never looked up as chunks.
+    /// Chunk lookups that loaded from the backing source: column,
+    /// permutation, posting and id chunks only, on either backing. Tuples
+    /// are built from those chunks and never counted as lookups.
     pub cache_misses: u64,
     /// Chunks evicted by the bounded cache (always 0 without a budget).
     pub cache_evictions: u64,
-    /// Bytes charged for the chunks currently resident: decoded values
-    /// (`4` or `8` bytes each, plus 32 per chunk) in the sticky tables, and
-    /// packed words (`8 · words + 32` per chunk) under a budget.
+    /// Bytes charged for the chunks currently resident: `8 · words + 32`
+    /// per packed block ([`SegmentOpenOptions::with_cache_budget`]) on
+    /// either backing. Without a budget, each chunk of `len` tuples in the
+    /// sticky tuple table adds `len · (48 + 4m) + 32`.
     pub bytes_resident: u64,
     /// The configured cache byte budget (`None` = unbounded sticky cache).
     pub cache_budget: Option<u64>,
     /// Column, permutation and posting-order chunks validated, each one
-    /// frame-of-reference block, on every path: budgeted loads, sticky
-    /// hydration and [`SegmentReader::verify`]. Tuple-id chunks are not
+    /// frame-of-reference block, on every path: cache misses on either
+    /// backing and [`SegmentReader::verify`]. Tuple-id chunks are not
     /// counted.
     pub decoded_for: u64,
     /// Always 0: format version 3 has no dictionary-coded chunks. The
@@ -990,9 +1059,8 @@ pub struct StorageStats {
     pub decoded_rle: u64,
 }
 
-/// Key of one cached chunk. `kind` is the on-disk section kind, except
-/// [`KIND_TUPLE_CACHE`] which keys hydrated tuple chunks (sticky tables
-/// only).
+/// Key of one chunk in the bounded cache: its on-disk section kind,
+/// attribute and chunk number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ChunkKey {
     kind: u8,
@@ -1000,65 +1068,26 @@ struct ChunkKey {
     chunk: u32,
 }
 
-impl ChunkKey {
-    fn new(kind: u8, attr: u32, c: usize) -> Self {
-        ChunkKey {
-            kind,
-            attr,
-            chunk: cast::to_u32(c),
-        }
-    }
-}
-
-/// One decoded chunk in the sticky tables, shared by refcount.
-#[derive(Clone)]
-enum CachedChunk {
-    U32(Arc<[u32]>),
-    U64(Arc<[u64]>),
-    Tuples(Arc<[Arc<Tuple>]>),
-}
-
-impl CachedChunk {
-    fn as_u32(&self) -> &Arc<[u32]> {
-        match self {
-            CachedChunk::U32(v) => v,
-            _ => unreachable!("cache key/kind confusion"),
-        }
-    }
-
-    fn as_u64(&self) -> &Arc<[u64]> {
-        match self {
-            CachedChunk::U64(v) => v,
-            _ => unreachable!("cache key/kind confusion"),
-        }
-    }
-
-    fn as_tuples(&self) -> &Arc<[Arc<Tuple>]> {
-        match self {
-            CachedChunk::Tuples(v) => v,
-            _ => unreachable!("cache key/kind confusion"),
-        }
-    }
-}
-
 /// Lock-free sticky tables: one `OnceLock` cell per (kind, attr, chunk), so
 /// the unbounded default pays no mutex on the hot warm-query path. Each
-/// chunk is decoded once, on first touch, and never evicted.
+/// chunk is validated once, on first touch, and its packed block stays
+/// resident, never evicted; so does each chunk of tuples built from the
+/// blocks.
 struct StickyTables {
     chunks: usize,
-    perm: Vec<OnceLock<CachedChunk>>,
-    rank_of: Vec<OnceLock<CachedChunk>>,
-    ids: Vec<OnceLock<CachedChunk>>,
-    tuples: Vec<OnceLock<CachedChunk>>,
-    rank_cols: Vec<OnceLock<CachedChunk>>,
-    store_cols: Vec<OnceLock<CachedChunk>>,
-    order: Vec<OnceLock<CachedChunk>>,
+    perm: Vec<OnceLock<ForBlock>>,
+    rank_of: Vec<OnceLock<ForBlock>>,
+    ids: Vec<OnceLock<ForBlock>>,
+    rank_cols: Vec<OnceLock<ForBlock>>,
+    store_cols: Vec<OnceLock<ForBlock>>,
+    order: Vec<OnceLock<ForBlock>>,
+    tuples: Vec<OnceLock<Box<[Arc<Tuple>]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     resident: AtomicU64,
 }
 
-fn once_cells(len: usize) -> Vec<OnceLock<CachedChunk>> {
+fn once_cells<T>(len: usize) -> Vec<OnceLock<T>> {
     let mut v = Vec::with_capacity(len);
     v.resize_with(len, OnceLock::new);
     v
@@ -1072,24 +1101,24 @@ impl StickyTables {
             perm: once_cells(ranked),
             rank_of: once_cells(ranked),
             ids: once_cells(chunks),
-            tuples: once_cells(chunks),
             rank_cols: once_cells(ranked * m),
             store_cols: once_cells(chunks * m),
             order: once_cells(chunks * m),
+            tuples: once_cells(chunks),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             resident: AtomicU64::new(0),
         }
     }
 
-    fn slot(&self, key: ChunkKey) -> Option<&OnceLock<CachedChunk>> {
-        let c = cast::to_usize(key.chunk);
-        let flat = cast::to_usize(key.attr) * self.chunks + c;
-        match key.kind {
+    /// The cell of lazy chunk `(kind, attr, c)`, if the segment has one.
+    #[inline]
+    fn cell(&self, kind: u8, attr: u32, c: usize) -> Option<&OnceLock<ForBlock>> {
+        let flat = cast::to_usize(attr) * self.chunks + c;
+        match kind {
             KIND_PERM => self.perm.get(c),
             KIND_RANK_OF => self.rank_of.get(c),
             KIND_IDS => self.ids.get(c),
-            KIND_TUPLE_CACHE => self.tuples.get(c),
             KIND_RANK_COL => self.rank_cols.get(flat),
             KIND_STORE_COL => self.store_cols.get(flat),
             KIND_ORDER => self.order.get(flat),
@@ -1097,45 +1126,46 @@ impl StickyTables {
         }
     }
 
-    /// Looks `key` up, counting a hit or a miss.
-    fn get(&self, key: ChunkKey) -> Option<CachedChunk> {
-        let found = self.slot(key).and_then(|cell| cell.get().cloned());
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
+    /// Publishes `value` in `cell` unless a racing reader did first, and
+    /// charges `cost` only for the copy that stays. Returns the resident
+    /// copy.
+    fn publish<'a, T>(&self, cell: &'a OnceLock<T>, value: T, cost: u64) -> &'a T {
+        let mut charged = 0;
+        let resident = cell.get_or_init(|| {
+            charged = cost;
+            value
+        });
+        self.resident.fetch_add(charged, Ordering::Relaxed);
+        resident
     }
+}
 
-    /// Publishes `data` under `key` and returns the canonical resident
-    /// copy: ours, or the winner's if another reader published first.
-    fn insert(&self, key: ChunkKey, data: CachedChunk, cost: u64) -> CachedChunk {
-        let Some(cell) = self.slot(key) else {
-            return data;
-        };
-        if cell.set(data.clone()).is_ok() {
-            self.resident.fetch_add(cost, Ordering::Relaxed);
-            data
-        } else {
-            // Lost the publication race: `set` only fails once the cell is
-            // initialized, so the winner's copy is there to serve (fall
-            // back to ours otherwise).
-            cell.get().cloned().unwrap_or(data)
+/// The sharded clock cache behind a budgeted reader, holding the same
+/// validated packed blocks as the sticky tables.
+type BoundedCache = ClockCacheCore<StdSync, ChunkKey, Arc<ForBlock>>;
+
+/// A cached packed block: borrowed from its sticky cell, or shared out of
+/// the bounded cache, which may evict it while it is read.
+enum BlockRef<'a> {
+    Sticky(&'a ForBlock),
+    Cached(Arc<ForBlock>),
+}
+
+impl std::ops::Deref for BlockRef<'_> {
+    type Target = ForBlock;
+
+    fn deref(&self) -> &ForBlock {
+        match self {
+            BlockRef::Sticky(block) => block,
+            BlockRef::Cached(block) => block,
         }
     }
 }
 
-/// The sharded clock cache behind a budgeted reader. It holds each chunk
-/// as its validated packed block, so a hit extracts values in place and
-/// only a miss reads and checks the section again.
-type BoundedCache = ClockCacheCore<StdSync, ChunkKey, Arc<ForBlock>>;
-
-/// The chunk cache behind a [`SegmentReader`]: sticky `OnceLock` tables
-/// of decoded chunks when unbounded, a byte-budgeted clock cache of packed
-/// blocks under a budget. Hit/miss/eviction counters feed
-/// [`StorageStats`].
+/// The chunk cache behind a [`SegmentReader`], holding each chunk as its
+/// validated packed block: in sticky `OnceLock` tables when unbounded, in
+/// a byte-budgeted clock cache under a budget. Hit/miss/eviction counters
+/// feed [`StorageStats`].
 ///
 /// The bounded cache is a [`ClockCacheCore`] instantiated with the
 /// production [`StdSync`] facade — the same core the `skyweb-check`
@@ -1159,6 +1189,20 @@ impl ChunkCache {
         match budget {
             None => ChunkCache::Sticky(StickyTables::new(m, chunks, has_perm)),
             Some(b) => ChunkCache::Bounded(ClockCacheCore::new(CACHE_SHARDS, b, false)),
+        }
+    }
+
+    /// A resident sticky block, borrowed in place with no counter and no
+    /// `Arc`, or `None` under a budget or for a cold chunk. This is the
+    /// warm-query fast path of the engine's innermost loops, where an
+    /// atomic per value costs an order of magnitude; sticky cells are
+    /// immutable once initialized and never evicted, so the borrow is sound
+    /// for the reader's lifetime.
+    #[inline]
+    fn resident(&self, kind: u8, attr: u32, c: usize) -> Option<&ForBlock> {
+        match self {
+            ChunkCache::Sticky(t) => t.cell(kind, attr, c).and_then(OnceLock::get),
+            ChunkCache::Bounded(_) => None,
         }
     }
 
@@ -1403,10 +1447,7 @@ impl SegmentReader {
             if by_key.contains_key(&(kind, attr, chunk_no)) {
                 Ok(())
             } else {
-                Err(malformed(format!(
-                    "missing section {}[attr {attr}, chunk {chunk_no}]",
-                    kind_name(kind)
-                )))
+                Err(missing_section(kind, attr, chunk_no))
             }
         };
         for a in 0..cast::to_u32(m) {
@@ -1519,12 +1560,7 @@ impl SegmentReader {
         self.by_key
             .get(&(kind, attr, chunk))
             .map(|&i| self.dir[i])
-            .ok_or_else(|| {
-                malformed(format!(
-                    "missing section {}[attr {attr}, chunk {chunk}]",
-                    kind_name(kind)
-                ))
-            })
+            .ok_or_else(|| missing_section(kind, attr, chunk))
     }
 
     fn read_entry(&self, e: DirEntry) -> Result<Vec<u8>, SegmentError> {
@@ -1534,8 +1570,8 @@ impl SegmentReader {
         Ok(buf)
     }
 
-    /// Validates one lazy chunk payload — the one validator shared by
-    /// budgeted reads, sticky hydration and [`SegmentReader::verify`], so a
+    /// Validates one lazy chunk payload — the one validator shared by cache
+    /// misses on either backing and [`SegmentReader::verify`], so a
     /// corrupt chunk surfaces with the same [`SegmentError`] wherever it is
     /// hit. The payload is one FOR block (`u64` for tuple ids, `u32`
     /// otherwise) of exactly `chunk_len(c)` values, each within its kind's
@@ -1642,121 +1678,56 @@ impl SegmentReader {
         Ok((mins, maxs))
     }
 
-    /// A resident sticky `u32` chunk, borrowed in place — no `Arc` traffic,
-    /// no counter — or `None` under a budget / for a cold chunk. The
-    /// warm-query fast paths (`u32_at`, the zone-block reader, tuple
-    /// sharing) sit on the engine's innermost loops, where an atomic per
-    /// value costs an order of magnitude; sticky cells are immutable once
-    /// initialized and never evicted, so the borrow is sound for the
-    /// reader's lifetime.
-    fn sticky_u32(&self, kind: u8, attr: u32, c: usize) -> Option<&[u32]> {
-        if let ChunkCache::Sticky(t) = &self.cache {
-            let cell = t.slot(ChunkKey::new(kind, attr, c));
-            if let Some(CachedChunk::U32(v)) = cell.and_then(|cell| cell.get()) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// One `u32` value out of a chunk, through the sticky fast path.
-    fn u32_at(&self, kind: u8, attr: u32, c: usize, i: usize) -> Result<u32, SegmentError> {
-        if let Some(v) = self.sticky_u32(kind, attr, c) {
-            return Ok(v[i]);
-        }
-        self.u32_at_cold(kind, attr, c, i)
-    }
-
-    /// [`SegmentReader::u32_at`] past the sticky fast path: extracted from
-    /// the packed block under a budget, else read from the chunk a first
-    /// touch hydrates. Out of line, so the fast path stays small where the
-    /// engine inlines it.
+    /// Chunk `(kind, attr, c)`'s validated packed block, from whichever
+    /// cache backs the reader, counted as a hit or a miss there. A miss
+    /// loads and validates the section once and caches the block as it
+    /// is, charged [`ForBlock::cost`]: in its sticky cell for the reader's
+    /// lifetime, or in the bounded cache, which may evict it or, when it
+    /// exceeds its shard, serve it uncached. Out of line, so the sticky
+    /// fast paths stay small where the engine inlines them.
     #[inline(never)]
-    fn u32_at_cold(&self, kind: u8, attr: u32, c: usize, i: usize) -> Result<u32, SegmentError> {
+    fn block(&self, kind: u8, attr: u32, c: usize) -> Result<BlockRef<'_>, SegmentError> {
         match &self.cache {
-            ChunkCache::Bounded(cache) => Ok(cast::to_u32(
-                self.packed_chunk(cache, kind, attr, c)?.get(i),
-            )),
-            ChunkCache::Sticky(tables) => Ok(self.u32_chunk(tables, kind, attr, c)?[i]),
-        }
-    }
-
-    /// The lane bitset of rank-column values `lanes` of chunk `c` against
-    /// `[lo, hi]`, past the sticky fast path of `lane_mask` (out of line for
-    /// the same reason as [`SegmentReader::u32_at_cold`]).
-    #[inline(never)]
-    fn lane_mask_cold(
-        &self,
-        attr: u32,
-        c: usize,
-        lanes: std::ops::Range<usize>,
-        lo: Value,
-        hi: Value,
-    ) -> Result<u64, SegmentError> {
-        match &self.cache {
-            ChunkCache::Bounded(cache) => {
-                let block = self.packed_chunk(cache, KIND_RANK_COL, attr, c)?;
-                let (lo, hi) = (u64::from(lo), u64::from(hi));
-                Ok(lanes.enumerate().fold(0, |mask, (lane, i)| {
-                    let v = block.get(i);
-                    mask | u64::from(v >= lo && v <= hi) << lane
-                }))
-            }
             ChunkCache::Sticky(tables) => {
-                let chunk = self.u32_chunk(tables, KIND_RANK_COL, attr, c)?;
-                Ok(lanes_within(&chunk[lanes], lo, hi))
+                let cell = tables
+                    .cell(kind, attr, c)
+                    .ok_or_else(|| missing_section(kind, attr, cast::to_u32(c)))?;
+                if let Some(block) = cell.get() {
+                    tables.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(BlockRef::Sticky(block));
+                }
+                tables.misses.fetch_add(1, Ordering::Relaxed);
+                let block = self.load_chunk(kind, attr, c)?;
+                let cost = block.cost();
+                Ok(BlockRef::Sticky(tables.publish(cell, block, cost)))
+            }
+            ChunkCache::Bounded(cache) => {
+                let chunk = cast::to_u32(c);
+                let key = ChunkKey { kind, attr, chunk };
+                let shard = shard_of(key);
+                if let Some(hit) = cache.get(shard, key) {
+                    return Ok(BlockRef::Cached(hit));
+                }
+                let block = self.load_chunk(kind, attr, c)?;
+                let cost = block.cost();
+                Ok(BlockRef::Cached(cache.insert(
+                    shard,
+                    key,
+                    Arc::new(block),
+                    cost,
+                )))
             }
         }
     }
 
-    /// Chunk `(kind, attr, c)` as its validated packed block, through the
-    /// bounded cache. A miss loads and validates the section and caches
-    /// the block as it is, charged [`ForBlock::cost`].
-    fn packed_chunk(
-        &self,
-        cache: &BoundedCache,
-        kind: u8,
-        attr: u32,
-        c: usize,
-    ) -> Result<Arc<ForBlock>, SegmentError> {
-        let key = ChunkKey::new(kind, attr, c);
-        let shard = shard_of(key);
-        if let Some(hit) = cache.get(shard, key) {
-            return Ok(hit);
+    /// One `u32` value out of a chunk, borrowed in place from a resident
+    /// sticky block where there is one.
+    #[inline]
+    fn u32_at(&self, kind: u8, attr: u32, c: usize, i: usize) -> Result<u32, SegmentError> {
+        if let Some(block) = self.cache.resident(kind, attr, c) {
+            return Ok(cast::to_u32(block.get(i)));
         }
-        let block = self.load_chunk(kind, attr, c)?;
-        let cost = block.cost();
-        Ok(cache.insert(shard, key, Arc::new(block), cost))
-    }
-
-    /// Sticky `u32` chunk `(kind, attr, c)`, decoded on first touch.
-    fn u32_chunk(
-        &self,
-        tables: &StickyTables,
-        kind: u8,
-        attr: u32,
-        c: usize,
-    ) -> Result<Arc<[u32]>, SegmentError> {
-        let key = ChunkKey::new(kind, attr, c);
-        if let Some(hit) = tables.get(key) {
-            return Ok(hit.as_u32().clone());
-        }
-        let vals: Vec<u32> = self.load_chunk(kind, attr, c)?.expand();
-        let cost = 4 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
-        let data = CachedChunk::U32(vals.into());
-        Ok(tables.insert(key, data, cost).as_u32().clone())
-    }
-
-    /// Sticky tuple-id chunk `c`, decoded on first touch.
-    fn ids_chunk(&self, tables: &StickyTables, c: usize) -> Result<Arc<[u64]>, SegmentError> {
-        let key = ChunkKey::new(KIND_IDS, 0, c);
-        if let Some(hit) = tables.get(key) {
-            return Ok(hit.as_u64().clone());
-        }
-        let vals: Vec<u64> = self.load_chunk(KIND_IDS, 0, c)?.expand();
-        let cost = 8 * cast::to_u64(vals.len()) + CHUNK_OVERHEAD;
-        let data = CachedChunk::U64(vals.into());
-        Ok(tables.insert(key, data, cost).as_u64().clone())
+        Ok(cast::to_u32(self.block(kind, attr, c)?.get(i)))
     }
 
     /// Snapshot of the cache and decode counters.
@@ -1775,101 +1746,96 @@ impl SegmentReader {
 
     /// The tuple at store index `idx`, served from the full-hydration
     /// snapshot if one exists. Without a budget it is shared out of its
-    /// chunk's sticky tuple table, which hydrates on first touch. Under a
-    /// budget only this tuple is built, from its `ids` and `store-col`
-    /// values read in place from the packed blocks in the bounded cache
-    /// (ids first, then store-col 0..m). Tuple chunks stay out of that
-    /// cache: one costs `chunk · (48 + 4m) + 32` bytes (344,096 B at 4,096
-    /// tuples and m = 9), more than a shard holds below a ~2.7 MiB budget,
-    /// and a chunk served uncached would be rebuilt for every tuple shared.
+    /// chunk's sticky tuple table, built on first touch. Under a budget
+    /// only this tuple is built, from its `ids` and `store-col` values read
+    /// in place from the packed blocks in the bounded cache (ids first,
+    /// then store-col 0..m). Tuple chunks stay out of that cache: one costs
+    /// [`SegmentReader::tuple_chunk_cost`] (344,096 B at 4,096 tuples and
+    /// m = 9), more than a shard holds below a ~2.7 MiB budget, and a chunk
+    /// served uncached would be rebuilt for every tuple shared.
     pub(crate) fn tuple_at(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
         if let Some(full) = self.full.get() {
             return Ok(Arc::clone(&full[idx]));
         }
         let (c, i) = (idx / self.chunk, idx % self.chunk);
-        if let ChunkCache::Bounded(cache) = &self.cache {
-            let id = self.packed_chunk(cache, KIND_IDS, 0, c)?.get(i);
-            let values = (0..self.schema.len())
-                .map(|attr| self.value_at(attr, idx))
-                .collect::<Result<Vec<Value>, SegmentError>>()?;
-            return Ok(Arc::new(Tuple::new(id, values)));
-        }
-        if let Some(t) = self.sticky_tuples(c) {
-            return Ok(Arc::clone(&t[i]));
-        }
-        Ok(Arc::clone(&self.tuple_chunk(c)?[i]))
-    }
-
-    /// A resident sticky tuple chunk, borrowed in place — the zero-atomic
-    /// counterpart of [`SegmentReader::sticky_u32`] for warm tuple shares
-    /// (only the returned tuple's own `Arc` is cloned).
-    fn sticky_tuples(&self, c: usize) -> Option<&[Arc<Tuple>]> {
-        if let ChunkCache::Sticky(t) = &self.cache {
-            let cell = t.slot(ChunkKey::new(KIND_TUPLE_CACHE, 0, c));
-            if let Some(CachedChunk::Tuples(v)) = cell.and_then(|cell| cell.get()) {
-                return Some(v);
+        match &self.cache {
+            ChunkCache::Sticky(tables) => Ok(Arc::clone(&self.sticky_tuples(tables, c)?[i])),
+            ChunkCache::Bounded(_) => {
+                let id = self.block(KIND_IDS, 0, c)?.get(i);
+                let values = (0..self.schema.len())
+                    .map(|attr| self.value_at(attr, idx))
+                    .collect::<Result<Vec<Value>, SegmentError>>()?;
+                Ok(Arc::new(Tuple::new(id, values)))
             }
         }
-        None
     }
 
-    /// Chunk `c`'s hydrated tuples. Without a budget they are published in
-    /// the sticky tuple table; under one they are built for the caller
-    /// alone from the packed blocks and never cached.
-    fn tuple_chunk(&self, c: usize) -> Result<Arc<[Arc<Tuple>]>, SegmentError> {
+    /// Chunk `c`'s sticky tuple table, built on first touch and charged
+    /// [`SegmentReader::tuple_chunk_cost`].
+    fn sticky_tuples<'a>(
+        &'a self,
+        tables: &'a StickyTables,
+        c: usize,
+    ) -> Result<&'a [Arc<Tuple>], SegmentError> {
+        let cell = tables
+            .tuples
+            .get(c)
+            .ok_or_else(|| missing_section(KIND_IDS, 0, cast::to_u32(c)))?;
+        if let Some(tuples) = cell.get() {
+            return Ok(tuples);
+        }
+        let built = self.build_tuples(c)?;
+        let cost = self.tuple_chunk_cost(built.len());
+        let tuples = tables.publish(cell, built.into_boxed_slice(), cost);
+        Ok(tuples)
+    }
+
+    /// Chunk `c`'s tuples, built column by column: one block borrow for
+    /// the ids and one per store column, not one per value. Reads the ids
+    /// first, then store-col 0..m.
+    fn build_tuples(&self, c: usize) -> Result<Vec<Arc<Tuple>>, SegmentError> {
         let m = self.schema.len();
-        let tables = match &self.cache {
-            ChunkCache::Sticky(tables) => tables,
-            ChunkCache::Bounded(cache) => {
-                let ids = self.packed_chunk(cache, KIND_IDS, 0, c)?;
-                let cols = (0..m)
-                    .map(|attr| self.packed_chunk(cache, KIND_STORE_COL, cast::to_u32(attr), c))
-                    .collect::<Result<Vec<_>, SegmentError>>()?;
-                return Ok((0..self.chunk_len(c))
-                    .map(|i| {
-                        let values = cols.iter().map(|col| cast::to_u32(col.get(i))).collect();
-                        Arc::new(Tuple::new(ids.get(i), values))
-                    })
-                    .collect());
-            }
-        };
-        let key = ChunkKey::new(KIND_TUPLE_CACHE, 0, c);
-        if let Some(hit) = tables.get(key) {
-            return Ok(hit.as_tuples().clone());
-        }
-        let ids = self.ids_chunk(tables, c)?;
-        let cols = (0..m)
-            .map(|attr| self.u32_chunk(tables, KIND_STORE_COL, cast::to_u32(attr), c))
-            .collect::<Result<Vec<_>, SegmentError>>()?;
-        let built: Arc<[Arc<Tuple>]> = (0..self.chunk_len(c))
-            .map(|i| {
-                let values: Vec<Value> = cols.iter().map(|col| col[i]).collect();
-                Arc::new(Tuple::new(ids[i], values))
-            })
+        let ids = self.block(KIND_IDS, 0, c)?;
+        let mut rows: Vec<(u64, Vec<Value>)> = (0..ids.len)
+            .map(|i| (ids.get(i), Vec::with_capacity(m)))
             .collect();
-        // Rough per-tuple footprint: the Arc + Tuple headers plus the values.
-        let cost = cast::to_u64(self.chunk_len(c)) * (48 + 4 * cast::to_u64(m)) + CHUNK_OVERHEAD;
-        Ok(tables
-            .insert(key, CachedChunk::Tuples(built), cost)
-            .as_tuples()
-            .clone())
+        for attr in 0..m {
+            let col = self.block(KIND_STORE_COL, cast::to_u32(attr), c)?;
+            for (i, (_, values)) in rows.iter_mut().enumerate() {
+                values.push(cast::to_u32(col.get(i)));
+            }
+        }
+        Ok(rows
+            .into_iter()
+            .map(|(id, values)| Arc::new(Tuple::new(id, values)))
+            .collect())
+    }
+
+    /// Bytes charged for a sticky chunk of `len` tuples: a rough per-tuple
+    /// footprint of the `Arc` and `Tuple` headers plus the values.
+    fn tuple_chunk_cost(&self, len: usize) -> u64 {
+        cast::to_u64(len) * (48 + 4 * cast::to_u64(self.schema.len())) + CHUNK_OVERHEAD
     }
 
     /// Hydrates every tuple and returns the contiguous snapshot — the
     /// O(n) escape hatch behind [`TupleStore::as_slice`] for segment-backed
     /// stores (scan-strategy execution, oracle ground truth, dominance
-    /// precomputation). Without a budget, tuple chunks hydrated earlier are
-    /// reused, not rebuilt; under one, each chunk is built once for the
-    /// snapshot and nothing is inserted for it but its column chunks. The
-    /// snapshot is sticky and deliberately exempt from the cache budget:
-    /// callers receive a plain slice whose lifetime is the reader's.
+    /// precomputation). Without a budget it shares the sticky tuple
+    /// tables, building the chunks no query has touched yet; under one,
+    /// each chunk is built once for the snapshot and nothing is inserted
+    /// for it but its column chunks. The snapshot is sticky and
+    /// deliberately exempt from the cache budget: callers receive a plain
+    /// slice whose lifetime is the reader's.
     pub(crate) fn hydrate_all(&self) -> Result<&[Arc<Tuple>], SegmentError> {
         if let Some(full) = self.full.get() {
             return Ok(full);
         }
         let mut all: Vec<Arc<Tuple>> = Vec::with_capacity(self.n);
         for c in 0..self.chunks() {
-            all.extend(self.tuple_chunk(c)?.iter().cloned());
+            match &self.cache {
+                ChunkCache::Sticky(tables) => all.extend_from_slice(self.sticky_tuples(tables, c)?),
+                ChunkCache::Bounded(_) => all.extend(self.build_tuples(c)?),
+            }
         }
         Ok(self.full.get_or_init(|| all.into_boxed_slice()))
     }
@@ -2011,7 +1977,7 @@ impl SegmentReader {
 
 /// The engine's view of a segment. Zone maps and prefix counts are eager;
 /// every other accessor reads through the chunk cache, borrowing a resident
-/// sticky chunk in place where the value is read on the engine's innermost
+/// sticky block in place where the value is read on the engine's innermost
 /// loops.
 impl IndexStorage for SegmentReader {
     fn has_perm(&self) -> bool {
@@ -2042,10 +2008,13 @@ impl IndexStorage for SegmentReader {
         let base = b * BLOCK;
         let (c, off) = (base / self.chunk, base % self.chunk);
         let attr = cast::to_u32(attr);
-        if let Some(v) = self.sticky_u32(KIND_RANK_COL, attr, c) {
-            return Ok(lanes_within(&v[off..off + len], lo, hi));
+        let (lo, hi) = (u64::from(lo), u64::from(hi));
+        if let Some(block) = self.cache.resident(KIND_RANK_COL, attr, c) {
+            return Ok(block.lanes_within(off, len, lo, hi));
         }
-        self.lane_mask_cold(attr, c, off..off + len, lo, hi)
+        Ok(self
+            .block(KIND_RANK_COL, attr, c)?
+            .lanes_within(off, len, lo, hi))
     }
 
     fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
@@ -2094,18 +2063,9 @@ impl IndexStorage for SegmentReader {
         for c in p0 / self.chunk..=(p1 - 1) / self.chunk {
             let base = c * self.chunk;
             let lanes = p0.max(base) - base..p1.min(base + self.chunk_len(c)) - base;
-            match &self.cache {
-                ChunkCache::Bounded(cache) => {
-                    let block = self.packed_chunk(cache, KIND_ORDER, attr, c)?;
-                    for i in lanes {
-                        f(cast::to_u32(block.get(i)))?;
-                    }
-                }
-                ChunkCache::Sticky(tables) => {
-                    for &idx in &self.u32_chunk(tables, KIND_ORDER, attr, c)?[lanes] {
-                        f(idx)?;
-                    }
-                }
+            let block = self.block(KIND_ORDER, attr, c)?;
+            for i in lanes {
+                f(cast::to_u32(block.get(i)))?;
             }
         }
         Ok(())
@@ -2160,6 +2120,31 @@ mod tests {
         let max = back.iter().map(|v| v.widen()).max().unwrap_or(block.min);
         assert!(block.all_at_most(max), "{what}");
         assert!(max == 0 || !block.all_at_most(max - 1), "{what}");
+        // Lane masks, over whole zone blocks (unrolled per width) and the
+        // short last one, against ranges that take every lane, some, none,
+        // and ones below and above every value.
+        let (lo, hi) = (block.min, max);
+        let mid = lo + (hi - lo) / 2;
+        let ranges = [
+            (0, u64::MAX),
+            (lo, lo),
+            (hi, hi),
+            (lo.saturating_add(1), mid),
+            (mid, hi.saturating_sub(1)),
+        ];
+        let ranges = ranges
+            .into_iter()
+            .chain([(hi, lo), (0, lo.wrapping_sub(1))]);
+        for (lo, hi) in ranges {
+            for start in (0..back.len()).step_by(BLOCK) {
+                let lanes = &back[start..back.len().min(start + BLOCK)];
+                let want = lanes.iter().enumerate().fold(0u64, |mask, (j, v)| {
+                    mask | u64::from(lo <= v.widen() && v.widen() <= hi) << j
+                });
+                let got = block.lanes_within(start, lanes.len(), lo, hi);
+                assert_eq!(got, want, "{what} lanes from {start} in [{lo}, {hi}]");
+            }
+        }
     }
 
     #[test]
@@ -2222,6 +2207,18 @@ mod tests {
             })
             .collect();
         HiddenDb::with_sum_ranking(schema, tuples, 4)
+    }
+
+    /// The cache tests' query mix over `tiny_db`: the rank head, a range,
+    /// a broad range, a conjunction and an equality.
+    fn query_mix() -> [Query; 5] {
+        [
+            Query::select_all(),
+            Query::new(vec![crate::Predicate::lt(0, 4)]),
+            Query::new(vec![crate::Predicate::lt(0, 9)]),
+            Query::new(vec![crate::Predicate::eq(2, 1), crate::Predicate::ge(0, 6)]),
+            Query::new(vec![crate::Predicate::eq(1, 3)]),
+        ]
     }
 
     #[test]
@@ -2291,13 +2288,7 @@ mod tests {
         let db = tiny_db();
         db.enable_access_log();
         let bytes = SegmentWriter::new().with_chunk_size(64).write(&db).unwrap();
-        let queries = [
-            Query::select_all(),
-            Query::new(vec![crate::Predicate::lt(0, 4)]),
-            Query::new(vec![crate::Predicate::lt(0, 9)]),
-            Query::new(vec![crate::Predicate::eq(2, 1), crate::Predicate::ge(0, 6)]),
-            Query::new(vec![crate::Predicate::eq(1, 3)]),
-        ];
+        let queries = query_mix();
         // Budgets: sticky reference, eviction-forcing, and the degenerate
         // decode-every-time budget 0 — all must answer identically. The
         // mix touches 20 chunks, 1,696 packed bytes in all, so each
@@ -2386,6 +2377,62 @@ mod tests {
     }
 
     #[test]
+    fn both_backings_cache_one_chunk_form() {
+        // The same mix on an unbudgeted reader and on one whose budget
+        // holds every packed chunk of tiny_db in every shard: both load
+        // each chunk once and keep the same packed blocks, and the sticky
+        // reader also keeps the tuple chunks it builds.
+        let bytes = SegmentWriter::new()
+            .with_chunk_size(64)
+            .write(&tiny_db())
+            .unwrap();
+        let [sticky, budgeted] = both_options().map(|options| {
+            let db = HiddenDb::open_segment_source_with(
+                Box::new(MemSource::new(bytes.clone())),
+                Box::new(SumRanker),
+                options,
+            )
+            .unwrap();
+            db.enable_access_log();
+            db
+        });
+        let queries = query_mix();
+        let answer = |db: &HiddenDb, q: &Query| {
+            let r = db.query(q).unwrap();
+            let tuples: Vec<(u64, Vec<u32>)> =
+                r.tuples.iter().map(|t| (t.id, t.values.clone())).collect();
+            (tuples, r.overflowed)
+        };
+        for q in queries.iter().chain(&queries) {
+            assert_eq!(answer(&sticky, q), answer(&budgeted, q), "{q:?}");
+        }
+        let (s, b) = (
+            sticky.storage_stats().unwrap(),
+            budgeted.storage_stats().unwrap(),
+        );
+        assert_eq!(b.cache_evictions, 0, "the budget holds the working set");
+        assert!(s.cache_misses > 0);
+        assert_eq!(s.cache_misses, b.cache_misses, "each chunk loads once");
+        assert_eq!(s.decoded_for, b.decoded_for);
+        let reader = sticky.store().segment_reader().expect("segment-backed");
+        let ChunkCache::Sticky(tables) = &reader.cache else {
+            panic!("an unbudgeted reader has sticky tables");
+        };
+        let tuple_charge: u64 = tables
+            .tuples
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|tuples| reader.tuple_chunk_cost(tuples.len()))
+            .sum();
+        assert!(tuple_charge > 0, "the answers built tuple chunks");
+        assert_eq!(
+            s.bytes_resident,
+            b.bytes_resident + tuple_charge,
+            "both backings charge the same packed blocks"
+        );
+    }
+
+    #[test]
     fn storage_stats_stay_arithmetically_consistent_under_eviction_thrash() {
         let db = tiny_db();
         db.enable_access_log();
@@ -2405,13 +2452,7 @@ mod tests {
         assert_eq!(fresh.cache_hits + fresh.cache_misses, 0);
         assert_eq!(fresh.cache_evictions, 0);
         assert_eq!(fresh.bytes_resident, 0);
-        let queries = [
-            Query::select_all(),
-            Query::new(vec![crate::Predicate::lt(0, 4)]),
-            Query::new(vec![crate::Predicate::lt(0, 9)]),
-            Query::new(vec![crate::Predicate::eq(2, 1), crate::Predicate::ge(0, 6)]),
-            Query::new(vec![crate::Predicate::eq(1, 3)]),
-        ];
+        let queries = query_mix();
         let mut prev = fresh;
         for round in 0..6 {
             for q in &queries {

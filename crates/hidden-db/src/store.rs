@@ -26,11 +26,12 @@
 //! the fallible [`TupleStore::try_share`] first), and
 //! [`TupleStore::as_slice`]/[`TupleStore::iter`] hydrate everything once
 //! (the full-scan escape hatch for oracle consumers and the `Scan`
-//! reference strategy). With the unbounded sticky cache, hydrated chunks
-//! are cached in the shared reader, so clones of a lazy store share every
-//! materialized tuple. Under a cache budget, each share builds a fresh
-//! tuple from the column chunks instead, and only the full-hydration
-//! snapshot is shared.
+//! reference strategy). Either way the reader keeps each column chunk as
+//! its packed block and builds tuples from those blocks. With the
+//! unbounded sticky cache, it builds a chunk of tuples at a time and keeps
+//! them, so clones of a lazy store share every materialized tuple. Under a
+//! cache budget, each share builds a fresh tuple from the blocks instead,
+//! and only the full-hydration snapshot is shared.
 
 use std::fmt;
 use std::ops::Index;
@@ -115,9 +116,10 @@ impl TupleStore {
 
     /// Shares the tuple at `idx`. This is how query responses are built. On
     /// a RAM store, and on a segment-backed one with the sticky cache, it
-    /// is one reference-count bump and no deep clone (plus a one-time chunk
-    /// hydration on the segment). Under a cache budget it builds the one
-    /// tuple from its column values.
+    /// is one reference-count bump and no deep clone (plus, on the segment,
+    /// a one-time build of the tuple's chunk from its packed column
+    /// blocks). Under a cache budget it builds the one tuple from its
+    /// column values, read in place from the packed blocks.
     ///
     /// # Panics
     /// Panics if `idx` is out of range, or if a segment-backed chunk fails
@@ -130,7 +132,8 @@ impl TupleStore {
     }
 
     /// Fallible [`TupleStore::share`], at the same cost: one reference-count
-    /// bump only on RAM and under the sticky cache. Surfaces segment storage
+    /// bump on RAM and, once the tuple's chunk is built, under the sticky
+    /// cache; a one-tuple build under a budget. Surfaces segment storage
     /// faults as a typed error instead of panicking. Infallible on a RAM
     /// store.
     pub(crate) fn try_share(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {

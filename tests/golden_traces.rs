@@ -391,11 +391,21 @@ fn small_db(m: usize, itf: Option<InterfaceType>, ranker: Box<dyn Ranker>) -> Hi
 /// ranker starts each run from the same seed.
 type RankerFactory = fn() -> Box<dyn Ranker>;
 
+/// The tiny-cache budget: 960 B gives each of the 8 shards 120 B, one
+/// packed 60-value chunk (56–88 B), never two.
+const TINY_CACHE: u64 = 960;
+
+/// A budget below every packed chunk's cost (at least 40 B), so nothing
+/// is ever resident: every read loads, checks and drops its chunk.
+const NO_RESIDENT_CACHE: u64 = 8;
+
 /// Runs one machine to completion on the RAM build and on segment
-/// round-trips of the *same* database — served from the sticky cache, and
-/// behind a cache budget tiny enough to force mid-run eviction — asserting
-/// results, exact costs and access-log fingerprints identical on every
-/// backend. Returns the evictions of the tiny-cache run.
+/// round-trips of the *same* database — served from the sticky cache,
+/// behind a budget tiny enough to force mid-run eviction wherever two
+/// touched chunks share a shard, and behind one that keeps no chunk
+/// resident at all — asserting results, exact costs and access-log
+/// fingerprints identical on every backend. The no-resident run must
+/// miss on every lookup. Returns the evictions of the tiny-cache run.
 fn assert_segment_matches_ram(
     mk_db: &dyn Fn(Box<dyn Ranker>) -> HiddenDb,
     mk_ranker: RankerFactory,
@@ -408,13 +418,15 @@ fn assert_segment_matches_ram(
         .run()
         .expect("RAM run");
 
-    // 960 B gives each of the 8 shards 120 B: one packed 60-value chunk
-    // (56–88 B), never two.
-    let variants: [(&str, SegmentOpenOptions); 2] = [
+    let variants: [(&str, SegmentOpenOptions); 3] = [
         ("v2", SegmentOpenOptions::new()),
         (
             "v2+tiny-cache",
-            SegmentOpenOptions::new().with_cache_budget(960),
+            SegmentOpenOptions::new().with_cache_budget(TINY_CACHE),
+        ),
+        (
+            "v2+no-resident-cache",
+            SegmentOpenOptions::new().with_cache_budget(NO_RESIDENT_CACHE),
         ),
     ];
     let mut evictions = 0;
@@ -439,7 +451,15 @@ fn assert_segment_matches_ram(
             log_fingerprint(&seg_db),
             "{label} [{variant}]: access logs diverged between RAM and segment backends"
         );
-        evictions = seg_db.storage_stats().map_or(0, |s| s.cache_evictions);
+        let stats = seg_db.storage_stats().expect("segment-backed");
+        match stats.cache_budget {
+            Some(TINY_CACHE) => evictions = stats.cache_evictions,
+            Some(NO_RESIDENT_CACHE) => assert!(
+                stats.cache_hits == 0 && stats.cache_misses > 0,
+                "{label} [{variant}]: a chunk stayed resident: {stats:?}"
+            ),
+            _ => {}
+        }
     }
     evictions
 }
@@ -447,6 +467,10 @@ fn assert_segment_matches_ram(
 type DbFactory = Box<dyn Fn(Box<dyn Ranker>) -> HiddenDb>;
 type MachineFactory = Box<dyn Fn(&HiddenDb) -> Box<dyn DiscoveryMachine>>;
 
+/// All eight machines match the RAM run on the sticky cache, under the
+/// tiny budget, which evicts mid-run in exactly the three runs named
+/// below, and under the no-resident budget, which checks every machine
+/// with no chunk kept.
 #[test]
 fn all_eight_machines_are_backend_agnostic() {
     let cases: Vec<(&str, DbFactory, MachineFactory)> = vec![
@@ -504,7 +528,8 @@ fn all_eight_machines_are_backend_agnostic() {
         .map(|(label, ..)| *label)
         .collect();
     // The other five machines touch at most five chunks of the one-chunk
-    // database, each in its own shard, so no budget makes them evict.
+    // database, each in its own shard, so no budget that keeps a chunk
+    // makes them evict; the no-resident run checks them with none kept.
     assert_eq!(
         evicting,
         ["rq-skyband", "baseline-crawl", "point-space-crawl"],
@@ -515,10 +540,11 @@ fn all_eight_machines_are_backend_agnostic() {
 /// The rankers without a total order, the average and worst case of the
 /// paper's Section 3.2, select through the engine's fallback plan, which
 /// hydrates a segment-backed store before the ranker reads any tuple.
-/// SQ- and RQ-DB-SKY under each must match the RAM run on the sticky cache
-/// and under the tiny budget, where hydration reads the ids chunk and three
-/// store-col chunks, each in its own shard, so nothing is evicted. Each
-/// backend gets a fresh, identically seeded random ranker, so equal
+/// SQ- and RQ-DB-SKY under each must match the RAM run on the sticky cache,
+/// under the tiny budget, where hydration reads the ids chunk and three
+/// store-col chunks, each in its own shard, so nothing is evicted, and
+/// under the no-resident budget, where every one of those reads misses.
+/// Each backend gets a fresh, identically seeded random ranker, so equal
 /// fingerprints also pin equal random draws.
 #[test]
 fn rankers_without_a_total_order_are_backend_agnostic() {

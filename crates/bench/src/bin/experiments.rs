@@ -5,7 +5,7 @@
 //! experiments [fig04|fig06|...|fig24|all]... [--quick|--full] [--parallel] [--jobs N]
 //!             [--budget N] [--max-wall-ms N] [--max-batch N]
 //!             [--fault-rate F] [--fault-seed N]
-//!             [--segment DIR] [--cache-budget BYTES] [--net]
+//!             [--segment] [--cache-budget BYTES] [--net]
 //! experiments --list
 //! ```
 //!
@@ -34,11 +34,11 @@
 //! fault-free run — and between serial and parallel runs at any fault rate
 //! (CI diffs exactly that).
 //!
-//! `--segment DIR` writes every figure database once to a segment cache in
-//! `DIR`, keyed by its content, and serves it from that file with lazy
-//! hydration; `--cache-budget BYTES` (which needs `--segment`) caps each
-//! segment's chunk cache. The storage backend and its eviction do
-//! not change a single output byte (CI diffs exactly that).
+//! `--segment` writes every figure database into an in-memory segment and
+//! serves it from there with lazy hydration; `--cache-budget BYTES` (which
+//! needs `--segment`) caps each segment's chunk cache. The storage backend
+//! and its eviction do not change a single output byte (CI diffs exactly
+//! that).
 //!
 //! `--net` routes every discovery run over a loopback TCP connection: the
 //! figure's database is served by a `skyweb-net` server on an ephemeral
@@ -52,7 +52,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use skyweb_bench::{
-    figures, pool, set_cache_budget, set_net_mode, set_run_limits, set_segment_dir, FigureResult,
+    figures, pool, set_cache_budget, set_net_mode, set_run_limits, set_segment_mode, FigureResult,
     RunLimits, Scale,
 };
 
@@ -60,7 +60,7 @@ fn usage() {
     eprintln!(
         "usage: experiments [--list] [--quick|--full] [--parallel] [--jobs N] \
          [--budget N] [--max-wall-ms N] [--max-batch N] [--fault-rate F] [--fault-seed N] \
-         [--segment DIR] [--cache-budget BYTES] [--net] [all | figNN ...]"
+         [--segment] [--cache-budget BYTES] [--net] [all | figNN ...]"
     );
     eprintln!("known figures: {}", figures::ALL_FIGURES.join(", "));
 }
@@ -72,7 +72,7 @@ fn main() -> ExitCode {
     let mut jobs_request: Option<usize> = None;
     let mut limits = RunLimits::default();
     let mut net = false;
-    let mut segment_dir: Option<String> = None;
+    let mut segment = false;
     let mut cache_budget: Option<u64> = None;
     let mut requested: Vec<String> = Vec::new();
 
@@ -133,13 +133,7 @@ fn main() -> ExitCode {
             limits.fault_rate = Some(rate);
             i += 1;
         } else if arg == "--segment" {
-            let Some(dir) = args.get(i + 1).filter(|d| !d.starts_with("--")) else {
-                eprintln!("--segment needs a cache directory path");
-                usage();
-                return ExitCode::FAILURE;
-            };
-            segment_dir = Some(dir.clone());
-            i += 1;
+            segment = true;
         } else if arg == "--cache-budget" {
             let Some(n) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
                 eprintln!("--cache-budget needs a byte count");
@@ -197,22 +191,22 @@ fn main() -> ExitCode {
         eprintln!("# net mode: discovery over loopback TCP (RemoteOracle)");
     }
     // Segment-backed mode: every figure database is round-tripped through
-    // the persistent columnar store in DIR and served with lazy hydration.
-    // Figure stdout is byte-identical to the in-RAM run (CI diffs exactly
-    // that), so the mode announcement goes to stderr like all progress.
-    if let Some(dir) = &segment_dir {
-        if let Err(e) = set_segment_dir(dir) {
+    // an in-memory segment and served with lazy hydration. Figure stdout is
+    // byte-identical to the in-RAM run (CI diffs exactly that), so the mode
+    // announcement goes to stderr like all progress.
+    if segment {
+        if let Err(e) = set_segment_mode() {
             eprintln!("--segment: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("# segment-backed mode: databases served from {dir}");
+        eprintln!("# segment-backed mode: databases served from in-memory segments");
     }
     // A cache budget bounds the chunk cache of every segment-backed
     // database; figure stdout is still byte-identical (CI runs exactly this
     // with a deliberately tiny budget and diffs against the in-RAM run).
     if let Some(bytes) = cache_budget {
-        if segment_dir.is_none() {
-            eprintln!("--cache-budget requires --segment DIR");
+        if !segment {
+            eprintln!("--cache-budget requires --segment");
             usage();
             return ExitCode::FAILURE;
         }

@@ -1,22 +1,20 @@
 //! `interface`: the hidden-database query engine, on DOT-like flights
 //! (`n` tuples, top-`k`, `SumRanker`).
 //!
-//! - `process`: `peak_rss_after_index_kb` is the peak RSS once the indexed
-//!   database has answered its first query, read before the scan-strategy
-//!   copy is built and while no dataset copy is alive.
-//! - Four query shapes: `scan_ns` times the naive [`ExecStrategy::Scan`]
-//!   path and `indexed_ns` the default indexed engine, each as the mean of
-//!   `iters` calls (at most 60 for the scan) after a warm-up.
+//! - `process`: `peak_rss_after_index_kb` is the peak RSS once the
+//!   database has answered its first query, read while no dataset copy is
+//!   alive.
+//! - Four query shapes: `indexed_ns` times the query engine as the mean of
+//!   `iters` calls after a warm-up.
 //! - `threads_<N>`: aggregate queries/s of `N` concurrent sessions on one
 //!   shared database issuing the case mix `rounds` times, and its `scaling`
 //!   against one thread.
 //! - Five complete discovery runs (n = 8,000, or 2,000 at quick scale;
-//!   k = 10 unless noted), each under both strategies: `scan_ms` and
-//!   `indexed_ms` are the mean of `discovery_runs` runs after an untimed
-//!   first run, which builds the lazy index. Query costs must be equal
-//!   under both strategies, and every skyline must hold at least two
-//!   distinct value combinations, so a degenerate workload cannot pass
-//!   for a measurement.
+//!   k = 10 unless noted): `indexed_ms` is the mean of `discovery_runs`
+//!   runs after an untimed first run, which builds the lazy index, and
+//!   `queries` the run's query cost. Every skyline must hold at least two
+//!   distinct value combinations, so a degenerate workload cannot pass for
+//!   a measurement.
 //!   - `sq_db_sky`, `rq_db_sky` and `baseline_crawl` (the crawl, k = 50)
 //!     on five RQ attributes;
 //!   - `pq_db_sky` on fig16's three point attributes, which trade off
@@ -27,17 +25,15 @@
 //!   its first, lazily hydrating query. `warm_segment_ns` and `warm_ram_ns`
 //!   then time each query shape on the segment and on the RAM engine back
 //!   to back (the full storage numbers are the `storage` suite's).
-//!
-//! `peak_rss_kb` includes the scan-strategy twin database.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
 use skyweb_core::{BaselineCrawl, Discoverer, MqDbSky, PqDbSky, RqDbSky, SqDbSky};
 use skyweb_datagen::flights_dot::{self, FlightsDotConfig};
-use skyweb_hidden_db::{ExecStrategy, HiddenDb, Predicate, Query, SumRanker};
+use skyweb_hidden_db::{HiddenDb, Predicate, Query, SumRanker};
 
-use super::{compared, peak_rss_record, time_ns, Args, Record};
+use super::{peak_rss_record, time_ns, Args, Record};
 
 fn cases() -> [(&'static str, Query); 4] {
     [
@@ -100,8 +96,7 @@ fn session_throughput(db: &HiddenDb, queries: &[Query], threads: usize, rounds: 
 pub fn run(args: &Args) -> Result<Vec<Record>, String> {
     let (n, k, iters) = args.scale.pick((10_000, 50, 50), (100_000, 50, 400));
     eprintln!("# building DOT-flights hidden database: n={n}, k={k}");
-    let flights = || flights_dot::generate(&FlightsDotConfig { n, seed: 2015 });
-    let indexed = flights().into_db_sum(k);
+    let indexed = flights_dot::generate(&FlightsDotConfig { n, seed: 2015 }).into_db_sum(k);
     indexed.query(&Query::select_all()).expect("first query");
     let mut out = vec![
         Record::new("workload", "n", "count", n as f64),
@@ -109,17 +104,10 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
         Record::new("workload", "iters", "count", iters as f64),
     ];
     out.extend(peak_rss_record("peak_rss_after_index_kb"));
-    let scan = flights().into_db_sum(k).with_strategy(ExecStrategy::Scan);
     let cases = cases();
     for (name, query) in &cases {
-        let scan_ns = time_ns(3, iters.min(60), || scan.query(query).expect("scan").len());
         let indexed_ns = time_ns(10, iters, || indexed.query(query).expect("indexed").len());
-        out.extend(compared(
-            name,
-            "ns",
-            ("scan_ns", scan_ns),
-            ("indexed_ns", indexed_ns),
-        ));
+        out.push(Record::new(*name, "indexed_ns", "ns", indexed_ns));
     }
 
     // Enough rounds that the measured window (tens to hundreds of ms)
@@ -176,36 +164,24 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
         ("mq_db_sky", Box::new(MqDbSky::new()), &mixed, 10),
     ];
     for (name, algo, dataset, k) in algos {
-        let mut wall_ms = [0.0; 2];
-        let mut cost = [0; 2];
-        for (slot, strategy) in [ExecStrategy::Scan, ExecStrategy::Indexed]
-            .into_iter()
-            .enumerate()
-        {
-            let db = dataset.clone().into_db_sum(k).with_strategy(strategy);
-            let result = algo.discover(&db).expect("discovery run");
-            let distinct: BTreeSet<_> = result.skyline.iter().map(|t| &t.values).collect();
-            assert!(
-                distinct.len() >= 2,
-                "{name}: a skyline of {} distinct value combination(s) is a degenerate workload",
-                distinct.len()
-            );
-            cost[slot] = result.query_cost;
-            wall_ms[slot] = time_ns(0, runs, || {
-                algo.discover(&db).expect("discovery run").query_cost
-            }) / 1e6;
-        }
-        assert_eq!(
-            cost[0], cost[1],
-            "{name}: query cost must not depend on the execution strategy"
+        let db = dataset.clone().into_db_sum(k);
+        let result = algo.discover(&db).expect("discovery run");
+        let distinct: BTreeSet<_> = result.skyline.iter().map(|t| &t.values).collect();
+        assert!(
+            distinct.len() >= 2,
+            "{name}: a skyline of {} distinct value combination(s) is a degenerate workload",
+            distinct.len()
         );
-        out.push(Record::new(name, "queries", "count", cost[0] as f64));
-        out.extend(compared(
+        let wall_ms = time_ns(0, runs, || {
+            algo.discover(&db).expect("discovery run").query_cost
+        }) / 1e6;
+        out.push(Record::new(
             name,
-            "ms",
-            ("scan_ms", wall_ms[0]),
-            ("indexed_ms", wall_ms[1]),
+            "queries",
+            "count",
+            result.query_cost as f64,
         ));
+        out.push(Record::new(name, "indexed_ms", "ms", wall_ms));
     }
 
     let seg_path = std::env::temp_dir().join(format!(

@@ -10,14 +10,14 @@ use skyweb_skyline::sfs_skyline;
 use crate::{limits, storage, Scale};
 
 /// Wraps a dataset in a hidden-database interface, honoring segment-backed
-/// mode: with `--segment DIR` installed the database is round-tripped
-/// through the persistent columnar store and served with lazy hydration
+/// mode: with `--segment` on, the database is round-tripped through the
+/// persistent columnar store and served with lazy hydration
 /// (figure output is identical by the storage layer's differential
 /// contract). `ranker` is a factory because the RAM build and the segment
 /// reopen each need their own `Box<dyn Ranker>`.
 pub(crate) fn mk_db(ds: Dataset, k: usize, ranker: impl Fn() -> Box<dyn Ranker>) -> HiddenDb {
     let ram = ds.into_db(ranker(), k);
-    if storage::segment_dir().is_some() {
+    if storage::segment_mode() {
         storage::segment_backed(&ram, ranker())
     } else {
         ram

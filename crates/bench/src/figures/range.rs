@@ -1,7 +1,7 @@
 //! Figures 13, 14, 15 and 20: the offline experiments over range-predicate
 //! interfaces (impact of k, n and m, and the anytime property).
 
-use skyweb_core::{analysis, BaselineCrawl, RqDbSky, SqDbSky};
+use skyweb_core::{BaselineCrawl, RqDbSky, SqDbSky};
 use skyweb_datagen::flights_dot;
 use skyweb_hidden_db::InterfaceType;
 
@@ -81,8 +81,8 @@ pub fn fig14(scale: Scale) -> FigureResult {
     fig
 }
 
-/// Figure 15: impact of the number of ranking attributes m, with the
-/// average-case model for the measured skyline size as a reference curve.
+/// Figure 15: impact of the number of ranking attributes m on SQ-/RQ-DB-SKY
+/// and on the skyline size.
 pub fn fig15(scale: Scale) -> FigureResult {
     let n = scale.pick(5_000, 100_000);
     let max_m = scale.pick(7, 10);
@@ -98,7 +98,7 @@ pub fn fig15(scale: Scale) -> FigureResult {
     let mut fig = FigureResult::new(
         "fig15",
         format!("Range predicates, impact of m (DOT-like, n = {n}, k = {k})"),
-        vec!["m", "skyline", "sq_cost", "rq_cost", "avg_case_model"],
+        vec!["m", "skyline", "sq_cost", "rq_cost"],
     );
     for row in pool::par_map(max_m - 1, |i| {
         let m = i + 2;
@@ -115,7 +115,6 @@ pub fn fig15(scale: Scale) -> FigureResult {
             skyline as f64,
             sq.query_cost as f64,
             rq.query_cost as f64,
-            analysis::sq_average_case_cost(m, skyline),
         ]
     }) {
         fig.push_row(row);

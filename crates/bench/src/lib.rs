@@ -38,4 +38,4 @@ pub use limits::{run_limits, set_run_limits, RunLimits};
 pub use net::{net_mode, run_remote, set_net_mode};
 pub use report::FigureResult;
 pub use scale::Scale;
-pub use storage::{cache_budget, segment_dir, set_cache_budget, set_segment_dir};
+pub use storage::{cache_budget, segment_mode, set_cache_budget, set_segment_mode};

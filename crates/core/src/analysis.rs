@@ -1,6 +1,6 @@
 //! Analytical query-cost models from the paper (Section 3.2), used by the
-//! Figure 4 / Figure 15 harnesses and by tests that sanity-check the
-//! measured costs against theory.
+//! Figure 4 harness and by tests that check the measured costs against
+//! theory.
 //!
 //! * [`sq_worst_case_bound`] — the worst-case bound `O(m · |S|^{m+1})` on
 //!   the number of queries SQ-DB-SKY can issue under an arbitrary

@@ -9,7 +9,6 @@ use std::path::Path;
 
 use crate::conc::SeqReserver;
 use crate::index::{QueryIndex, Scratch};
-use crate::ranking::select_shared;
 use crate::segment::{
     BlockSource, FileSource, SegmentError, SegmentOpenOptions, SegmentReader, SegmentWriter,
     StorageStats,
@@ -18,8 +17,7 @@ use crate::stats::{AccessLog, AccessLogEntry, QueryStats, ShardedAccessLog};
 use crate::store::TupleStore;
 use crate::sync::StdSync;
 use crate::{
-    AttrId, AttributeRole, CmpOp, ExecStrategy, InterfaceType, Query, Ranker, Schema, SumRanker,
-    Tuple, Value,
+    AttrId, AttributeRole, CmpOp, InterfaceType, Query, Ranker, Schema, SumRanker, Tuple, Value,
 };
 
 /// Upper bound on pooled scratch buffers kept alive by a database: enough
@@ -161,10 +159,10 @@ impl std::error::Error for QueryError {}
 
 /// Answer of the hidden database to one search query.
 ///
-/// The tuples are shared (`Arc`) with the database's internal store: under
-/// the indexed execution strategy building a response costs `k` reference
-/// bumps instead of `k` deep tuple clones, which matters when experiments
-/// issue tens of thousands of queries.
+/// The tuples are shared (`Arc`) with the database's internal store:
+/// building a response costs `k` reference bumps instead of `k` deep tuple
+/// clones, which matters when experiments issue tens of thousands of
+/// queries.
 #[derive(Debug, Clone)]
 pub struct QueryResponse {
     /// The returned tuples, best-ranked first. At most `k` tuples.
@@ -207,17 +205,16 @@ impl QueryResponse {
 /// server-side knowledge.
 pub struct HiddenDb {
     schema: Schema,
-    /// The single `Arc`-backed tuple store shared by the scan path, the
-    /// index builder and every response (see [`TupleStore`]). Earlier
+    /// The single `Arc`-backed tuple store shared by the index builder,
+    /// the ranker fallback and every response (see [`TupleStore`]). Earlier
     /// revisions held the tuples twice — a plain `Vec<Tuple>` plus lazily
     /// deep-cloned `Arc<Tuple>`s for responses — which doubled resident
     /// memory on indexed databases.
     store: TupleStore,
     /// Rank permutation + zone maps + per-attribute posting lists, built
-    /// lazily on the first indexed query or `selectivity()` call (so a
-    /// database pinned to [`ExecStrategy::Scan`] never pays for them).
+    /// lazily on the first query or `selectivity()` call, so building a
+    /// database that is never queried never pays for them.
     index: OnceLock<QueryIndex>,
-    strategy: ExecStrategy,
     ranker: Box<dyn Ranker>,
     k: usize,
     rate_limit: Option<RateLimit>,
@@ -286,7 +283,6 @@ impl HiddenDb {
             schema,
             store: TupleStore::new(tuples),
             index: OnceLock::new(),
-            strategy: ExecStrategy::default(),
             ranker,
             k,
             rate_limit: None,
@@ -353,10 +349,9 @@ impl HiddenDb {
     /// weights) — passing one silently yields the *written* ranking, since
     /// the persisted permutation wins.
     ///
-    /// The opened database starts with the default [`ExecStrategy::Indexed`]
-    /// strategy, no rate limit, zeroed statistics and the access log off —
-    /// exactly like [`HiddenDb::new`]. Storage faults during later queries
-    /// surface as [`QueryError::Storage`].
+    /// The opened database starts with no rate limit, zeroed statistics and
+    /// the access log off — exactly like [`HiddenDb::new`]. Storage faults
+    /// during later queries surface as [`QueryError::Storage`].
     pub fn open_segment_source(
         source: Box<dyn BlockSource>,
         ranker: Box<dyn Ranker>,
@@ -383,7 +378,6 @@ impl HiddenDb {
             schema: reader.schema().clone(),
             store: TupleStore::from_segment(Arc::clone(&reader)),
             index: OnceLock::new(),
-            strategy: ExecStrategy::default(),
             ranker,
             k: reader.k(),
             rate_limit: None,
@@ -400,20 +394,6 @@ impl HiddenDb {
         // store).
         let _ = db.index.set(QueryIndex::from_segment(reader));
         Ok(db)
-    }
-
-    /// Selects the query-execution strategy (builder style). The default is
-    /// [`ExecStrategy::Indexed`]; [`ExecStrategy::Scan`] keeps the naive
-    /// filter-then-rank reference path, mainly for differential testing and
-    /// benchmarking.
-    pub fn with_strategy(mut self, strategy: ExecStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// The active query-execution strategy.
-    pub fn strategy(&self) -> ExecStrategy {
-        self.strategy
     }
 
     /// The lazily-built query index (first use pays the O(m·n) posting
@@ -570,12 +550,11 @@ impl HiddenDb {
     /// predicates, lets the ranking function pick the top-k matching tuples,
     /// and updates the query counters.
     ///
-    /// Under [`ExecStrategy::Indexed`] (the default) the answer is produced
-    /// by the engine in the `index` module: rank-ordered early termination for
-    /// broad queries, posting-list candidate pruning for selective ones, and
-    /// `Arc`-shared responses. [`ExecStrategy::Scan`] keeps the naive
-    /// filter-everything-then-rank reference path; both produce identical
-    /// responses, statistics and access-log entries.
+    /// The answer is produced by the engine in the `index` module:
+    /// rank-ordered early termination for broad queries, posting-list
+    /// candidate pruning for selective ones, and `Arc`-shared responses —
+    /// exactly the answer of the naive filter-everything-then-rank
+    /// definition, which the differential suites keep as their reference.
     pub fn query(&self, query: &Query) -> Result<QueryResponse, QueryError> {
         // Borrow a pooled scratch so one-off queries stay allocation-light
         // in steady state; sessions bypass the pool with their own buffer.
@@ -594,17 +573,6 @@ impl HiddenDb {
             pool.push(scratch);
         }
         out
-    }
-
-    /// Issues `queries` back to back through one internal [`Session`],
-    /// returning one result per query in order. Statistics, rate limiting
-    /// and the access log behave exactly as if each query had been issued
-    /// individually.
-    ///
-    /// [`Session`]: crate::Session
-    pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
-        let mut session = self.session();
-        queries.iter().map(|q| session.query(q)).collect()
     }
 
     /// The engine shared by [`HiddenDb::query`] and [`crate::Session`]: the
@@ -640,9 +608,9 @@ impl HiddenDb {
         self.log_enabled.load(Ordering::Relaxed)
     }
 
-    /// Computes the answer of an admitted query under the active execution
-    /// strategy: the returned tuples (best-ranked first), the overflow flag
-    /// and the exact match count when the chosen plan produced one.
+    /// Computes the answer of an admitted query: the returned tuples
+    /// (best-ranked first), the overflow flag and the exact match count when
+    /// the chosen plan produced one.
     ///
     /// The only error is [`QueryError::Storage`] from a segment-backed store
     /// (a RAM-backed database never fails here). A storage failure consumes
@@ -653,48 +621,19 @@ impl HiddenDb {
         need_matched: bool,
         scratch: &mut Scratch,
     ) -> Result<ExecOutput, QueryError> {
-        match self.strategy {
-            ExecStrategy::Scan => {
-                // The reference path is a full scan: hydrate a segment-backed
-                // store once so the iteration below cannot hit a storage
-                // fault mid-scan.
-                self.store
-                    .try_hydrate_all()
-                    .map_err(|e| QueryError::Storage { error: e })?;
-                let mut indices: Vec<u32> = Vec::new();
-                for (i, t) in self.store.iter().enumerate() {
-                    if query.matches(t) {
-                        indices.push(i as u32);
-                    }
-                }
-                let matched = indices.len();
-                // Even the reference path shares the store: no code path
-                // deep-clones tuples into a response anymore.
-                let tuples = select_shared(
-                    self.ranker.as_ref(),
-                    &self.store,
-                    &indices,
-                    self.k,
-                    &self.schema,
-                );
-                Ok((tuples, matched > self.k, Some(matched)))
-            }
-            ExecStrategy::Indexed => {
-                let out = self
-                    .index()
-                    .execute(
-                        query,
-                        self.k,
-                        &self.store,
-                        &self.schema,
-                        self.ranker.as_ref(),
-                        need_matched,
-                        scratch,
-                    )
-                    .map_err(|e| QueryError::Storage { error: e })?;
-                Ok((out.returned, out.overflowed, out.matched))
-            }
-        }
+        let out = self
+            .index()
+            .execute(
+                query,
+                self.k,
+                &self.store,
+                &self.schema,
+                self.ranker.as_ref(),
+                need_matched,
+                scratch,
+            )
+            .map_err(|e| QueryError::Storage { error: e })?;
+        Ok((out.returned, out.overflowed, out.matched))
     }
 
     /// Completes an admitted query: updates the global counters, records the

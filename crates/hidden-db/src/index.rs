@@ -2,10 +2,10 @@
 //!
 //! The experiment harness issues tens of thousands of simulated top-k
 //! queries per discovery run, so the per-query cost of the simulator bounds
-//! how fast whole experiments can go. The naive interface answers each query
-//! with a full O(n) predicate scan, a heap-allocated match vector, a full
-//! sort by score and deep tuple clones. This module precomputes, once at
-//! construction:
+//! how fast whole experiments can go. A naive interface would answer each
+//! query with a full O(n) predicate scan, a heap-allocated match vector, a
+//! full sort by score and deep tuple clones. This module precomputes, once
+//! at construction:
 //!
 //! * a **rank-order permutation** — the ranker's global preference order
 //!   over the store (via [`crate::Ranker::precompute`]), so top-k selection
@@ -42,9 +42,10 @@
 //! to a per-attribute box `[lo, hi]^m` — membership is a handful of integer
 //! compares and never needs the original `Query` again.
 //!
-//! The engine is behaviorally identical to the naive path (which is kept as
-//! [`ExecStrategy::Scan`] for differential testing): same tuples, same
-//! order, same overflow flag, same statistics.
+//! The engine is the database's one execution path, and it is behaviorally
+//! identical to the naive filter-then-rank definition: same tuples, same
+//! order, same overflow flag, same statistics. That definition exists only
+//! as the test suites' reference (`crates/hidden-db/tests/support/`).
 
 use std::sync::Arc;
 
@@ -56,21 +57,6 @@ use crate::{
     AttrId, CmpOp, HiddenDb, Predicate, Query, QueryError, QueryResponse, Ranker, Schema, Tuple,
     Value,
 };
-
-/// How a [`crate::HiddenDb`] executes queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// The reference implementation: filter every tuple, rank the matches,
-    /// share the top k. O(n log n) per query; kept for differential testing
-    /// and as the ground truth the indexed engine must reproduce. Plans run
-    /// through it one member query at a time.
-    Scan,
-    /// The indexed engine of the `index` module: rank-ordered early
-    /// termination with block skipping, posting-list candidate pruning,
-    /// allocation-light responses. The default.
-    #[default]
-    Indexed,
-}
 
 /// Ranks per zone-map block: the rank permutation is cut into chunks of 64
 /// so one `u64` bitset covers a block and the per-block min/max tables stay
@@ -859,7 +845,7 @@ impl<S: IndexStorage> Engine<'_, S> {
 
     /// Fallback for rankers without a precomputed order: materialize the
     /// matching positions (pruned through the best posting list, in store
-    /// order — byte-identical to what the naive scan would hand the ranker)
+    /// order — byte-identical to what a naive filter pass hands the ranker)
     /// and let [`Ranker::select_top_k`] decide.
     #[allow(clippy::too_many_arguments)]
     fn ranker_fallback(
@@ -883,7 +869,7 @@ impl<S: IndexStorage> Engine<'_, S> {
                     }
                     Ok(())
                 })?;
-                // Store order, exactly like the naive scan's filter pass
+                // Store order, exactly like a naive filter pass
                 // (this matters for rankers that consume randomness).
                 hits.sort_unstable();
             }
@@ -1066,15 +1052,14 @@ impl<S: IndexStorage> Engine<'_, S> {
 /// prefix groups, evaluates each group's shared conjunction once (lazily,
 /// after the group's first member passes admission) and answers every member
 /// from the shared candidates plus its private residual — stopping at the
-/// first rejected query, whose error is returned. A database on the
-/// [`ExecStrategy::Scan`] reference answers every member on its own.
+/// first rejected query, whose error is returned.
 ///
 /// Per-query admission (validation, rate-limit reservation, sequence
 /// numbering), statistics and access-log accounting run through exactly the
 /// same [`HiddenDb`] hooks as individually issued queries, in plan order, so
 /// responses, [`crate::QueryStats`] and log snapshots are byte-identical to
 /// the sequential path — the differential battery in `tests/proptest_plan.rs`
-/// pins this for both execution strategies.
+/// pins this.
 pub(crate) fn execute_plan(
     db: &HiddenDb,
     queries: &[Query],
@@ -1087,7 +1072,7 @@ pub(crate) fn execute_plan(
     for g in groups {
         let group = &queries[pos..pos + g.len];
         pos += g.len;
-        let shares = g.prefix_len > 0 && g.len >= 2 && db.strategy() == ExecStrategy::Indexed;
+        let shares = g.prefix_len > 0 && g.len >= 2;
         // Shared context for the group, prepared lazily once the first
         // member passes admission: validating the head validates the prefix
         // (it is a prefix of the head), and a plan cut short by the rate

@@ -15,11 +15,11 @@
 //!   allowed to issue.
 //!
 //! All tuples live in one immutable, `Arc`-backed [`TupleStore`] shared by
-//! every code path — the scan reference implementation, the index builder,
-//! query responses and the server-side oracle ([`HiddenDb::oracle_tuples`])
-//! — so a database holds exactly one copy of its data. Queries are answered
-//! by an indexed execution engine (the `index` module internals, selected
-//! via [`ExecStrategy`]): a rank-order permutation precomputed through
+//! every code path — the index builder, the ranker fallback, query
+//! responses and the server-side oracle ([`HiddenDb::oracle_tuples`]) — so
+//! a database holds exactly one copy of its data. Queries are answered by
+//! one indexed execution engine (the `index` module internals): a
+//! rank-order permutation precomputed through
 //! [`Ranker::precompute`] makes top-k selection an early-terminating scan,
 //! rank-ordered columnar values with per-64-rank-block zone maps turn broad
 //! range scans into block-skipping bitset passes, per-attribute posting
@@ -30,10 +30,10 @@
 //! batch executor: sibling queries extending one parent conjunction
 //! ([`PrefixGroup`]) evaluate the shared conjunction once and only apply
 //! their private residuals — with per-query admission, statistics and
-//! access-log accounting preserved exactly. The naive reference path is
-//! kept as [`ExecStrategy::Scan`] and both single-query and batched
-//! execution are proven byte-identical by differential property-test
-//! suites.
+//! access-log accounting preserved exactly. Differential property-test
+//! suites prove single-query and batched execution byte-identical to the
+//! naive filter-then-rank definition, which exists only as their test
+//! reference.
 //!
 //! The database is `Send + Sync`: any number of concurrent clients can open
 //! a [`Session`] ([`HiddenDb::session`]) with private [`QueryStats`]
@@ -103,7 +103,6 @@ mod tuple;
 
 pub use db::{HiddenDb, QueryError, QueryResponse, RateLimit};
 pub use fault::{FaultPlan, FaultStats, FaultyOracle};
-pub use index::ExecStrategy;
 pub use predicate::{groups_cover, prefix_groups, CmpOp, Predicate, PrefixGroup, Query};
 pub use ranking::{
     is_domination_consistent, LexicographicRanker, RandomSkylineRanker, Ranker, ScoreRanker,

@@ -55,8 +55,7 @@ pub trait Ranker: Send + Sync {
 
 /// Hands the matching set at store positions `indices` (ascending store
 /// order) to [`Ranker::select_top_k`] and shares the chosen tuples, best
-/// first: the selection step of the engine's fallback plan and of the
-/// [`crate::ExecStrategy::Scan`] reference.
+/// first: the selection step of the engine's fallback plan.
 ///
 /// The store must be fully hydrated (always true in RAM), since the ranker
 /// reads the matching tuples by reference.

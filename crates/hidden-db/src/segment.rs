@@ -1819,8 +1819,8 @@ impl SegmentReader {
 
     /// Hydrates every tuple and returns the contiguous snapshot — the
     /// O(n) escape hatch behind [`TupleStore::as_slice`] for segment-backed
-    /// stores (scan-strategy execution, oracle ground truth, dominance
-    /// precomputation). Without a budget it shares the sticky tuple
+    /// stores (the ranker fallback's selection, oracle ground truth).
+    /// Without a budget it shares the sticky tuple
     /// tables, building the chunks no query has touched yet; under one,
     /// each chunk is built once for the snapshot and nothing is inserted
     /// for it but its column chunks. The snapshot is sticky and

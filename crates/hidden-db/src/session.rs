@@ -82,12 +82,6 @@ impl<'db> Session<'db> {
         self.stats.tuples_returned += response.len() as u64;
     }
 
-    /// Issues `queries` in order through this session, returning one result
-    /// per query.
-    pub fn query_batch(&mut self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
-        queries.iter().map(|q| self.query(q)).collect()
-    }
-
     /// Pipelines a query plan: answers `queries` in order, stopping at the
     /// first rejection, and returns the successfully answered prefix
     /// together with the error that cut it short (if any).
@@ -106,8 +100,7 @@ impl<'db> Session<'db> {
     /// predicates. Responses, statistics, rate limiting and the access log
     /// are byte-identical to issuing each query individually — the
     /// admission/accounting hooks run per query in plan order, and a
-    /// differential battery pins the equivalence for both execution
-    /// strategies.
+    /// differential battery pins the equivalence.
     pub fn run_plan(&mut self, queries: &[Query]) -> (Vec<QueryResponse>, Option<QueryError>) {
         self.run_plan_grouped(queries, None)
     }
@@ -208,31 +201,6 @@ mod tests {
         assert_eq!(err, QueryError::RateLimitExceeded { limit: 2 });
         assert_eq!(a.stats().queries, 1);
         assert_eq!(b.stats().queries, 1);
-    }
-
-    #[test]
-    fn batch_results_match_individual_queries() {
-        let queries = vec![
-            Query::select_all(),
-            Query::new(vec![Predicate::lt(0, 4)]),
-            Query::new(vec![Predicate::eq(1, 11)]), // out of domain → error
-        ];
-        let db1 = db(2);
-        let batch = db1.query_batch(&queries);
-        let db2 = db(2);
-        for (got, q) in batch.iter().zip(&queries) {
-            let want = db2.query(q);
-            match (got, want) {
-                (Ok(a), Ok(b)) => {
-                    let ids_a: Vec<u64> = a.iter().map(|t| t.id).collect();
-                    let ids_b: Vec<u64> = b.iter().map(|t| t.id).collect();
-                    assert_eq!(ids_a, ids_b);
-                }
-                (Err(a), Err(b)) => assert_eq!(a, &b),
-                (a, b) => panic!("divergent outcomes: {a:?} vs {b:?}"),
-            }
-        }
-        assert_eq!(db1.stats(), db2.stats());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! from which indexed responses were cloned. [`TupleStore`] replaces both
 //! with a single `Arc<[Arc<Tuple>]>`:
 //!
-//! * the **scan path** and the **index builder** iterate the store by
-//!   reference ([`TupleStore::iter`]),
+//! * the **index builder** iterates the store by reference
+//!   ([`TupleStore::iter`]), and the engine's **ranker fallback** hands the
+//!   ranker its matching tuples by reference too,
 //! * **responses** bump a reference count ([`TupleStore::share`]) instead of
 //!   deep-cloning a tuple (on a RAM store, or a segment-backed one with the
 //!   unbounded sticky cache),
@@ -25,8 +26,8 @@
 //! demand (panicking on storage faults, which the engine precludes by using
 //! the fallible [`TupleStore::try_share`] first), and
 //! [`TupleStore::as_slice`]/[`TupleStore::iter`] hydrate everything once
-//! (the full-scan escape hatch for oracle consumers and the `Scan`
-//! reference strategy). Either way the reader keeps each column chunk as
+//! (the full-scan escape hatch for oracle consumers and the ranker
+//! fallback). Either way the reader keeps each column chunk as
 //! its packed block and builds tuples from those blocks. With the
 //! unbounded sticky cache, it builds a chunk of tuples at a time and keeps
 //! them, so clones of a lazy store share every materialized tuple. Under a
@@ -50,8 +51,8 @@ enum Repr {
     Lazy(Arc<SegmentReader>),
 }
 
-/// An immutable tuple store shared (via `Arc`) by the scan path, the query
-/// index and every [`crate::QueryResponse`].
+/// An immutable tuple store shared (via `Arc`) by the query index, the
+/// ranker fallback and every [`crate::QueryResponse`].
 #[derive(Clone)]
 pub struct TupleStore {
     repr: Repr,

@@ -5,7 +5,8 @@
 use std::thread;
 
 use skyweb_hidden_db::{
-    HiddenDb, InterfaceType, Predicate, Query, QueryError, QueryStats, SchemaBuilder, Tuple,
+    HiddenDb, InterfaceType, Predicate, Query, QueryError, QueryStats, SchemaBuilder, Session,
+    Tuple,
 };
 
 const THREADS: usize = 8;
@@ -142,24 +143,34 @@ fn concurrent_sessions_share_the_rate_limit_exactly() {
     assert_eq!(db.stats().queries, 100);
 }
 
+/// The ids of a session's answer to `q`, best first.
+fn answer_ids(session: &mut Session<'_>, q: &Query) -> Vec<u64> {
+    let answer = session.query(q).expect("valid query");
+    answer.iter().map(|t| t.id).collect()
+}
+
 #[test]
-fn concurrent_query_batches_match_serial_batches() {
+fn concurrent_session_query_lists_match_a_serial_pass() {
     let db = stress_db(4);
     let queries: Vec<Query> = (0..40).map(|i| query_for(1, i)).collect();
-    let serial: Vec<Vec<u64>> = stress_db(4)
-        .query_batch(&queries)
-        .into_iter()
-        .map(|r| r.expect("valid query").iter().map(|t| t.id).collect())
+    let serial_db = stress_db(4);
+    let mut serial_session = serial_db.session();
+    let serial: Vec<Vec<u64>> = queries
+        .iter()
+        .map(|q| answer_ids(&mut serial_session, q))
         .collect();
 
     thread::scope(|scope| {
         for _ in 0..THREADS {
             let (db, queries, serial) = (&db, &queries, &serial);
             scope.spawn(move || {
-                let batch = db.query_batch(queries);
-                for (got, want) in batch.into_iter().zip(serial) {
-                    let ids: Vec<u64> = got.expect("valid query").iter().map(|t| t.id).collect();
-                    assert_eq!(&ids, want, "concurrent batch diverged from serial");
+                let mut session = db.session();
+                for (q, want) in queries.iter().zip(serial) {
+                    assert_eq!(
+                        &answer_ids(&mut session, q),
+                        want,
+                        "concurrent session diverged from the serial pass"
+                    );
                 }
             });
         }

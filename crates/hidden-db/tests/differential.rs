@@ -1,23 +1,28 @@
-//! Differential property tests of the indexed query engine: for random
-//! schemas, rankers, top-k constraints and query mixes, the
-//! [`ExecStrategy::Indexed`] engine must be **byte-identical** to the naive
-//! [`ExecStrategy::Scan`] reference path — same tuples in the same order,
-//! same overflow flags, same validation errors, same [`QueryStats`] and the
-//! same access-log entries (including the server-side matching counts).
+//! Differential property tests of the query engine: for random schemas,
+//! rankers, top-k constraints and query mixes, the engine must answer
+//! exactly like the naive filter-then-rank reference of `support/` — same
+//! tuples in the same order, same overflow flags, same validation errors —
+//! and account for it exactly: its [`QueryStats`] must equal the counters
+//! folded from the reference answers, and its access log must hold one
+//! entry per reference answer, server-side matching count included.
 //!
 //! The multi-threaded suite extends the contract to concurrent sessions:
-//! every response produced by parallel clients must equal the serial Scan
-//! ground truth, aggregate statistics must be exact multiples, and the
-//! merged access log must be a permutation of the serial log's entries with
-//! gap-free sequence numbers.
+//! every response produced by parallel clients must equal the reference
+//! answer, aggregate statistics must be exact multiples, and the merged
+//! access log must be a permutation of the reference entries with gap-free
+//! sequence numbers.
+
+mod support;
 
 use proptest::prelude::*;
 
 use skyweb_hidden_db::{
-    CmpOp, ExecStrategy, HiddenDb, InterfaceType, LexicographicRanker, Predicate, Query,
-    QueryStats, RandomSkylineRanker, Ranker, Schema, SchemaBuilder, SingleAttributeRanker,
-    SumRanker, Tuple, WeightedSumRanker, WorstCaseRanker,
+    dominates_on, CmpOp, HiddenDb, InterfaceType, LexicographicRanker, Predicate, Query,
+    QueryError, QueryStats, RandomSkylineRanker, Ranker, Schema, SchemaBuilder,
+    SingleAttributeRanker, SumRanker, Tuple, WeightedSumRanker, WorstCaseRanker,
 };
+
+use support::NaiveReference;
 
 /// One generated workload: schema shape, data, k, ranker choice, queries.
 #[derive(Debug, Clone)]
@@ -34,7 +39,7 @@ struct Workload {
 }
 
 fn workload() -> impl Strategy<Value = Workload> {
-    (2usize..=4, 0usize..=1, 0usize..=45, 1usize..=6, 0u8..6).prop_flat_map(
+    (2usize..=4, 0usize..=1, 0usize..=45, 1usize..=6, 0u8..7).prop_flat_map(
         |(m, filtering, n, k, ranker)| {
             let total = m + filtering;
             let domains = prop::collection::vec(1u32..=9, total);
@@ -88,18 +93,52 @@ fn ranker_of(w: &Workload) -> Box<dyn Ranker> {
         // Same seed on both sides: identical rng consumption is part of the
         // behavioral-identity contract.
         4 => Box::new(RandomSkylineRanker::new(77)),
-        _ => Box::new(WorstCaseRanker),
+        5 => Box::new(WorstCaseRanker),
+        _ => Box::new(FirstSkylineRanker),
     }
 }
 
-fn db_of(w: &Workload, strategy: ExecStrategy) -> HiddenDb {
+/// A ranker without a total order whose answer depends on the order it is
+/// handed the matching set: `k` times, it takes the first remaining tuple
+/// that no other remaining tuple dominates. That is domination-consistent,
+/// and it makes the engine's promise to hand fallback rankers their
+/// matching set in store order observable — the built-in fallback rankers
+/// sort their input first, so they cannot tell.
+struct FirstSkylineRanker;
+
+impl Ranker for FirstSkylineRanker {
+    fn name(&self) -> &str {
+        "first-skyline"
+    }
+
+    fn select_top_k<'a>(
+        &self,
+        matching: &[&'a Tuple],
+        k: usize,
+        schema: &Schema,
+    ) -> Vec<&'a Tuple> {
+        let attrs = schema.ranking_attrs();
+        let mut rest = matching.to_vec();
+        let mut picked = Vec::new();
+        while picked.len() < k && !rest.is_empty() {
+            let first = rest
+                .iter()
+                .position(|t| !rest.iter().any(|u| dominates_on(u, t, attrs)))
+                .expect("a finite set has a non-dominated member");
+            picked.push(rest.remove(first));
+        }
+        picked
+    }
+}
+
+fn db_of(w: &Workload) -> HiddenDb {
     let tuples: Vec<Tuple> = w
         .rows
         .iter()
         .enumerate()
         .map(|(i, v)| Tuple::new(i as u64, v.clone()))
         .collect();
-    HiddenDb::new(schema_of(w), tuples, ranker_of(w), w.k).with_strategy(strategy)
+    HiddenDb::new(schema_of(w), tuples, ranker_of(w), w.k)
 }
 
 fn query_of(raw: &[(usize, u8, u32)]) -> Query {
@@ -119,168 +158,201 @@ fn query_of(raw: &[(usize, u8, u32)]) -> Query {
     )
 }
 
+/// The reference's verdict on one query: the returned ids and values, the
+/// overflow flag and the matching-set size — or the rejection.
+type Outcome = Result<(Vec<(u64, Vec<u32>)>, bool, usize), QueryError>;
+
+/// One access-log entry's content, without its sequence number.
+type LogKey = (String, usize, usize, bool);
+
+/// Answers every query of `w` through a fresh reference over `db`.
+fn reference_outcomes(w: &Workload, db: &HiddenDb) -> Vec<Outcome> {
+    let reference = NaiveReference::new(db, ranker_of(w));
+    w.queries
+        .iter()
+        .map(|raw| {
+            reference.answer(&query_of(raw)).map(|(resp, matched)| {
+                let tuples = resp.iter().map(|t| (t.id, t.values.clone())).collect();
+                (tuples, resp.overflowed, matched)
+            })
+        })
+        .collect()
+}
+
+/// The statistics a database must report after answering `outcomes`.
+fn folded_stats(outcomes: &[Outcome]) -> QueryStats {
+    let mut stats = QueryStats::default();
+    for (tuples, overflowed, _) in outcomes.iter().flatten() {
+        stats.queries += 1;
+        stats.overflows += u64::from(*overflowed);
+        stats.empty_answers += u64::from(tuples.is_empty());
+        stats.tuples_returned += tuples.len() as u64;
+    }
+    stats
+}
+
+/// The access-log entries a database must record for `outcomes`, in order.
+fn logged(w: &Workload, outcomes: &[Outcome]) -> Vec<LogKey> {
+    w.queries
+        .iter()
+        .zip(outcomes)
+        .filter_map(|(raw, outcome)| {
+            let (tuples, overflowed, matched) = outcome.as_ref().ok()?;
+            Some((
+                query_of(raw).to_string(),
+                *matched,
+                tuples.len(),
+                *overflowed,
+            ))
+        })
+        .collect()
+}
+
+/// Runs `w` against the engine, one query at a time, and checks every
+/// response, rejection and counter against the reference; with `log`, the
+/// access log too. Without the log the engine may early-terminate rank
+/// scans (the log forces exact match counting), so both settings cover
+/// different plans.
+fn assert_engine_matches_reference(w: &Workload, log: bool) {
+    let db = db_of(w);
+    if log {
+        db.enable_access_log();
+    }
+    let want = reference_outcomes(w, &db);
+    for (raw, want) in w.queries.iter().zip(&want) {
+        let q = query_of(raw);
+        match (db.query(&q), want) {
+            (Ok(got), Ok((tuples, overflowed, _))) => {
+                prop_assert_eq!(got.overflowed, *overflowed, "overflow flag for {}", q);
+                let got: Vec<(u64, Vec<u32>)> =
+                    got.iter().map(|t| (t.id, t.values.clone())).collect();
+                prop_assert_eq!(&got, tuples, "answer for {}", q);
+            }
+            (Err(got), Err(want)) => prop_assert_eq!(&got, want, "rejection of {}", q),
+            (got, want) => prop_assert!(
+                false,
+                "divergent outcome for {}: {:?} vs {:?}",
+                q,
+                got,
+                want
+            ),
+        }
+    }
+    prop_assert_eq!(db.stats(), folded_stats(&want), "query statistics diverged");
+    if log {
+        let entries = db.access_log().entries().to_vec();
+        for (i, e) in entries.iter().enumerate() {
+            prop_assert_eq!(e.seq, i as u64 + 1, "log seqs must be 1..=N");
+        }
+        let got: Vec<LogKey> = entries
+            .into_iter()
+            .map(|e| (e.query, e.matched, e.returned, e.overflowed))
+            .collect();
+        prop_assert_eq!(got, logged(w, &want), "access log diverged");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
-    /// Responses, errors, statistics and access logs of the indexed engine
-    /// are byte-identical to the naive scan path on arbitrary workloads.
-    /// Queries here are *not* pre-filtered for validity, so rejection
-    /// behavior is covered too.
+    /// Responses, errors, statistics and access logs of the engine equal
+    /// the reference on arbitrary workloads. Queries here are *not*
+    /// pre-filtered for validity, so rejection behavior is covered too.
     #[test]
-    fn indexed_engine_is_byte_identical_to_scan(w in workload()) {
-        let scan = db_of(&w, ExecStrategy::Scan);
-        let indexed = db_of(&w, ExecStrategy::Indexed);
-        prop_assert_eq!(scan.strategy(), ExecStrategy::Scan);
-        prop_assert_eq!(indexed.strategy(), ExecStrategy::Indexed);
-        scan.enable_access_log();
-        indexed.enable_access_log();
-
-        for raw in &w.queries {
-            let q = query_of(raw);
-            match (scan.query(&q), indexed.query(&q)) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.overflowed, b.overflowed, "overflow flag for {}", q);
-                    prop_assert_eq!(a.len(), b.len(), "answer size for {}", q);
-                    for (x, y) in a.tuples.iter().zip(&b.tuples) {
-                        prop_assert_eq!(x.id, y.id, "tuple order for {}", q);
-                        prop_assert_eq!(&x.values, &y.values, "tuple values for {}", q);
-                    }
-                }
-                (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
-                (a, b) => prop_assert!(false, "divergent outcome for {}: {:?} vs {:?}", q, a, b),
-            }
-        }
-
-        let s1: QueryStats = scan.stats();
-        let s2: QueryStats = indexed.stats();
-        prop_assert_eq!(s1, s2, "query statistics diverged");
-
-        let l1 = scan.access_log();
-        let l2 = indexed.access_log();
-        prop_assert_eq!(l1.len(), l2.len());
-        for (a, b) in l1.entries().iter().zip(l2.entries()) {
-            prop_assert_eq!(a.seq, b.seq);
-            prop_assert_eq!(&a.query, &b.query);
-            prop_assert_eq!(a.matched, b.matched, "matched count for {}", a.query);
-            prop_assert_eq!(a.returned, b.returned);
-            prop_assert_eq!(a.overflowed, b.overflowed);
-        }
+    fn engine_matches_the_naive_reference(w in workload()) {
+        assert_engine_matches_reference(&w, true);
     }
 
     /// Same equivalence without the access log: this is the configuration
-    /// where the indexed engine actually early-terminates rank scans (the
-    /// log forces exact match counting), so both plan families are covered.
+    /// where the engine actually early-terminates rank scans.
     #[test]
-    fn indexed_engine_matches_scan_without_logging(w in workload()) {
-        let scan = db_of(&w, ExecStrategy::Scan);
-        let indexed = db_of(&w, ExecStrategy::Indexed);
-
-        for raw in &w.queries {
-            let q = query_of(raw);
-            match (scan.query(&q), indexed.query(&q)) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.overflowed, b.overflowed, "overflow flag for {}", q);
-                    let ids_a: Vec<u64> = a.iter().map(|t| t.id).collect();
-                    let ids_b: Vec<u64> = b.iter().map(|t| t.id).collect();
-                    prop_assert_eq!(ids_a, ids_b, "answer for {}", q);
-                }
-                (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
-                (a, b) => prop_assert!(false, "divergent outcome for {}: {:?} vs {:?}", q, a, b),
-            }
-        }
-        prop_assert_eq!(scan.stats(), indexed.stats());
+    fn engine_matches_the_naive_reference_without_logging(w in workload()) {
+        assert_engine_matches_reference(&w, false);
     }
 
-    /// Concurrent sessions against one shared indexed database reproduce
-    /// the serial Scan ground truth exactly: per-query responses, global
-    /// statistics (an exact multiple of one serial pass), and an access log
-    /// that is a permutation of the serial log with gap-free sequence
-    /// numbers.
+    /// Concurrent sessions against one shared database reproduce the
+    /// reference exactly: per-query responses, global statistics (an exact
+    /// multiple of one pass) and an access log that is a permutation of the
+    /// reference entries with gap-free sequence numbers.
     ///
     /// Rankers that consume shared randomness per query are excluded — for
     /// them, response content legitimately depends on query interleaving.
     #[test]
-    fn concurrent_sessions_match_scan_ground_truth(w in workload()) {
+    fn concurrent_sessions_match_the_naive_reference(w in workload()) {
         const THREADS: usize = 4;
         let mut w = w;
         if w.ranker == 4 {
             w.ranker = 0; // RandomSkylineRanker → deterministic substitute
         }
-        let scan = db_of(&w, ExecStrategy::Scan);
-        let indexed = db_of(&w, ExecStrategy::Indexed);
-        scan.enable_access_log();
-        indexed.enable_access_log();
+        let db = db_of(&w);
+        db.enable_access_log();
+        let want = reference_outcomes(&w, &db);
 
-        // Serial ground truth: ids + overflow flag (or the error) per query.
-        type Outcome = Result<(Vec<u64>, bool), skyweb_hidden_db::QueryError>;
-        let truth: Vec<Outcome> = w
-            .queries
+        // What a client sees of each reference answer: no matching count.
+        type Seen = Result<(Vec<(u64, Vec<u32>)>, bool), QueryError>;
+        let seen: Vec<Seen> = want
             .iter()
-            .map(|raw| {
-                scan.query(&query_of(raw))
-                    .map(|a| (a.iter().map(|t| t.id).collect(), a.overflowed))
-            })
+            .map(|o| o.clone().map(|(tuples, overflowed, _)| (tuples, overflowed)))
             .collect();
 
         // Every thread replays the whole list through its own session.
-        let outcomes: Vec<Vec<Outcome>> = std::thread::scope(|scope| {
+        let outcomes: Vec<Vec<Seen>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
-                    let (indexed, w) = (&indexed, &w);
+                    let (db, w) = (&db, &w);
                     scope.spawn(move || {
-                        let mut session = indexed.session();
+                        let mut session = db.session();
                         w.queries
                             .iter()
                             .map(|raw| {
-                                session
-                                    .query(&query_of(raw))
-                                    .map(|a| (a.iter().map(|t| t.id).collect(), a.overflowed))
+                                session.query(&query_of(raw)).map(|a| {
+                                    let tuples = a.iter().map(|t| (t.id, t.values.clone())).collect();
+                                    (tuples, a.overflowed)
+                                })
                             })
-                            .collect::<Vec<Outcome>>()
+                            .collect::<Vec<Seen>>()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("session thread panicked")).collect()
         });
         for per_thread in &outcomes {
-            prop_assert_eq!(per_thread, &truth, "a concurrent session diverged from ground truth");
+            prop_assert_eq!(per_thread, &seen, "a concurrent session diverged from the reference");
         }
 
-        // Statistics: each counter is exactly THREADS × the serial pass.
-        let s = scan.stats();
-        let c = indexed.stats();
+        // Statistics: each counter is exactly THREADS × one pass.
+        let one = folded_stats(&want);
+        let all = db.stats();
         let t = THREADS as u64;
-        prop_assert_eq!(c.queries, s.queries * t);
-        prop_assert_eq!(c.overflows, s.overflows * t);
-        prop_assert_eq!(c.empty_answers, s.empty_answers * t);
-        prop_assert_eq!(c.tuples_returned, s.tuples_returned * t);
+        prop_assert_eq!(all.queries, one.queries * t);
+        prop_assert_eq!(all.overflows, one.overflows * t);
+        prop_assert_eq!(all.empty_answers, one.empty_answers * t);
+        prop_assert_eq!(all.tuples_returned, one.tuples_returned * t);
 
         // Access log: gap-free monotone seqs, and the entry multiset is the
-        // serial multiset repeated THREADS times (permutation equivalence).
-        let serial_log = scan.access_log();
-        let merged_log = indexed.access_log();
-        prop_assert_eq!(merged_log.len(), serial_log.len() * THREADS);
-        for (i, e) in merged_log.entries().iter().enumerate() {
+        // reference multiset repeated THREADS times.
+        let merged = db.access_log();
+        for (i, e) in merged.entries().iter().enumerate() {
             prop_assert_eq!(e.seq, i as u64 + 1, "merged log seqs must be 1..=N");
         }
-        let key = |e: &skyweb_hidden_db::AccessLogEntry| {
-            (e.query.clone(), e.matched, e.returned, e.overflowed)
-        };
-        let mut want: Vec<_> = serial_log
+        let mut expected: Vec<LogKey> = logged(&w, &want)
+            .into_iter()
+            .flat_map(|e| std::iter::repeat_n(e, THREADS))
+            .collect();
+        let mut got: Vec<LogKey> = merged
             .entries()
             .iter()
-            .flat_map(|e| std::iter::repeat_n(key(e), THREADS))
+            .map(|e| (e.query.clone(), e.matched, e.returned, e.overflowed))
             .collect();
-        let mut got: Vec<_> = merged_log.entries().iter().map(key).collect();
-        want.sort_unstable();
+        expected.sort_unstable();
         got.sort_unstable();
-        prop_assert_eq!(got, want, "merged log is not a permutation of the serial log");
+        prop_assert_eq!(got, expected, "merged log is not a permutation of the reference entries");
     }
 
     /// The O(1) selectivity oracle agrees with brute-force counting.
     #[test]
     fn selectivity_matches_brute_force(w in workload(), lo in 0u32..9, hi in 0u32..9) {
-        let db = db_of(&w, ExecStrategy::Indexed);
+        let db = db_of(&w);
         for attr in 0..db.schema().len() {
             let max = db.schema().attr(attr).max_value();
             let (lo, hi) = (lo.min(max), hi.min(max));

@@ -5,9 +5,9 @@
 //! through `Session::query` — same tuples in the same order, same overflow
 //! flags, same cutting error and answered-prefix length, same per-session
 //! [`QueryStats`], same global statistics and the same merged access-log
-//! snapshot (including the server-side matching counts) — under **both**
-//! execution strategies ([`ExecStrategy::Scan`] stays the differential
-//! reference).
+//! snapshot (including the server-side matching counts). The sequential
+//! loop is itself checked against the naive reference in
+//! `tests/differential.rs`.
 //!
 //! Machine-style sibling annotations (`run_plan_grouped`) are additionally
 //! pinned equal to the engine-side factoring path.
@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 
 use skyweb_hidden_db::{
-    prefix_groups, CmpOp, ExecStrategy, HiddenDb, InterfaceType, LexicographicRanker, Predicate,
-    PrefixGroup, Query, QueryError, QueryResponse, RandomSkylineRanker, Ranker, RateLimit, Schema,
+    prefix_groups, CmpOp, HiddenDb, InterfaceType, LexicographicRanker, Predicate, PrefixGroup,
+    Query, QueryError, QueryResponse, RandomSkylineRanker, Ranker, RateLimit, Schema,
     SchemaBuilder, SingleAttributeRanker, SumRanker, Tuple, WeightedSumRanker, WorstCaseRanker,
 };
 
@@ -112,14 +112,14 @@ fn ranker_of(w: &Workload) -> Box<dyn Ranker> {
     }
 }
 
-fn db_of(w: &Workload, strategy: ExecStrategy, plan_len: usize) -> HiddenDb {
+fn db_of(w: &Workload, plan_len: usize) -> HiddenDb {
     let tuples: Vec<Tuple> = w
         .rows
         .iter()
         .enumerate()
         .map(|(i, v)| Tuple::new(i as u64, v.clone()))
         .collect();
-    let mut db = HiddenDb::new(schema_of(w), tuples, ranker_of(w), w.k).with_strategy(strategy);
+    let mut db = HiddenDb::new(schema_of(w), tuples, ranker_of(w), w.k);
     if w.limit_num > 0 {
         // Between 1/4 and 4/4 of the plan length (min 1): cuts range from
         // "mid-first-group" to "never trips".
@@ -196,13 +196,13 @@ fn outcomes(responses: &[QueryResponse]) -> Vec<(Ids, bool)> {
 
 /// Full byte-identity check of one batched execution against the
 /// sequential reference, including values, stats and access logs.
-fn assert_batch_matches_sequential(w: &Workload, strategy: ExecStrategy, hinted: bool) {
+fn assert_batch_matches_sequential(w: &Workload, hinted: bool) {
     let (plan, hint) = plan_of(w);
-    let reference = db_of(w, strategy, plan.len());
+    let reference = db_of(w, plan.len());
     reference.enable_access_log();
     let (want, want_err, want_stats) = sequential(&reference, &plan);
 
-    let batched_db = db_of(w, strategy, plan.len());
+    let batched_db = db_of(w, plan.len());
     batched_db.enable_access_log();
     let mut batched = batched_db.session();
     let (responses, err) = if hinted {
@@ -244,26 +244,18 @@ fn assert_batch_matches_sequential(w: &Workload, strategy: ExecStrategy, hinted:
 proptest! {
     #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
 
-    /// Batched plan execution under the indexed engine is byte-identical to
-    /// the sequential query loop (responses, errors, stats, access log).
+    /// Batched plan execution is byte-identical to the sequential query
+    /// loop (responses, errors, stats, access log).
     #[test]
-    fn indexed_run_plan_matches_sequential_queries(w in workload()) {
-        assert_batch_matches_sequential(&w, ExecStrategy::Indexed, false);
-    }
-
-    /// Same identity under the Scan reference strategy, which answers every
-    /// plan member on its own (ranker RNG consumption included).
-    #[test]
-    fn scan_run_plan_matches_sequential_queries(w in workload()) {
-        assert_batch_matches_sequential(&w, ExecStrategy::Scan, false);
+    fn run_plan_matches_sequential_queries(w in workload()) {
+        assert_batch_matches_sequential(&w, false);
     }
 
     /// Machine-style sibling annotations take the hinted path and remain
-    /// byte-identical to the sequential loop under both strategies.
+    /// byte-identical to the sequential loop.
     #[test]
     fn hinted_plans_match_sequential_queries(w in workload()) {
-        assert_batch_matches_sequential(&w, ExecStrategy::Indexed, true);
-        assert_batch_matches_sequential(&w, ExecStrategy::Scan, true);
+        assert_batch_matches_sequential(&w, true);
     }
 
     /// The engine-side factoring (`prefix_groups`) always produces a valid
@@ -281,17 +273,15 @@ proptest! {
     /// identical responses and statistics.
     #[test]
     fn run_plan_matches_without_logging(w in workload()) {
-        for strategy in [ExecStrategy::Indexed, ExecStrategy::Scan] {
-            let (plan, _) = plan_of(&w);
-            let reference = db_of(&w, strategy, plan.len());
-            let (want, want_err, want_stats) = sequential(&reference, &plan);
-            let batched_db = db_of(&w, strategy, plan.len());
-            let mut batched = batched_db.session();
-            let (responses, err) = batched.run_plan(&plan);
-            prop_assert_eq!(outcomes(&responses), want);
-            prop_assert_eq!(err, want_err);
-            prop_assert_eq!(batched.stats(), want_stats);
-            prop_assert_eq!(batched_db.stats(), reference.stats());
-        }
+        let (plan, _) = plan_of(&w);
+        let reference = db_of(&w, plan.len());
+        let (want, want_err, want_stats) = sequential(&reference, &plan);
+        let batched_db = db_of(&w, plan.len());
+        let mut batched = batched_db.session();
+        let (responses, err) = batched.run_plan(&plan);
+        prop_assert_eq!(outcomes(&responses), want);
+        prop_assert_eq!(err, want_err);
+        prop_assert_eq!(batched.stats(), want_stats);
+        prop_assert_eq!(batched_db.stats(), reference.stats());
     }
 }

@@ -5,8 +5,7 @@
 //! * **Differential fidelity** — a database round-tripped through
 //!   `SegmentWriter::write` → `HiddenDb::open_segment_source` answers an
 //!   identical query workload with byte-identical responses, statistics and
-//!   access-log entries, under both the indexed engine and the `Scan`
-//!   reference strategy, for arbitrary small random stores.
+//!   access-log entries, for arbitrary small random stores.
 //! * **Corruption rejection** — every truncation, every single-bit flip and
 //!   any trailing garbage in a serialized segment is rejected with a typed
 //!   [`SegmentError`] by `open` or by the `verify` scrub; a damaged segment
@@ -17,8 +16,8 @@
 use proptest::prelude::*;
 
 use skyweb_hidden_db::{
-    ExecStrategy, HiddenDb, InterfaceType, MemSource, Predicate, Query, SchemaBuilder,
-    SegmentError, SegmentOpenOptions, SegmentReader, SegmentWriter, SumRanker, Tuple,
+    HiddenDb, InterfaceType, MemSource, Predicate, Query, SchemaBuilder, SegmentError,
+    SegmentOpenOptions, SegmentReader, SegmentWriter, SumRanker, Tuple,
 };
 
 #[derive(Debug, Clone)]
@@ -185,14 +184,6 @@ proptest! {
         assert_same_behavior(&ram, &seg);
     }
 
-    /// The `Scan` reference strategy (full hydration path) agrees too.
-    #[test]
-    fn segment_scan_strategy_matches_ram(spec in db_spec()) {
-        let ram = build_db(&spec).with_strategy(ExecStrategy::Scan);
-        let bytes = SegmentWriter::new().with_chunk_size(64).write(&ram).unwrap();
-        let seg = open_mem(bytes).unwrap().with_strategy(ExecStrategy::Scan);
-        assert_same_behavior(&ram, &seg);
-    }
 
     /// Cache budgets, including the degenerate zero budget that decodes
     /// every chunk on every touch, are performance policies, never

@@ -259,11 +259,24 @@ impl IncrementalSkyline {
     }
 
     /// [`IncrementalSkyline::insert`] with the row and its key precomputed
-    /// and the handle borrowed — a rejected tuple (the common case on
-    /// dominated streams) then pays no `Arc` traffic at all.
-    fn insert_row(&mut self, key: u64, row: &[Value], tuple: &Arc<Tuple>) -> bool {
+    /// and the handle made on acceptance only: `share` runs once the band
+    /// takes tuple `id`, so a rejected tuple (the common case on dominated
+    /// streams) pays no `Arc` traffic or tuple copy at all.
+    ///
+    /// `share` is a `dyn` callback so that this function stays non-generic
+    /// and is compiled once, in this crate, where its helpers (`locate`,
+    /// `Block::row`) can be inlined. A generic version is instantiated in
+    /// each caller's crate instead; there `locate` stayed an out-of-line
+    /// call, and mq-diamonds discovery ran ~4% slower.
+    fn insert_row(
+        &mut self,
+        key: u64,
+        row: &[Value],
+        id: u64,
+        share: &dyn Fn() -> Arc<Tuple>,
+    ) -> bool {
         let m = self.attrs.len();
-        let (bi, pos) = self.locate(key, tuple.id);
+        let (bi, pos) = self.locate(key, id);
 
         // Dominators live strictly before the insertion point (strictly
         // smaller key). Walked nearest-first: dominators sit close to what
@@ -312,7 +325,7 @@ impl IncrementalSkyline {
             self.blocks.retain(|b| !b.entries.is_empty());
             self.len -= evicted;
             // Block boundaries moved; re-locate the insertion point.
-            (bi, pos) = self.locate(key, tuple.id);
+            (bi, pos) = self.locate(key, id);
         }
 
         if dom == 0 {
@@ -328,7 +341,7 @@ impl IncrementalSkyline {
         b.entries.insert(
             pos,
             Entry {
-                tuple: Arc::clone(tuple),
+                tuple: share(),
                 key,
                 dom,
             },
@@ -361,9 +374,23 @@ impl IncrementalSkyline {
             .filter(|(key, t)| {
                 row.clear();
                 row.extend(self.row_of(t));
-                self.insert_row(*key, &row, t)
+                self.insert_row(*key, &row, t.id, &|| Arc::clone(t))
             })
             .count()
+    }
+
+    /// Builds a structure over `tuples`, inserted one by one in slice order,
+    /// that copies a tuple into a fresh `Arc` only when the band accepts it.
+    fn of_borrowed<B: Borrow<Tuple>>(tuples: &[B], attrs: &[AttrId], band: usize) -> Self {
+        let mut sky = IncrementalSkyline::with_band(attrs.to_vec(), band);
+        let mut row = Vec::with_capacity(attrs.len());
+        for t in tuples {
+            let t = t.borrow();
+            row.clear();
+            row.extend(sky.row_of(t));
+            sky.insert_row(sky.key_of(t), &row, t.id, &|| Arc::new(t.clone()));
+        }
+        sky
     }
 
     /// Iterates the band members in monotone-key order.
@@ -446,10 +473,7 @@ impl IncrementalSkyline {
 /// [`IncrementalSkyline`] — a third batch strategy alongside BNL and SFS,
 /// and the one the differential tests pin against both.
 pub fn incremental_skyline_on<B: Borrow<Tuple>>(tuples: &[B], attrs: &[AttrId]) -> Vec<Tuple> {
-    let mut sky = IncrementalSkyline::new(attrs.to_vec());
-    for t in tuples {
-        sky.insert(Arc::new(t.borrow().clone()));
-    }
+    let sky = IncrementalSkyline::of_borrowed(tuples, attrs, 1);
     sky.skyline().map(|t| t.as_ref().clone()).collect()
 }
 
@@ -460,10 +484,7 @@ pub fn incremental_skyband_on<B: Borrow<Tuple>>(
     attrs: &[AttrId],
     h: usize,
 ) -> Vec<Tuple> {
-    let mut sky = IncrementalSkyline::with_band(attrs.to_vec(), h);
-    for t in tuples {
-        sky.insert(Arc::new(t.borrow().clone()));
-    }
+    let sky = IncrementalSkyline::of_borrowed(tuples, attrs, h);
     sky.iter().map(|t| t.as_ref().clone()).collect()
 }
 

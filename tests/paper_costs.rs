@@ -44,6 +44,73 @@ fn sq_cost_is_exactly_eq4_at_m2_under_the_random_skyline_ranker() {
     }
 }
 
+/// A permutation of `0..s`: a Fisher–Yates shuffle driven by a SplitMix64
+/// stream seeded with `seed`.
+fn permutation(s: usize, seed: u64) -> Vec<u32> {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut perm: Vec<u32> = (0..s as u32).collect();
+    for i in (1..s).rev() {
+        perm.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    perm
+}
+
+/// Eq 4 where the cost is a random variable, at m = 3 and 4. Every tuple
+/// is again a skyline tuple (attribute 0 = i, attribute 1 = s − 1 − i),
+/// and attributes 2..m hold seeded permutations of 0..s. Over 500 seeds
+/// per cell, the mean cost under the random skyline ranker must lie within
+/// four standard errors of `E(C_s)`. A fixed relative bound would not do:
+/// at this many seeds the mean sits up to ~3% from `E(C_s)` by chance.
+#[test]
+fn sq_mean_cost_matches_eq4_at_m3_and_m4_under_the_random_skyline_ranker() {
+    const SEEDS: u64 = 500;
+    for m in [3usize, 4] {
+        for s in [2usize, 4, 8, 12] {
+            let costs: Vec<f64> = (0..SEEDS)
+                .map(|seed| {
+                    let mut builder = SchemaBuilder::new();
+                    for a in 0..m {
+                        builder = builder.ranking(format!("a{a}"), 16, InterfaceType::Sq);
+                    }
+                    let perms: Vec<Vec<u32>> = (2..m)
+                        .map(|a| permutation(s, (seed << 8) | a as u64))
+                        .collect();
+                    let tuples = (0..s)
+                        .map(|i| {
+                            let mut values = vec![i as u32, (s - 1 - i) as u32];
+                            values.extend(perms.iter().map(|p| p[i]));
+                            Tuple::new(i as u64, values)
+                        })
+                        .collect();
+                    let ranker = Box::new(RandomSkylineRanker::new(seed));
+                    let db = HiddenDb::new(builder.build(), tuples, ranker, 1);
+                    let result = SqDbSky::new().discover(&db).unwrap();
+                    assert!(result.complete, "m={m}, s={s}, seed={seed}");
+                    assert_eq!(result.skyline.len(), s, "m={m}, s={s}, seed={seed}");
+                    result.query_cost as f64
+                })
+                .collect();
+            let n = costs.len() as f64;
+            let mean = costs.iter().sum::<f64>() / n;
+            let var = costs.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            let se = (var / n).sqrt();
+            let expected = sq_average_case_cost(m, s);
+            assert!(
+                (mean - expected).abs() <= 4.0 * se,
+                "m={m}, s={s}: mean cost {mean:.3} over {SEEDS} seeds against \
+                 E(C_s) = {expected:.3} (standard error {se:.3})"
+            );
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Instance {
     m: usize,

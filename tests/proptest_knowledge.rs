@@ -5,29 +5,37 @@
 //! the exact data structure the old `Collector` was.
 //!
 //! A second suite pins the discovery algorithms end to end: run the same
-//! algorithm against an [`ExecStrategy::Indexed`] and an
-//! [`ExecStrategy::Scan`] database and require identical `DiscoveryResult`s
-//! (skyline, retrieved set, query cost, trace), so the knowledge base and
-//! both server execution strategies are checked as one system.
+//! algorithm against the database's engine and against the naive
+//! filter-then-rank reference of the hidden-db test support, and require
+//! identical `DiscoveryResult`s (skyline, retrieved set, query cost,
+//! trace), so the knowledge base and the server's query engine are checked
+//! as one system.
+
+#[path = "../crates/hidden-db/tests/support/mod.rs"]
+mod support;
 
 use proptest::prelude::*;
 
-use skyweb::core::{Discoverer, KnowledgeBase, MqDbSky, RqDbSky, SqDbSky};
-use skyweb::hidden_db::{
-    dominates_on, CmpOp, ExecStrategy, HiddenDb, InterfaceType, Predicate, Query,
-    RandomSkylineRanker, Ranker, SchemaBuilder, SumRanker, Tuple, WorstCaseRanker,
+use skyweb::core::{
+    Discoverer, DiscoveryDriver, DriverConfig, KnowledgeBase, MqDbSky, PlanOracle, RqDbSky, SqDbSky,
 };
+use skyweb::hidden_db::{
+    dominates_on, CmpOp, HiddenDb, InterfaceType, Predicate, PrefixGroup, Query, QueryError,
+    QueryResponse, RandomSkylineRanker, Ranker, SchemaBuilder, SumRanker, Tuple, WorstCaseRanker,
+};
+
+use support::NaiveReference;
 
 /// The naive reference: what the old `Collector` did, minus the incremental
 /// BNL (the skyline is recomputed by exhaustive scan on demand).
-struct NaiveReference {
+struct NaiveCollector {
     attrs: Vec<usize>,
     seen: Vec<Tuple>,
 }
 
-impl NaiveReference {
+impl NaiveCollector {
     fn new(attrs: Vec<usize>) -> Self {
-        NaiveReference {
+        NaiveCollector {
             attrs,
             seen: Vec::new(),
         }
@@ -164,7 +172,7 @@ proptest! {
     fn knowledge_base_matches_naive_reference(w in kb_workload()) {
         let attrs: Vec<usize> = (0..w.m).collect();
         let mut kb = KnowledgeBase::with_band(attrs.clone(), w.band);
-        let mut naive = NaiveReference::new(attrs.clone());
+        let mut naive = NaiveCollector::new(attrs.clone());
 
         let mut next_id = 0u64;
         for batch in &w.batches {
@@ -238,7 +246,15 @@ fn discovery_workload() -> impl Strategy<Value = DiscoveryWorkload> {
     })
 }
 
-fn build_db(w: &DiscoveryWorkload, strategy: ExecStrategy) -> HiddenDb {
+fn ranker_of(w: &DiscoveryWorkload) -> Box<dyn Ranker> {
+    match w.ranker {
+        0 => Box::new(SumRanker),
+        1 => Box::new(RandomSkylineRanker::new(1234)),
+        _ => Box::new(WorstCaseRanker),
+    }
+}
+
+fn build_db(w: &DiscoveryWorkload) -> HiddenDb {
     let mut b = SchemaBuilder::new();
     let itf = match w.interface {
         0 => InterfaceType::Rq,
@@ -254,12 +270,29 @@ fn build_db(w: &DiscoveryWorkload, strategy: ExecStrategy) -> HiddenDb {
         .enumerate()
         .map(|(i, v)| Tuple::new(i as u64, v.clone()))
         .collect();
-    let ranker: Box<dyn Ranker> = match w.ranker {
-        0 => Box::new(SumRanker),
-        1 => Box::new(RandomSkylineRanker::new(1234)),
-        _ => Box::new(WorstCaseRanker),
-    };
-    HiddenDb::new(b.build(), tuples, ranker, w.k).with_strategy(strategy)
+    HiddenDb::new(b.build(), tuples, ranker_of(w), w.k)
+}
+
+/// The naive reference as a plan transport: answers a plan one query at a
+/// time and stops at the first rejection, as `Session::run_plan` does.
+#[derive(Debug)]
+struct ReferenceOracle<'a>(NaiveReference<'a>);
+
+impl PlanOracle for ReferenceOracle<'_> {
+    fn run_plan_grouped(
+        &mut self,
+        queries: &[Query],
+        _groups: Option<&[PrefixGroup]>,
+    ) -> (Vec<QueryResponse>, Option<QueryError>) {
+        let mut answered = Vec::with_capacity(queries.len());
+        for q in queries {
+            match self.0.answer(q) {
+                Ok((response, _)) => answered.push(response),
+                Err(e) => return (answered, Some(e)),
+            }
+        }
+        (answered, None)
+    }
 }
 
 proptest! {
@@ -269,27 +302,29 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// End-to-end differential: the same discovery run against the indexed
-    /// engine and the naive scan reference must produce identical results —
+    /// End-to-end differential: the same discovery run against the engine
+    /// and against the naive reference must produce identical results —
     /// same skyline, same retrieved set, same query cost, same trace —
-    /// under deterministic, randomized and adversarial rankers alike.
+    /// under deterministic, randomized and adversarial rankers alike. The
+    /// reference gets a fresh ranker with the engine's seed.
     #[test]
-    fn discovery_is_identical_under_both_exec_strategies(w in discovery_workload()) {
-        let run = |strategy: ExecStrategy| {
-            let db = build_db(&w, strategy);
-            let result = match w.interface {
-                0 => RqDbSky::new().discover(&db),
-                1 => SqDbSky::new().discover(&db),
-                _ => MqDbSky::new().discover(&db),
-            };
-            result.expect("discovery run failed")
+    fn discovery_matches_the_naive_reference(w in discovery_workload()) {
+        let alg: Box<dyn Discoverer> = match w.interface {
+            0 => Box::new(RqDbSky::new()),
+            1 => Box::new(SqDbSky::new()),
+            _ => Box::new(MqDbSky::new()),
         };
-        let indexed = run(ExecStrategy::Indexed);
-        let scan = run(ExecStrategy::Scan);
-        prop_assert_eq!(indexed.query_cost, scan.query_cost);
-        prop_assert_eq!(indexed.complete, scan.complete);
-        prop_assert_eq!(sorted_ids(&indexed.skyline), sorted_ids(&scan.skyline));
-        prop_assert_eq!(sorted_ids(&indexed.retrieved), sorted_ids(&scan.retrieved));
-        prop_assert_eq!(indexed.trace, scan.trace);
+        let db = build_db(&w);
+        let engine = alg.discover(&db).expect("discovery run failed");
+        let oracle = ReferenceOracle(NaiveReference::new(&db, ranker_of(&w)));
+        let machine = alg.machine(&db).expect("supported interface");
+        let reference = DiscoveryDriver::with_oracle(oracle, machine, DriverConfig::new())
+            .run()
+            .expect("reference run failed");
+        prop_assert_eq!(engine.query_cost, reference.query_cost);
+        prop_assert_eq!(engine.complete, reference.complete);
+        prop_assert_eq!(sorted_ids(&engine.skyline), sorted_ids(&reference.skyline));
+        prop_assert_eq!(sorted_ids(&engine.retrieved), sorted_ids(&reference.retrieved));
+        prop_assert_eq!(engine.trace, reference.trace);
     }
 }

@@ -7,8 +7,10 @@
 //! - Four query shapes: `indexed_ns` times the query engine as the mean of
 //!   `iters` calls after a warm-up.
 //! - `threads_<N>`: aggregate queries/s of `N` concurrent sessions on one
-//!   shared database issuing the case mix `rounds` times, and its `scaling`
-//!   against one thread.
+//!   shared database issuing the case mix `rounds` times, over
+//!   `throughput_trials` trials: `queries_per_s` is the median, with its
+//!   `queries_per_s_min` and `queries_per_s_max`, and `scaling` the median
+//!   against the one-thread median.
 //! - Five complete discovery runs (n = 8,000, or 2,000 at quick scale;
 //!   k = 10 unless noted): `indexed_ms` is the mean of `discovery_runs`
 //!   runs after an untimed first run, which builds the lazy index, and
@@ -57,6 +59,10 @@ fn cases() -> [(&'static str, Query); 4] {
         ),
     ]
 }
+
+/// Trials per thread count of the session throughput rows (odd, so the
+/// median is one of them).
+const THROUGHPUT_TRIALS: usize = 5;
 
 /// Aggregate queries/s of `threads` concurrent sessions, each issuing
 /// `queries` `rounds` times against one shared database.
@@ -111,20 +117,34 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
     }
 
     // Enough rounds that the measured window (tens to hundreds of ms)
-    // dwarfs scheduling jitter.
+    // dwarfs scheduling jitter; single runs still spread by 2x or more on
+    // a shared host, so each thread count takes several trials.
     let rounds = args.scale.pick(2_000, 20_000);
     out.push(Record::new("workload", "rounds", "count", rounds as f64));
+    out.push(Record::new(
+        "workload",
+        "throughput_trials",
+        "count",
+        THROUGHPUT_TRIALS as f64,
+    ));
     let queries: Vec<Query> = cases.iter().map(|(_, q)| q.clone()).collect();
     let mut base_qps = 0.0;
     for threads in [1, 2, 4, 8] {
-        let qps = session_throughput(&indexed, &queries, threads, rounds);
+        let mut qps: Vec<f64> = (0..THROUGHPUT_TRIALS)
+            .map(|_| session_throughput(&indexed, &queries, threads, rounds))
+            .collect();
+        qps.sort_by(f64::total_cmp);
+        let median = qps[THROUGHPUT_TRIALS / 2];
         if threads == 1 {
-            base_qps = qps;
+            base_qps = median;
         }
         let case = format!("threads_{threads}");
         out.push(Record::new(&case, "threads", "count", threads as f64));
-        out.push(Record::new(&case, "queries_per_s", "1/s", qps));
-        out.push(Record::new(case, "scaling", "ratio", qps / base_qps));
+        out.push(Record::new(&case, "queries_per_s", "1/s", median));
+        out.push(Record::new(&case, "queries_per_s_min", "1/s", qps[0]));
+        let max = qps[THROUGHPUT_TRIALS - 1];
+        out.push(Record::new(&case, "queries_per_s_max", "1/s", max));
+        out.push(Record::new(case, "scaling", "ratio", median / base_qps));
     }
 
     // The generator declares the continuous attributes RQ and the group

@@ -37,6 +37,13 @@
 //! Storage faults surface as typed [`SegmentError`]s threaded through every
 //! execution path; the RAM backing never produces one.
 //!
+//! Every read loop of the engine reads the lazy columns one chunk at a
+//! time, through the [`ColumnCursors`] its entry call opens: a read inside
+//! the chunk a cursor holds costs a compare and an in-place extraction, and
+//! only a read that leaves it goes back to the chunk cache, so a budgeted
+//! segment pays one cache lookup per chunk entered, not one per value. The
+//! RAM index is the one-chunk case.
+//!
 //! Every conjunctive predicate the interface supports (`<`, `<=`, `=`,
 //! `>=`, `>`) is a one-attribute range constraint, so a whole query reduces
 //! to a per-attribute box `[lo, hi]^m` — membership is a handful of integer
@@ -75,18 +82,28 @@ pub(crate) const BLOCK: usize = 64;
 /// so it wins well below 50% selectivity; n/32 is the empirical crossover
 /// on the discovery workloads (MQ/BASELINE region queries of the paper's
 /// figure suite). The same constant gates the shared-prefix materializer
-/// (both the posting cut and the joint-selectivity estimate), so the future
-/// calibrated cost model (ROADMAP AQP item) has exactly one seam to
-/// replace. Referenced from the planner unit tests
+/// (both the posting cut and the joint-selectivity estimate), so the
+/// estimated-vs-actual counts of ROADMAP direction 3(c), which are to
+/// confirm or replace it, have exactly one seam to replace. Referenced from
+/// the planner unit tests
 /// (`crossover_constant_separates_scan_and_posting_plans`).
 pub(crate) const BLOCK_SCAN_CROSSOVER_DEN: usize = 32;
 
 /// Where the engine reads its precomputed structures from: the in-RAM build
 /// ([`RamIndex`]) or a persisted segment ([`SegmentReader`]). Both answer
-/// every accessor identically, and only a segment can fail (I/O error or
-/// corrupted chunk). The zone, lane and rank accessors require a rank
+/// identically, and only a segment can fail (I/O error or corrupted
+/// chunk). The zone accessor and the rank-ordered columns require a rank
 /// order ([`IndexStorage::has_perm`]).
+///
+/// The eager structures (prefix counts, zone maps) are read directly; the
+/// lazy columns only through [`IndexStorage::cursors`], which an engine
+/// entry call opens once and reads every column through.
 pub(crate) trait IndexStorage {
+    /// The column cursors of one engine entry call.
+    type Cursors<'a>: ColumnCursors
+    where
+        Self: 'a;
+
     /// Whether a rank permutation exists (the ranker exposed a total order).
     fn has_perm(&self) -> bool;
 
@@ -97,45 +114,6 @@ pub(crate) trait IndexStorage {
     /// Zone-map `(min, max)` of rank block `b` on `attr`.
     fn zone(&self, attr: AttrId, b: usize) -> (Value, Value);
 
-    /// The lane bitset of rank block `b` on `attr`: bit `i` is set iff the
-    /// block's `i`-th rank (of its `len`) has a value in `[lo, hi]`.
-    fn lane_mask(
-        &self,
-        attr: AttrId,
-        b: usize,
-        len: usize,
-        lo: Value,
-        hi: Value,
-    ) -> Result<u64, SegmentError>;
-
-    /// Store index of the tuple at rank `rank`.
-    fn perm_at(&self, rank: usize) -> Result<u32, SegmentError>;
-
-    /// Rank position of the tuple at store index `idx`.
-    fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError>;
-
-    /// Value of the rank-`rank` tuple on `attr` (rank-ordered column).
-    fn rank_value_at(&self, attr: AttrId, rank: usize) -> Result<Value, SegmentError>;
-
-    /// Value of the tuple at store index `idx` on `attr` — never hydrates a
-    /// tuple on a segment.
-    fn value_at(&self, attr: AttrId, idx: usize) -> Result<Value, SegmentError>;
-
-    /// Box-membership of the tuple at store index `idx` against `cons`.
-    fn within_bounds_at(
-        &self,
-        idx: usize,
-        cons: &[(AttrId, Value, Value)],
-    ) -> Result<bool, SegmentError> {
-        for &(attr, lo, hi) in cons {
-            let v = self.value_at(attr, idx)?;
-            if v < lo || v > hi {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     /// Walks `attr`'s posting order over `[lo, hi]`: store indices,
     /// ascending within each value bucket.
     fn for_posting(
@@ -145,6 +123,71 @@ pub(crate) trait IndexStorage {
         hi: Value,
         f: impl FnMut(u32) -> Result<(), SegmentError>,
     ) -> Result<(), SegmentError>;
+
+    /// Fresh cursors over the lazy columns, holding no chunk yet.
+    fn cursors(&self) -> Self::Cursors<'_>;
+}
+
+/// One cursor per lazy column — `perm`, `rank-of`, and `rank-col(a)` and
+/// `store-col(a)` for every attribute — opened for one engine entry call.
+///
+/// Each cursor holds the validated block of the chunk it last read, so a
+/// read inside that chunk is a bounds compare and an in-place extraction,
+/// and only a read that leaves the chunk asks the chunk cache again. On a
+/// segment that is an uncounted borrow of a resident sticky block, or one
+/// counted lookup in the bounded cache, whose block the cursor then keeps
+/// alive until the call ends even if the cache evicts it. The RAM index is
+/// the one-chunk case: its cursors are the slices and the tuple store.
+pub(crate) trait ColumnCursors {
+    /// Store index of the tuple at rank `rank` (`perm`).
+    fn perm(&mut self, rank: usize) -> Result<u32, SegmentError>;
+
+    /// Rank position of the tuple at store index `idx` (`rank-of`).
+    fn rank_of(&mut self, idx: usize) -> Result<u32, SegmentError>;
+
+    /// Value of the rank-`rank` tuple on `attr` (`rank-col(attr)`).
+    fn rank_col(&mut self, attr: AttrId, rank: usize) -> Result<Value, SegmentError>;
+
+    /// The lane bitset of rank block `b` on `attr`: bit `i` is set iff the
+    /// block's `i`-th rank (of its `len`) has a value in `[lo, hi]`. A zone
+    /// block never spans two chunks.
+    fn rank_lanes(
+        &mut self,
+        attr: AttrId,
+        b: usize,
+        len: usize,
+        lo: Value,
+        hi: Value,
+    ) -> Result<u64, SegmentError>;
+
+    /// Value of the tuple at store index `idx` on `attr` (`store-col(attr)`)
+    /// — never builds a tuple on a segment.
+    fn store_col(&mut self, attr: AttrId, idx: usize) -> Result<Value, SegmentError>;
+
+    /// Shares the tuple at store index `idx` for an answer. Under a cache
+    /// budget a segment builds it from the `store-col` cursors.
+    fn share(&mut self, idx: usize) -> Result<Arc<Tuple>, SegmentError>;
+}
+
+/// Whether the tuple at store index `idx` satisfies every bound of `cons`
+/// but the one at position `skip`, which a posting walk already guarantees.
+#[inline]
+fn within_rest(
+    cur: &mut impl ColumnCursors,
+    idx: usize,
+    cons: &[(AttrId, Value, Value)],
+    skip: usize,
+) -> Result<bool, SegmentError> {
+    for (i, &(attr, lo, hi)) in cons.iter().enumerate() {
+        if i == skip {
+            continue;
+        }
+        let v = cur.store_col(attr, idx)?;
+        if v < lo || v > hi {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// The lane bitset of one zone block's rank-ordered values, built
@@ -311,6 +354,8 @@ impl RamIndex {
 }
 
 impl IndexStorage for RamIndex {
+    type Cursors<'a> = RamCursors<'a>;
+
     fn has_perm(&self) -> bool {
         self.perm.is_some()
     }
@@ -331,45 +376,13 @@ impl IndexStorage for RamIndex {
     }
 
     #[inline]
-    fn lane_mask(
-        &self,
-        attr: AttrId,
-        b: usize,
-        len: usize,
-        lo: Value,
-        hi: Value,
-    ) -> Result<u64, SegmentError> {
-        let base = b * BLOCK;
-        Ok(lanes_within(&self.rank_col(attr)[base..base + len], lo, hi))
-    }
-
-    #[inline]
-    fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
-        Ok(self.perm.as_ref().expect("perm_at requires a rank order")[rank])
-    }
-
-    #[inline]
-    fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError> {
-        Ok(self.rank_of[idx])
-    }
-
-    #[inline]
-    fn rank_value_at(&self, attr: AttrId, rank: usize) -> Result<Value, SegmentError> {
-        Ok(self.rank_col(attr)[rank])
-    }
-
-    #[inline]
-    fn value_at(&self, attr: AttrId, idx: usize) -> Result<Value, SegmentError> {
-        Ok(self.store[idx].values[attr])
-    }
-
-    #[inline]
-    fn within_bounds_at(
-        &self,
-        idx: usize,
-        cons: &[(AttrId, Value, Value)],
-    ) -> Result<bool, SegmentError> {
-        Ok(self.store[idx].within_bounds(cons))
+    fn cursors(&self) -> RamCursors<'_> {
+        RamCursors {
+            perm: self.perm.as_deref().unwrap_or_default(),
+            rank_of: &self.rank_of,
+            rank_cols: self.zones.as_ref().map_or(&[], |z| &z.cols[..]),
+            rows: self.store.as_slice(),
+        }
     }
 
     fn for_posting(
@@ -388,6 +401,61 @@ impl IndexStorage for RamIndex {
             f(idx)?;
         }
         Ok(())
+    }
+}
+
+/// The RAM index's cursors: every column is one chunk, so each cursor is
+/// the whole slice (`perm`, `rank-of`, the rank-ordered columns) or the
+/// tuple store (the store-ordered values and shared answers). Without a
+/// rank order the rank-side slices are empty.
+pub(crate) struct RamCursors<'a> {
+    perm: &'a [u32],
+    rank_of: &'a [u32],
+    rank_cols: &'a [Vec<Value>],
+    rows: &'a [Arc<Tuple>],
+}
+
+impl ColumnCursors for RamCursors<'_> {
+    #[inline]
+    fn perm(&mut self, rank: usize) -> Result<u32, SegmentError> {
+        Ok(self.perm[rank])
+    }
+
+    #[inline]
+    fn rank_of(&mut self, idx: usize) -> Result<u32, SegmentError> {
+        Ok(self.rank_of[idx])
+    }
+
+    #[inline]
+    fn rank_col(&mut self, attr: AttrId, rank: usize) -> Result<Value, SegmentError> {
+        Ok(self.rank_cols[attr][rank])
+    }
+
+    #[inline]
+    fn rank_lanes(
+        &mut self,
+        attr: AttrId,
+        b: usize,
+        len: usize,
+        lo: Value,
+        hi: Value,
+    ) -> Result<u64, SegmentError> {
+        let base = b * BLOCK;
+        Ok(lanes_within(
+            &self.rank_cols[attr][base..base + len],
+            lo,
+            hi,
+        ))
+    }
+
+    #[inline]
+    fn store_col(&mut self, attr: AttrId, idx: usize) -> Result<Value, SegmentError> {
+        Ok(self.rows[idx].values[attr])
+    }
+
+    #[inline]
+    fn share(&mut self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
+        Ok(Arc::clone(&self.rows[idx]))
     }
 }
 
@@ -595,11 +663,13 @@ impl<S: IndexStorage> Engine<'_, S> {
     /// block's i-th member lies inside every bound; a bound the whole block
     /// provably satisfies needs no lane pass). Lanes are rank-ordered, so
     /// consuming set bits low-to-high walks candidates best-ranked first.
-    /// Stops early when `emit` returns `Ok(false)`.
-    fn for_each_matching_block(
+    /// Stops early when `emit` returns `Ok(false)`. The lanes are read
+    /// through `cur`, which `emit` gets back to read the answers with.
+    fn for_each_matching_block<C: ColumnCursors>(
         &self,
+        cur: &mut C,
         cons: &[(AttrId, Value, Value)],
-        mut emit: impl FnMut(usize, u64) -> Result<bool, SegmentError>,
+        mut emit: impl FnMut(&mut C, usize, u64) -> Result<bool, SegmentError>,
     ) -> Result<(), SegmentError> {
         let blocks = self.n.div_ceil(BLOCK);
         for b in 0..blocks {
@@ -625,12 +695,12 @@ impl<S: IndexStorage> Engine<'_, S> {
                 if bmin >= lo && bmax <= hi {
                     continue;
                 }
-                mask &= self.s.lane_mask(attr, b, len, lo, hi)?;
+                mask &= cur.rank_lanes(attr, b, len, lo, hi)?;
                 if mask == 0 {
                     break;
                 }
             }
-            if mask != 0 && !emit(base, mask)? {
+            if mask != 0 && !emit(cur, base, mask)? {
                 return Ok(());
             }
         }
@@ -668,8 +738,10 @@ impl<S: IndexStorage> Engine<'_, S> {
             (true, None) => {
                 let take = k.min(self.n);
                 let mut returned = Vec::with_capacity(take);
+                let mut cur = self.s.cursors();
                 for r in 0..take {
-                    returned.push(store.try_share(self.s.perm_at(r)? as usize)?);
+                    let idx = cur.perm(r)?;
+                    returned.push(cur.share(idx as usize)?);
                 }
                 Ok(ExecOutcome {
                     returned,
@@ -694,9 +766,9 @@ impl<S: IndexStorage> Engine<'_, S> {
                 // so `need_matched` pins the posting walk even for broad
                 // queries.
                 if !need_matched && count * BLOCK_SCAN_CROSSOVER_DEN >= self.n {
-                    self.rank_scan(k, store, &scratch.cons)
+                    self.rank_scan(k, &scratch.cons)
                 } else {
-                    self.posting_topk(k, store, &scratch.cons, best_pos, &mut scratch.hits)
+                    self.posting_topk(k, &scratch.cons, best_pos, &mut scratch.hits)
                 }
             }
             // No precomputed order (randomized / adversarial rankers): defer
@@ -754,13 +826,12 @@ impl<S: IndexStorage> Engine<'_, S> {
     fn rank_scan(
         &self,
         k: usize,
-        store: &TupleStore,
         cons: &[(AttrId, Value, Value)],
     ) -> Result<ExecOutcome, SegmentError> {
         let mut returned = Vec::with_capacity(k.min(16));
         let mut seen = 0usize;
         let mut overflowed = false;
-        self.for_each_matching_block(cons, |base, mut mask| {
+        self.for_each_matching_block(&mut self.s.cursors(), cons, |cur, base, mut mask| {
             // Consuming set bits low-to-high preserves the answer order of
             // the old tuple-at-a-time walk exactly.
             while mask != 0 {
@@ -772,7 +843,8 @@ impl<S: IndexStorage> Engine<'_, S> {
                     overflowed = true;
                     return Ok(false);
                 }
-                returned.push(store.try_share(self.s.perm_at(base + lane)? as usize)?);
+                let idx = cur.perm(base + lane)?;
+                returned.push(cur.share(idx as usize)?);
             }
             Ok(true)
         })?;
@@ -797,29 +869,18 @@ impl<S: IndexStorage> Engine<'_, S> {
     fn posting_topk(
         &self,
         k: usize,
-        store: &TupleStore,
         cons: &[(AttrId, Value, Value)],
         best_pos: usize,
         hits: &mut Vec<u32>,
     ) -> Result<ExecOutcome, SegmentError> {
         let (attr, lo, hi) = cons[best_pos];
         hits.clear();
+        let mut cur = self.s.cursors();
         self.s.for_posting(attr, lo, hi, |idx| {
             // The posting range already guarantees the best attribute's
             // bounds; check the others.
-            let mut ok = true;
-            for (i, &(a, lo, hi)) in cons.iter().enumerate() {
-                if i == best_pos {
-                    continue;
-                }
-                let v = self.s.value_at(a, idx as usize)?;
-                if v < lo || v > hi {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                hits.push(self.s.rank_of_at(idx as usize)?);
+            if within_rest(&mut cur, idx as usize, cons, best_pos)? {
+                hits.push(cur.rank_of(idx as usize)?);
             }
             Ok(())
         })?;
@@ -834,7 +895,8 @@ impl<S: IndexStorage> Engine<'_, S> {
         hits.sort_unstable();
         let mut returned = Vec::with_capacity(hits.len());
         for &rank in hits.iter() {
-            returned.push(store.try_share(self.s.perm_at(rank as usize)? as usize)?);
+            let idx = cur.perm(rank as usize)?;
+            returned.push(cur.share(idx as usize)?);
         }
         Ok(ExecOutcome {
             returned,
@@ -863,8 +925,9 @@ impl<S: IndexStorage> Engine<'_, S> {
         match best {
             Some((_, best_pos)) => {
                 let (attr, lo, hi) = cons[best_pos];
+                let mut cur = self.s.cursors();
                 self.s.for_posting(attr, lo, hi, |idx| {
-                    if self.s.within_bounds_at(idx as usize, cons)? {
+                    if within_rest(&mut cur, idx as usize, cons, best_pos)? {
                         hits.push(idx);
                     }
                     Ok(())
@@ -918,9 +981,10 @@ impl<S: IndexStorage> Engine<'_, S> {
             // candidates once for the whole group.
             let (attr, lo, hi) = cons[best_pos];
             let mut hits = Vec::with_capacity(count);
+            let mut cur = self.s.cursors();
             self.s.for_posting(attr, lo, hi, |idx| {
-                if self.s.within_bounds_at(idx as usize, &cons)? {
-                    hits.push(self.s.rank_of_at(idx as usize)?);
+                if within_rest(&mut cur, idx as usize, &cons, best_pos)? {
+                    hits.push(cur.rank_of(idx as usize)?);
                 }
                 Ok(())
             })?;
@@ -946,7 +1010,7 @@ impl<S: IndexStorage> Engine<'_, S> {
         // the rank scan uses, without early termination): the collected
         // rank positions arrive already sorted.
         let mut hits = Vec::new();
-        self.for_each_matching_block(&cons, |base, mut mask| {
+        self.for_each_matching_block(&mut self.s.cursors(), &cons, |_, base, mut mask| {
             while mask != 0 {
                 let lane = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
@@ -1016,11 +1080,12 @@ impl<S: IndexStorage> Engine<'_, S> {
         // unless the caller needs the exact match count for the log.
         let mut returned = Vec::with_capacity(k.min(16));
         let mut seen = 0usize;
+        let mut cur = self.s.cursors();
         for &r in hits {
             let r = r as usize;
             let mut ok = true;
             for &(attr, lo, hi) in scratch.cons.iter() {
-                let v = self.s.rank_value_at(attr, r)?;
+                let v = cur.rank_col(attr, r)?;
                 if v < lo || v > hi {
                     ok = false;
                     break;
@@ -1031,7 +1096,8 @@ impl<S: IndexStorage> Engine<'_, S> {
             }
             seen += 1;
             if seen <= k {
-                returned.push(store.try_share(self.s.perm_at(r)? as usize)?);
+                let idx = cur.perm(r)?;
+                returned.push(cur.share(idx as usize)?);
             } else if !need_matched {
                 return Ok(ExecOutcome {
                     returned,
@@ -1202,26 +1268,65 @@ mod tests {
         assert_eq!(store.len(), 6);
     }
 
-    /// Runs every [`IndexStorage`] accessor on `st` and checks it against
-    /// the store it indexes, under the rank order `perm`.
+    /// The orders the cursor checks read every column in: ascending,
+    /// descending, a stride of 97 that crosses chunk boundaries forwards
+    /// and wraps back across them, and a zigzag between the two ends, so
+    /// that each read leaves the chunk of the one before.
+    fn read_orders(n: usize) -> [(&'static str, Vec<usize>); 4] {
+        [
+            ("ascending", (0..n).collect()),
+            ("descending", (0..n).rev().collect()),
+            ("stride", (0..n).map(|j| j * 97 % n).collect()),
+            (
+                "zigzag",
+                (0..n)
+                    .map(|j| if j % 2 == 0 { j / 2 } else { n - 1 - j / 2 })
+                    .collect(),
+            ),
+        ]
+    }
+
+    /// Reads every column of `st` through its cursors in every
+    /// [`read_orders`] order and checks each value against the store it
+    /// indexes, under the rank order `perm`. Each order runs on cursors of
+    /// its own, as one entry call opens them, and again on one set shared
+    /// by all orders.
+    fn check_cursors(st: &impl IndexStorage, store: &TupleStore, s: &Schema, perm: &[u32]) {
+        let n = store.len();
+        let val = |idx: usize, attr: AttrId| store[idx].values[attr];
+        let mut rank_of = vec![0u32; n];
+        for (rank, &idx) in perm.iter().enumerate() {
+            rank_of[idx as usize] = rank as u32;
+        }
+        let mut shared = st.cursors();
+        for (order, reads) in read_orders(n) {
+            let mut own = st.cursors();
+            for cur in [&mut own, &mut shared] {
+                for &i in &reads {
+                    let at = format!("{order} read of {i}");
+                    assert_eq!(cur.perm(i).unwrap(), perm[i], "perm, {at}");
+                    assert_eq!(cur.rank_of(i).unwrap(), rank_of[i], "rank-of, {at}");
+                    for attr in 0..s.len() {
+                        let want = val(perm[i] as usize, attr);
+                        assert_eq!(cur.rank_col(attr, i).unwrap(), want, "rank-col, {at}");
+                        let want = val(i, attr);
+                        assert_eq!(cur.store_col(attr, i).unwrap(), want, "store-col, {at}");
+                    }
+                    let t = cur.share(i).unwrap();
+                    assert_eq!((t.id, &t.values), (store[i].id, &store[i].values), "{at}");
+                }
+            }
+        }
+    }
+
+    /// Runs every [`IndexStorage`] accessor and cursor on `st` and checks
+    /// it against the store it indexes, under the rank order `perm`.
     fn check_accessors(st: &impl IndexStorage, store: &TupleStore, s: &Schema, perm: &[u32]) {
         let n = store.len();
         let val = |idx: usize, attr: AttrId| store[idx].values[attr];
         assert!(st.has_perm(), "SumRanker precomputes");
-        for (rank, &idx) in perm.iter().enumerate() {
-            assert_eq!(st.perm_at(rank).unwrap(), idx);
-            assert_eq!(st.rank_of_at(idx as usize).unwrap(), rank as u32);
-        }
+        check_cursors(st, store, s, perm);
         for attr in 0..s.len() {
-            for (rank, &idx) in perm.iter().enumerate() {
-                assert_eq!(
-                    st.rank_value_at(attr, rank).unwrap(),
-                    val(idx as usize, attr)
-                );
-            }
-            for idx in 0..n {
-                assert_eq!(st.value_at(attr, idx).unwrap(), val(idx, attr));
-            }
             let block_values = |b: usize| -> Vec<Value> {
                 let len = BLOCK.min(n - b * BLOCK);
                 (b * BLOCK..b * BLOCK + len)
@@ -1233,6 +1338,7 @@ mod tests {
                 let bounds = (*values.iter().min().unwrap(), *values.iter().max().unwrap());
                 assert_eq!(st.zone(attr, b), bounds, "zone of attr {attr} block {b}");
             }
+            let mut cur = st.cursors();
             let max = s.attr(attr).max_value();
             let ranges = (0..=max).flat_map(|lo| (lo..=max).map(move |hi| (lo, hi)));
             for (lo, hi) in ranges.chain([(max, 0)]) {
@@ -1252,22 +1358,50 @@ mod tests {
                     walked, want,
                     "posting walk of attr {attr} over [{lo}, {hi}]"
                 );
-                for b in 0..n.div_ceil(BLOCK) {
+                // Lanes of every block, last to first and back again.
+                let blocks = 0..n.div_ceil(BLOCK);
+                for b in blocks.clone().rev().chain(blocks) {
                     let values = block_values(b);
                     let want = values
                         .iter()
                         .enumerate()
                         .fold(0u64, |m, (i, &v)| m | u64::from(lo <= v && v <= hi) << i);
-                    let got = st.lane_mask(attr, b, values.len(), lo, hi).unwrap();
+                    let got = cur.rank_lanes(attr, b, values.len(), lo, hi).unwrap();
                     assert_eq!(got, want, "lanes of attr {attr} block {b} in [{lo}, {hi}]");
                 }
                 let cons = [(attr, lo, hi), ((attr + 1) % s.len(), 1, 2)];
                 for idx in 0..n {
-                    let want = store[idx].within_bounds(&cons);
-                    assert_eq!(st.within_bounds_at(idx, &cons).unwrap(), want);
+                    let within = |cons: &[_]| store[idx].within_bounds(cons);
+                    let all = within_rest(&mut cur, idx, &cons, usize::MAX).unwrap();
+                    assert_eq!(all, within(&cons[..]));
+                    let rest = within_rest(&mut cur, idx, &cons, 0).unwrap();
+                    assert_eq!(rest, within(&cons[1..]));
                 }
             }
         }
+    }
+
+    /// Reads column `store-col(0)` of `reader` in every [`read_orders`]
+    /// order, each on fresh cursors, and returns the chunk lookups each
+    /// order counted next to the chunks it entered.
+    fn lookups_per_order(reader: &SegmentReader) -> Vec<(u64, u64)> {
+        let chunk = reader.chunk_size();
+        let lookups = || {
+            let stats = reader.storage_stats();
+            stats.cache_hits + stats.cache_misses
+        };
+        read_orders(reader.n())
+            .into_iter()
+            .map(|(_, reads)| {
+                let before = lookups();
+                let mut cur = reader.cursors();
+                for &i in &reads {
+                    cur.store_col(0, i).unwrap();
+                }
+                let left = reads.windows(2).filter(|w| w[0] / chunk != w[1] / chunk);
+                (lookups() - before, 1 + left.count() as u64)
+            })
+            .collect()
     }
 
     #[test]
@@ -1311,6 +1445,16 @@ mod tests {
             capped.storage_stats().cache_evictions > 0,
             "the budget evicts"
         );
+        // Every chunk is resident now: cursors on the unbudgeted reader
+        // borrow the sticky blocks and count nothing. Under the budget
+        // every chunk a cursor enters is one counted lookup, and a read
+        // inside the held chunk is none.
+        for (lookups, _) in lookups_per_order(&unbudgeted) {
+            assert_eq!(lookups, 0, "a resident sticky block is read uncounted");
+        }
+        for (lookups, entered) in lookups_per_order(&capped) {
+            assert_eq!(lookups, entered, "one lookup per chunk entered");
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   first touches their chunk (4096 values by default). Each chunk is
 //!   validated once and cached as its packed block, which every read
 //!   extracts its values from in place: for the segment's lifetime by
-//!   default, or evicted by clock under a cache budget. The `Arc<Tuple>`s
+//!   default, or evicted by clock under a cache budget. The engine reads
+//!   through column cursors, which hold one block per column and go back
+//!   to the cache only when a read leaves the chunk. The `Arc<Tuple>`s
 //!   behind query responses are built column by column from those blocks,
 //!   a chunk at a time into a sticky tuple table by default, and alone for
 //!   each returned tuple under a budget. `Ranker::precompute` never runs
@@ -53,7 +55,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::conc::ClockCacheCore;
 use crate::envelope::{fnv1a64, le_u32, le_u64, Envelope, EnvelopeError};
-use crate::index::{IndexStorage, BLOCK};
+use crate::index::{ColumnCursors, IndexStorage, BLOCK};
 use crate::sync::StdSync;
 use crate::{AttrId, AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, Value};
 
@@ -1015,7 +1017,9 @@ impl SegmentOpenOptions {
     /// stays resident for the reader's lifetime once first touched, and so
     /// does each chunk of tuples built from the blocks. Under a budget
     /// blocks are evicted, and tuples are built one at a time and never
-    /// cached.
+    /// cached. A block that a query's column cursor holds stays readable
+    /// until the query ends even if the clock evicts it meanwhile: at most
+    /// `3 + 2m` such blocks per running query, outside the budget.
     pub fn with_cache_budget(mut self, bytes: u64) -> Self {
         self.cache_budget = Some(bytes);
         self
@@ -1028,10 +1032,13 @@ impl SegmentOpenOptions {
 /// storage` suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageStats {
-    /// Chunk lookups served from the chunk cache. Without a budget, the
-    /// value and lane-mask reads that find their block resident take an
-    /// inlined path that counts nothing, so a sticky hit is a posting walk,
-    /// a tuple build or a racing first touch that found its block resident.
+    /// Chunk lookups served from the chunk cache. The engine reads every
+    /// lazy column through cursors that hold one chunk each, so under a
+    /// budget a hit is one chunk a cursor entered (or a posting walk's
+    /// `order` chunk), not one value. Without a budget a cursor that finds
+    /// its block resident borrows it uncounted, so a sticky hit is a
+    /// posting walk, a tuple-chunk build or a racing first touch that found
+    /// its block resident.
     pub cache_hits: u64,
     /// Chunk lookups that loaded from the backing source: column,
     /// permutation, posting and id chunks only, on either backing. Tuples
@@ -1193,11 +1200,11 @@ impl ChunkCache {
     }
 
     /// A resident sticky block, borrowed in place with no counter and no
-    /// `Arc`, or `None` under a budget or for a cold chunk. This is the
-    /// warm-query fast path of the engine's innermost loops, where an
-    /// atomic per value costs an order of magnitude; sticky cells are
-    /// immutable once initialized and never evicted, so the borrow is sound
-    /// for the reader's lifetime.
+    /// `Arc`, or `None` under a budget or for a cold chunk. This is how a
+    /// column cursor enters a warm chunk without a budget, so the warm path
+    /// takes no atomic although every entry call re-enters its chunks.
+    /// Sticky cells are immutable once initialized and never evicted, so
+    /// the borrow is sound for the reader's lifetime.
     #[inline]
     fn resident(&self, kind: u8, attr: u32, c: usize) -> Option<&ForBlock> {
         match self {
@@ -1683,8 +1690,8 @@ impl SegmentReader {
     /// loads and validates the section once and caches the block as it
     /// is, charged [`ForBlock::cost`]: in its sticky cell for the reader's
     /// lifetime, or in the bounded cache, which may evict it or, when it
-    /// exceeds its shard, serve it uncached. Out of line, so the sticky
-    /// fast paths stay small where the engine inlines them.
+    /// exceeds its shard, serve it uncached. Out of line: cursors call it
+    /// once per chunk they enter, never per value.
     #[inline(never)]
     fn block(&self, kind: u8, attr: u32, c: usize) -> Result<BlockRef<'_>, SegmentError> {
         match &self.cache {
@@ -1720,16 +1727,6 @@ impl SegmentReader {
         }
     }
 
-    /// One `u32` value out of a chunk, borrowed in place from a resident
-    /// sticky block where there is one.
-    #[inline]
-    fn u32_at(&self, kind: u8, attr: u32, c: usize, i: usize) -> Result<u32, SegmentError> {
-        if let Some(block) = self.cache.resident(kind, attr, c) {
-            return Ok(cast::to_u32(block.get(i)));
-        }
-        Ok(cast::to_u32(self.block(kind, attr, c)?.get(i)))
-    }
-
     /// Snapshot of the cache and decode counters.
     pub fn storage_stats(&self) -> StorageStats {
         StorageStats {
@@ -1744,30 +1741,10 @@ impl SegmentReader {
         }
     }
 
-    /// The tuple at store index `idx`, served from the full-hydration
-    /// snapshot if one exists. Without a budget it is shared out of its
-    /// chunk's sticky tuple table, built on first touch. Under a budget
-    /// only this tuple is built, from its `ids` and `store-col` values read
-    /// in place from the packed blocks in the bounded cache (ids first,
-    /// then store-col 0..m). Tuple chunks stay out of that cache: one costs
-    /// [`SegmentReader::tuple_chunk_cost`] (344,096 B at 4,096 tuples and
-    /// m = 9), more than a shard holds below a ~2.7 MiB budget, and a chunk
-    /// served uncached would be rebuilt for every tuple shared.
+    /// The tuple at store index `idx`, shared through cursors opened for
+    /// this one call (see [`SegmentCursors::share`]).
     pub(crate) fn tuple_at(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
-        if let Some(full) = self.full.get() {
-            return Ok(Arc::clone(&full[idx]));
-        }
-        let (c, i) = (idx / self.chunk, idx % self.chunk);
-        match &self.cache {
-            ChunkCache::Sticky(tables) => Ok(Arc::clone(&self.sticky_tuples(tables, c)?[i])),
-            ChunkCache::Bounded(_) => {
-                let id = self.block(KIND_IDS, 0, c)?.get(i);
-                let values = (0..self.schema.len())
-                    .map(|attr| self.value_at(attr, idx))
-                    .collect::<Result<Vec<Value>, SegmentError>>()?;
-                Ok(Arc::new(Tuple::new(id, values)))
-            }
-        }
+        SegmentCursors::new(self).share(idx)
     }
 
     /// Chunk `c`'s sticky tuple table, built on first touch and charged
@@ -1976,10 +1953,11 @@ impl SegmentReader {
 }
 
 /// The engine's view of a segment. Zone maps and prefix counts are eager;
-/// every other accessor reads through the chunk cache, borrowing a resident
-/// sticky block in place where the value is read on the engine's innermost
-/// loops.
+/// the lazy columns are read through [`SegmentCursors`], and a posting walk
+/// borrows one `order` block per chunk it crosses.
 impl IndexStorage for SegmentReader {
+    type Cursors<'a> = SegmentCursors<'a>;
+
     fn has_perm(&self) -> bool {
         self.has_perm
     }
@@ -1994,53 +1972,6 @@ impl IndexStorage for SegmentReader {
 
     fn zone(&self, attr: AttrId, b: usize) -> (Value, Value) {
         (self.zone_mins[attr][b], self.zone_maxs[attr][b])
-    }
-
-    fn lane_mask(
-        &self,
-        attr: AttrId,
-        b: usize,
-        len: usize,
-        lo: Value,
-        hi: Value,
-    ) -> Result<u64, SegmentError> {
-        // A block never spans chunks: the chunk size is a multiple of BLOCK.
-        let base = b * BLOCK;
-        let (c, off) = (base / self.chunk, base % self.chunk);
-        let attr = cast::to_u32(attr);
-        let (lo, hi) = (u64::from(lo), u64::from(hi));
-        if let Some(block) = self.cache.resident(KIND_RANK_COL, attr, c) {
-            return Ok(block.lanes_within(off, len, lo, hi));
-        }
-        Ok(self
-            .block(KIND_RANK_COL, attr, c)?
-            .lanes_within(off, len, lo, hi))
-    }
-
-    fn perm_at(&self, rank: usize) -> Result<u32, SegmentError> {
-        self.u32_at(KIND_PERM, 0, rank / self.chunk, rank % self.chunk)
-    }
-
-    fn rank_of_at(&self, idx: usize) -> Result<u32, SegmentError> {
-        self.u32_at(KIND_RANK_OF, 0, idx / self.chunk, idx % self.chunk)
-    }
-
-    fn rank_value_at(&self, attr: AttrId, rank: usize) -> Result<Value, SegmentError> {
-        self.u32_at(
-            KIND_RANK_COL,
-            cast::to_u32(attr),
-            rank / self.chunk,
-            rank % self.chunk,
-        )
-    }
-
-    fn value_at(&self, attr: AttrId, idx: usize) -> Result<Value, SegmentError> {
-        self.u32_at(
-            KIND_STORE_COL,
-            cast::to_u32(attr),
-            idx / self.chunk,
-            idx % self.chunk,
-        )
     }
 
     fn for_posting(
@@ -2069,6 +2000,199 @@ impl IndexStorage for SegmentReader {
             }
         }
         Ok(())
+    }
+
+    fn cursors(&self) -> SegmentCursors<'_> {
+        SegmentCursors::new(self)
+    }
+}
+
+/// A cursor over one lazy column — `perm`, `rank-of`, `ids`, or one
+/// attribute's `rank-col` or `store-col` — for one engine entry call. It
+/// holds the validated block of the chunk it last read, so only a read
+/// that leaves that chunk asks the chunk cache again.
+struct ChunkCursor<'a> {
+    reader: &'a SegmentReader,
+    kind: u8,
+    attr: u32,
+    /// Index of the held chunk's first value.
+    start: usize,
+    /// The held chunk's block; `None` before the first read.
+    block: Option<BlockRef<'a>>,
+}
+
+impl<'a> ChunkCursor<'a> {
+    fn new(reader: &'a SegmentReader, kind: u8, attr: u32) -> Self {
+        ChunkCursor {
+            reader,
+            kind,
+            attr,
+            start: 0,
+            block: None,
+        }
+    }
+
+    /// Value `i` of the column.
+    #[inline]
+    fn get(&mut self, i: usize) -> Result<u64, SegmentError> {
+        let off = i.wrapping_sub(self.start);
+        match &self.block {
+            Some(block) if off < block.len => Ok(block.get(off)),
+            _ => {
+                let (block, off) = self.enter(i)?;
+                Ok(block.get(off))
+            }
+        }
+    }
+
+    /// [`ForBlock::lanes_within`] of values `i..i + len`, which must lie in
+    /// one chunk.
+    #[inline]
+    fn lanes(&mut self, i: usize, len: usize, lo: u64, hi: u64) -> Result<u64, SegmentError> {
+        let off = i.wrapping_sub(self.start);
+        match &self.block {
+            Some(block) if off < block.len => Ok(block.lanes_within(off, len, lo, hi)),
+            _ => {
+                let (block, off) = self.enter(i)?;
+                Ok(block.lanes_within(off, len, lo, hi))
+            }
+        }
+    }
+
+    /// Moves to the chunk holding value `i` and returns its block and
+    /// `i`'s offset in it. A resident sticky block is borrowed in place,
+    /// uncounted, so the unbudgeted warm path takes no atomic; anything
+    /// else is one counted [`SegmentReader::block`] lookup. The block held
+    /// before is released.
+    #[inline(never)]
+    fn enter(&mut self, i: usize) -> Result<(&ForBlock, usize), SegmentError> {
+        let c = i / self.reader.chunk;
+        let block = match self.reader.cache.resident(self.kind, self.attr, c) {
+            Some(block) => BlockRef::Sticky(block),
+            None => self.reader.block(self.kind, self.attr, c)?,
+        };
+        self.start = c * self.reader.chunk;
+        Ok((self.block.insert(block), i - self.start))
+    }
+}
+
+/// A segment's column cursors for one engine entry call: `perm`,
+/// `rank-of` and `ids`, and per attribute a `rank-col` and a `store-col`
+/// cursor, opened on the first read of their kind. Each holds at most one
+/// block, so a call pins at most `3 + 2m` blocks besides the posting block
+/// it walks. Under a budget those pins sit outside the cache's accounting:
+/// a block the clock evicts stays alive, and readable, until its cursor
+/// moves on or the call ends.
+pub(crate) struct SegmentCursors<'a> {
+    reader: &'a SegmentReader,
+    perm: ChunkCursor<'a>,
+    rank_of: ChunkCursor<'a>,
+    ids: ChunkCursor<'a>,
+    rank_cols: Vec<ChunkCursor<'a>>,
+    store_cols: Vec<ChunkCursor<'a>>,
+}
+
+impl<'a> SegmentCursors<'a> {
+    fn new(reader: &'a SegmentReader) -> Self {
+        SegmentCursors {
+            reader,
+            perm: ChunkCursor::new(reader, KIND_PERM, 0),
+            rank_of: ChunkCursor::new(reader, KIND_RANK_OF, 0),
+            ids: ChunkCursor::new(reader, KIND_IDS, 0),
+            rank_cols: Vec::new(),
+            store_cols: Vec::new(),
+        }
+    }
+
+    /// `attr`'s cursor among `cols`, one per attribute of `kind`, opened
+    /// all at once on the first read. Many calls read no per-attribute
+    /// column, so they allocate nothing.
+    #[inline(always)]
+    fn column<'c>(
+        cols: &'c mut Vec<ChunkCursor<'a>>,
+        reader: &'a SegmentReader,
+        kind: u8,
+        attr: AttrId,
+    ) -> &'c mut ChunkCursor<'a> {
+        if cols.is_empty() {
+            Self::open_columns(cols, reader, kind);
+        }
+        &mut cols[attr]
+    }
+
+    /// Opens one cursor per attribute of `kind` into `cols`. Out of line,
+    /// so that [`SegmentCursors::column`] stays small in the read loops.
+    #[cold]
+    #[inline(never)]
+    fn open_columns(cols: &mut Vec<ChunkCursor<'a>>, reader: &'a SegmentReader, kind: u8) {
+        *cols = (0..reader.schema.len())
+            .map(|a| ChunkCursor::new(reader, kind, cast::to_u32(a)))
+            .collect();
+    }
+}
+
+impl ColumnCursors for SegmentCursors<'_> {
+    #[inline]
+    fn perm(&mut self, rank: usize) -> Result<u32, SegmentError> {
+        Ok(cast::to_u32(self.perm.get(rank)?))
+    }
+
+    #[inline]
+    fn rank_of(&mut self, idx: usize) -> Result<u32, SegmentError> {
+        Ok(cast::to_u32(self.rank_of.get(idx)?))
+    }
+
+    #[inline]
+    fn rank_col(&mut self, attr: AttrId, rank: usize) -> Result<Value, SegmentError> {
+        let col = Self::column(&mut self.rank_cols, self.reader, KIND_RANK_COL, attr);
+        Ok(cast::to_u32(col.get(rank)?))
+    }
+
+    #[inline]
+    fn rank_lanes(
+        &mut self,
+        attr: AttrId,
+        b: usize,
+        len: usize,
+        lo: Value,
+        hi: Value,
+    ) -> Result<u64, SegmentError> {
+        let col = Self::column(&mut self.rank_cols, self.reader, KIND_RANK_COL, attr);
+        col.lanes(b * BLOCK, len, u64::from(lo), u64::from(hi))
+    }
+
+    #[inline]
+    fn store_col(&mut self, attr: AttrId, idx: usize) -> Result<Value, SegmentError> {
+        let col = Self::column(&mut self.store_cols, self.reader, KIND_STORE_COL, attr);
+        Ok(cast::to_u32(col.get(idx)?))
+    }
+
+    /// Served from the full-hydration snapshot if one exists. Without a
+    /// budget the tuple is shared out of its chunk's sticky tuple table,
+    /// built on first touch. Under a budget only this tuple is built, from
+    /// the `ids` cursor and then the `store-col` cursors 0..m. Tuple chunks
+    /// stay out of the bounded cache: one costs
+    /// [`SegmentReader::tuple_chunk_cost`] (344,096 B at 4,096 tuples and
+    /// m = 9), more than a shard holds below a ~2.7 MiB budget, and a chunk
+    /// served uncached would be rebuilt for every tuple shared.
+    fn share(&mut self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
+        let reader = self.reader;
+        if let Some(full) = reader.full.get() {
+            return Ok(Arc::clone(&full[idx]));
+        }
+        match &reader.cache {
+            ChunkCache::Sticky(tables) => {
+                let tuples = reader.sticky_tuples(tables, idx / reader.chunk)?;
+                Ok(Arc::clone(&tuples[idx % reader.chunk]))
+            }
+            ChunkCache::Bounded(_) => {
+                let id = self.ids.get(idx)?;
+                let values = (0..reader.schema.len())
+                    .map(|attr| self.store_col(attr, idx))
+                    .collect::<Result<Vec<Value>, SegmentError>>()?;
+                Ok(Arc::new(Tuple::new(id, values)))
+            }
+        }
     }
 }
 
@@ -2377,6 +2501,64 @@ mod tests {
     }
 
     #[test]
+    fn a_cursor_reads_on_from_a_block_the_cache_evicts() {
+        // tiny_db in 64-value chunks: 36 lazy chunks of 72 to 104 bytes
+        // each, under a budget whose shards hold one or two of them.
+        let bytes = SegmentWriter::new()
+            .with_chunk_size(64)
+            .write(&tiny_db())
+            .unwrap();
+        let reader = SegmentReader::open_with(
+            Box::new(MemSource::new(bytes)),
+            SegmentOpenOptions::new().with_cache_budget(8 * 150),
+        )
+        .unwrap();
+        let ChunkCache::Bounded(cache) = &reader.cache else {
+            panic!("a budgeted reader has a bounded cache");
+        };
+        let held = ChunkKey {
+            kind: KIND_STORE_COL,
+            attr: 0,
+            chunk: 0,
+        };
+        let mut cur = reader.cursors();
+        assert_eq!(cur.store_col(0, 0).unwrap(), 0);
+        assert!(cache.contains(shard_of(held), held));
+        // Load every other chunk until the clock evicts the held one.
+        let m = cast::to_u32(reader.schema().len());
+        let kinds = [KIND_PERM, KIND_RANK_OF, KIND_IDS]
+            .map(|kind| (kind, 1))
+            .into_iter()
+            .chain([KIND_RANK_COL, KIND_STORE_COL, KIND_ORDER].map(|kind| (kind, m)));
+        let others = kinds
+            .flat_map(|(kind, attrs)| (0..attrs).map(move |attr| (kind, attr)))
+            .flat_map(|(kind, attr)| (0..3u32).map(move |chunk| ChunkKey { kind, attr, chunk }))
+            .filter(|&key| key != held);
+        for key in others {
+            reader
+                .block(key.kind, key.attr, cast::to_usize(key.chunk))
+                .unwrap();
+        }
+        assert!(!cache.contains(shard_of(held), held), "the clock evicts it");
+        // The cursor still holds the block: every value of the chunk reads
+        // correctly from it, and no read asks the cache.
+        let before = reader.storage_stats();
+        for i in (0..64).rev() {
+            assert_eq!(cur.store_col(0, i).unwrap(), cast::to_u32(i % 10));
+        }
+        let after = reader.storage_stats();
+        assert_eq!(
+            (after.cache_hits, after.cache_misses),
+            (before.cache_hits, before.cache_misses)
+        );
+        // The pinned block sits outside the budget's accounting.
+        let audit = cache.audit();
+        assert_eq!(audit.resident_counter, audit.slot_bytes);
+        assert!(!audit.over_budget);
+        assert!(after.bytes_resident <= 8 * 150);
+    }
+
+    #[test]
     fn both_backings_cache_one_chunk_form() {
         // The same mix on an unbudgeted reader and on one whose budget
         // holds every packed chunk of tiny_db in every shard: both load
@@ -2540,8 +2722,8 @@ mod tests {
                 .expect("footer intact")
         });
         let verify_err = reader.verify().unwrap_err();
-        assert_eq!(verify_err, reader.value_at(0, 0).unwrap_err());
-        assert_eq!(verify_err, budgeted.value_at(0, 0).unwrap_err());
+        assert_eq!(verify_err, reader.cursors().store_col(0, 0).unwrap_err());
+        assert_eq!(verify_err, budgeted.cursors().store_col(0, 0).unwrap_err());
         assert_eq!(verify_err, malformed("bit width 33 > 32"));
     }
 

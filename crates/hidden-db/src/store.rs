@@ -23,8 +23,8 @@
 //! a query response touches them, so opening a 10M-tuple segment costs
 //! O(footer) and resident memory tracks the *touched* working set, not the
 //! dataset. The public API is unchanged — `share`/`get`/indexing hydrate on
-//! demand (panicking on storage faults, which the engine precludes by using
-//! the fallible [`TupleStore::try_share`] first), and
+//! demand (panicking on storage faults; the engine builds its answers
+//! through its fallible column cursors instead), and
 //! [`TupleStore::as_slice`]/[`TupleStore::iter`] hydrate everything once
 //! (the full-scan escape hatch for oracle consumers and the ranker
 //! fallback). Either way the reader keeps each column chunk as
@@ -98,9 +98,9 @@ impl TupleStore {
     /// Borrows the tuple at `idx`, or `None` if out of range. On a
     /// segment-backed store this hydrates the **entire** store once (the
     /// bounded chunk cache may evict individual chunks, so a plain borrow
-    /// can only come from the sticky full-hydration snapshot) — engine hot
-    /// paths use [`TupleStore::try_share`] instead, which serves owned
-    /// handles one tuple at a time.
+    /// can only come from the sticky full-hydration snapshot) —
+    /// [`TupleStore::share`] serves owned handles one tuple at a time
+    /// instead.
     ///
     /// # Panics
     /// Panics if a segment-backed chunk fails to load (I/O error or
@@ -115,7 +115,7 @@ impl TupleStore {
         }
     }
 
-    /// Shares the tuple at `idx`. This is how query responses are built. On
+    /// Shares the tuple at `idx`, the way query responses share theirs. On
     /// a RAM store, and on a segment-backed one with the sticky cache, it
     /// is one reference-count bump and no deep clone (plus, on the segment,
     /// a one-time build of the tuple's chunk from its packed column
@@ -129,18 +129,6 @@ impl TupleStore {
         match &self.repr {
             Repr::Ram(tuples) => Arc::clone(&tuples[idx]),
             Repr::Lazy(reader) => expect_loaded(reader.tuple_at(idx)),
-        }
-    }
-
-    /// Fallible [`TupleStore::share`], at the same cost: one reference-count
-    /// bump on RAM and, once the tuple's chunk is built, under the sticky
-    /// cache; a one-tuple build under a budget. Surfaces segment storage
-    /// faults as a typed error instead of panicking. Infallible on a RAM
-    /// store.
-    pub(crate) fn try_share(&self, idx: usize) -> Result<Arc<Tuple>, SegmentError> {
-        match &self.repr {
-            Repr::Ram(tuples) => Ok(Arc::clone(&tuples[idx])),
-            Repr::Lazy(reader) => reader.tuple_at(idx),
         }
     }
 
@@ -247,7 +235,6 @@ mod tests {
         let s = store();
         let shared = s.share(1);
         assert!(Arc::ptr_eq(&shared, &s.as_slice()[1]));
-        assert!(Arc::ptr_eq(&s.try_share(1).unwrap(), &s.as_slice()[1]));
     }
 
     #[test]

@@ -1,26 +1,20 @@
 //! `skyweb-check` CLI.
 //!
 //! ```text
-//! skyweb-check lint   [--json] [--allow <path>] [--root <dir>] [files...]
-//! skyweb-check vendor [--json] [--record] [--root <dir>]
+//! skyweb-check vendor [--record] [--root <dir>]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 findings/drift, 2 usage or IO error.
+//! Exit codes: 0 clean, 1 drift, 2 usage or IO error.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use skyweb_check::lints::{lint_files, LintOptions};
-use skyweb_check::{allow, explicit_files, json, vendor, workspace_files};
+use skyweb_check::vendor;
 
 const USAGE: &str = "usage:
-  skyweb-check lint   [--json] [--allow <path>] [--root <dir>] [files...]
-  skyweb-check vendor [--json] [--record] [--root <dir>]
+  skyweb-check vendor [--record] [--root <dir>]
 
-lint    run the L1-L5 workspace lints; with explicit [files...] every
-        policy applies to every file (fixture mode) and no allowlist or
-        registry-completeness check runs
 vendor  audit vendor/ for duplicate crates/modules and fingerprint drift
         against check-vendor.lock (--record rewrites the lock)";
 
@@ -31,7 +25,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     match cmd.as_str() {
-        "lint" => cmd_lint(&args[1..]),
         "vendor" => cmd_vendor(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -44,131 +37,12 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut json_out = false;
-    let mut allow_path: Option<PathBuf> = None;
-    let mut root = PathBuf::from(".");
-    let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json_out = true,
-            "--allow" => match it.next() {
-                Some(p) => allow_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--allow needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--root" => match it.next() {
-                Some(p) => root = PathBuf::from(p),
-                None => {
-                    eprintln!("--root needs a directory\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            file => files.push(file.to_string()),
-        }
-    }
-
-    let fixture_mode = !files.is_empty();
-    let inputs = if fixture_mode {
-        explicit_files(&root, &files)
-    } else {
-        workspace_files(&root)
-    };
-    let inputs = match inputs {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("skyweb-check: cannot read sources: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let opts = LintOptions {
-        expect_full_registry: !fixture_mode,
-    };
-    let findings = lint_files(&inputs, &opts);
-
-    // Allowlist: default `<root>/check-allow.toml` in workspace mode (its
-    // absence is fine); fixture mode uses none unless --allow is given.
-    let entries = match &allow_path {
-        Some(p) => match fs::read_to_string(p) {
-            Ok(text) => match allow::parse_allowlist(&text) {
-                Ok(e) => e,
-                Err(errs) => {
-                    for err in errs {
-                        eprintln!("{}: {err}", p.display());
-                    }
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("skyweb-check: cannot read {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
-        None if !fixture_mode => {
-            let default = root.join("check-allow.toml");
-            match fs::read_to_string(&default) {
-                Ok(text) => match allow::parse_allowlist(&text) {
-                    Ok(e) => e,
-                    Err(errs) => {
-                        for err in errs {
-                            eprintln!("{}: {err}", default.display());
-                        }
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(_) => Vec::new(),
-            }
-        }
-        None => Vec::new(),
-    };
-
-    let matched = allow::apply_allowlist(findings, &entries);
-    let unallowed = matched.findings.iter().filter(|(_, a)| !*a).count();
-    let failing = unallowed > 0 || !matched.stale.is_empty();
-
-    if json_out {
-        print!("{}", json::lint_report(&matched));
-    } else {
-        for (f, allowed) in &matched.findings {
-            println!("{}", json::human_line(f, *allowed));
-        }
-        for e in &matched.stale {
-            println!("{}", json::human_stale(e));
-        }
-        let allowed = matched.findings.len() - unallowed;
-        println!(
-            "skyweb-check lint: {} finding(s), {} allowed, {} unallowed, {} stale allow(s) \
-             over {} file(s)",
-            matched.findings.len(),
-            allowed,
-            unallowed,
-            matched.stale.len(),
-            inputs.len()
-        );
-    }
-    if failing {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn cmd_vendor(args: &[String]) -> ExitCode {
-    let mut json_out = false;
     let mut record = false;
     let mut root = PathBuf::from(".");
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => json_out = true,
             "--record" => record = true,
             "--root" => match it.next() {
                 Some(p) => root = PathBuf::from(p),
@@ -200,25 +74,21 @@ fn cmd_vendor(args: &[String]) -> ExitCode {
         }
     }
 
-    if json_out {
-        print!("{}", vendor::json_report(&report));
-    } else {
-        for c in &report.crates {
-            println!(
-                "vendor/{}: {} {} ({} files, fingerprint {})",
-                c.dir, c.name, c.version, c.files, c.fingerprint
-            );
-        }
-        for e in &report.errors {
-            println!("error: {e}");
-        }
+    for c in &report.crates {
         println!(
-            "skyweb-check vendor: {} crate(s), {} error(s){}",
-            report.crates.len(),
-            report.errors.len(),
-            if record { " [lock recorded]" } else { "" }
+            "vendor/{}: {} {} ({} files, fingerprint {})",
+            c.dir, c.name, c.version, c.files, c.fingerprint
         );
     }
+    for e in &report.errors {
+        println!("error: {e}");
+    }
+    println!(
+        "skyweb-check vendor: {} crate(s), {} error(s){}",
+        report.crates.len(),
+        report.errors.len(),
+        if record { " [lock recorded]" } else { "" }
+    );
     if report.errors.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -282,37 +282,3 @@ pub fn verify_lock(report: &VendorReport, lock: &str) -> Vec<String> {
     }
     errors
 }
-
-/// Renders the JSON form of the audit.
-pub fn json_report(report: &VendorReport) -> String {
-    use crate::json::escape;
-    let mut out = String::from("{\n  \"crates\": [");
-    for (i, c) in report.crates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"version\": \"{}\", \"files\": {}, \"fingerprint\": \
-             \"{}\"}}",
-            escape(&c.name),
-            escape(&c.version),
-            c.files,
-            escape(&c.fingerprint)
-        ));
-    }
-    if !report.crates.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"errors\": [");
-    for (i, e) in report.errors.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    \"{}\"", escape(e)));
-    }
-    if !report.errors.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}

@@ -138,6 +138,10 @@ impl RegionCrawl {
         issued: u64,
         resp: &QueryResponse,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "drive() protocol invariant: a response only arrives for the region plan this machine just emitted"
+        )]
         let region = self
             .stack
             .pop()
@@ -414,6 +418,10 @@ impl MachineControl for PointCrawlControl {
     fn on_response(&mut self, kb: &mut KnowledgeBase, issued: u64, resp: &QueryResponse) {
         kb.ingest(&resp.tuples);
         kb.record(issued);
+        #[expect(
+            clippy::expect_used,
+            reason = "drive() protocol invariant: the machine halts before the odometer wraps, so a response cannot arrive after"
+        )]
         let combo = self
             .combo
             .as_mut()

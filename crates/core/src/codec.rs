@@ -56,6 +56,9 @@
 //! in sorted order, so re-encoding a decoded checkpoint reproduces the
 //! original bytes — the property the round-trip test suites pin.
 
+// L2: no `as` casts on a wire path; test code is exempt.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use std::fmt;
 use std::sync::Arc;
 
@@ -197,8 +200,9 @@ impl From<EnvelopeError> for CodecError {
     }
 }
 
-/// Widens a `usize` to the wire's `u64` without an `as` cast (lint L2
-/// bans bare casts on wire paths); infallible on supported targets.
+/// Widens a `usize` to the wire's `u64` without an `as` cast (policy L2,
+/// `clippy::as_conversions`, bans them on wire paths); infallible on
+/// supported targets.
 pub(crate) fn u64_of(v: usize) -> u64 {
     u64::try_from(v).unwrap_or(u64::MAX)
 }

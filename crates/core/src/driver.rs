@@ -397,6 +397,10 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
             oracle: Box::new(oracle),
             machine,
             config,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock deadline enforcement for oracle budgets; never recorded in checkpoints or replayed"
+            )]
             started: Instant::now(),
             retries: 0,
             backoff_ms: 0,

@@ -253,6 +253,10 @@ impl KnowledgeBase {
                 best = Some((count, c));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "local invariant: the candidate list is built non-empty two lines above in the same scope"
+        )]
         let (count, best) = best.expect("cons is non-empty");
         if count >= cutoff {
             return self.retrieved.iter().any(|t| t.within_bounds(&cons));

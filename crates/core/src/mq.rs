@@ -228,6 +228,10 @@ impl MqControl {
         // Pruning predicate P over the two-ended range attributes: by the
         // range-domination property every missing skyline tuple is
         // range-dominated by some phase-1 skyline tuple.
+        #[expect(
+            clippy::expect_used,
+            reason = "MQ phase invariant: phase 2 only starts after phase 1 produced at least one skyline tuple"
+        )]
         let p_preds: Vec<Predicate> = self
             .two_ended
             .iter()
@@ -244,6 +248,10 @@ impl MqControl {
         // first attribute sits on top of the stack (sequential order).
         let mut frames = Vec::new();
         for &bi in self.point_attrs.iter().rev() {
+            #[expect(
+                clippy::expect_used,
+                reason = "MQ phase invariant: phase 2 only starts after phase 1 produced at least one skyline tuple"
+            )]
             let max_v = phase1_skyline
                 .iter()
                 .map(|t| t.values[bi])
@@ -408,6 +416,10 @@ impl MachineControl for MqControl {
                 frames,
                 leaves_done,
             } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "drive() protocol invariant: a response only arrives for the frame plan this machine just emitted"
+                )]
                 let top = frames
                     .last_mut()
                     .expect("a response arrived without a pending frame");

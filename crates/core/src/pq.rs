@@ -173,6 +173,10 @@ impl PqControl {
                 y: i64::from(t.values[self.a2]),
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "PQ phase invariant: select_star_top is populated in phase 1 before any phase-2 plane sweep can answer"
+        )]
         let top = self
             .select_star_top
             .as_ref()

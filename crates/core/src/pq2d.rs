@@ -214,36 +214,10 @@ impl Discoverer for Pq2dSky {
     }
 }
 
-/// The query cost predicted by Equation 11 of the paper for a 2D database,
-/// given the skyline points sorted by the first attribute and the two domain
-/// sizes. Useful for checking the optimality of [`Pq2dSky`] in tests and
-/// benchmarks.
-pub fn eq11_cost(skyline_sorted: &[(u32, u32)], dx: u32, dy: u32) -> u64 {
-    if skyline_sorted.is_empty() {
-        return 0;
-    }
-    // Extend with the two domain corners t_0 = (0, max(Dom(A2))) and
-    // t_{|S|+1} = (max(Dom(A1)), 0).
-    let mut pts: Vec<(i64, i64)> = Vec::with_capacity(skyline_sorted.len() + 2);
-    pts.push((0, i64::from(dy) - 1));
-    pts.extend(
-        skyline_sorted
-            .iter()
-            .map(|&(x, y)| (i64::from(x), i64::from(y))),
-    );
-    pts.push((i64::from(dx) - 1, 0));
-    let mut cost = 0i64;
-    for w in pts.windows(2) {
-        let (x_i, y_i) = w[0];
-        let (x_next, y_next) = w[1];
-        cost += (x_next - x_i).min(y_i - y_next).max(0);
-    }
-    cost as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::pq2d_cost;
     use skyweb_hidden_db::{SchemaBuilder, SingleAttributeRanker, SumRanker, Tuple};
     use skyweb_skyline::{bnl_skyline, same_ids};
 
@@ -273,25 +247,67 @@ mod tests {
         assert_eq!(result.skyline.len(), 3);
     }
 
-    #[test]
-    fn cost_stays_close_to_the_eq11_optimum() {
-        let points = [(1, 8), (3, 5), (6, 2), (7, 7), (8, 8), (9, 9), (2, 9)];
-        let db = grid_db(&points, 12, 12, 1);
+    /// The measured cost of discovering `points` on a `dx` × `dy` grid
+    /// (k = 1, `SumRanker`), next to `pq2d_cost` (Eq 11) of its skyline.
+    fn cost_and_eq11(points: &[(u32, u32)], dx: u32, dy: u32) -> (u64, u64) {
+        let db = grid_db(points, dx, dy, 1);
         let result = Pq2dSky::new().discover(&db).unwrap();
         let mut sky: Vec<(u32, u32)> = bnl_skyline(db.oracle_tuples().as_slice(), db.schema())
             .iter()
             .map(|t| (t.values[0], t.values[1]))
             .collect();
         sky.sort();
-        let optimum = eq11_cost(&sky, 12, 12);
-        // +1 for the initial SELECT * query; the sweep itself should match
-        // the optimum up to a small constant per rectangle boundary.
-        assert!(
-            result.query_cost <= optimum + 3,
-            "cost {} should be within a small constant of the Eq.11 optimum {}",
-            result.query_cost,
-            optimum
-        );
+        (result.query_cost, pq2d_cost(&sky, dx, dy))
+    }
+
+    #[test]
+    fn cost_stays_close_to_the_eq11_optimum() {
+        // Eq 11 plus the root SELECT *, exactly.
+        let points = [(1, 8), (3, 5), (6, 2), (7, 7), (8, 8), (9, 9), (2, 9)];
+        assert_eq!(cost_and_eq11(&points, 12, 12), (9, 8));
+    }
+
+    /// The smallest grid on which Eq 11 undercounts (see `pq2d_cost`): the
+    /// cells below and left of (2, 18) must be certified empty too.
+    #[test]
+    fn eq11_undercounts_the_23_by_20_grid() {
+        assert_eq!(cost_and_eq11(&[(14, 0), (2, 18)], 23, 20), (15, 13));
+    }
+
+    /// Eq 11 plus the root query is a lower bound on the cost, met exactly
+    /// on most small grids.
+    #[test]
+    fn eq11_plus_the_root_query_is_a_lower_bound() {
+        let mut state = 0x5EED_u64;
+        let mut draw = |bound: u32| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % u64::from(bound)) as u32
+        };
+        let (mut met, mut above) = (0, 0);
+        for _ in 0..3_000 {
+            let (dx, dy) = (2 + draw(6), 2 + draw(6));
+            let mut points = Vec::new();
+            for _ in 0..1 + draw(8) {
+                let p = (draw(dx), draw(dy));
+                if !points.contains(&p) {
+                    points.push(p);
+                }
+            }
+            let (cost, eq11) = cost_and_eq11(&points, dx, dy);
+            assert!(
+                cost > eq11,
+                "{points:?} on {dx} x {dy}: cost {cost} < {eq11} + 1"
+            );
+            if cost == eq11 + 1 {
+                met += 1;
+            } else {
+                above += 1;
+            }
+        }
+        assert_eq!((met, above), (2_870, 130));
     }
 
     #[test]
@@ -351,9 +367,9 @@ mod tests {
     fn eq11_cost_examples() {
         // Single skyline point in the middle of a 10x10 grid:
         // min(5-0, 9-5) + min(9-5, 5-0) = 4 + 4.
-        assert_eq!(eq11_cost(&[(5, 5)], 10, 10), 8);
+        assert_eq!(pq2d_cost(&[(5, 5)], 10, 10), 8);
         // Empty skyline costs nothing.
-        assert_eq!(eq11_cost(&[], 10, 10), 0);
+        assert_eq!(pq2d_cost(&[], 10, 10), 0);
     }
 
     #[test]

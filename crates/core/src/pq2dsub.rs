@@ -237,6 +237,10 @@ impl PlaneSweep {
         issued: u64,
         resp: &QueryResponse,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "drive() protocol invariant: a response only arrives for the probe plan this machine just emitted"
+        )]
         let rect = self
             .cur
             .as_mut()

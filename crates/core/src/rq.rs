@@ -158,6 +158,10 @@ impl RqTreeWalk {
         issued: u64,
         resp: &QueryResponse,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "drive() protocol invariant: a response only arrives for the node plan this machine just emitted"
+        )]
         let node = self
             .stack
             .pop()

@@ -274,6 +274,10 @@ impl<'db> DiscoveryService<'db> {
     pub fn run_until(&mut self, deadline: Instant) -> u64 {
         let start = self.rounds;
         'rounds: loop {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock deadline enforcement for tenant scheduling; never recorded in checkpoints or replayed"
+            )]
             if Instant::now() >= deadline {
                 break;
             }
@@ -283,6 +287,10 @@ impl<'db> DiscoveryService<'db> {
                 if tenant.step() {
                     active += 1;
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock deadline enforcement for tenant scheduling; never recorded in checkpoints or replayed"
+                )]
                 if Instant::now() >= deadline {
                     break 'rounds;
                 }
@@ -344,6 +352,10 @@ impl std::fmt::Debug for DiscoveryService<'_> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "L5 exempts test code; the run_until tests build wall-clock deadlines"
+)]
 mod tests {
     use super::*;
     use crate::{Discoverer, RqDbSky, SqDbSky};

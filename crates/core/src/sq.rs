@@ -163,6 +163,10 @@ impl SqTreeWalk {
         issued: u64,
         resp: &QueryResponse,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "drive() protocol invariant: a response only arrives for the query this machine just emitted"
+        )]
         let q = self
             .queue
             .pop_front()

@@ -65,6 +65,10 @@ impl Dataset {
     /// # Panics
     /// Panics if any name does not exist in the schema.
     pub fn project(&self, names: &[&str]) -> Dataset {
+        #[expect(
+            clippy::panic,
+            reason = "datagen builder API: an unknown attribute name is a typo in experiment setup code, not a runtime input"
+        )]
         let ids: Vec<usize> = names
             .iter()
             .map(|n| {
@@ -93,6 +97,10 @@ impl Dataset {
     /// # Panics
     /// Panics if the attribute does not exist or is a filtering attribute.
     pub fn with_interface(&self, name: &str, interface: InterfaceType) -> Dataset {
+        #[expect(
+            clippy::panic,
+            reason = "datagen builder API: an unknown attribute name is a typo in experiment setup code, not a runtime input"
+        )]
         let id = self
             .schema
             .attr_by_name(name)
@@ -129,6 +137,10 @@ impl Dataset {
     /// Panics if the attribute does not exist or `domain_size == 0`.
     pub fn rebucket_domain(&self, name: &str, domain_size: u32) -> Dataset {
         assert!(domain_size >= 1, "need at least one bucket");
+        #[expect(
+            clippy::panic,
+            reason = "datagen builder API: an unknown attribute name is a typo in experiment setup code, not a runtime input"
+        )]
         let id = self
             .schema
             .attr_by_name(name)
@@ -161,6 +173,10 @@ impl Dataset {
     /// is the procedure of the paper's "impact of domain size" experiment
     /// (Figure 17).
     pub fn truncate_domain(&self, name: &str, domain_size: u32) -> Dataset {
+        #[expect(
+            clippy::panic,
+            reason = "datagen builder API: an unknown attribute name is a typo in experiment setup code, not a runtime input"
+        )]
         let id = self
             .schema
             .attr_by_name(name)

@@ -19,9 +19,12 @@
 //! [`EnvelopeError`] into it with a `From` impl.
 //!
 //! The little-endian readers below are the ones both formats' payload
-//! cursors use: they never panic, so decoders stay clear of lint L1. They
+//! cursors use: they never panic, so decoders keep policy L1. They
 //! are `#[inline]` because the checkpoint codec calls them once per field
 //! from another crate.
+
+// L2: no `as` casts on a wire path; test code is exempt.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use std::fmt;
 
@@ -168,7 +171,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The first `N` bytes of `b`, zero-padded when shorter. Callers always
 /// slice exactly `N` bytes; the pad replaces the `try_into().expect(...)`
-/// panic path that lint L1 bans.
+/// panic path that policy L1 (`clippy::expect_used`) bans.
 fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
     let mut buf = [0u8; N];
     for (d, s) in buf.iter_mut().zip(b) {

@@ -320,6 +320,10 @@ impl RamIndex {
     }
 
     /// Rank-ordered columns and zone maps. Requires a rank order.
+    #[expect(
+        clippy::expect_used,
+        reason = "backend invariant: these accessors are only reachable when the index was built with a rank order (zones/perm populated)"
+    )]
     fn zones(&self) -> &RankColumns {
         self.zones
             .as_ref()

@@ -46,6 +46,9 @@
 //! memory-mapped source can slot in behind the same trait without touching
 //! the reader (this crate forbids `unsafe`, so mmap itself stays out).
 
+// L2: no `as` casts on a wire path; test code is exempt.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
@@ -61,14 +64,14 @@ use crate::{AttrId, AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schem
 
 /// Audited numeric conversions for the wire paths.
 ///
-/// `skyweb-check lint` (L2) bans bare `as` integer casts in this file:
-/// a lossy cast on an encode or decode path is a data-corruption bug, not
-/// a style nit. Every conversion funnels through these helpers instead.
-/// Each helper is byte-identical to the truncating `as` cast it replaces
-/// — it zero-extends the source to `u128`, masks to the target width and
-/// converts with `try_from`, so the truncation points are all in one
-/// reviewable place and no `as` appears on the wire paths. The `usize`
-/// helpers assume the 64-bit targets this crate supports.
+/// Policy L2 (`clippy::as_conversions`, denied at the top of this file)
+/// bans `as` casts here: a lossy cast on an encode or decode path is a
+/// data-corruption bug, not a style nit. Every conversion funnels through
+/// these helpers instead. Each helper is byte-identical to the truncating
+/// `as` cast it replaces — it zero-extends the source to `u128`, masks to
+/// the target width and converts with `try_from`, so the truncation points
+/// are all in one reviewable place and no `as` appears on the wire paths.
+/// The `usize` helpers assume the 64-bit targets this crate supports.
 mod cast {
     /// Unsigned sources accepted by the audited casts.
     pub(super) trait Word: Copy {

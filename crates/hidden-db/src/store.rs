@@ -170,6 +170,10 @@ impl TupleStore {
 }
 
 /// Unwraps a lazy-hydration result on the infallible (panicking) API.
+#[expect(
+    clippy::panic,
+    reason = "expect_loaded is the documented panicking facade over lazy hydration; callers needing errors use the try_ accessors"
+)]
 fn expect_loaded<T>(res: Result<T, SegmentError>) -> T {
     res.unwrap_or_else(|e| panic!("segment-backed tuple store failed to hydrate: {e}"))
 }

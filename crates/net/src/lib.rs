@@ -35,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod client;
 mod server;

@@ -20,6 +20,9 @@
 //! socket's read timeout fired — the slowloris defense: a worker blocks for
 //! at most the configured timeout, never forever).
 
+// L2: no `as` casts on a wire path; test code is exempt.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use std::io::{Read, Write};
 
 use skyweb_core::{parse_header, CodecError, CHECKSUM_LEN, HEADER_LEN};

@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use skyweb_core as core;
 pub use skyweb_datagen as datagen;

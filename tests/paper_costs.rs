@@ -19,6 +19,13 @@ use skyweb::skyline::bnl_skyline;
 /// one tuple per query. Whichever skyline tuple the random ranker draws,
 /// SQ-DB-SKY then costs `E(C_s)` = 2s + 1 queries: the paper's 2s plus the
 /// root `SELECT *`.
+///
+/// Eq 4 charges the queries that fold to an empty box from the schema
+/// alone. The tuple (0, s − 1) is a skyline tuple. As a pivot it makes
+/// SQ-DB-SKY append `A0 < 0`, and 2s + 1 counts that child; (s − 1, 0)
+/// does the same with `A1 < 0`. So a change that skips such queries
+/// departs from the paper's cost, and the access log shows it first: each
+/// run logs exactly these two, each matching nothing.
 #[test]
 fn sq_cost_is_exactly_eq4_at_m2_under_the_random_skyline_ranker() {
     for s in [2usize, 4, 8, 12] {
@@ -32,9 +39,28 @@ fn sq_cost_is_exactly_eq4_at_m2_under_the_random_skyline_ranker() {
                 .map(|i| Tuple::new(i as u64, vec![i as u32, (s - 1 - i) as u32]))
                 .collect();
             let db = HiddenDb::new(schema, tuples, Box::new(RandomSkylineRanker::new(seed)), 1);
+            db.enable_access_log();
             let result = SqDbSky::new().discover(&db).unwrap();
             assert!(result.complete, "s={s}, seed={seed}");
             assert_eq!(result.skyline.len(), s, "s={s}, seed={seed}");
+            let mut below_zero: Vec<(Vec<&str>, usize)> = Vec::new();
+            let log = db.access_log();
+            for entry in log.entries() {
+                let (_, clause) = entry.query.split_once(" WHERE ").unwrap_or_default();
+                let preds: Vec<&str> = clause
+                    .split(" AND ")
+                    .filter(|p| p.ends_with(" < 0"))
+                    .collect();
+                if !preds.is_empty() {
+                    below_zero.push((preds, entry.matched));
+                }
+            }
+            below_zero.sort();
+            assert_eq!(
+                below_zero,
+                [(vec!["A0 < 0"], 0), (vec!["A1 < 0"], 0)],
+                "s={s}, seed={seed}: Eq 4 charges one empty-box query per axis"
+            );
             assert!(
                 (result.query_cost as f64 - expected).abs() < 1e-6,
                 "s={s}, seed={seed}: cost {} against E(C_s) = {expected}",

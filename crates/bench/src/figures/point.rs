@@ -117,6 +117,18 @@ pub fn fig21(scale: Scale) -> FigureResult {
 mod tests {
     use super::*;
 
+    /// Figure 21: PQ-DB-SKY's anytime curve never decreases: reaching one
+    /// more skyline tuple never takes fewer queries. At quick scale the
+    /// first 10 tuples arrive with the first query and the 66th after 756.
+    #[test]
+    fn fig21_anytime_curve_never_decreases() {
+        let curve = fig21(Scale::Quick).column("pq_queries");
+        assert!(
+            curve.windows(2).all(|w| w[0] <= w[1]),
+            "pq_queries decreases: {curve:?}"
+        );
+    }
+
     /// Figure 16: PQ-DB-SKY's cost does not grow with n. Its queries walk
     /// the point attributes' domains and the skyline, not the tuples. At
     /// quick scale each series moves by at most 2.7% across n (largest

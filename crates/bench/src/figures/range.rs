@@ -171,6 +171,22 @@ pub fn fig20(scale: Scale) -> FigureResult {
 mod tests {
     use super::*;
 
+    /// Figure 20: the anytime curves of SQ- and RQ-DB-SKY never decrease:
+    /// reaching one more skyline tuple never takes fewer queries. At quick
+    /// scale both reach all 19 skyline tuples, SQ after 32 queries and RQ
+    /// after 42.
+    #[test]
+    fn fig20_anytime_curves_never_decrease() {
+        let fig = fig20(Scale::Quick);
+        for series in ["sq_queries", "rq_queries"] {
+            let curve = fig.column(series);
+            assert!(
+                curve.windows(2).all(|w| w[0] <= w[1]),
+                "{series} decreases: {curve:?}"
+            );
+        }
+    }
+
     /// Figure 13: RQ-DB-SKY costs far fewer queries than crawling the
     /// database, at every k. At quick scale the crawl costs at least 5.67×
     /// RQ's queries (k = 50); the bound, 4×, leaves a 30% margin. A crawl

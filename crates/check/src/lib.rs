@@ -7,7 +7,8 @@
 //!   loom-lite stateless model checker that drives the storage layer's
 //!   concurrent cores (`hidden_db::conc`) through every schedule of small
 //!   thread programs via the [`model`] sync facade, checking cache-budget,
-//!   second-chance and log-sequence invariants under all interleavings.
+//!   second-chance, slot re-pointing and log-sequence invariants under all
+//!   interleavings.
 //!
 //! The source policies L1–L5 are enforced by clippy and by this crate's
 //! `source_policies` test (see `docs/static-analysis.md`).

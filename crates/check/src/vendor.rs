@@ -282,3 +282,152 @@ pub fn verify_lock(report: &VendorReport, lock: &str) -> Vec<String> {
     }
     errors
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+
+    /// A throwaway root under the system temp directory holding
+    /// `vendor/alpha` (a literal version) and `vendor/beta` (a
+    /// workspace-inherited version and one submodule), removed on drop.
+    struct Tree {
+        root: PathBuf,
+    }
+
+    impl Tree {
+        fn new(test: &str) -> Self {
+            let root = std::env::temp_dir()
+                .join(format!("skyweb-check-vendor-{}-{test}", std::process::id()));
+            let _ = fs::remove_dir_all(&root);
+            let tree = Tree { root };
+            tree.write(
+                "alpha/Cargo.toml",
+                "[package]\nname = \"alpha\"\nversion = \"0.1.0\"\n",
+            );
+            tree.write("alpha/src/lib.rs", "pub fn a() {}\n");
+            tree.write(
+                "beta/Cargo.toml",
+                "[package]\nname = \"beta\"\nversion.workspace = true\n",
+            );
+            tree.write("beta/src/lib.rs", "pub mod x;\n");
+            tree.write("beta/src/x.rs", "pub fn x() {}\n");
+            tree
+        }
+
+        fn write(&self, rel: &str, text: &str) {
+            let path = self.root.join("vendor").join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+
+        fn audit(&self) -> VendorReport {
+            audit(&self.root)
+        }
+    }
+
+    impl Drop for Tree {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.root);
+        }
+    }
+
+    /// The one error in `errors`, which must contain `needle`.
+    fn only_error(errors: &[String], needle: &str) {
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains(needle), "{errors:?}");
+    }
+
+    #[test]
+    fn a_clean_tree_audits_and_verifies_clean() {
+        let tree = Tree::new("clean");
+        let r = tree.audit();
+        assert!(r.errors.is_empty(), "{:?}", r.errors);
+        let names: Vec<_> = r
+            .crates
+            .iter()
+            .map(|c| (c.name.as_str(), c.files))
+            .collect();
+        assert_eq!(names, [("alpha", 2), ("beta", 3)]);
+        assert!(verify_lock(&r, &lock_text(&r)).is_empty());
+    }
+
+    #[test]
+    fn a_one_byte_edit_drifts_exactly_that_crate() {
+        let tree = Tree::new("edit");
+        let lock = lock_text(&tree.audit());
+        tree.write("alpha/src/lib.rs", "pub fn b() {}\n");
+        only_error(&verify_lock(&tree.audit(), &lock), "vendor/alpha: drifted");
+    }
+
+    #[test]
+    fn a_crate_missing_from_the_lock_is_reported() {
+        let tree = Tree::new("unlocked");
+        let lock = lock_text(&tree.audit());
+        tree.write("gamma/Cargo.toml", "[package]\nname = \"gamma\"\n");
+        only_error(
+            &verify_lock(&tree.audit(), &lock),
+            "vendor/gamma: not in check-vendor.lock",
+        );
+    }
+
+    #[test]
+    fn a_lock_line_without_a_crate_is_reported() {
+        let tree = Tree::new("ghost");
+        let r = tree.audit();
+        let lock = lock_text(&r) + "ghost 1.0.0 2 0123456789abcdef\n";
+        only_error(&verify_lock(&r, &lock), "records `ghost`");
+    }
+
+    #[test]
+    fn a_malformed_lock_line_is_reported() {
+        let tree = Tree::new("malformed");
+        let r = tree.audit();
+        let lock = lock_text(&r) + "alpha 0.1.0\n";
+        only_error(&verify_lock(&r, &lock), "malformed line `alpha 0.1.0`");
+    }
+
+    #[test]
+    fn a_module_in_both_layouts_is_reported() {
+        let tree = Tree::new("module");
+        tree.write("beta/src/x/mod.rs", "pub fn x() {}\n");
+        only_error(
+            &tree.audit().errors,
+            "module `x` exists as both src/x.rs and src/x/mod.rs",
+        );
+    }
+
+    #[test]
+    fn a_package_named_unlike_its_directory_is_reported() {
+        let tree = Tree::new("renamed");
+        tree.write("gamma/Cargo.toml", "[package]\nname = \"delta\"\n");
+        only_error(&tree.audit().errors, "vendor/gamma: package name `delta`");
+    }
+
+    #[test]
+    fn a_package_vendored_twice_is_reported() {
+        let tree = Tree::new("twice");
+        tree.write("gamma/Cargo.toml", "[package]\nname = \"alpha\"\n");
+        let errors = tree.audit().errors;
+        assert!(
+            errors
+                .iter()
+                .any(|e| e
+                    .contains("package `alpha` is vendored twice (vendor/alpha and vendor/gamma)")),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn package_meta_reads_an_inherited_version() {
+        let toml = "[package]\nname = \"beta\"\nversion.workspace = true\n\n\
+                    [dependencies]\nname = \"other\"\nversion = \"9\"\n";
+        assert_eq!(
+            package_meta(toml),
+            (Some("beta".to_string()), Some("workspace".to_string()))
+        );
+        let tree = Tree::new("meta");
+        let versions: Vec<_> = tree.audit().crates.into_iter().map(|c| c.version).collect();
+        assert_eq!(versions, ["0.1.0", "workspace"]);
+    }
+}

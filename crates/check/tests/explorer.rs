@@ -22,14 +22,14 @@ use skyweb_check::explore::{explore, Scenario};
 use skyweb_check::model::ModelSync;
 use skyweb_hidden_db::conc::{ClockCacheCore, SeqReserver, ShardedLogCore};
 
-type ModelCache = ClockCacheCore<ModelSync, u32, u64>;
+type ModelCache = ClockCacheCore<ModelSync, u64>;
 
 /// Two writers on different shards: their shard mutexes never conflict, so
 /// the shared `resident` / `evictions` counters interleave freely. The
 /// audit invariant must hold at the end of every schedule.
 fn cache_counter_scenario(racy: bool) -> Scenario<ModelCache> {
     Scenario {
-        state: Box::new(move || ClockCacheCore::new(2, 16, racy)),
+        state: Box::new(move || ClockCacheCore::new(2, 8, 16, racy)),
         threads: vec![
             Arc::new(|cache: &ModelCache| {
                 cache.insert(0, 1, 11, 3);
@@ -84,7 +84,7 @@ fn cache_counter_race_is_detected_when_seeded() {
 #[test]
 fn second_chance_eviction_is_coherent_in_every_interleaving() {
     let scenario: Scenario<ModelCache> = Scenario {
-        state: Box::new(|| ClockCacheCore::new(1, 8, false)),
+        state: Box::new(|| ClockCacheCore::new(1, 8, 8, false)),
         threads: vec![
             Arc::new(|cache: &ModelCache| {
                 cache.insert(0, 1, 11, 4);
@@ -112,6 +112,57 @@ fn second_chance_eviction_is_coherent_in_every_interleaving() {
         }),
     };
     explore(&scenario).unwrap_or_else(|v| panic!("clock invariant violated: {v}"));
+}
+
+type GetState = (ModelCache, Mutex<Vec<(u64, Option<u64>)>>);
+
+/// A reader `get`s two resident keys while a writer's `insert` evicts in
+/// the same shard. The eviction takes the first slot and moves the second
+/// key into it, so a late `get` of that key must find it at its new slot.
+/// In every schedule each `get` returns its own key's value or `None`,
+/// and the hit and miss counters account for every `get` made.
+#[test]
+fn a_get_racing_an_evicting_insert_returns_its_own_value() {
+    let scenario: Scenario<GetState> = Scenario {
+        state: Box::new(|| {
+            let cache: ModelCache = ClockCacheCore::new(1, 8, 8, false);
+            cache.insert(0, 1, 11, 4);
+            cache.insert(0, 2, 22, 4);
+            (cache, Mutex::new(Vec::new()))
+        }),
+        threads: vec![
+            Arc::new(|(cache, seen): &GetState| {
+                for key in [1, 2] {
+                    let got = cache.get(0, key);
+                    seen.lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .push((u64::try_from(key).unwrap(), got));
+                }
+            }),
+            Arc::new(|(cache, _): &GetState| {
+                cache.insert(0, 3, 33, 4);
+            }),
+        ],
+        check: Box::new(|(cache, seen): &GetState| {
+            let seen = seen
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            for &(key, got) in seen.iter() {
+                assert!(
+                    got.is_none() || got == Some(key * 11),
+                    "get({key}) returned {got:?}, another key's value"
+                );
+            }
+            let audit = cache.audit();
+            assert_eq!(audit.hits + audit.misses, 2, "every get is counted once");
+            assert_eq!(audit.evictions, 1);
+            assert_eq!(audit.resident_counter, audit.slot_bytes);
+            assert!(!audit.over_budget);
+        }),
+    };
+    let explored =
+        explore(&scenario).unwrap_or_else(|v| panic!("a racing get misread a slot: {v}"));
+    assert!(explored.schedules > 1);
 }
 
 type LogState = (SeqReserver<ModelSync>, ShardedLogCore<ModelSync, usize>);

@@ -26,7 +26,7 @@
 //! validate the header's length claim against a frame cap via
 //! [`parse_header`] *before* reading or allocating a payload, and every
 //! collection reader below validates its count prefix against the bytes
-//! actually remaining ([`Reader::len_prefix`]) *before* preallocating —
+//! actually remaining (`Reader::len_prefix`) *before* preallocating —
 //! a 16-byte frame claiming a 2⁴⁰-element collection is rejected as
 //! truncation without a single oversized allocation.
 //!
@@ -222,7 +222,7 @@ pub(crate) fn seal(kind: u8, payload: Vec<u8>) -> Vec<u8> {
 /// read off the wire: the length claim is attacker-controlled, so it must
 /// be checked against the transport's frame cap before a single payload
 /// byte is buffered. The claim is returned unvalidated on purpose — only
-/// the caller knows its cap; [`open`] later enforces exact-length and
+/// the caller knows its cap; `open` later enforces exact-length and
 /// checksum equality on the full buffer.
 pub fn parse_header(header: &[u8]) -> Result<(u8, u64), CodecError> {
     Ok(SWCK.parse_header(header)?)

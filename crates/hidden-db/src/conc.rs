@@ -2,10 +2,11 @@
 //! extracted into small generic structures so a model checker can explore
 //! them exhaustively.
 //!
-//! Three cores live here, each generic over the [`SyncFacade`](crate::sync::SyncFacade):
+//! Three cores live here, each generic over the [`SyncFacade`]:
 //!
 //! * [`ClockCacheCore`] — the sharded clock (second-chance) cache behind
-//!   the bounded chunk cache of `SegmentReader`;
+//!   the bounded chunk cache of `SegmentReader`, keyed by dense slot
+//!   numbers so a lookup reads a side table instead of hashing;
 //! * [`ShardedLogCore`] — the sharded append buffer behind the access log;
 //! * [`SeqReserver`] — the atomic sequence/rate-limit reservation behind
 //!   query admission.
@@ -16,14 +17,12 @@
 //! scheduling yield point and enumerates bounded thread interleavings.
 //!
 //! Each core accepts a `racy` flag that *weakens* its atomic
-//! read-modify-write updates to separate load + store steps — the seeded
+//! read-modify-write updates (for the clock cache, its shared eviction and
+//! resident-bytes counters) to separate load + store steps — the seeded
 //! mutation the explorer must detect to prove it has teeth. Production
 //! constructors always pass `false`; the flag exists only so the checker
 //! can demonstrate that the exact interleavings it explores distinguish
 //! the correct protocol from the broken one.
-
-use std::collections::HashMap;
-use std::hash::Hash;
 
 use crate::sync::{FacadeAtomicU64, FacadeMutex, SyncFacade};
 
@@ -50,51 +49,66 @@ fn counter_sub<A: FacadeAtomicU64>(counter: &A, delta: u64, racy: bool) {
 }
 
 /// One resident entry of a [`ClockCacheCore`] shard.
-struct ClockSlot<K, V> {
-    key: K,
+struct ClockSlot<V> {
+    key: usize,
     value: V,
     cost: u64,
     referenced: bool,
 }
 
-/// One shard: clock (second-chance) eviction over a flat slot array with a
-/// key → slot index side table.
-struct ClockShard<K, V> {
-    slots: Vec<ClockSlot<K, V>>,
-    index: HashMap<K, usize>,
+/// One shard: clock (second-chance) eviction over a flat slot array, with
+/// a dense side table from key to slot and the shard's hit and miss
+/// counts, all guarded by the shard's lock.
+struct ClockShard<V> {
+    slots: Vec<ClockSlot<V>>,
+    /// `index[key]` is the key's slot position + 1, or 0 when the key is
+    /// not resident. Its length, fixed at construction, bounds the keys.
+    index: Vec<u32>,
     hand: usize,
     bytes: u64,
+    hits: u64,
+    misses: u64,
 }
 
-impl<K, V> Default for ClockShard<K, V> {
-    fn default() -> Self {
-        ClockShard {
-            slots: Vec::new(),
-            index: HashMap::new(),
-            hand: 0,
-            bytes: 0,
+impl<V> ClockShard<V> {
+    /// The slot position of `key`, if it is resident.
+    #[inline]
+    fn position(&self, key: usize) -> Option<usize> {
+        let tag = *self.index.get(key)?;
+        usize::try_from(tag).ok()?.checked_sub(1)
+    }
+
+    /// Records `key` in the side table at slot position `at`, or as
+    /// absent for `None`.
+    fn point(&mut self, key: usize, at: Option<usize>) {
+        let tag = at.map_or(Some(0), |i| u32::try_from(i + 1).ok());
+        if let (Some(entry), Some(tag)) = (self.index.get_mut(key), tag) {
+            *entry = tag;
         }
     }
 }
 
 /// A sharded, byte-budgeted cache with clock (second-chance) eviction.
 ///
-/// The caller maps keys to shards (the shard function is domain knowledge
-/// — e.g. the chunk cache mixes chunk/attr/kind); each shard holds at most
-/// `total_budget / n_shards` bytes. A lookup marks its slot *referenced*;
-/// the eviction hand clears the mark on first contact and only evicts
-/// slots it finds unmarked, so anything touched since the hand's last
-/// sweep survives one extra revolution.
+/// A key is a slot number local to its shard, below the per-shard table
+/// length fixed at construction; the caller maps its own keys onto shards
+/// and slots (the chunk cache derives both from a chunk's kind, attribute
+/// and number). Each shard holds at most `total_budget / n_shards` bytes
+/// and finds a key's slot by reading a dense side table, so a lookup
+/// hashes nothing. A key outside the table is always a miss, and its
+/// value is served uncached. A lookup marks its slot *referenced*; the
+/// eviction hand clears the mark on first contact and only evicts slots
+/// it finds unmarked, so anything touched since the hand's last sweep
+/// survives one extra revolution.
 ///
-/// Hit/miss/eviction/resident-bytes counters are maintained internally on
-/// facade atomics so the statistics stay exact under concurrent clients —
-/// the invariant the `skyweb-check` explorer pins is
+/// Hits and misses are counted per shard, under the lock each lookup
+/// already holds. The eviction and resident-bytes counters are facade
+/// atomics shared by all shards, so the statistics stay exact under
+/// concurrent clients — the invariant the `skyweb-check` explorer pins is
 /// `resident == Σ slot costs` across every reachable interleaving.
-pub struct ClockCacheCore<S: SyncFacade, K: Send, V: Send> {
-    shards: Vec<S::Mutex<ClockShard<K, V>>>,
+pub struct ClockCacheCore<S: SyncFacade, V: Send> {
+    shards: Vec<S::Mutex<ClockShard<V>>>,
     shard_budget: u64,
-    hits: S::AtomicU64,
-    misses: S::AtomicU64,
     evictions: S::AtomicU64,
     resident: S::AtomicU64,
     racy: bool,
@@ -120,29 +134,46 @@ pub struct CacheAudit {
     pub evictions: u64,
 }
 
-impl<S, K, V> ClockCacheCore<S, K, V>
+impl<S, V> ClockCacheCore<S, V>
 where
     S: SyncFacade,
-    K: Eq + Hash + Copy + Send,
     V: Clone + Send,
 {
-    /// Creates a cache of `n_shards` shards sharing `total_budget` bytes.
+    /// Creates a cache of `n_shards` shards sharing `total_budget` bytes,
+    /// each addressing the keys `0..keys_per_shard` (capped at
+    /// `u32::MAX`, the side table's range).
     ///
     /// `racy` must be `false` outside the model checker: it weakens the
     /// counter updates to load + store (the seeded lost-update mutation).
-    pub fn new(n_shards: usize, total_budget: u64, racy: bool) -> Self {
+    pub fn new(n_shards: usize, keys_per_shard: usize, total_budget: u64, racy: bool) -> Self {
         let divisor = u64::try_from(n_shards.max(1)).unwrap_or(u64::MAX);
+        let keys = keys_per_shard.min(usize::try_from(u32::MAX).unwrap_or(usize::MAX));
         ClockCacheCore {
             shards: (0..n_shards.max(1))
-                .map(|_| S::Mutex::new(ClockShard::default()))
+                .map(|_| {
+                    S::Mutex::new(ClockShard {
+                        slots: Vec::new(),
+                        index: vec![0; keys],
+                        hand: 0,
+                        bytes: 0,
+                        hits: 0,
+                        misses: 0,
+                    })
+                })
                 .collect(),
             shard_budget: total_budget / divisor,
-            hits: S::AtomicU64::new(0),
-            misses: S::AtomicU64::new(0),
             evictions: S::AtomicU64::new(0),
             resident: S::AtomicU64::new(0),
             racy,
         }
+    }
+
+    /// Shard number `shard`, wrapped modulo the shard count. The caller's
+    /// numbers are in range, so the division is skipped.
+    #[inline]
+    fn shard(&self, shard: usize) -> &S::Mutex<ClockShard<V>> {
+        let n = self.shards.len();
+        &self.shards[if shard < n { shard } else { shard % n }]
     }
 
     /// Number of shards.
@@ -155,43 +186,48 @@ where
         self.shard_budget
     }
 
-    /// Looks `key` up in `shard`, counting a hit or a miss. A hit marks
-    /// the slot referenced (its second chance against the clock hand).
-    pub fn get(&self, shard: usize, key: K) -> Option<V> {
-        let found = self.shards[shard % self.shards.len()].with(|s| {
-            s.index.get(&key).copied().map(|i| {
-                s.slots[i].referenced = true;
-                s.slots[i].value.clone()
+    /// Looks `key` up in `shard`, counting a hit or a miss under the
+    /// shard's lock. A hit marks the slot referenced (its second chance
+    /// against the clock hand).
+    pub fn get(&self, shard: usize, key: usize) -> Option<V> {
+        self.shard(shard)
+            .with(|s| match s.position(key).and_then(|i| s.slots.get_mut(i)) {
+                Some(slot) => {
+                    slot.referenced = true;
+                    let value = slot.value.clone();
+                    s.hits += 1;
+                    Some(value)
+                }
+                None => {
+                    s.misses += 1;
+                    None
+                }
             })
-        });
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter_add(counter, 1, self.racy);
-        found
     }
 
     /// `true` if `key` is resident in `shard`. No counters move and the
     /// referenced bit is left alone, so tests can probe eviction order.
     #[cfg(test)]
-    pub fn contains(&self, shard: usize, key: K) -> bool {
-        self.shards[shard % self.shards.len()].with(|s| s.index.contains_key(&key))
+    pub fn contains(&self, shard: usize, key: usize) -> bool {
+        self.shard(shard).with(|s| s.position(key).is_some())
     }
 
     /// Inserts `value` under `key` into `shard`, evicting by clock as
     /// needed, and returns the canonical resident copy. A value whose
-    /// `cost` exceeds the shard budget is served back uncached; a key
-    /// already resident returns the existing copy unchanged.
-    pub fn insert(&self, shard: usize, key: K, value: V, cost: u64) -> V {
+    /// `cost` exceeds the shard budget, or whose key lies outside the
+    /// shard's table, is served back uncached; a key already resident
+    /// returns the existing copy unchanged.
+    pub fn insert(&self, shard: usize, key: usize, value: V, cost: u64) -> V {
         if cost > self.shard_budget {
             // Too large to ever stay resident: serve uncached.
             return value;
         }
-        self.shards[shard % self.shards.len()].with(|s| {
-            if let Some(&i) = s.index.get(&key) {
-                return s.slots[i].value.clone();
+        self.shard(shard).with(|s| {
+            if key >= s.index.len() {
+                return value;
+            }
+            if let Some(slot) = s.position(key).and_then(|i| s.slots.get(i)) {
+                return slot.value.clone();
             }
             while s.bytes + cost > self.shard_budget && !s.slots.is_empty() {
                 let i = s.hand % s.slots.len();
@@ -200,18 +236,17 @@ where
                     s.hand = i + 1;
                 } else {
                     let victim = s.slots.swap_remove(i);
-                    s.index.remove(&victim.key);
+                    s.point(victim.key, None);
                     s.bytes -= victim.cost;
                     counter_add(&self.evictions, 1, self.racy);
                     counter_sub(&self.resident, victim.cost, self.racy);
-                    if i < s.slots.len() {
-                        let moved = s.slots[i].key;
-                        s.index.insert(moved, i);
+                    if let Some(moved) = s.slots.get(i).map(|slot| slot.key) {
+                        s.point(moved, Some(i));
                     }
                 }
             }
             let i = s.slots.len();
-            s.index.insert(key, i);
+            s.point(key, Some(i));
             s.slots.push(ClockSlot {
                 key,
                 value: value.clone(),
@@ -224,14 +259,17 @@ where
         })
     }
 
-    /// Lifetime hit count.
+    /// Lifetime hit count, summed over the shards.
     pub fn hit_count(&self) -> u64 {
-        self.hits.load()
+        self.shards.iter().map(|shard| shard.with(|s| s.hits)).sum()
     }
 
-    /// Lifetime miss count.
+    /// Lifetime miss count, summed over the shards.
     pub fn miss_count(&self) -> u64 {
-        self.misses.load()
+        self.shards
+            .iter()
+            .map(|shard| shard.with(|s| s.misses))
+            .sum()
     }
 
     /// Lifetime eviction count.
@@ -250,29 +288,34 @@ where
     /// only when no writer runs concurrently (quiescence is the caller's
     /// job; the explorer audits after all model threads have joined).
     pub fn audit(&self) -> CacheAudit {
-        let mut slots = 0usize;
-        let mut slot_bytes = 0u64;
-        let mut over_budget = false;
+        let mut audit = CacheAudit {
+            slots: 0,
+            slot_bytes: 0,
+            resident_counter: self.resident.load(),
+            over_budget: false,
+            hits: 0,
+            misses: 0,
+            evictions: self.evictions.load(),
+        };
         for shard in &self.shards {
             shard.with(|s| {
-                slots += s.slots.len();
+                audit.slots += s.slots.len();
                 let bytes: u64 = s.slots.iter().map(|slot| slot.cost).sum();
                 debug_assert_eq!(bytes, s.bytes, "shard byte tally out of sync");
-                slot_bytes += bytes;
-                if s.bytes > self.shard_budget {
-                    over_budget = true;
-                }
+                debug_assert!(
+                    s.slots
+                        .iter()
+                        .enumerate()
+                        .all(|(i, slot)| s.position(slot.key) == Some(i)),
+                    "side table out of sync with the slots"
+                );
+                audit.slot_bytes += bytes;
+                audit.over_budget |= s.bytes > self.shard_budget;
+                audit.hits += s.hits;
+                audit.misses += s.misses;
             });
         }
-        CacheAudit {
-            slots,
-            slot_bytes,
-            resident_counter: self.resident.load(),
-            over_budget,
-            hits: self.hits.load(),
-            misses: self.misses.load(),
-            evictions: self.evictions.load(),
-        }
+        audit
     }
 }
 
@@ -402,8 +445,8 @@ mod tests {
     #[test]
     fn clock_cache_second_chance() {
         // Budget of 3 one-cost slots in a single shard.
-        let cache: ClockCacheCore<StdSync, u32, u32> = ClockCacheCore::new(1, 3, false);
-        for key in 1..=3u32 {
+        let cache: ClockCacheCore<StdSync, usize> = ClockCacheCore::new(1, 8, 3, false);
+        for key in 1..=3 {
             cache.insert(0, key, key * 10, 1);
         }
         // Fresh slots start referenced, so the first eviction pass clears
@@ -428,8 +471,36 @@ mod tests {
     }
 
     #[test]
+    fn evicting_a_middle_slot_repoints_the_moved_last_slot() {
+        let cache: ClockCacheCore<StdSync, usize> = ClockCacheCore::new(1, 8, 3, false);
+        for key in 1..=3 {
+            cache.insert(0, key, key * 10, 1);
+        }
+        // The first eviction takes slot 0 (key 1) and moves the last slot
+        // (key 3) into it; the hand stays on slot 0.
+        cache.insert(0, 4, 40, 1);
+        assert!(!cache.contains(0, 1));
+        assert_eq!(cache.get(0, 3), Some(30), "the moved key keeps its value");
+        // Slot 0 (key 3) is referenced now, so the hand spares it and
+        // evicts the middle slot 1 (key 2); the last slot (key 4) moves
+        // into slot 1.
+        cache.insert(0, 5, 50, 1);
+        assert!(!cache.contains(0, 2));
+        assert_eq!(cache.get(0, 4), Some(40), "the moved key still hits");
+        assert_eq!(cache.get(0, 3), Some(30));
+        assert_eq!(cache.get(0, 5), Some(50));
+        assert_eq!(cache.get(0, 2), None);
+        let audit = cache.audit();
+        assert_eq!((audit.hits, audit.misses, audit.evictions), (4, 1, 2));
+        assert_eq!(
+            (audit.slots, audit.slot_bytes, audit.resident_counter),
+            (3, 3, 3)
+        );
+    }
+
+    #[test]
     fn clock_cache_oversized_value_served_uncached() {
-        let cache: ClockCacheCore<StdSync, u32, u32> = ClockCacheCore::new(2, 4, false);
+        let cache: ClockCacheCore<StdSync, u32> = ClockCacheCore::new(2, 16, 4, false);
         assert_eq!(cache.shard_budget(), 2);
         assert_eq!(cache.insert(0, 9, 99, 3), 99);
         assert!(!cache.contains(0, 9));
@@ -437,8 +508,18 @@ mod tests {
     }
 
     #[test]
+    fn a_key_outside_the_table_is_a_miss_served_uncached() {
+        let cache: ClockCacheCore<StdSync, u32> = ClockCacheCore::new(2, 4, 8, false);
+        assert_eq!(cache.insert(1, 4, 44, 1), 44);
+        assert_eq!(cache.get(1, 4), None);
+        assert_eq!(cache.get(1, usize::MAX), None);
+        let audit = cache.audit();
+        assert_eq!((audit.slots, audit.hits, audit.misses), (0, 0, 2));
+    }
+
+    #[test]
     fn clock_cache_duplicate_insert_returns_resident_copy() {
-        let cache: ClockCacheCore<StdSync, u32, u32> = ClockCacheCore::new(1, 8, false);
+        let cache: ClockCacheCore<StdSync, u32> = ClockCacheCore::new(1, 8, 8, false);
         assert_eq!(cache.insert(0, 1, 10, 1), 10);
         assert_eq!(cache.insert(0, 1, 77, 1), 10);
         assert_eq!(cache.audit().slots, 1);

@@ -220,8 +220,8 @@ pub enum SegmentError {
     },
     /// The file (or a section) ends before the structure it claims to carry.
     Truncated,
-    /// A section does not start with [`SEGMENT_MAGIC`] (or the trailer does
-    /// not start with [`TRAILER_MAGIC`]).
+    /// A section does not start with the magic `SWSG` (or the trailer does
+    /// not start with `SWSGTAIL`).
     BadMagic,
     /// The segment was written by an unknown format version.
     UnsupportedVersion {
@@ -1011,8 +1011,11 @@ impl SegmentOpenOptions {
         Self::default()
     }
 
-    /// Bounds the chunk cache to roughly `bytes` (clock eviction,
-    /// [`CACHE_SHARDS`] shards). Either way each chunk is cached as its
+    /// Bounds the chunk cache to roughly `bytes` (clock eviction over eight
+    /// shards of `bytes / 8` each). A lookup locks the chunk's shard and
+    /// reads the chunk's slot from a side table of about 4 bytes per lazy chunk,
+    /// allocated at open outside the budget; it hashes nothing. Either way
+    /// each chunk is cached as its
     /// validated frame-of-reference block, still packed, and charged
     /// `8 · words + 32` bytes: its packed `u64` words and one zero pad word,
     /// plus bookkeeping. Every read extracts its value in place, so a hit
@@ -1038,7 +1041,9 @@ pub struct StorageStats {
     /// Chunk lookups served from the chunk cache. The engine reads every
     /// lazy column through cursors that hold one chunk each, so under a
     /// budget a hit is one chunk a cursor entered (or a posting walk's
-    /// `order` chunk), not one value. Without a budget a cursor that finds
+    /// `order` chunk), not one value: a read of the chunk's slot in its
+    /// shard's side table, counted under the shard lock the lookup
+    /// already holds. Without a budget a cursor that finds
     /// its block resident borrows it uncounted, so a sticky hit is a
     /// posting walk, a tuple-chunk build or a racing first touch that found
     /// its block resident.
@@ -1069,28 +1074,53 @@ pub struct StorageStats {
     pub decoded_rle: u64,
 }
 
-/// Key of one chunk in the bounded cache: its on-disk section kind,
-/// attribute and chunk number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ChunkKey {
-    kind: u8,
-    attr: u32,
-    chunk: u32,
+/// A segment's lazy columns, numbered so that both caches can address a
+/// chunk without hashing: `ids`, then `store-col` and `order` per
+/// attribute, then, with a rank permutation, `perm`, `rank-of` and
+/// `rank-col` per attribute. Every column has `chunks` chunks.
+#[derive(Debug, Clone, Copy)]
+struct LazyColumns {
+    m: usize,
+    chunks: usize,
+    has_perm: bool,
 }
 
-/// Lock-free sticky tables: one `OnceLock` cell per (kind, attr, chunk), so
-/// the unbounded default pays no mutex on the hot warm-query path. Each
-/// chunk is validated once, on first touch, and its packed block stays
-/// resident, never evicted; so does each chunk of tuples built from the
-/// blocks.
+impl LazyColumns {
+    /// Number of lazy columns.
+    fn count(self) -> usize {
+        if self.has_perm {
+            3 + 3 * self.m
+        } else {
+            1 + 2 * self.m
+        }
+    }
+
+    /// The ordinal of the column holding lazy chunk `(kind, attr, c)`, or
+    /// `None` if the segment has no such chunk.
+    #[inline]
+    fn ordinal(self, kind: u8, attr: u32, c: usize) -> Option<usize> {
+        let (a, m, ranked) = (cast::to_usize(attr), self.m, self.has_perm);
+        let ordinal = match kind {
+            KIND_IDS if a == 0 => 0,
+            KIND_STORE_COL if a < m => 1 + a,
+            KIND_ORDER if a < m => 1 + m + a,
+            KIND_PERM if ranked && a == 0 => 1 + 2 * m,
+            KIND_RANK_OF if ranked && a == 0 => 2 + 2 * m,
+            KIND_RANK_COL if ranked && a < m => 3 + 2 * m + a,
+            _ => return None,
+        };
+        (c < self.chunks).then_some(ordinal)
+    }
+}
+
+/// Lock-free sticky tables: one `OnceLock` cell per lazy chunk, so the
+/// unbounded default pays no mutex on the hot warm-query path. Each chunk
+/// is validated once, on first touch, and its packed block stays resident,
+/// never evicted; so does each chunk of tuples built from the blocks.
 struct StickyTables {
-    chunks: usize,
-    perm: Vec<OnceLock<ForBlock>>,
-    rank_of: Vec<OnceLock<ForBlock>>,
-    ids: Vec<OnceLock<ForBlock>>,
-    rank_cols: Vec<OnceLock<ForBlock>>,
-    store_cols: Vec<OnceLock<ForBlock>>,
-    order: Vec<OnceLock<ForBlock>>,
+    columns: LazyColumns,
+    /// Column `o`'s chunk `c` at `o · chunks + c`.
+    blocks: Vec<OnceLock<ForBlock>>,
     tuples: Vec<OnceLock<Box<[Arc<Tuple>]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -1104,17 +1134,11 @@ fn once_cells<T>(len: usize) -> Vec<OnceLock<T>> {
 }
 
 impl StickyTables {
-    fn new(m: usize, chunks: usize, has_perm: bool) -> Self {
-        let ranked = if has_perm { chunks } else { 0 };
+    fn new(columns: LazyColumns) -> Self {
         StickyTables {
-            chunks,
-            perm: once_cells(ranked),
-            rank_of: once_cells(ranked),
-            ids: once_cells(chunks),
-            rank_cols: once_cells(ranked * m),
-            store_cols: once_cells(chunks * m),
-            order: once_cells(chunks * m),
-            tuples: once_cells(chunks),
+            columns,
+            blocks: once_cells(columns.count() * columns.chunks),
+            tuples: once_cells(columns.chunks),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             resident: AtomicU64::new(0),
@@ -1124,16 +1148,8 @@ impl StickyTables {
     /// The cell of lazy chunk `(kind, attr, c)`, if the segment has one.
     #[inline]
     fn cell(&self, kind: u8, attr: u32, c: usize) -> Option<&OnceLock<ForBlock>> {
-        let flat = cast::to_usize(attr) * self.chunks + c;
-        match kind {
-            KIND_PERM => self.perm.get(c),
-            KIND_RANK_OF => self.rank_of.get(c),
-            KIND_IDS => self.ids.get(c),
-            KIND_RANK_COL => self.rank_cols.get(flat),
-            KIND_STORE_COL => self.store_cols.get(flat),
-            KIND_ORDER => self.order.get(flat),
-            _ => None,
-        }
+        let ordinal = self.columns.ordinal(kind, attr, c)?;
+        self.blocks.get(ordinal * self.columns.chunks + c)
     }
 
     /// Publishes `value` in `cell` unless a racing reader did first, and
@@ -1151,8 +1167,40 @@ impl StickyTables {
 }
 
 /// The sharded clock cache behind a budgeted reader, holding the same
-/// validated packed blocks as the sticky tables.
-type BoundedCache = ClockCacheCore<StdSync, ChunkKey, Arc<ForBlock>>;
+/// validated packed blocks as the sticky tables. Its keys are dense slot
+/// numbers, one per lazy chunk ([`BoundedCache::address`]), so a lookup
+/// reads a side table and hashes nothing.
+struct BoundedCache {
+    clock: ClockCacheCore<StdSync, Arc<ForBlock>>,
+    columns: LazyColumns,
+}
+
+impl BoundedCache {
+    fn new(columns: LazyColumns, budget: u64) -> Self {
+        let per_column = columns.chunks.div_ceil(CACHE_SHARDS);
+        BoundedCache {
+            clock: ClockCacheCore::new(CACHE_SHARDS, columns.count() * per_column, budget, false),
+            columns,
+        }
+    }
+
+    /// The shard and the slot within it of lazy chunk `(kind, attr, c)`,
+    /// or `None` if the segment has no such chunk.
+    ///
+    /// The shard is `(c + 7·attr + kind) mod CACHE_SHARDS`, so a column's
+    /// consecutive chunks go to consecutive shards. Two chunks of one
+    /// column share a shard only when their numbers are congruent modulo
+    /// the shard count, so `c / CACHE_SHARDS` tells them apart, and the
+    /// column's ordinal keeps columns apart: the slot is
+    /// `ordinal · ⌈chunks / CACHE_SHARDS⌉ + c / CACHE_SHARDS`.
+    #[inline]
+    fn address(&self, kind: u8, attr: u32, c: usize) -> Option<(usize, usize)> {
+        let ordinal = self.columns.ordinal(kind, attr, c)?;
+        let shard = (c + 7 * cast::to_usize(attr) + usize::from(kind)) % CACHE_SHARDS;
+        let slot = ordinal * self.columns.chunks.div_ceil(CACHE_SHARDS) + c / CACHE_SHARDS;
+        Some((shard, slot))
+    }
+}
 
 /// A cached packed block: borrowed from its sticky cell, or shared out of
 /// the bounded cache, which may evict it while it is read.
@@ -1186,19 +1234,11 @@ enum ChunkCache {
     Bounded(BoundedCache),
 }
 
-fn shard_of(key: ChunkKey) -> usize {
-    let h = (cast::to_usize(key.chunk))
-        .wrapping_mul(0x9E37_79B9)
-        .wrapping_add((cast::to_usize(key.attr)).wrapping_mul(31))
-        .wrapping_add(cast::to_usize(key.kind));
-    h % CACHE_SHARDS
-}
-
 impl ChunkCache {
-    fn new(m: usize, chunks: usize, has_perm: bool, budget: Option<u64>) -> Self {
+    fn new(columns: LazyColumns, budget: Option<u64>) -> Self {
         match budget {
-            None => ChunkCache::Sticky(StickyTables::new(m, chunks, has_perm)),
-            Some(b) => ChunkCache::Bounded(ClockCacheCore::new(CACHE_SHARDS, b, false)),
+            None => ChunkCache::Sticky(StickyTables::new(columns)),
+            Some(b) => ChunkCache::Bounded(BoundedCache::new(columns, b)),
         }
     }
 
@@ -1220,7 +1260,7 @@ impl ChunkCache {
     fn hit_count(&self) -> u64 {
         match self {
             ChunkCache::Sticky(t) => t.hits.load(Ordering::Relaxed),
-            ChunkCache::Bounded(core) => core.hit_count(),
+            ChunkCache::Bounded(cache) => cache.clock.hit_count(),
         }
     }
 
@@ -1228,7 +1268,7 @@ impl ChunkCache {
     fn miss_count(&self) -> u64 {
         match self {
             ChunkCache::Sticky(t) => t.misses.load(Ordering::Relaxed),
-            ChunkCache::Bounded(core) => core.miss_count(),
+            ChunkCache::Bounded(cache) => cache.clock.miss_count(),
         }
     }
 
@@ -1236,7 +1276,7 @@ impl ChunkCache {
     fn eviction_count(&self) -> u64 {
         match self {
             ChunkCache::Sticky(_) => 0,
-            ChunkCache::Bounded(core) => core.eviction_count(),
+            ChunkCache::Bounded(cache) => cache.clock.eviction_count(),
         }
     }
 
@@ -1244,7 +1284,7 @@ impl ChunkCache {
     fn resident_bytes(&self) -> u64 {
         match self {
             ChunkCache::Sticky(t) => t.resident.load(Ordering::Relaxed),
-            ChunkCache::Bounded(core) => core.resident_bytes(),
+            ChunkCache::Bounded(cache) => cache.clock.resident_bytes(),
         }
     }
 }
@@ -1497,7 +1537,14 @@ impl SegmentReader {
             zone_mins: Vec::new(),
             zone_maxs: Vec::new(),
             starts: Vec::new(),
-            cache: ChunkCache::new(m, chunks, has_perm, options.cache_budget),
+            cache: ChunkCache::new(
+                LazyColumns {
+                    m,
+                    chunks,
+                    has_perm,
+                },
+                options.cache_budget,
+            ),
             decoded: AtomicU64::new(0),
             full: OnceLock::new(),
         };
@@ -1712,17 +1759,17 @@ impl SegmentReader {
                 Ok(BlockRef::Sticky(tables.publish(cell, block, cost)))
             }
             ChunkCache::Bounded(cache) => {
-                let chunk = cast::to_u32(c);
-                let key = ChunkKey { kind, attr, chunk };
-                let shard = shard_of(key);
-                if let Some(hit) = cache.get(shard, key) {
+                let (shard, slot) = cache
+                    .address(kind, attr, c)
+                    .ok_or_else(|| missing_section(kind, attr, cast::to_u32(c)))?;
+                if let Some(hit) = cache.clock.get(shard, slot) {
                     return Ok(BlockRef::Cached(hit));
                 }
                 let block = self.load_chunk(kind, attr, c)?;
                 let cost = block.cost();
-                Ok(BlockRef::Cached(cache.insert(
+                Ok(BlockRef::Cached(cache.clock.insert(
                     shard,
-                    key,
+                    slot,
                     Arc::new(block),
                     cost,
                 )))
@@ -2204,6 +2251,7 @@ mod tests {
     use super::*;
     use crate::envelope::{CHECKSUM_LEN, HEADER_LEN};
     use crate::{Query, SchemaBuilder, SumRanker};
+    use std::collections::HashSet;
 
     /// `count` values whose spread needs exactly `width` bits once there
     /// are two of them: the first two are the minimum and the maximum. With
@@ -2457,6 +2505,20 @@ mod tests {
                 assert!(stats.cache_evictions > 0, "tiny budget must evict");
                 assert!(stats.cache_hits > 0, "repeat queries must hit");
             }
+            if budget == 1_600 {
+                // The clock's exact decisions under this mix: any change to
+                // the shard function, the slot order or the hand moves them.
+                assert_eq!(
+                    (
+                        stats.cache_hits,
+                        stats.cache_misses,
+                        stats.cache_evictions,
+                        stats.bytes_resident,
+                        stats.decoded_for
+                    ),
+                    (191, 64, 51, 1_048, 61)
+                );
+            }
         }
         let sticky = reference.storage_stats().unwrap();
         assert_eq!(sticky.cache_evictions, 0, "sticky cache never evicts");
@@ -2519,14 +2581,11 @@ mod tests {
         let ChunkCache::Bounded(cache) = &reader.cache else {
             panic!("a budgeted reader has a bounded cache");
         };
-        let held = ChunkKey {
-            kind: KIND_STORE_COL,
-            attr: 0,
-            chunk: 0,
-        };
+        let held = (KIND_STORE_COL, 0, 0);
+        let (shard, slot) = cache.address(held.0, held.1, held.2).unwrap();
         let mut cur = reader.cursors();
         assert_eq!(cur.store_col(0, 0).unwrap(), 0);
-        assert!(cache.contains(shard_of(held), held));
+        assert!(cache.clock.contains(shard, slot));
         // Load every other chunk until the clock evicts the held one.
         let m = cast::to_u32(reader.schema().len());
         let kinds = [KIND_PERM, KIND_RANK_OF, KIND_IDS]
@@ -2535,14 +2594,12 @@ mod tests {
             .chain([KIND_RANK_COL, KIND_STORE_COL, KIND_ORDER].map(|kind| (kind, m)));
         let others = kinds
             .flat_map(|(kind, attrs)| (0..attrs).map(move |attr| (kind, attr)))
-            .flat_map(|(kind, attr)| (0..3u32).map(move |chunk| ChunkKey { kind, attr, chunk }))
+            .flat_map(|(kind, attr)| (0..3).map(move |c| (kind, attr, c)))
             .filter(|&key| key != held);
-        for key in others {
-            reader
-                .block(key.kind, key.attr, cast::to_usize(key.chunk))
-                .unwrap();
+        for (kind, attr, c) in others {
+            reader.block(kind, attr, c).unwrap();
         }
-        assert!(!cache.contains(shard_of(held), held), "the clock evicts it");
+        assert!(!cache.clock.contains(shard, slot), "the clock evicts it");
         // The cursor still holds the block: every value of the chunk reads
         // correctly from it, and no read asks the cache.
         let before = reader.storage_stats();
@@ -2555,10 +2612,70 @@ mod tests {
             (before.cache_hits, before.cache_misses)
         );
         // The pinned block sits outside the budget's accounting.
-        let audit = cache.audit();
+        let audit = cache.clock.audit();
         assert_eq!(audit.resident_counter, audit.slot_bytes);
         assert!(!audit.over_budget);
         assert!(after.bytes_resident <= 8 * 150);
+    }
+
+    #[test]
+    fn every_lazy_chunk_has_its_own_cell_and_its_own_slot() {
+        // 3 chunks (tiny_db at 64 values a chunk), then 7, 245 and 2,442:
+        // 25k, 1M and 10M rows at the default chunk size.
+        let empty = Arc::new(ForBlock {
+            min: 0,
+            width: 0,
+            mask: 0,
+            len: 0,
+            words: Box::new([0; 8]),
+        });
+        for (m, chunks, has_perm) in [
+            (3, 3, true),
+            (9, 7, true),
+            (9, 245, false),
+            (9, 2_442, true),
+        ] {
+            let layout = LazyColumns {
+                m,
+                chunks,
+                has_perm,
+            };
+            let sticky = StickyTables::new(layout);
+            let bounded = BoundedCache::new(layout, u64::MAX);
+            let mut kinds = vec![(KIND_IDS, 1), (KIND_STORE_COL, m), (KIND_ORDER, m)];
+            if has_perm {
+                kinds.extend([(KIND_PERM, 1), (KIND_RANK_OF, 1), (KIND_RANK_COL, m)]);
+            }
+            let (mut cells, mut slots) = (HashSet::new(), HashSet::new());
+            for (kind, attrs) in kinds {
+                for attr in 0..cast::to_u32(attrs) {
+                    for c in 0..chunks {
+                        let cell = sticky.cell(kind, attr, c).unwrap();
+                        assert!(cells.insert(std::ptr::from_ref(cell)), "{kind} {attr} {c}");
+                        let (shard, slot) = bounded.address(kind, attr, c).unwrap();
+                        assert!(slots.insert((shard, slot)), "{kind} {attr} {c}");
+                        // Every slot lies inside its shard's table, so the
+                        // chunk can stay resident.
+                        bounded.clock.insert(shard, slot, Arc::clone(&empty), 1);
+                        assert!(bounded.clock.contains(shard, slot));
+                    }
+                }
+            }
+            assert_eq!(cells.len(), sticky.blocks.len(), "every cell is used");
+            // Chunks the segment does not have have no cell and no slot.
+            let m = cast::to_u32(m);
+            for (kind, attr, c) in [
+                (KIND_STORE_COL, m, 0),
+                (KIND_ORDER, 0, chunks),
+                (KIND_IDS, 1, 0),
+                (KIND_ZONES, 0, 0),
+            ] {
+                assert!(sticky.cell(kind, attr, c).is_none());
+                assert_eq!(bounded.address(kind, attr, c), None);
+            }
+            assert_eq!(bounded.address(KIND_PERM, 0, 0).is_some(), has_perm);
+            assert_eq!(sticky.cell(KIND_RANK_COL, 0, 0).is_some(), has_perm);
+        }
     }
 
     #[test]

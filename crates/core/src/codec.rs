@@ -14,10 +14,16 @@
 //! length, checksum — before a single payload byte is interpreted, so a
 //! truncated file, a foreign file, a future-version file and a bit-flipped
 //! file are all rejected with a specific [`CodecError`] instead of being
-//! mis-restored. The payload itself is a flat little-endian structure walk
-//! (no self-describing framing): integers are fixed-width LE, collections
-//! are length-prefixed with a `u64`, options carry a one-byte presence
-//! flag, and enums carry a one-byte tag.
+//! mis-restored.
+//!
+//! The payload itself is a flat little-endian structure walk (no
+//! self-describing framing), read and written through the payload codec
+//! the segment format shares: the envelope module's `Reader`, its `put_*`
+//! writers and its one schema encoding, re-exported here so the machines'
+//! `encode`/`decode` bodies call them as `codec::…`. This module adds the
+//! checkpoint and wire sub-codecs on top — predicates, queries, tuples,
+//! plans, responses, the handshake and error replies — and maps the
+//! shared reader's [`EnvelopeError`]s into [`CodecError`]s.
 //!
 //! The same envelopes are framed over TCP by `skyweb-net` (kinds 2–6; see
 //! `docs/wire-protocol.md`). That makes every decode path here subject to
@@ -25,7 +31,7 @@
 //! until it has been validated. Two defenses apply. Stream transports
 //! validate the header's length claim against a frame cap via
 //! [`parse_header`] *before* reading or allocating a payload, and every
-//! collection reader below validates its count prefix against the bytes
+//! collection reader validates its count prefix against the bytes
 //! actually remaining (`Reader::len_prefix`) *before* preallocating —
 //! a 16-byte frame claiming a 2⁴⁰-element collection is rejected as
 //! truncation without a single oversized allocation.
@@ -62,11 +68,14 @@
 use std::fmt;
 use std::sync::Arc;
 
-use skyweb_hidden_db::envelope::{le_i64, le_u32, le_u64, Envelope, EnvelopeError};
+use skyweb_hidden_db::envelope::{interface_from_tag, interface_tag, Envelope, EnvelopeError};
+pub(crate) use skyweb_hidden_db::envelope::{
+    put_bool, put_i64, put_opt_u64, put_schema, put_str, put_u32, put_u64, put_u8, put_usize,
+    read_schema, Reader,
+};
 pub use skyweb_hidden_db::envelope::{CHECKSUM_LEN, HEADER_LEN};
 use skyweb_hidden_db::{
-    AttributeRole, AttributeSpec, CmpOp, InterfaceType, Predicate, PrefixGroup, Query, QueryError,
-    QueryResponse, Schema, SegmentError, Tuple,
+    CmpOp, Predicate, PrefixGroup, Query, QueryError, QueryResponse, Schema, SegmentError, Tuple,
 };
 
 use crate::machine::{DiscoveryMachine, Machine, QueryPlan};
@@ -196,15 +205,9 @@ impl From<EnvelopeError> for CodecError {
             }
             EnvelopeError::ChecksumMismatch => CodecError::ChecksumMismatch,
             EnvelopeError::TrailingBytes => CodecError::TrailingBytes,
+            EnvelopeError::BadTag { tag } => CodecError::BadTag { tag },
         }
     }
-}
-
-/// Widens a `usize` to the wire's `u64` without an `as` cast (policy L2,
-/// `clippy::as_conversions`, bans them on wire paths); infallible on
-/// supported targets.
-pub(crate) fn u64_of(v: usize) -> u64 {
-    u64::try_from(v).unwrap_or(u64::MAX)
 }
 
 /// Wraps `payload` in the magic/version/kind/length/checksum envelope.
@@ -231,136 +234,6 @@ pub fn parse_header(header: &[u8]) -> Result<(u8, u64), CodecError> {
 /// Validates the envelope of `bytes` and returns the payload slice.
 pub(crate) fn open(bytes: &[u8], expected_kind: u8) -> Result<&[u8], CodecError> {
     Ok(SWCK.open(bytes, expected_kind)?)
-}
-
-/// A cursor over a payload slice; every read checks bounds and surfaces
-/// [`CodecError::Truncated`] instead of panicking.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(le_u32(self.take(4)?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(le_u64(self.take(8)?))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(le_i64(self.take(8)?))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, CodecError> {
-        usize::try_from(self.u64()?).map_err(|_| CodecError::Truncated)
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(CodecError::BadTag { tag }),
-        }
-    }
-
-    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadTag { tag: 0 })
-    }
-
-    /// Bytes of the payload not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Reads a collection-count prefix and validates it against the bytes
-    /// actually remaining before the caller preallocates: a count whose
-    /// elements (at a minimum of `min_elem_bytes` each) could not possibly
-    /// fit in the rest of the payload is rejected as [`CodecError::Truncated`].
-    /// The count prefix is attacker-controlled on wire paths, so every
-    /// `Vec::with_capacity` in a decoder must be driven by this, never by
-    /// the raw prefix.
-    pub(crate) fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
-        let len = self.usize()?;
-        if len > self.remaining() / min_elem_bytes.max(1) {
-            return Err(CodecError::Truncated);
-        }
-        Ok(len)
-    }
-
-    /// Asserts that the payload was consumed exactly.
-    pub(crate) fn finish(&self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CodecError::TrailingBytes)
-        }
-    }
-}
-
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, u64_of(v));
-}
-
-pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-pub(crate) fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    put_bool(out, v.is_some());
-    if let Some(v) = v {
-        put_u64(out, v);
-    }
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_usize(out, s.len());
-    out.extend_from_slice(s.as_bytes());
 }
 
 pub(crate) fn put_usize_slice(out: &mut Vec<u8>, v: &[usize]) {
@@ -463,62 +336,6 @@ pub(crate) fn read_tuple(r: &mut Reader<'_>) -> Result<Arc<Tuple>, CodecError> {
     let id = r.u64()?;
     let values = read_u32_vec(r)?;
     Ok(Arc::new(Tuple::new(id, values)))
-}
-
-fn interface_tag(i: InterfaceType) -> u8 {
-    match i {
-        InterfaceType::Sq => 0,
-        InterfaceType::Rq => 1,
-        InterfaceType::Pq => 2,
-    }
-}
-
-fn interface_from_tag(tag: u8) -> Result<InterfaceType, CodecError> {
-    Ok(match tag {
-        0 => InterfaceType::Sq,
-        1 => InterfaceType::Rq,
-        2 => InterfaceType::Pq,
-        tag => return Err(CodecError::BadTag { tag }),
-    })
-}
-
-pub(crate) fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
-    put_usize(out, schema.len());
-    for spec in schema.attrs() {
-        put_str(out, &spec.name);
-        put_u32(out, spec.domain_size);
-        put_u8(out, interface_tag(spec.interface));
-        put_u8(
-            out,
-            match spec.role {
-                AttributeRole::Ranking => 0,
-                AttributeRole::Filtering => 1,
-            },
-        );
-    }
-}
-
-pub(crate) fn read_schema(r: &mut Reader<'_>) -> Result<Schema, CodecError> {
-    // An attribute spec is at least 8 (name length) + 4 + 1 + 1 bytes.
-    let len = r.len_prefix(14)?;
-    let mut attrs = Vec::with_capacity(len);
-    for _ in 0..len {
-        let name = r.string()?;
-        let domain_size = r.u32()?;
-        let interface = interface_from_tag(r.u8()?)?;
-        let role = match r.u8()? {
-            0 => AttributeRole::Ranking,
-            1 => AttributeRole::Filtering,
-            tag => return Err(CodecError::BadTag { tag }),
-        };
-        attrs.push(AttributeSpec {
-            name,
-            domain_size,
-            interface,
-            role,
-        });
-    }
-    Ok(Schema::new(attrs))
 }
 
 /// Serializes a [`QueryPlan`] (queries plus the optional sibling-group
@@ -943,7 +760,7 @@ pub fn decode_error_reply(bytes: &[u8]) -> Result<(Vec<QueryResponse>, QueryErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyweb_hidden_db::Predicate;
+    use skyweb_hidden_db::{InterfaceType, Predicate};
 
     #[test]
     fn envelope_rejects_every_corruption_class() {
@@ -1017,25 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn schema_round_trips() {
-        let schema = skyweb_hidden_db::SchemaBuilder::new()
-            .ranking("price", 100, InterfaceType::Rq)
-            .ranking("stops", 3, InterfaceType::Pq)
-            .filtering("carrier", 14)
-            .build();
-        let mut buf = Vec::new();
-        put_schema(&mut buf, &schema);
-        let mut r = Reader::new(&buf);
-        let decoded = read_schema(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(decoded.len(), 3);
-        assert_eq!(decoded.attr(0).name, "price");
-        assert_eq!(decoded.attr(1).interface, InterfaceType::Pq);
-        assert_eq!(decoded.attr(2).role, AttributeRole::Filtering);
-        assert_eq!(decoded.ranking_attrs(), &[0, 1]);
-    }
-
-    #[test]
     fn tiny_frame_claiming_huge_payload_is_rejected_cheaply() {
         // A 16-byte frame whose header claims a 2^40-byte payload: the
         // header parse must reject it from the length claim alone (the
@@ -1094,6 +892,46 @@ mod tests {
             decode_welcome(&welcome),
             Err(CodecError::Truncated)
         ));
+    }
+
+    #[test]
+    fn resealed_welcomes_with_undefined_tags_are_bad_tags() {
+        // A one-attribute welcome written field by field, so each case can
+        // forge one byte of its schema under a valid checksum.
+        let welcome_with = |name: &[u8], interface: u8, role: u8| {
+            let mut payload = Vec::new();
+            put_u32(&mut payload, WIRE_PROTOCOL);
+            put_str(&mut payload, "sum");
+            put_u64(&mut payload, 10);
+            put_u64(&mut payload, 100);
+            put_usize(&mut payload, 1);
+            put_usize(&mut payload, name.len());
+            payload.extend_from_slice(name);
+            put_u32(&mut payload, 5);
+            put_u8(&mut payload, interface);
+            put_u8(&mut payload, role);
+            seal(KIND_WELCOME, payload)
+        };
+        let honest = Welcome {
+            protocol: WIRE_PROTOCOL,
+            ranker: "sum".to_string(),
+            k: 10,
+            tuple_count: 100,
+            schema: skyweb_hidden_db::SchemaBuilder::new()
+                .ranking("price", 5, InterfaceType::Rq)
+                .build(),
+        };
+        assert_eq!(welcome_with(b"price", 1, 0), encode_welcome(&honest));
+        for (forged, tag) in [
+            (welcome_with(b"price", 3, 0), 3),
+            (welcome_with(b"price", 1, 2), 2),
+            (welcome_with(b"pr\xffce", 1, 0), 0),
+        ] {
+            assert_eq!(
+                decode_welcome(&forged).unwrap_err(),
+                CodecError::BadTag { tag }
+            );
+        }
     }
 
     #[test]

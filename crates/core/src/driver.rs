@@ -63,10 +63,6 @@ pub struct RetryPolicy {
     pub base_backoff_ms: u64,
     /// Cap on a single backoff interval (before jitter).
     pub max_backoff_ms: u64,
-    /// Client-side per-query timeout handed to the fault layer: injected
-    /// latency spikes above this surface as [`QueryError::Timeout`].
-    /// `None` keeps the fault plan's own timeout.
-    pub per_query_timeout_ms: Option<u64>,
     /// Total retries allowed across the whole run (`None` = unlimited).
     pub retry_budget: Option<u64>,
     /// Seed of the deterministic jitter stream.
@@ -79,7 +75,6 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             base_backoff_ms: 10,
             max_backoff_ms: 1_000,
-            per_query_timeout_ms: None,
             retry_budget: None,
             seed: 0,
         }
@@ -103,12 +98,6 @@ impl RetryPolicy {
     pub fn with_backoff_ms(mut self, base: u64, max: u64) -> Self {
         self.base_backoff_ms = base;
         self.max_backoff_ms = max.max(base);
-        self
-    }
-
-    /// Sets the per-query timeout override (builder style).
-    pub fn with_per_query_timeout_ms(mut self, timeout_ms: Option<u64>) -> Self {
-        self.per_query_timeout_ms = timeout_ms;
         self
     }
 
@@ -371,17 +360,14 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
 
     /// Like [`DiscoveryDriver::new`], but routes every query through a
     /// deterministic fault-injection layer driven by `faults` (the chaos
-    /// harness entry point). A per-query timeout on the retry policy
-    /// overrides the fault plan's.
+    /// harness entry point). [`FaultPlan::timeout_ms`] is the per-query
+    /// timeout.
     pub fn with_faults(
         db: &'db HiddenDb,
         machine: M,
         config: DriverConfig,
-        mut faults: FaultPlan,
+        faults: FaultPlan,
     ) -> Self {
-        if let Some(timeout) = config.retry.and_then(|p| p.per_query_timeout_ms) {
-            faults.timeout_ms = Some(timeout);
-        }
         DiscoveryDriver::with_oracle(FaultyOracle::new(db, faults), machine, config)
     }
 

@@ -25,10 +25,13 @@
 //! * **Every byte is covered by a checksum.** Each section is one
 //!   [`crate::envelope`] envelope (magic + version + kind + length + FNV-1a
 //!   64 checksum); the directory is covered by the footer's envelope, and
-//!   the trailer checksums itself. [`SegmentReader::verify`] performs the
-//!   full O(file) scrub — every truncation and every single-bit flip of a
-//!   segment is rejected with a typed [`SegmentError`], never a panic or a
-//!   silent mis-read (pinned by the corruption battery in
+//!   the trailer checksums itself. Every payload is read and written
+//!   through that module's payload codec, the one checkpoints and wire
+//!   frames use, so the footer's schema is the same bytes a `Welcome`
+//!   frame carries. [`SegmentReader::verify`] performs the full O(file)
+//!   scrub — every truncation and every single-bit flip of a segment is
+//!   rejected with a typed [`SegmentError`], never a panic or a silent
+//!   mis-read (pinned by the corruption battery in
 //!   `tests/proptest_segment.rs`).
 //!
 //! Values are compressed with frame-of-reference + bit-packing: each block
@@ -57,10 +60,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::conc::ClockCacheCore;
-use crate::envelope::{fnv1a64, le_u32, le_u64, Envelope, EnvelopeError};
+use crate::envelope::{
+    fnv1a64, le_u64, put_bool, put_schema, put_str, put_u32, put_u64, put_u8, put_usize,
+    read_schema, Envelope, EnvelopeError, Reader,
+};
 use crate::index::{ColumnCursors, IndexStorage, BLOCK};
 use crate::sync::StdSync;
-use crate::{AttrId, AttributeRole, AttributeSpec, HiddenDb, InterfaceType, Schema, Tuple, Value};
+use crate::{AttrId, HiddenDb, Schema, Tuple, Value};
 
 /// Audited numeric conversions for the wire paths.
 ///
@@ -302,6 +308,7 @@ impl From<EnvelopeError> for SegmentError {
             }
             EnvelopeError::ChecksumMismatch => SegmentError::ChecksumMismatch,
             EnvelopeError::TrailingBytes => SegmentError::TrailingBytes,
+            EnvelopeError::BadTag { .. } => malformed(e.to_string()),
         }
     }
 }
@@ -428,68 +435,6 @@ impl BlockSource for MemSource {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Envelope + payload primitives
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked cursor over a section payload; every read surfaces
-/// [`SegmentError::Truncated`] instead of panicking.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
-        let end = self.pos.checked_add(n).ok_or(SegmentError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(SegmentError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, SegmentError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SegmentError> {
-        Ok(le_u32(self.take(4)?))
-    }
-
-    fn u64(&mut self) -> Result<u64, SegmentError> {
-        Ok(le_u64(self.take(8)?))
-    }
-
-    fn usize(&mut self) -> Result<usize, SegmentError> {
-        usize::try_from(self.u64()?).map_err(|_| SegmentError::Truncated)
-    }
-
-    fn string(&mut self) -> Result<String, SegmentError> {
-        let len = self.usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("non-UTF-8 string"))
-    }
-
-    fn finish(&self) -> Result<(), SegmentError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SegmentError::TrailingBytes)
-        }
-    }
-}
-
-fn write_string(s: &str, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(cast::to_u64(s.len())).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 // Frame-of-reference + bit-packing: `count (u32) · min · width (u8) · packed
 // little-endian u64 words`. Deltas from the block minimum are packed at the
 // smallest sufficient width, low bits first. One implementation serves both
@@ -502,7 +447,7 @@ trait Packed: Copy + Ord + Default {
     /// Bits per value, the widest legal delta.
     const BITS: u32;
     /// Reads one little-endian value (a block minimum).
-    fn read(cur: &mut Cursor<'_>) -> Result<Self, SegmentError>;
+    fn read(r: &mut Reader<'_>) -> Result<Self, EnvelopeError>;
     /// Appends one little-endian value (a block minimum).
     fn put(self, out: &mut Vec<u8>);
     /// Zero-extends to `u64`.
@@ -512,14 +457,14 @@ trait Packed: Copy + Ord + Default {
 }
 
 macro_rules! impl_packed {
-    ($t:ty, $read:ident, $truncate:ident) => {
+    ($t:ty, $read:ident, $put:ident, $truncate:ident) => {
         impl Packed for $t {
             const BITS: u32 = <$t>::BITS;
-            fn read(cur: &mut Cursor<'_>) -> Result<Self, SegmentError> {
-                cur.$read()
+            fn read(r: &mut Reader<'_>) -> Result<Self, EnvelopeError> {
+                r.$read()
             }
             fn put(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+                $put(out, self);
             }
             #[inline]
             fn widen(self) -> u64 {
@@ -532,17 +477,17 @@ macro_rules! impl_packed {
         }
     };
 }
-impl_packed!(u32, u32, to_u32);
-impl_packed!(u64, u64, to_u64);
+impl_packed!(u32, u32, put_u32, to_u32);
+impl_packed!(u64, u64, put_u64, to_u64);
 
 fn pack<T: Packed>(values: &[T], out: &mut Vec<u8>) {
     let min = values.iter().copied().min().unwrap_or_default();
     let spread = values.iter().copied().max().unwrap_or_default().widen() - min.widen();
     // The spread's bit length: 0 for a constant (or empty) block.
     let width = u64::BITS - spread.leading_zeros();
-    out.extend_from_slice(&(cast::to_u32(values.len())).to_le_bytes());
+    put_u32(out, cast::to_u32(values.len()));
     min.put(out);
-    out.push(cast::to_u8(width));
+    put_u8(out, cast::to_u8(width));
     if width == 0 {
         return;
     }
@@ -552,13 +497,13 @@ fn pack<T: Packed>(values: &[T], out: &mut Vec<u8>) {
         acc |= u128::from(v.widen() - min.widen()) << used;
         used += width;
         while used >= 64 {
-            out.extend_from_slice(&cast::to_u64(acc).to_le_bytes());
+            put_u64(out, cast::to_u64(acc));
             acc >>= 64;
             used -= 64;
         }
     }
     if used > 0 {
-        out.extend_from_slice(&cast::to_u64(acc).to_le_bytes());
+        put_u64(out, cast::to_u64(acc));
     }
 }
 
@@ -582,21 +527,21 @@ impl ForBlock {
     /// order: the count claim, before anything is allocated (a width-0
     /// block carries no body bytes, so nothing else bounds it); the width;
     /// the body length; and that no value overflows `T`.
-    fn parse<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Self, SegmentError> {
-        let len = cast::to_usize(cur.u32()?);
+    fn parse<T: Packed>(r: &mut Reader<'_>, max_count: usize) -> Result<Self, SegmentError> {
+        let len = cast::to_usize(r.u32()?);
         if len > max_count {
             return Err(malformed(format!(
                 "packed block claims {len} values, expected at most {max_count}"
             )));
         }
-        let min = T::read(cur)?.widen();
-        let width = u32::from(cur.u8()?);
+        let min = T::read(r)?.widen();
+        let width = u32::from(r.u8()?);
         if width > T::BITS {
             return Err(malformed(format!("bit width {width} > {}", T::BITS)));
         }
         let body = cast::to_usize((cast::to_u64(len) * u64::from(width)).div_ceil(64));
         let mut words = Vec::with_capacity(body * 8 + 8);
-        words.extend_from_slice(cur.take(body * 8)?);
+        words.extend_from_slice(r.take(body * 8)?);
         words.resize(body * 8 + 8, 0);
         let block = ForBlock {
             min,
@@ -718,8 +663,8 @@ impl ForBlock {
 
 /// Decodes one FOR block of at most `max_count` values: validate, then
 /// expand.
-fn unpack<T: Packed>(cur: &mut Cursor<'_>, max_count: usize) -> Result<Vec<T>, SegmentError> {
-    Ok(ForBlock::parse::<T>(cur, max_count)?.expand())
+fn unpack<T: Packed>(r: &mut Reader<'_>, max_count: usize) -> Result<Vec<T>, SegmentError> {
+    Ok(ForBlock::parse::<T>(r, max_count)?.expand())
 }
 
 // ---------------------------------------------------------------------------
@@ -734,38 +679,6 @@ struct DirEntry {
     chunk: u32,
     offset: u64,
     len: u64,
-}
-
-fn interface_tag(i: InterfaceType) -> u8 {
-    match i {
-        InterfaceType::Sq => 0,
-        InterfaceType::Rq => 1,
-        InterfaceType::Pq => 2,
-    }
-}
-
-fn interface_from_tag(tag: u8) -> Result<InterfaceType, SegmentError> {
-    match tag {
-        0 => Ok(InterfaceType::Sq),
-        1 => Ok(InterfaceType::Rq),
-        2 => Ok(InterfaceType::Pq),
-        t => Err(malformed(format!("undefined interface tag {t}"))),
-    }
-}
-
-fn role_tag(r: AttributeRole) -> u8 {
-    match r {
-        AttributeRole::Ranking => 0,
-        AttributeRole::Filtering => 1,
-    }
-}
-
-fn role_from_tag(tag: u8) -> Result<AttributeRole, SegmentError> {
-    match tag {
-        0 => Ok(AttributeRole::Ranking),
-        1 => Ok(AttributeRole::Filtering),
-        t => Err(malformed(format!("undefined role tag {t}"))),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -946,26 +859,20 @@ impl SegmentWriter {
 
         // Footer: meta + directory, itself an enveloped section.
         payload.clear();
-        payload.extend_from_slice(&(cast::to_u64(n)).to_le_bytes());
-        payload.extend_from_slice(&(cast::to_u64(db.k())).to_le_bytes());
-        payload.extend_from_slice(&(cast::to_u32(self.chunk)).to_le_bytes());
-        payload.extend_from_slice(&(cast::to_u32(BLOCK)).to_le_bytes());
-        payload.push(u8::from(has_perm));
-        write_string(db.ranker_name(), &mut payload);
-        payload.extend_from_slice(&(cast::to_u64(m)).to_le_bytes());
-        for spec in schema.attrs() {
-            write_string(&spec.name, &mut payload);
-            payload.extend_from_slice(&spec.domain_size.to_le_bytes());
-            payload.push(interface_tag(spec.interface));
-            payload.push(role_tag(spec.role));
-        }
-        payload.extend_from_slice(&(cast::to_u64(dir.len())).to_le_bytes());
+        put_usize(&mut payload, n);
+        put_usize(&mut payload, db.k());
+        put_u32(&mut payload, cast::to_u32(self.chunk));
+        put_u32(&mut payload, cast::to_u32(BLOCK));
+        put_bool(&mut payload, has_perm);
+        put_str(&mut payload, db.ranker_name());
+        put_schema(&mut payload, schema);
+        put_usize(&mut payload, dir.len());
         for e in &dir {
-            payload.push(e.kind);
-            payload.extend_from_slice(&e.attr.to_le_bytes());
-            payload.extend_from_slice(&e.chunk.to_le_bytes());
-            payload.extend_from_slice(&e.offset.to_le_bytes());
-            payload.extend_from_slice(&e.len.to_le_bytes());
+            put_u8(&mut payload, e.kind);
+            put_u32(&mut payload, e.attr);
+            put_u32(&mut payload, e.chunk);
+            put_u64(&mut payload, e.offset);
+            put_u64(&mut payload, e.len);
         }
         let footer_off = cast::to_u64(file.len());
         SWSG.seal(KIND_FOOTER, &payload, &mut file);
@@ -1379,66 +1286,46 @@ impl SegmentReader {
             vec![0u8; usize::try_from(footer_len).map_err(|_| SegmentError::Truncated)?];
         source.read_exact_at(footer_off, &mut footer)?;
         let payload = SWSG.open(&footer, KIND_FOOTER)?;
-        let mut cur = Cursor::new(payload);
+        let mut r = Reader::new(payload);
 
-        let n = usize::try_from(cur.u64()?).map_err(|_| SegmentError::Truncated)?;
+        let n = r.usize()?;
         if n > cast::to_usize(u32::MAX) {
             return Err(malformed("n exceeds u32 index space"));
         }
-        let k = usize::try_from(cur.u64()?).map_err(|_| SegmentError::Truncated)?;
+        let k = r.usize()?;
         if k == 0 {
             return Err(malformed("k must be >= 1"));
         }
-        let chunk = cast::to_usize(cur.u32()?);
+        let chunk = cast::to_usize(r.u32()?);
         if chunk == 0 || !chunk.is_multiple_of(BLOCK) {
             return Err(malformed(format!(
                 "chunk size {chunk} is not a positive multiple of {BLOCK}"
             )));
         }
-        let block = cast::to_usize(cur.u32()?);
+        let block = cast::to_usize(r.u32()?);
         if block != BLOCK {
             return Err(malformed(format!(
                 "zone block size {block} differs from engine block size {BLOCK}"
             )));
         }
-        let has_perm = match cur.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(malformed(format!("undefined has-perm flag {t}"))),
-        };
-        let ranker_name = cur.string()?;
-        let m = usize::try_from(cur.u64()?).map_err(|_| SegmentError::Truncated)?;
-        let mut attrs = Vec::with_capacity(m.min(1 << 16));
-        for _ in 0..m {
-            let name = cur.string()?;
-            let domain_size = cur.u32()?;
-            let interface = interface_from_tag(cur.u8()?)?;
-            let role = role_from_tag(cur.u8()?)?;
-            attrs.push(AttributeSpec {
-                name,
-                domain_size,
-                interface,
-                role,
-            });
-        }
-        let schema = Schema::new(attrs);
-        let dir_len = usize::try_from(cur.u64()?).map_err(|_| SegmentError::Truncated)?;
-        let mut dir = Vec::with_capacity(dir_len.min(1 << 20));
+        let has_perm = r.bool()?;
+        let ranker_name = r.string()?;
+        let schema = read_schema(&mut r)?;
+        let m = schema.len();
+        // An entry is 1 (kind) + 4 (attr) + 4 (chunk) + 8 (offset) + 8
+        // (length) bytes.
+        let dir_len = r.len_prefix(25)?;
+        let mut dir = Vec::with_capacity(dir_len);
         for _ in 0..dir_len {
-            let kind = cur.u8()?;
-            let attr = cur.u32()?;
-            let chunk_no = cur.u32()?;
-            let offset = cur.u64()?;
-            let len = cur.u64()?;
             dir.push(DirEntry {
-                kind,
-                attr,
-                chunk: chunk_no,
-                offset,
-                len,
+                kind: r.u8()?,
+                attr: r.u32()?,
+                chunk: r.u32()?,
+                offset: r.u64()?,
+                len: r.u64()?,
             });
         }
-        cur.finish()?;
+        r.finish()?;
 
         let chunks = n.div_ceil(chunk);
         // The rank-order sections exist only with a rank permutation.
@@ -1643,13 +1530,13 @@ impl SegmentReader {
         payload: &[u8],
     ) -> Result<ForBlock, SegmentError> {
         let expected = self.chunk_len(c);
-        let mut cur = Cursor::new(payload);
+        let mut r = Reader::new(payload);
         let block = if kind == KIND_IDS {
-            ForBlock::parse::<u64>(&mut cur, expected)?
+            ForBlock::parse::<u64>(&mut r, expected)?
         } else {
-            ForBlock::parse::<u32>(&mut cur, expected)?
+            ForBlock::parse::<u32>(&mut r, expected)?
         };
-        cur.finish()?;
+        r.finish()?;
         if block.len != expected {
             return Err(malformed(format!(
                 "section {}[{attr}, {c}] holds {} values, expected {expected}",
@@ -1692,9 +1579,9 @@ impl SegmentReader {
     /// `verify`).
     fn decode_starts_section(&self, attr: usize, payload: &[u8]) -> Result<Vec<u32>, SegmentError> {
         let d = cast::to_usize(self.schema.attr(attr).domain_size);
-        let mut cur = Cursor::new(payload);
-        let starts = unpack::<u32>(&mut cur, d + 1)?;
-        cur.finish()?;
+        let mut r = Reader::new(payload);
+        let starts = unpack::<u32>(&mut r, d + 1)?;
+        r.finish()?;
         if starts.len() != d + 1 {
             return Err(malformed(format!(
                 "starts[{attr}] has {} entries, expected {}",
@@ -1717,11 +1604,11 @@ impl SegmentReader {
     /// per-block minima then maxima (shared with `verify`).
     fn decode_zones_section(&self, payload: &[u8]) -> Result<ZoneMaps, SegmentError> {
         let blocks = self.n.div_ceil(BLOCK);
-        let mut cur = Cursor::new(payload);
+        let mut r = Reader::new(payload);
         let (mut mins, mut maxs) = (Vec::new(), Vec::new());
         for attr in 0..self.schema.len() {
             for table in [&mut mins, &mut maxs] {
-                let vals = unpack::<Value>(&mut cur, blocks)?;
+                let vals = unpack::<Value>(&mut r, blocks)?;
                 if vals.len() != blocks {
                     return Err(malformed(format!(
                         "zones[{attr}] cover {} blocks, expected {blocks}",
@@ -1731,7 +1618,7 @@ impl SegmentReader {
                 table.push(vals);
             }
         }
-        cur.finish()?;
+        r.finish()?;
         Ok((mins, maxs))
     }
 
@@ -2250,7 +2137,7 @@ impl ColumnCursors for SegmentCursors<'_> {
 mod tests {
     use super::*;
     use crate::envelope::{CHECKSUM_LEN, HEADER_LEN};
-    use crate::{Query, SchemaBuilder, SumRanker};
+    use crate::{InterfaceType, Query, SchemaBuilder, SumRanker};
     use std::collections::HashSet;
 
     /// `count` values whose spread needs exactly `width` bits once there
@@ -2280,13 +2167,13 @@ mod tests {
             assert_eq!(u32::from(bytes[at]), width, "packed width");
         }
         let what = format!("u{} width {width} count {}", T::BITS, values.len());
-        let mut cur = Cursor::new(&bytes);
-        let back = unpack::<T>(&mut cur, values.len()).unwrap();
-        cur.finish().unwrap();
+        let mut r = Reader::new(&bytes);
+        let back = unpack::<T>(&mut r, values.len()).unwrap();
+        r.finish().unwrap();
         assert_eq!(back, values, "{what}");
         // The packed reader extracts every value in place, bit-exactly,
         // including the values that straddle a word boundary.
-        let block = ForBlock::parse::<T>(&mut Cursor::new(&bytes), values.len()).unwrap();
+        let block = ForBlock::parse::<T>(&mut Reader::new(&bytes), values.len()).unwrap();
         assert_eq!(block.len, back.len(), "{what}");
         for (i, v) in back.iter().enumerate() {
             assert_eq!(block.get(i), v.widen(), "{what} index {i}");
@@ -2349,7 +2236,7 @@ mod tests {
         bytes.push(2);
         bytes.extend_from_slice(&(1u64 | 3 << 2).to_le_bytes());
         assert_eq!(
-            unpack::<u32>(&mut Cursor::new(&bytes), 2).unwrap_err(),
+            unpack::<u32>(&mut Reader::new(&bytes), 2).unwrap_err(),
             malformed("packed value overflows u32")
         );
     }
@@ -2361,9 +2248,9 @@ mod tests {
             pack(&values, &mut bytes);
             // Constant (or empty) runs cost exactly the 9-byte header.
             assert_eq!(bytes.len(), 9);
-            let mut cur = Cursor::new(&bytes);
-            assert_eq!(unpack::<u32>(&mut cur, values.len()).unwrap(), values);
-            cur.finish().unwrap();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(unpack::<u32>(&mut r, values.len()).unwrap(), values);
+            r.finish().unwrap();
         }
     }
 
@@ -3002,10 +2889,10 @@ mod tests {
         edit: impl Fn(&mut [Vec<u32>]),
     ) -> Vec<u8> {
         reseal(bytes, kind, attr, chunk, |p| {
-            let mut cur = Cursor::new(p);
+            let mut r = Reader::new(p);
             let mut blocks = Vec::new();
-            while cur.pos < p.len() {
-                blocks.push(unpack::<u32>(&mut cur, usize::MAX).unwrap());
+            while r.remaining() > 0 {
+                blocks.push(unpack::<u32>(&mut r, usize::MAX).unwrap());
             }
             edit(&mut blocks);
             let mut repacked = Vec::new();
@@ -3066,6 +2953,95 @@ mod tests {
             let reader = SegmentReader::open(Box::new(MemSource::new(forged)))
                 .unwrap_or_else(|e| panic!("{what}: the forgery opens: {e}"));
             assert_eq!(reader.verify().unwrap_err(), want, "{what}");
+        }
+    }
+
+    /// The footer payload of segment `bytes`, and its offset in the file.
+    fn footer_payload(bytes: &[u8]) -> (usize, Vec<u8>) {
+        let end = bytes.len() - TRAILER_LEN;
+        let offset = le_u64(&bytes[end + 8..end + 16]) as usize;
+        let payload = SWSG.open(&bytes[offset..end], KIND_FOOTER).unwrap();
+        (offset, payload.to_vec())
+    }
+
+    /// Rewrites the footer payload with `forge`, which may resize it,
+    /// re-seals it under `SWSG` and rewrites the trailer's footer length
+    /// and checksum: every envelope and checksum holds, so only the footer
+    /// decode stands between the forgery and the reader.
+    fn reseal_footer(bytes: &[u8], forge: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let (offset, mut payload) = footer_payload(bytes);
+        forge(&mut payload);
+        let mut forged = bytes[..offset].to_vec();
+        SWSG.seal(KIND_FOOTER, &payload, &mut forged);
+        let mut trailer = [0u8; TRAILER_LEN];
+        trailer[..8].copy_from_slice(&TRAILER_MAGIC);
+        trailer[8..16].copy_from_slice(&(offset as u64).to_le_bytes());
+        trailer[16..24].copy_from_slice(&((forged.len() - offset) as u64).to_le_bytes());
+        let check = fnv1a64(&trailer[..24]);
+        trailer[24..].copy_from_slice(&check.to_le_bytes());
+        forged.extend_from_slice(&trailer);
+        forged
+    }
+
+    #[test]
+    fn resealed_footer_forgeries_fail_typed() {
+        let bytes = SegmentWriter::new()
+            .with_chunk_size(64)
+            .write(&tiny_db())
+            .unwrap();
+        assert_eq!(
+            reseal_footer(&bytes, |_| {}),
+            bytes,
+            "the helper forges nothing"
+        );
+        let open =
+            |forged: Vec<u8>| SegmentReader::open(Box::new(MemSource::new(forged))).map(|r| r.n());
+        // Walk the footer to the fields the forgeries rewrite: after n, k,
+        // the chunk and the zone block size come the has-perm flag, the
+        // ranker name, the schema and the directory.
+        let (_, payload) = footer_payload(&bytes);
+        let at = |r: &Reader<'_>| payload.len() - r.remaining();
+        let mut r = Reader::new(&payload);
+        r.take(24).unwrap();
+        let has_perm = at(&r);
+        r.bool().unwrap();
+        r.string().unwrap();
+        let attr_count = at(&r);
+        read_schema(&mut r).unwrap();
+        let dir_count = at(&r);
+        let name = attr_count + 8;
+        let name_len = le_u64(&payload[name..name + 8]) as usize;
+        let interface = name + 8 + name_len + 4;
+
+        // Undefined tags and a non-UTF-8 name (reported as tag 0):
+        // malformed.
+        for (what, offset, byte, tag) in [
+            ("interface tag 3", interface, 3, 3),
+            ("role tag 2", interface + 1, 2, 2),
+            ("has-perm flag 2", has_perm, 2, 2),
+            ("non-UTF-8 attribute name", name + 8, 0xff, 0),
+        ] {
+            assert_eq!(
+                open(reseal_footer(&bytes, |p| p[offset] = byte)),
+                Err(malformed(EnvelopeError::BadTag { tag }.to_string())),
+                "{what}"
+            );
+        }
+
+        // A count its entries (at least 14 bytes per attribute, 25 per
+        // directory entry) cannot fit in the bytes left: truncated, before
+        // anything is allocated.
+        let fits = |count_at: usize, entry: usize| (payload.len() - count_at - 8) / entry;
+        for (what, count_at, claim) in [
+            ("attribute count", attr_count, fits(attr_count, 14) + 1),
+            ("attribute count", attr_count, usize::MAX),
+            ("directory count", dir_count, fits(dir_count, 25) + 1),
+            ("directory count", dir_count, usize::MAX),
+        ] {
+            let forged = reseal_footer(&bytes, |p| {
+                p[count_at..count_at + 8].copy_from_slice(&(claim as u64).to_le_bytes());
+            });
+            assert_eq!(open(forged), Err(SegmentError::Truncated), "{what} {claim}");
         }
     }
 

@@ -28,6 +28,7 @@ use skyweb_core::{
     decode_hello, decode_plan, encode_error_reply, encode_responses, encode_welcome, Welcome,
     KIND_HELLO, KIND_PLAN, WIRE_PROTOCOL,
 };
+use skyweb_hidden_db::envelope::u64_of;
 use skyweb_hidden_db::HiddenDb;
 
 use crate::wire::{self, NetError, MAX_FRAME_LEN, MAX_HANDSHAKE_FRAME_LEN};
@@ -39,11 +40,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
-}
-
-/// Saturating `usize` → `u64` for accounting counters.
-fn u64_of(v: usize) -> u64 {
-    u64::try_from(v).unwrap_or(u64::MAX)
 }
 
 /// The worker-pool size when none is configured: `SKYWEB_JOBS` if set (the

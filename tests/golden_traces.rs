@@ -12,14 +12,16 @@
 //! two runs identical, so a golden can never drift *because of* batching.
 
 use skyweb::core::{
-    encode_plan, encode_responses, BaselineCrawl, Discoverer, DiscoveryDriver, DiscoveryMachine,
-    DiscoveryResult, DriverConfig, MqDbSky, PointSpaceCrawl, Pq2dSky, PqDbSky, RqDbSky, RqSkyband,
-    SqDbSky, DEFAULT_MAX_BATCH,
+    encode_error_reply, encode_hello, encode_plan, encode_responses, encode_welcome, BaselineCrawl,
+    Discoverer, DiscoveryDriver, DiscoveryMachine, DiscoveryResult, DriverConfig, Hello, MqDbSky,
+    PointSpaceCrawl, Pq2dSky, PqDbSky, RqDbSky, RqSkyband, SqDbSky, StepOutcome, Welcome,
+    DEFAULT_MAX_BATCH, WIRE_PROTOCOL,
 };
 use skyweb::datagen::{diamonds, flights_dot};
 use skyweb::hidden_db::{
-    HiddenDb, InterfaceType, MemSource, QueryResponse, RandomSkylineRanker, Ranker, SchemaBuilder,
-    SegmentOpenOptions, SegmentWriter, SingleAttributeRanker, SumRanker, Tuple, WorstCaseRanker,
+    HiddenDb, InterfaceType, MemSource, Query, QueryError, QueryResponse, RandomSkylineRanker,
+    Ranker, SchemaBuilder, SegmentError, SegmentOpenOptions, SegmentWriter, SingleAttributeRanker,
+    SumRanker, Tuple, WorstCaseRanker,
 };
 
 /// FNV-1a over a byte stream: the fingerprint primitive for traces and
@@ -308,8 +310,8 @@ fn golden_fig15_style_runs_segment_backed() {
 //
 // The encodings themselves, fingerprinted as `(length, FNV-1a)`: a change
 // to the envelope, the chunk encoding or a payload walk must reproduce every
-// byte of the SWSG segment files and the SWCK plan, responses and
-// checkpoint envelopes.
+// byte of the SWSG segment files, the SWCK plan, responses and checkpoint
+// envelopes, and the wire handshake and error-reply frames.
 
 #[test]
 fn golden_segment_bytes() {
@@ -366,6 +368,72 @@ fn golden_swck_envelope_bytes() {
         bytes_fingerprint(&checkpoint.to_bytes().expect("SQ checkpoints encode")),
         (6_802, 0x87f97ed0578b5e1b),
         "checkpoint envelope drifted"
+    );
+}
+
+/// The three wire payloads the plan and responses pins leave out: the
+/// handshake pair, where the welcome is the one wire frame that writes a
+/// schema, and an error reply whose `QueryError` nests a `SegmentError`.
+#[test]
+fn golden_wire_frame_bytes() {
+    let hello = Hello {
+        protocol: WIRE_PROTOCOL,
+        label: "tenant-sq".to_string(),
+    };
+    assert_eq!(
+        bytes_fingerprint(&encode_hello(&hello)),
+        (44, 0x809341e8c727ad9b),
+        "hello envelope drifted"
+    );
+
+    let db = fig14_style_db(2_000);
+    let welcome = Welcome {
+        protocol: WIRE_PROTOCOL,
+        ranker: db.ranker_name().to_string(),
+        k: db.k() as u64,
+        tuple_count: db.n() as u64,
+        schema: db.schema().clone(),
+    };
+    assert_eq!(
+        bytes_fingerprint(&encode_welcome(&welcome)),
+        (280, 0xf80c26543b19503a),
+        "welcome envelope drifted"
+    );
+
+    let answered = vec![db.query(&Query::select_all()).expect("select-all is valid")];
+    let error = QueryError::Storage {
+        error: SegmentError::Malformed {
+            detail: "missing section ids[attr 0, chunk 3]".to_string(),
+        },
+    };
+    assert_eq!(
+        bytes_fingerprint(&encode_error_reply(&answered, &error)),
+        (606, 0x68a40e201291e2b1),
+        "error-reply envelope drifted"
+    );
+}
+
+/// A paused sky-band checkpoint: its control state is the one checkpoint
+/// control that writes a schema.
+#[test]
+fn golden_skyband_checkpoint_bytes() {
+    let db = fig15_style_db(2_000);
+    let machine = RqSkyband::new(2)
+        .build_machine(&db)
+        .expect("fig15-style attributes are two-ended ranges");
+    let mut driver = DiscoveryDriver::new(&db, machine, DriverConfig::new());
+    for _ in 0..30 {
+        let outcome = driver.step().expect("fault-free step");
+        assert!(
+            matches!(outcome, StepOutcome::Progressed { .. }),
+            "the band is still open"
+        );
+    }
+    let checkpoint = driver.pause();
+    assert_eq!(
+        bytes_fingerprint(&checkpoint.to_bytes().expect("sky-band checkpoints encode")),
+        (7_555, 0x98b789c57ac31b0d),
+        "sky-band checkpoint envelope drifted"
     );
 }
 

@@ -8,7 +8,7 @@
 //! call, and answered non-downward-closed `any_seen_matches` probes with a
 //! full scan of everything retrieved. It is built on an
 //! [`IncrementalSkyline`] ([`skyweb_skyline::incremental`]) plus
-//! per-attribute posting lists over the retrieved set:
+//! per-attribute posting lists over the retrieved set, built on first use:
 //!
 //! * **storage** — every retrieved tuple is held as the `Arc<Tuple>` handle
 //!   the [`QueryResponse`](skyweb_hidden_db::QueryResponse) shared with the
@@ -23,13 +23,26 @@
 //!   *every* query shape. Only the RQ tree walk calls it: RQ-DB-SKY,
 //!   MQ-DB-SKY's range phase and sky-band discovery (MQ's point phase walks
 //!   SQ trees, which never probe). Downward-closed queries scan only the
-//!   skyline's rows of dominance values. The only probes that are not
+//!   skyline's columns of dominance values. The only probes that are not
 //!   downward closed are the `≥`-rooted boxes of sky-band subspace
 //!   traversals; they walk the posting lists of the most selective
 //!   constrained attribute instead of the whole retrieved set.
+//!
+//! Ingest does not touch the posting lists. RQ-DB-SKY's and MQ-DB-SKY's
+//! probes are all downward closed and never read them, so the first probe
+//! that needs them builds them, and each later one extends them over the
+//! tuples retrieved since. They stay dense value-indexed tables only while
+//! the largest value seen is within `DENSE_FACTOR` times the retrieved
+//! count `n`; past that, such probes scan the retrieved set. Their memory
+//! is therefore linear in `n` whatever the stored values, with a large
+//! constant: one table per tuple attribute, each of at most
+//! `DENSE_FACTOR · n + 1` buckets of a 24-byte `Vec` header, so up to about
+//! 384 bytes per retrieved tuple and attribute, plus 4 bytes per stored
+//! position. A checkpoint holding a value near `u32::MAX` decodes, and is
+//! probed, without a value-sized table.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use skyweb_hidden_db::{AttrId, CmpOp, Query, Tuple, TupleId, Value};
 use skyweb_skyline::incremental::IncrementalSkyline;
@@ -40,6 +53,72 @@ use crate::discovery::{DiscoveryResult, TracePoint};
 /// Per-attribute bounds a conjunctive query folds into: the closed interval
 /// `[lo, hi]` (in `i64` so empty intervals are representable).
 type Bounds = Vec<(i64, i64)>;
+
+/// The posting lists stay dense value-indexed tables while the largest
+/// value seen is at most this many times the retrieved count. Each bucket
+/// is a 24-byte `Vec` header, so a table may cost up to 24 times this many
+/// bytes per retrieved tuple (see the module docs).
+const DENSE_FACTOR: usize = 16;
+
+/// Posting lists over a prefix of the retrieved set, built by the first
+/// probe that needs them and extended by later ones.
+#[derive(Debug, Default)]
+struct Postings {
+    /// `retrieved[..upto]` is indexed.
+    upto: usize,
+    /// `lists[attr][value]` = positions in `retrieved` (ascending) of the
+    /// tuples whose value on `attr` is exactly `value` — one dense bucket
+    /// table per attribute of the schema (values live in small rank-space
+    /// domains, so direct indexing beats any tree/hash map), grown to the
+    /// largest value indexed.
+    lists: Vec<Vec<Vec<u32>>>,
+    /// The largest value met so far, indexed or not.
+    max: Value,
+}
+
+impl Postings {
+    /// Indexes `retrieved[self.upto..]`. Returns `false`, with the lists
+    /// dropped, when a value passes the density bound; the caller then
+    /// answers by scan, and a later call rebuilds once the retrieved set
+    /// has grown enough.
+    fn extend(&mut self, retrieved: &[Arc<Tuple>]) -> bool {
+        let limit = DENSE_FACTOR.saturating_mul(retrieved.len());
+        if self.max as usize > limit {
+            return false;
+        }
+        for (pos, t) in retrieved.iter().enumerate().skip(self.upto) {
+            if self.lists.is_empty() {
+                self.lists = vec![Vec::new(); t.arity()];
+            }
+            for (buckets, &v) in self.lists.iter_mut().zip(&t.values) {
+                self.max = self.max.max(v);
+                if v as usize > limit {
+                    self.lists.clear();
+                    self.upto = 0;
+                    return false;
+                }
+                if buckets.len() <= v as usize {
+                    buckets.resize(v as usize + 1, Vec::new());
+                }
+                buckets[v as usize].push(pos as u32);
+            }
+        }
+        self.upto = retrieved.len();
+        true
+    }
+}
+
+/// The lazily built [`Postings`], behind a `Mutex` so that probes can
+/// extend them through `&KnowledgeBase` and the knowledge base stays
+/// `Send + Sync`. A clone starts empty and rebuilds on demand.
+#[derive(Debug, Default)]
+struct PostingIndex(Mutex<Postings>);
+
+impl Clone for PostingIndex {
+    fn clone(&self) -> Self {
+        PostingIndex::default()
+    }
+}
 
 /// The knowledge a discovery run has accumulated: the retrieved set, its
 /// skyline (or top-h sky band), posting lists for membership probes, and
@@ -55,12 +134,9 @@ pub struct KnowledgeBase {
     /// Every distinct retrieved tuple, in retrieval order, aliasing the
     /// database store.
     retrieved: Vec<Arc<Tuple>>,
-    /// `postings[attr][value]` = positions in `retrieved` (ascending) of
-    /// the tuples whose value on `attr` is exactly `value` — one dense
-    /// bucket table per attribute of the schema (values live in small
-    /// rank-space domains, so direct indexing beats any tree/hash map),
-    /// sized on first ingest and grown to the largest value seen.
-    postings: Vec<Vec<Vec<u32>>>,
+    /// Posting lists over `retrieved`, for the probes that are not
+    /// downward closed; built on first use.
+    postings: PostingIndex,
     trace: Vec<TracePoint>,
 }
 
@@ -78,14 +154,14 @@ impl KnowledgeBase {
             attrs,
             ids: HashSet::new(),
             retrieved: Vec::new(),
-            postings: Vec::new(),
+            postings: PostingIndex::default(),
             trace: Vec::new(),
         }
     }
 
     /// Ingests newly returned tuples: deduplicates by id, shares the `Arc`
-    /// handles (no deep clone), updates the posting lists and the
-    /// incremental skyline.
+    /// handles (no deep clone) and updates the incremental skyline. The
+    /// posting lists catch up on the next probe that reads them.
     ///
     /// The whole batch reaches the incremental index through
     /// [`IncrementalSkyline::insert_batch`], which pre-sorts it into
@@ -97,17 +173,6 @@ impl KnowledgeBase {
         for t in tuples {
             if !self.ids.insert(t.id) {
                 continue;
-            }
-            if self.postings.is_empty() {
-                self.postings = vec![Vec::new(); t.arity()];
-            }
-            let pos = self.retrieved.len() as u32;
-            for (attr, &v) in t.values.iter().enumerate() {
-                let buckets = &mut self.postings[attr];
-                if buckets.len() <= v as usize {
-                    buckets.resize(v as usize + 1, Vec::new());
-                }
-                buckets[v as usize].push(pos);
             }
             self.retrieved.push(Arc::clone(t));
             fresh.push(Arc::clone(t));
@@ -172,13 +237,14 @@ impl KnowledgeBase {
     /// Queries whose predicates are all *upper bounds* on the dominance
     /// attributes are downward closed under coordinate-wise ≤, so a
     /// retrieved tuple matches iff some tuple of the current (minimal)
-    /// skyline matches — scanning the skyline's rows of dominance values
+    /// skyline matches — scanning the skyline's columns of dominance values
     /// ([`IncrementalSkyline::any_skyline_within`]) is exact. Every other
     /// shape walks the posting lists of the most selective constrained
-    /// attribute; the old collector fell back to scanning the entire
-    /// retrieved set for those. The only such shape a machine issues is the
-    /// `≥`-rooted box of sky-band domination subspaces; equality and mixed
-    /// predicates are answered exactly all the same.
+    /// attribute, building or extending them first; the old collector fell
+    /// back to scanning the entire retrieved set for those. The only such
+    /// shape a machine issues is the `≥`-rooted box of sky-band domination
+    /// subspaces; equality and mixed predicates are answered exactly all
+    /// the same.
     pub fn any_seen_matches(&self, query: &Query) -> bool {
         if self.retrieved.is_empty() {
             return false;
@@ -218,6 +284,16 @@ impl KnowledgeBase {
             return true;
         }
 
+        let mut postings = self
+            .postings
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !postings.extend(&self.retrieved) {
+            return self.retrieved.iter().any(|t| t.within_bounds(&cons));
+        }
+        let lists = &postings.lists;
+
         // Pick the constrained attribute with the fewest candidate tuples;
         // counting walks only the value buckets inside the bound (capped in
         // both candidates seen and buckets visited), and equality pivots
@@ -228,7 +304,7 @@ impl KnowledgeBase {
         // constant-sized bound-folding preamble above (tens of ns — see
         // the any_seen_matches_ge_box row of BENCH_knowledge.json).
         let bucket_range = |&(attr, lo, hi): &(AttrId, Value, Value)| -> &[Vec<u32>] {
-            let buckets = &self.postings[attr];
+            let buckets = &lists[attr];
             let lo = (lo as usize).min(buckets.len());
             let hi = (hi as usize).saturating_add(1).min(buckets.len());
             &buckets[lo..hi]
@@ -278,7 +354,7 @@ impl KnowledgeBase {
     /// attribute; `None` if the conjunction is unsatisfiable over `u32`
     /// values.
     fn fold_bounds(&self, query: &Query) -> Option<Bounds> {
-        let arity = self.postings.len();
+        let arity = self.retrieved.first().map_or(0, |t| t.arity());
         let mut bounds: Bounds = vec![(0, i64::from(Value::MAX)); arity];
         for p in query.predicates() {
             if p.attr >= arity {
@@ -307,9 +383,10 @@ impl KnowledgeBase {
 
     /// Appends the knowledge base to `out` in the binary checkpoint format:
     /// the dominance attributes, the band, the retrieval-ordered tuple list
-    /// and the anytime trace. The posting lists and the incremental index
-    /// are *not* stored — [`KnowledgeBase::decode`] rebuilds them by
-    /// replaying the ingest, which is deterministic in retrieval order.
+    /// and the anytime trace. The incremental index and the posting lists
+    /// are *not* stored — [`KnowledgeBase::decode`] rebuilds the index by
+    /// replaying the ingest, which is deterministic in retrieval order, and
+    /// the lists are rebuilt on first use.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         codec::put_usize_slice(out, &self.attrs);
         codec::put_usize(out, self.index.band());
@@ -327,9 +404,10 @@ impl KnowledgeBase {
     /// Restores a knowledge base from the binary checkpoint format by
     /// replaying the ingest of the stored tuple list, then reattaching the
     /// recorded trace. Because ingest deduplicates by id and builds the
-    /// posting lists and incremental index in retrieval order, the restored
-    /// state is identical to the encoded one (re-encoding reproduces the
-    /// same bytes).
+    /// incremental index in retrieval order, the restored state is
+    /// identical to the encoded one (re-encoding reproduces the same
+    /// bytes). Ingest allocates nothing sized by a stored value, so a
+    /// payload of `n` tuples decodes in memory linear in `n`.
     ///
     /// A sealed payload is untrusted: a band outside `1..=u32::MAX`, or a
     /// tuple whose arity differs from the first tuple's or lacks a
@@ -471,6 +549,98 @@ mod tests {
         assert_eq!(kb.band_tuples(2).len(), 2);
         assert_eq!(kb.band_tuples(3).len(), 3);
         assert_eq!(kb.skyline_len(), 1);
+    }
+
+    /// No stored value sizes a table. Ingest builds no posting lists, and
+    /// the lists built on first use stay dense only while the largest value
+    /// is within `DENSE_FACTOR` times the retrieved count: values right at
+    /// that bound are indexed, in tables of at most `DENSE_FACTOR · n + 1`
+    /// buckets, and a knowledge base holding `u32::MAX - 1` drops them and
+    /// scans. Every probe shape answers like a naive scan throughout, and
+    /// the large values round-trip through the checkpoint codec, at band 1
+    /// and at the sky band's band 2.
+    #[test]
+    fn huge_values_round_trip_and_probe_without_a_value_sized_table() {
+        let big = u32::MAX - 1;
+        let small: Vec<Tuple> = (0..20u32)
+            .map(|i| Tuple::new(u64::from(i), vec![i, 20 - i, i % 3]))
+            .collect();
+        // With these two, 22 tuples are retrieved and 352 = 16 · 22.
+        let near = vec![
+            Tuple::new(50, vec![352, 4, 351]),
+            Tuple::new(51, vec![5, 351, 352]),
+        ];
+        let huge = vec![
+            Tuple::new(100, vec![big, 3, 7]),
+            Tuple::new(101, vec![2, big, big]),
+        ];
+        let probes = [
+            // Downward closed.
+            Query::new(vec![Predicate::lt(0, big)]),
+            Query::new(vec![Predicate::le(0, 1), Predicate::le(1, big)]),
+            // ≥-rooted boxes, as the sky band issues them.
+            Query::new(vec![Predicate::ge(0, 3), Predicate::ge(1, 2)]),
+            Query::new(vec![Predicate::ge(0, big), Predicate::ge(1, 3)]),
+            Query::new(vec![Predicate::ge(0, 19), Predicate::gt(1, 1)]),
+            Query::new(vec![Predicate::ge(1, big), Predicate::gt(2, 5)]),
+            Query::new(vec![Predicate::ge(0, 352), Predicate::ge(1, 4)]),
+            Query::new(vec![Predicate::ge(1, 351), Predicate::le(2, 352)]),
+            // Equality pivots.
+            Query::new(vec![Predicate::eq(2, big)]),
+            Query::new(vec![Predicate::eq(2, 1), Predicate::ge(0, 18)]),
+            Query::new(vec![Predicate::eq(2, 351)]),
+        ];
+        let table_sizes = |kb: &KnowledgeBase| -> Vec<usize> {
+            let postings = kb.postings.0.lock().unwrap_or_else(PoisonError::into_inner);
+            postings.lists.iter().map(Vec::len).collect()
+        };
+        for band in [1, 2] {
+            let mut kb = KnowledgeBase::with_band(vec![0, 1], band);
+            let mut seen: Vec<Tuple> = Vec::new();
+            for (phase, batch) in [("small", &small), ("near", &near), ("huge", &huge)] {
+                kb.ingest_owned(batch.clone());
+                seen.extend(batch.iter().cloned());
+                for q in &probes {
+                    let naive = seen.iter().any(|t| q.matches(t));
+                    assert_eq!(kb.any_seen_matches(q), naive, "band {band}, {phase}: {q}");
+                }
+                let sizes = table_sizes(&kb);
+                if phase == "huge" {
+                    assert!(
+                        sizes.is_empty(),
+                        "band {band}: a value-sized table {sizes:?}"
+                    );
+                } else {
+                    let bound = DENSE_FACTOR * seen.len() + 1;
+                    assert_eq!(
+                        sizes.len(),
+                        3,
+                        "band {band}, {phase}: one table per attribute"
+                    );
+                    assert!(
+                        sizes.iter().all(|&len| len <= bound),
+                        "band {band}, {phase}: {sizes:?} past {bound} buckets"
+                    );
+                }
+            }
+            assert_eq!(table_sizes(&kb), Vec::<usize>::new());
+            let mut bytes = Vec::new();
+            kb.encode(&mut bytes);
+            let decoded =
+                KnowledgeBase::decode(&mut codec::Reader::new(&bytes)).expect("a valid payload");
+            let mut again = Vec::new();
+            decoded.encode(&mut again);
+            assert_eq!(bytes, again, "band {band}: re-encoding changed the bytes");
+            for q in &probes {
+                let naive = seen.iter().any(|t| q.matches(t));
+                assert_eq!(
+                    decoded.any_seen_matches(q),
+                    naive,
+                    "band {band}, decoded: {q}"
+                );
+            }
+            assert_eq!(table_sizes(&decoded), Vec::<usize>::new());
+        }
     }
 
     #[test]

@@ -530,4 +530,17 @@ mod tests {
         assert!(result.complete);
         assert_eq!(result.query_cost, 1);
     }
+
+    /// The knowledge base and the machines that probe it are `Send + Sync`,
+    /// so a cached decision or a lazily built index cannot slip in through
+    /// a `Cell` or a `RefCell`: this fails to compile if one does.
+    #[test]
+    fn knowledge_and_rq_walk_machines_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<KnowledgeBase>();
+        assert_send_sync::<skyweb_skyline::incremental::IncrementalSkyline>();
+        assert_send_sync::<crate::RqMachine>();
+        assert_send_sync::<crate::MqMachine>();
+        assert_send_sync::<crate::SkybandMachine>();
+    }
 }

@@ -115,15 +115,24 @@ impl RqDbSky {
 /// phase and the sky-band extension (which roots the traversal in a
 /// domination subspace).
 ///
-/// The sq-vs-rq decision for a node is evaluated against the knowledge
-/// base both when the plan is derived and when the response is consumed;
-/// the two agree because plans are single-query (nothing is ingested in
-/// between) and `any_seen_matches` is monotone in the retrieved set.
+/// The sq-vs-rq decision for a node is one probe,
+/// [`KnowledgeBase::any_seen_matches`] on its SQ-tree query, and the walk
+/// takes it once per node: `on_response` decides the new top node right
+/// after its ingest and stores the answer with the retrieved count, and
+/// both the plan and the response to it reuse that answer. The probe
+/// depends only on the query and the retrieved set, which only grows, so
+/// an unchanged count means an unchanged answer. A walk with no stored
+/// decision for the current count (a fresh walk, a decoded checkpoint, a
+/// new sky-band subtree) probes as it plans. The decision is never
+/// encoded: checkpoint bytes do not depend on it.
 #[derive(Debug, Clone)]
 pub(crate) struct RqTreeWalk {
     stack: Vec<Node>,
     branch: Vec<usize>,
     k: usize,
+    /// The top node's decision (`true`: issue its exclusive counterpart)
+    /// and the retrieved count it was taken at.
+    decided: Option<(usize, bool)>,
 }
 
 impl RqTreeWalk {
@@ -135,6 +144,7 @@ impl RqTreeWalk {
             }],
             branch,
             k,
+            decided: None,
         }
     }
 
@@ -142,9 +152,19 @@ impl RqTreeWalk {
         self.stack.is_empty()
     }
 
+    /// `true` if the top node `node` must issue its exclusive counterpart:
+    /// the stored decision while the retrieved set is unchanged, a probe
+    /// otherwise.
+    fn exclusive(&self, node: &Node, kb: &KnowledgeBase) -> bool {
+        match self.decided {
+            Some((seen, exclusive)) if seen == kb.retrieved_len() => exclusive,
+            _ => kb.any_seen_matches(&node.sq),
+        }
+    }
+
     pub(crate) fn plan_into(&self, kb: &KnowledgeBase, out: &mut Vec<Query>) {
         if let Some(node) = self.stack.last() {
-            if kb.any_seen_matches(&node.sq) {
+            if self.exclusive(node, kb) {
                 out.push(node.rq.clone());
             } else {
                 out.push(node.sq.clone());
@@ -167,7 +187,7 @@ impl RqTreeWalk {
             .pop()
             .expect("a response arrived without a pending node");
         // Same decision the plan was derived from (kb unchanged since).
-        let exclusive = kb.any_seen_matches(&node.sq);
+        let exclusive = self.exclusive(&node, kb);
         kb.ingest(&resp.tuples);
         kb.record(issued);
         let expand_pivot: Option<std::sync::Arc<Tuple>> = if !exclusive {
@@ -209,6 +229,10 @@ impl RqTreeWalk {
                 self.stack.push(child);
             }
         }
+        self.decided = self
+            .stack
+            .last()
+            .map(|top| (kb.retrieved_len(), kb.any_seen_matches(&top.sq)));
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
@@ -231,7 +255,12 @@ impl RqTreeWalk {
         }
         let branch = codec::read_usize_vec(r)?;
         let k = r.usize()?;
-        Ok(RqTreeWalk { stack, branch, k })
+        Ok(RqTreeWalk {
+            stack,
+            branch,
+            k,
+            decided: None,
+        })
     }
 }
 
@@ -396,6 +425,40 @@ mod tests {
         assert!(result.complete);
         assert!(result.skyline.is_empty());
         assert_eq!(result.query_cost, 1);
+    }
+
+    /// The walk reuses a stored sq-vs-rq decision only while the retrieved
+    /// set has the count it was taken at; a fresh walk, or one whose
+    /// knowledge base grew since, probes.
+    #[test]
+    fn a_stored_decision_holds_only_for_its_retrieved_count() {
+        let node = Node {
+            sq: Query::new(vec![Predicate::lt(0, 3)]),
+            rq: Query::new(vec![Predicate::ge(1, 5), Predicate::lt(0, 3)]),
+        };
+        let mut walk = RqTreeWalk {
+            stack: vec![node.clone()],
+            branch: vec![0, 1],
+            k: 1,
+            decided: None,
+        };
+        let mut kb = KnowledgeBase::new(vec![0, 1]);
+        kb.ingest_owned(vec![Tuple::new(0, vec![4, 4])]);
+        let plan = |walk: &RqTreeWalk, kb: &KnowledgeBase| {
+            let mut out = Vec::new();
+            walk.plan_into(kb, &mut out);
+            out
+        };
+        // Nothing retrieved matches `A0 < 3`: q itself is safe.
+        assert_eq!(plan(&walk, &kb), vec![node.sq.clone()]);
+        // A decision stored for this count is reused as is, unprobed.
+        walk.decided = Some((kb.retrieved_len(), true));
+        assert_eq!(plan(&walk, &kb), vec![node.rq.clone()]);
+        // Once the retrieved set grows, the walk probes again.
+        kb.ingest_owned(vec![Tuple::new(1, vec![9, 9])]);
+        assert_eq!(plan(&walk, &kb), vec![node.sq.clone()]);
+        kb.ingest_owned(vec![Tuple::new(2, vec![1, 9])]);
+        assert_eq!(plan(&walk, &kb), vec![node.rq]);
     }
 
     #[test]

@@ -28,11 +28,11 @@
 //!
 //! `--fault-rate F` routes every query of every discovery run through the
 //! deterministic fault-injection oracle at transient-fault rate `F`
-//! (`--fault-seed N` picks the decision stream), retried under the default
-//! policy. Faulted attempts never reach the database and retries converge
-//! to the fault-free schedule, so stdout stays byte-identical to the
-//! fault-free run — and between serial and parallel runs at any fault rate
-//! (CI diffs exactly that).
+//! (`--fault-seed N` picks the decision stream and the retry jitter),
+//! retried under the default policy. Faulted attempts never reach the
+//! database and retries converge to the fault-free schedule, so stdout
+//! stays byte-identical to the fault-free run — and between serial and
+//! parallel runs at any fault rate (CI diffs exactly that).
 //!
 //! `--segment` writes every figure database into an in-memory segment and
 //! serves it from there with lazy hydration; `--cache-budget BYTES` (which
@@ -47,14 +47,19 @@
 //! (CI diffs exactly that). `--net` composes with `--budget`,
 //! `--max-wall-ms` and `--max-batch` but rejects `--fault-rate` — the
 //! remote transport replaces the in-process fault oracle.
+//!
+//! The flags fill one [`RunConfig`]: `--budget`, `--max-wall-ms`,
+//! `--max-batch` and the retry policy of `--fault-rate` are its
+//! `DriverConfig`, `--fault-rate` and `--fault-seed` its `FaultPlan`,
+//! `--net` its net flag, and `--segment` with `--cache-budget` its segment
+//! options. It is installed once, before any figure runs.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use skyweb_bench::{
-    figures, pool, set_cache_budget, set_net_mode, set_run_limits, set_segment_mode, FigureResult,
-    RunLimits, Scale,
-};
+use skyweb_bench::{figures, install_run_config, pool, FigureResult, RunConfig, Scale};
+use skyweb_core::RetryPolicy;
+use skyweb_hidden_db::{FaultPlan, SegmentOpenOptions};
 
 fn usage() {
     eprintln!(
@@ -70,8 +75,9 @@ fn main() -> ExitCode {
     let mut scale = Scale::Quick;
     let mut parallel = false;
     let mut jobs_request: Option<usize> = None;
-    let mut limits = RunLimits::default();
-    let mut net = false;
+    let mut config = RunConfig::default();
+    let mut fault_rate: Option<f64> = None;
+    let mut fault_seed = 0u64;
     let mut segment = false;
     let mut cache_budget: Option<u64> = None;
     let mut requested: Vec<String> = Vec::new();
@@ -103,7 +109,7 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::FAILURE;
             };
-            limits.budget = Some(n);
+            config.driver = config.driver.with_budget(Some(n));
             i += 1;
         } else if arg == "--max-wall-ms" {
             let parsed = args.get(i + 1).and_then(|v| v.parse::<u64>().ok());
@@ -112,7 +118,7 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::FAILURE;
             };
-            limits.max_wall = Some(Duration::from_millis(n));
+            config.driver = config.driver.with_max_wall(Some(Duration::from_millis(n)));
             i += 1;
         } else if arg == "--max-batch" {
             let parsed = args.get(i + 1).and_then(|v| v.parse::<usize>().ok());
@@ -121,7 +127,7 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::FAILURE;
             };
-            limits.max_batch = Some(n);
+            config.driver = config.driver.with_max_batch(n);
             i += 1;
         } else if arg == "--fault-rate" {
             let parsed = args.get(i + 1).and_then(|v| v.parse::<f64>().ok());
@@ -130,7 +136,7 @@ fn main() -> ExitCode {
                 usage();
                 return ExitCode::FAILURE;
             };
-            limits.fault_rate = Some(rate);
+            fault_rate = Some(rate);
             i += 1;
         } else if arg == "--segment" {
             segment = true;
@@ -143,14 +149,14 @@ fn main() -> ExitCode {
             cache_budget = Some(n);
             i += 1;
         } else if arg == "--net" {
-            net = true;
+            config.net = true;
         } else if arg == "--fault-seed" {
             let Some(n) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
                 eprintln!("--fault-seed needs a non-negative integer value");
                 usage();
                 return ExitCode::FAILURE;
             };
-            limits.fault_seed = n;
+            fault_seed = n;
             i += 1;
         } else if let Some(s) = Scale::from_flag(arg) {
             scale = s;
@@ -169,56 +175,53 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if limits.any() {
-        if let Err(e) = set_run_limits(limits) {
-            eprintln!("--budget/--max-wall-ms/--max-batch/--fault-rate: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    // Net mode: every discovery run is served over loopback TCP through a
-    // RemoteOracle. Stdout is byte-identical to the in-process run (CI
-    // diffs exactly that), so only the mode announcement goes to stderr.
-    if net {
-        if limits.fault_rate.is_some() {
+    // Fault injection: every query passes through the seeded fault oracle,
+    // retried under the default policy with the same seed.
+    if let Some(rate) = fault_rate {
+        if config.net {
             eprintln!("--net cannot be combined with --fault-rate: the remote transport replaces the in-process fault oracle");
             usage();
             return ExitCode::FAILURE;
         }
-        if let Err(e) = set_net_mode() {
-            eprintln!("--net: {e}");
-            return ExitCode::FAILURE;
-        }
+        config.faults = FaultPlan::new(fault_seed, rate);
+        config.driver = config
+            .driver
+            .with_retry(Some(RetryPolicy::new().with_seed(fault_seed)));
+        eprintln!("# fault injection: rate {rate}, seed {fault_seed} (default retry policy)");
+    }
+    // Net mode: every discovery run is served over loopback TCP through a
+    // RemoteOracle. Stdout is byte-identical to the in-process run (CI
+    // diffs exactly that), so only the mode announcement goes to stderr.
+    if config.net {
         eprintln!("# net mode: discovery over loopback TCP (RemoteOracle)");
     }
     // Segment-backed mode: every figure database is round-tripped through
-    // an in-memory segment and served with lazy hydration. Figure stdout is
-    // byte-identical to the in-RAM run (CI diffs exactly that), so the mode
-    // announcement goes to stderr like all progress.
-    if segment {
-        if let Err(e) = set_segment_mode() {
-            eprintln!("--segment: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("# segment-backed mode: databases served from in-memory segments");
+    // an in-memory segment and served with lazy hydration; a cache budget
+    // bounds each segment's chunk cache. Figure stdout is byte-identical
+    // to the in-RAM run either way (CI diffs exactly that, once with a
+    // deliberately tiny budget), so the announcements go to stderr like
+    // all progress.
+    if cache_budget.is_some() && !segment {
+        eprintln!("--cache-budget requires --segment");
+        usage();
+        return ExitCode::FAILURE;
     }
-    // A cache budget bounds the chunk cache of every segment-backed
-    // database; figure stdout is still byte-identical (CI runs exactly this
-    // with a deliberately tiny budget and diffs against the in-RAM run).
-    if let Some(bytes) = cache_budget {
-        if !segment {
-            eprintln!("--cache-budget requires --segment");
-            usage();
-            return ExitCode::FAILURE;
+    if segment {
+        let mut options = SegmentOpenOptions::new();
+        eprintln!("# segment-backed mode: databases served from in-memory segments");
+        if let Some(bytes) = cache_budget {
+            options = options.with_cache_budget(bytes);
+            eprintln!("# chunk cache capped at {bytes} bytes per database");
         }
-        if let Err(e) = set_cache_budget(bytes) {
-            eprintln!("--cache-budget: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("# chunk cache capped at {bytes} bytes per database");
+        config.segment = Some(options);
+    }
+    if let Err(e) = install_run_config(config) {
+        eprintln!("run configuration: {e}");
+        return ExitCode::FAILURE;
     }
     // Wall-clock truncation is nondeterministic: keep stdout diffable by
     // moving the affected tables to stderr (headers stay on stdout).
-    let deterministic_tables = limits.max_wall.is_none();
+    let deterministic_tables = config.driver.max_wall.is_none();
     let emit = move |result: &FigureResult| {
         if deterministic_tables {
             println!("{result}");
@@ -253,18 +256,16 @@ fn main() -> ExitCode {
          max-wall-ms: {}, max-batch: {}",
         if parallel { "parallel" } else { "serial" },
         if parallel { pool::jobs() } else { 1 },
-        limits.budget.map_or("none".into(), |b| b.to_string()),
-        limits
+        config
+            .driver
+            .budget
+            .map_or("none".into(), |b| b.to_string()),
+        config
+            .driver
             .max_wall
             .map_or("none".into(), |w| w.as_millis().to_string()),
-        limits.max_batch.map_or("default".into(), |b| b.to_string()),
+        config.driver.max_batch,
     );
-    if let Some(rate) = limits.fault_rate {
-        eprintln!(
-            "# fault injection: rate {rate}, seed {} (default retry policy)",
-            limits.fault_seed
-        );
-    }
     let started = Instant::now();
     if parallel {
         // Figures and their internal series all draw from one bounded

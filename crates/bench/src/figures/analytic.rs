@@ -6,7 +6,7 @@ use skyweb_datagen::synthetic;
 use skyweb_hidden_db::RandomSkylineRanker;
 use skyweb_skyline::sfs_skyline;
 
-use super::helpers::{mk_db, run};
+use super::helpers::{mk_db, run, run_capped};
 use crate::{pool, FigureResult, Scale};
 
 /// Figure 4: average-case vs worst-case query cost of SQ-DB-SKY as a
@@ -72,7 +72,7 @@ pub fn fig06(scale: Scale) -> FigureResult {
         let skyline = sfs_skyline(&ds.tuples, &ds.schema).len();
 
         let db_sq = mk_db(ds.clone(), 1, || Box::new(RandomSkylineRanker::new(7)));
-        let sq = run(&SqDbSky::with_budget(sq_budget), &db_sq);
+        let sq = run_capped(&SqDbSky::new(), &db_sq, sq_budget);
         let db_rq = mk_db(ds, 1, || Box::new(RandomSkylineRanker::new(7)));
         let rq = run(&RqDbSky::new(), &db_rq);
 

@@ -1,27 +1,28 @@
 //! Shared workload-construction helpers for the figure harnesses.
 
-use skyweb_core::{
-    Discoverer, DiscoveryDriver, DiscoveryResult, DriverConfig, RetryPolicy, TracePoint,
-};
+use skyweb_core::{Discoverer, DiscoveryDriver, DiscoveryResult, TracePoint};
 use skyweb_datagen::{flights_dot, Dataset};
-use skyweb_hidden_db::{FaultPlan, HiddenDb, InterfaceType, Ranker, SumRanker};
+use skyweb_hidden_db::{HiddenDb, InterfaceType, MemSource, Ranker, SegmentWriter, SumRanker};
 use skyweb_skyline::sfs_skyline;
 
-use crate::{limits, storage, Scale};
+use crate::{net, run_config, RunConfig, Scale};
 
-/// Wraps a dataset in a hidden-database interface, honoring segment-backed
-/// mode: with `--segment` on, the database is round-tripped through the
-/// persistent columnar store and served with lazy hydration
-/// (figure output is identical by the storage layer's differential
-/// contract). `ranker` is a factory because the RAM build and the segment
-/// reopen each need their own `Box<dyn Ranker>`.
+/// Wraps a dataset in a hidden-database interface. With
+/// [`RunConfig::segment`] set (`--segment`), the database is written into
+/// an in-memory segment and served from there with lazy hydration under
+/// those options; figure output is identical by the storage layer's
+/// differential contract. `ranker` is a factory because the RAM build and
+/// the segment reopen each need their own `Box<dyn Ranker>`.
 pub(crate) fn mk_db(ds: Dataset, k: usize, ranker: impl Fn() -> Box<dyn Ranker>) -> HiddenDb {
     let ram = ds.into_db(ranker(), k);
-    if storage::segment_mode() {
-        storage::segment_backed(&ram, ranker())
-    } else {
-        ram
-    }
+    let Some(options) = run_config().segment else {
+        return ram;
+    };
+    let bytes = SegmentWriter::new()
+        .write(&ram)
+        .unwrap_or_else(|e| panic!("cannot write a segment: {e}"));
+    HiddenDb::open_segment_source_with(Box::new(MemSource::new(bytes)), ranker(), options)
+        .unwrap_or_else(|e| panic!("cannot open a segment: {e}"))
 }
 
 /// [`mk_db`] with the paper's default SUM ranking function.
@@ -49,53 +50,31 @@ pub(crate) fn flights_all_rq(base: &Dataset) -> Dataset {
     ds
 }
 
-/// Runs a discoverer and panics with a readable message on interface errors
-/// (which would indicate a bug in the harness wiring, not in the algorithm).
-///
-/// When harness-wide limits are installed (`--budget` / `--max-wall-ms` /
-/// `--max-batch` / `--fault-rate`), the run goes through the sans-io
-/// machine + driver path under those limits (the budget combines with any
-/// algorithm-level budget by taking the minimum; `--max-batch 1` forces
-/// the per-query reference schedule instead of engine-side plan batching;
-/// `--fault-rate` routes every query through the deterministic fault
-/// oracle with the default retry policy — retries converge, so figure
-/// output is unchanged); without limits this is exactly the
-/// `Discoverer::discover` adapter.
+/// Runs a discoverer under the installed [`RunConfig`] and panics with a
+/// readable message on interface errors (which would indicate a bug in the
+/// harness wiring, not in the algorithm).
 pub(crate) fn run(alg: &dyn Discoverer, db: &HiddenDb) -> DiscoveryResult {
-    // Net mode routes the run over a loopback TCP connection through a
-    // RemoteOracle (byte-identical output by the wire-protocol contract);
-    // it honors budget/wall/batch limits itself and is mutually exclusive
-    // with fault injection (rejected by the experiments binary).
-    if crate::net::net_mode() {
-        return crate::net::run_over_loopback(alg, db);
+    run_with(alg, db, run_config())
+}
+
+/// [`run`], stopped after at most `cap` queries: the figure's own cap on a
+/// crawl or an SQ run, or the installed `--budget` when that is smaller.
+/// The only place two budgets meet.
+pub(crate) fn run_capped(alg: &dyn Discoverer, db: &HiddenDb, cap: u64) -> DiscoveryResult {
+    let mut config = run_config();
+    let budget = config.driver.budget.map_or(cap, |b| b.min(cap));
+    config.driver = config.driver.with_budget(Some(budget));
+    run_with(alg, db, config)
+}
+
+fn run_with(alg: &dyn Discoverer, db: &HiddenDb, config: RunConfig) -> DiscoveryResult {
+    if config.net {
+        return net::run_remote(alg, db, config.driver).0;
     }
-    let limits = limits::run_limits();
-    if !limits.any() {
-        return alg
-            .discover(db)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
-    }
-    let budget = match (alg.budget(), limits.budget) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
     let machine = alg
         .machine(db)
         .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
-    let mut config = DriverConfig::new()
-        .with_budget(budget)
-        .with_max_wall(limits.max_wall);
-    if let Some(max_batch) = limits.max_batch {
-        config = config.with_max_batch(max_batch);
-    }
-    let faults = match limits.fault_rate {
-        Some(rate) => {
-            config = config.with_retry(Some(RetryPolicy::new().with_seed(limits.fault_seed)));
-            FaultPlan::new(limits.fault_seed, rate)
-        }
-        None => FaultPlan::none(),
-    };
-    DiscoveryDriver::with_faults(db, machine, config, faults)
+    DiscoveryDriver::with_faults(db, machine, config.driver, config.faults)
         .run()
         .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()))
 }

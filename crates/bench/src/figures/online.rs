@@ -7,7 +7,7 @@ use skyweb_core::{BaselineCrawl, MqDbSky};
 use skyweb_datagen::{autos, diamonds, gflights, Dataset};
 use skyweb_hidden_db::SingleAttributeRanker;
 
-use super::helpers::{mk_db, queries_per_discovery, run};
+use super::helpers::{mk_db, queries_per_discovery, run, run_capped};
 use crate::{pool, FigureResult, Scale};
 
 /// Number of progress checkpoints reported for the discovery-progress
@@ -38,7 +38,7 @@ fn online_progress_figure(
         if i == 0 {
             run(&MqDbSky::new(), &db)
         } else {
-            run(&BaselineCrawl::with_budget(baseline_budget), &db)
+            run_capped(&BaselineCrawl::new(), &db, baseline_budget)
         }
     });
     let baseline = runs.pop().expect("two runs");

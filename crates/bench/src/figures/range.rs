@@ -6,7 +6,7 @@ use skyweb_datagen::flights_dot;
 use skyweb_hidden_db::InterfaceType;
 
 use super::helpers::{
-    flights_all_rq, flights_base, mk_db_sum, queries_per_discovery, run, skyline_size,
+    flights_all_rq, flights_base, mk_db_sum, queries_per_discovery, run, run_capped, skyline_size,
 };
 use crate::{pool, FigureResult, Scale};
 
@@ -31,7 +31,7 @@ pub fn fig13(scale: Scale) -> FigureResult {
         let db = mk_db_sum(ds.clone(), k);
         let rq = run(&RqDbSky::new(), &db);
         let db_b = mk_db_sum(ds.clone(), k);
-        let baseline = run(&BaselineCrawl::with_budget(baseline_budget), &db_b);
+        let baseline = run_capped(&BaselineCrawl::new(), &db_b, baseline_budget);
         vec![
             k as f64,
             rq.query_cost as f64,
@@ -108,7 +108,7 @@ pub fn fig15(scale: Scale) -> FigureResult {
             ds = ds.with_interface(name, InterfaceType::Rq);
         }
         let skyline = skyline_size(&ds);
-        let sq = run(&SqDbSky::with_budget(sq_budget), &mk_db_sum(ds.clone(), k));
+        let sq = run_capped(&SqDbSky::new(), &mk_db_sum(ds.clone(), k), sq_budget);
         let rq = run(&RqDbSky::new(), &mk_db_sum(ds, k));
         vec![
             m as f64,

@@ -21,21 +21,20 @@
 //! runs independent figures — and independent series within a figure — on
 //! the scoped-thread worker pool of the [`pool`] module, with byte-identical
 //! output to a serial run (every task derives its RNG seeds from its own
-//! index, never from shared state).
+//! index, never from shared state). The other flags fill the one
+//! [`RunConfig`] every figure run executes under.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod figures;
-pub mod limits;
 pub mod net;
 pub mod pool;
 pub mod report;
 pub mod scale;
-pub mod storage;
 
-pub use limits::{run_limits, set_run_limits, RunLimits};
-pub use net::{net_mode, run_remote, set_net_mode};
+pub use config::{install_run_config, run_config, RunConfig};
+pub use net::run_remote;
 pub use report::FigureResult;
 pub use scale::Scale;
-pub use storage::{cache_budget, segment_mode, set_cache_budget, set_segment_mode};

@@ -1,61 +1,27 @@
-//! Net mode (`--net`): every figure discovery run executes over a loopback
-//! TCP connection instead of in-process.
+//! Net mode ([`RunConfig::net`](crate::RunConfig::net), `--net`): a
+//! figure discovery run executes over a loopback TCP connection instead of
+//! in-process.
 //!
 //! For each run a [`Server`] is bound to an ephemeral `127.0.0.1` port and
 //! serves the figure's database; the algorithm's machine is built from the
 //! [`RemoteOracle`]'s schema replica (metadata that itself round-tripped
 //! through the welcome frame) and driven through
-//! [`DiscoveryDriver::with_oracle`]. The server answers plans through the
-//! same `Session::run_plan_grouped` the in-process driver calls directly,
-//! so figure stdout is **byte-identical** to the in-process run — CI diffs
-//! exactly that.
+//! [`DiscoveryDriver::with_oracle`] under the run's [`DriverConfig`]. The
+//! server answers plans through the same `Session::run_plan_grouped` the
+//! in-process driver calls directly, so figure stdout is
+//! **byte-identical** to the in-process run — CI diffs exactly that.
 //!
-//! Net mode composes with `--budget`, `--max-wall-ms` and `--max-batch`,
-//! but not with `--fault-rate`: the remote oracle *is* the transport, and
-//! splicing the in-process fault oracle in front of it would fault plans
-//! that never reach the wire. The `experiments` binary rejects the
-//! combination.
+//! Net mode composes with every driver setting (`--budget`,
+//! `--max-wall-ms`, `--max-batch`), but not with `--fault-rate`: the
+//! remote oracle *is* the transport, and splicing the in-process fault
+//! oracle in front of it would fault plans that never reach the wire. The
+//! `experiments` binary rejects the combination.
 
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use skyweb_core::{Discoverer, DiscoveryDriver, DiscoveryResult, DriverConfig};
 use skyweb_hidden_db::HiddenDb;
 use skyweb_net::{RemoteOracle, Server, ServerConfig};
-
-use crate::limits;
-
-static NET_MODE: OnceLock<bool> = OnceLock::new();
-
-/// Installs net mode. Call once, before any figure runs; returns `Err` if
-/// the mode was already decided.
-pub fn set_net_mode() -> Result<(), &'static str> {
-    NET_MODE.set(true).map_err(|_| "net mode already set")
-}
-
-/// `true` if figure runs are routed over loopback TCP.
-pub fn net_mode() -> bool {
-    NET_MODE.get().copied().unwrap_or(false)
-}
-
-/// Runs `alg` against `db` over a loopback TCP connection under the active
-/// harness limits (budget, wall deadline, batch cap — fault injection is
-/// rejected upstream).
-pub(crate) fn run_over_loopback(alg: &dyn Discoverer, db: &HiddenDb) -> DiscoveryResult {
-    let harness = limits::run_limits();
-    let budget = match (alg.budget(), harness.budget) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
-    let mut config = DriverConfig::new()
-        .with_budget(budget)
-        .with_max_wall(harness.max_wall);
-    if let Some(max_batch) = harness.max_batch {
-        config = config.with_max_batch(max_batch);
-    }
-    let (result, _) = run_remote(alg, db, config);
-    result
-}
 
 /// Serves `db` on an ephemeral loopback port, runs `alg`'s machine against
 /// it through a [`RemoteOracle`], and returns the result together with the

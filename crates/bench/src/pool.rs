@@ -46,7 +46,7 @@ pub fn set_jobs(n: usize) -> Result<(), &'static str> {
 
 /// The global pool of *extra* worker threads (the calling thread always
 /// works too, so the budget is `jobs() - 1`).
-fn budget() -> &'static AtomicIsize {
+fn spare_workers() -> &'static AtomicIsize {
     static BUDGET: OnceLock<AtomicIsize> = OnceLock::new();
     BUDGET.get_or_init(|| AtomicIsize::new(jobs() as isize - 1))
 }
@@ -54,7 +54,7 @@ fn budget() -> &'static AtomicIsize {
 /// Reserves up to `want` extra workers from the global budget; returns how
 /// many were granted.
 fn reserve(want: usize) -> usize {
-    let budget = budget();
+    let budget = spare_workers();
     let mut available = budget.load(Ordering::Relaxed);
     loop {
         let grant = available.max(0).min(want as isize);
@@ -74,7 +74,7 @@ fn reserve(want: usize) -> usize {
 }
 
 fn release(n: usize) {
-    budget().fetch_add(n as isize, Ordering::Relaxed);
+    spare_workers().fetch_add(n as isize, Ordering::Relaxed);
 }
 
 /// Returns a reservation to the budget on drop, so a panicking task cannot
@@ -93,7 +93,7 @@ impl Drop for Reservation {
 /// reference mode the driver uses for determinism diffs and as the
 /// wall-clock baseline of the parallel speedup report.
 pub fn serial<R>(f: impl FnOnce() -> R) -> R {
-    let drained = budget().swap(0, Ordering::Relaxed).max(0);
+    let drained = spare_workers().swap(0, Ordering::Relaxed).max(0);
     // Guard, not a plain re-add: the drain must be undone even if `f`
     // panics and the caller catches the unwind.
     let guard = Reservation(drained as usize);
@@ -193,18 +193,18 @@ mod tests {
     }
 
     #[test]
-    fn budget_returns_to_steady_state() {
+    fn the_worker_budget_returns_to_steady_state() {
         let _ = par_map(32, |i| i);
         let _ = serial(|| par_map(4, |i| i));
         // Other tests in this module may hold workers transiently (the test
         // harness runs them concurrently), so poll for the steady state
         // instead of asserting an instantaneous balance.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while budget().load(Ordering::Relaxed) != jobs() as isize - 1 {
+        while spare_workers().load(Ordering::Relaxed) != jobs() as isize - 1 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "worker budget leaked: {} != {}",
-                budget().load(Ordering::Relaxed),
+                spare_workers().load(Ordering::Relaxed),
                 jobs() - 1
             );
             std::thread::yield_now();

@@ -37,26 +37,18 @@ pub type PointCrawlMachine = Machine<PointCrawlControl>;
 
 /// Crawl-everything-then-compute-locally baseline for two-ended range
 /// interfaces.
+///
+/// Unlike the discovery algorithms, the baseline has no anytime property:
+/// a crawl stopped by a driver's query budget cannot certify that any tuple
+/// is on the skyline of the *whole* database; its partial result is merely
+/// the skyline of what happened to be downloaded.
 #[derive(Debug, Clone, Default)]
-pub struct BaselineCrawl {
-    budget: Option<u64>,
-}
+pub struct BaselineCrawl;
 
 impl BaselineCrawl {
-    /// Creates the baseline with no client-side query budget.
+    /// Creates the baseline.
     pub fn new() -> Self {
-        BaselineCrawl::default()
-    }
-
-    /// Limits the number of queries the baseline may issue. Note that,
-    /// unlike the discovery algorithms, the baseline has no anytime
-    /// property: a partial crawl cannot certify that any tuple is on the
-    /// skyline of the *whole* database; the partial result is merely the
-    /// skyline of what happened to be downloaded.
-    pub fn with_budget(budget: u64) -> Self {
-        BaselineCrawl {
-            budget: Some(budget),
-        }
+        BaselineCrawl
     }
 
     fn check_interface(db: &HiddenDb) -> Result<(), DiscoveryError> {
@@ -287,10 +279,6 @@ impl Discoverer for BaselineCrawl {
         "BASELINE"
     }
 
-    fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     fn machine(&self, db: &HiddenDb) -> Result<Box<dyn DiscoveryMachine>, DiscoveryError> {
         Ok(Box::new(self.build_machine(db)?))
     }
@@ -300,21 +288,12 @@ impl Discoverer for BaselineCrawl {
 /// per value combination of the ranking attributes. Only sensible for small
 /// domains; serves as the reference baseline for PQ interfaces.
 #[derive(Debug, Clone, Default)]
-pub struct PointSpaceCrawl {
-    budget: Option<u64>,
-}
+pub struct PointSpaceCrawl;
 
 impl PointSpaceCrawl {
-    /// Creates the crawler with no client-side query budget.
+    /// Creates the crawler.
     pub fn new() -> Self {
-        PointSpaceCrawl::default()
-    }
-
-    /// Limits the number of queries the crawler may issue.
-    pub fn with_budget(budget: u64) -> Self {
-        PointSpaceCrawl {
-            budget: Some(budget),
-        }
+        PointSpaceCrawl
     }
 }
 
@@ -471,10 +450,6 @@ impl Discoverer for PointSpaceCrawl {
         "POINT-CRAWL"
     }
 
-    fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     fn machine(&self, db: &HiddenDb) -> Result<Box<dyn DiscoveryMachine>, DiscoveryError> {
         Ok(Box::new(self.build_machine(db)?))
     }
@@ -557,7 +532,7 @@ mod tests {
     #[test]
     fn crawl_budget_is_respected() {
         let db = pseudo_random_db(3, 32, 500, 2);
-        let result = BaselineCrawl::with_budget(20).discover(&db).unwrap();
+        let result = crate::discovery::run_budgeted(&BaselineCrawl::new(), &db, 20);
         assert!(!result.complete);
         assert_eq!(result.query_cost, 20);
         assert!(result.retrieved.len() < db.n());

@@ -2,7 +2,8 @@
 //! trait, result/trace and error types. The anytime skyline maintenance
 //! lives in [`crate::KnowledgeBase`]; the execution machinery (sessions,
 //! budgets, batching, deadlines) lives in the sans-io layer
-//! ([`crate::machine`] / [`crate::DiscoveryDriver`]).
+//! ([`crate::machine`] / [`crate::DiscoveryDriver`]), configured by one
+//! [`DriverConfig`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -97,36 +98,39 @@ impl From<QueryError> for DiscoveryError {
 
 /// A skyline-discovery algorithm over a hidden web database.
 ///
-/// An implementation is a *configuration* (budget, band size, …); the
-/// actual run state lives in the sans-io [`DiscoveryMachine`] the
-/// configuration compiles into via [`Discoverer::machine`]. The
+/// An implementation is the algorithm itself, as the paper states it: it
+/// takes no query budget. The run state lives in the sans-io
+/// [`DiscoveryMachine`] it compiles into via [`Discoverer::machine`]. The
 /// [`Discoverer::discover`] entry point is a thin adapter that executes the
-/// machine to completion through a [`DiscoveryDriver`] — byte-identical to
-/// the historical blocking implementation, so existing callers keep
-/// working; new callers needing pause/resume, streaming, deadlines or
-/// multiplexing use the machine directly.
+/// machine to completion through a default-config [`DiscoveryDriver`].
+/// How a run executes (query budget, deadline, batching, retries) is the
+/// driver's [`DriverConfig`]: callers needing any of it, or pause/resume,
+/// streaming or multiplexing, drive the machine directly.
 pub trait Discoverer {
     /// Short algorithm name (e.g. `"SQ-DB-SKY"`).
     fn name(&self) -> &str;
-
-    /// The client-side query budget this instance was configured with
-    /// (`None` = unlimited). Honored by the default
-    /// [`Discoverer::discover`] adapter.
-    fn budget(&self) -> Option<u64> {
-        None
-    }
 
     /// Compiles this configuration into a sans-io machine for `db`'s
     /// schema and top-k constraint, validating interface requirements.
     /// The machine holds no reference to `db`.
     fn machine(&self, db: &HiddenDb) -> Result<Box<dyn DiscoveryMachine>, DiscoveryError>;
 
-    /// Runs the algorithm against `db` and returns the discovered skyline
-    /// together with its query cost and anytime trace.
+    /// Runs the algorithm to completion against `db` and returns the
+    /// discovered skyline together with its query cost and anytime trace.
     fn discover(&self, db: &HiddenDb) -> Result<DiscoveryResult, DiscoveryError> {
         let machine = self.machine(db)?;
-        DiscoveryDriver::new(db, machine, DriverConfig::new().with_budget(self.budget())).run()
+        DiscoveryDriver::new(db, machine, DriverConfig::new()).run()
     }
+}
+
+/// Runs `alg` against `db` through a driver stopped after `budget` queries:
+/// the unit tests' anytime run.
+#[cfg(test)]
+pub(crate) fn run_budgeted(alg: &dyn Discoverer, db: &HiddenDb, budget: u64) -> DiscoveryResult {
+    let machine = alg.machine(db).expect("supported interface");
+    DiscoveryDriver::new(db, machine, DriverConfig::new().with_budget(Some(budget)))
+        .run()
+        .expect("budgeted run")
 }
 
 #[cfg(test)]

@@ -36,14 +36,23 @@ fn mix(seed: u64, n: u64) -> u64 {
 /// regardless of the limit.
 pub const DEFAULT_MAX_BATCH: usize = 64;
 
+/// Backoff before the first retry of a plan suffix, in simulated
+/// milliseconds; it doubles on each consecutive failed attempt.
+const BASE_BACKOFF_MS: u64 = 10;
+
+/// Cap on a single backoff interval (before jitter), in simulated
+/// milliseconds.
+const MAX_BACKOFF_MS: u64 = 1_000;
+
 /// How a [`DiscoveryDriver`] reacts to *transient* query failures
 /// ([`QueryError::is_transient`]): unavailability, throttle bursts,
 /// timeouts and mid-plan connection drops.
 ///
 /// Any answered prefix of a faulted plan is fed to the machine immediately
 /// (the budget accounts for it exactly once); only the unanswered suffix is
-/// retried, after a deterministic exponential backoff with seeded jitter.
-/// The backoff is *simulated* — accumulated in
+/// retried, after a deterministic exponential backoff with seeded jitter:
+/// 10 ms (`BASE_BACKOFF_MS`), doubling per consecutive failed attempt up to
+/// a 1 s cap (`MAX_BACKOFF_MS`). The backoff is *simulated* — accumulated in
 /// [`DiscoveryDriver::total_backoff_ms`], never slept — so resilience tests
 /// run at full speed while the accounting still reflects what a live client
 /// would have waited.
@@ -58,11 +67,6 @@ pub struct RetryPolicy {
     /// least one query resets the counter: only *consecutive* dead attempts
     /// count toward giving up.
     pub max_attempts: u32,
-    /// Backoff before the first retry, in simulated milliseconds; doubles
-    /// on each consecutive failed attempt.
-    pub base_backoff_ms: u64,
-    /// Cap on a single backoff interval (before jitter).
-    pub max_backoff_ms: u64,
     /// Total retries allowed across the whole run (`None` = unlimited).
     pub retry_budget: Option<u64>,
     /// Seed of the deterministic jitter stream.
@@ -73,8 +77,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 4,
-            base_backoff_ms: 10,
-            max_backoff_ms: 1_000,
             retry_budget: None,
             seed: 0,
         }
@@ -82,8 +84,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The default policy: 4 attempts, 10 ms base backoff doubling to a
-    /// 1 s cap, unlimited retry budget.
+    /// The default policy: 4 attempts, unlimited retry budget.
     pub fn new() -> Self {
         RetryPolicy::default()
     }
@@ -91,13 +92,6 @@ impl RetryPolicy {
     /// Sets the per-suffix attempt cap (builder style, clamped to ≥ 1).
     pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
         self.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Sets the backoff shape (builder style).
-    pub fn with_backoff_ms(mut self, base: u64, max: u64) -> Self {
-        self.base_backoff_ms = base;
-        self.max_backoff_ms = max.max(base);
         self
     }
 
@@ -117,16 +111,18 @@ impl RetryPolicy {
     /// at run-wide retry number `n`: exponential with a deterministic
     /// seeded jitter of up to 25% of the interval.
     fn backoff_ms(&self, attempt: u32, n: u64) -> u64 {
-        let interval = self
-            .base_backoff_ms
+        let interval = BASE_BACKOFF_MS
             .checked_shl(attempt.saturating_sub(1).min(32))
             .unwrap_or(u64::MAX)
-            .min(self.max_backoff_ms);
+            .min(MAX_BACKOFF_MS);
         interval + mix(self.seed ^ 0x00BA_C0FF, n) % (interval / 4 + 1)
     }
 }
 
-/// How a [`DiscoveryDriver`] executes a machine.
+/// How a [`DiscoveryDriver`] executes a machine: the one description of a
+/// run. The algorithms take no query budget; a budgeted (anytime) run is a
+/// driver built with [`DriverConfig::with_budget`], the same way deadlines,
+/// batching and retries are configured.
 #[derive(Debug, Clone, Copy)]
 pub struct DriverConfig {
     /// Client-side query budget: the run is halted (anytime result) once
@@ -360,8 +356,7 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
 
     /// Like [`DiscoveryDriver::new`], but routes every query through a
     /// deterministic fault-injection layer driven by `faults` (the chaos
-    /// harness entry point). [`FaultPlan::timeout_ms`] is the per-query
-    /// timeout.
+    /// harness entry point).
     pub fn with_faults(
         db: &'db HiddenDb,
         machine: M,
@@ -470,7 +465,7 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
     }
 
     /// Queries still allowed by the budget (`None` = unlimited).
-    fn budget_remaining(&self) -> Option<u64> {
+    fn queries_left(&self) -> Option<u64> {
         self.config
             .budget
             .map(|b| b.saturating_sub(self.machine.queries_issued()))
@@ -498,7 +493,7 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
         if self.machine.is_finished() {
             return Ok(StepOutcome::Finished);
         }
-        let limit = match self.budget_remaining() {
+        let limit = match self.queries_left() {
             Some(0) => {
                 self.machine.halt();
                 return Ok(StepOutcome::Finished);
@@ -871,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_expiring_exactly_at_a_plan_boundary_is_clean() {
+    fn a_budget_expiring_exactly_at_a_plan_boundary_is_clean() {
         // SQ-DB-SKY on the toy db costs a fixed number of queries; set the
         // budget to exactly that cost and single-step: the run must end in
         // a clean Finished with full accounting, not a truncated plan.

@@ -44,15 +44,11 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use skyweb_hidden_db::{AttrId, CmpOp, Query, Tuple, TupleId, Value};
+use skyweb_hidden_db::{fold_bounds, AttrId, Query, Tuple, TupleId, Value};
 use skyweb_skyline::incremental::IncrementalSkyline;
 
 use crate::codec;
 use crate::discovery::{DiscoveryResult, TracePoint};
-
-/// Per-attribute bounds a conjunctive query folds into: the closed interval
-/// `[lo, hi]` (in `i64` so empty intervals are representable).
-type Bounds = Vec<(i64, i64)>;
 
 /// The posting lists stay dense value-indexed tables while the largest
 /// value seen is at most this many times the retrieved count. Each bucket
@@ -249,9 +245,18 @@ impl KnowledgeBase {
         if self.retrieved.is_empty() {
             return false;
         }
-        let Some(bounds) = self.fold_bounds(query) else {
-            return false; // unsatisfiable conjunction matches nothing
-        };
+        // Every retrieved tuple has the first one's arity, and a predicate
+        // past it (the database would have rejected the query) matches
+        // nothing, as does any other unsatisfiable conjunction.
+        let arity = self.retrieved.first().map_or(0, |t| t.arity());
+        let mut bounds = Vec::with_capacity(arity);
+        if !fold_bounds(
+            query.predicates(),
+            std::iter::repeat_n(Value::MAX, arity),
+            &mut bounds,
+        ) {
+            return false;
+        }
         let cons: Vec<(AttrId, Value, Value)> = bounds
             .iter()
             .enumerate()
@@ -348,37 +353,6 @@ impl KnowledgeBase {
     /// dominator its insertion order happened to place first).
     pub fn dominated_by_skyline(&self, t: &Tuple) -> Option<&Arc<Tuple>> {
         self.index.first_skyline_dominator(t)
-    }
-
-    /// Folds the query's predicates into one closed `[lo, hi]` interval per
-    /// attribute; `None` if the conjunction is unsatisfiable over `u32`
-    /// values.
-    fn fold_bounds(&self, query: &Query) -> Option<Bounds> {
-        let arity = self.retrieved.first().map_or(0, |t| t.arity());
-        let mut bounds: Bounds = vec![(0, i64::from(Value::MAX)); arity];
-        for p in query.predicates() {
-            if p.attr >= arity {
-                // No retrieved tuple carries this attribute (the database
-                // would have rejected the query); nothing can match.
-                return None;
-            }
-            let (lo, hi) = &mut bounds[p.attr];
-            let v = i64::from(p.value);
-            match p.op {
-                CmpOp::Lt => *hi = (*hi).min(v - 1),
-                CmpOp::Le => *hi = (*hi).min(v),
-                CmpOp::Eq => {
-                    *lo = (*lo).max(v);
-                    *hi = (*hi).min(v);
-                }
-                CmpOp::Ge => *lo = (*lo).max(v),
-                CmpOp::Gt => *lo = (*lo).max(v + 1),
-            }
-            if *lo > *hi {
-                return None;
-            }
-        }
-        Some(bounds)
     }
 
     /// Appends the knowledge base to `out` in the binary checkpoint format:

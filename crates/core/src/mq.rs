@@ -43,21 +43,12 @@ pub type MqMachine = Machine<MqControl>;
 /// MQ-DB-SKY: skyline discovery for any mixture of SQ, RQ and PQ ranking
 /// attributes.
 #[derive(Debug, Clone, Default)]
-pub struct MqDbSky {
-    budget: Option<u64>,
-}
+pub struct MqDbSky;
 
 impl MqDbSky {
-    /// Creates the algorithm with no client-side query budget.
+    /// Creates the algorithm.
     pub fn new() -> Self {
-        MqDbSky::default()
-    }
-
-    /// Limits the number of queries the algorithm may issue (anytime mode).
-    pub fn with_budget(budget: u64) -> Self {
-        MqDbSky {
-            budget: Some(budget),
-        }
+        MqDbSky
     }
 
     /// Builds the concrete machine for a genuinely mixed schema. Errors on
@@ -533,10 +524,6 @@ impl Discoverer for MqDbSky {
         "MQ-DB-SKY"
     }
 
-    fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     fn machine(&self, db: &HiddenDb) -> Result<Box<dyn DiscoveryMachine>, DiscoveryError> {
         let schema = db.schema();
         let range_attrs: Vec<usize> = schema.range_attrs();
@@ -673,11 +660,11 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_is_graceful() {
+    fn an_exhausted_budget_is_graceful() {
         let schema = mixed_schema(2, 0, 2, 40, 5);
         let tuples = pseudo_random_tuples(250, 2, 2, 40, 5, 0);
         let db = HiddenDb::new(schema, tuples, Box::new(SumRanker), 3);
-        let result = MqDbSky::with_budget(1).discover(&db).unwrap();
+        let result = crate::discovery::run_budgeted(&MqDbSky::new(), &db, 1);
         assert!(!result.complete);
         assert!(result.query_cost <= 1);
     }

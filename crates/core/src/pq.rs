@@ -39,21 +39,12 @@ pub type PqMachine = Machine<PqControl>;
 /// PQ-DB-SKY: skyline discovery for point-predicate databases of any
 /// dimensionality (m ≥ 2).
 #[derive(Debug, Clone, Default)]
-pub struct PqDbSky {
-    budget: Option<u64>,
-}
+pub struct PqDbSky;
 
 impl PqDbSky {
-    /// Creates the algorithm with no client-side query budget.
+    /// Creates the algorithm.
     pub fn new() -> Self {
-        PqDbSky::default()
-    }
-
-    /// Limits the number of queries the algorithm may issue (anytime mode).
-    pub fn with_budget(budget: u64) -> Self {
-        PqDbSky {
-            budget: Some(budget),
-        }
+        PqDbSky
     }
 
     fn check_interface(db: &HiddenDb) -> Result<(), DiscoveryError> {
@@ -343,10 +334,6 @@ impl Discoverer for PqDbSky {
         "PQ-DB-SKY"
     }
 
-    fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     fn machine(&self, db: &HiddenDb) -> Result<Box<dyn DiscoveryMachine>, DiscoveryError> {
         Ok(Box::new(self.build_machine(db)?))
     }
@@ -450,9 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_is_graceful_and_sound() {
+    fn an_exhausted_budget_is_graceful_and_sound() {
         let db = pseudo_random_db(&[10, 10, 6], 200, 1, 11);
-        let result = PqDbSky::with_budget(3).discover(&db).unwrap();
+        let result = crate::discovery::run_budgeted(&PqDbSky::new(), &db, 3);
         assert!(!result.complete);
         assert!(result.query_cost <= 3);
         // The partial result is internally consistent: no reported skyline

@@ -39,9 +39,7 @@ pub type RqMachine = Machine<RqControl>;
 /// RQ-DB-SKY: skyline discovery for databases whose ranking attributes all
 /// support two-ended range predicates.
 #[derive(Debug, Clone, Default)]
-pub struct RqDbSky {
-    budget: Option<u64>,
-}
+pub struct RqDbSky;
 
 /// A node of the traversal: the SQ-tree query and its mutually exclusive
 /// counterpart.
@@ -52,16 +50,9 @@ struct Node {
 }
 
 impl RqDbSky {
-    /// Creates the algorithm with no client-side query budget.
+    /// Creates the algorithm.
     pub fn new() -> Self {
-        RqDbSky::default()
-    }
-
-    /// Limits the number of queries the algorithm may issue (anytime mode).
-    pub fn with_budget(budget: u64) -> Self {
-        RqDbSky {
-            budget: Some(budget),
-        }
+        RqDbSky
     }
 
     fn check_interface(db: &HiddenDb) -> Result<(), DiscoveryError> {
@@ -117,14 +108,16 @@ impl RqDbSky {
 ///
 /// The sq-vs-rq decision for a node is one probe,
 /// [`KnowledgeBase::any_seen_matches`] on its SQ-tree query, and the walk
-/// takes it once per node: `on_response` decides the new top node right
-/// after its ingest and stores the answer with the retrieved count, and
-/// both the plan and the response to it reuse that answer. The probe
-/// depends only on the query and the retrieved set, which only grows, so
-/// an unchanged count means an unchanged answer. A walk with no stored
-/// decision for the current count (a fresh walk, a decoded checkpoint, a
-/// new sky-band subtree) probes as it plans. The decision is never
-/// encoded: checkpoint bytes do not depend on it.
+/// takes it once per node: [`RqTreeWalk::decide`] stores the top node's
+/// answer with the retrieved count, and both the plan and the response to
+/// it reuse that answer. `on_response` decides the new top node right
+/// after its ingest, and the sky band decides each new subtree's root as
+/// it starts the walk. The probe depends only on the query and the
+/// retrieved set, which only grows, so an unchanged count means an
+/// unchanged answer. A walk with no stored decision for the current count
+/// (a root walk over an empty knowledge base, a decoded checkpoint) probes
+/// as it plans. The decision is never encoded: checkpoint bytes do not
+/// depend on it.
 #[derive(Debug, Clone)]
 pub(crate) struct RqTreeWalk {
     stack: Vec<Node>,
@@ -150,6 +143,27 @@ impl RqTreeWalk {
 
     pub(crate) fn done(&self) -> bool {
         self.stack.is_empty()
+    }
+
+    /// Probes the top node's decision and stores it with `kb`'s retrieved
+    /// count.
+    pub(crate) fn decide(&mut self, kb: &KnowledgeBase) {
+        self.decided = self
+            .stack
+            .last()
+            .map(|top| (kb.retrieved_len(), kb.any_seen_matches(&top.sq)));
+    }
+
+    /// `true` if the walk holds a decision for `kb`'s retrieved count and
+    /// it agrees with a fresh probe.
+    #[cfg(test)]
+    pub(crate) fn holds_decision_for(&self, kb: &KnowledgeBase) -> bool {
+        match (self.decided, self.stack.last()) {
+            (Some((seen, exclusive)), Some(top)) => {
+                seen == kb.retrieved_len() && exclusive == kb.any_seen_matches(&top.sq)
+            }
+            _ => false,
+        }
     }
 
     /// `true` if the top node `node` must issue its exclusive counterpart:
@@ -229,10 +243,7 @@ impl RqTreeWalk {
                 self.stack.push(child);
             }
         }
-        self.decided = self
-            .stack
-            .last()
-            .map(|top| (kb.retrieved_len(), kb.any_seen_matches(&top.sq)));
+        self.decide(kb);
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
@@ -308,10 +319,6 @@ impl MachineControl for RqControl {
 impl Discoverer for RqDbSky {
     fn name(&self) -> &str {
         "RQ-DB-SKY"
-    }
-
-    fn budget(&self) -> Option<u64> {
-        self.budget
     }
 
     fn machine(&self, db: &HiddenDb) -> Result<Box<dyn DiscoveryMachine>, DiscoveryError> {
@@ -401,9 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_yields_partial_anytime_result() {
+    fn an_exhausted_budget_yields_partial_anytime_result() {
         let db = figure2_db(1);
-        let result = RqDbSky::with_budget(3).discover(&db).unwrap();
+        let result = crate::discovery::run_budgeted(&RqDbSky::new(), &db, 3);
         assert!(!result.complete);
         assert_eq!(result.query_cost, 3);
         let truth = bnl_skyline(db.oracle_tuples().as_slice(), db.schema());

@@ -205,16 +205,6 @@ impl<'db> DiscoveryService<'db> {
         id
     }
 
-    /// Number of admitted tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Number of tenants still running.
-    pub fn active_count(&self) -> usize {
-        self.tenants.iter().filter(|t| t.outcome.is_none()).count()
-    }
-
     /// Scheduling rounds executed so far.
     pub fn rounds(&self) -> u64 {
         self.rounds

@@ -60,7 +60,6 @@ pub struct SkybandResult {
 #[derive(Debug, Clone)]
 pub struct RqSkyband {
     h: usize,
-    budget: Option<u64>,
 }
 
 impl RqSkyband {
@@ -70,16 +69,7 @@ impl RqSkyband {
     /// Panics if `h == 0`.
     pub fn new(h: usize) -> Self {
         assert!(h >= 1, "the sky band requires h >= 1");
-        RqSkyband { h, budget: None }
-    }
-
-    /// Limits the total number of queries (anytime mode).
-    pub fn with_budget(h: usize, budget: u64) -> Self {
-        assert!(h >= 1, "the sky band requires h >= 1");
-        RqSkyband {
-            h,
-            budget: Some(budget),
-        }
+        RqSkyband { h }
     }
 
     fn check_interface(db: &HiddenDb) -> Result<(), DiscoveryError> {
@@ -120,12 +110,11 @@ impl RqSkyband {
         Ok(Machine::from_parts(kb, control))
     }
 
-    /// Runs the discovery and returns the top-h sky band.
+    /// Runs the discovery to completion and returns the top-h sky band.
     pub fn discover_band(&self, db: &HiddenDb) -> Result<SkybandResult, DiscoveryError> {
         let machine = self.build_machine(db)?;
         let mut machine =
-            DiscoveryDriver::new(db, machine, DriverConfig::new().with_budget(self.budget))
-                .run_into_machine()?;
+            DiscoveryDriver::new(db, machine, DriverConfig::new()).run_into_machine()?;
         Ok(machine.take_band_result())
     }
 }
@@ -211,8 +200,10 @@ impl SkybandControl {
                         continue;
                     }
                     self.runs += 1;
+                    let mut tree = RqTreeWalk::new(root, self.attrs.clone(), self.k);
+                    tree.decide(kb);
                     self.state = SkyState::BandTree {
-                        tree: RqTreeWalk::new(root, self.attrs.clone(), self.k),
+                        tree,
                         level,
                         band_prev,
                         t_idx,
@@ -476,11 +467,46 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_is_reported() {
+    fn an_exhausted_budget_is_reported() {
         let db = pseudo_random_db(3, 20, 300, 1);
-        let result = RqSkyband::with_budget(2, 5).discover_band(&db).unwrap();
+        let machine = RqSkyband::new(2).build_machine(&db).unwrap();
+        let config = DriverConfig::new().with_budget(Some(5));
+        let mut machine = DiscoveryDriver::new(&db, machine, config)
+            .run_into_machine()
+            .unwrap();
+        let result = machine.take_band_result();
         assert!(!result.complete);
         assert!(result.query_cost <= 5);
+    }
+
+    /// A domination-subspace run starts with its root's sq-vs-rq decision
+    /// already taken for the current retrieved count, so neither its plan
+    /// nor the response to it probes the knowledge base again.
+    #[test]
+    fn a_new_subtree_holds_its_decision_for_the_retrieved_count() {
+        use crate::machine::DiscoveryMachine;
+        let db = pseudo_random_db(2, 25, 120, 2);
+        let mut machine = RqSkyband::new(2).build_machine(&db).unwrap();
+        let mut session = db.session();
+        let mut subtrees = 0;
+        while !machine.is_finished() {
+            let plan = machine.next_plan(1);
+            let (responses, err) = session.run_plan_grouped(plan.queries(), plan.groups());
+            assert!(err.is_none());
+            let runs = machine.control().runs;
+            machine.resume(&responses);
+            if machine.control().runs == runs {
+                continue;
+            }
+            // The response just finished a run and started the next one.
+            subtrees += 1;
+            let (kb, control) = (machine.knowledge(), machine.control());
+            let SkyState::BandTree { tree, .. } = &control.state else {
+                panic!("a new run is a domination-subspace tree");
+            };
+            assert!(tree.holds_decision_for(kb));
+        }
+        assert!(subtrees >= 2, "the band needs several subspace runs");
     }
 
     #[test]

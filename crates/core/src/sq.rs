@@ -26,23 +26,12 @@ pub type SqMachine = Machine<SqControl>;
 /// SQ-DB-SKY: skyline discovery for databases whose ranking attributes all
 /// support one-ended range predicates (`<`, `<=`, `=`).
 #[derive(Debug, Clone, Default)]
-pub struct SqDbSky {
-    budget: Option<u64>,
-}
+pub struct SqDbSky;
 
 impl SqDbSky {
-    /// Creates the algorithm with no client-side query budget.
+    /// Creates the algorithm.
     pub fn new() -> Self {
-        SqDbSky::default()
-    }
-
-    /// Limits the number of queries the algorithm may issue. When the budget
-    /// runs out the algorithm stops and returns the skyline tuples found so
-    /// far (`complete == false`).
-    pub fn with_budget(budget: u64) -> Self {
-        SqDbSky {
-            budget: Some(budget),
-        }
+        SqDbSky
     }
 
     fn check_interface(db: &HiddenDb) -> Result<(), DiscoveryError> {
@@ -278,10 +267,6 @@ impl Discoverer for SqDbSky {
         "SQ-DB-SKY"
     }
 
-    fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     fn machine(&self, db: &HiddenDb) -> Result<Box<dyn DiscoveryMachine>, DiscoveryError> {
         Ok(Box::new(self.build_machine(db)?))
     }
@@ -390,9 +375,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_yields_partial_anytime_result() {
+    fn an_exhausted_budget_yields_partial_anytime_result() {
         let db = figure2_db(1);
-        let result = SqDbSky::with_budget(2).discover(&db).unwrap();
+        let result = crate::discovery::run_budgeted(&SqDbSky::new(), &db, 2);
         assert!(!result.complete);
         assert_eq!(result.query_cost, 2);
         // Everything reported is a true skyline tuple.

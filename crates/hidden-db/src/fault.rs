@@ -38,15 +38,26 @@ fn unit(bits: u64) -> f64 {
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Base magnitude of an injected latency spike, in simulated
+/// milliseconds: a spike lasts 20, 40 or 80 ms.
+const FAULT_LATENCY_MS: u64 = 20;
+
+/// Per-query timeout of a [`FaultyOracle`], in simulated milliseconds: the
+/// 80 ms spikes exceed it and fail, the 20 and 40 ms spikes are absorbed.
+const FAULT_TIMEOUT_MS: u64 = 40;
+
 /// A seeded, deterministic schedule of injected faults.
 ///
 /// Each query *attempt* consults one position of the plan's decision stream;
 /// with probability [`FaultPlan::fault_rate`] the attempt faults, and the
 /// fault kind (unavailability, throttle burst, connection drop, latency
-/// spike) is derived from the same position. Latency spikes inject
-/// `latency_ms << s` simulated milliseconds for `s ∈ {0, 1, 2}`; a spike
-/// exceeding [`FaultPlan::timeout_ms`] surfaces as [`QueryError::Timeout`],
-/// smaller spikes only accumulate in [`FaultStats::simulated_latency_ms`].
+/// spike) is derived from the same position. Latency spikes last 20, 40 or
+/// 80 simulated milliseconds (`FAULT_LATENCY_MS << s` for `s ∈ {0, 1, 2}`);
+/// a spike exceeding the 40 ms timeout (`FAULT_TIMEOUT_MS`) surfaces as
+/// [`QueryError::Timeout`], smaller spikes only accumulate in
+/// [`FaultStats::simulated_latency_ms`]. A plan that is not
+/// [active](FaultPlan::is_active), such as [`FaultPlan::none`], never
+/// consults either.
 ///
 /// [`FaultPlan::max_consecutive`] caps how many attempts in a row may fault
 /// without an answered query in between; after the cap, the next attempt is
@@ -59,11 +70,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability in `[0, 1]` that an attempt faults.
     pub fault_rate: f64,
-    /// Base magnitude of injected latency spikes, in simulated milliseconds.
-    pub latency_ms: u64,
-    /// Per-query timeout: latency spikes above this become
-    /// [`QueryError::Timeout`] errors. `None` means spikes never error.
-    pub timeout_ms: Option<u64>,
     /// Maximum number of consecutive faulted attempts before one is forced
     /// to succeed.
     pub max_consecutive: u32,
@@ -75,8 +81,6 @@ impl FaultPlan {
         FaultPlan {
             seed: 0,
             fault_rate: 0.0,
-            latency_ms: 0,
-            timeout_ms: None,
             max_consecutive: 0,
         }
     }
@@ -95,8 +99,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             fault_rate,
-            latency_ms: 20,
-            timeout_ms: Some(40),
             max_consecutive: 2,
         }
     }
@@ -106,12 +108,6 @@ impl FaultPlan {
     /// finite retry policy — the configuration degradation tests use.
     pub fn with_max_consecutive(mut self, max_consecutive: u32) -> Self {
         self.max_consecutive = max_consecutive;
-        self
-    }
-
-    /// Sets the per-query timeout (builder style).
-    pub fn with_timeout_ms(mut self, timeout_ms: Option<u64>) -> Self {
-        self.timeout_ms = timeout_ms;
         self
     }
 
@@ -223,9 +219,9 @@ impl<'db> FaultyOracle<'db> {
                 QueryError::ConnectionDropped
             }
             _ => {
-                let spike = self.plan.latency_ms << ((kind >> 2) % 3);
+                let spike = FAULT_LATENCY_MS << ((kind >> 2) % 3);
                 self.stats.simulated_latency_ms += spike;
-                if self.plan.timeout_ms.is_some_and(|t| spike > t) {
+                if spike > FAULT_TIMEOUT_MS {
                     self.stats.timeouts += 1;
                     QueryError::Timeout { elapsed_ms: spike }
                 } else {

@@ -56,13 +56,12 @@
 
 use std::sync::Arc;
 
-use crate::predicate::PrefixGroup;
+use crate::predicate::{fold_bounds, schema_maxima, PrefixGroup};
 use crate::ranking::select_shared;
 use crate::segment::{SegmentError, SegmentReader};
 use crate::store::TupleStore;
 use crate::{
-    AttrId, CmpOp, HiddenDb, Predicate, Query, QueryError, QueryResponse, Ranker, Schema, Tuple,
-    Value,
+    AttrId, HiddenDb, Predicate, Query, QueryError, QueryResponse, Ranker, Schema, Tuple, Value,
 };
 
 /// Ranks per zone-map block: the rank permutation is cut into chunks of 64
@@ -797,7 +796,7 @@ impl<S: IndexStorage> Engine<'_, S> {
         bounds: &mut Vec<(i64, i64)>,
         cons: &mut Vec<(AttrId, Value, Value)>,
     ) -> Option<Option<(usize, usize)>> {
-        if !fold_bounds(preds, schema, bounds) {
+        if !fold_bounds(preds, schema_maxima(schema), bounds) {
             return None;
         }
         cons.clear();
@@ -1051,7 +1050,11 @@ impl<S: IndexStorage> Engine<'_, S> {
             SharedGroup::Ranked { hits, bounds } => (hits, bounds),
             SharedGroup::PerQuery => unreachable!("PerQuery groups bypass shared execution"),
         };
-        if !fold_bounds(query.predicates(), schema, &mut scratch.bounds) {
+        if !fold_bounds(
+            query.predicates(),
+            schema_maxima(schema),
+            &mut scratch.bounds,
+        ) {
             return Ok(empty());
         }
         // Per-member cost choice: a member whose own most selective posting
@@ -1192,31 +1195,6 @@ pub(crate) fn execute_plan(
         }
     }
     None
-}
-
-/// Intersects a conjunction of predicates into one closed interval per
-/// attribute. Returns `false` if the conjunction is unsatisfiable.
-fn fold_bounds(preds: &[Predicate], schema: &Schema, bounds: &mut Vec<(i64, i64)>) -> bool {
-    bounds.clear();
-    bounds.extend((0..schema.len()).map(|attr| (0i64, i64::from(schema.attr(attr).max_value()))));
-    for p in preds {
-        let (lo, hi) = &mut bounds[p.attr];
-        let v = i64::from(p.value);
-        match p.op {
-            CmpOp::Lt => *hi = (*hi).min(v - 1),
-            CmpOp::Le => *hi = (*hi).min(v),
-            CmpOp::Eq => {
-                *lo = (*lo).max(v);
-                *hi = (*hi).min(v);
-            }
-            CmpOp::Ge => *lo = (*lo).max(v),
-            CmpOp::Gt => *lo = (*lo).max(v + 1),
-        }
-        if *lo > *hi {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -1459,27 +1437,6 @@ mod tests {
         for (lookups, entered) in lookups_per_order(&capped) {
             assert_eq!(lookups, entered, "one lookup per chunk entered");
         }
-    }
-
-    #[test]
-    fn fold_bounds_intersects_and_detects_unsat() {
-        let s = schema();
-        let mut bounds = Vec::new();
-        let q = Query::new(vec![
-            Predicate::le(0, 6),
-            Predicate::ge(0, 2),
-            Predicate::lt(1, 4),
-        ]);
-        assert!(fold_bounds(q.predicates(), &s, &mut bounds));
-        assert_eq!(bounds[0], (2, 6));
-        assert_eq!(bounds[1], (0, 3));
-        assert_eq!(bounds[2], (0, 2));
-        let unsat = Query::new(vec![Predicate::lt(0, 0)]);
-        assert!(!fold_bounds(unsat.predicates(), &s, &mut bounds));
-        let unsat2 = Query::new(vec![Predicate::gt(0, 9)]);
-        assert!(!fold_bounds(unsat2.predicates(), &s, &mut bounds));
-        let unsat3 = Query::new(vec![Predicate::le(0, 2), Predicate::ge(0, 5)]);
-        assert!(!fold_bounds(unsat3.predicates(), &s, &mut bounds));
     }
 
     #[test]

@@ -104,7 +104,9 @@ mod tuple;
 
 pub use db::{HiddenDb, QueryError, QueryResponse, RateLimit};
 pub use fault::{FaultPlan, FaultStats, FaultyOracle};
-pub use predicate::{groups_cover, prefix_groups, CmpOp, Predicate, PrefixGroup, Query};
+pub use predicate::{
+    fold_bounds, groups_cover, prefix_groups, CmpOp, Predicate, PrefixGroup, Query,
+};
 pub use ranking::{
     is_domination_consistent, LexicographicRanker, RandomSkylineRanker, Ranker, ScoreRanker,
     SingleAttributeRanker, SumRanker, WeightedSumRanker, WorstCaseRanker,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{AttrId, Schema, Tuple, Value};
+use crate::{AttrId, AttributeSpec, Schema, Tuple, Value};
 
 /// Comparison operator of a search predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,12 +35,6 @@ impl CmpOp {
     /// ("better than" predicates in rank space).
     pub fn is_upper_bound(self) -> bool {
         matches!(self, CmpOp::Lt | CmpOp::Le)
-    }
-
-    /// `true` for operators that bound the attribute from below
-    /// ("worse than" predicates in rank space).
-    pub fn is_lower_bound(self) -> bool {
-        matches!(self, CmpOp::Ge | CmpOp::Gt)
     }
 
     /// SQL-ish symbol used by [`fmt::Display`].
@@ -144,13 +138,6 @@ impl Query {
         Query { predicates }
     }
 
-    /// Returns a new query equal to this one with all of `preds` appended.
-    pub fn and_all(&self, preds: &[Predicate]) -> Query {
-        let mut predicates = self.predicates.clone();
-        predicates.extend_from_slice(preds);
-        Query { predicates }
-    }
-
     /// Appends a predicate in place.
     pub fn push(&mut self, pred: Predicate) {
         self.predicates.push(pred);
@@ -177,36 +164,62 @@ impl Query {
 
     /// `true` if the query's predicates can never be satisfied by any value
     /// combination of `schema`'s domains, regardless of the database
-    /// contents (e.g. `A < 0`, or `A <= 2 AND A >= 5`).
+    /// contents (e.g. `A < 0`, `A <= 2 AND A >= 5`, or a predicate on an
+    /// attribute the schema does not have); see [`fold_bounds`].
     ///
-    /// Discovery algorithms use this to skip queries that are trivially
-    /// empty without spending a web access on them... or rather, the hidden
-    /// database simulator does *not* special-case them, so that query costs
-    /// stay faithful; this helper is only used by tests and by internal
-    /// bookkeeping that is allowed "for free" (client-side reasoning).
+    /// The hidden database simulator does *not* special-case such queries,
+    /// so that query costs stay faithful; this helper serves client-side
+    /// reasoning that is allowed "for free" (and tests).
     pub fn is_unsatisfiable(&self, schema: &Schema) -> bool {
-        for attr in 0..schema.len() {
-            let mut lo: i64 = 0;
-            let mut hi: i64 = i64::from(schema.attr(attr).max_value());
-            for p in self.predicates.iter().filter(|p| p.attr == attr) {
-                let v = i64::from(p.value);
-                match p.op {
-                    CmpOp::Lt => hi = hi.min(v - 1),
-                    CmpOp::Le => hi = hi.min(v),
-                    CmpOp::Eq => {
-                        lo = lo.max(v);
-                        hi = hi.min(v);
-                    }
-                    CmpOp::Ge => lo = lo.max(v),
-                    CmpOp::Gt => lo = lo.max(v + 1),
-                }
-            }
-            if lo > hi {
-                return true;
-            }
-        }
-        false
+        !fold_bounds(&self.predicates, schema_maxima(schema), &mut Vec::new())
     }
+}
+
+/// The largest value of each attribute of `schema`: the bounds a fold over
+/// `schema`'s domains starts from.
+pub(crate) fn schema_maxima(schema: &Schema) -> impl Iterator<Item = Value> + '_ {
+    schema.attrs().iter().map(AttributeSpec::max_value)
+}
+
+/// Folds a conjunction of predicates into one closed interval `[lo, hi]`
+/// per attribute, written into `bounds` (cleared first; `i64`, so that an
+/// empty interval is representable). Attribute `a` starts at
+/// `[0, maxima[a]]` and each predicate on it narrows its interval.
+///
+/// Returns `false` if the conjunction is unsatisfiable: an interval became
+/// empty, or a predicate names an attribute past the end of `maxima`.
+///
+/// The one fold behind [`Query::is_unsatisfiable`], the engine's query
+/// planning and the client knowledge base's membership probes. The caller
+/// owns `bounds`, so a reused buffer keeps the fold allocation-free.
+#[inline]
+pub fn fold_bounds(
+    preds: &[Predicate],
+    maxima: impl IntoIterator<Item = Value>,
+    bounds: &mut Vec<(i64, i64)>,
+) -> bool {
+    bounds.clear();
+    bounds.extend(maxima.into_iter().map(|max| (0, i64::from(max))));
+    for p in preds {
+        let Some((lo, hi)) = bounds.get_mut(p.attr) else {
+            return false;
+        };
+        let v = i64::from(p.value);
+        match p.op {
+            CmpOp::Lt => *hi = (*hi).min(v - 1),
+            CmpOp::Le => *hi = (*hi).min(v),
+            CmpOp::Eq => {
+                *lo = (*lo).max(v);
+                *hi = (*hi).min(v);
+            }
+            CmpOp::Ge => *lo = (*lo).max(v),
+            CmpOp::Gt => *lo = (*lo).max(v + 1),
+        }
+        if *lo > *hi {
+            return false;
+        }
+    }
+    true
 }
 
 /// One consecutive run of a query plan whose members all share the same
@@ -352,21 +365,57 @@ mod tests {
         assert_eq!(q2.len(), 2);
     }
 
+    /// The interval fold over a schema (two domain-10 ranking attributes
+    /// and a domain-3 filtering one): the intervals of every satisfiable
+    /// conjunction, `None` for the unsatisfiable ones, and
+    /// `Query::is_unsatisfiable` agreeing on each. The last rows fold under
+    /// the knowledge base's maxima, where every value of `u32` is in range.
     #[test]
-    fn unsatisfiable_detection() {
+    fn fold_bounds_table() {
+        use Predicate as P;
         let schema = SchemaBuilder::new()
             .ranking("a", 10, InterfaceType::Rq)
             .ranking("b", 10, InterfaceType::Rq)
+            .filtering("f", 3)
             .build();
-        assert!(Query::new(vec![Predicate::lt(0, 0)]).is_unsatisfiable(&schema));
-        assert!(
-            Query::new(vec![Predicate::le(0, 2), Predicate::ge(0, 5)]).is_unsatisfiable(&schema)
-        );
-        assert!(
-            !Query::new(vec![Predicate::le(0, 5), Predicate::ge(0, 5)]).is_unsatisfiable(&schema)
-        );
-        assert!(Query::new(vec![Predicate::gt(1, 9)]).is_unsatisfiable(&schema));
-        assert!(!Query::select_all().is_unsatisfiable(&schema));
+        let domains = || schema_maxima(&schema).collect();
+        let max = i64::from(Value::MAX);
+        type Row = (Vec<Predicate>, Vec<Value>, Option<Vec<(i64, i64)>>);
+        let rows: Vec<Row> = vec![
+            (vec![], domains(), Some(vec![(0, 9), (0, 9), (0, 2)])),
+            (
+                vec![P::le(0, 6), P::ge(0, 2), P::lt(1, 4)],
+                domains(),
+                Some(vec![(2, 6), (0, 3), (0, 2)]),
+            ),
+            (
+                vec![P::le(0, 5), P::ge(0, 5), P::eq(2, 1), P::gt(1, 3)],
+                domains(),
+                Some(vec![(5, 5), (4, 9), (1, 1)]),
+            ),
+            (vec![P::lt(0, 0)], domains(), None),
+            (vec![P::gt(0, 9)], domains(), None),
+            (vec![P::gt(1, 9)], domains(), None),
+            (vec![P::le(0, 2), P::ge(0, 5)], domains(), None),
+            (vec![P::eq(2, 3)], domains(), None),
+            // An attribute past the end of the bound list matches nothing.
+            (vec![P::lt(3, 5)], domains(), None),
+            (
+                vec![P::gt(0, 9)],
+                vec![Value::MAX; 2],
+                Some(vec![(10, max), (0, max)]),
+            ),
+            (vec![P::lt(2, 5)], vec![Value::MAX; 2], None),
+        ];
+        let mut bounds = Vec::new();
+        for (preds, maxima, want) in rows {
+            let folded = fold_bounds(&preds, maxima.iter().copied(), &mut bounds);
+            assert_eq!(folded.then(|| bounds.clone()), want, "{preds:?}");
+            if maxima.len() == schema.len() {
+                let q = Query::new(preds);
+                assert_eq!(q.is_unsatisfiable(&schema), want.is_none(), "{q}");
+            }
+        }
     }
 
     #[test]

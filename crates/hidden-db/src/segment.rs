@@ -1485,11 +1485,6 @@ impl SegmentReader {
         self.chunk
     }
 
-    /// Total size of the backing source in bytes.
-    pub fn bytes_on_disk(&self) -> u64 {
-        self.source.len()
-    }
-
     fn chunks(&self) -> usize {
         self.n.div_ceil(self.chunk)
     }

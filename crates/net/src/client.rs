@@ -44,7 +44,6 @@ pub struct RemoteInfo {
 pub struct RemoteOracle {
     stream: TcpStream,
     info: RemoteInfo,
-    max_frame_len: usize,
     /// Latched on the first transport failure: later plans short-circuit
     /// to [`QueryError::ConnectionDropped`] instead of poking a dead
     /// socket (a retrying driver still sees a transient error each time).
@@ -98,7 +97,6 @@ impl RemoteOracle {
                 tuple_count: welcome.tuple_count,
                 schema: welcome.schema,
             },
-            max_frame_len: MAX_FRAME_LEN,
             broken: false,
         })
     }
@@ -142,7 +140,7 @@ impl RemoteOracle {
             None => QueryPlan::new(queries.to_vec()),
         };
         wire::write_frame(&mut self.stream, &encode_plan(&plan))?;
-        let Some((kind, frame)) = wire::read_frame(&mut self.stream, self.max_frame_len)? else {
+        let Some((kind, frame)) = wire::read_frame(&mut self.stream, MAX_FRAME_LEN)? else {
             return Err(NetError::Disconnected);
         };
         let (responses, err) = match kind {

@@ -55,7 +55,10 @@ fn worker_budget() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// How a [`Server`] runs.
+/// How a [`Server`] runs. Every incoming frame is capped before allocation:
+/// the handshake at [`MAX_HANDSHAKE_FRAME_LEN`], plan frames at
+/// [`MAX_FRAME_LEN`], the cap [`RemoteOracle`](crate::RemoteOracle) reads
+/// replies under too.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads (each serves one connection at a time, ≥ 1).
@@ -64,8 +67,6 @@ pub struct ServerConfig {
     /// before dropping the connection (the slowloris bound), and therefore
     /// also the longest an idle connection survives. `None` blocks forever.
     pub read_timeout: Option<Duration>,
-    /// Payload-length cap enforced on incoming frames before allocation.
-    pub max_frame_len: usize,
 }
 
 impl Default for ServerConfig {
@@ -73,14 +74,12 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: worker_budget(),
             read_timeout: Some(Duration::from_secs(30)),
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 }
 
 impl ServerConfig {
-    /// The default config: `SKYWEB_JOBS` workers, a 30 s read timeout and
-    /// the standard frame cap.
+    /// The default config: `SKYWEB_JOBS` workers and a 30 s read timeout.
     pub fn new() -> Self {
         ServerConfig::default()
     }
@@ -94,12 +93,6 @@ impl ServerConfig {
     /// Sets the socket read timeout (builder style).
     pub fn with_read_timeout(mut self, read_timeout: Option<Duration>) -> Self {
         self.read_timeout = read_timeout;
-        self
-    }
-
-    /// Sets the incoming frame cap (builder style).
-    pub fn with_max_frame_len(mut self, max_frame_len: usize) -> Self {
-        self.max_frame_len = max_frame_len;
         self
     }
 }
@@ -281,8 +274,7 @@ fn handle_connection(
 ) -> Result<ConnectionReport, NetError> {
     stream.set_read_timeout(config.read_timeout)?;
     let hello = {
-        let cap = MAX_HANDSHAKE_FRAME_LEN.min(config.max_frame_len);
-        let Some((kind, frame)) = wire::read_frame(&mut stream, cap)? else {
+        let Some((kind, frame)) = wire::read_frame(&mut stream, MAX_HANDSHAKE_FRAME_LEN)? else {
             // Connected, said nothing, hung up: nothing was served.
             return Err(NetError::Disconnected);
         };
@@ -315,7 +307,7 @@ fn handle_connection(
         error_replies: 0,
     };
     loop {
-        let Some((kind, frame)) = wire::read_frame(&mut stream, config.max_frame_len)? else {
+        let Some((kind, frame)) = wire::read_frame(&mut stream, MAX_FRAME_LEN)? else {
             // Clean hang-up at a frame boundary: the connection is done.
             return Ok(report);
         };

@@ -123,13 +123,9 @@ fn check_remote(alg: &dyn Discoverer, interfaces: &[InterfaceType], k: usize) {
         // that itself round-tripped through the welcome frame — proving the
         // client needs no local copy of the database.
         let machine = alg.machine(&oracle.replica()).expect("supported interface");
-        DiscoveryDriver::with_oracle(
-            oracle,
-            machine,
-            DriverConfig::new().with_budget(alg.budget()),
-        )
-        .run()
-        .expect("remote run")
+        DiscoveryDriver::with_oracle(oracle, machine, DriverConfig::new())
+            .run()
+            .expect("remote run")
     });
 
     assert_identical(&reference, &remote);

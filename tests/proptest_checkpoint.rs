@@ -139,33 +139,31 @@ fn run_through_bytes(
 }
 
 /// The uninterrupted reference run and the serialize-at-every-boundary run
-/// for one algorithm configuration, on separate but identical databases.
+/// for one algorithm, both under the spec's budget, on separate but
+/// identical databases.
 fn check_alg(alg: &dyn Discoverer, spec: &DbSpec, interface: Option<InterfaceType>) {
     let db_ref = build_db(spec, interface);
-    let reference = match alg.discover(&db_ref) {
-        Ok(r) => r,
-        Err(_) => return, // interface mismatch (e.g. random mixed schema)
+    let Ok(machine) = alg.machine(&db_ref) else {
+        return; // interface mismatch (e.g. random mixed schema)
     };
+    let reference = DiscoveryDriver::new(
+        &db_ref,
+        machine,
+        DriverConfig::new().with_budget(spec.budget),
+    )
+    .run()
+    .expect("no real query errors in these schemas");
 
     let db_restored = build_db(spec, interface);
     let machine = alg
         .machine(&db_restored)
         .expect("reference run proved the interface is supported");
     let config = DriverConfig::new()
-        .with_budget(alg.budget())
+        .with_budget(spec.budget)
         .with_max_batch(spec.max_batch);
     let restored = run_through_bytes(&db_restored, machine, config);
     assert_identical(&reference, &restored);
     assert_eq!(restored.query_cost, db_restored.queries_issued());
-}
-
-fn check_alg_with_budget(
-    make: &dyn Fn(Option<u64>) -> Box<dyn Discoverer>,
-    spec: &DbSpec,
-    interface: Option<InterfaceType>,
-) {
-    let alg = make(spec.budget);
-    check_alg(alg.as_ref(), spec, interface);
 }
 
 proptest! {
@@ -178,74 +176,50 @@ proptest! {
     /// SQ-DB-SKY survives serialization at every plan boundary.
     #[test]
     fn sq_checkpoint_bytes_round_trip(spec in db_spec(2..=4)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => SqDbSky::with_budget(b),
-            None => SqDbSky::new(),
-        }), &spec, Some(InterfaceType::Sq));
+        check_alg(&SqDbSky::new(), &spec, Some(InterfaceType::Sq));
     }
 
     /// RQ-DB-SKY survives serialization at every plan boundary.
     #[test]
     fn rq_checkpoint_bytes_round_trip(spec in db_spec(2..=4)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => RqDbSky::with_budget(b),
-            None => RqDbSky::new(),
-        }), &spec, Some(InterfaceType::Rq));
+        check_alg(&RqDbSky::new(), &spec, Some(InterfaceType::Rq));
     }
 
     /// PQ-DB-SKY (plane enumeration + mid-traversal sweep state).
     #[test]
     fn pq_checkpoint_bytes_round_trip(spec in db_spec(2..=4)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => PqDbSky::with_budget(b),
-            None => PqDbSky::new(),
-        }), &spec, Some(InterfaceType::Pq));
+        check_alg(&PqDbSky::new(), &spec, Some(InterfaceType::Pq));
     }
 
     /// PQ-2D-SKY (the raw plane-sweep machine).
     #[test]
     fn pq2d_checkpoint_bytes_round_trip(spec in db_spec(2..=2)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => Pq2dSky::with_budget(b),
-            None => Pq2dSky::new(),
-        }), &spec, Some(InterfaceType::Pq));
+        check_alg(&Pq2dSky::new(), &spec, Some(InterfaceType::Pq));
     }
 
     /// MQ-DB-SKY on arbitrary interface mixtures (nested sub-machine
     /// frames serialize recursively).
     #[test]
     fn mq_checkpoint_bytes_round_trip(spec in db_spec(2..=4)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => MqDbSky::with_budget(b),
-            None => MqDbSky::new(),
-        }), &spec, None);
+        check_alg(&MqDbSky::new(), &spec, None);
     }
 
     /// The crawling BASELINE.
     #[test]
     fn baseline_checkpoint_bytes_round_trip(spec in db_spec(2..=3)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => BaselineCrawl::with_budget(b),
-            None => BaselineCrawl::new(),
-        }), &spec, Some(InterfaceType::Rq));
+        check_alg(&BaselineCrawl::new(), &spec, Some(InterfaceType::Rq));
     }
 
     /// The exhaustive point-space crawl.
     #[test]
     fn point_crawl_checkpoint_bytes_round_trip(spec in db_spec(2..=3)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => PointSpaceCrawl::with_budget(b),
-            None => PointSpaceCrawl::new(),
-        }), &spec, Some(InterfaceType::Pq));
+        check_alg(&PointSpaceCrawl::new(), &spec, Some(InterfaceType::Pq));
     }
 
     /// Top-h sky-band discovery (schema and used-roots set serialize).
     #[test]
     fn skyband_checkpoint_bytes_round_trip(spec in db_spec(2..=3), h in 1usize..=3) {
-        let alg = match spec.budget {
-            Some(b) => RqSkyband::with_budget(h, b),
-            None => RqSkyband::new(h),
-        };
+        let alg = RqSkyband::new(h);
         let db_ref = build_db(&spec, Some(InterfaceType::Rq));
         let reference = {
             let machine: Box<dyn DiscoveryMachine> =

@@ -115,41 +115,37 @@ fn run_with_pauses(
 }
 
 /// The uninterrupted reference run and the pause-at-every-boundary run for
-/// one algorithm configuration, on separate but identical databases.
+/// one algorithm, both under the spec's budget, on separate but identical
+/// databases.
 fn check_alg(alg: &dyn Discoverer, spec: &DbSpec, interface: Option<InterfaceType>) {
     let db_ref = build_db(spec, interface);
-    let reference = match alg.discover(&db_ref) {
-        Ok(r) => r,
-        Err(_) => return, // interface mismatch (e.g. random mixed schema)
+    let Ok(machine) = alg.machine(&db_ref) else {
+        return; // interface mismatch (e.g. random mixed schema)
     };
+    let reference = DiscoveryDriver::new(
+        &db_ref,
+        machine,
+        DriverConfig::new().with_budget(spec.budget),
+    )
+    .run()
+    .expect("no real query errors in these schemas");
     assert_eq!(
         reference.query_cost,
         db_ref.queries_issued(),
-        "adapter accounting must match the server's"
+        "driver accounting must match the server's"
     );
 
     let db_resumed = build_db(spec, interface);
     let machine = alg
         .machine(&db_resumed)
         .expect("reference run proved the interface is supported");
-    // The reference adapter run honors the algorithm's own budget; mirror
-    // it, but vary the batch limit freely — identity must hold regardless.
+    // Vary the batch limit freely — identity must hold regardless.
     let config = DriverConfig::new()
-        .with_budget(alg.budget())
+        .with_budget(spec.budget)
         .with_max_batch(spec.max_batch);
     let resumed = run_with_pauses(&db_resumed, machine, config);
     assert_identical(&reference, &resumed);
     assert_eq!(resumed.query_cost, db_resumed.queries_issued());
-}
-
-/// Like [`check_alg`] but with the spec's budget applied to both sides.
-fn check_alg_with_budget(
-    make: &dyn Fn(Option<u64>) -> Box<dyn Discoverer>,
-    spec: &DbSpec,
-    interface: Option<InterfaceType>,
-) {
-    let alg = make(spec.budget);
-    check_alg(alg.as_ref(), spec, interface);
 }
 
 proptest! {
@@ -162,76 +158,57 @@ proptest! {
     /// SQ-DB-SKY: batched BFS frontier, any pause schedule.
     #[test]
     fn sq_pause_resume_is_identical(spec in db_spec(2..=4)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => SqDbSky::with_budget(b),
-            None => SqDbSky::new(),
-        }), &spec, Some(InterfaceType::Sq));
+        check_alg(&SqDbSky::new(), &spec, Some(InterfaceType::Sq));
     }
 
     /// RQ-DB-SKY: adaptive single-query plans.
     #[test]
     fn rq_pause_resume_is_identical(spec in db_spec(2..=4)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => RqDbSky::with_budget(b),
-            None => RqDbSky::new(),
-        }), &spec, Some(InterfaceType::Rq));
+        check_alg(&RqDbSky::new(), &spec, Some(InterfaceType::Rq));
     }
 
     /// PQ-DB-SKY: plane enumeration with pruned 2D sweeps.
     #[test]
     fn pq_pause_resume_is_identical(spec in db_spec(2..=4)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => PqDbSky::with_budget(b),
-            None => PqDbSky::new(),
-        }), &spec, Some(InterfaceType::Pq));
+        check_alg(&PqDbSky::new(), &spec, Some(InterfaceType::Pq));
     }
 
     /// PQ-2D-SKY (and through it the PQ-2DSUB-SKY sweep machine).
     #[test]
     fn pq2d_pause_resume_is_identical(spec in db_spec(2..=2)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => Pq2dSky::with_budget(b),
-            None => Pq2dSky::new(),
-        }), &spec, Some(InterfaceType::Pq));
+        check_alg(&Pq2dSky::new(), &spec, Some(InterfaceType::Pq));
     }
 
     /// MQ-DB-SKY on arbitrary interface mixtures (including the degenerate
     /// delegations to SQ/RQ/PQ machines).
     #[test]
     fn mq_pause_resume_is_identical(spec in db_spec(2..=4)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => MqDbSky::with_budget(b),
-            None => MqDbSky::new(),
-        }), &spec, None);
+        check_alg(&MqDbSky::new(), &spec, None);
     }
 
     /// The crawling BASELINE.
     #[test]
     fn baseline_pause_resume_is_identical(spec in db_spec(2..=3)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => BaselineCrawl::with_budget(b),
-            None => BaselineCrawl::new(),
-        }), &spec, Some(InterfaceType::Rq));
+        check_alg(&BaselineCrawl::new(), &spec, Some(InterfaceType::Rq));
     }
 
     /// The exhaustive point-space crawl (fully batchable odometer).
     #[test]
     fn point_crawl_pause_resume_is_identical(spec in db_spec(2..=3)) {
-        check_alg_with_budget(&|b| Box::new(match b {
-            Some(b) => PointSpaceCrawl::with_budget(b),
-            None => PointSpaceCrawl::new(),
-        }), &spec, Some(InterfaceType::Pq));
+        check_alg(&PointSpaceCrawl::new(), &spec, Some(InterfaceType::Pq));
     }
 
     /// Top-h sky-band discovery (machine-specific band result).
     #[test]
     fn skyband_pause_resume_is_identical(spec in db_spec(2..=3), h in 1usize..=3) {
-        let alg = match spec.budget {
-            Some(b) => RqSkyband::with_budget(h, b),
-            None => RqSkyband::new(h),
-        };
+        let alg = RqSkyband::new(h);
         let db_ref = build_db(&spec, Some(InterfaceType::Rq));
-        let reference: SkybandResult = alg.discover_band(&db_ref).unwrap();
+        let machine = alg.build_machine(&db_ref).unwrap();
+        let reference: SkybandResult =
+            DiscoveryDriver::new(&db_ref, machine, DriverConfig::new().with_budget(spec.budget))
+                .run_into_machine()
+                .unwrap()
+                .take_band_result();
 
         let db_resumed = build_db(&spec, Some(InterfaceType::Rq));
         let machine = alg.build_machine(&db_resumed).unwrap();

@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use skyweb_hidden_db::{
-    FaultPlan, FaultStats, FaultyOracle, HiddenDb, PrefixGroup, Query, QueryError, QueryResponse,
+    FaultPlan, FaultyOracle, HiddenDb, PrefixGroup, Query, QueryError, QueryResponse,
 };
 
 use crate::codec::{self, CodecError};
@@ -44,6 +44,11 @@ const BASE_BACKOFF_MS: u64 = 10;
 /// milliseconds.
 const MAX_BACKOFF_MS: u64 = 1_000;
 
+/// Attempts per plan suffix before a [`RetryPolicy`] gives up. An attempt
+/// that answers at least one query resets the count: only *consecutive*
+/// dead attempts count toward giving up.
+const MAX_ATTEMPTS: u32 = 4;
+
 /// How a [`DiscoveryDriver`] reacts to *transient* query failures
 /// ([`QueryError::is_transient`]): unavailability, throttle bursts,
 /// timeouts and mid-plan connection drops.
@@ -57,48 +62,21 @@ const MAX_BACKOFF_MS: u64 = 1_000;
 /// run at full speed while the accounting still reflects what a live client
 /// would have waited.
 ///
-/// When the policy gives up (attempts exhausted, retry budget spent, or the
-/// wall deadline passed), the driver halts the machine and reports
-/// [`StepOutcome::Degraded`]: the anytime partial skyline stays available
-/// through [`DiscoveryDriver::finish`] instead of the run aborting.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// When the policy gives up (four consecutive dead attempts,
+/// `MAX_ATTEMPTS`, or the wall deadline passed), the driver halts the
+/// machine and reports [`StepOutcome::Degraded`]: the anytime partial
+/// skyline stays available through [`DiscoveryDriver::finish`] instead of
+/// the run aborting.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RetryPolicy {
-    /// Maximum attempts per plan suffix (≥ 1). An attempt that answers at
-    /// least one query resets the counter: only *consecutive* dead attempts
-    /// count toward giving up.
-    pub max_attempts: u32,
-    /// Total retries allowed across the whole run (`None` = unlimited).
-    pub retry_budget: Option<u64>,
     /// Seed of the deterministic jitter stream.
     pub seed: u64,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            retry_budget: None,
-            seed: 0,
-        }
-    }
-}
-
 impl RetryPolicy {
-    /// The default policy: 4 attempts, unlimited retry budget.
+    /// The default policy: jitter seed 0.
     pub fn new() -> Self {
         RetryPolicy::default()
-    }
-
-    /// Sets the per-suffix attempt cap (builder style, clamped to ≥ 1).
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
-        self.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Sets the run-wide retry budget (builder style).
-    pub fn with_retry_budget(mut self, retry_budget: Option<u64>) -> Self {
-        self.retry_budget = retry_budget;
-        self
     }
 
     /// Sets the jitter seed (builder style).
@@ -199,13 +177,6 @@ pub trait PlanOracle: std::fmt::Debug {
         queries: &[Query],
         groups: Option<&[PrefixGroup]>,
     ) -> (Vec<QueryResponse>, Option<QueryError>);
-
-    /// Fault-injection accounting, for transports that layer deterministic
-    /// chaos over the database. The default is all-zeros: real transports
-    /// have real faults, not injected ones.
-    fn fault_stats(&self) -> FaultStats {
-        FaultStats::default()
-    }
 }
 
 impl PlanOracle for FaultyOracle<'_> {
@@ -215,10 +186,6 @@ impl PlanOracle for FaultyOracle<'_> {
         groups: Option<&[PrefixGroup]>,
     ) -> (Vec<QueryResponse>, Option<QueryError>) {
         FaultyOracle::run_plan_grouped(self, queries, groups)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.stats()
     }
 }
 
@@ -264,11 +231,6 @@ impl<M: DiscoveryMachine> Checkpoint<M> {
     /// Queries answered before the pause (budget accounting carries over).
     pub fn queries_issued(&self) -> u64 {
         self.machine.queries_issued()
-    }
-
-    /// Anytime snapshot of the paused run.
-    pub fn snapshot(&self) -> AnytimeSnapshot {
-        self.machine.snapshot()
     }
 
     /// Consumes the checkpoint into the raw machine.
@@ -339,7 +301,7 @@ pub struct DiscoveryDriver<'db, M = Box<dyn DiscoveryMachine>> {
     machine: M,
     config: DriverConfig,
     started: Instant,
-    /// Retries performed so far (counts against the policy's retry budget).
+    /// Retries performed so far.
     retries: u64,
     /// Total simulated backoff accumulated by retries, in milliseconds.
     backoff_ms: u64,
@@ -458,12 +420,6 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
         self.last_error.as_ref()
     }
 
-    /// Fault-injection accounting of the underlying oracle (all zeros when
-    /// the driver was built without faults, or over a real transport).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.oracle.fault_stats()
-    }
-
     /// Queries still allowed by the budget (`None` = unlimited).
     fn queries_left(&self) -> Option<u64> {
         self.config
@@ -545,9 +501,7 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
                         return Ok(StepOutcome::Finished);
                     };
                     attempt += 1;
-                    let give_up = attempt >= policy.max_attempts
-                        || policy.retry_budget.is_some_and(|b| self.retries >= b)
-                        || self.deadline_passed();
+                    let give_up = attempt >= MAX_ATTEMPTS || self.deadline_passed();
                     if give_up {
                         self.last_error = Some(e);
                         self.machine.halt();
@@ -749,8 +703,9 @@ mod tests {
     fn exhausted_retries_degrade_instead_of_aborting() {
         let db = toy_db(1);
         let machine = crate::SqDbSky::new().machine(&db).unwrap();
-        let config = DriverConfig::new().with_retry(Some(RetryPolicy::new().with_max_attempts(2)));
-        // Certain faults with no consecutive cap: give-up is guaranteed.
+        let config = DriverConfig::new().with_retry(Some(RetryPolicy::new()));
+        // Every attempt faults, and with no consecutive cap seed 7's stream
+        // soon fails four attempts in a row, so the policy gives up.
         let faults = FaultPlan::new(7, 1.0).with_max_consecutive(u32::MAX);
         let mut driver = DiscoveryDriver::with_faults(&db, machine, config, faults);
         let mut outcome = driver.step().unwrap();
@@ -781,34 +736,20 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_of_n_allows_exactly_n_retries() {
-        // Pins the boundary semantics of `retry_budget`: the give-up check
-        // (`self.retries >= b`) runs *before* the counter increments, so a
-        // budget of N performs exactly N retries (N + 1 attempts) and a
-        // budget of 0 degrades on the first failure without retrying.
+    fn a_dead_transport_degrades_after_max_attempts() {
+        // Pins MAX_ATTEMPTS: the first attempt and three retries fail, and
+        // the fourth dead attempt gives up without a further retry.
         let db = toy_db(1);
-        for budget in [0u64, 1, 3, 7] {
-            let machine = crate::SqDbSky::new().machine(&db).unwrap();
-            let config = DriverConfig::new().with_retry(Some(
-                RetryPolicy::new()
-                    .with_max_attempts(u32::MAX)
-                    .with_retry_budget(Some(budget)),
-            ));
-            let mut driver = DiscoveryDriver::with_oracle(AlwaysDown, machine, config);
-            let outcome = driver.step().unwrap();
-            assert!(
-                matches!(outcome, StepOutcome::Degraded { queries: 0 }),
-                "budget {budget}: expected Degraded, got {outcome:?}"
-            );
-            assert_eq!(
-                driver.retries(),
-                budget,
-                "a retry budget of {budget} must allow exactly {budget} retries"
-            );
-            assert!(driver.last_error().is_some_and(QueryError::is_transient));
-            // A transport without fault injection reports zero fault stats.
-            assert_eq!(driver.fault_stats(), FaultStats::default());
-        }
+        let machine = crate::SqDbSky::new().machine(&db).unwrap();
+        let config = DriverConfig::new().with_retry(Some(RetryPolicy::new()));
+        let mut driver = DiscoveryDriver::with_oracle(AlwaysDown, machine, config);
+        let outcome = driver.step().unwrap();
+        assert!(
+            matches!(outcome, StepOutcome::Degraded { queries: 0 }),
+            "expected Degraded, got {outcome:?}"
+        );
+        assert_eq!(driver.retries(), 3);
+        assert!(driver.last_error().is_some_and(QueryError::is_transient));
     }
 
     #[test]

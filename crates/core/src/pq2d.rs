@@ -11,7 +11,7 @@
 //! query is guaranteed to return the (single) skyline tuple it covers, which
 //! is what makes the procedure instance-optimal.
 
-use skyweb_hidden_db::{HiddenDb, InterfaceType, Query, QueryResponse, Value};
+use skyweb_hidden_db::{HiddenDb, Query, QueryResponse, Value};
 
 use crate::codec::{self, CodecError, Reader};
 use crate::machine::{DiscoveryMachine, Machine, MachineControl};
@@ -43,13 +43,8 @@ impl Pq2dSky {
                 ),
             });
         }
-        for &a in ranking {
-            if db.schema().attr(a).interface != InterfaceType::Pq {
-                // PQ-2D-SKY also runs fine on stronger interfaces (every
-                // interface supports equality), so this is not an error —
-                // but keep the check for attribute count only.
-            }
-        }
+        // Every interface supports equality, so PQ-2D-SKY runs on any of
+        // them: only the attribute count is checked.
         Ok((ranking[0], ranking[1]))
     }
 }
@@ -205,7 +200,7 @@ impl Discoverer for Pq2dSky {
 mod tests {
     use super::*;
     use crate::analysis::pq2d_cost;
-    use skyweb_hidden_db::{SchemaBuilder, SingleAttributeRanker, SumRanker, Tuple};
+    use skyweb_hidden_db::{InterfaceType, SchemaBuilder, SingleAttributeRanker, SumRanker, Tuple};
     use skyweb_skyline::{bnl_skyline, same_ids};
 
     fn pq_schema(dx: u32, dy: u32) -> skyweb_hidden_db::Schema {

@@ -16,12 +16,10 @@
 //! chunks on scoped threads for multi-core throughput (tenants never share
 //! mutable state, so the split is safe by construction).
 
-use std::time::Instant;
-
 use skyweb_hidden_db::{FaultPlan, HiddenDb};
 
 use crate::driver::{DiscoveryDriver, DriverConfig, StepOutcome};
-use crate::machine::{AnytimeSnapshot, DiscoveryMachine};
+use crate::machine::DiscoveryMachine;
 use crate::{DiscoveryError, DiscoveryResult};
 
 /// Handle to one tenant of a [`DiscoveryService`].
@@ -167,11 +165,6 @@ impl<'db> DiscoveryService<'db> {
         }
     }
 
-    /// The shared database.
-    pub fn db(&self) -> &'db HiddenDb {
-        self.db
-    }
-
     /// Admits a new tenant: attaches `machine` to its own session of the
     /// shared database, driven under `config` (budget, batch limit,
     /// deadline — the deadline clock starts now).
@@ -210,20 +203,9 @@ impl<'db> DiscoveryService<'db> {
         self.rounds
     }
 
-    /// A tenant's label.
-    pub fn label(&self, id: TenantId) -> &str {
-        &self.tenants[id.0].label
-    }
-
     /// A tenant's progress accounting.
     pub fn stats(&self, id: TenantId) -> &TenantStats {
         &self.tenants[id.0].stats
-    }
-
-    /// An anytime snapshot of a tenant's run (valid at any point, finished
-    /// or not).
-    pub fn snapshot(&self, id: TenantId) -> AnytimeSnapshot {
-        self.tenants[id.0].driver.snapshot()
     }
 
     /// Takes a finished tenant's result (`None` while it is still
@@ -251,44 +233,6 @@ impl<'db> DiscoveryService<'db> {
     pub fn run_to_completion(&mut self) -> u64 {
         let start = self.rounds;
         while self.run_round() > 0 {}
-        self.rounds - start
-    }
-
-    /// Runs cooperative rounds until every tenant finished or `deadline`
-    /// elapses; unfinished tenants keep their anytime state.
-    ///
-    /// The deadline is checked between *tenant steps*, not just between
-    /// full rounds: one slow tenant can no longer drag every other tenant
-    /// through the rest of an expired round. A round cut short mid-way
-    /// still counts as one executed round.
-    pub fn run_until(&mut self, deadline: Instant) -> u64 {
-        let start = self.rounds;
-        'rounds: loop {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "wall-clock deadline enforcement for tenant scheduling; never recorded in checkpoints or replayed"
-            )]
-            if Instant::now() >= deadline {
-                break;
-            }
-            self.rounds += 1;
-            let mut active = 0;
-            for tenant in &mut self.tenants {
-                if tenant.step() {
-                    active += 1;
-                }
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "wall-clock deadline enforcement for tenant scheduling; never recorded in checkpoints or replayed"
-                )]
-                if Instant::now() >= deadline {
-                    break 'rounds;
-                }
-            }
-            if active == 0 {
-                break;
-            }
-        }
         self.rounds - start
     }
 
@@ -342,10 +286,6 @@ impl std::fmt::Debug for DiscoveryService<'_> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::disallowed_methods,
-    reason = "L5 exempts test code; the run_until tests build wall-clock deadlines"
-)]
 mod tests {
     use super::*;
     use crate::{Discoverer, RqDbSky, SqDbSky};
@@ -566,7 +506,7 @@ mod tests {
         let doomed = service.submit_with_faults(
             "doomed",
             SqDbSky::new().machine(&db).unwrap(),
-            DriverConfig::new().with_retry(Some(RetryPolicy::new().with_max_attempts(2))),
+            DriverConfig::new().with_retry(Some(RetryPolicy::new())),
             FaultPlan::new(3, 1.0).with_max_consecutive(u32::MAX),
         );
         service.run_to_completion();
@@ -600,70 +540,6 @@ mod tests {
             clean_result.query_cost + flaky_result.query_cost + doomed_result.query_cost,
             db.queries_issued()
         );
-    }
-
-    #[test]
-    fn run_until_checks_deadline_between_tenant_steps() {
-        use std::time::Duration;
-
-        // A deliberately expensive machine: every plan costs ~25 ms of
-        // wall clock before a single query is issued.
-        #[derive(Debug)]
-        struct SlowTenant;
-        impl crate::MachineControl for SlowTenant {
-            fn name(&self) -> &str {
-                "SLOW"
-            }
-            fn done(&self) -> bool {
-                false
-            }
-            fn plan_into(
-                &self,
-                _kb: &crate::KnowledgeBase,
-                _limit: usize,
-                out: &mut Vec<skyweb_hidden_db::Query>,
-            ) {
-                std::thread::sleep(Duration::from_millis(25));
-                out.push(skyweb_hidden_db::Query::select_all());
-            }
-            fn on_response(
-                &mut self,
-                kb: &mut crate::KnowledgeBase,
-                issued: u64,
-                resp: &skyweb_hidden_db::QueryResponse,
-            ) {
-                kb.ingest(&resp.tuples);
-                kb.record(issued);
-            }
-        }
-
-        let db = shared_db(20, 2);
-        let mut service = DiscoveryService::new(&db);
-        let ids: Vec<TenantId> = (0..4)
-            .map(|i| {
-                service.submit(
-                    format!("slow{i}"),
-                    Box::new(crate::Machine::from_parts(
-                        crate::KnowledgeBase::new(vec![0, 1]),
-                        SlowTenant,
-                    )),
-                    DriverConfig::new(),
-                )
-            })
-            .collect();
-        // The deadline expires inside the very first tenant's step. The
-        // old between-rounds check would still drag all four tenants
-        // through the round (~100 ms overshoot); the between-steps check
-        // must cut the round after the first step.
-        let rounds = service.run_until(Instant::now() + Duration::from_millis(5));
-        assert_eq!(rounds, 1, "a round cut short still counts as one round");
-        let stepped: u64 = ids.iter().map(|&id| service.stats(id).steps).sum();
-        assert_eq!(
-            stepped, 1,
-            "the deadline must be honored between tenant steps, not only between rounds"
-        );
-        // An already-expired deadline runs nothing at all.
-        assert_eq!(service.run_until(Instant::now()), 0);
     }
 
     #[test]

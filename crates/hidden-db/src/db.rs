@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::path::Path;
 
 use crate::conc::SeqReserver;
-use crate::index::{QueryIndex, Scratch};
+use crate::index::{ExecOutcome, QueryIndex, Scratch};
 use crate::segment::{
     BlockSource, FileSource, SegmentError, SegmentOpenOptions, SegmentReader, SegmentWriter,
     StorageStats,
@@ -247,11 +247,6 @@ impl fmt::Debug for HiddenDb {
             .finish()
     }
 }
-
-/// What executing an admitted query yields: the returned tuples
-/// (best-ranked first), the overflow flag and the exact match count when
-/// the chosen plan produced one.
-pub(crate) type ExecOutput = (Vec<Arc<Tuple>>, bool, Option<usize>);
 
 impl HiddenDb {
     /// Creates a hidden database with the given schema, tuples, ranking
@@ -583,9 +578,8 @@ impl HiddenDb {
         scratch: &mut Scratch,
     ) -> Result<QueryResponse, QueryError> {
         let seq = self.admit(query)?;
-        let log_enabled = self.log_on();
-        let (tuples, overflowed, matched) = self.exec_validated(query, log_enabled, scratch)?;
-        Ok(self.finish_query(query, seq, tuples, overflowed, matched, log_enabled))
+        let out = self.exec_validated(query, scratch)?;
+        Ok(self.finish_query(query, seq, out))
     }
 
     /// Admission control for one query: validation, rate-limit reservation
@@ -602,15 +596,8 @@ impl HiddenDb {
             .map_err(|limit| QueryError::RateLimitExceeded { limit })
     }
 
-    /// `true` while the access log is recording (the flag that also pins
-    /// exact-match-count execution plans).
-    pub(crate) fn log_on(&self) -> bool {
-        self.log_enabled.load(Ordering::Relaxed)
-    }
-
     /// Computes the answer of an admitted query: the returned tuples
-    /// (best-ranked first), the overflow flag and the exact match count when
-    /// the chosen plan produced one.
+    /// (best-ranked first) and the overflow flag.
     ///
     /// The only error is [`QueryError::Storage`] from a segment-backed store
     /// (a RAM-backed database never fails here). A storage failure consumes
@@ -618,36 +605,28 @@ impl HiddenDb {
     pub(crate) fn exec_validated(
         &self,
         query: &Query,
-        need_matched: bool,
         scratch: &mut Scratch,
-    ) -> Result<ExecOutput, QueryError> {
-        let out = self
-            .index()
+    ) -> Result<ExecOutcome, QueryError> {
+        self.index()
             .execute(
                 query,
                 self.k,
                 &self.store,
                 &self.schema,
                 self.ranker.as_ref(),
-                need_matched,
                 scratch,
             )
-            .map_err(|e| QueryError::Storage { error: e })?;
-        Ok((out.returned, out.overflowed, out.matched))
+            .map_err(|e| QueryError::Storage { error: e })
     }
 
     /// Completes an admitted query: updates the global counters, records the
     /// access-log entry under the reserved sequence number and builds the
     /// response.
-    pub(crate) fn finish_query(
-        &self,
-        query: &Query,
-        seq: u64,
-        tuples: Vec<Arc<Tuple>>,
-        overflowed: bool,
-        matched: Option<usize>,
-        log_enabled: bool,
-    ) -> QueryResponse {
+    pub(crate) fn finish_query(&self, query: &Query, seq: u64, out: ExecOutcome) -> QueryResponse {
+        let ExecOutcome {
+            returned: tuples,
+            overflowed,
+        } = out;
         if overflowed {
             self.overflows.fetch_add(1, Ordering::Relaxed);
         }
@@ -658,20 +637,13 @@ impl HiddenDb {
         self.tuples_returned
             .fetch_add(tuples.len() as u64, Ordering::Relaxed);
 
-        if log_enabled {
-            // The engine only omits the matching count on early-terminated
-            // rank scans, a plan it never picks while the log is recording
-            // (`need_matched` in the executors is this same flag), so
-            // `matched` is always present here.
-            if let Some(matched) = matched {
-                self.access_log.push(AccessLogEntry {
-                    seq,
-                    query: query.to_string(),
-                    matched,
-                    returned: tuples.len(),
-                    overflowed,
-                });
-            }
+        if self.log_enabled.load(Ordering::Relaxed) {
+            self.access_log.push(AccessLogEntry {
+                seq,
+                query: query.to_string(),
+                returned: tuples.len(),
+                overflowed,
+            });
         }
 
         QueryResponse { tuples, overflowed }
@@ -887,7 +859,8 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.entries()[0].query, "SELECT * FROM D");
         assert!(log.entries()[0].overflowed);
-        assert_eq!(log.entries()[1].matched, 2);
+        assert_eq!(log.entries()[1].returned, 2);
+        assert!(!log.entries()[1].overflowed);
     }
 
     #[test]

@@ -170,16 +170,6 @@ impl<'db> FaultyOracle<'db> {
         }
     }
 
-    /// The wrapped session (read access).
-    pub fn session(&self) -> &Session<'db> {
-        &self.session
-    }
-
-    /// The active fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Injection accounting so far.
     pub fn stats(&self) -> FaultStats {
         self.stats

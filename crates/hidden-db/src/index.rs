@@ -468,10 +468,16 @@ pub(crate) struct ExecOutcome {
     pub returned: Vec<Arc<Tuple>>,
     /// Whether more than `k` tuples matched.
     pub overflowed: bool,
-    /// Exact size of the matching set when the chosen plan computed it
-    /// (`None` only for early-terminated rank scans, where finishing the
-    /// count would defeat the early termination).
-    pub matched: Option<usize>,
+}
+
+impl ExecOutcome {
+    /// The answer of a query that matches nothing.
+    fn empty() -> Self {
+        ExecOutcome {
+            returned: Vec::new(),
+            overflowed: false,
+        }
+    }
 }
 
 /// Reusable per-session working memory so steady-state queries allocate
@@ -560,13 +566,9 @@ impl QueryIndex {
     }
 
     /// Executes a validated query against the store, using the caller's
-    /// scratch buffers for all per-query working memory.
-    ///
-    /// `need_matched` forces a plan that knows the exact matching count
-    /// (used when the access log is recording); it never changes the answer,
-    /// only how much counting work is done. An `Err` is only possible on
-    /// the segment backend (I/O failure or corrupted chunk).
-    #[allow(clippy::too_many_arguments)]
+    /// scratch buffers for all per-query working memory. The plan depends on
+    /// the query alone. An `Err` is only possible on the segment backend
+    /// (I/O failure or corrupted chunk).
     pub(crate) fn execute(
         &self,
         query: &Query,
@@ -574,10 +576,9 @@ impl QueryIndex {
         store: &TupleStore,
         schema: &Schema,
         ranker: &dyn Ranker,
-        need_matched: bool,
         scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
-        with_engine!(self, e => e.execute(query, k, store, schema, ranker, need_matched, scratch))
+        with_engine!(self, e => e.execute(query, k, store, schema, ranker, scratch))
     }
 
     /// Evaluates a group's shared conjunction once: folds the prefix into a
@@ -608,19 +609,9 @@ impl QueryIndex {
         store: &TupleStore,
         schema: &Schema,
         ranker: &dyn Ranker,
-        need_matched: bool,
         scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
-        with_engine!(self, e => e.execute_shared(
-            shared,
-            query,
-            k,
-            store,
-            schema,
-            ranker,
-            need_matched,
-            scratch
-        ))
+        with_engine!(self, e => e.execute_shared(shared, query, k, store, schema, ranker, scratch))
     }
 }
 
@@ -636,7 +627,7 @@ pub(crate) enum SharedGroup {
     /// engine.
     PerQuery,
     /// The shared conjunction provably matches nothing — every member
-    /// query answers empty with an exact zero match count.
+    /// query answers empty.
     Empty,
     /// Candidate tuples matching the shared conjunction, as ascending rank
     /// positions: a member's top-k answer is the first k candidates passing
@@ -711,7 +702,6 @@ impl<S: IndexStorage> Engine<'_, S> {
     }
 
     /// See [`QueryIndex::execute`].
-    #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
         query: &Query,
@@ -719,7 +709,6 @@ impl<S: IndexStorage> Engine<'_, S> {
         store: &TupleStore,
         schema: &Schema,
         ranker: &dyn Ranker,
-        need_matched: bool,
         scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
         let Some(best) = self.plan(
@@ -728,11 +717,7 @@ impl<S: IndexStorage> Engine<'_, S> {
             &mut scratch.bounds,
             &mut scratch.cons,
         ) else {
-            return Ok(ExecOutcome {
-                returned: Vec::new(),
-                overflowed: false,
-                matched: Some(0),
-            });
+            return Ok(ExecOutcome::empty());
         };
 
         match (self.s.has_perm(), best) {
@@ -749,26 +734,18 @@ impl<S: IndexStorage> Engine<'_, S> {
                 Ok(ExecOutcome {
                     returned,
                     overflowed: self.n > k,
-                    matched: Some(self.n),
                 })
             }
             (true, Some((count, best_pos))) => {
                 if count == 0 {
-                    return Ok(ExecOutcome {
-                        returned: Vec::new(),
-                        overflowed: false,
-                        matched: Some(0),
-                    });
+                    return Ok(ExecOutcome::empty());
                 }
                 // Plan choice: walking the most selective posting list costs
-                // `count` rank lookups plus a k-selection and yields an
-                // exact match count; the block rank scan touches columnar
-                // values in preference order and stops after k matches + 1
-                // overflow probe (see [`BLOCK_SCAN_CROSSOVER_DEN`] for the
-                // crossover rationale). The access log needs exact counts,
-                // so `need_matched` pins the posting walk even for broad
-                // queries.
-                if !need_matched && count * BLOCK_SCAN_CROSSOVER_DEN >= self.n {
+                // `count` rank lookups plus a k-selection; the block rank
+                // scan touches columnar values in preference order and stops
+                // after k matches + 1 overflow probe (see
+                // [`BLOCK_SCAN_CROSSOVER_DEN`] for the crossover rationale).
+                if count * BLOCK_SCAN_CROSSOVER_DEN >= self.n {
                     self.rank_scan(k, &scratch.cons)
                 } else {
                     self.posting_topk(k, &scratch.cons, best_pos, &mut scratch.hits)
@@ -832,7 +809,6 @@ impl<S: IndexStorage> Engine<'_, S> {
         cons: &[(AttrId, Value, Value)],
     ) -> Result<ExecOutcome, SegmentError> {
         let mut returned = Vec::with_capacity(k.min(16));
-        let mut seen = 0usize;
         let mut overflowed = false;
         self.for_each_matching_block(&mut self.s.cursors(), cons, |cur, base, mut mask| {
             // Consuming set bits low-to-high preserves the answer order of
@@ -840,8 +816,7 @@ impl<S: IndexStorage> Engine<'_, S> {
             while mask != 0 {
                 let lane = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                seen += 1;
-                if seen > k {
+                if returned.len() == k {
                     // Overflow probe: one extra match proves truncation.
                     overflowed = true;
                     return Ok(false);
@@ -851,18 +826,9 @@ impl<S: IndexStorage> Engine<'_, S> {
             }
             Ok(true)
         })?;
-        Ok(if overflowed {
-            ExecOutcome {
-                returned,
-                overflowed: true,
-                matched: None,
-            }
-        } else {
-            ExecOutcome {
-                returned,
-                overflowed: false,
-                matched: Some(seen),
-            }
+        Ok(ExecOutcome {
+            returned,
+            overflowed,
         })
     }
 
@@ -887,8 +853,7 @@ impl<S: IndexStorage> Engine<'_, S> {
             }
             Ok(())
         })?;
-        let matched = hits.len();
-        let overflowed = matched > k;
+        let overflowed = hits.len() > k;
         if overflowed {
             // Partial selection: k smallest rank positions to the front,
             // then order just those k.
@@ -904,7 +869,6 @@ impl<S: IndexStorage> Engine<'_, S> {
         Ok(ExecOutcome {
             returned,
             overflowed,
-            matched: Some(matched),
         })
     }
 
@@ -945,11 +909,9 @@ impl<S: IndexStorage> Engine<'_, S> {
         // whole store first, so every tuple access below is infallible.
         store.try_hydrate_all()?;
         debug_assert!(hits.iter().all(|&i| query.matches(&store[i as usize])));
-        let matched = hits.len();
         Ok(ExecOutcome {
+            overflowed: hits.len() > k,
             returned: select_shared(ranker, store, hits, k, schema),
-            overflowed: matched > k,
-            matched: Some(matched),
         })
     }
 
@@ -1037,16 +999,10 @@ impl<S: IndexStorage> Engine<'_, S> {
         store: &TupleStore,
         schema: &Schema,
         ranker: &dyn Ranker,
-        need_matched: bool,
         scratch: &mut Scratch,
     ) -> Result<ExecOutcome, SegmentError> {
-        let empty = || ExecOutcome {
-            returned: Vec::new(),
-            overflowed: false,
-            matched: Some(0),
-        };
         let (hits, shared_bounds) = match shared {
-            SharedGroup::Empty => return Ok(empty()),
+            SharedGroup::Empty => return Ok(ExecOutcome::empty()),
             SharedGroup::Ranked { hits, bounds } => (hits, bounds),
             SharedGroup::PerQuery => unreachable!("PerQuery groups bypass shared execution"),
         };
@@ -1055,7 +1011,7 @@ impl<S: IndexStorage> Engine<'_, S> {
             schema_maxima(schema),
             &mut scratch.bounds,
         ) {
-            return Ok(empty());
+            return Ok(ExecOutcome::empty());
         }
         // Per-member cost choice: a member whose own most selective posting
         // range is much smaller than the shared candidate set (its private
@@ -1071,7 +1027,7 @@ impl<S: IndexStorage> Engine<'_, S> {
             }
         }
         if member_best != usize::MAX && hits.len() > member_best.saturating_mul(2) {
-            return self.execute(query, k, store, schema, ranker, need_matched, scratch);
+            return self.execute(query, k, store, schema, ranker, scratch);
         }
         // The member's box is the shared box intersected with its residual
         // predicates, so exactly the attributes it tightened need a
@@ -1083,10 +1039,8 @@ impl<S: IndexStorage> Engine<'_, S> {
             }
         }
         // Candidates arrive best-ranked first: the answer is the first k
-        // residual matches, early-terminating after one overflow probe
-        // unless the caller needs the exact match count for the log.
+        // residual matches, early-terminating after one overflow probe.
         let mut returned = Vec::with_capacity(k.min(16));
-        let mut seen = 0usize;
         let mut cur = self.s.cursors();
         for &r in hits {
             let r = r as usize;
@@ -1101,22 +1055,18 @@ impl<S: IndexStorage> Engine<'_, S> {
             if !ok {
                 continue;
             }
-            seen += 1;
-            if seen <= k {
-                let idx = cur.perm(r)?;
-                returned.push(cur.share(idx as usize)?);
-            } else if !need_matched {
+            if returned.len() == k {
                 return Ok(ExecOutcome {
                     returned,
                     overflowed: true,
-                    matched: None,
                 });
             }
+            let idx = cur.perm(r)?;
+            returned.push(cur.share(idx as usize)?);
         }
         Ok(ExecOutcome {
             returned,
-            overflowed: seen > k,
-            matched: Some(seen),
+            overflowed: false,
         })
     }
 }
@@ -1156,7 +1106,6 @@ pub(crate) fn execute_plan(
                 Ok(seq) => seq,
                 Err(e) => return Some(e),
             };
-            let log_enabled = db.log_on();
             let out = if shares {
                 let index = db.index();
                 if shared.is_none() {
@@ -1169,7 +1118,7 @@ pub(crate) fn execute_plan(
                 // Just prepared above; the unshared fallback is correct (it
                 // executes each query individually).
                 match shared.get_or_insert(SharedGroup::PerQuery) {
-                    SharedGroup::PerQuery => db.exec_validated(q, log_enabled, scratch),
+                    SharedGroup::PerQuery => db.exec_validated(q, scratch),
                     ctx => index
                         .execute_shared(
                             ctx,
@@ -1178,20 +1127,17 @@ pub(crate) fn execute_plan(
                             db.store(),
                             db.schema(),
                             db.ranker(),
-                            log_enabled,
                             scratch,
                         )
-                        .map(|out| (out.returned, out.overflowed, out.matched))
                         .map_err(|e| QueryError::Storage { error: e }),
                 }
             } else {
-                db.exec_validated(q, log_enabled, scratch)
+                db.exec_validated(q, scratch)
             };
-            let (tuples, overflowed, matched) = match out {
-                Ok(out) => out,
+            match out {
+                Ok(out) => responses.push(db.finish_query(q, seq, out)),
                 Err(e) => return Some(e),
-            };
-            responses.push(db.finish_query(q, seq, tuples, overflowed, matched, log_enabled));
+            }
         }
     }
     None
@@ -1459,22 +1405,13 @@ mod tests {
             for k in 1..=7 {
                 let naive: Vec<&Tuple> = store.iter().filter(|t| q.matches(t)).collect();
                 let expected = SumRanker.select_top_k(&naive, k, &s);
-                for need_matched in [false, true] {
-                    let out = index
-                        .execute(q, k, &store, &s, &SumRanker, need_matched, &mut scratch)
-                        .expect("RAM execution is infallible");
-                    let got: Vec<u64> = out.returned.iter().map(|t| t.id).collect();
-                    let want: Vec<u64> = expected.iter().map(|t| t.id).collect();
-                    assert_eq!(got, want, "query {q} k={k}");
-                    assert_eq!(out.overflowed, naive.len() > k, "query {q} k={k}");
-                    if let Some(m) = out.matched {
-                        assert_eq!(m, naive.len(), "query {q} k={k}");
-                    }
-                    assert!(
-                        !need_matched || out.matched.is_some(),
-                        "query {q}: need_matched plans must report an exact count"
-                    );
-                }
+                let out = index
+                    .execute(q, k, &store, &s, &SumRanker, &mut scratch)
+                    .expect("RAM execution is infallible");
+                let got: Vec<u64> = out.returned.iter().map(|t| t.id).collect();
+                let want: Vec<u64> = expected.iter().map(|t| t.id).collect();
+                assert_eq!(got, want, "query {q} k={k}");
+                assert_eq!(out.overflowed, naive.len() > k, "query {q} k={k}");
             }
         }
     }
@@ -1491,28 +1428,26 @@ mod tests {
         let mut scratch = Scratch::default();
         let q = Query::new(vec![Predicate::ge(0, 100)]);
         let out = index
-            .execute(&q, 3, &store, &s, &SumRanker, false, &mut scratch)
+            .execute(&q, 3, &store, &s, &SumRanker, &mut scratch)
             .unwrap();
         let ids: Vec<u64> = out.returned.iter().map(|t| t.id).collect();
         assert_eq!(ids, vec![100, 101, 102]);
         assert!(out.overflowed);
         // And an exhaustive (non-overflowing) scan across blocks.
         let out = index
-            .execute(&q, 60, &store, &s, &SumRanker, false, &mut scratch)
+            .execute(&q, 60, &store, &s, &SumRanker, &mut scratch)
             .unwrap();
         assert_eq!(out.returned.len(), 50);
         assert!(!out.overflowed);
-        assert_eq!(out.matched, Some(50));
     }
 
     #[test]
     fn crossover_constant_separates_scan_and_posting_plans() {
         // Pins the planner's crossover behaviorally on both sides of
         // BLOCK_SCAN_CROSSOVER_DEN: a selective predicate
-        // (count * DEN < n) takes the posting plan, which always reports an
-        // exact match count; a broad one (count * DEN >= n) takes the
-        // early-terminating rank scan, whose overflow probe leaves the
-        // count unknown.
+        // (count * DEN < n) takes the posting plan, which collects its
+        // matches in `scratch.hits`; a broad one (count * DEN >= n) takes
+        // the early-terminating rank scan, which never touches them.
         let s = SchemaBuilder::new()
             .ranking("a", 200, InterfaceType::Rq)
             .build();
@@ -1524,24 +1459,25 @@ mod tests {
         let selective = Query::new(vec![Predicate::lt(0, 4)]); // count = 4
         assert!(4 * BLOCK_SCAN_CROSSOVER_DEN < n);
         let out = index
-            .execute(&selective, 2, &store, &s, &SumRanker, false, &mut scratch)
+            .execute(&selective, 2, &store, &s, &SumRanker, &mut scratch)
             .unwrap();
         assert!(out.overflowed);
         assert_eq!(
-            out.matched,
-            Some(4),
-            "selective plans (count * {BLOCK_SCAN_CROSSOVER_DEN} < n) count exactly"
+            scratch.hits,
+            [0, 1],
+            "selective plans (count * {BLOCK_SCAN_CROSSOVER_DEN} < n) walk the posting list"
         );
 
         let broad = Query::new(vec![Predicate::lt(0, 8)]); // count = 8
         assert!(8 * BLOCK_SCAN_CROSSOVER_DEN >= n);
+        scratch.hits.clear();
         let out = index
-            .execute(&broad, 2, &store, &s, &SumRanker, false, &mut scratch)
+            .execute(&broad, 2, &store, &s, &SumRanker, &mut scratch)
             .unwrap();
         assert!(out.overflowed);
-        assert_eq!(
-            out.matched, None,
-            "broad plans (count * {BLOCK_SCAN_CROSSOVER_DEN} >= n) early-terminate"
+        assert!(
+            scratch.hits.is_empty(),
+            "broad plans (count * {BLOCK_SCAN_CROSSOVER_DEN} >= n) take the rank scan"
         );
     }
 
@@ -1614,40 +1550,26 @@ mod tests {
                 ];
                 for q in &members {
                     for k in [1usize, 5, 100] {
-                        for need_matched in [false, true] {
-                            let want = index
-                                .execute(
-                                    q,
-                                    k,
-                                    &store,
-                                    &s,
-                                    ranker.as_ref(),
-                                    need_matched,
-                                    &mut scratch,
-                                )
-                                .unwrap();
-                            let got = index
-                                .execute_shared(
-                                    &shared,
-                                    q,
-                                    k,
-                                    &store,
-                                    &s,
-                                    ranker.as_ref(),
-                                    need_matched,
-                                    &mut scratch,
-                                )
-                                .unwrap();
-                            assert_eq!(
-                                ids(&got.returned),
-                                ids(&want.returned),
-                                "{rname}: answer diverged for {q} k={k}"
-                            );
-                            assert_eq!(got.overflowed, want.overflowed, "{rname}: {q} k={k}");
-                            if need_matched {
-                                assert_eq!(got.matched, want.matched, "{rname}: {q} k={k}");
-                            }
-                        }
+                        let want = index
+                            .execute(q, k, &store, &s, ranker.as_ref(), &mut scratch)
+                            .unwrap();
+                        let got = index
+                            .execute_shared(
+                                &shared,
+                                q,
+                                k,
+                                &store,
+                                &s,
+                                ranker.as_ref(),
+                                &mut scratch,
+                            )
+                            .unwrap();
+                        assert_eq!(
+                            ids(&got.returned),
+                            ids(&want.returned),
+                            "{rname}: answer diverged for {q} k={k}"
+                        );
+                        assert_eq!(got.overflowed, want.overflowed, "{rname}: {q} k={k}");
                     }
                 }
             }
@@ -1665,7 +1587,6 @@ mod tests {
                 &store,
                 &s,
                 &SumRanker,
-                false,
                 &mut scratch,
             )
             .unwrap();

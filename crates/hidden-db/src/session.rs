@@ -53,11 +53,6 @@ impl<'db> Session<'db> {
         }
     }
 
-    /// The database this session is connected to.
-    pub fn db(&self) -> &'db HiddenDb {
-        self.db
-    }
-
     /// Answers a search query exactly like [`HiddenDb::query`], additionally
     /// recording it in this session's private statistics.
     pub fn query(&mut self, query: &Query) -> Result<QueryResponse, QueryError> {
@@ -302,7 +297,10 @@ mod tests {
             let (got_log, want_log) = (batched_db.access_log(), reference_db.access_log());
             assert_eq!(got_log.len(), want_log.len());
             for (a, b) in got_log.entries().iter().zip(want_log.entries()) {
-                assert_eq!((a.seq, &a.query, a.matched), (b.seq, &b.query, b.matched));
+                assert_eq!(
+                    (a.seq, &a.query, a.returned, a.overflowed),
+                    (b.seq, &b.query, b.returned, b.overflowed)
+                );
             }
         }
     }

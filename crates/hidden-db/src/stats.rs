@@ -36,16 +36,15 @@ impl fmt::Display for QueryStats {
     }
 }
 
-/// One entry of the [`AccessLog`].
+/// One entry of the [`AccessLog`]: what the client saw of one query. The
+/// interface returns at most k matching tuples and whether more matched,
+/// never how many did, so neither does the log.
 #[derive(Debug, Clone)]
 pub struct AccessLogEntry {
     /// Sequence number of the query (1-based).
     pub seq: u64,
     /// SQL-ish rendering of the query.
     pub query: String,
-    /// Size of the full matching set (server-side knowledge; useful for
-    /// debugging and experiment reporting, not visible to clients).
-    pub matched: usize,
     /// Number of tuples actually returned.
     pub returned: usize,
     /// Whether the answer was truncated by the top-k constraint.
@@ -172,7 +171,6 @@ mod tests {
             log.push(AccessLogEntry {
                 seq,
                 query: format!("q{seq}"),
-                matched: seq as usize,
                 returned: 1,
                 overflowed: false,
             });
@@ -191,11 +189,10 @@ mod tests {
         log.push(AccessLogEntry {
             seq: 1,
             query: "SELECT * FROM D".to_string(),
-            matched: 5,
             returned: 2,
             overflowed: true,
         });
         assert_eq!(log.len(), 1);
-        assert_eq!(log.entries()[0].matched, 5);
+        assert_eq!(log.entries()[0].returned, 2);
     }
 }

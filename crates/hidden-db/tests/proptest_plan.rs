@@ -5,12 +5,16 @@
 //! through `Session::query` — same tuples in the same order, same overflow
 //! flags, same cutting error and answered-prefix length, same per-session
 //! [`QueryStats`], same global statistics and the same merged access-log
-//! snapshot (including the server-side matching counts). The sequential
-//! loop is itself checked against the naive reference in
-//! `tests/differential.rs`.
+//! snapshot. The sequential loop is itself checked against the naive
+//! reference in `tests/differential.rs`.
 //!
 //! Machine-style sibling annotations (`run_plan_grouped`) are additionally
 //! pinned equal to the engine-side factoring path.
+//!
+//! The workloads reach every plan on their own: up to 400 tuples over
+//! domains of up to 64 values, so single queries take the posting walk, the
+//! rank scan and the ranker fallback, and shared prefixes materialize
+//! through a posting list and through the zone-map scan.
 
 use proptest::prelude::*;
 
@@ -49,14 +53,14 @@ fn workload() -> impl Strategy<Value = Workload> {
     (
         2usize..=4,
         0usize..=1,
-        0usize..=45,
+        0usize..=400,
         1usize..=6,
         0u8..6,
         0u8..=4,
     )
         .prop_flat_map(|(m, filtering, n, k, ranker, limit_num)| {
             let total = m + filtering;
-            let domains = prop::collection::vec(1u32..=9, total);
+            let domains = prop::collection::vec(1u32..=64, total);
             let interfaces = prop::collection::vec(0u8..=2, total);
             (domains, interfaces).prop_flat_map(move |(domains, interfaces)| {
                 let row = domains.iter().map(|&d| 0u32..d).collect::<Vec<_>>();
@@ -235,7 +239,6 @@ fn assert_batch_matches_sequential(w: &Workload, hinted: bool) {
     for (a, b) in got_log.entries().iter().zip(want_log.entries()) {
         prop_assert_eq!(a.seq, b.seq);
         prop_assert_eq!(&a.query, &b.query);
-        prop_assert_eq!(a.matched, b.matched, "matched count for {}", a.query);
         prop_assert_eq!(a.returned, b.returned);
         prop_assert_eq!(a.overflowed, b.overflowed);
     }
@@ -266,22 +269,5 @@ proptest! {
         let groups = prefix_groups(&plan);
         prop_assert!(skyweb_hidden_db::groups_cover(&plan, &groups));
         prop_assert_eq!(groups.iter().map(|g| g.len).sum::<usize>(), plan.len());
-    }
-
-    /// Access-log-off configuration: the executor's early-terminating
-    /// residual scans (no exact match counting) must still produce
-    /// identical responses and statistics.
-    #[test]
-    fn run_plan_matches_without_logging(w in workload()) {
-        let (plan, _) = plan_of(&w);
-        let reference = db_of(&w, plan.len());
-        let (want, want_err, want_stats) = sequential(&reference, &plan);
-        let batched_db = db_of(&w, plan.len());
-        let mut batched = batched_db.session();
-        let (responses, err) = batched.run_plan(&plan);
-        prop_assert_eq!(outcomes(&responses), want);
-        prop_assert_eq!(err, want_err);
-        prop_assert_eq!(batched.stats(), want_stats);
-        prop_assert_eq!(batched_db.stats(), reference.stats());
     }
 }

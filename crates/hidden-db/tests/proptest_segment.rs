@@ -5,7 +5,10 @@
 //! * **Differential fidelity** — a database round-tripped through
 //!   `SegmentWriter::write` → `HiddenDb::open_segment_source` answers an
 //!   identical query workload with byte-identical responses, statistics and
-//!   access-log entries, for arbitrary small random stores.
+//!   access-log entries, for arbitrary small random stores. Up to 400
+//!   tuples over domains of up to 64 values, ranked with or without a total
+//!   order, take every single-query plan: the posting walk, the rank scan
+//!   and the ranker fallback.
 //! * **Corruption rejection** — every truncation, every single-bit flip and
 //!   any trailing garbage in a serialized segment is rejected with a typed
 //!   [`SegmentError`] by `open` or by the `verify` scrub; a damaged segment
@@ -16,8 +19,8 @@
 use proptest::prelude::*;
 
 use skyweb_hidden_db::{
-    HiddenDb, InterfaceType, MemSource, Predicate, Query, SchemaBuilder, SegmentError,
-    SegmentOpenOptions, SegmentReader, SegmentWriter, SumRanker, Tuple,
+    HiddenDb, InterfaceType, MemSource, Predicate, Query, Ranker, SchemaBuilder, SegmentError,
+    SegmentOpenOptions, SegmentReader, SegmentWriter, SumRanker, Tuple, WorstCaseRanker,
 };
 
 #[derive(Debug, Clone)]
@@ -29,16 +32,25 @@ struct DbSpec {
     values: Vec<Vec<u32>>,
     k: usize,
     interfaces: Vec<u8>,
+    /// Ranked by a total order ([`SumRanker`]), or by [`WorstCaseRanker`],
+    /// which has none and answers through the ranker fallback.
+    total_order: bool,
 }
 
 fn db_spec() -> impl Strategy<Value = DbSpec> {
-    (1usize..=3, 0usize..=40, 1usize..=4, 0u32..=5)
-        .prop_flat_map(|(m, n, k, filter_raw)| {
-            let domains = prop::collection::vec(2u32..=8, m);
+    (1usize..=3, 0usize..=400, 1usize..=4, 0u32..=5, 0u8..=1)
+        .prop_flat_map(|(m, n, k, filter_raw, order)| {
+            let domains = prop::collection::vec(2u32..=64, m);
             // Raw values above 3 mean "no filtering attribute".
-            (domains, Just(n), Just(k), Just(filter_raw))
+            (
+                domains,
+                Just(n),
+                Just(k),
+                Just(filter_raw),
+                Just(order == 0),
+            )
         })
-        .prop_flat_map(|(domains, n, k, filter_raw)| {
+        .prop_flat_map(|(domains, n, k, filter_raw, total_order)| {
             let filter_domain = (filter_raw <= 3).then_some(filter_raw + 2);
             let mut value_strategy: Vec<_> = domains.iter().map(|&d| 0u32..d).collect();
             if let Some(fd) = filter_domain {
@@ -52,15 +64,27 @@ fn db_spec() -> impl Strategy<Value = DbSpec> {
                 values,
                 Just(k),
                 interfaces,
+                Just(total_order),
             )
         })
-        .prop_map(|(domains, filter_domain, values, k, interfaces)| DbSpec {
-            domains,
-            filter_domain,
-            values,
-            k,
-            interfaces,
-        })
+        .prop_map(
+            |(domains, filter_domain, values, k, interfaces, total_order)| DbSpec {
+                domains,
+                filter_domain,
+                values,
+                k,
+                interfaces,
+                total_order,
+            },
+        )
+}
+
+fn ranker_of(spec: &DbSpec) -> Box<dyn Ranker> {
+    if spec.total_order {
+        Box::new(SumRanker)
+    } else {
+        Box::new(WorstCaseRanker)
+    }
 }
 
 fn build_db(spec: &DbSpec) -> HiddenDb {
@@ -82,7 +106,7 @@ fn build_db(spec: &DbSpec) -> HiddenDb {
         .enumerate()
         .map(|(i, v)| Tuple::new(i as u64, v.clone()))
         .collect();
-    HiddenDb::with_sum_ranking(builder.build(), tuples, spec.k)
+    HiddenDb::new(builder.build(), tuples, ranker_of(spec), spec.k)
 }
 
 /// A deterministic workload that exercises every attribute and every plan
@@ -132,11 +156,11 @@ fn assert_same_behavior(ram: &HiddenDb, seg: &HiddenDb) {
         }
     }
     assert_eq!(ram.stats(), seg.stats(), "statistics diverged");
-    let entries = |db: &HiddenDb| -> Vec<(u64, String, usize, usize, bool)> {
+    let entries = |db: &HiddenDb| -> Vec<(u64, String, usize, bool)> {
         db.access_log()
             .entries()
             .iter()
-            .map(|e| (e.seq, e.query.clone(), e.matched, e.returned, e.overflowed))
+            .map(|e| (e.seq, e.query.clone(), e.returned, e.overflowed))
             .collect()
     };
     assert_eq!(entries(ram), entries(seg), "access logs diverged");
@@ -178,7 +202,8 @@ proptest! {
             .expect("fresh segment opens")
             .verify()
             .expect("fresh segment scrubs clean");
-        let seg = open_mem(bytes).expect("fresh segment opens as a database");
+        let seg = HiddenDb::open_segment_source(Box::new(MemSource::new(bytes)), ranker_of(&spec))
+            .expect("fresh segment opens as a database");
         prop_assert_eq!(ram.n(), seg.n());
         prop_assert_eq!(ram.k(), seg.k());
         assert_same_behavior(&ram, &seg);
@@ -198,7 +223,7 @@ proptest! {
         let ram = build_db(&spec);
         let seg = HiddenDb::open_segment_source_with(
             Box::new(MemSource::new(bytes)),
-            Box::new(SumRanker),
+            ranker_of(&spec),
             SegmentOpenOptions::new().with_cache_budget(budget),
         )
         .expect("a fresh segment opens under any cache policy");

@@ -45,9 +45,9 @@ impl<'a> NaiveReference<'a> {
         NaiveReference { db, ranker }
     }
 
-    /// The answer the database must give to `query`, with the size of the
-    /// full matching set, or the validation error it must reject it with.
-    pub fn answer(&self, query: &Query) -> Result<(QueryResponse, usize), QueryError> {
+    /// The answer the database must give to `query`, or the validation
+    /// error it must reject it with.
+    pub fn answer(&self, query: &Query) -> Result<QueryResponse, QueryError> {
         self.db.validate(query)?;
         let matching: Vec<&Tuple> = self
             .db
@@ -62,10 +62,9 @@ impl<'a> NaiveReference<'a> {
             .into_iter()
             .map(|t| Arc::new(t.clone()))
             .collect();
-        let response = QueryResponse {
+        Ok(QueryResponse {
             tuples,
             overflowed: matching.len() > k,
-        };
-        Ok((response, matching.len()))
+        })
     }
 }

@@ -94,12 +94,7 @@ fn log_lines(db: &HiddenDb) -> Vec<String> {
     db.access_log()
         .entries()
         .iter()
-        .map(|e| {
-            format!(
-                "{} {} {} {} {}",
-                e.seq, e.query, e.matched, e.returned, e.overflowed
-            )
-        })
+        .map(|e| format!("{} {} {} {}", e.seq, e.query, e.returned, e.overflowed))
         .collect()
 }
 

@@ -6,15 +6,17 @@
 //! queries (faulted attempts never reach the server).
 //!
 //! The battery also pins the degraded path: when the retry policy is
-//! guaranteed to give up (certain faults, two attempts), every machine
-//! halts into a partial anytime result instead of aborting, and without a
-//! policy the transient error propagates.
+//! guaranteed to give up (a fault stream whose first four attempts fail),
+//! every machine halts into a partial anytime result instead of aborting,
+//! and without a policy the transient error propagates.
 
 use skyweb::core::{
     BaselineCrawl, Discoverer, DiscoveryDriver, DiscoveryError, DiscoveryResult, DriverConfig,
     MqDbSky, PointSpaceCrawl, Pq2dSky, PqDbSky, RetryPolicy, RqDbSky, SqDbSky, StepOutcome,
 };
-use skyweb::hidden_db::{FaultPlan, HiddenDb, InterfaceType, SchemaBuilder, Tuple};
+use skyweb::hidden_db::{
+    FaultPlan, FaultyOracle, HiddenDb, InterfaceType, Query, SchemaBuilder, Tuple,
+};
 
 /// A deterministic 3-attribute database; `interface` selects the search
 /// form exposed on every attribute.
@@ -146,12 +148,24 @@ fn pq2d_converges_under_chaos() {
 
 #[test]
 fn every_machine_degrades_gracefully_when_retries_exhaust() {
+    // At fault rate 1 every attempt faults, but a latency spike under the
+    // timeout only slows its answer (seed 7's third attempt is one). This
+    // stream's first four attempts all fail, so the default policy gives up
+    // on every machine's first plan before any query is answered.
+    let faults = FaultPlan::new(1, 1.0).with_max_consecutive(u32::MAX);
+    let db = chaos_db(InterfaceType::Rq, 2);
+    let mut probe = FaultyOracle::new(&db, faults);
+    for attempt in 0..4 {
+        let (answered, err) = probe.run_plan(&[Query::select_all()]);
+        assert!(
+            answered.is_empty() && err.is_some_and(|e| e.is_transient()),
+            "attempt {attempt} of the stream must fail"
+        );
+    }
     for (alg, interface) in algorithms() {
         let db = chaos_db(interface, 2);
         let machine = alg.machine(&db).unwrap();
-        let config = DriverConfig::new().with_retry(Some(RetryPolicy::new().with_max_attempts(2)));
-        // Certain faults with no consecutive cap: give-up is guaranteed.
-        let faults = FaultPlan::new(7, 1.0).with_max_consecutive(u32::MAX);
+        let config = DriverConfig::new().with_retry(Some(RetryPolicy::new()));
         let mut driver = DiscoveryDriver::with_faults(&db, machine, config, faults);
         let mut outcome = driver.step().unwrap();
         while let StepOutcome::Progressed { .. } = outcome {

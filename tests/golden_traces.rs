@@ -70,14 +70,13 @@ fn result_fingerprint(r: &DiscoveryResult) -> u64 {
 }
 
 /// Fingerprint of the access log: every entry's sequence number, SQL
-/// rendering, matching count, returned count and overflow flag — the exact
-/// query trace the database served, in order.
+/// rendering, returned count and overflow flag — the exact query trace the
+/// database served, in order.
 fn log_fingerprint(db: &HiddenDb) -> u64 {
     let mut h = Fnv::new();
     for e in db.access_log().entries() {
         h.write_u64(e.seq);
         h.write(e.query.as_bytes());
-        h.write_u64(e.matched as u64);
         h.write_u64(e.returned as u64);
         h.write_u64(u64::from(e.overflowed));
     }
@@ -170,7 +169,7 @@ fn golden_fig14_style_sq_run() {
     assert_eq!(result.query_cost, 397, "query cost drifted");
     assert_eq!(result.skyline.len(), 40, "skyline size drifted");
     assert_eq!(result_fp, 0x104f7d8f829628b6, "result fingerprint drifted");
-    assert_eq!(log_fp, 0x08f6222effcf2aee, "access-log fingerprint drifted");
+    assert_eq!(log_fp, 0x1b9720d0c24bd4d2, "access-log fingerprint drifted");
 }
 
 #[test]
@@ -180,7 +179,7 @@ fn golden_fig15_style_sq_and_rq_runs() {
     assert_eq!(sq.query_cost, 41, "SQ query cost drifted");
     assert_eq!(sq_fp, 0x6c1951198a71976f, "SQ result fingerprint drifted");
     assert_eq!(
-        sq_log_fp, 0x28608e066bc3c748,
+        sq_log_fp, 0x5bc70a3a2aedb12d,
         "SQ access-log fingerprint drifted"
     );
 
@@ -189,7 +188,7 @@ fn golden_fig15_style_sq_and_rq_runs() {
     assert_eq!(rq.query_cost, 21, "RQ query cost drifted");
     assert_eq!(rq_fp, 0x30bb8ecb2ce00ef7, "RQ result fingerprint drifted");
     assert_eq!(
-        rq_log_fp, 0xce854707af497c01,
+        rq_log_fp, 0xc13a83fbd59470ec,
         "RQ access-log fingerprint drifted"
     );
     assert_eq!(
@@ -217,7 +216,7 @@ fn golden_fig22_style_rq_run() {
     assert_eq!(result.query_cost, 2_036, "query cost drifted");
     assert_eq!(result.skyline.len(), 1_415, "skyline size drifted");
     assert_eq!(result_fp, 0x6a5a202f77959043, "result fingerprint drifted");
-    assert_eq!(log_fp, 0x964c7eb3abcf81dc, "access-log fingerprint drifted");
+    assert_eq!(log_fp, 0x64b6aa8b3ce0142e, "access-log fingerprint drifted");
 }
 
 #[test]
@@ -243,7 +242,7 @@ fn golden_point_crawl_odometer() {
     // The odometer enumerates the whole 4·3·3 grid, one query per cell.
     assert_eq!(result.query_cost, 36);
     assert_eq!(result_fp, 0xd7ba5e8a445f1990, "result fingerprint drifted");
-    assert_eq!(log_fp, 0x3c13b903845f3919, "access-log fingerprint drifted");
+    assert_eq!(log_fp, 0x5e3de9fc85260081, "access-log fingerprint drifted");
     // The first odometer queries, literally: last attribute fastest.
     let db = mk_db();
     db.enable_access_log();
@@ -284,7 +283,7 @@ fn golden_fig14_style_sq_run_segment_backed() {
         "segment-backed result fingerprint drifted"
     );
     assert_eq!(
-        log_fp, 0x08f6222effcf2aee,
+        log_fp, 0x1b9720d0c24bd4d2,
         "segment-backed access-log fingerprint drifted"
     );
 }
@@ -296,14 +295,14 @@ fn golden_fig15_style_runs_segment_backed() {
     assert!(sq.complete);
     assert_eq!(sq.query_cost, 41, "segment-backed SQ query cost drifted");
     assert_eq!(sq_fp, 0x6c1951198a71976f, "SQ result fingerprint drifted");
-    assert_eq!(sq_log_fp, 0x28608e066bc3c748, "SQ log fingerprint drifted");
+    assert_eq!(sq_log_fp, 0x5bc70a3a2aedb12d, "SQ log fingerprint drifted");
 
     let (rq, rq_fp, rq_log_fp) =
         run_and_crosscheck(&RqDbSky::new(), || seg_clone(&fig15_style_db(2_000)));
     assert!(rq.complete);
     assert_eq!(rq.query_cost, 21, "segment-backed RQ query cost drifted");
     assert_eq!(rq_fp, 0x30bb8ecb2ce00ef7, "RQ result fingerprint drifted");
-    assert_eq!(rq_log_fp, 0xce854707af497c01, "RQ log fingerprint drifted");
+    assert_eq!(rq_log_fp, 0xc13a83fbd59470ec, "RQ log fingerprint drifted");
 }
 
 // --- Pinned serialized bytes -------------------------------------------------

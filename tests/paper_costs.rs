@@ -25,7 +25,8 @@ use skyweb::skyline::bnl_skyline;
 /// SQ-DB-SKY append `A0 < 0`, and 2s + 1 counts that child; (s − 1, 0)
 /// does the same with `A1 < 0`. So a change that skips such queries
 /// departs from the paper's cost, and the access log shows it first: each
-/// run logs exactly these two, each matching nothing.
+/// run logs exactly these two, each returning nothing. At k = 1 an empty
+/// answer means that nothing matched.
 #[test]
 fn sq_cost_is_exactly_eq4_at_m2_under_the_random_skyline_ranker() {
     for s in [2usize, 4, 8, 12] {
@@ -52,7 +53,7 @@ fn sq_cost_is_exactly_eq4_at_m2_under_the_random_skyline_ranker() {
                     .filter(|p| p.ends_with(" < 0"))
                     .collect();
                 if !preds.is_empty() {
-                    below_zero.push((preds, entry.matched));
+                    below_zero.push((preds, entry.returned));
                 }
             }
             below_zero.sort();

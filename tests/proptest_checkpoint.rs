@@ -19,6 +19,8 @@
 //!   knowledge base no encoder writes is rejected with
 //!   `CodecError::Invalid`, not a panic.
 
+mod support;
+
 use proptest::prelude::*;
 
 use skyweb::core::{
@@ -29,81 +31,7 @@ use skyweb::core::{
 use skyweb::hidden_db::envelope::Envelope;
 use skyweb::hidden_db::{HiddenDb, InterfaceType, SchemaBuilder, Tuple};
 
-#[derive(Debug, Clone)]
-struct DbSpec {
-    domains: Vec<u32>,
-    values: Vec<Vec<u32>>,
-    k: usize,
-    interfaces: Vec<u8>,
-    budget: Option<u64>,
-    max_batch: usize,
-}
-
-fn db_spec(m_range: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = DbSpec> {
-    (m_range, 0usize..=30, 1usize..=4)
-        .prop_flat_map(|(m, n, k)| {
-            let domains = prop::collection::vec(2u32..=6, m);
-            (domains, Just(n), Just(k))
-        })
-        .prop_flat_map(|(domains, n, k)| {
-            let value_strategy: Vec<_> = domains.iter().map(|&d| 0u32..d).collect();
-            let values = prop::collection::vec(value_strategy, n);
-            let interfaces = prop::collection::vec(0u8..=2, domains.len());
-            // Raw values above 60 mean "no budget" (the vendored proptest
-            // has no Option strategy).
-            let budget_raw = 0u64..=90;
-            (
-                Just(domains),
-                values,
-                Just(k),
-                interfaces,
-                budget_raw,
-                1usize..=5,
-            )
-        })
-        .prop_map(
-            |(domains, values, k, interfaces, budget_raw, max_batch)| DbSpec {
-                domains,
-                values,
-                k,
-                interfaces,
-                budget: (budget_raw <= 60).then_some(budget_raw),
-                max_batch,
-            },
-        )
-}
-
-fn build_db(spec: &DbSpec, interface: Option<InterfaceType>) -> HiddenDb {
-    let mut builder = SchemaBuilder::new();
-    for (i, &d) in spec.domains.iter().enumerate() {
-        let itf = interface.unwrap_or(match spec.interfaces[i] {
-            0 => InterfaceType::Sq,
-            1 => InterfaceType::Rq,
-            _ => InterfaceType::Pq,
-        });
-        builder = builder.ranking(format!("a{i}"), d, itf);
-    }
-    let tuples: Vec<Tuple> = spec
-        .values
-        .iter()
-        .enumerate()
-        .map(|(i, v)| Tuple::new(i as u64, v.clone()))
-        .collect();
-    HiddenDb::with_sum_ranking(builder.build(), tuples, spec.k)
-}
-
-fn assert_identical(a: &DiscoveryResult, b: &DiscoveryResult) {
-    let ids = |r: &DiscoveryResult| -> Vec<(u64, Vec<u32>)> {
-        r.skyline.iter().map(|t| (t.id, t.values.clone())).collect()
-    };
-    let retrieved =
-        |r: &DiscoveryResult| -> Vec<u64> { r.retrieved.iter().map(|t| t.id).collect() };
-    assert_eq!(ids(a), ids(b), "skylines diverged");
-    assert_eq!(retrieved(a), retrieved(b), "retrieved sets diverged");
-    assert_eq!(a.query_cost, b.query_cost, "query costs diverged");
-    assert_eq!(a.trace, b.trace, "anytime traces diverged");
-    assert_eq!(a.complete, b.complete, "completion flags diverged");
-}
+use support::{assert_identical, build_db, db_spec, DbSpec};
 
 /// Runs `machine` against `db`, pausing at **every** plan boundary, pushing
 /// the checkpoint through its binary serialization (with a re-encode

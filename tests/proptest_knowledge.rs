@@ -287,7 +287,7 @@ impl PlanOracle for ReferenceOracle<'_> {
         let mut answered = Vec::with_capacity(queries.len());
         for q in queries {
             match self.0.answer(q) {
-                Ok((response, _)) => answered.push(response),
+                Ok(response) => answered.push(response),
                 Err(e) => return (answered, Some(e)),
             }
         }

@@ -44,9 +44,9 @@
 //! figure's database is served by a `skyweb-net` server on an ephemeral
 //! port and the machine runs through a `RemoteOracle`. The wire protocol
 //! is byte-identical to in-process execution, so stdout must not change
-//! (CI diffs exactly that). `--net` composes with `--budget`,
-//! `--max-wall-ms` and `--max-batch` but rejects `--fault-rate` — the
-//! remote transport replaces the in-process fault oracle.
+//! (CI diffs exactly that). `--net` composes with every other run flag;
+//! with `--fault-rate` the fault oracle sits in front of the wire, so a
+//! faulted attempt sends no frame.
 //!
 //! The flags fill one [`RunConfig`]: `--budget`, `--max-wall-ms`,
 //! `--max-batch` and the retry policy of `--fault-rate` are its
@@ -178,11 +178,6 @@ fn main() -> ExitCode {
     // Fault injection: every query passes through the seeded fault oracle,
     // retried under the default policy with the same seed.
     if let Some(rate) = fault_rate {
-        if config.net {
-            eprintln!("--net cannot be combined with --fault-rate: the remote transport replaces the in-process fault oracle");
-            usage();
-            return ExitCode::FAILURE;
-        }
         config.faults = FaultPlan::new(fault_seed, rate);
         config.driver = config
             .driver

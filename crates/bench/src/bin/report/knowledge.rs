@@ -79,8 +79,8 @@ use skyweb_core::{DiscoveryDriver, DiscoveryMachine, DriverConfig, KnowledgeBase
 use skyweb_datagen::synthetic::{self, Correlation, SyntheticConfig};
 use skyweb_datagen::{diamonds, flights_dot};
 use skyweb_hidden_db::{
-    dominates_on, AttrId, InterfaceType, Predicate, Query, Ranker, Schema, SchemaBuilder, Tuple,
-    WorstCaseRanker,
+    dominates_on, AttrId, InterfaceType, PlanOracle, Predicate, Query, Ranker, Schema,
+    SchemaBuilder, Tuple, WorstCaseRanker,
 };
 use skyweb_skyline::incremental::{incremental_skyband_on, incremental_skyline_on};
 use skyweb_skyline::{bnl_skyline_on, same_ids, sfs_skyline_on, skyband_on};

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use skyweb_bench::run_remote;
 use skyweb_core::{Discoverer, DiscoveryResult, DriverConfig, PlanOracle, SqDbSky};
 use skyweb_datagen::flights_dot;
-use skyweb_hidden_db::{HiddenDb, InterfaceType, Query};
+use skyweb_hidden_db::{FaultPlan, HiddenDb, InterfaceType, Query};
 use skyweb_net::{RemoteOracle, Server, ServerConfig};
 
 use super::{percentile, Args, Record};
@@ -131,7 +131,8 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
         // clock times discovery only.
         db.selectivity(0, 0, 0);
         let t = Instant::now();
-        let (result, report) = run_remote(&alg, &db, DriverConfig::new().with_max_batch(max_batch));
+        let config = DriverConfig::new().with_max_batch(max_batch);
+        let (result, report) = run_remote(&alg, &db, config, FaultPlan::none());
         let wall_s = t.elapsed().as_secs_f64();
         assert_eq!(
             fingerprint(&result),

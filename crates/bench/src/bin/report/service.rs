@@ -5,7 +5,7 @@
 //!
 //! Each driver step hands the tenant's whole sibling-annotated plan (up to
 //! `max_batch` queries) to the engine's shared-prefix batch executor through
-//! `Session::run_plan`, which evaluates each sibling group's shared
+//! its `Session`, which evaluates each sibling group's shared
 //! conjunction once and keeps per-query admission and accounting exact. So
 //! every count here is byte-identical to per-query execution by contract
 //! (hidden-db `tests/proptest_plan.rs`).
@@ -40,7 +40,7 @@ use skyweb_core::{
     RetryPolicy, RqDbSky, SqDbSky, TenantId,
 };
 use skyweb_datagen::{flights_dot, Dataset};
-use skyweb_hidden_db::{FaultPlan, HiddenDb, InterfaceType};
+use skyweb_hidden_db::{FaultPlan, FaultyOracle, HiddenDb, InterfaceType};
 
 use super::{percentile, Args, Record};
 
@@ -70,23 +70,19 @@ fn machine_for(alg: &str, db: &HiddenDb) -> Box<dyn DiscoveryMachine> {
     .expect("all-RQ schema supports every tenant algorithm")
 }
 
-/// Submits the fleet, tenant `i` running `ALGS[i % 4]` with fault plan
-/// `faults(i)`.
+/// Submits the fleet, tenant `i` running `ALGS[i % 4]` on its own session
+/// of `db` behind fault plan `faults(i)`.
 fn submit_fleet<'db>(
     service: &mut DiscoveryService<'db>,
     db: &'db HiddenDb,
     config: DriverConfig,
-    faults: impl Fn(usize) -> Option<FaultPlan>,
+    faults: impl Fn(usize) -> FaultPlan,
 ) -> Vec<(&'static str, TenantId)> {
     (0..TENANTS)
         .map(|i| {
             let alg = ALGS[i % ALGS.len()];
-            let name = format!("{alg}-{i}");
-            let machine = machine_for(alg, db);
-            let id = match faults(i) {
-                Some(plan) => service.submit_with_faults(name, machine, config, plan),
-                None => service.submit(name, machine, config),
-            };
+            let oracle = FaultyOracle::new(db.session(), faults(i));
+            let id = service.submit(format!("{alg}-{i}"), oracle, machine_for(alg, db), config);
             (alg, id)
         })
         .collect()
@@ -132,8 +128,8 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
 
     eprintln!("# {TENANTS} tenants round-robin over one shared db (n = {n}, k = {K})");
     let db = ds.clone().into_db_sum(K);
-    let mut service = DiscoveryService::new(&db);
-    let fleet = submit_fleet(&mut service, &db, config, |_| None);
+    let mut service = DiscoveryService::new();
+    let fleet = submit_fleet(&mut service, &db, config, |_| FaultPlan::none());
     for _ in 0..PROBE_ROUNDS {
         service.run_round();
     }
@@ -187,8 +183,8 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
     ]);
 
     let db_par = ds.clone().into_db_sum(K);
-    let mut par_service = DiscoveryService::new(&db_par);
-    let par_fleet = submit_fleet(&mut par_service, &db_par, config, |_| None);
+    let mut par_service = DiscoveryService::new();
+    let par_fleet = submit_fleet(&mut par_service, &db_par, config, |_| FaultPlan::none());
     // Builds the lazy query index without counting a query, so the clock
     // times discovery only.
     db_par.selectivity(0, 0, 0);
@@ -213,10 +209,10 @@ pub fn run(args: &Args) -> Result<Vec<Record>, String> {
     for pct in [1, 5, 20] {
         let rate = f64::from(pct) / 100.0;
         let db = ds.clone().into_db_sum(K);
-        let mut service = DiscoveryService::new(&db);
+        let mut service = DiscoveryService::new();
         // Per-tenant seeds decorrelate the fault streams.
         let fleet = submit_fleet(&mut service, &db, retrying, |i| {
-            Some(FaultPlan::new(0xFA_u64 * 1_000 + i as u64, rate))
+            FaultPlan::new(0xFA_u64 * 1_000 + i as u64, rate)
         });
         service.run_to_completion();
         let (first_skyline, faulted_total) = settle(&service, &db, &fleet);

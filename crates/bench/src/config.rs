@@ -27,15 +27,14 @@ pub struct RunConfig {
     /// `1` is the per-query reference schedule) and, with faults on, the
     /// retry policy seeded by `--fault-seed`.
     pub driver: DriverConfig,
-    /// The fault plan every in-process run's queries pass through
-    /// (`--fault-rate`, `--fault-seed`). Faulted attempts never reach the
-    /// database and retries converge to the fault-free schedule.
+    /// The fault plan every run's queries pass through (`--fault-rate`,
+    /// `--fault-seed`), in process or in front of the wire. Faulted
+    /// attempts never reach the database and retries converge to the
+    /// fault-free schedule.
     pub faults: FaultPlan,
     /// Routes every run over a loopback TCP connection (`--net`): the
     /// figure's database is served by a `skyweb-net` server on an ephemeral
-    /// port and the machine runs through a `RemoteOracle`. The remote
-    /// transport replaces the in-process fault oracle, so the binary
-    /// rejects `--net` with `--fault-rate`.
+    /// port and the machine runs through a `RemoteOracle`.
     pub net: bool,
     /// Serves every figure database from an in-memory segment opened with
     /// these options (`--segment`; `--cache-budget` caps each segment's

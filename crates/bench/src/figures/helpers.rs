@@ -2,7 +2,9 @@
 
 use skyweb_core::{Discoverer, DiscoveryDriver, DiscoveryResult, TracePoint};
 use skyweb_datagen::{flights_dot, Dataset};
-use skyweb_hidden_db::{HiddenDb, InterfaceType, MemSource, Ranker, SegmentWriter, SumRanker};
+use skyweb_hidden_db::{
+    FaultyOracle, HiddenDb, InterfaceType, MemSource, Ranker, SegmentWriter, SumRanker,
+};
 use skyweb_skyline::sfs_skyline;
 
 use crate::{net, run_config, RunConfig, Scale};
@@ -69,12 +71,13 @@ pub(crate) fn run_capped(alg: &dyn Discoverer, db: &HiddenDb, cap: u64) -> Disco
 
 fn run_with(alg: &dyn Discoverer, db: &HiddenDb, config: RunConfig) -> DiscoveryResult {
     if config.net {
-        return net::run_remote(alg, db, config.driver).0;
+        return net::run_remote(alg, db, config.driver, config.faults).0;
     }
     let machine = alg
         .machine(db)
         .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()));
-    DiscoveryDriver::with_faults(db, machine, config.driver, config.faults)
+    let oracle = FaultyOracle::new(db.session(), config.faults);
+    DiscoveryDriver::with_oracle(oracle, machine, config.driver)
         .run()
         .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()))
 }

@@ -7,30 +7,31 @@
 //! [`RemoteOracle`]'s schema replica (metadata that itself round-tripped
 //! through the welcome frame) and driven through
 //! [`DiscoveryDriver::with_oracle`] under the run's [`DriverConfig`]. The
-//! server answers plans through the same `Session::run_plan_grouped` the
-//! in-process driver calls directly, so figure stdout is
-//! **byte-identical** to the in-process run — CI diffs exactly that.
+//! server answers plans through the same `Session` plan execution the
+//! in-process driver uses, so figure stdout is **byte-identical** to the
+//! in-process run — CI diffs exactly that.
 //!
-//! Net mode composes with every driver setting (`--budget`,
-//! `--max-wall-ms`, `--max-batch`), but not with `--fault-rate`: the
-//! remote oracle *is* the transport, and splicing the in-process fault
-//! oracle in front of it would fault plans that never reach the wire. The
-//! `experiments` binary rejects the combination.
+//! Net mode composes with every run setting: the driver's (`--budget`,
+//! `--max-wall-ms`, `--max-batch`) and the fault plan (`--fault-rate`,
+//! `--fault-seed`), whose [`FaultyOracle`] sits in front of the wire, so a
+//! faulted attempt never sends a frame.
 
 use std::time::Duration;
 
 use skyweb_core::{Discoverer, DiscoveryDriver, DiscoveryResult, DriverConfig};
-use skyweb_hidden_db::HiddenDb;
+use skyweb_hidden_db::{FaultPlan, FaultyOracle, HiddenDb};
 use skyweb_net::{RemoteOracle, Server, ServerConfig};
 
 /// Serves `db` on an ephemeral loopback port, runs `alg`'s machine against
-/// it through a [`RemoteOracle`], and returns the result together with the
-/// server's [`ServeReport`](skyweb_net::ServeReport) (whose per-connection
-/// `plans` count is the number of wire round trips the run cost).
+/// it through a [`RemoteOracle`] behind `faults`, and returns the result
+/// together with the server's [`ServeReport`](skyweb_net::ServeReport)
+/// (whose per-connection `plans` count is the number of wire round trips
+/// the run cost).
 pub fn run_remote(
     alg: &dyn Discoverer,
     db: &HiddenDb,
     config: DriverConfig,
+    faults: FaultPlan,
 ) -> (DiscoveryResult, skyweb_net::ServeReport) {
     let server = Server::bind("127.0.0.1:0")
         .unwrap_or_else(|e| panic!("{}: cannot bind loopback: {e}", alg.name()));
@@ -46,7 +47,7 @@ pub fn run_remote(
                 RemoteOracle::connect_with(addr, alg.name(), Some(Duration::from_secs(120)))
                     .map_err(|e| e.to_string())?;
             let machine = alg.machine(&oracle.replica()).map_err(|e| e.to_string())?;
-            DiscoveryDriver::with_oracle(oracle, machine, config)
+            DiscoveryDriver::with_oracle(FaultyOracle::new(oracle, faults), machine, config)
                 .run()
                 .map_err(|e| e.to_string())
         })();

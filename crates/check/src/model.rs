@@ -1,10 +1,10 @@
 //! The model implementation of the `skyweb_hidden_db` sync facade: every
 //! operation is a yield point of the [`explore`](crate::explore) scheduler.
 //!
-//! Instantiating a concurrency core (clock cache, sharded log, sequence
-//! reserver) with [`ModelSync`] instead of the production `StdSync` turns
-//! each of its atomic accesses and mutex acquisitions into a scheduling
-//! decision the explorer enumerates. Outside an exploration the yield
+//! Instantiating a concurrency core (clock cache, sequence reserver) with
+//! [`ModelSync`] instead of the production `StdSync` turns each of its
+//! atomic accesses and mutex acquisitions into a scheduling decision the
+//! explorer enumerates. Outside an exploration the yield
 //! points are no-ops, so model-typed cores still behave like ordinary
 //! sequential structures in plain unit tests.
 

@@ -2,8 +2,8 @@
 //! concurrent cores.
 //!
 //! These tests drive the *real* production code — `hidden_db::conc`'s
-//! [`ClockCacheCore`], [`ShardedLogCore`] and [`SeqReserver`], the types
-//! behind `segment.rs`'s chunk cache and `db.rs`'s access log — through
+//! [`ClockCacheCore`] and [`SeqReserver`], the types behind `segment.rs`'s
+//! chunk cache and `db.rs`'s query admission and access-log sequence — through
 //! every sleep-set-reduced interleaving of 2–3 model threads, via the
 //! [`ModelSync`] facade. Each invariant suite runs twice:
 //!
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 
 use skyweb_check::explore::{explore, Scenario};
 use skyweb_check::model::ModelSync;
-use skyweb_hidden_db::conc::{ClockCacheCore, SeqReserver, ShardedLogCore};
+use skyweb_hidden_db::conc::{ClockCacheCore, SeqReserver};
 
 type ModelCache = ClockCacheCore<ModelSync, u64>;
 
@@ -165,27 +165,30 @@ fn a_get_racing_an_evicting_insert_returns_its_own_value() {
     assert!(explored.schedules > 1);
 }
 
-type LogState = (SeqReserver<ModelSync>, ShardedLogCore<ModelSync, usize>);
+type LogState = (SeqReserver<ModelSync>, Mutex<Vec<u64>>);
 
-/// Reserve-then-push writers: after every interleaving the merged snapshot
-/// must hold exactly the sequence numbers `1..=n`, gap-free and duplicate-
-/// free — the property `db.rs` relies on for its access log.
+/// Reserve-then-push writers: after every interleaving the sorted log must
+/// hold exactly the sequence numbers `1..=n`, gap-free and duplicate-free —
+/// the property `db.rs` relies on for its access log.
 fn log_scenario(racy: bool, writers: usize) -> Scenario<LogState> {
-    let body = |tid: usize| {
-        move |(reserver, log): &LogState| {
-            if let Ok(seq) = reserver.reserve(None) {
-                log.push(seq, tid);
-            }
+    let body = |(reserver, log): &LogState| {
+        if let Ok(seq) = reserver.reserve(None) {
+            log.lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(seq);
         }
     };
     Scenario {
-        state: Box::new(move || (SeqReserver::new(racy), ShardedLogCore::new(2))),
+        state: Box::new(move || (SeqReserver::new(racy), Mutex::new(Vec::new()))),
         threads: (0..writers)
-            .map(|tid| Arc::new(body(tid)) as Arc<dyn Fn(&LogState) + Send + Sync>)
+            .map(|_| Arc::new(body) as Arc<dyn Fn(&LogState) + Send + Sync>)
             .collect(),
         check: Box::new(move |(reserver, log): &LogState| {
-            let snapshot = log.snapshot();
-            let seqs: Vec<u64> = snapshot.iter().map(|(seq, _)| *seq).collect();
+            let mut seqs = log
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .clone();
+            seqs.sort_unstable();
             let expect: Vec<u64> = (1..=u64::try_from(writers).unwrap()).collect();
             assert_eq!(
                 seqs, expect,

@@ -56,8 +56,10 @@
 //!
 //! The knowledge base is stored as its retrieval-ordered tuple list plus
 //! the anytime trace; decoding **replays** the ingest, which rebuilds the
-//! posting lists and the incremental dominance index in exactly the state
-//! they had at pause time (ingest is deterministic in retrieval order).
+//! incremental dominance index in exactly the state it had at pause time
+//! (ingest is deterministic in retrieval order). The posting lists are not
+//! part of that state: the first probe that reads them builds them,
+//! paused or not.
 //! Hash-set valued control state (MQ leaf memos, sky-band roots) is written
 //! in sorted order, so re-encoding a decoded checkpoint reproduces the
 //! original bytes — the property the round-trip test suites pin.

@@ -1,19 +1,21 @@
 //! The driving layer of the sans-io API: executes a [`DiscoveryMachine`]
-//! against a live [`Session`], enforcing budgets and deadlines, pipelining
-//! multi-query plans through the session's batch interface, and supporting
-//! pause/resume through [`Checkpoint`]s.
+//! against a [`PlanOracle`] (a live [`Session`], a remote connection, or
+//! either behind a [`FaultyOracle`]), enforcing budgets and deadlines,
+//! pipelining multi-query plans through the oracle's batch interface, and
+//! supporting pause/resume through [`Checkpoint`]s.
 //!
 //! The driver is the only place where algorithm state meets I/O. It holds
-//! the machine (pure state) and a session (the connection); pausing drops
-//! the session and hands the machine back as a checkpoint that can be
+//! the machine (pure state) and an oracle (the connection); pausing drops
+//! the oracle and hands the machine back as a checkpoint that can be
 //! resumed later — against the same database or a failed-over replica with
 //! identical content.
+//!
+//! [`Session`]: skyweb_hidden_db::Session
+//! [`FaultyOracle`]: skyweb_hidden_db::FaultyOracle
 
 use std::time::{Duration, Instant};
 
-use skyweb_hidden_db::{
-    FaultPlan, FaultyOracle, HiddenDb, PrefixGroup, Query, QueryError, QueryResponse,
-};
+use skyweb_hidden_db::{HiddenDb, PlanOracle, Query, QueryError};
 
 use crate::codec::{self, CodecError};
 use crate::machine::{AnytimeSnapshot, DiscoveryMachine, QueryPlan, RunProgress};
@@ -160,35 +162,6 @@ impl DriverConfig {
     }
 }
 
-/// The query transport a [`DiscoveryDriver`] executes plans through.
-///
-/// This is the grouped-plan surface of
-/// [`Session::run_plan_grouped`](skyweb_hidden_db::Session::run_plan_grouped),
-/// abstracted so the same driver can run a machine against an in-process
-/// database (via [`FaultyOracle`]) or a remote one reached over TCP
-/// (`skyweb-net`'s `RemoteOracle`) — all eight machines are transport-blind.
-pub trait PlanOracle: std::fmt::Debug {
-    /// Executes `queries` (with the optional sibling-group annotation) and
-    /// returns the answered prefix plus the error that cut the plan short,
-    /// if any. Transient errors ([`QueryError::is_transient`]) are the
-    /// driver's cue to retry the unanswered suffix.
-    fn run_plan_grouped(
-        &mut self,
-        queries: &[Query],
-        groups: Option<&[PrefixGroup]>,
-    ) -> (Vec<QueryResponse>, Option<QueryError>);
-}
-
-impl PlanOracle for FaultyOracle<'_> {
-    fn run_plan_grouped(
-        &mut self,
-        queries: &[Query],
-        groups: Option<&[PrefixGroup]>,
-    ) -> (Vec<QueryResponse>, Option<QueryError>) {
-        FaultyOracle::run_plan_grouped(self, queries, groups)
-    }
-}
-
 /// Outcome of one [`DiscoveryDriver::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -216,7 +189,15 @@ pub enum StepOutcome {
 /// The checkpoint owns everything the run has learned (knowledge base,
 /// trace, issued-query accounting) and borrows nothing, so it can be held
 /// indefinitely, sent to another thread, or resumed against a different
-/// [`HiddenDb`] handle with [`DiscoveryDriver::resume`].
+/// [`HiddenDb`] handle by passing [`Checkpoint::into_machine`] to
+/// [`DiscoveryDriver::new`] or [`DiscoveryDriver::with_oracle`]. Budget
+/// accounting continues from the checkpoint's issued-query count; the
+/// deadline clock (if any) restarts.
+///
+/// Fault-injection and retry state are deliberately *not* part of a
+/// checkpoint: resuming resets the fault stream and the retry counters.
+/// Convergence is unaffected — faulted attempts never reach the database,
+/// so the restored run replays the same answered queries.
 #[derive(Debug)]
 pub struct Checkpoint<M> {
     machine: M,
@@ -272,7 +253,7 @@ impl Checkpoint<Box<dyn DiscoveryMachine>> {
     }
 }
 
-/// Executes a [`DiscoveryMachine`] against a database session.
+/// Executes a [`DiscoveryMachine`] against a [`PlanOracle`].
 ///
 /// ```
 /// use skyweb_core::{Discoverer, DiscoveryDriver, DriverConfig, SqDbSky};
@@ -313,24 +294,13 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
     /// Attaches `machine` to a fresh session of `db`. The deadline clock
     /// (if any) starts now.
     pub fn new(db: &'db HiddenDb, machine: M, config: DriverConfig) -> Self {
-        DiscoveryDriver::with_faults(db, machine, config, FaultPlan::none())
+        DiscoveryDriver::with_oracle(db.session(), machine, config)
     }
 
-    /// Like [`DiscoveryDriver::new`], but routes every query through a
-    /// deterministic fault-injection layer driven by `faults` (the chaos
-    /// harness entry point).
-    pub fn with_faults(
-        db: &'db HiddenDb,
-        machine: M,
-        config: DriverConfig,
-        faults: FaultPlan,
-    ) -> Self {
-        DiscoveryDriver::with_oracle(FaultyOracle::new(db, faults), machine, config)
-    }
-
-    /// Attaches `machine` to an arbitrary [`PlanOracle`] transport — the
-    /// entry point for remote execution (`skyweb-net` passes its
-    /// `RemoteOracle` here). The deadline clock (if any) starts now.
+    /// Attaches `machine` to an arbitrary [`PlanOracle`]: a session, a
+    /// remote connection (`skyweb-net`'s `RemoteOracle`) or either behind a
+    /// [`FaultyOracle`](skyweb_hidden_db::FaultyOracle). The deadline clock
+    /// (if any) starts now.
     pub fn with_oracle(
         oracle: impl PlanOracle + Send + 'db,
         machine: M,
@@ -351,29 +321,6 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
         }
     }
 
-    /// Resumes a paused run from `checkpoint` against `db`. Budget
-    /// accounting continues from the checkpoint's issued-query count; the
-    /// deadline clock (if any) restarts.
-    ///
-    /// Fault-injection and retry state are deliberately *not* part of a
-    /// checkpoint: resuming resets the fault stream and the retry counters.
-    /// Convergence is unaffected — faulted attempts never reach the
-    /// database, so the restored run replays the same answered queries.
-    pub fn resume(db: &'db HiddenDb, checkpoint: Checkpoint<M>, config: DriverConfig) -> Self {
-        DiscoveryDriver::new(db, checkpoint.into_machine(), config)
-    }
-
-    /// Like [`DiscoveryDriver::resume`], with a fault plan (see
-    /// [`DiscoveryDriver::with_faults`]).
-    pub fn resume_with_faults(
-        db: &'db HiddenDb,
-        checkpoint: Checkpoint<M>,
-        config: DriverConfig,
-        faults: FaultPlan,
-    ) -> Self {
-        DiscoveryDriver::with_faults(db, checkpoint.into_machine(), config, faults)
-    }
-
     /// The wrapped machine.
     pub fn machine(&self) -> &M {
         &self.machine
@@ -390,7 +337,7 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
         self.machine.snapshot()
     }
 
-    /// Pauses the run at the current plan boundary: drops the session and
+    /// Pauses the run at the current plan boundary: drops the oracle and
     /// returns the machine's complete state as a [`Checkpoint`].
     pub fn pause(self) -> Checkpoint<M> {
         Checkpoint {
@@ -436,7 +383,7 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
 
     /// Executes one plan round-trip: asks the machine for its next plan
     /// (bounded by the batch limit, the budget and the deadline), pipelines
-    /// the queries through the session's batch interface, and resumes the
+    /// the queries through the oracle's batch interface, and resumes the
     /// machine with the responses.
     ///
     /// Budget, deadline and rate-limit exhaustion halt the machine and
@@ -566,10 +513,13 @@ impl<'db, M: DiscoveryMachine> DiscoveryDriver<'db, M> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Discoverer;
-    use skyweb_hidden_db::{InterfaceType, Query, RateLimit, SchemaBuilder, Tuple};
+    use skyweb_hidden_db::{
+        FaultPlan, FaultyOracle, InterfaceType, PrefixGroup, Query, QueryResponse, RateLimit,
+        SchemaBuilder, Tuple,
+    };
 
     fn toy_db(k: usize) -> HiddenDb {
         let schema = SchemaBuilder::new()
@@ -654,9 +604,9 @@ mod tests {
         driver.step().unwrap();
         let checkpoint = driver.pause();
         assert_eq!(checkpoint.queries_issued(), 1);
-        let resumed = DiscoveryDriver::resume(
+        let resumed = DiscoveryDriver::new(
             &db,
-            checkpoint,
+            checkpoint.into_machine(),
             DriverConfig::new().with_budget(Some(3)).with_max_batch(1),
         );
         let result = resumed.run().unwrap();
@@ -676,8 +626,8 @@ mod tests {
         let db = toy_db(1);
         let machine = crate::SqDbSky::new().machine(&db).unwrap();
         let config = DriverConfig::new().with_retry(Some(RetryPolicy::new()));
-        let mut driver =
-            DiscoveryDriver::with_faults(&db, machine, config, FaultPlan::new(42, 0.5));
+        let oracle = FaultyOracle::new(db.session(), FaultPlan::new(42, 0.5));
+        let mut driver = DiscoveryDriver::with_oracle(oracle, machine, config);
         let mut outcomes = Vec::new();
         loop {
             let outcome = driver.step().unwrap();
@@ -699,38 +649,17 @@ mod tests {
         assert_eq!(db.queries_issued(), reference.query_cost);
     }
 
-    #[test]
-    fn exhausted_retries_degrade_instead_of_aborting() {
-        let db = toy_db(1);
-        let machine = crate::SqDbSky::new().machine(&db).unwrap();
-        let config = DriverConfig::new().with_retry(Some(RetryPolicy::new()));
-        // Every attempt faults, and with no consecutive cap seed 7's stream
-        // soon fails four attempts in a row, so the policy gives up.
-        let faults = FaultPlan::new(7, 1.0).with_max_consecutive(u32::MAX);
-        let mut driver = DiscoveryDriver::with_faults(&db, machine, config, faults);
-        let mut outcome = driver.step().unwrap();
-        while let StepOutcome::Progressed { .. } = outcome {
-            outcome = driver.step().unwrap();
-        }
-        assert!(matches!(outcome, StepOutcome::Degraded { .. }));
-        let err = driver.last_error().expect("give-up records the error");
-        assert!(err.is_transient());
-        let result = driver.finish().unwrap();
-        assert!(!result.complete, "degraded runs are partial");
-        // The halted machine needs no further stepping.
-    }
-
     /// A [`PlanOracle`] that never answers: every attempt fails with a
     /// transient error, so retry accounting is exact and deterministic.
     #[derive(Debug)]
-    struct AlwaysDown;
+    pub(crate) struct AlwaysDown;
 
     impl PlanOracle for AlwaysDown {
         fn run_plan_grouped(
             &mut self,
             _queries: &[Query],
-            _groups: Option<&[skyweb_hidden_db::PrefixGroup]>,
-        ) -> (Vec<skyweb_hidden_db::QueryResponse>, Option<QueryError>) {
+            _groups: Option<&[PrefixGroup]>,
+        ) -> (Vec<QueryResponse>, Option<QueryError>) {
             (Vec::new(), Some(QueryError::Unavailable))
         }
     }
@@ -750,14 +679,15 @@ mod tests {
         );
         assert_eq!(driver.retries(), 3);
         assert!(driver.last_error().is_some_and(QueryError::is_transient));
+        let result = driver.finish().unwrap();
+        assert!(!result.complete, "degraded runs are partial");
     }
 
     #[test]
     fn transient_error_without_policy_propagates() {
         let db = toy_db(1);
         let machine = crate::SqDbSky::new().machine(&db).unwrap();
-        let faults = FaultPlan::new(7, 1.0).with_max_consecutive(u32::MAX);
-        let mut driver = DiscoveryDriver::with_faults(&db, machine, DriverConfig::new(), faults);
+        let mut driver = DiscoveryDriver::with_oracle(AlwaysDown, machine, DriverConfig::new());
         match driver.step() {
             Err(crate::DiscoveryError::Query(e)) => assert!(e.is_transient()),
             other => panic!("expected a propagated transient error, got {other:?}"),

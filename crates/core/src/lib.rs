@@ -28,11 +28,13 @@
 //! ([`DiscoveryMachine`], see the [`machine`] module): it yields
 //! [`QueryPlan`]s and is resumed with responses, so runs can be paused,
 //! checkpointed, resumed, deadlined, streamed, and multiplexed. The
-//! [`DiscoveryDriver`] executes a machine against a database session
-//! (batching plans, enforcing budgets/deadlines); the [`DiscoveryService`]
-//! runs many machines concurrently over one shared database with
-//! round-robin fairness. [`Discoverer::discover`] is a thin adapter over
-//! machine + driver, byte-identical to the historical blocking API.
+//! [`DiscoveryDriver`] executes a machine against a [`PlanOracle`] — a
+//! database session, a remote connection, or either behind a fault
+//! injector — batching plans and enforcing budgets/deadlines; the
+//! [`DiscoveryService`] multiplexes many machines, each over its own
+//! oracle, with round-robin fairness. [`Discoverer::discover`] is a thin
+//! adapter over machine + driver, byte-identical to the historical
+//! blocking API.
 //!
 //! ```
 //! use skyweb_core::{Discoverer, RqDbSky};
@@ -93,8 +95,7 @@ pub use baseline::{
 };
 pub use discovery::{Discoverer, DiscoveryError, DiscoveryResult, TracePoint};
 pub use driver::{
-    Checkpoint, DiscoveryDriver, DriverConfig, PlanOracle, RetryPolicy, StepOutcome,
-    DEFAULT_MAX_BATCH,
+    Checkpoint, DiscoveryDriver, DriverConfig, RetryPolicy, StepOutcome, DEFAULT_MAX_BATCH,
 };
 pub use knowledge::KnowledgeBase;
 pub use machine::{
@@ -106,8 +107,8 @@ pub use pq2d::{Pq2dControl, Pq2dMachine, Pq2dSky};
 pub use rq::{RqControl, RqDbSky, RqMachine};
 pub use service::{DiscoveryService, TenantId, TenantStats};
 pub use skyband::{RqSkyband, SkybandControl, SkybandMachine, SkybandResult};
-// The sibling-group annotation of a [`QueryPlan`], re-exported so
-// `MachineControl` implementors need not depend on the engine crate
-// directly.
-pub use skyweb_hidden_db::PrefixGroup;
+// The sibling-group annotation of a [`QueryPlan`] and the transport plans
+// execute through, re-exported so `MachineControl` and oracle implementors
+// need not depend on the engine crate directly.
+pub use skyweb_hidden_db::{PlanOracle, PrefixGroup};
 pub use sq::{SqControl, SqDbSky, SqMachine};

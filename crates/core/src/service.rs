@@ -1,22 +1,24 @@
 //! The multi-tenant discovery service: many concurrent discovery runs
-//! multiplexed over one shared [`HiddenDb`].
+//! multiplexed over one shared database.
 //!
-//! Each tenant is one sans-io [`DiscoveryMachine`] attached to its own
-//! database [`Session`](skyweb_hidden_db::Session) through a
-//! [`DiscoveryDriver`], so per-tenant query accounting is exact (sessions
-//! never share counters) while the store, index, rate limit and access log
-//! are shared. The service schedules tenants **round-robin**: every
-//! scheduling round gives each unfinished tenant one driver step (at most
-//! `max_batch` queries), which bounds how far any tenant can run ahead —
-//! the fairness knob of the north-star "millions of concurrent runs"
-//! deployment.
+//! Each tenant is one sans-io [`DiscoveryMachine`] attached through a
+//! [`DiscoveryDriver`] to its own [`PlanOracle`] — typically its own
+//! [`Session`](skyweb_hidden_db::Session) of a shared
+//! [`HiddenDb`](skyweb_hidden_db::HiddenDb), possibly behind a
+//! [`FaultyOracle`](skyweb_hidden_db::FaultyOracle) — so per-tenant query
+//! accounting is exact (sessions never share counters) while the store,
+//! index, rate limit and access log are shared. The service schedules
+//! tenants **round-robin**: every scheduling round gives each unfinished
+//! tenant one driver step (at most `max_batch` queries), which bounds how
+//! far any tenant can run ahead — the fairness knob of the north-star
+//! "millions of concurrent runs" deployment.
 //!
 //! Cooperative rounds are deterministic and single-threaded;
 //! [`DiscoveryService::run_to_completion_parallel`] drives disjoint tenant
 //! chunks on scoped threads for multi-core throughput (tenants never share
 //! mutable state, so the split is safe by construction).
 
-use skyweb_hidden_db::{FaultPlan, HiddenDb};
+use skyweb_hidden_db::PlanOracle;
 
 use crate::driver::{DiscoveryDriver, DriverConfig, StepOutcome};
 use crate::machine::DiscoveryMachine;
@@ -140,58 +142,44 @@ impl std::fmt::Debug for Tenant<'_> {
 /// let tuples = (0..9).map(|i| Tuple::new(i, vec![i as u32, 8 - i as u32])).collect();
 /// let db = HiddenDb::with_sum_ranking(schema, tuples, 2);
 ///
-/// let mut service = DiscoveryService::new(&db);
-/// let a = service.submit("sq", SqDbSky::new().machine(&db).unwrap(), DriverConfig::new());
-/// let b = service.submit("rq", RqDbSky::new().machine(&db).unwrap(), DriverConfig::new());
+/// let mut service = DiscoveryService::new();
+/// let sq = SqDbSky::new().machine(&db).unwrap();
+/// let rq = RqDbSky::new().machine(&db).unwrap();
+/// let a = service.submit("sq", db.session(), sq, DriverConfig::new());
+/// let b = service.submit("rq", db.session(), rq, DriverConfig::new());
 /// service.run_to_completion();
 /// let ra = service.take_result(a).unwrap().unwrap();
 /// let rb = service.take_result(b).unwrap().unwrap();
 /// assert!(ra.complete && rb.complete);
 /// assert_eq!(ra.query_cost + rb.query_cost, db.queries_issued());
 /// ```
+#[derive(Default)]
 pub struct DiscoveryService<'db> {
-    db: &'db HiddenDb,
     tenants: Vec<Tenant<'db>>,
     rounds: u64,
 }
 
 impl<'db> DiscoveryService<'db> {
-    /// Creates an empty service over `db`.
-    pub fn new(db: &'db HiddenDb) -> Self {
-        DiscoveryService {
-            db,
-            tenants: Vec::new(),
-            rounds: 0,
-        }
+    /// Creates an empty service.
+    pub fn new() -> Self {
+        DiscoveryService::default()
     }
 
-    /// Admits a new tenant: attaches `machine` to its own session of the
-    /// shared database, driven under `config` (budget, batch limit,
-    /// deadline — the deadline clock starts now).
+    /// Admits a new tenant: attaches `machine` to `oracle` (its own
+    /// session of the shared database, so its accounting stays its own),
+    /// driven under `config` (budget, batch limit, deadline — the deadline
+    /// clock starts now).
     pub fn submit(
         &mut self,
         label: impl Into<String>,
+        oracle: impl PlanOracle + Send + 'db,
         machine: Box<dyn DiscoveryMachine>,
         config: DriverConfig,
-    ) -> TenantId {
-        self.submit_with_faults(label, machine, config, FaultPlan::none())
-    }
-
-    /// Like [`DiscoveryService::submit`], but routes the tenant's queries
-    /// through a deterministic fault-injection layer (see
-    /// [`DiscoveryDriver::with_faults`]) — the chaos harness for
-    /// multi-tenant resilience scenarios.
-    pub fn submit_with_faults(
-        &mut self,
-        label: impl Into<String>,
-        machine: Box<dyn DiscoveryMachine>,
-        config: DriverConfig,
-        faults: FaultPlan,
     ) -> TenantId {
         let id = TenantId(self.tenants.len());
         self.tenants.push(Tenant {
             label: label.into(),
-            driver: DiscoveryDriver::with_faults(self.db, machine, config, faults),
+            driver: DiscoveryDriver::with_oracle(oracle, machine, config),
             stats: TenantStats::default(),
             outcome: None,
         });
@@ -288,8 +276,11 @@ impl std::fmt::Debug for DiscoveryService<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::AlwaysDown;
     use crate::{Discoverer, RqDbSky, SqDbSky};
-    use skyweb_hidden_db::{InterfaceType, SchemaBuilder, Tuple};
+    use skyweb_hidden_db::{
+        FaultPlan, FaultyOracle, HiddenDb, InterfaceType, SchemaBuilder, Tuple,
+    };
 
     fn shared_db(n: u64, k: usize) -> HiddenDb {
         let schema = SchemaBuilder::new()
@@ -305,7 +296,7 @@ mod tests {
     #[test]
     fn tenants_get_exact_unshared_accounting() {
         let db = shared_db(120, 3);
-        let mut service = DiscoveryService::new(&db);
+        let mut service = DiscoveryService::new();
         let ids: Vec<TenantId> = (0..8)
             .map(|i| {
                 let machine = if i % 2 == 0 {
@@ -315,6 +306,7 @@ mod tests {
                 };
                 service.submit(
                     format!("t{i}"),
+                    db.session(),
                     machine,
                     DriverConfig::new().with_max_batch(4),
                 )
@@ -341,11 +333,12 @@ mod tests {
     #[test]
     fn round_robin_bounds_tenant_skew() {
         let db = shared_db(200, 2);
-        let mut service = DiscoveryService::new(&db);
+        let mut service = DiscoveryService::new();
         let ids: Vec<TenantId> = (0..4)
             .map(|i| {
                 service.submit(
                     format!("sq{i}"),
+                    db.session(),
                     SqDbSky::new().machine(&db).unwrap(),
                     DriverConfig::new().with_max_batch(2),
                 )
@@ -368,28 +361,32 @@ mod tests {
     #[test]
     fn parallel_rounds_match_cooperative_rounds() {
         let db_a = shared_db(150, 2);
-        let mut serial = DiscoveryService::new(&db_a);
+        let mut serial = DiscoveryService::new();
         let sa = serial.submit(
             "sq",
+            db_a.session(),
             SqDbSky::new().machine(&db_a).unwrap(),
             DriverConfig::new(),
         );
         let ra = serial.submit(
             "rq",
+            db_a.session(),
             RqDbSky::new().machine(&db_a).unwrap(),
             DriverConfig::new(),
         );
         serial.run_to_completion();
 
         let db_b = shared_db(150, 2);
-        let mut parallel = DiscoveryService::new(&db_b);
+        let mut parallel = DiscoveryService::new();
         let sb = parallel.submit(
             "sq",
+            db_b.session(),
             SqDbSky::new().machine(&db_b).unwrap(),
             DriverConfig::new(),
         );
         let rb = parallel.submit(
             "rq",
+            db_b.session(),
             RqDbSky::new().machine(&db_b).unwrap(),
             DriverConfig::new(),
         );
@@ -445,14 +442,16 @@ mod tests {
             }
         }
         let db = shared_db(40, 3);
-        let mut service = DiscoveryService::new(&db);
+        let mut service = DiscoveryService::new();
         let good = service.submit(
             "sq",
+            db.session(),
             SqDbSky::new().machine(&db).unwrap(),
             DriverConfig::new(),
         );
         let bad = service.submit(
             "poisoned",
+            db.session(),
             Box::new(crate::Machine::from_parts(
                 crate::KnowledgeBase::new(vec![0, 1]),
                 PoisonedPlan { done: false },
@@ -473,10 +472,11 @@ mod tests {
     #[test]
     fn parallel_run_advances_the_round_counter() {
         let db = shared_db(60, 2);
-        let mut service = DiscoveryService::new(&db);
+        let mut service = DiscoveryService::new();
         for i in 0..3 {
             service.submit(
                 format!("sq{i}"),
+                db.session(),
                 SqDbSky::new().machine(&db).unwrap(),
                 DriverConfig::new().with_max_batch(2),
             );
@@ -491,23 +491,26 @@ mod tests {
         use crate::driver::RetryPolicy;
 
         let db = shared_db(80, 3);
-        let mut service = DiscoveryService::new(&db);
+        let mut service = DiscoveryService::new();
         let clean = service.submit(
             "clean",
+            db.session(),
             SqDbSky::new().machine(&db).unwrap(),
             DriverConfig::new(),
         );
-        let flaky = service.submit_with_faults(
+        let flaky = service.submit(
             "flaky",
+            FaultyOracle::new(db.session(), FaultPlan::new(9, 0.4)),
             SqDbSky::new().machine(&db).unwrap(),
             DriverConfig::new().with_retry(Some(RetryPolicy::new())),
-            FaultPlan::new(9, 0.4),
         );
-        let doomed = service.submit_with_faults(
+        // Every attempt of the doomed tenant fails, so its retry policy
+        // gives up on the first plan.
+        let doomed = service.submit(
             "doomed",
+            AlwaysDown,
             SqDbSky::new().machine(&db).unwrap(),
             DriverConfig::new().with_retry(Some(RetryPolicy::new())),
-            FaultPlan::new(3, 1.0).with_max_consecutive(u32::MAX),
         );
         service.run_to_completion();
 
@@ -545,9 +548,10 @@ mod tests {
     #[test]
     fn first_skyline_is_tracked() {
         let db = shared_db(80, 2);
-        let mut service = DiscoveryService::new(&db);
+        let mut service = DiscoveryService::new();
         let id = service.submit(
             "sq",
+            db.session(),
             SqDbSky::new().machine(&db).unwrap(),
             DriverConfig::new().with_max_batch(1),
         );

@@ -398,7 +398,7 @@ impl SkybandMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyweb_hidden_db::{SchemaBuilder, SumRanker};
+    use skyweb_hidden_db::{PlanOracle, SchemaBuilder, SumRanker};
     use skyweb_skyline::{same_ids, skyband};
 
     fn rq_schema(m: usize, domain: u32) -> skyweb_hidden_db::Schema {

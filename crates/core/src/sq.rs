@@ -275,7 +275,7 @@ impl Discoverer for SqDbSky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skyweb_hidden_db::{SchemaBuilder, SumRanker, Tuple};
+    use skyweb_hidden_db::{PlanOracle, SchemaBuilder, SumRanker, Tuple};
     use skyweb_skyline::{bnl_skyline, same_ids};
 
     fn schema(m: usize, domain: u32, interface: InterfaceType) -> skyweb_hidden_db::Schema {

@@ -2,14 +2,13 @@
 //! extracted into small generic structures so a model checker can explore
 //! them exhaustively.
 //!
-//! Three cores live here, each generic over the [`SyncFacade`]:
+//! Two cores live here, each generic over the [`SyncFacade`]:
 //!
 //! * [`ClockCacheCore`] — the sharded clock (second-chance) cache behind
 //!   the bounded chunk cache of `SegmentReader`, keyed by dense slot
 //!   numbers so a lookup reads a side table instead of hashing;
-//! * [`ShardedLogCore`] — the sharded append buffer behind the access log;
 //! * [`SeqReserver`] — the atomic sequence/rate-limit reservation behind
-//!   query admission.
+//!   query admission and the access log's sequence numbers.
 //!
 //! Production code uses them through [`StdSync`](crate::sync::StdSync)
 //! (zero-cost `std::sync` pass-throughs); the `skyweb-check` explorer
@@ -319,56 +318,6 @@ where
     }
 }
 
-/// The write side of a sequence-keyed log: `n_shards` independently locked
-/// append buffers, entries spread by `seq % n_shards` so consecutive
-/// sequence numbers land on consecutive shards and writers only contend
-/// when clients collide modulo the shard count at the same instant.
-///
-/// [`ShardedLogCore::snapshot`] merges the shards and sorts by the unique
-/// sequence numbers — byte-identical to what a single-mutex log would have
-/// recorded. The explorer's invariant: after every interleaving of
-/// reserve-then-push writers, the snapshot's sequence numbers are exactly
-/// `1..=n` with no gap and no duplicate.
-pub struct ShardedLogCore<S: SyncFacade, T: Send> {
-    shards: Vec<S::Mutex<Vec<(u64, T)>>>,
-}
-
-impl<S: SyncFacade, T: Send + Clone> ShardedLogCore<S, T> {
-    /// Creates a log of `n_shards` shards.
-    pub fn new(n_shards: usize) -> Self {
-        ShardedLogCore {
-            shards: (0..n_shards.max(1))
-                .map(|_| S::Mutex::new(Vec::new()))
-                .collect(),
-        }
-    }
-
-    /// Appends one entry, locking only the shard `seq` maps to.
-    pub fn push(&self, seq: u64, entry: T) {
-        let shard = usize::try_from(seq).unwrap_or(usize::MAX) % self.shards.len();
-        self.shards[shard].with(|buf| buf.push((seq, entry)));
-    }
-
-    /// Clears every shard.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.with(Vec::clear);
-        }
-    }
-
-    /// Merges the shards into one seq-ascending snapshot. Sequence numbers
-    /// are unique (reserved atomically before the push), so the order is
-    /// total.
-    pub fn snapshot(&self) -> Vec<(u64, T)> {
-        let mut merged = Vec::new();
-        for shard in &self.shards {
-            shard.with(|buf| merged.extend(buf.iter().cloned()));
-        }
-        merged.sort_unstable_by_key(|(seq, _)| *seq);
-        merged
-    }
-}
-
 /// Atomic sequence numbering with optional rate-limit reservation: the
 /// admission counter of `HiddenDb`.
 ///
@@ -523,18 +472,6 @@ mod tests {
         assert_eq!(cache.insert(0, 1, 10, 1), 10);
         assert_eq!(cache.insert(0, 1, 77, 1), 10);
         assert_eq!(cache.audit().slots, 1);
-    }
-
-    #[test]
-    fn sharded_log_snapshot_sorts_by_seq() {
-        let log: ShardedLogCore<StdSync, &'static str> = ShardedLogCore::new(4);
-        log.push(3, "c");
-        log.push(1, "a");
-        log.push(2, "b");
-        let snap = log.snapshot();
-        assert_eq!(snap, vec![(1, "a"), (2, "b"), (3, "c")]);
-        log.clear();
-        assert!(log.snapshot().is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use std::path::Path;
 
@@ -13,7 +13,7 @@ use crate::segment::{
     BlockSource, FileSource, SegmentError, SegmentOpenOptions, SegmentReader, SegmentWriter,
     StorageStats,
 };
-use crate::stats::{AccessLog, AccessLogEntry, QueryStats, ShardedAccessLog};
+use crate::stats::{AccessLog, AccessLogEntry, QueryStats};
 use crate::store::TupleStore;
 use crate::sync::StdSync;
 use crate::{
@@ -225,11 +225,9 @@ pub struct HiddenDb {
     empty_answers: AtomicU64,
     tuples_returned: AtomicU64,
     log_enabled: AtomicBool,
-    /// Sharded log buffers: entries are spread over independently locked
-    /// shards by sequence number, so concurrent logging sessions do not
-    /// serialize on one mutex; [`HiddenDb::access_log`] merges them into the
-    /// seq-ordered snapshot.
-    access_log: ShardedAccessLog,
+    /// Access-log entries in the order clients recorded them;
+    /// [`HiddenDb::access_log`] sorts a snapshot by sequence number.
+    access_log: Mutex<Vec<AccessLogEntry>>,
     /// Recycled per-query working memory for session-less [`HiddenDb::query`]
     /// calls. Sessions carry their own scratch; this pool only serves one-off
     /// queries so they stay allocation-light too.
@@ -286,7 +284,7 @@ impl HiddenDb {
             empty_answers: AtomicU64::new(0),
             tuples_returned: AtomicU64::new(0),
             log_enabled: AtomicBool::new(false),
-            access_log: ShardedAccessLog::default(),
+            access_log: Mutex::new(Vec::new()),
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
@@ -381,7 +379,7 @@ impl HiddenDb {
             empty_answers: AtomicU64::new(0),
             tuples_returned: AtomicU64::new(0),
             log_enabled: AtomicBool::new(false),
-            access_log: ShardedAccessLog::default(),
+            access_log: Mutex::new(Vec::new()),
             scratch_pool: Mutex::new(Vec::new()),
         };
         // Pre-seed the index with the segment metadata so first use never
@@ -427,24 +425,31 @@ impl HiddenDb {
 
     /// Starts recording every answered query in an [`AccessLog`].
     pub fn enable_access_log(&self) {
-        self.access_log.clear();
+        self.log_entries().clear();
         self.log_enabled.store(true, Ordering::Relaxed);
     }
 
     /// Returns a snapshot of the access log (empty if logging was never
     /// enabled).
     ///
-    /// The log is shared by every client of the database but written
-    /// through per-sequence-number shards (a client can also be preempted
-    /// between reserving its sequence number and writing its entry), so the
-    /// snapshot merges the shards and normalizes to ascending sequence
-    /// order — the merged, chronological view of all clients' queries,
-    /// byte-identical to what the old single-mutex log produced.
+    /// The log is shared by every client of the database, and a client can
+    /// be preempted between reserving its sequence number and recording its
+    /// entry, so the snapshot is sorted by sequence number — the merged,
+    /// chronological view of all clients' queries.
     pub fn access_log(&self) -> AccessLog {
         if !self.log_enabled.load(Ordering::Relaxed) {
             return AccessLog::default();
         }
-        self.access_log.snapshot()
+        let mut entries = self.log_entries().clone();
+        entries.sort_unstable_by_key(|e| e.seq);
+        AccessLog { entries }
+    }
+
+    /// The access log's entries, in the order they were recorded.
+    fn log_entries(&self) -> MutexGuard<'_, Vec<AccessLogEntry>> {
+        self.access_log
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The database schema (public knowledge: the search form reveals it).
@@ -503,7 +508,7 @@ impl HiddenDb {
         self.empty_answers.store(0, Ordering::Relaxed);
         self.tuples_returned.store(0, Ordering::Relaxed);
         if self.log_enabled.load(Ordering::Relaxed) {
-            self.access_log.clear();
+            self.log_entries().clear();
         }
     }
 
@@ -638,12 +643,13 @@ impl HiddenDb {
             .fetch_add(tuples.len() as u64, Ordering::Relaxed);
 
         if self.log_enabled.load(Ordering::Relaxed) {
-            self.access_log.push(AccessLogEntry {
+            let entry = AccessLogEntry {
                 seq,
                 query: query.to_string(),
                 returned: tuples.len(),
                 overflowed,
-            });
+            };
+            self.log_entries().push(entry);
         }
 
         QueryResponse { tuples, overflowed }

@@ -2,7 +2,8 @@
 //!
 //! Real hidden web databases are *remote* services: they time out, throttle,
 //! return transient errors and drop connections mid-crawl. [`FaultyOracle`]
-//! wraps a [`Session`] and injects exactly those failures, driven by a
+//! wraps any [`PlanOracle`] — an in-process [`Session`](crate::Session) or
+//! a remote connection — and injects exactly those failures, driven by a
 //! seeded [`FaultPlan`], so the resilience machinery above it (retry,
 //! backoff, degradation, checkpoint failover) can be tested deterministically.
 //!
@@ -12,17 +13,18 @@
 //!   seed and a monotone attempt counter (SplitMix64-style bit mixing, no
 //!   RNG state beyond the counter), so a run with a fixed seed is exactly
 //!   reproducible, on any thread interleaving.
-//! * **Non-interference** — a faulted attempt never reaches the real
-//!   database: no statistics move, no rate-limit quota is consumed, no
-//!   access-log entry appears. A client that retries until its plan is
-//!   answered therefore converges to a run *byte-identical* to the
-//!   fault-free one (skyline, retrieved set, query cost, trace).
+//! * **Non-interference** — a faulted attempt never reaches the wrapped
+//!   oracle: no statistics move, no rate-limit quota is consumed, no
+//!   access-log entry appears and no frame goes over the wire. A client
+//!   that retries until its plan is answered therefore converges to a run
+//!   *byte-identical* to the fault-free one (skyline, retrieved set, query
+//!   cost, trace).
 //!
 //! Injected latency is simulated (accumulated in [`FaultStats`]), never
 //! slept, so chaos suites run at full speed.
 
-use crate::session::Session;
-use crate::{HiddenDb, PrefixGroup, Query, QueryError, QueryResponse};
+use crate::session::PlanOracle;
+use crate::{PrefixGroup, Query, QueryError, QueryResponse};
 
 /// Mixes a seed and a counter into 64 well-distributed bits (the SplitMix64
 /// finalizer). Pure: the whole fault stream is a function of `(seed, n)`.
@@ -137,19 +139,20 @@ pub struct FaultStats {
     pub simulated_latency_ms: u64,
 }
 
-/// A [`Session`] wrapper that injects deterministic transient faults.
+/// A [`PlanOracle`] wrapper that injects deterministic transient faults.
 ///
-/// The oracle exposes the same plan-execution surface the discovery driver
-/// uses ([`FaultyOracle::run_plan_grouped`]). Before forwarding a plan it
-/// consults the fault stream once per query slot; if slot `i` faults, only
-/// the prefix `[..i]` reaches the real session (the mid-plan connection-drop
-/// shape: the answered prefix is delivered, the rest is lost) and the
-/// injected transient error is reported as having cut the plan short.
-/// Because the engine re-factors shared prefixes itself, executing the
-/// prefix without the original sibling annotation answers it byte-identically.
+/// Before forwarding a plan to the wrapped oracle it consults the fault
+/// stream once per query slot; if slot `i` faults, only the prefix `[..i]`
+/// reaches the inner oracle (the mid-plan connection-drop shape: the
+/// answered prefix is delivered, the rest is lost) and the injected
+/// transient error is reported as having cut the plan short. Because the
+/// engine re-factors shared prefixes itself, executing the prefix without
+/// the original sibling annotation answers it byte-identically. Injected
+/// errors satisfy [`QueryError::is_transient`]; real rejections from the
+/// inner oracle pass through unchanged and take precedence over injection.
 #[derive(Debug)]
-pub struct FaultyOracle<'db> {
-    session: Session<'db>,
+pub struct FaultyOracle<O> {
+    inner: O,
     plan: FaultPlan,
     /// Monotone position in the decision stream (one per attempt).
     attempts: u64,
@@ -158,11 +161,11 @@ pub struct FaultyOracle<'db> {
     stats: FaultStats,
 }
 
-impl<'db> FaultyOracle<'db> {
-    /// Opens a fresh session of `db` behind the fault plan.
-    pub fn new(db: &'db HiddenDb, plan: FaultPlan) -> Self {
+impl<O: PlanOracle> FaultyOracle<O> {
+    /// Puts `inner` behind the fault plan.
+    pub fn new(inner: O, plan: FaultPlan) -> Self {
         FaultyOracle {
-            session: db.session(),
+            inner,
             plan,
             attempts: 0,
             consecutive: 0,
@@ -173,12 +176,6 @@ impl<'db> FaultyOracle<'db> {
     /// Injection accounting so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// Queries actually answered by the real database through this oracle
-    /// (faulted attempts are not counted — they never reached it).
-    pub fn queries_issued(&self) -> u64 {
-        self.session.queries_issued()
     }
 
     /// Consults the fault stream for one query attempt. `Some(err)` means
@@ -227,54 +224,34 @@ impl<'db> FaultyOracle<'db> {
         self.stats.injected += 1;
         Some(err)
     }
+}
 
-    /// Executes a query plan like [`Session::run_plan_grouped`], subject to
-    /// fault injection: returns the answered prefix and the error that cut
-    /// the plan short, if any. Injected errors satisfy
-    /// [`QueryError::is_transient`]; real rejections from the database pass
-    /// through unchanged and take precedence over injection.
-    pub fn run_plan_grouped(
+impl<O: PlanOracle> PlanOracle for FaultyOracle<O> {
+    fn run_plan_grouped(
         &mut self,
         queries: &[Query],
         groups: Option<&[PrefixGroup]>,
     ) -> (Vec<QueryResponse>, Option<QueryError>) {
-        if !self.plan.is_active() || queries.is_empty() {
-            return self.session.run_plan_grouped(queries, groups);
+        if !self.plan.is_active() {
+            return self.inner.run_plan_grouped(queries, groups);
         }
-        let mut cut = None;
-        for i in 0..queries.len() {
-            if let Some(err) = self.consult() {
-                cut = Some((i, err));
-                break;
-            }
-        }
-        match cut {
-            None => self.session.run_plan_grouped(queries, groups),
-            Some((i, err)) => {
-                // Only the answered prefix reaches the database; the
-                // sibling annotation belonged to the whole plan, so the
-                // engine re-factors the prefix itself (byte-identical).
-                let (responses, real_err) = self.session.run_plan_grouped(&queries[..i], None);
-                if real_err.is_some() {
-                    // A real rejection inside the prefix happened "before"
-                    // the injected fault and wins.
-                    return (responses, real_err);
-                }
-                (responses, Some(err))
-            }
-        }
-    }
-
-    /// Single-plan convenience without a sibling annotation.
-    pub fn run_plan(&mut self, queries: &[Query]) -> (Vec<QueryResponse>, Option<QueryError>) {
-        self.run_plan_grouped(queries, None)
+        let Some((i, err)) = (0..queries.len()).find_map(|i| Some((i, self.consult()?))) else {
+            return self.inner.run_plan_grouped(queries, groups);
+        };
+        // Only the answered prefix reaches the inner oracle; the sibling
+        // annotation belonged to the whole plan, so the engine re-factors
+        // the prefix itself (byte-identical).
+        let (responses, real_err) = self.inner.run_plan_grouped(&queries[..i], None);
+        // A real rejection inside the prefix happened "before" the injected
+        // fault and wins.
+        (responses, real_err.or(Some(err)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InterfaceType, SchemaBuilder, Tuple};
+    use crate::{HiddenDb, InterfaceType, SchemaBuilder, Tuple};
 
     fn db(k: usize) -> HiddenDb {
         let schema = SchemaBuilder::new()
@@ -290,9 +267,9 @@ mod tests {
     #[test]
     fn passthrough_plan_is_invisible() {
         let db = db(3);
-        let mut oracle = FaultyOracle::new(&db, FaultPlan::none());
+        let mut oracle = FaultyOracle::new(db.session(), FaultPlan::none());
         let plan = vec![Query::select_all(); 5];
-        let (responses, err) = oracle.run_plan(&plan);
+        let (responses, err) = oracle.run_plan_grouped(&plan, None);
         assert_eq!(responses.len(), 5);
         assert!(err.is_none());
         assert_eq!(oracle.stats(), FaultStats::default());
@@ -303,11 +280,11 @@ mod tests {
     fn faults_are_deterministic_per_seed() {
         let run = |seed: u64| {
             let db = db(3);
-            let mut oracle = FaultyOracle::new(&db, FaultPlan::new(seed, 0.5));
+            let mut oracle = FaultyOracle::new(db.session(), FaultPlan::new(seed, 0.5));
             let plan = vec![Query::select_all(); 4];
             let mut outcomes = Vec::new();
             for _ in 0..20 {
-                let (responses, err) = oracle.run_plan(&plan);
+                let (responses, err) = oracle.run_plan_grouped(&plan, None);
                 outcomes.push((responses.len(), err));
             }
             (outcomes, oracle.stats())
@@ -319,18 +296,17 @@ mod tests {
     #[test]
     fn faulted_attempts_never_touch_the_database() {
         let db = db(3);
-        let mut oracle = FaultyOracle::new(&db, FaultPlan::new(3, 0.6));
+        let mut oracle = FaultyOracle::new(db.session(), FaultPlan::new(3, 0.6));
         let plan = vec![Query::select_all(); 3];
         let mut answered = 0u64;
         for _ in 0..50 {
-            let (responses, err) = oracle.run_plan(&plan);
+            let (responses, err) = oracle.run_plan_grouped(&plan, None);
             answered += responses.len() as u64;
             if let Some(e) = err {
                 assert!(e.is_transient(), "injected errors are transient: {e}");
             }
         }
         assert_eq!(db.queries_issued(), answered);
-        assert_eq!(oracle.queries_issued(), answered);
         assert!(
             oracle.stats().injected > 0,
             "rate 0.6 must inject something"
@@ -342,11 +318,11 @@ mod tests {
         let db = db(3);
         // Certain fault with a cap of 2: every third attempt is forced
         // through, so a retry loop of 3 attempts always answers.
-        let mut oracle = FaultyOracle::new(&db, FaultPlan::new(1, 1.0));
+        let mut oracle = FaultyOracle::new(db.session(), FaultPlan::new(1, 1.0));
         let q = [Query::select_all()];
         let mut answered = 0;
         for _ in 0..30 {
-            let (responses, _) = oracle.run_plan(&q);
+            let (responses, _) = oracle.run_plan_grouped(&q, None);
             answered += responses.len();
         }
         assert!(answered >= 10, "cap must force at least one in three");
@@ -355,13 +331,15 @@ mod tests {
     #[test]
     fn mid_plan_drop_returns_the_answered_prefix() {
         let db = db(3);
-        let mut oracle =
-            FaultyOracle::new(&db, FaultPlan::new(11, 0.4).with_max_consecutive(u32::MAX));
+        let mut oracle = FaultyOracle::new(
+            db.session(),
+            FaultPlan::new(11, 0.4).with_max_consecutive(u32::MAX),
+        );
         let plan = vec![Query::select_all(); 6];
         let mut saw_partial_prefix = false;
         for _ in 0..40 {
             let before = db.queries_issued();
-            let (responses, err) = oracle.run_plan(&plan);
+            let (responses, err) = oracle.run_plan_grouped(&plan, None);
             assert_eq!(db.queries_issued() - before, responses.len() as u64);
             if err.is_some() && !responses.is_empty() && responses.len() < plan.len() {
                 saw_partial_prefix = true;
@@ -373,10 +351,10 @@ mod tests {
     #[test]
     fn latency_spikes_split_into_timeouts_and_slow_answers() {
         let db = db(3);
-        let mut oracle = FaultyOracle::new(&db, FaultPlan::new(5, 0.9));
+        let mut oracle = FaultyOracle::new(db.session(), FaultPlan::new(5, 0.9));
         let q = [Query::select_all()];
         for _ in 0..300 {
-            let _ = oracle.run_plan(&q);
+            let _ = oracle.run_plan_grouped(&q, None);
         }
         let stats = oracle.stats();
         assert!(stats.timeouts > 0, "80 ms spikes exceed the 40 ms timeout");

@@ -26,11 +26,11 @@
 //! lists with prefix counts prune selective conjunctions and answer
 //! selectivity in O(1) ([`HiddenDb::selectivity`]), and responses share
 //! `Arc<Tuple>` handles with the store instead of deep-cloning. Multi-query
-//! plans ([`Session::run_plan`]) additionally go through a shared-prefix
-//! batch executor: sibling queries extending one parent conjunction
-//! ([`PrefixGroup`]) evaluate the shared conjunction once and only apply
-//! their private residuals — with per-query admission, statistics and
-//! access-log accounting preserved exactly. Differential property-test
+//! plans (a [`Session`]'s [`PlanOracle::run_plan_grouped`]) additionally go
+//! through a shared-prefix batch executor: sibling queries extending one
+//! parent conjunction ([`PrefixGroup`]) evaluate the shared conjunction
+//! once and only apply their private residuals — with per-query admission,
+//! statistics and access-log accounting preserved exactly. Differential property-test
 //! suites prove single-query and batched execution byte-identical to the
 //! naive filter-then-rank definition, which exists only as their test
 //! reference.
@@ -116,7 +116,7 @@ pub use segment::{
     BlockSource, FileSource, MemSource, SegmentError, SegmentOpenOptions, SegmentReader,
     SegmentWriter, StorageStats, DEFAULT_CHUNK, SEGMENT_VERSION,
 };
-pub use session::Session;
+pub use session::{PlanOracle, Session};
 pub use stats::{AccessLog, AccessLogEntry, QueryStats};
 pub use store::TupleStore;
 pub use tuple::{compare_on, dominates, dominates_on, Dominance, Tuple};

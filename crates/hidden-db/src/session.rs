@@ -30,7 +30,7 @@
 
 use crate::index::Scratch;
 use crate::stats::QueryStats;
-use crate::{HiddenDb, Query, QueryError, QueryResponse};
+use crate::{HiddenDb, PrefixGroup, Query, QueryError, QueryResponse};
 
 /// One client's query cursor over a shared [`HiddenDb`].
 ///
@@ -77,39 +77,53 @@ impl<'db> Session<'db> {
         self.stats.tuples_returned += response.len() as u64;
     }
 
-    /// Pipelines a query plan: answers `queries` in order, stopping at the
-    /// first rejection, and returns the successfully answered prefix
-    /// together with the error that cut it short (if any).
-    ///
-    /// This is the execution surface of the sans-io discovery driver: a
-    /// machine's multi-query plan goes through one `run_plan` call, so a
-    /// rate-limit rejection mid-plan never *attempts* the remaining queries
-    /// (rejections are stateless, but attempting them would waste work) and
-    /// the caller gets the exact answered prefix to resume its machine with.
-    ///
-    /// Execution is **batched, not per-query**: the whole plan goes to the
-    /// engine's shared-prefix executor, which factors sibling queries into
-    /// [`crate::PrefixGroup`]s (tree frontiers share their parent's
-    /// conjunction) and evaluates each shared conjunction once, answering
-    /// every member from the shared candidates plus its private residual
-    /// predicates. Responses, statistics, rate limiting and the access log
-    /// are byte-identical to issuing each query individually — the
-    /// admission/accounting hooks run per query in plan order, and a
-    /// differential battery pins the equivalence.
-    pub fn run_plan(&mut self, queries: &[Query]) -> (Vec<QueryResponse>, Option<QueryError>) {
-        self.run_plan_grouped(queries, None)
+    /// This session's private query accounting (the database's global
+    /// [`HiddenDb::stats`] aggregates all sessions).
+    pub fn stats(&self) -> QueryStats {
+        self.stats
     }
+}
 
-    /// [`Session::run_plan`] with the plan's sibling-group annotation
-    /// supplied by the caller (discovery machines know their frontier's
-    /// parent structure, so the engine need not rediscover it). `groups`
-    /// must tile `queries` with literally shared predicate prefixes; an
-    /// inconsistent annotation is ignored in favor of engine-side
-    /// factoring, and `None` always means "factor engine-side".
-    pub fn run_plan_grouped(
+/// The search form as a discovery run reaches it: a plan of queries goes
+/// in, the answered prefix comes out. This is the one way a plan reaches a
+/// database — in-process through a [`Session`], over TCP through
+/// `skyweb-net`'s `RemoteOracle`, and behind a [`FaultyOracle`] that wraps
+/// either — so every discovery machine is transport-blind.
+///
+/// [`FaultyOracle`]: crate::FaultyOracle
+pub trait PlanOracle: std::fmt::Debug {
+    /// Executes `queries` in order, with the optional sibling-group
+    /// annotation, stopping at the first rejection, and returns the
+    /// answered prefix together with the error that cut it short (if any).
+    /// Transient errors ([`QueryError::is_transient`]) are a retrying
+    /// caller's cue to resend the unanswered suffix.
+    ///
+    /// `groups` must tile `queries` with literally shared predicate
+    /// prefixes (discovery machines know their frontier's parent
+    /// structure); `None` means "no annotation".
+    fn run_plan_grouped(
         &mut self,
         queries: &[Query],
-        groups: Option<&[crate::PrefixGroup]>,
+        groups: Option<&[PrefixGroup]>,
+    ) -> (Vec<QueryResponse>, Option<QueryError>);
+}
+
+/// Execution is **batched, not per-query**: the whole plan goes to the
+/// engine's shared-prefix executor, which factors sibling queries into
+/// [`PrefixGroup`]s (tree frontiers share their parent's conjunction) and
+/// evaluates each shared conjunction once, answering every member from the
+/// shared candidates plus its private residual predicates. An inconsistent
+/// annotation is ignored in favor of engine-side factoring, and `None`
+/// always means "factor engine-side". Responses, statistics, rate limiting
+/// and the access log are byte-identical to issuing each query through
+/// [`Session::query`] — the admission/accounting hooks run per query in
+/// plan order, and a differential battery pins the equivalence. A
+/// rate-limit rejection mid-plan never *attempts* the remaining queries.
+impl PlanOracle for Session<'_> {
+    fn run_plan_grouped(
+        &mut self,
+        queries: &[Query],
+        groups: Option<&[PrefixGroup]>,
     ) -> (Vec<QueryResponse>, Option<QueryError>) {
         let (responses, err) = self
             .db
@@ -118,17 +132,6 @@ impl<'db> Session<'db> {
             self.note(response);
         }
         (responses, err)
-    }
-
-    /// This session's private query accounting (the database's global
-    /// [`HiddenDb::stats`] aggregates all sessions).
-    pub fn stats(&self) -> QueryStats {
-        self.stats
-    }
-
-    /// Number of queries this session has successfully issued.
-    pub fn queries_issued(&self) -> u64 {
-        self.stats.queries
     }
 }
 
@@ -144,7 +147,8 @@ impl std::fmt::Debug for Session<'_> {
 #[cfg(test)]
 mod tests {
     use crate::{
-        HiddenDb, InterfaceType, Predicate, Query, QueryError, RateLimit, SchemaBuilder, Tuple,
+        HiddenDb, InterfaceType, PlanOracle, Predicate, Query, QueryError, RateLimit,
+        SchemaBuilder, Tuple,
     };
 
     fn db(k: usize) -> HiddenDb {
@@ -203,7 +207,7 @@ mod tests {
         let limited = db(3).with_rate_limit(RateLimit::new(2));
         let mut s = limited.session();
         let queries = vec![Query::select_all(); 4];
-        let (responses, err) = s.run_plan(&queries);
+        let (responses, err) = s.run_plan_grouped(&queries, None);
         assert_eq!(responses.len(), 2);
         assert_eq!(err, Some(QueryError::RateLimitExceeded { limit: 2 }));
         assert_eq!(s.stats().queries, 2);
@@ -216,7 +220,7 @@ mod tests {
             Query::new(vec![Predicate::eq(9, 0)]), // unknown attribute
             Query::select_all(),
         ];
-        let (responses, err) = s2.run_plan(&plan);
+        let (responses, err) = s2.run_plan_grouped(&plan, None);
         assert_eq!(responses.len(), 1);
         assert!(matches!(
             err,
@@ -225,7 +229,7 @@ mod tests {
         // The query after the rejection was never attempted.
         assert_eq!(db2.queries_issued(), 1);
 
-        let (responses, err) = s2.run_plan(&[Query::select_all()]);
+        let (responses, err) = s2.run_plan_grouped(&[Query::select_all()], None);
         assert_eq!(responses.len(), 1);
         assert!(err.is_none());
     }
@@ -251,7 +255,7 @@ mod tests {
         (ids, err, s.stats())
     }
 
-    /// Batched `run_plan` must equal the sequential loop on responses,
+    /// Batched `run_plan_grouped` must equal the sequential loop on responses,
     /// session stats, global stats and the access log, across the grouping
     /// edge cases: empty plan, singleton, zero shared prefix, all-identical
     /// queries, deep sibling groups.
@@ -282,7 +286,7 @@ mod tests {
             let batched_db = db(3);
             batched_db.enable_access_log();
             let mut batched = batched_db.session();
-            let (responses, err) = batched.run_plan(plan);
+            let (responses, err) = batched.run_plan_grouped(plan, None);
             let reference_db = db(3);
             reference_db.enable_access_log();
             let (want_ids, want_err, want_stats) = sequential_reference(&reference_db, plan);
@@ -312,7 +316,7 @@ mod tests {
         let plan: Vec<Query> = (0..4).map(|i| parent.and(Predicate::ge(1, i))).collect();
         let limited = db(3).with_rate_limit(RateLimit::new(2));
         let mut s = limited.session();
-        let (responses, err) = s.run_plan(&plan);
+        let (responses, err) = s.run_plan_grouped(&plan, None);
         assert_eq!(responses.len(), 2);
         assert_eq!(err, Some(QueryError::RateLimitExceeded { limit: 2 }));
         assert_eq!(s.stats().queries, 2);

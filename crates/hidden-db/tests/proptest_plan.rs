@@ -1,6 +1,6 @@
 //! Differential property tests of the shared-prefix batch executor: for
 //! random schemas, rankers, rate limits and multi-query plans (with and
-//! without shared predicate prefixes), `Session::run_plan` must be
+//! without shared predicate prefixes), `Session::run_plan_grouped` must be
 //! **byte-identical** to answering the same plan one query at a time
 //! through `Session::query` — same tuples in the same order, same overflow
 //! flags, same cutting error and answered-prefix length, same per-session
@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 
 use skyweb_hidden_db::{
-    prefix_groups, CmpOp, HiddenDb, InterfaceType, LexicographicRanker, Predicate, PrefixGroup,
-    Query, QueryError, QueryResponse, RandomSkylineRanker, Ranker, RateLimit, Schema,
+    prefix_groups, CmpOp, HiddenDb, InterfaceType, LexicographicRanker, PlanOracle, Predicate,
+    PrefixGroup, Query, QueryError, QueryResponse, RandomSkylineRanker, Ranker, RateLimit, Schema,
     SchemaBuilder, SingleAttributeRanker, SumRanker, Tuple, WeightedSumRanker, WorstCaseRanker,
 };
 
@@ -209,11 +209,7 @@ fn assert_batch_matches_sequential(w: &Workload, hinted: bool) {
     let batched_db = db_of(w, plan.len());
     batched_db.enable_access_log();
     let mut batched = batched_db.session();
-    let (responses, err) = if hinted {
-        batched.run_plan_grouped(&plan, Some(&hint))
-    } else {
-        batched.run_plan(&plan)
-    };
+    let (responses, err) = batched.run_plan_grouped(&plan, hinted.then_some(&hint[..]));
 
     prop_assert_eq!(outcomes(&responses), want, "responses diverged");
     prop_assert_eq!(err, want_err, "cutting error diverged");

@@ -15,9 +15,9 @@
 //! * [`wire`] — the length-validated frame transport underneath both.
 //!
 //! Remote execution is byte-identical to in-process execution: the server
-//! answers plans through the same `Session::run_plan_grouped` the driver
-//! would call directly, so results, query costs and anytime traces match
-//! exactly. See `docs/wire-protocol.md` for the handshake, frame kinds,
+//! answers plans through the same [`Session`](skyweb_hidden_db::Session)
+//! oracle the driver would call directly, so results, query costs and
+//! anytime traces match exactly. See `docs/wire-protocol.md` for the handshake, frame kinds,
 //! versioning policy and error mapping.
 //!
 //! ```no_run

@@ -29,7 +29,7 @@ use skyweb_core::{
     KIND_HELLO, KIND_PLAN, WIRE_PROTOCOL,
 };
 use skyweb_hidden_db::envelope::u64_of;
-use skyweb_hidden_db::HiddenDb;
+use skyweb_hidden_db::{HiddenDb, PlanOracle};
 
 use crate::wire::{self, NetError, MAX_FRAME_LEN, MAX_HANDSHAKE_FRAME_LEN};
 

@@ -15,7 +15,7 @@ use skyweb::core::{
     MqDbSky, PointSpaceCrawl, Pq2dSky, PqDbSky, RetryPolicy, RqDbSky, SqDbSky, StepOutcome,
 };
 use skyweb::hidden_db::{
-    FaultPlan, FaultyOracle, HiddenDb, InterfaceType, Query, SchemaBuilder, Tuple,
+    FaultPlan, FaultyOracle, HiddenDb, InterfaceType, PlanOracle, Query, SchemaBuilder, Tuple,
 };
 
 /// A deterministic 3-attribute database; `interface` selects the search
@@ -70,7 +70,8 @@ fn assert_identical(name: &str, a: &DiscoveryResult, b: &DiscoveryResult) {
 fn faulted_run(alg: &dyn Discoverer, db: &HiddenDb, faults: FaultPlan) -> (DiscoveryResult, u64) {
     let machine = alg.machine(db).expect("interface supported");
     let config = DriverConfig::new().with_retry(Some(RetryPolicy::new()));
-    let mut driver = DiscoveryDriver::with_faults(db, machine, config, faults);
+    let oracle = FaultyOracle::new(db.session(), faults);
+    let mut driver = DiscoveryDriver::with_oracle(oracle, machine, config);
     loop {
         match driver
             .step()
@@ -154,9 +155,9 @@ fn every_machine_degrades_gracefully_when_retries_exhaust() {
     // on every machine's first plan before any query is answered.
     let faults = FaultPlan::new(1, 1.0).with_max_consecutive(u32::MAX);
     let db = chaos_db(InterfaceType::Rq, 2);
-    let mut probe = FaultyOracle::new(&db, faults);
+    let mut probe = FaultyOracle::new(db.session(), faults);
     for attempt in 0..4 {
-        let (answered, err) = probe.run_plan(&[Query::select_all()]);
+        let (answered, err) = probe.run_plan_grouped(&[Query::select_all()], None);
         assert!(
             answered.is_empty() && err.is_some_and(|e| e.is_transient()),
             "attempt {attempt} of the stream must fail"
@@ -166,7 +167,8 @@ fn every_machine_degrades_gracefully_when_retries_exhaust() {
         let db = chaos_db(interface, 2);
         let machine = alg.machine(&db).unwrap();
         let config = DriverConfig::new().with_retry(Some(RetryPolicy::new()));
-        let mut driver = DiscoveryDriver::with_faults(&db, machine, config, faults);
+        let oracle = FaultyOracle::new(db.session(), faults);
+        let mut driver = DiscoveryDriver::with_oracle(oracle, machine, config);
         let mut outcome = driver.step().unwrap();
         while let StepOutcome::Progressed { .. } = outcome {
             outcome = driver.step().unwrap();
@@ -199,7 +201,8 @@ fn transient_faults_without_a_policy_propagate() {
         let db = chaos_db(interface, 2);
         let machine = alg.machine(&db).unwrap();
         let faults = FaultPlan::new(7, 1.0).with_max_consecutive(u32::MAX);
-        let mut driver = DiscoveryDriver::with_faults(&db, machine, DriverConfig::new(), faults);
+        let oracle = FaultyOracle::new(db.session(), faults);
+        let mut driver = DiscoveryDriver::with_oracle(oracle, machine, DriverConfig::new());
         match driver.step() {
             Err(DiscoveryError::Query(e)) => {
                 assert!(e.is_transient(), "{}: {e:?}", alg.name())

@@ -11,7 +11,7 @@ use skyweb::core::{
     Checkpoint, Discoverer, DiscoveryDriver, DiscoveryMachine, DiscoveryResult, DriverConfig,
     RetryPolicy, RqDbSky, SqDbSky, StepOutcome,
 };
-use skyweb::hidden_db::{FaultPlan, HiddenDb, InterfaceType, SchemaBuilder, Tuple};
+use skyweb::hidden_db::{FaultPlan, FaultyOracle, HiddenDb, InterfaceType, SchemaBuilder, Tuple};
 
 /// The primary and its replica: separately constructed, identical content.
 fn make_db() -> HiddenDb {
@@ -48,7 +48,8 @@ fn kill_and_restore(steps_before_kill: usize, faults: bool) -> DiscoveryResult {
 
     let primary = make_db();
     let machine = RqDbSky::new().machine(&primary).unwrap();
-    let mut driver = DiscoveryDriver::with_faults(&primary, machine, config, plan(11));
+    let oracle = FaultyOracle::new(primary.session(), plan(11));
+    let mut driver = DiscoveryDriver::with_oracle(oracle, machine, config);
     let mut steps = 0;
     let bytes = loop {
         match driver.step().unwrap() {
@@ -68,7 +69,8 @@ fn kill_and_restore(steps_before_kill: usize, faults: bool) -> DiscoveryResult {
     let replica = make_db();
     let restored: Checkpoint<Box<dyn DiscoveryMachine>> =
         Checkpoint::from_bytes(&bytes).expect("persisted checkpoint restores");
-    let driver = DiscoveryDriver::resume_with_faults(&replica, restored, config, plan(99));
+    let oracle = FaultyOracle::new(replica.session(), plan(99));
+    let driver = DiscoveryDriver::with_oracle(oracle, restored.into_machine(), config);
     driver.run().expect("restored run finishes cleanly")
 }
 

@@ -61,7 +61,7 @@ fn run_through_bytes(
             "re-encoding a restored checkpoint must reproduce the bytes"
         );
         assert_eq!(restored.queries_issued(), db.queries_issued());
-        driver = DiscoveryDriver::resume(db, restored, config);
+        driver = DiscoveryDriver::new(db, restored.into_machine(), config);
     }
     driver.finish().expect("result extraction is infallible")
 }

@@ -274,7 +274,7 @@ fn build_db(w: &DiscoveryWorkload) -> HiddenDb {
 }
 
 /// The naive reference as a plan transport: answers a plan one query at a
-/// time and stops at the first rejection, as `Session::run_plan` does.
+/// time and stops at the first rejection, as a `Session` does.
 #[derive(Debug)]
 struct ReferenceOracle<'a>(NaiveReference<'a>);
 

@@ -37,7 +37,7 @@ fn run_with_pauses(
         .expect("no real query errors in these schemas")
     {
         let checkpoint: Checkpoint<_> = driver.pause();
-        driver = DiscoveryDriver::resume(db, checkpoint, config);
+        driver = DiscoveryDriver::new(db, checkpoint.into_machine(), config);
     }
     driver.finish().expect("result extraction is infallible")
 }
@@ -146,7 +146,7 @@ proptest! {
         let mut driver = DiscoveryDriver::new(&db_resumed, machine, config);
         while let StepOutcome::Progressed { .. } = driver.step().unwrap() {
             let checkpoint = driver.pause();
-            driver = DiscoveryDriver::resume(&db_resumed, checkpoint, config);
+            driver = DiscoveryDriver::new(&db_resumed, checkpoint.into_machine(), config);
         }
         let resumed = driver.into_machine().take_band_result();
         let band_ids = |r: &SkybandResult| -> Vec<u64> { r.band.iter().map(|t| t.id).collect() };
